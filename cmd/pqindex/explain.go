@@ -27,7 +27,7 @@ func runExplain(args []string) error {
 	if *idxPath == "" || fs.NArg() != 1 || (*tau <= 0) == (*k <= 0) {
 		return fmt.Errorf("explain needs -index, exactly one query document, and exactly one of -tau/-k")
 	}
-	st, err := openIndex(*idxPath)
+	st, err := pqgram.OpenStore(*idxPath)
 	if err != nil {
 		return err
 	}

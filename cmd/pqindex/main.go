@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	pqindex build  -index idx.pqg [-p 3 -q 3] [-workers 8] [-segments [-flush-every 1000]] doc1.xml doc2.xml ...
+//	pqindex build  -index idx.pqg [-p 3 -q 3] [-workers 8] [-flush-every 1000] doc1.xml doc2.xml ...
 //	pqindex add    -index idx.pqg doc.xml
 //	pqindex remove -index idx.pqg -id doc.xml
 //	pqindex update -index idx.pqg -id doc.xml -log changes.log doc-new.xml
@@ -12,18 +12,18 @@
 //	pqindex explain -index idx.pqg {-tau 0.5 | -k 5} [-plan auto] [-timings] [-json] query.xml
 //	pqindex dist   a.xml b.xml [-p 3 -q 3]
 //	pqindex info   -index idx.pqg
-//	pqindex compact -index idx.pqg [-metric]
+//	pqindex compact -index idx.pqg
 //
 // Documents are identified by the file path given at build/add time. The
 // update subcommand implements the paper's scenario: the index is
 // maintained from the old index, the new document and the log of inverse
 // edit operations — the old document is not needed.
 //
-// Two persistent engines share the index path: the monolithic
-// snapshot+journal store (the default) and, with `build -segments`, the
-// segmented out-of-core store (memtable + immutable segment files; see
-// STORAGE.md). Every other subcommand auto-detects the engine from the
-// files on disk, and `info` reports which one a path uses.
+// The index path names a store (memtable + write-ahead journal +
+// immutable segment files; see STORAGE.md): idx.pqg.manifest,
+// idx.pqg.wal and idx.pqg.NNNNNN.seg. `build` leaves every document in
+// segment files; later mutations are journaled and stay resident until
+// `compact` merges everything into one segment again.
 //
 // The build, update, lookup and join subcommands accept -stats, which
 // attaches the metrics collector and prints an op report (counters, latency
@@ -85,70 +85,28 @@ func usage() {
 	os.Exit(2)
 }
 
-// index is the engine-agnostic surface the subcommands run against. Both
-// persistent engines implement it: the monolithic snapshot+journal
-// *pqgram.Store and the segmented out-of-core *pqgram.Segmented.
-type index interface {
-	Forest() *pqgram.Forest
-	Add(id string, t *pqgram.Tree) error
-	AddAll(docs []pqgram.Doc, workers int) error
-	Remove(id string) error
-	Update(id string, tn *pqgram.Tree, log pqgram.Log) (pqgram.UpdateStats, error)
-	Compact() error
-	JournalSize() (int64, error)
-	Recovery() pqgram.RecoveryInfo
-	SetCollector(c *pqgram.Collector)
-	Close() error
-}
-
-// openIndex opens an existing index with whichever engine created it,
-// detected by probing for the segmented store's manifest file.
-func openIndex(path string) (index, error) {
-	if pqgram.IsSegmented(path) {
-		return pqgram.OpenSegmented(path)
-	}
-	return pqgram.OpenStore(path)
-}
-
-// runCompact folds the write-ahead journal into the base snapshot.
+// runCompact merges the memtable and every segment into one segment and
+// empties the write-ahead journal.
 func runCompact(args []string) error {
 	fs := flag.NewFlagSet("compact", flag.ExitOnError)
 	idxPath := fs.String("index", "", "index file")
-	metric := fs.Bool("metric", false, "also build the VP-tree metric index so compaction persists it (.vpt sidecar); later opens then restore it instead of rebuilding")
 	fs.Parse(args)
 	if *idxPath == "" {
 		return fmt.Errorf("compact needs -index")
 	}
-	st, err := openIndex(*idxPath)
+	st, err := pqgram.OpenStore(*idxPath)
 	if err != nil {
 		return err
 	}
 	defer st.Close()
-	if *metric {
-		// Any metric-planned lookup builds the VP-tree; the query document
-		// is irrelevant, only the build side effect matters.
-		warm, err := pqgram.ParseXMLString("<warmup/>")
-		if err != nil {
-			return err
-		}
-		st.Forest().SetPlanMode(pqgram.PlanMetric)
-		st.Forest().LookupTopK(warm, 1)
-	}
 	before, _ := st.JournalSize()
 	if err := st.Compact(); err != nil {
 		return err
 	}
 	after, _ := st.JournalSize()
 	fmt.Printf("compacted: journal %d -> %d bytes\n", before, after)
-	if seg, ok := st.(*pqgram.Segmented); ok {
-		ss := seg.Stats()
-		fmt.Printf("segments merged: now %d (%d bytes)\n", ss.Segments, ss.SegmentBytes)
-	}
-	if *metric && st.Forest().MetricReady() {
-		if _, ok := st.(*pqgram.Store); ok {
-			fmt.Println("metric index persisted (.vpt sidecar)")
-		}
-	}
+	ss := st.Stats()
+	fmt.Printf("segments merged: now %d (%d bytes)\n", ss.Segments, ss.SegmentBytes)
 	return nil
 }
 
@@ -161,7 +119,7 @@ func runVerify(args []string) error {
 	if *idxPath == "" {
 		return fmt.Errorf("verify needs -index")
 	}
-	st, err := openIndex(*idxPath)
+	st, err := pqgram.OpenStore(*idxPath)
 	if err != nil {
 		return err
 	}
@@ -188,16 +146,10 @@ func printRecovery(r pqgram.RecoveryInfo) {
 		fmt.Printf("recovery: skipped %d records with failed checksums\n", r.SkippedRecords)
 	}
 	if r.StaleJournal {
-		fmt.Printf("recovery: discarded stale journal (%d bytes already compacted into the base)\n", r.DiscardedBytes)
+		fmt.Printf("recovery: discarded stale journal (%d bytes already folded into the segments)\n", r.DiscardedBytes)
 	}
 	if r.JournalReset {
 		fmt.Printf("recovery: reset unrecognized journal (%d bytes discarded)\n", r.DiscardedBytes)
-	}
-	if r.MetricRestored {
-		fmt.Println("recovery: restored VP-tree metric index from its sidecar")
-	}
-	if r.MetricDiscarded {
-		fmt.Println("recovery: discarded stale or corrupt metric sidecar (top-k lookups rebuild it lazily)")
 	}
 }
 
@@ -220,26 +172,18 @@ func runBuild(args []string) error {
 	p := fs.Int("p", 3, "pq-gram parameter p")
 	q := fs.Int("q", 3, "pq-gram parameter q")
 	workers := fs.Int("workers", 0, "parallel profiling workers (0 = GOMAXPROCS)")
-	segments := fs.Bool("segments", false, "create a segmented (out-of-core) index: documents spill into immutable segment files instead of one snapshot")
-	flushEvery := fs.Int("flush-every", 0, "with -segments: flush to a segment after this many documents (0 = one segment at the end)")
+	flushEvery := fs.Int("flush-every", 0, "flush to a segment after this many documents (0 = one segment at the end)")
 	stats := fs.Bool("stats", false, "print an op report (metrics snapshot) to stderr when done")
 	fs.Parse(args)
 	if *idxPath == "" || fs.NArg() == 0 {
 		return fmt.Errorf("build needs -index and at least one document")
 	}
-	var st index
-	var seg *pqgram.Segmented
-	var err error
-	if *segments {
-		if seg, err = pqgram.CreateSegmented(*idxPath, pqgram.Params{P: *p, Q: *q}); err != nil {
-			return err
-		}
-		seg.SetFlushThreshold(*flushEvery)
-		st = seg
-	} else if st, err = pqgram.CreateStore(*idxPath, pqgram.Params{P: *p, Q: *q}); err != nil {
+	st, err := pqgram.CreateStore(*idxPath, pqgram.Params{P: *p, Q: *q})
+	if err != nil {
 		return err
 	}
 	defer st.Close()
+	st.SetFlushThreshold(*flushEvery)
 	var col *pqgram.Collector
 	if *stats {
 		col = attachStats(st)
@@ -262,18 +206,14 @@ func runBuild(args []string) error {
 		grams, _, _ := st.Forest().TreeStats(d.ID)
 		fmt.Printf("indexed %s (%d nodes, %d pq-grams)\n", d.ID, d.Tree.Size(), grams)
 	}
-	if seg != nil {
-		// Spill whatever the flush threshold left resident; the journal
-		// empties and every document is segment-served.
-		if err := seg.Flush(); err != nil {
-			return err
-		}
-		ss := seg.Stats()
-		fmt.Printf("segments: %d (%d bytes)\n", ss.Segments, ss.SegmentBytes)
-		return nil
+	// Spill whatever the flush threshold left resident; the journal
+	// empties and every document is segment-served.
+	if err := st.Flush(); err != nil {
+		return err
 	}
-	// Fold the initial adds into the base snapshot.
-	return st.Compact()
+	ss := st.Stats()
+	fmt.Printf("segments: %d (%d bytes)\n", ss.Segments, ss.SegmentBytes)
+	return nil
 }
 
 func runAdd(args []string) error {
@@ -283,7 +223,7 @@ func runAdd(args []string) error {
 	if *idxPath == "" || fs.NArg() != 1 {
 		return fmt.Errorf("add needs -index and exactly one document")
 	}
-	st, err := openIndex(*idxPath)
+	st, err := pqgram.OpenStore(*idxPath)
 	if err != nil {
 		return err
 	}
@@ -308,7 +248,7 @@ func runRemove(args []string) error {
 	if *idxPath == "" || *id == "" {
 		return fmt.Errorf("remove needs -index and -id")
 	}
-	st, err := openIndex(*idxPath)
+	st, err := pqgram.OpenStore(*idxPath)
 	if err != nil {
 		return err
 	}
@@ -334,7 +274,7 @@ func runUpdate(args []string) error {
 	if *idsPath == "" {
 		*idsPath = docPath + ".ids"
 	}
-	st, err := openIndex(*idxPath)
+	st, err := pqgram.OpenStore(*idxPath)
 	if err != nil {
 		return err
 	}
@@ -387,7 +327,7 @@ func runLookup(args []string) error {
 	if *idxPath == "" || fs.NArg() == 0 || (*tau <= 0) == (*top <= 0) {
 		return fmt.Errorf("lookup needs -index, at least one query document, and exactly one of -tau/-top")
 	}
-	st, err := openIndex(*idxPath)
+	st, err := pqgram.OpenStore(*idxPath)
 	if err != nil {
 		return err
 	}
@@ -429,10 +369,9 @@ func runLookup(args []string) error {
 // runTopK answers k-nearest-neighbour queries. Unlike `lookup -top`,
 // which leaves the candidate strategy to the planner's default, it
 // exposes the plan choice: -plan metric descends the VP-tree metric
-// index (restored from the .vpt sidecar when the store has one, built
-// lazily otherwise), -plan exhaustive scores every document through the
-// postings, -plan auto lets the planner decide per query. Rankings are
-// identical in every mode; only the work differs.
+// index (built lazily on the first query), -plan exhaustive scores every
+// document through the postings, -plan auto lets the planner decide per
+// query. Rankings are identical in every mode; only the work differs.
 func runTopK(args []string) error {
 	fs := flag.NewFlagSet("topk", flag.ExitOnError)
 	idxPath := fs.String("index", "", "index file")
@@ -443,7 +382,7 @@ func runTopK(args []string) error {
 	if *idxPath == "" || fs.NArg() == 0 || *k < 1 {
 		return fmt.Errorf("topk needs -index, -k >= 1 and at least one query document")
 	}
-	st, err := openIndex(*idxPath)
+	st, err := pqgram.OpenStore(*idxPath)
 	if err != nil {
 		return err
 	}
@@ -496,7 +435,7 @@ func runJoin(args []string) error {
 	if *idxPath == "" {
 		return fmt.Errorf("join needs -index")
 	}
-	st, err := openIndex(*idxPath)
+	st, err := pqgram.OpenStore(*idxPath)
 	if err != nil {
 		return err
 	}
@@ -607,7 +546,7 @@ func runInfo(args []string) error {
 	if *idxPath == "" {
 		return fmt.Errorf("info needs -index")
 	}
-	st, err := openIndex(*idxPath)
+	st, err := pqgram.OpenStore(*idxPath)
 	if err != nil {
 		return err
 	}
@@ -622,11 +561,9 @@ func runInfo(args []string) error {
 	pr := f.Params()
 	fmt.Printf("parameters: p=%d q=%d\n", pr.P, pr.Q)
 	fmt.Printf("trees: %d, pq-grams: %d, snapshot: %d bytes, journal: %d bytes\n", f.Len(), f.Size(), sz, js)
-	if seg, ok := st.(*pqgram.Segmented); ok {
-		ss := seg.Stats()
-		fmt.Printf("engine: segmented — %d segments (%d bytes), %d resident docs, %d evicted docs, %d pending tombstones, next seq %d\n",
-			ss.Segments, ss.SegmentBytes, ss.ResidentDocs, ss.EvictedDocs, ss.PendingTombstones, ss.NextSeq)
-	}
+	ss := st.Stats()
+	fmt.Printf("store: %d segments (%d bytes), %d resident docs, %d evicted docs, %d pending tombstones, next seq %d\n",
+		ss.Segments, ss.SegmentBytes, ss.ResidentDocs, ss.EvictedDocs, ss.PendingTombstones, ss.NextSeq)
 	for _, id := range f.IDs() {
 		grams, distinct, _ := f.TreeStats(id)
 		fmt.Printf("  %-40s %8d pq-grams (%d distinct)\n", id, grams, distinct)

@@ -16,7 +16,7 @@ import (
 // attachStats wires a collector into the store (covering its forest and the
 // journal) and the global profiling metrics, returning the collector. Used
 // by the subcommands that accept -stats.
-func attachStats(st index) *pqgram.Collector {
+func attachStats(st *pqgram.Store) *pqgram.Collector {
 	col := pqgram.NewCollector()
 	st.SetCollector(col)
 	pqgram.SetProfileCollector(col)

@@ -7,28 +7,33 @@
 //
 //	pqserve                          in-memory index on :8080, cache of 1024 results
 //	pqserve -index idx.pq -sync      durable index, fsync every mutation
-//	pqserve -index idx.pq -segments -flush-every 4096
-//	                                 segmented (out-of-core) index: mutated docs
-//	                                 spill to immutable segment files every 4096
-//	                                 writes; lookups merge RAM and segments
+//	pqserve -index idx.pq -flush-every 1024
+//	                                 mutated docs spill to immutable segment files
+//	                                 every 1024 dirty documents (default 4096);
+//	                                 lookups merge RAM and segments
 //	pqserve -p95-budget 25ms         shed (429 + Retry-After) when p95 crosses 25ms
 //	pqserve -cache 0 -max-inflight 0 raw forest behavior: no cache, no admission
 //
-// An existing index is opened with the engine that created it: pqserve
-// probes for <path>.manifest and picks the segmented opener when it
-// exists, so -segments only matters when creating a new index.
+// With -index the store at that path is opened if its manifest exists and
+// created otherwise. On SIGINT or SIGTERM the server stops accepting
+// requests, waits (bounded) for the ones in flight, closes the store and
+// exits 0.
 //
 // The HTTP surface is documented in internal/serve/http.go;
 // examples/server exposes the same endpoints with a guided demo.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"io"
 	"log"
 	"log/slog"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"pqgram/internal/forest"
@@ -38,12 +43,16 @@ import (
 	"pqgram/internal/store"
 )
 
+// shutdownWait bounds how long a stopping server waits for the requests
+// in flight before it closes the store under them.
+const shutdownWait = 5 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	index := flag.String("index", "", "back the service with a persistent store at this path (journaled; survives restarts)")
 	syncWrites := flag.Bool("sync", false, "with -index: fsync every journaled mutation before acknowledging it")
-	segments := flag.Bool("segments", false, "with -index: create a segmented (out-of-core) store; existing indexes auto-detect their engine")
-	flushEvery := flag.Int("flush-every", 4096, "with -segments: flush the memtable to a segment after this many dirty documents (0 = never automatically)")
+	flag.Bool("segments", false, "accepted for compatibility and ignored: every index is segmented")
+	flushEvery := flag.Int("flush-every", 4096, "with -index: flush the memtable to a segment after this many dirty documents (0 = never automatically)")
 	plan := flag.String("plan", "auto", "query planner mode: auto, exhaustive, pruned or metric")
 	cacheSize := flag.Int("cache", 1024, "result-cache capacity in entries (0 disables)")
 	maxInflight := flag.Int("max-inflight", 64, "concurrent lookups executing at once (0 = unlimited)")
@@ -74,26 +83,17 @@ func main() {
 
 	var f *forest.Index
 	var backend serve.Backend
-	switch {
-	case *index != "" && (*segments || store.IsSegmented(*index)):
-		var st *store.Segmented
+	var st *store.Segmented
+	if *index != "" {
 		var err error
-		if store.IsSegmented(*index) {
-			st, err = store.OpenSegmented(*index)
-		} else if _, serr := os.Stat(*index); serr == nil {
-			log.Fatalf("index %s exists but is not segmented; drop -segments to open it", *index)
-		} else {
-			st, err = store.CreateSegmented(*index, profile.Default)
-		}
-		if err != nil {
+		if st, err = store.OpenOrCreate(*index, profile.Default); err != nil {
 			log.Fatalf("opening index %s: %v", *index, err)
 		}
-		defer st.Close()
 		st.SetSync(*syncWrites)
 		st.SetFlushThreshold(*flushEvery)
 		st.SetCollector(col)
 		r, ss := st.Recovery(), st.Stats()
-		logger.Info("index opened", "path", *index, "engine", "segmented",
+		logger.Info("index opened", "path", *index,
 			"docs", st.Forest().Len(),
 			"segments", ss.Segments,
 			"segment_bytes", ss.SegmentBytes,
@@ -103,30 +103,7 @@ func main() {
 			"stale_journal", r.StaleJournal)
 		f = st.Forest()
 		backend = st
-	case *index != "":
-		var st *store.Store
-		var err error
-		if _, serr := os.Stat(*index); os.IsNotExist(serr) {
-			st, err = store.CreateStore(*index, profile.Default)
-		} else {
-			st, err = store.OpenStore(*index)
-		}
-		if err != nil {
-			log.Fatalf("opening index %s: %v", *index, err)
-		}
-		defer st.Close()
-		st.SetSync(*syncWrites)
-		st.SetCollector(col)
-		r := st.Recovery()
-		logger.Info("index opened", "path", *index, "engine", "snapshot",
-			"docs", st.Forest().Len(),
-			"replayed_records", r.Records,
-			"torn_bytes", r.TornBytes,
-			"skipped_records", r.SkippedRecords,
-			"stale_journal", r.StaleJournal)
-		f = st.Forest()
-		backend = st
-	default:
+	} else {
 		f = forest.New(profile.Default)
 		f.SetCollector(col)
 	}
@@ -142,7 +119,37 @@ func main() {
 		Logger:       logger,
 	}, col)
 
+	hs := &http.Server{Addr: *addr, Handler: srv}
+	listenErr := make(chan error, 1)
+	//pqlint:allow goroutinecheck joined through listenErr: both arms of the select below receive its one send before the store closes
+	go func() { listenErr <- hs.ListenAndServe() }()
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	log.Printf("pqserve listening on %s (cache=%d inflight=%d queue=%d p95-budget=%s)",
 		*addr, *cacheSize, *maxInflight, *maxQueue, *p95Budget)
-	log.Fatal(http.ListenAndServe(*addr, srv))
+
+	code := 0
+	select {
+	case err := <-listenErr:
+		log.Printf("pqserve: %v", err)
+		code = 1
+	case got := <-sig:
+		log.Printf("pqserve: %v: shutting down", got)
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownWait)
+		if err := hs.Shutdown(ctx); err != nil {
+			log.Printf("pqserve: shutdown: %v", err)
+		}
+		cancel()
+		if err := <-listenErr; !errors.Is(err, http.ErrServerClosed) {
+			log.Printf("pqserve: %v", err)
+			code = 1
+		}
+	}
+	if st != nil {
+		if err := st.Close(); err != nil {
+			log.Printf("pqserve: closing index %s: %v", *index, err)
+			code = 1
+		}
+	}
+	os.Exit(code)
 }

@@ -1,0 +1,178 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net"
+	"net/http"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"syscall"
+	"testing"
+	"time"
+
+	"pqgram/internal/forest"
+	"pqgram/internal/profile"
+	"pqgram/internal/store"
+)
+
+// server is one pqserve child process under test.
+type server struct {
+	t      *testing.T
+	cmd    *exec.Cmd
+	base   string
+	stderr *bytes.Buffer
+	exited chan error // receives cmd.Wait's result once
+}
+
+// start launches the binary and waits until it answers /stats.
+func start(t *testing.T, bin string, args ...string) *server {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	s := &server{t: t, base: "http://" + addr, stderr: new(bytes.Buffer), exited: make(chan error, 1)}
+	s.cmd = exec.Command(bin, append([]string{"-addr", addr}, args...)...)
+	s.cmd.Stderr = s.stderr
+	if err := s.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go func() { s.exited <- s.cmd.Wait() }()
+	t.Cleanup(func() { s.cmd.Process.Kill() })
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if resp, err := http.Get(s.base + "/stats"); err == nil {
+			resp.Body.Close()
+			return s
+		}
+		select {
+		case err := <-s.exited:
+			t.Fatalf("pqserve exited before serving: %v\n%s", err, s.stderr)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pqserve not serving on %s after 5s\n%s", addr, s.stderr)
+		}
+	}
+}
+
+// stop signals the child and returns its exit code.
+func (s *server) stop(sig syscall.Signal) int {
+	s.t.Helper()
+	if err := s.cmd.Process.Signal(sig); err != nil {
+		s.t.Fatal(err)
+	}
+	select {
+	case <-s.exited:
+		return s.cmd.ProcessState.ExitCode()
+	case <-time.After(8 * time.Second):
+		s.t.Fatalf("pqserve still running 8s after %v\n%s", sig, s.stderr)
+		return -1
+	}
+}
+
+func (s *server) put(id, xml string) {
+	s.t.Helper()
+	req, err := http.NewRequest(http.MethodPut, s.base+"/docs/"+id, strings.NewReader(xml))
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		s.t.Fatalf("PUT %s: %s", id, resp.Status)
+	}
+}
+
+func (s *server) docs() int {
+	s.t.Helper()
+	resp, err := http.Get(s.base + "/stats")
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats struct {
+		Docs int `json:"docs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		s.t.Fatal(err)
+	}
+	return stats.Docs
+}
+
+// TestServeStopsCleanlyAndRecovers drives the real binary through its
+// process-level contract: SIGTERM is a clean exit 0 that loses nothing,
+// kill -9 loses nothing that was acknowledged (-sync) and the restart
+// says how much it replayed, and an index of the removed snapshot engine
+// is refused by name instead of being shadowed by a new empty store.
+func TestServeStopsCleanlyAndRecovers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the pqserve binary")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "pqserve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	idx := filepath.Join(dir, "idx")
+
+	s := start(t, bin, "-index", idx, "-sync")
+	for i := 0; i < 3; i++ {
+		s.put(fmt.Sprintf("doc-%d", i), fmt.Sprintf("<r><a>%d</a><b/></r>", i))
+	}
+	if code := s.stop(syscall.SIGTERM); code != 0 {
+		t.Fatalf("exit code %d after SIGTERM, want 0\n%s", code, s.stderr)
+	}
+
+	s = start(t, bin, "-index", idx, "-sync")
+	if n := s.docs(); n != 3 {
+		t.Fatalf("%d docs after a clean restart, want 3", n)
+	}
+	s.put("doc-3", "<r><c/></r>")
+	if code := s.stop(syscall.SIGKILL); code == 0 {
+		t.Fatal("kill -9 reported exit code 0")
+	}
+
+	s = start(t, bin, "-index", idx, "-sync")
+	if n := s.docs(); n != 4 {
+		t.Fatalf("%d docs after kill -9, want 4", n)
+	}
+	if code := s.stop(syscall.SIGINT); code != 0 {
+		t.Fatalf("exit code %d after SIGINT, want 0\n%s", code, s.stderr)
+	}
+	// Read the log only now: the child's stderr is complete once it exited.
+	m := regexp.MustCompile(`msg="index opened".* replayed_records=(\d+)`).FindSubmatch(s.stderr.Bytes())
+	if m == nil {
+		t.Fatalf("no \"index opened\" line with replayed_records in the log:\n%s", s.stderr)
+	}
+	if n, _ := strconv.Atoi(string(m[1])); n == 0 {
+		t.Fatalf("restart after kill -9 replayed no journal records:\n%s", s.stderr)
+	}
+
+	legacy := filepath.Join(dir, "old.pqg")
+	if err := store.SaveFile(legacy, forest.New(profile.Default)); err != nil {
+		t.Fatal(err)
+	}
+	// Killed by the context if it wrongly starts serving.
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	var stderr bytes.Buffer
+	cmd := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", "-index", legacy)
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil || ctx.Err() != nil {
+		t.Fatalf("pqserve did not refuse a legacy snapshot path (%v):\n%s", err, &stderr)
+	}
+	if !strings.Contains(stderr.String(), `legacy "PQGI" snapshot`) {
+		t.Fatalf("stderr does not name the legacy format:\n%s", &stderr)
+	}
+}

@@ -47,7 +47,9 @@ import (
 
 	"pqgram"
 	"pqgram/internal/gen" // demo data generation only
+	"pqgram/internal/profile"
 	"pqgram/internal/serve"
+	"pqgram/internal/store"
 )
 
 func main() {
@@ -56,8 +58,7 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress per-request logging")
 	index := flag.String("index", "", "back the service with a persistent store at this path (journaled; survives restarts)")
 	syncWrites := flag.Bool("sync", false, "with -index: fsync every journaled mutation before acknowledging it")
-	segments := flag.Bool("segments", false, "with -index: create a segmented (out-of-core) store; existing indexes auto-detect their engine")
-	flushEvery := flag.Int("flush-every", 4096, "with -segments: flush the memtable to a segment after this many dirty documents (0 = never automatically)")
+	flushEvery := flag.Int("flush-every", 4096, "with -index: flush the memtable to a segment after this many dirty documents (0 = never automatically)")
 	plan := flag.String("plan", "auto", "query planner mode: auto, exhaustive, pruned or metric")
 	cache := flag.Int("cache", 1024, "result-cache capacity in entries (0 disables)")
 	flag.Parse()
@@ -84,23 +85,13 @@ func main() {
 	pqgram.SetProfileCollector(col)
 
 	// With -index, mutations are journaled through a durable store and the
-	// server answers queries from its recovered forest; without it the
-	// index lives only in memory. -segments picks the out-of-core engine
-	// (mutated documents spill into immutable segment files); an existing
-	// index is reopened with whichever engine created it.
+	// server answers queries from its recovered forest (mutated documents
+	// spill into immutable segment files every -flush-every writes);
+	// without it the index lives only in memory.
 	var f *pqgram.Forest
 	var backend serve.Backend
-	switch {
-	case *index != "" && (*segments || pqgram.IsSegmented(*index)):
-		var st *pqgram.Segmented
-		var err error
-		if pqgram.IsSegmented(*index) {
-			st, err = pqgram.OpenSegmented(*index)
-		} else if _, serr := os.Stat(*index); serr == nil {
-			log.Fatalf("index %s exists but is not segmented; drop -segments to open it", *index)
-		} else {
-			st, err = pqgram.CreateSegmented(*index, pqgram.DefaultParams)
-		}
+	if *index != "" {
+		st, err := store.OpenOrCreate(*index, profile.Default)
 		if err != nil {
 			log.Fatalf("opening index %s: %v", *index, err)
 		}
@@ -109,7 +100,7 @@ func main() {
 		st.SetFlushThreshold(*flushEvery)
 		st.SetCollector(col)
 		r, ss := st.Recovery(), st.Stats()
-		logger.Info("index opened", "path", *index, "engine", "segmented",
+		logger.Info("index opened", "path", *index,
 			"docs", st.Forest().Len(),
 			"segments", ss.Segments,
 			"replayed_records", r.Records,
@@ -118,30 +109,7 @@ func main() {
 			"stale_journal", r.StaleJournal)
 		f = st.Forest()
 		backend = st
-	case *index != "":
-		var st *pqgram.Store
-		var err error
-		if _, serr := os.Stat(*index); os.IsNotExist(serr) {
-			st, err = pqgram.CreateStore(*index, pqgram.DefaultParams)
-		} else {
-			st, err = pqgram.OpenStore(*index)
-		}
-		if err != nil {
-			log.Fatalf("opening index %s: %v", *index, err)
-		}
-		defer st.Close()
-		st.SetSync(*syncWrites)
-		st.SetCollector(col)
-		r := st.Recovery()
-		logger.Info("index opened", "path", *index,
-			"docs", st.Forest().Len(),
-			"replayed_records", r.Records,
-			"torn_bytes", r.TornBytes,
-			"skipped_records", r.SkippedRecords,
-			"stale_journal", r.StaleJournal)
-		f = st.Forest()
-		backend = st
-	default:
+	} else {
 		f = pqgram.NewForest(pqgram.DefaultParams)
 		f.SetCollector(col)
 	}

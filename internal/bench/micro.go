@@ -121,7 +121,7 @@ func Micro(docs int, seed int64, col *obs.Collector) (*Result, *MicroReport, err
 		batch[i] = forest.Doc{ID: fmt.Sprintf("doc-%04d", i), Tree: trees[i]}
 	}
 
-	st, err := store.CreateStore(path, P33)
+	st, err := store.CreateSegmented(path, P33)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -185,12 +185,12 @@ func Micro(docs int, seed int64, col *obs.Collector) (*Result, *MicroReport, err
 
 	// Durability cycle: close, reopen (replays the update journal), attach
 	// the collector again so the replay metrics land in the snapshot, then
-	// compact into a fresh base.
+	// compact into one segment.
 	if err := st.Close(); err != nil {
 		return nil, nil, err
 	}
 	if err := timeOp(rep, "reopen_replay", 1, func() error {
-		st, err = store.OpenStore(path)
+		st, err = store.OpenSegmented(path)
 		return err
 	}); err != nil {
 		return nil, nil, err

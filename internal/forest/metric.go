@@ -23,7 +23,7 @@
 // # Incremental maintenance
 //
 // The structure is maintained incrementally once built (lazily on the
-// first metric-planned query, or restored from a store snapshot):
+// first metric-planned query):
 //
 //   - Add buffers the document in a pending list that queries scan
 //     linearly; the buffer is flushed into the tree by routed inserts
@@ -266,7 +266,7 @@ func (mi *metricIndex) add(id string, bag profile.Index) {
 	mi.mu.Lock()
 	defer mi.mu.Unlock()
 	mi.pending[id] = &metricEntry{bag: bag.Clone(), size: bag.Size()}
-	mi.flushLocked(false)
+	mi.flushLocked()
 }
 
 // remove drops a document: pending entries are deleted, tree residents
@@ -324,17 +324,16 @@ func (mi *metricIndex) applyDeltas(id string, iPlus, iMinus profile.Index) error
 		return fmt.Errorf("forest: metric index: %w", err)
 	}
 	e.size += iPlus.Size() - iMinus.Size()
-	mi.flushLocked(false)
+	mi.flushLocked()
 	return nil
 }
 
 // flushLocked empties the pending buffer into the tree by routed inserts
 // (in ascending id order, so the structure is deterministic for a given
 // operation history) and then rebuilds any subtree whose members are
-// mostly dead. With force it flushes regardless of the buffer size — the
-// store uses that before serializing. Requires mi.mu held for writing.
-func (mi *metricIndex) flushLocked(force bool) {
-	if !force && len(mi.pending) <= metricFlushBase+mi.treeLive()/8 {
+// mostly dead. Requires mi.mu held for writing.
+func (mi *metricIndex) flushLocked() {
+	if len(mi.pending) <= metricFlushBase+mi.treeLive()/8 {
 		return
 	}
 	ids := make([]string, 0, len(mi.pending))
@@ -776,157 +775,6 @@ func (f *Index) lookupTopExhaustiveLocked(q profile.Index, qSize, k int, m *metr
 		out = out[:k]
 	}
 	return out
-}
-
-// MetricNodeDump is one VP-tree node in the serialized form of the metric
-// index: the document id plus the routing fields, listed in preorder
-// (vantage, inside subtree, outside subtree). Bags are not included — a
-// restore reattaches them from the forest itself, whose content the
-// store's base snapshot already persists and checksums.
-type MetricNodeDump struct {
-	ID                       string
-	Radius                   int
-	SzMin, SzMax             int
-	InLo, InHi, OutLo, OutHi int
-	Children                 byte // metricChildInside / metricChildOutside flags
-}
-
-// Children flags of a MetricNodeDump: which subtrees follow in preorder.
-const (
-	MetricChildInside  = 1 << 0
-	MetricChildOutside = 1 << 1
-)
-
-// MetricDump serializes the VP-tree for persistence, or returns nil when
-// the metric index is not built. The pending buffer is flushed and every
-// tombstone purged first, so the dump covers exactly the indexed
-// documents and the restored structure is as tight as a fresh build.
-func (f *Index) MetricDump() []MetricNodeDump {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	mi := &f.metric
-	if !mi.built {
-		return nil
-	}
-	mi.mu.Lock()
-	defer mi.mu.Unlock()
-	mi.flushLocked(true)
-	if mi.dead > 0 {
-		// Rebuild from the live members: a dump must not carry tombstones,
-		// because restore reattaches bags from the forest and a dead node's
-		// document no longer has one.
-		mi.buildLocked(collectLive(mi.root, make([]vpItem, 0, mi.treeLive())))
-	}
-	out := make([]MetricNodeDump, 0, mi.treeLive())
-	var walk func(n *vpNode)
-	walk = func(n *vpNode) {
-		if n == nil {
-			return
-		}
-		d := MetricNodeDump{
-			ID: n.id, Radius: n.radius, SzMin: n.szMin, SzMax: n.szMax,
-			InLo: n.inLo, InHi: n.inHi, OutLo: n.outLo, OutHi: n.outHi,
-		}
-		if n.inside != nil {
-			d.Children |= MetricChildInside
-		}
-		if n.outside != nil {
-			d.Children |= MetricChildOutside
-		}
-		out = append(out, d)
-		walk(n.inside)
-		walk(n.outside)
-	}
-	walk(mi.root)
-	return out
-}
-
-// MetricRestore rebuilds the metric index from a dump taken against the
-// same forest content, reattaching each node's bag (cloned) from the live
-// forest. The dump is validated structurally — it must name exactly the
-// indexed documents, once each — and rejected with an error otherwise,
-// leaving the index unbuilt so the next metric-planned lookup rebuilds it
-// from scratch; restoring a stale dump would silently answer queries from
-// wrong routing intervals.
-func (f *Index) MetricRestore(dump []MetricNodeDump) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(dump) != len(f.trees) {
-		return fmt.Errorf("forest: metric dump covers %d documents, forest has %d", len(dump), len(f.trees))
-	}
-	var root *vpNode
-	if len(dump) > 0 {
-		seen := make(map[string]bool, len(dump))
-		pos := 0
-		var build func(parent *vpNode) (*vpNode, error)
-		build = func(parent *vpNode) (*vpNode, error) {
-			d := dump[pos]
-			pos++
-			e, ok := f.trees[d.ID]
-			if !ok {
-				return nil, fmt.Errorf("forest: metric dump names unknown document %q", d.ID)
-			}
-			if seen[d.ID] {
-				return nil, fmt.Errorf("forest: metric dump lists document %q twice", d.ID)
-			}
-			seen[d.ID] = true
-			var bag profile.Index
-			if e.idx != nil {
-				bag = e.idx.Clone()
-			} else {
-				var err error
-				if bag, err = f.bagOfLocked(d.ID, e); err != nil {
-					return nil, err
-				}
-			}
-			n := &vpNode{
-				id: d.ID, bag: bag, size: bag.Size(), parent: parent,
-				radius: d.Radius, szMin: d.SzMin, szMax: d.SzMax,
-				inLo: d.InLo, inHi: d.InHi, outLo: d.OutLo, outHi: d.OutHi,
-				total: 1, live: 1,
-			}
-			if n.szMin > n.szMax || n.size < n.szMin || n.size > n.szMax {
-				return nil, fmt.Errorf("forest: metric dump size range at %q excludes the vantage", d.ID)
-			}
-			for _, bit := range [...]byte{MetricChildInside, MetricChildOutside} {
-				if d.Children&bit == 0 {
-					continue
-				}
-				if pos >= len(dump) {
-					return nil, fmt.Errorf("forest: metric dump truncated below %q", d.ID)
-				}
-				c, err := build(n)
-				if err != nil {
-					return nil, err
-				}
-				if bit == MetricChildInside {
-					n.inside = c
-				} else {
-					n.outside = c
-				}
-				n.total += c.total
-				n.live += c.live
-			}
-			return n, nil
-		}
-		var err error
-		if root, err = build(nil); err != nil {
-			return err
-		}
-		if pos != len(dump) {
-			return fmt.Errorf("forest: metric dump has %d trailing nodes", len(dump)-pos)
-		}
-	}
-	mi := &f.metric
-	mi.mu.Lock()
-	defer mi.mu.Unlock()
-	mi.root = root
-	mi.byID = make(map[string]*vpNode, len(dump))
-	indexByID(root, mi.byID)
-	mi.pending = make(map[string]*metricEntry)
-	mi.dead = 0
-	mi.built = true
-	return nil
 }
 
 // metricSelfCheckLocked verifies the metric index against the forest:

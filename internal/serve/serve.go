@@ -118,10 +118,8 @@ type Result struct {
 	Epoch uint64
 }
 
-// Backend is the durable mutation sink of a store-backed server. Both
-// persistent store kinds implement it: the monolithic snapshot+journal
-// *store.Store and the segmented *store.Segmented (LSM-style, for
-// collections larger than RAM). Queries never go through the backend —
+// Backend is the durable mutation sink of a store-backed server;
+// *store.Segmented implements it. Queries never go through the backend —
 // the forest answers them, merging its storage tier transparently.
 //
 // Pass a nil Backend (not a typed nil pointer) for a purely in-memory

@@ -14,7 +14,10 @@ import (
 
 // faultSweepWorkload drives one store through a fixed mutation script
 // (adds, updates, a remove, a compaction, more mutations) on a
-// fault-injecting filesystem. Individual operations are allowed to fail —
+// fault-injecting filesystem, auto-flushing at two dirty documents so
+// that the swept faults land inside segment writes, the manifest replace,
+// eviction and journal resets as well as inside journal appends.
+// Individual operations are allowed to fail —
 // a failed op is simply not acknowledged. The invariant checked at the
 // end is the durability contract: reopening from the underlying disk
 // state recovers exactly the acknowledged operations, no matter which
@@ -27,7 +30,7 @@ func faultSweepWorkload(t *testing.T, syncMode bool, arm func(*fsio.FaultFS)) in
 	if arm != nil {
 		arm(ffs)
 	}
-	s, err := CreateStoreFS(ffs, "idx.pqg", p33)
+	s, err := CreateSegmentedFS(ffs, "idx.pqg", p33)
 	if err != nil {
 		// Creation failed under the fault: acceptable, as long as nothing
 		// leaked. There is no store to check a recovery contract against.
@@ -37,6 +40,7 @@ func faultSweepWorkload(t *testing.T, syncMode bool, arm func(*fsio.FaultFS)) in
 		return ffs.Ops()
 	}
 	s.SetSync(syncMode)
+	s.SetFlushThreshold(2)
 
 	ids := []string{"d0", "d1", "d2", "d3", "d4"}
 	docs := make([]*tree.Tree, len(ids))
@@ -64,21 +68,15 @@ func faultSweepWorkload(t *testing.T, syncMode bool, arm func(*fsio.FaultFS)) in
 
 	// The contract: the disk state recovers to exactly the acknowledged
 	// operations — which is, by construction, the live in-memory forest.
+	live := snapshotBytes(t, s.Forest())
 	s.Close()
-	re, err := OpenStoreFS(mem, "idx.pqg")
+	re, err := OpenSegmentedFS(mem, "idx.pqg")
 	if err != nil {
 		t.Fatalf("reopen after faulted workload: %v", err)
 	}
-	var live, recovered bytes.Buffer
-	if err := Save(&live, s.forest); err != nil {
-		t.Fatal(err)
-	}
-	if err := Save(&recovered, re.Forest()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(live.Bytes(), recovered.Bytes()) {
+	if recovered := snapshotBytes(t, re.Forest()); !bytes.Equal(live, recovered) {
 		t.Fatalf("recovered state diverges from acknowledged state (%d vs %d snapshot bytes)",
-			recovered.Len(), live.Len())
+			len(recovered), len(live))
 	}
 	if err := re.Forest().SelfCheck(); err != nil {
 		t.Fatal(err)
@@ -97,9 +95,10 @@ func faultSweepWorkload(t *testing.T, syncMode bool, arm func(*fsio.FaultFS)) in
 func TestJournalFaultSweep(t *testing.T) {
 	for _, syncMode := range []bool{false, true} {
 		total := faultSweepWorkload(t, syncMode, nil)
-		if total < 15 {
+		if total < 79 {
 			t.Fatalf("workload issued only %d fs ops; sweep would prove little", total)
 		}
+		t.Logf("sync=%v: sweeping %d filesystem ops", syncMode, total)
 		for n := int64(1); n <= total; n++ {
 			n := n
 			t.Run(fmt.Sprintf("sync=%v/enospc@%d", syncMode, n), func(t *testing.T) {
@@ -181,7 +180,7 @@ func TestSaveFileAllOrNothing(t *testing.T) {
 // outcome must leave zero open handles behind.
 func TestCreateStoreErrorPathsNoLeak(t *testing.T) {
 	probe := fsio.NewFaultFS(fsio.NewMemFS())
-	if _, err := CreateStoreFS(probe, "idx.pqg", p33); err != nil {
+	if _, err := CreateSegmentedFS(probe, "idx.pqg", p33); err != nil {
 		t.Fatal(err)
 	}
 	total := probe.Ops()
@@ -189,7 +188,7 @@ func TestCreateStoreErrorPathsNoLeak(t *testing.T) {
 		mem := fsio.NewMemFS()
 		ffs := fsio.NewFaultFS(mem)
 		ffs.FailOp(n, fsio.ErrIO)
-		s, err := CreateStoreFS(ffs, "idx.pqg", p33)
+		s, err := CreateSegmentedFS(ffs, "idx.pqg", p33)
 		if err == nil {
 			s.Close()
 		}
@@ -201,17 +200,31 @@ func TestCreateStoreErrorPathsNoLeak(t *testing.T) {
 
 // TestOpenStoreErrorPathsNoLeak fails every op of a reopen — both the
 // clean-journal path (truncate to the last boundary) and the
-// reinitialize path (foreign journal) — and checks for leaked handles.
+// reinitialize path (foreign journal), each with two live segments, a
+// pending obsolete-file removal and journal records to replay — and
+// checks for leaked handles.
 func TestOpenStoreErrorPathsNoLeak(t *testing.T) {
 	mem := fsio.NewMemFS()
-	s, err := CreateStoreFS(mem, "idx.pqg", p33)
+	s, err := CreateSegmentedFS(mem, "idx.pqg", p33)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Add("a", tree.MustParse("r(x y)")); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Add("b", tree.MustParse("r(z)")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add("c", tree.MustParse("r(w)")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Remove("a"); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -231,7 +244,7 @@ func TestOpenStoreErrorPathsNoLeak(t *testing.T) {
 		probeFS := mem.CrashClone(mem.TraceLen(), 0)
 		sc.prepare(probeFS)
 		probe := fsio.NewFaultFS(probeFS)
-		ps, err := OpenStoreFS(probe, "idx.pqg")
+		ps, err := OpenSegmentedFS(probe, "idx.pqg")
 		if err != nil {
 			t.Fatalf("%s: unfaulted reopen failed: %v", sc.name, err)
 		}
@@ -242,7 +255,7 @@ func TestOpenStoreErrorPathsNoLeak(t *testing.T) {
 			sc.prepare(clone)
 			ffs := fsio.NewFaultFS(clone)
 			ffs.FailOp(n, fsio.ErrIO)
-			rs, err := OpenStoreFS(ffs, "idx.pqg")
+			rs, err := OpenSegmentedFS(ffs, "idx.pqg")
 			if err == nil {
 				rs.Close()
 			}
@@ -253,47 +266,124 @@ func TestOpenStoreErrorPathsNoLeak(t *testing.T) {
 	}
 }
 
-// TestRenameIsFollowedByDirSync: replacing the base snapshot must fsync
-// the directory after the rename, or the new entry can evaporate in a
-// power cut that the file data survives.
+// TestRenameIsFollowedByDirSync: every rename that publishes a file — an
+// exported snapshot, a new segment, a replaced manifest — must be
+// followed by an fsync of the directory before the next rename, or the
+// new entry can evaporate in a power cut that the file data survives.
 func TestRenameIsFollowedByDirSync(t *testing.T) {
-	check := func(name string, mem *fsio.MemFS) {
+	check := func(name string, mem *fsio.MemFS, wantRenames int) {
 		t.Helper()
-		trace := mem.Trace()
-		lastRename := -1
-		for i, op := range trace {
-			if op.Kind == fsio.OpRename {
-				lastRename = i
+		renames, unsynced := 0, -1
+		for i, op := range mem.Trace() {
+			switch op.Kind {
+			case fsio.OpRename:
+				if unsynced >= 0 {
+					t.Fatalf("%s: rename at trace op %d has no directory fsync before the next rename", name, unsynced)
+				}
+				renames++
+				unsynced = i
+			case fsio.OpDirSync:
+				unsynced = -1
 			}
 		}
-		if lastRename < 0 {
-			t.Fatalf("%s: no rename in trace", name)
+		if unsynced >= 0 {
+			t.Fatalf("%s: rename at trace op %d has no directory fsync after it", name, unsynced)
 		}
-		for _, op := range trace[lastRename+1:] {
-			if op.Kind == fsio.OpDirSync {
-				return
-			}
+		if renames != wantRenames {
+			t.Fatalf("%s: %d renames in trace, want %d", name, renames, wantRenames)
 		}
-		t.Fatalf("%s: rename at trace op %d has no directory fsync after it", name, lastRename)
 	}
 
 	mem := fsio.NewMemFS()
 	if err := SaveFileFS(mem, "idx.pqg", sweepForest("a")); err != nil {
 		t.Fatal(err)
 	}
-	check("SaveFileFS", mem)
+	check("SaveFileFS", mem, 1)
 
 	mem2 := fsio.NewMemFS()
-	s, err := CreateStoreFS(mem2, "idx.pqg", p33)
+	s, err := CreateSegmentedFS(mem2, "idx.pqg", p33)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	check("Create", mem2, 1) // the manifest
 	if err := s.Add("a", tree.MustParse("r(x)")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("Flush", mem2, 3) // + segment, manifest
+	if err := s.Add("b", tree.MustParse("r(y)")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	check("Compact", mem2)
+	check("Compact", mem2, 5) // + segment, manifest
+}
+
+// TestAddAllFailureLeavesNoRecords is the regression test for a batch
+// that bricked the store: when the k-th journal write of a 5-document
+// AddAll failed, the k-1 records already written stayed durable while
+// memory held none of the documents; the retried batch then journaled all
+// five again, and the next open died replaying a duplicate add. A batch
+// is now one write, rolled back whole: for every k that write is failed
+// (ENOSPC, and a 3-byte torn write + EIO), the batch retried, and the
+// reopened state must equal the live one.
+func TestAddAllFailureLeavesNoRecords(t *testing.T) {
+	docs := make([]forest.Doc, 5)
+	for i := range docs {
+		docs[i] = forest.Doc{ID: string(rune('a' + i)), Tree: gen.DBLP(int64(30+i), 40)}
+	}
+	arms := map[string]func(*fsio.FaultFS, int64){
+		"enospc": func(f *fsio.FaultFS, k int64) { f.FailOp(k, fsio.ErrNoSpace) },
+		"torn":   func(f *fsio.FaultFS, k int64) { f.ShortWrite(k, 3, fsio.ErrIO) },
+	}
+	for name, arm := range arms {
+		for k := int64(1); k <= 5; k++ {
+			mem := fsio.NewMemFS()
+			ffs := fsio.NewFaultFS(mem)
+			s, err := CreateSegmentedFS(ffs, "idx.pqg", p33)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Unsynced, the only mutating fs ops of an AddAll are its journal
+			// writes, so "the k-th op from now" is the k-th journal write.
+			arm(ffs, k)
+			err = s.AddAll(docs, 2)
+			if ffs.Injected() == 0 {
+				// The batch is a single write: only k = 1 can hit it.
+				if k == 1 || err != nil {
+					t.Fatalf("%s@%d: no fault injected, AddAll: %v", name, k, err)
+				}
+			} else {
+				if err == nil {
+					t.Fatalf("%s@%d: AddAll succeeded through a failed journal write", name, k)
+				}
+				if n := s.Forest().Len(); n != 0 {
+					t.Fatalf("%s@%d: failed batch left %d documents in memory", name, k, n)
+				}
+				ffs.Reset()
+				if err := s.AddAll(docs, 2); err != nil {
+					t.Fatalf("%s@%d: retry: %v", name, k, err)
+				}
+			}
+			live := snapshotBytes(t, s.Forest())
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenSegmentedFS(mem, "idx.pqg")
+			if err != nil {
+				t.Fatalf("%s@%d: reopen after retried batch: %v", name, k, err)
+			}
+			if !bytes.Equal(snapshotBytes(t, re.Forest()), live) {
+				t.Fatalf("%s@%d: recovered state diverges from the acknowledged batch", name, k)
+			}
+			re.Close()
+			if n := mem.OpenHandles(); n != 0 {
+				t.Fatalf("%s@%d: %d handles leaked", name, k, n)
+			}
+		}
+	}
 }

@@ -10,14 +10,17 @@ import (
 	"pqgram/internal/tree"
 )
 
-// fuzzReplayFixture builds one real store on a MemFS and returns its base
-// snapshot bytes and journal bytes. The journal's header names exactly that
-// base (via the snapshot crc32), so corpus entries derived from it exercise
-// the replay path proper, not just the header checks.
-func fuzzReplayFixture(f *testing.F) (base, wal []byte) {
+// fuzzReplayFixture builds one real store on a MemFS — two documents
+// flushed into a segment, then an update and a removal that each hit an
+// evicted document plus one fresh add, all left in the journal — and
+// returns every file of it. The journal's header names exactly that
+// manifest (via its crc32), so corpus entries derived from it exercise
+// the replay path proper, including its promote and tombstone arms, not
+// just the header checks.
+func fuzzReplayFixture(f *testing.F) (files map[string][]byte, wal []byte) {
 	f.Helper()
 	fs := fsio.NewMemFS()
-	s, err := CreateStoreFS(fs, "idx.pqg", p33)
+	s, err := CreateSegmentedFS(fs, "idx.pqg", p33)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -26,6 +29,9 @@ func fuzzReplayFixture(f *testing.F) (base, wal []byte) {
 		f.Fatal(err)
 	}
 	if err := s.Add("b", tree.MustParse("x(y z)")); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
 		f.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(13))
@@ -39,16 +45,27 @@ func fuzzReplayFixture(f *testing.F) (base, wal []byte) {
 	if err := s.Remove("b"); err != nil {
 		f.Fatal(err)
 	}
+	if err := s.Add("c", tree.MustParse("m(n o)")); err != nil {
+		f.Fatal(err)
+	}
+	if st := s.Stats(); st.Segments != 1 || st.PendingTombstones != 2 {
+		f.Fatalf("fixture shape: %+v", st)
+	}
 	s.Close()
-	base, err = fsio.ReadFile(fs, "idx.pqg")
-	if err != nil {
-		f.Fatal(err)
+	files = make(map[string][]byte)
+	for _, name := range fs.Paths() {
+		data, err := fsio.ReadFile(fs, name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		files[name] = data
 	}
-	wal, err = fsio.ReadFile(fs, "idx.pqg.wal")
-	if err != nil {
-		f.Fatal(err)
+	wal = files[walPath("idx.pqg")]
+	delete(files, walPath("idx.pqg"))
+	if len(files) != 2 || len(wal) <= journalHeaderLen {
+		f.Fatalf("fixture files: %d besides a %d-byte journal", len(files), len(wal))
 	}
-	return base, wal
+	return files, wal
 }
 
 // FuzzJournalReplay feeds arbitrary bytes as the journal of an otherwise
@@ -57,11 +74,11 @@ func fuzzReplayFixture(f *testing.F) (base, wal []byte) {
 //   - scanRecords never panics and never claims more valid bytes than it
 //     was given; parsing a truncation of the input yields a prefix of the
 //     full parse (recovery is monotone in how much of the journal survived).
-//   - OpenStoreFS either fails with an error or returns a store whose
+//   - OpenSegmentedFS either fails with an error or returns a store whose
 //     forest passes SelfCheck — never a panic, never a corrupt index.
 //   - Both outcomes leave zero open file handles behind.
 func FuzzJournalReplay(f *testing.F) {
-	base, wal := fuzzReplayFixture(f)
+	files, wal := fuzzReplayFixture(f)
 
 	f.Add(wal)                                  // the intact journal
 	f.Add(wal[:len(wal)-3])                     // torn final record
@@ -69,9 +86,9 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte{})                             // journal never created
 	f.Add([]byte("PQGJ"))                       // torn header
 	f.Add([]byte("PQGJ\x01garbage-v1-journal")) // pre-versioning journal
-	f.Add(append([]byte(nil), base[:9]...))     // base magic where a journal should be
+	f.Add(files[manifestPath("idx.pqg")][:9])   // manifest magic where a journal should be
 	stale := append([]byte(nil), wal...)
-	stale[5] ^= 0xff // wrong base crc in the header
+	stale[5] ^= 0xff // wrong manifest crc in the header
 	f.Add(stale)
 	badcrc := append([]byte(nil), wal...)
 	badcrc[len(badcrc)-1] ^= 0xff // last record structurally fine, checksum bad
@@ -94,13 +111,15 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 
 		mfs := fsio.NewMemFS()
-		if err := fsio.WriteFile(mfs, "idx.pqg", base, 0o644); err != nil {
+		for name, content := range files {
+			if err := fsio.WriteFile(mfs, name, content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fsio.WriteFile(mfs, walPath("idx.pqg"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := fsio.WriteFile(mfs, "idx.pqg.wal", data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := OpenStoreFS(mfs, "idx.pqg")
+		s, err := OpenSegmentedFS(mfs, "idx.pqg")
 		if err == nil {
 			if err := s.Forest().SelfCheck(); err != nil {
 				t.Fatalf("recovered forest fails self check: %v", err)

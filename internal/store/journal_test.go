@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -13,10 +14,10 @@ import (
 	"pqgram/internal/tree"
 )
 
-func newStore(t *testing.T) (*Store, string) {
+func newStore(t *testing.T) (*Segmented, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "idx.pqg")
-	s, err := CreateStore(path, p33)
+	s, err := CreateSegmented(path, p33)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +59,8 @@ func TestStoreAddRemoveUpdatePersist(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen: base + journal replay must reproduce the live state.
-	s2, err := OpenStore(path)
+	// Reopen: journal replay must reproduce the live state.
+	s2, err := OpenSegmented(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestStoreCompact(t *testing.T) {
 	}
 	s.Close()
 
-	s2, err := OpenStore(path)
+	s2, err := OpenSegmented(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestStoreCompact(t *testing.T) {
 // equal to some prefix of the committed operations.
 func TestStoreCrashRecovery(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "idx.pqg")
-	s, err := CreateStore(path, p33)
+	s, err := CreateSegmented(path, p33)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,13 +208,13 @@ func TestStoreCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	for cut := 0; cut <= len(full); cut++ {
 		cpath := filepath.Join(dir, fmt.Sprintf("c%d.pqg", cut))
-		if err := copyFile(path, cpath); err != nil {
+		if err := copyFile(manifestPath(path), manifestPath(cpath)); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(cpath+".wal", full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		rs, err := OpenStore(cpath)
+		rs, err := OpenSegmented(cpath)
 		if err != nil {
 			t.Fatalf("cut %d: reopen failed: %v", cut, err)
 		}
@@ -242,7 +243,7 @@ func TestStoreCrashRecovery(t *testing.T) {
 func TestStoreRecoveredAppendable(t *testing.T) {
 	// After recovering from a torn tail, new appends must work.
 	path := filepath.Join(t.TempDir(), "idx.pqg")
-	s, err := CreateStore(path, p33)
+	s, err := CreateSegmented(path, p33)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestStoreRecoveredAppendable(t *testing.T) {
 	if err := os.WriteFile(path+".wal", wal[:len(wal)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenStore(path)
+	s2, err := OpenSegmented(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestStoreRecoveredAppendable(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.Close()
-	s3, err := OpenStore(path)
+	s3, err := OpenSegmented(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,20 +292,20 @@ func TestStoreSyncMode(t *testing.T) {
 }
 
 func TestOpenStoreMissingBase(t *testing.T) {
-	if _, err := OpenStore(filepath.Join(t.TempDir(), "nope.pqg")); err == nil {
-		t.Fatal("missing base accepted")
+	if _, err := OpenSegmented(filepath.Join(t.TempDir(), "nope.pqg")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing manifest: got %v, want NotExist", err)
 	}
 }
 
 func TestStoreForeignJournalReset(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "idx.pqg")
-	if err := SaveFile(path, forest.New(p33)); err != nil {
+	s0, path := newStore(t)
+	if err := s0.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path+".wal", []byte("garbage!"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenStore(path)
+	s, err := OpenSegmented(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func copyFile(src, dst string) error {
 }
 
 // TestStoreAddAllJournaled: a parallel bulk build journals every addition,
-// survives a reopen without compaction, and rejects bad batches before
+// survives a reopen without a flush, and rejects bad batches before
 // touching the journal.
 func TestStoreAddAllJournaled(t *testing.T) {
 	s, path := newStore(t)
@@ -355,7 +356,7 @@ func TestStoreAddAllJournaled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenStore(path)
+	s2, err := OpenSegmented(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,7 @@
 // which segments are live. Everything else about the segmented store's
 // durable state derives from it — segment files not named by the current
 // manifest do not exist as far as recovery is concerned, and the
-// journal's header binds to the manifest's content checksum exactly the
-// way the monolithic store's journal binds to its snapshot checksum.
+// journal's header binds to the manifest's content checksum.
 // The manifest is replaced atomically (temp + fsync + rename + dir
 // fsync), so a crash anywhere leaves either the complete old manifest or
 // the complete new one; see STORAGE.md for the recovery matrix.
@@ -53,9 +52,11 @@ type manifest struct {
 	obsolete []uint64      // ascending seq; files pending removal
 }
 
-// manifestPath returns the manifest file for a segmented store rooted at
-// base; segmentPath the file of one segment.
+// manifestPath returns the manifest file for a store rooted at base;
+// walPath its journal, segmentPath the file of one segment.
 func manifestPath(base string) string { return base + ".manifest" }
+
+func walPath(base string) string { return base + ".wal" }
 
 func segmentPath(base string, seq uint64) string {
 	return fmt.Sprintf("%s.%06d.seg", base, seq)
@@ -87,10 +88,9 @@ func encodeManifest(m *manifest) ([]byte, uint32) {
 }
 
 // writeManifestFile atomically replaces the manifest at path and returns
-// its content crc and whether the rename happened — the same distinction
-// saveFileCRC draws: an error before the rename leaves the old manifest
-// fully intact, an error after it means the live segment set has already
-// advanced durably.
+// its content crc and whether the rename happened: an error before the
+// rename leaves the old manifest fully intact, an error after it means
+// the live segment set has already advanced durably.
 func writeManifestFile(fsys fsio.FS, path string, m *manifest) (crc uint32, renamed bool, err error) {
 	data, crc := encodeManifest(m)
 	dir := dirOf(path)

@@ -1,6 +1,8 @@
-// Instrumentation of the durable store: journal append/replay/compaction
-// counts, bytes and latencies. Like the forest, metrics are opt-in through
-// a nil-safe collector resolved once into preallocated handles.
+// Instrumentation of the store: journal append/replay counts, bytes and
+// latencies, segment lifecycle counters (flushes, compactions) and shape
+// gauges (segment count and bytes, resident vs evicted documents). Like
+// the forest, metrics are opt-in through a nil-safe collector resolved
+// once into preallocated handles.
 
 package store
 
@@ -21,26 +23,33 @@ type storeMetrics struct {
 	replayBytes   *obs.Counter   // store_journal_replay_bytes
 	replayNS      *obs.Histogram // store_journal_replay_ns
 
-	// Recovery-anomaly counters: what OpenStore had to drop to get back
-	// to a consistent state. All zero on a clean reopen.
+	// Recovery-anomaly counters: what the open had to drop to get back to
+	// a consistent state. All zero on a clean reopen.
 	replayTorn      *obs.Counter // store_replay_torn_bytes
 	replaySkipped   *obs.Counter // store_replay_skipped_records
 	replayStale     *obs.Counter // store_replay_stale_discards
 	replayResets    *obs.Counter // store_replay_journal_resets
 	replayDiscarded *obs.Counter // store_replay_discarded_bytes
 
-	compactions   *obs.Counter   // store_compactions
-	compactNS     *obs.Histogram // store_compact_ns
-	snapshotBytes *obs.Gauge     // store_snapshot_bytes (size of the last base snapshot)
-	journalBytes  *obs.Gauge     // store_journal_bytes (current journal length)
+	flushes     *obs.Counter   // store_segment_flushes
+	flushedDocs *obs.Counter   // store_segment_flushed_docs
+	flushNS     *obs.Histogram // store_segment_flush_ns
+	compactions *obs.Counter   // store_segment_compactions
+	compactNS   *obs.Histogram // store_segment_compact_ns
+
+	segCount     *obs.Gauge // store_segment_count (live segments)
+	segBytes     *obs.Gauge // store_segment_bytes (sum of live segment files)
+	residentDocs *obs.Gauge // store_resident_docs (memtable population)
+	evictedDocs  *obs.Gauge // store_evicted_docs (segment-served population)
+	journalBytes *obs.Gauge // store_journal_bytes (current journal length)
 }
 
 // SetCollector attaches (or, with nil, detaches) a metrics collector to
-// the store and to its in-memory forest. The journal replay that OpenStore
-// performed is published into the replay metrics on first attach. Attach a
-// collector once per store handle; re-attaching the same collector would
-// re-publish the replay numbers.
-func (s *Store) SetCollector(c *obs.Collector) {
+// the store and to its in-memory forest. The journal replay that
+// OpenSegmented performed is published into the replay metrics on first
+// attach. Attach a collector once per store handle; re-attaching the same
+// collector would re-publish the replay numbers.
+func (s *Segmented) SetCollector(c *obs.Collector) {
 	s.forest.SetCollector(c)
 	if c == nil {
 		s.obs.Store(nil)
@@ -60,9 +69,15 @@ func (s *Store) SetCollector(c *obs.Collector) {
 		replayStale:     c.Counter("store_replay_stale_discards"),
 		replayResets:    c.Counter("store_replay_journal_resets"),
 		replayDiscarded: c.Counter("store_replay_discarded_bytes"),
-		compactions:     c.Counter("store_compactions"),
-		compactNS:       c.Histogram("store_compact_ns"),
-		snapshotBytes:   c.Gauge("store_snapshot_bytes"),
+		flushes:         c.Counter("store_segment_flushes"),
+		flushedDocs:     c.Counter("store_segment_flushed_docs"),
+		flushNS:         c.Histogram("store_segment_flush_ns"),
+		compactions:     c.Counter("store_segment_compactions"),
+		compactNS:       c.Histogram("store_segment_compact_ns"),
+		segCount:        c.Gauge("store_segment_count"),
+		segBytes:        c.Gauge("store_segment_bytes"),
+		residentDocs:    c.Gauge("store_resident_docs"),
+		evictedDocs:     c.Gauge("store_evicted_docs"),
 		journalBytes:    c.Gauge("store_journal_bytes"),
 	}
 	r := s.recovery
@@ -88,8 +103,8 @@ func (s *Store) SetCollector(c *obs.Collector) {
 			"skipped_records", r.SkippedRecords,
 			"stale", r.StaleJournal,
 			"dur", r.Duration)
-		// The replay happened inside OpenStore, before any collector (or
-		// tracer) could exist, so its trace is synthesized here from
+		// The replay happened inside OpenSegmented, before any collector
+		// (or tracer) could exist, so its trace is synthesized here from
 		// RecoveryInfo and published with the recorded wall time.
 		if tr := c.Tracer(); tr != nil {
 			sp := obs.StartSpan("store.replay")
@@ -100,8 +115,6 @@ func (s *Store) SetCollector(c *obs.Collector) {
 			sp.SetAttr("discarded_bytes", r.DiscardedBytes)
 			sp.SetAttr("stale_journal", boolAttr(r.StaleJournal))
 			sp.SetAttr("journal_reset", boolAttr(r.JournalReset))
-			sp.SetAttr("metric_restored", boolAttr(r.MetricRestored))
-			sp.SetAttr("metric_discarded", boolAttr(r.MetricDiscarded))
 			sp.FinishWithDuration(r.Duration)
 			tr.Publish(obs.TraceSnapshot{Root: sp.Snapshot()})
 		}
@@ -109,7 +122,25 @@ func (s *Store) SetCollector(c *obs.Collector) {
 	if n, err := s.JournalSize(); err == nil {
 		m.journalBytes.Set(n)
 	}
+	s.publishGauges(m)
 	s.obs.Store(m)
+}
+
+// publishGauges refreshes the shape gauges from the current bookkeeping.
+func (s *Segmented) publishGauges(m *storeMetrics) {
+	if m == nil {
+		return
+	}
+	s.mu.RLock()
+	var bytes int64
+	for _, sg := range s.segs {
+		bytes += sg.size
+	}
+	m.segCount.Set(int64(len(s.segs)))
+	m.segBytes.Set(bytes)
+	m.residentDocs.Set(int64(len(s.dirty)))
+	m.evictedDocs.Set(int64(len(s.loc)))
+	s.mu.RUnlock()
 }
 
 // boolAttr encodes a recovery flag as a 0/1 span attribute.
@@ -121,7 +152,7 @@ func boolAttr(b bool) int64 {
 }
 
 // Collector returns the attached collector, or nil.
-func (s *Store) Collector() *obs.Collector {
+func (s *Segmented) Collector() *obs.Collector {
 	if m := s.obs.Load(); m != nil {
 		return m.col
 	}

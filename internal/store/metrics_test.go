@@ -18,9 +18,9 @@ import (
 // update/compact sequence, optionally with a collector attached, and
 // returns the store for further inspection. The workload is deterministic
 // so two runs are comparable byte-for-byte.
-func runInstrumentedWorkload(t *testing.T, path string, col *obs.Collector) *Store {
+func runInstrumentedWorkload(t *testing.T, path string, col *obs.Collector) *Segmented {
 	t.Helper()
-	s, err := CreateStore(path, p33)
+	s, err := CreateSegmented(path, p33)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestMetricDeltas(t *testing.T) {
 	s := runInstrumentedWorkload(t, path, col)
 
 	want := map[string]int64{
-		"forest_adds":           3,
-		"forest_lookups":        2,
-		"forest_updates":        2,
-		"store_journal_appends": 5, // 3 adds + 2 updates; Compact rewrites the base instead
-		"store_compactions":     1,
+		"forest_adds":               3,
+		"forest_lookups":            2,
+		"forest_updates":            2,
+		"store_journal_appends":     5, // 3 adds + 2 updates; Compact writes a segment instead
+		"store_segment_compactions": 1,
 	}
 	snap := col.Snapshot()
 	for name, v := range want {
@@ -110,7 +110,7 @@ func TestMetricDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenStore(path)
+	s2, err := OpenSegmented(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestMetricsDifferentialSnapshot(t *testing.T) {
 func TestRecoveryMetricDeltas(t *testing.T) {
 	build := func() *fsio.MemFS {
 		mem := fsio.NewMemFS()
-		s, err := CreateStoreFS(mem, "idx.pqg", p33)
+		s, err := CreateSegmentedFS(mem, "idx.pqg", p33)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,13 +204,11 @@ func TestRecoveryMetricDeltas(t *testing.T) {
 		{
 			name: "stale-journal-after-compact-crash",
 			mangle: func(mem *fsio.MemFS) {
-				// Advance the base without resetting the journal — the disk
-				// state a crash between Compact's two steps leaves behind.
-				f := forest.New(p33)
-				if err := f.Add("other", tree.MustParse("q(r)")); err != nil {
-					t.Fatal(err)
-				}
-				if err := SaveFileFS(mem, "idx.pqg", f); err != nil {
+				// Advance the manifest without resetting the journal — the
+				// disk state a crash between the two last steps of a Flush
+				// or Compact leaves behind.
+				man := &manifest{pr: p33, nextSeq: 2}
+				if _, _, err := writeManifestFile(mem, manifestPath("idx.pqg"), man); err != nil {
 					t.Fatal(err)
 				}
 			},
@@ -233,7 +231,7 @@ func TestRecoveryMetricDeltas(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			mem := build()
 			tc.mangle(mem)
-			s, err := OpenStoreFS(mem, "idx.pqg")
+			s, err := OpenSegmentedFS(mem, "idx.pqg")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -12,31 +13,135 @@ import (
 	"pqgram/internal/forest"
 	"pqgram/internal/fsio"
 	"pqgram/internal/gen"
+	"pqgram/internal/profile"
 	"pqgram/internal/tree"
 )
 
-// The segmented engine's crash-consistency harness, the sibling of
-// crash_test.go: a scripted workload (adds, updates that promote evicted
-// documents, removes that tombstone them, auto- and forced flushes,
-// compactions) runs against the tracing in-memory filesystem; then power
-// is cut at every operation boundary of the write trace and at sampled
-// interior byte offsets of every write — which places cuts inside segment
-// writes, the manifest's temp-fsync-rename replace, journal resets and
-// appends, and the obsolete-file removals. After each cut the store is
-// reopened from the wreckage and checked:
+// The crash-consistency proof harness. A scripted workload (adds, updates
+// that promote evicted documents, removes that tombstone them, auto- and
+// forced flushes, compactions) runs against the tracing in-memory
+// filesystem; then power is cut at every operation boundary of the write
+// trace and at sampled interior byte offsets of every write — which
+// places cuts inside journal appends (torn records), segment writes, the
+// manifest's temp-fsync-rename replace, journal resets, and the
+// obsolete-file removals. After each cut the store is reopened from the
+// wreckage and checked:
 //
 //   - recovery never fails once the store exists on disk, and never
 //     resurrects a stale segment: the recovered logical state is the
 //     committed state after exactly the last acked operation or the one
-//     in flight — flushes and compactions are invisible to it;
-//   - the recovered index answers Lookup, SimilarityJoin and metric
-//     top-k identically to a forest rebuilt from scratch from the
-//     surviving documents — never wrong answers, whether a document is
+//     in flight — never a hybrid, never a reordering, and (with SetSync
+//     on) never less than what was acknowledged before the cut; flushes
+//     and compactions are invisible to it;
+//   - the recovered index is byte-identical (via the deterministic export
+//     format) to a forest rebuilt from scratch from the surviving
+//     documents, and answers Lookup, SimilarityJoin and metric top-k
+//     identically to it — never wrong answers, whether a document is
 //     resident, evicted, or mid-eviction at the cut;
-//   - no file handles leak.
+//   - no file handles leak, whether recovery succeeds or fails.
+//
+// Two scripts run through it: one that flushes every few documents, so
+// most cuts land in the segment and manifest protocols, and one that
+// never auto-flushes, so the journal grows long and most cuts land in
+// record appends and in the replay of a many-record journal.
 
-// segCrashWorkload drives the scripted workload and returns the marks.
-func segCrashWorkload(t *testing.T, s *Segmented, seed int64) []crashMark {
+// crashMark captures the committed state after each workload operation.
+type crashMark struct {
+	traceEnd int                      // fs trace length when the op returned
+	bags     map[string]profile.Index // committed per-tree bags
+	docs     map[string]*tree.Tree    // live document versions (clones)
+}
+
+func snapshotBags(f *forest.Index) map[string]profile.Index {
+	out := make(map[string]profile.Index)
+	for _, id := range f.IDs() {
+		out[id] = f.TreeIndex(id).Clone()
+	}
+	return out
+}
+
+func cloneDocs(docs map[string]*tree.Tree) map[string]*tree.Tree {
+	out := make(map[string]*tree.Tree, len(docs))
+	for id, tr := range docs {
+		out[id] = tr.Clone()
+	}
+	return out
+}
+
+func bagsEqual(a, b map[string]profile.Index) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for id, bag := range a {
+		ob, ok := b[id]
+		if !ok || !bag.Equal(ob) {
+			return false
+		}
+	}
+	return true
+}
+
+// crashPoint is one simulated power cut: trace ops [0, op) applied, plus
+// partial bytes of op `op` when it is a write.
+type crashPoint struct {
+	op      int
+	partial int
+}
+
+// crashPoints enumerates every trace-operation boundary plus >= 8 sampled
+// interior byte offsets of every write (journal appends, segment and
+// manifest writes and header rewrites alike — each journal record is a
+// single write, so this satisfies "per record" with room to spare).
+func crashPoints(trace []fsio.TraceOp) []crashPoint {
+	pts := make([]crashPoint, 0, len(trace)*9)
+	for i := 0; i <= len(trace); i++ {
+		pts = append(pts, crashPoint{op: i})
+	}
+	for i, op := range trace {
+		if op.Kind != fsio.OpWrite || len(op.Data) < 2 {
+			continue
+		}
+		seen := map[int]bool{}
+		for k := 0; k < 8; k++ {
+			off := 1 + k*(len(op.Data)-1)/8
+			if off >= len(op.Data) {
+				off = len(op.Data) - 1
+			}
+			if !seen[off] {
+				seen[off] = true
+				pts = append(pts, crashPoint{op: i, partial: off})
+			}
+		}
+	}
+	return pts
+}
+
+// crashScript parameterizes the scripted workload.
+type crashScript struct {
+	flushEvery int          // auto-flush threshold (0 = never)
+	nOps       int          // operations, each one a mark
+	flushAt    map[int]bool // ops that are a forced Flush
+	compactAt  map[int]bool // ops that are a forced Compact
+}
+
+var (
+	// flushScript: threshold 4 ⇒ an auto-flush inside the seeding adds
+	// already, and segments churn for the rest of the run.
+	flushScript = crashScript{
+		flushEvery: 4, nOps: 34,
+		flushAt:   map[int]bool{12: true, 24: true},
+		compactAt: map[int]bool{18: true, 30: true},
+	}
+	// journalScript: everything stays resident between the two
+	// compactions, so the journal holds up to ~20 records when it is cut.
+	journalScript = crashScript{
+		nOps:      54,
+		compactAt: map[int]bool{20: true, 40: true},
+	}
+)
+
+// crashWorkload drives the scripted workload and returns the marks.
+func crashWorkload(t *testing.T, s *Segmented, sc crashScript, seed int64) []crashMark {
 	t.Helper()
 	fs := s.fs.(*fsio.MemFS)
 	rng := rand.New(rand.NewSource(seed))
@@ -67,11 +172,9 @@ func segCrashWorkload(t *testing.T, s *Segmented, seed int64) []crashMark {
 		}
 		docs[id] = tr
 	}
-	flushes, compacts := 0, 0
-	const nOps = 34
-	for op := 1; op <= nOps; op++ {
+	for op := 1; op <= sc.nOps; op++ {
 		switch {
-		case op <= 5: // seed the memtable (threshold 4 ⇒ an auto-flush here)
+		case op <= 5: // seed the memtable
 			add()
 			if op == 5 {
 				// Force the VP-tree up so every later mutation — including
@@ -81,16 +184,14 @@ func segCrashWorkload(t *testing.T, s *Segmented, seed int64) []crashMark {
 					t.Fatal("metric warm-up lookup returned nothing")
 				}
 			}
-		case op == 12 || op == 24: // forced flush mid-stream
+		case sc.flushAt[op]: // forced flush mid-stream
 			if err := s.Flush(); err != nil {
 				t.Fatalf("op %d flush: %v", op, err)
 			}
-			flushes++
-		case op == 18 || op == 30: // forced compaction mid-stream
+		case sc.compactAt[op]: // forced compaction mid-stream
 			if err := s.Compact(); err != nil {
 				t.Fatalf("op %d compact: %v", op, err)
 			}
-			compacts++
 		case rng.Float64() < 0.22 && len(docs) < 12:
 			add()
 		case rng.Float64() < 0.22 && len(docs) > 3:
@@ -111,24 +212,21 @@ func segCrashWorkload(t *testing.T, s *Segmented, seed int64) []crashMark {
 		}
 		mark()
 	}
-	if flushes < 2 || compacts < 2 {
-		t.Fatalf("workload too tame: %d forced flushes, %d compactions", flushes, compacts)
-	}
 	if st := s.Stats(); st.Segments == 0 {
 		t.Fatalf("workload left no live segments: %+v", st)
 	}
 	return marks
 }
 
-func runSegCrashHarness(t *testing.T, syncMode bool, seed int64) {
+func runCrashHarness(t *testing.T, sc crashScript, syncMode bool, seed int64) {
 	fs := fsio.NewMemFS()
 	s, err := CreateSegmentedFS(fs, "idx.pqg", p33)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.SetSync(syncMode)
-	s.SetFlushThreshold(4)
-	marks := segCrashWorkload(t, s, seed)
+	s.SetFlushThreshold(sc.flushEvery)
+	marks := crashWorkload(t, s, sc, seed)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +282,18 @@ func runSegCrashHarness(t *testing.T, syncMode bool, seed int64) {
 				name, a, syncMode, a+1)
 		}
 
-		// Differential recovery: the segmented index — with whatever mix of
-		// resident and segment-served documents the cut left — must answer
-		// identically to an all-in-RAM forest rebuilt from the surviving
-		// documents.
+		// Differential recovery: the recovered index — with whatever mix of
+		// resident and segment-served documents the cut left — must be
+		// byte-identical to, and answer identically to, an all-in-RAM
+		// forest rebuilt from the surviving documents.
 		rebuilt := forest.New(p33)
 		for id, tr := range marks[k].docs {
 			if err := rebuilt.Add(id, tr); err != nil {
 				t.Fatalf("%s: rebuild: %v", name, err)
 			}
+		}
+		if !bytes.Equal(snapshotBytes(t, rs.Forest()), snapshotBytes(t, rebuilt)) {
+			t.Fatalf("%s: recovered snapshot differs from rebuilt-from-scratch (state %d)", name, k)
 		}
 		if got, want := rs.Forest().Lookup(query, 0.75), rebuilt.Lookup(query, 0.75); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: Lookup diverges after recovery: %v vs %v", name, got, want)
@@ -232,49 +333,22 @@ func runSegCrashHarness(t *testing.T, syncMode bool, seed int64) {
 		len(marks)-1, len(trace), len(crashPoints(trace)))
 }
 
-func TestSegCrashConsistencySynced(t *testing.T)   { runSegCrashHarness(t, true, 77) }
-func TestSegCrashConsistencyUnsynced(t *testing.T) { runSegCrashHarness(t, false, 1077) }
+func TestSegCrashConsistencySynced(t *testing.T)   { runCrashHarness(t, flushScript, true, 77) }
+func TestSegCrashConsistencyUnsynced(t *testing.T) { runCrashHarness(t, flushScript, false, 1077) }
+func TestCrashConsistencySynced(t *testing.T)      { runCrashHarness(t, journalScript, true, 42) }
+func TestCrashConsistencyUnsynced(t *testing.T)    { runCrashHarness(t, journalScript, false, 1042) }
 
-// TestSegCrashDuringRecovery cuts power again while recovery itself is
+// runDoubleCrash cuts power a second time while recovery itself is
 // writing (truncating the journal tail, resetting a stale journal,
 // retrying obsolete-segment removals): recovery of a recovered-then-
 // crashed store must still come up clean.
-func TestSegCrashDuringRecovery(t *testing.T) {
+func runDoubleCrash(t *testing.T, build func(s *Segmented)) {
 	fs := fsio.NewMemFS()
 	s, err := CreateSegmentedFS(fs, "idx.pqg", p33)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := gen.XMark(3, 50)
-	if err := s.Add("a", doc.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add("b", tree.MustParse("x(y z)")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	_, log, err := gen.RandomScript(rng, doc, 4, gen.DefaultMix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Update("a", doc, log); err != nil { // promotes "a" out of the segment
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil { // second segment + tombstone-free re-store
-		t.Fatal(err)
-	}
-	if err := s.Remove("b"); err != nil { // journaled tombstone of an evicted doc
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil { // merge + obsolete-file GC
-		t.Fatal(err)
-	}
-	if err := s.Add("c", tree.MustParse("m(n o p)")); err != nil {
-		t.Fatal(err)
-	}
+	build(s)
 	s.Close()
 
 	trace := fs.Trace()
@@ -299,4 +373,66 @@ func TestSegCrashDuringRecovery(t *testing.T) {
 			rs.Close()
 		}
 	}
+}
+
+// TestSegCrashDuringRecovery: the wreckage holds segments, a promoted
+// document, a journaled tombstone and obsolete files.
+func TestSegCrashDuringRecovery(t *testing.T) {
+	runDoubleCrash(t, func(s *Segmented) {
+		doc := gen.XMark(3, 50)
+		if err := s.Add("a", doc.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Add("b", tree.MustParse("x(y z)")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(9))
+		_, log, err := gen.RandomScript(rng, doc, 4, gen.DefaultMix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Update("a", doc, log); err != nil { // promotes "a" out of the segment
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil { // second segment + tombstone-free re-store
+			t.Fatal(err)
+		}
+		if err := s.Remove("b"); err != nil { // journaled tombstone of an evicted doc
+			t.Fatal(err)
+		}
+		if err := s.Compact(); err != nil { // merge + obsolete-file GC
+			t.Fatal(err)
+		}
+		if err := s.Add("c", tree.MustParse("m(n o p)")); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestCrashDuringRecovery: the wreckage is mostly journal — records
+// before and after one compaction, never a flush.
+func TestCrashDuringRecovery(t *testing.T) {
+	runDoubleCrash(t, func(s *Segmented) {
+		doc := gen.XMark(3, 60)
+		if err := s.Add("a", doc.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(9))
+		_, log, err := gen.RandomScript(rng, doc, 4, gen.DefaultMix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Update("a", doc, log); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Add("b", tree.MustParse("x(y z)")); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pqgram/internal/forest"
@@ -14,14 +17,11 @@ import (
 )
 
 // TestSegmentedLifecycleOnDisk exercises the real-filesystem constructors
-// end to end: create, bulk-add, auto-detect via IsSegmented, reopen, and
-// query a store whose documents all live in segment files.
+// end to end: create through OpenOrCreate, bulk-add, reopen through it,
+// and query a store whose documents all live in segment files.
 func TestSegmentedLifecycleOnDisk(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "idx.pqg")
-	if IsSegmented(base) {
-		t.Fatal("IsSegmented true before creation")
-	}
-	s, err := CreateSegmented(base, p33)
+	s, err := OpenOrCreate(base, p33)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +55,13 @@ func TestSegmentedLifecycleOnDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !IsSegmented(base) {
-		t.Fatal("IsSegmented false after creation")
-	}
-	rs, err := OpenSegmented(base)
+	// p and q come from the manifest now, not from the argument.
+	rs, err := OpenOrCreate(base, profile.Params{P: 1, Q: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rs.Forest().Params() != p33 {
+		t.Fatalf("reopened with params %+v", rs.Forest().Params())
 	}
 	defer rs.Close()
 	if rs.Forest().Len() != 6 {
@@ -75,7 +76,7 @@ func TestSegmentedLifecycleOnDisk(t *testing.T) {
 }
 
 // TestSegmentedPutAndErrors covers Put's replace semantics and the
-// mutation error paths shared with the monolithic store.
+// mutation error paths.
 func TestSegmentedPutAndErrors(t *testing.T) {
 	fs := fsio.NewMemFS()
 	s, err := CreateSegmentedFS(fs, "idx.pqg", p33)
@@ -319,4 +320,31 @@ func TestSegmentedOrphanSegmentInvisible(t *testing.T) {
 		t.Fatalf("lookup after orphan reclaim: %v", ms)
 	}
 	rs.Close()
+}
+
+// TestLegacySnapshotRejected: a path holding a "PQGI" snapshot and no
+// manifest is an index of the removed snapshot+journal engine. Opening it
+// must say so (not "manifest not found"), and OpenOrCreate must not start
+// an empty store next to it.
+func TestLegacySnapshotRejected(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "idx.pqg")
+	if err := SaveFile(base, sweepForest("a", "b")); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func() (*Segmented, error){
+		"OpenSegmented": func() (*Segmented, error) { return OpenSegmented(base) },
+		"OpenOrCreate":  func() (*Segmented, error) { return OpenOrCreate(base, p33) },
+	} {
+		s, err := open()
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s accepted a legacy snapshot", name)
+		}
+		if !strings.Contains(err.Error(), `legacy "PQGI" snapshot`) || !strings.Contains(err.Error(), "pqindex build") {
+			t.Fatalf("%s: error does not name the legacy format and the way out: %v", name, err)
+		}
+	}
+	if _, err := os.Stat(manifestPath(base)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a manifest appeared next to the legacy snapshot: %v", err)
+	}
 }

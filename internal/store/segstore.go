@@ -1,6 +1,14 @@
-// The segmented store: an LSM-style storage engine that keeps only
-// recently mutated documents resident in the forest's in-memory postings
-// and serves the rest from immutable on-disk segments (segment.go).
+// Package store persists pq-gram forest indexes — the durable form of the
+// relation (treeId, pqg, cnt) of Figure 4 of the paper. Its one storage
+// engine is the segmented store of this file: an LSM-style engine that
+// keeps only recently mutated documents resident in the forest's
+// in-memory postings and serves the rest from immutable on-disk segments
+// (segment.go). Every mutation appends one journal record before it is
+// applied in memory, so an incremental update persists its two small
+// delta bags (λ(Δ⁻), λ(Δ⁺)), never the whole index — the paper's
+// "persistent AND incrementally maintainable". store.go holds the
+// single-file export format behind Save/Load. Every on-disk format is
+// specified in STORAGE.md.
 //
 // Durable state is three kinds of file, all reached through the injected
 // fsio.FS:
@@ -9,9 +17,8 @@
 //     segment files are live, replaced atomically;
 //   - segment files — immutable sorted runs of documents (bags + inverted
 //     postings + tombstones + bloom filter), written once, never edited;
-//   - the journal — the same record format as the monolithic store
-//     (journal.go), with its header bound to the manifest's content crc
-//     the way the monolithic journal binds to the snapshot crc.
+//   - the journal (wal.go) — one checksummed record per mutation, its
+//     header bound to the manifest's content crc.
 //
 // The memtable is the forest itself: every document mutated since the
 // last flush is resident (its postings live in the in-memory shards), and
@@ -34,22 +41,20 @@
 // acknowledged operations.
 //
 // Mutating methods (Add, AddAll, Put, Remove, Update, Flush, Compact)
-// must be serialized by the caller, exactly like the monolithic Store;
-// lookups through the forest are concurrent with them. The store is the
-// forest's storage tier (forest.Tier): Overlaps, Bag and ForEachPosting
-// are called by the forest with its registry lock held, read only the
-// immutable segments under the store's read lock, and panic on a read
-// failure — a checksummed immutable file failing mid-read after its
-// open-time verification means the storage itself is gone, and
-// fabricating an empty answer would silently corrupt query results.
+// must be serialized by the caller; lookups through the forest are
+// concurrent with them. The store is the forest's storage tier
+// (forest.Tier): Overlaps, Bag and ForEachPosting are called by the
+// forest with its registry lock held, read only the immutable segments
+// under the store's read lock, and panic on a read failure — a
+// checksummed immutable file failing mid-read after its open-time
+// verification means the storage itself is gone, and fabricating an
+// empty answer would silently corrupt query results.
 package store
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sort"
@@ -78,13 +83,10 @@ type segLoc struct {
 // manifest and a write-ahead journal. See the package comment above for
 // the crash-ordering contract.
 type Segmented struct {
-	fs      fsio.FS
-	path    string
-	forest  *forest.Index
-	journal fsio.File
-	off     int64 // current journal length: the next record boundary
-	sync    bool
-	failed  error // sticky: set when the durable state on disk is unknown
+	fs     fsio.FS
+	path   string
+	forest *forest.Index
+	wal    *wal // the journal, and the store's sticky poisoned state
 
 	// flushDocs, when positive, auto-flushes after a mutation leaves at
 	// least that many documents resident. Zero means flush only on demand.
@@ -104,7 +106,7 @@ type Segmented struct {
 	manCRC   uint32            // guarded by mu; crc of the live manifest; the journal header binds to it
 	obsolete []uint64          // guarded by mu; superseded segment files whose removal is still pending
 
-	obs      atomic.Pointer[segMetrics]
+	obs      atomic.Pointer[storeMetrics]
 	recovery RecoveryInfo
 }
 
@@ -113,12 +115,35 @@ type Segmented struct {
 //
 //pqlint:lockorder Segmented.mu < segment.mu
 
-// IsSegmented reports whether path names a segmented store, by probing
-// for its manifest file on the host filesystem. Tools use it to pick the
-// right opener for an existing index.
-func IsSegmented(path string) bool {
-	_, err := os.Stat(manifestPath(path))
-	return err == nil
+// OpenOrCreate opens the store rooted at path if its manifest exists and
+// creates a new empty one with parameters pr otherwise — what a
+// long-running service does with its -index flag.
+func OpenOrCreate(path string, pr profile.Params) (*Segmented, error) {
+	if _, err := os.Stat(manifestPath(path)); !errors.Is(err, os.ErrNotExist) {
+		return OpenSegmented(path)
+	}
+	if err := legacySnapshot(fsio.OS, path); err != nil {
+		return nil, err
+	}
+	return CreateSegmented(path, pr)
+}
+
+// legacySnapshot returns an error naming the format if path holds a
+// "PQGI" snapshot: before there was a manifest, a store's base file lived
+// at the bare path, and such an index must be rebuilt, not mistaken for a
+// missing one and silently started empty next to.
+func legacySnapshot(fsys fsio.FS, path string) error {
+	fh, err := fsio.Open(fsys, path)
+	if err != nil {
+		return nil
+	}
+	defer fh.Close() //pqlint:allow errcheck-durability read-only probe of a file the store never writes
+	var hdr [4]byte
+	if _, err := io.ReadFull(fh, hdr[:]); err != nil || hdr != magic {
+		return nil
+	}
+	return fmt.Errorf("store: %s is a legacy \"PQGI\" snapshot store (no %s); that engine is gone — rebuild the index with `pqindex build`",
+		path, manifestPath(path))
 }
 
 // CreateSegmented creates a new empty segmented store rooted at path:
@@ -137,17 +162,13 @@ func CreateSegmentedFS(fsys fsio.FS, path string, pr profile.Params) (*Segmented
 	if err != nil {
 		return nil, err
 	}
-	j, err := fsys.OpenFile(path+".wal", os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	w, err := createWAL(fsys, walPath(path), crc)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := j.Write(journalHeader(crc)); err != nil {
-		j.Close() //pqlint:allow errcheck-durability failure-path cleanup of a journal that was never used
 		return nil, err
 	}
 	f := forest.New(pr)
 	s := &Segmented{
-		fs: fsys, path: path, forest: f, journal: j, off: journalHeaderLen,
+		fs: fsys, path: path, forest: f, wal: w,
 		loc: make(map[string]segLoc), tombs: make(map[string]bool), dirty: make(map[string]bool),
 		nextSeq: 1, manCRC: crc,
 	}
@@ -167,6 +188,11 @@ func OpenSegmented(path string) (*Segmented, error) {
 func OpenSegmentedFS(fsys fsio.FS, path string) (*Segmented, error) {
 	man, manCRC, err := loadManifestFile(fsys, manifestPath(path))
 	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			if lerr := legacySnapshot(fsys, path); lerr != nil {
+				return nil, lerr
+			}
+		}
 		return nil, err
 	}
 	segs := make([]*segment, 0, len(man.segs))
@@ -228,82 +254,11 @@ func OpenSegmentedFS(fsys fsio.FS, path string) (*Segmented, error) {
 	// files are invisible to recovery either way.
 	s.gcObsolete(man.obsolete)
 
-	j, err := fsys.OpenFile(path+".wal", os.O_RDWR|os.O_CREATE, 0o644)
+	s.wal, s.recovery, err = openWAL(fsys, walPath(path), manCRC, s.applyRecoveredRecord)
 	if err != nil {
 		closeSegs()
 		return nil, err
 	}
-	t0 := time.Now()
-	data, err := io.ReadAll(j)
-	if err != nil {
-		j.Close() //pqlint:allow errcheck-durability failure-path cleanup; the open already failed
-		closeSegs()
-		return nil, err
-	}
-
-	var info RecoveryInfo
-	valid := int64(journalHeaderLen)
-	reinit := false
-	switch {
-	case len(data) == 0:
-		// Fresh journal (or one whose creation never became durable).
-		reinit = true
-	case len(data) < journalHeaderLen || [4]byte(data[:4]) != journalMagic || data[4] != journalVersion:
-		// Foreign bytes or a torn header: nothing in it can be trusted.
-		info.JournalReset = true
-		info.DiscardedBytes = int64(len(data))
-		reinit = true
-	case binary.BigEndian.Uint32(data[5:9]) != manCRC:
-		// The journal extends a different manifest than the one on disk.
-		// The only writers that replace the manifest are Flush and Compact,
-		// and both fold every journal record into the new segment set
-		// before the replace — so these records are already applied.
-		info.StaleJournal = true
-		info.DiscardedBytes = int64(len(data) - journalHeaderLen)
-		reinit = true
-	default:
-		recs, bodyValid, badCRC := scanRecords(data[journalHeaderLen:])
-		for i, rec := range recs {
-			if err := s.applyRecoveredRecord(rec); err != nil {
-				j.Close() //pqlint:allow errcheck-durability failure-path cleanup; the open already failed
-				closeSegs()
-				return nil, fmt.Errorf("store: journal record %d: %w", i, err)
-			}
-		}
-		info.Records = int64(len(recs))
-		info.Bytes = bodyValid
-		info.TornBytes = int64(len(data)) - journalHeaderLen - bodyValid
-		if badCRC {
-			info.SkippedRecords = 1
-		}
-		valid += bodyValid
-	}
-
-	if reinit {
-		err = j.Truncate(0)
-		if err == nil {
-			_, err = j.Seek(0, io.SeekStart)
-		}
-		if err == nil {
-			_, err = j.Write(journalHeader(manCRC))
-		}
-		valid = journalHeaderLen
-	} else {
-		// Drop any torn tail so future appends start at a clean boundary.
-		err = j.Truncate(valid)
-		if err == nil {
-			_, err = j.Seek(valid, io.SeekStart)
-		}
-	}
-	if err != nil {
-		j.Close() //pqlint:allow errcheck-durability failure-path cleanup; the open already failed
-		closeSegs()
-		return nil, err
-	}
-	info.Duration = time.Since(t0)
-	s.journal = j
-	s.off = valid
-	s.recovery = info
 	return s, nil
 }
 
@@ -364,7 +319,7 @@ func (s *Segmented) Recovery() RecoveryInfo { return s.recovery }
 
 // SetSync makes every journal append fsync before returning (durability
 // over throughput; off by default).
-func (s *Segmented) SetSync(on bool) { s.sync = on }
+func (s *Segmented) SetSync(on bool) { s.wal.sync = on }
 
 // SetFlushThreshold sets the auto-flush trigger: after a mutation, if at
 // least docs documents are resident, Flush runs inline. Zero (the
@@ -379,18 +334,12 @@ func (s *Segmented) Forest() *forest.Index { return s.forest }
 func (s *Segmented) Path() string { return s.path }
 
 // JournalSize returns the current journal length in bytes.
-func (s *Segmented) JournalSize() (int64, error) {
-	fi, err := s.journal.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
-}
+func (s *Segmented) JournalSize() (int64, error) { return s.wal.size() }
 
 // Close closes the journal and every open segment. The store must not be
 // used afterwards.
 func (s *Segmented) Close() error {
-	err := s.journal.Close()
+	err := s.wal.close()
 	s.mu.Lock()
 	for _, sg := range s.segs {
 		if cerr := sg.close(); err == nil {
@@ -410,10 +359,7 @@ func (s *Segmented) Add(id string, t *tree.Tree) error {
 		return fmt.Errorf("store: tree %q already indexed", id)
 	}
 	idx := profile.BuildIndex(t, s.forest.Params())
-	var buf bytes.Buffer
-	writeString(&buf, id)
-	writeBag(&buf, idx)
-	if err := s.append(recAdd, buf.Bytes()); err != nil {
+	if err := s.journal(recAdd, addPayload(id, idx)); err != nil {
 		return err
 	}
 	if err := s.forest.AddIndex(id, idx); err != nil {
@@ -425,9 +371,13 @@ func (s *Segmented) Add(id string, t *tree.Tree) error {
 	return s.maybeFlush()
 }
 
-// AddAll bulk-indexes documents: profiled concurrently, journaled one
-// record per document, merged into the postings in parallel. The batch is
-// validated up front; workers < 1 means GOMAXPROCS.
+// AddAll bulk-indexes documents: the trees are profiled concurrently on a
+// worker pool (forest.BuildIndexes), journaled one record per document,
+// and the bags merged into the sharded postings in parallel. The whole
+// batch is validated up front — a duplicate ID rejects it before anything
+// is journaled — and journaled atomically: its records go out as one
+// write, so a failure leaves none of them behind to collide with a retry
+// at the next open. workers < 1 means GOMAXPROCS.
 func (s *Segmented) AddAll(docs []forest.Doc, workers int) error {
 	seen := make(map[string]bool, len(docs))
 	ids := make([]string, len(docs))
@@ -442,13 +392,12 @@ func (s *Segmented) AddAll(docs []forest.Doc, workers int) error {
 		ids[i] = d.ID
 	}
 	bags := forest.BuildIndexes(docs, s.forest.Params(), workers)
+	payloads := make([][]byte, len(bags))
 	for i, bag := range bags {
-		var buf bytes.Buffer
-		writeString(&buf, ids[i])
-		writeBag(&buf, bag)
-		if err := s.append(recAdd, buf.Bytes()); err != nil {
-			return err
-		}
+		payloads[i] = addPayload(ids[i], bag)
+	}
+	if err := s.journal(recAdd, payloads...); err != nil {
+		return err
 	}
 	if err := s.forest.AddIndexes(ids, bags, workers); err != nil {
 		return err
@@ -469,9 +418,9 @@ func (s *Segmented) Remove(id string) error {
 	if !s.forest.Has(id) {
 		return fmt.Errorf("store: tree %q not indexed", id)
 	}
-	var buf bytes.Buffer
-	writeString(&buf, id)
-	if err := s.append(recRemove, buf.Bytes()); err != nil {
+	var payload bytes.Buffer
+	writeString(&payload, id)
+	if err := s.journal(recRemove, payload.Bytes()); err != nil {
 		return err
 	}
 	return s.removeApplied(id)
@@ -514,9 +463,11 @@ func (s *Segmented) Put(id string, t *tree.Tree) (int, error) {
 }
 
 // Update incrementally maintains one document's index (Algorithm 1),
-// journaling only the two delta bags. A flushed document is promoted back
-// into the memtable first — promotion changes no content and is not
-// journaled; replay re-promotes when it reaches the update record.
+// journaling only the two delta bags — the persistent-update cost is
+// proportional to the log, not to the index. A flushed document is
+// promoted back into the memtable first — promotion changes no content
+// and is not journaled; replay re-promotes when it reaches the update
+// record.
 func (s *Segmented) Update(id string, tn *tree.Tree, log edit.Log) (core.Stats, error) {
 	if !s.forest.Has(id) {
 		return core.Stats{}, fmt.Errorf("store: tree %q not indexed", id)
@@ -531,11 +482,11 @@ func (s *Segmented) Update(id string, tn *tree.Tree, log edit.Log) (core.Stats, 
 	if err := s.promoteIfEvicted(id); err != nil {
 		return st, err
 	}
-	var buf bytes.Buffer
-	writeString(&buf, id)
-	writeBag(&buf, iMinus)
-	writeBag(&buf, iPlus)
-	if err := s.append(recUpdate, buf.Bytes()); err != nil {
+	var payload bytes.Buffer
+	writeString(&payload, id)
+	writeBag(&payload, iMinus)
+	writeBag(&payload, iPlus)
+	if err := s.journal(recUpdate, payload.Bytes()); err != nil {
 		return st, err
 	}
 	if err := s.forest.ApplyDeltas(id, iPlus, iMinus); err != nil {
@@ -591,8 +542,8 @@ func (s *Segmented) maybeFlush() error {
 // the new manifest. A no-op when nothing is resident and no tombstones
 // are pending. See the package comment for the crash ordering.
 func (s *Segmented) Flush() error {
-	if s.failed != nil {
-		return fmt.Errorf("store: unusable after earlier failure: %w", s.failed)
+	if err := s.wal.usable(); err != nil {
+		return err
 	}
 	s.mu.RLock()
 	ids := make([]string, 0, len(s.dirty))
@@ -668,7 +619,7 @@ func (s *Segmented) Flush() error {
 		if renamed {
 			// The live segment set advanced on disk but its durability is
 			// uncertain, and memory no longer matches it.
-			s.failed = err
+			s.wal.failed = err
 			return fmt.Errorf("store: flush: manifest replaced but not settled: %w", err)
 		}
 		return err // old manifest + intact journal: nothing lost
@@ -687,11 +638,10 @@ func (s *Segmented) Flush() error {
 	}); err != nil {
 		// The manifest already advanced; a memtable that refuses to match
 		// it cannot accept further writes safely.
-		s.failed = err
+		s.wal.failed = err
 		return fmt.Errorf("store: flush: evicting flushed documents: %w", err)
 	}
-	if err := s.resetJournal(manCRC); err != nil {
-		s.failed = err
+	if err := s.wal.reset(manCRC); err != nil {
 		return fmt.Errorf("store: flush: journal reset failed: %w", err)
 	}
 	if m != nil {
@@ -718,8 +668,8 @@ func (s *Segmented) Flush() error {
 // removed best-effort afterwards, and the manifest's obsolete list lets
 // the next open retry any removal that did not stick.
 func (s *Segmented) Compact() error {
-	if s.failed != nil {
-		return fmt.Errorf("store: unusable after earlier failure: %w", s.failed)
+	if err := s.wal.usable(); err != nil {
+		return err
 	}
 	m := s.obs.Load()
 	var t0 time.Time
@@ -786,7 +736,7 @@ func (s *Segmented) Compact() error {
 			sg.close() //pqlint:allow errcheck-durability failure-path cleanup of a read-only handle; the segment stays unpublished
 		}
 		if renamed {
-			s.failed = err
+			s.wal.failed = err
 			return fmt.Errorf("store: compact: manifest replaced but not settled: %w", err)
 		}
 		return err
@@ -813,11 +763,10 @@ func (s *Segmented) Compact() error {
 		s.obsolete = obsolete
 		s.mu.Unlock()
 	}); err != nil {
-		s.failed = err
+		s.wal.failed = err
 		return fmt.Errorf("store: compact: evicting documents: %w", err)
 	}
-	if err := s.resetJournal(manCRC); err != nil {
-		s.failed = err
+	if err := s.wal.reset(manCRC); err != nil {
 		return fmt.Errorf("store: compact: journal reset failed: %w", err)
 	}
 	s.gcObsolete(obsolete)
@@ -850,96 +799,42 @@ func (s *Segmented) gcObsolete(seqs []uint64) {
 	s.mu.Unlock()
 }
 
-// --- journal plumbing (mirrors the monolithic store's) ------------------
-
-// resetJournal truncates the journal and writes a fresh header bound to
-// manCRC. Any crash inside leaves an empty, torn or stale journal — all
-// of which OpenSegmented resolves to "no records", which is correct
-// because the caller has already made the segments contain everything.
-func (s *Segmented) resetJournal(manCRC uint32) error {
-	if err := s.journal.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := s.journal.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if _, err := s.journal.Write(journalHeader(manCRC)); err != nil {
-		return err
-	}
-	if s.sync {
-		if err := s.journal.Sync(); err != nil {
-			return err
-		}
-	}
-	s.off = journalHeaderLen
-	return nil
-}
-
-// append writes one length-prefixed, checksummed record as a single write
-// at the current record boundary, with the same rollback-or-poison
-// contract as the monolithic store's append.
-func (s *Segmented) append(typ byte, payload []byte) error {
-	if s.failed != nil {
-		return fmt.Errorf("store: unusable after earlier failure: %w", s.failed)
-	}
+// journal appends one record of type typ per payload through the wal —
+// all of them as one write, all or nothing — and accounts for them.
+func (s *Segmented) journal(typ byte, payloads ...[]byte) error {
 	m := s.obs.Load()
 	var t0 time.Time
 	if m != nil {
 		t0 = time.Now()
 	}
-	var rec bytes.Buffer
-	rec.WriteByte(typ)
-	putUvarint(&rec, uint64(len(payload)))
-	rec.Write(payload)
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{typ})
-	crc.Write(payload)
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], crc.Sum32())
-	rec.Write(sum[:])
-
-	n, err := s.journal.Write(rec.Bytes())
-	if err != nil || n < rec.Len() {
-		if err == nil {
-			err = io.ErrShortWrite
-		}
-		s.rollback(n)
+	var recs bytes.Buffer
+	for _, payload := range payloads {
+		appendRecord(&recs, typ, payload)
+	}
+	if err := s.wal.append(recs.Bytes()); err != nil {
 		return err
 	}
-	if s.sync {
-		if err := s.journal.Sync(); err != nil {
-			s.rollback(n)
-			s.failed = err
-			return err
-		}
-	}
-	s.off += int64(rec.Len())
 	if m != nil {
-		m.appends.Inc()
-		m.appendBytes.Add(int64(rec.Len()))
-		m.journalBytes.Add(int64(rec.Len()))
+		m.appends.Add(int64(len(payloads)))
+		m.appendBytes.Add(int64(recs.Len()))
+		m.journalBytes.Add(int64(recs.Len()))
 		m.appendNS.ObserveSince(t0)
 		if sp := m.col.StartTrace("store.append"); sp != nil {
-			sp.SetAttr("bytes", int64(rec.Len()))
+			// Synthesized after the fact so the un-sampled path does not
+			// even start a span inside the write sequence.
+			sp.SetAttr("bytes", int64(recs.Len()))
 			sp.FinishWithDuration(time.Since(t0))
 		}
 	}
 	return nil
 }
 
-// rollback restores the journal to the last record boundary after wrote
-// bytes of a failed append; a rollback that itself fails poisons the
-// store.
-func (s *Segmented) rollback(wrote int) {
-	if wrote > 0 {
-		if err := s.journal.Truncate(s.off); err != nil {
-			s.failed = err
-			return
-		}
-	}
-	if _, err := s.journal.Seek(s.off, io.SeekStart); err != nil {
-		s.failed = err
-	}
+// addPayload renders the payload of an add record: id, full bag.
+func addPayload(id string, bag profile.Index) []byte {
+	var buf bytes.Buffer
+	writeString(&buf, id)
+	writeBag(&buf, bag)
+	return buf.Bytes()
 }
 
 // --- the forest.Tier implementation ------------------------------------

@@ -1,14 +1,9 @@
-// Package store persists pq-gram forest indexes — the durable form of the
-// relation (treeId, pqg, cnt) of Figure 4 of the paper — through two
-// engines: the monolithic snapshot-plus-journal store of this file and
-// journal.go, and the segmented out-of-core engine of segstore.go. Every
-// on-disk format of both engines is specified in STORAGE.md.
-//
-// This file is the monolithic snapshot codec: one compact, checksummed
-// file holding the whole index. The format is deterministic (trees and
-// tuples are sorted), so the serialized size is a stable measure for the
-// index-size experiment (Figure 14, left) and the trailing checksum
-// identifies the snapshot's exact content.
+// The export format: one compact, checksummed file holding a whole
+// index ("PQGI"), for backups and for moving an index between processes.
+// The store itself (segstore.go) never reads or writes it. The format is
+// deterministic (trees and tuples are sorted), so the serialized size is
+// a stable measure for the index-size experiment (Figure 14, left) and
+// two indexes hold the same content exactly when their bytes are equal.
 //
 // Layout (all integers are unsigned varints unless noted):
 //
@@ -49,21 +44,12 @@ const maxParam = 64
 // during Save — a quiescent forest is the caller's responsibility, as with
 // any backup.
 func Save(w io.Writer, f *forest.Index) error {
-	_, err := saveCRC(w, f)
-	return err
-}
-
-// saveCRC is Save, additionally returning the crc32 written at the end of
-// the stream. Because the format is deterministic, that checksum identifies
-// the snapshot's exact content — the journal header records it so a journal
-// can prove which base it belongs to (see OpenStoreFS).
-func saveCRC(w io.Writer, f *forest.Index) (uint32, error) {
 	cw := &crcWriter{w: bufio.NewWriter(w), h: crc32.NewIEEE()}
 	if _, err := cw.Write(magic[:]); err != nil {
-		return 0, err
+		return err
 	}
 	if _, err := cw.Write([]byte{version}); err != nil {
-		return 0, err
+		return err
 	}
 	pr := f.Params()
 	putUvarint(cw, uint64(pr.P))
@@ -93,69 +79,61 @@ func saveCRC(w io.Writer, f *forest.Index) (uint32, error) {
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if cw.err != nil {
-		return 0, cw.err
+		return cw.err
 	}
-	crc := cw.h.Sum32()
 	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], crc)
+	binary.BigEndian.PutUint32(sum[:], cw.h.Sum32())
 	if _, err := cw.w.Write(sum[:]); err != nil {
-		return 0, err
+		return err
 	}
-	return crc, cw.w.Flush()
+	return cw.w.Flush()
 }
 
 // Load reads a forest index written by Save.
 func Load(r io.Reader) (*forest.Index, error) {
-	f, _, err := loadCRC(r)
-	return f, err
-}
-
-// loadCRC is Load, additionally returning the snapshot's crc32 — the
-// content identity the journal header is checked against.
-func loadCRC(r io.Reader) (*forest.Index, uint32, error) {
 	cr := &crcReader{r: bufio.NewReader(r), h: crc32.NewIEEE()}
 	var hdr [5]byte
 	if _, err := io.ReadFull(cr, hdr[:]); err != nil {
-		return nil, 0, fmt.Errorf("store: reading header: %w", err)
+		return nil, fmt.Errorf("store: reading header: %w", err)
 	}
 	if [4]byte(hdr[:4]) != magic {
-		return nil, 0, fmt.Errorf("store: bad magic %q", hdr[:4])
+		return nil, fmt.Errorf("store: bad magic %q", hdr[:4])
 	}
 	if hdr[4] != version {
-		return nil, 0, fmt.Errorf("store: unsupported version %d", hdr[4])
+		return nil, fmt.Errorf("store: unsupported version %d", hdr[4])
 	}
 	p, err := getUvarint(cr, maxParam)
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: reading p: %w", err)
+		return nil, fmt.Errorf("store: reading p: %w", err)
 	}
 	q, err := getUvarint(cr, maxParam)
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: reading q: %w", err)
+		return nil, fmt.Errorf("store: reading q: %w", err)
 	}
 	pr := profile.Params{P: int(p), Q: int(q)}
 	if err := pr.Validate(); err != nil {
-		return nil, 0, fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	f := forest.New(pr)
 	numTrees, err := getUvarint(cr, 1<<40)
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: reading tree count: %w", err)
+		return nil, fmt.Errorf("store: reading tree count: %w", err)
 	}
 	for i := uint64(0); i < numTrees; i++ {
 		idLen, err := getUvarint(cr, 1<<20)
 		if err != nil {
-			return nil, 0, fmt.Errorf("store: tree %d: reading id length: %w", i, err)
+			return nil, fmt.Errorf("store: tree %d: reading id length: %w", i, err)
 		}
 		idBuf := make([]byte, idLen)
 		if _, err := io.ReadFull(cr, idBuf); err != nil {
-			return nil, 0, fmt.Errorf("store: tree %d: reading id: %w", i, err)
+			return nil, fmt.Errorf("store: tree %d: reading id: %w", i, err)
 		}
 		numTuples, err := getUvarint(cr, 1<<50)
 		if err != nil {
-			return nil, 0, fmt.Errorf("store: tree %q: reading tuple count: %w", idBuf, err)
+			return nil, fmt.Errorf("store: tree %q: reading tuple count: %w", idBuf, err)
 		}
 		// The declared count is untrusted until the data is actually read:
 		// cap the allocation hint so a corrupt header cannot exhaust memory.
@@ -168,34 +146,34 @@ func loadCRC(r io.Reader) (*forest.Index, uint32, error) {
 		for j := uint64(0); j < numTuples; j++ {
 			delta, err := binary.ReadUvarint(cr)
 			if err != nil {
-				return nil, 0, fmt.Errorf("store: tree %q: reading tuple %d: %w", idBuf, j, err)
+				return nil, fmt.Errorf("store: tree %q: reading tuple %d: %w", idBuf, j, err)
 			}
 			if j > 0 && delta == 0 {
-				return nil, 0, fmt.Errorf("store: tree %q: duplicate tuple %d", idBuf, j)
+				return nil, fmt.Errorf("store: tree %q: duplicate tuple %d", idBuf, j)
 			}
 			prev += delta
 			cnt, err := getUvarint(cr, 1<<50)
 			if err != nil {
-				return nil, 0, fmt.Errorf("store: tree %q: reading count %d: %w", idBuf, j, err)
+				return nil, fmt.Errorf("store: tree %q: reading count %d: %w", idBuf, j, err)
 			}
 			if cnt == 0 {
-				return nil, 0, fmt.Errorf("store: tree %q: tuple with zero count", idBuf)
+				return nil, fmt.Errorf("store: tree %q: tuple with zero count", idBuf)
 			}
 			idx[profile.LabelTuple(prev)] = int(cnt)
 		}
 		if err := f.AddIndex(string(idBuf), idx); err != nil {
-			return nil, 0, fmt.Errorf("store: %w", err)
+			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
 	want := cr.h.Sum32()
 	var sum [4]byte
 	if _, err := io.ReadFull(cr.r, sum[:]); err != nil {
-		return nil, 0, fmt.Errorf("store: reading checksum: %w", err)
+		return nil, fmt.Errorf("store: reading checksum: %w", err)
 	}
 	if got := binary.BigEndian.Uint32(sum[:]); got != want {
-		return nil, 0, fmt.Errorf("store: checksum mismatch: file %08x, computed %08x", got, want)
+		return nil, fmt.Errorf("store: checksum mismatch: file %08x, computed %08x", got, want)
 	}
-	return f, want, nil
+	return f, nil
 }
 
 // SaveFile writes the index to a file, replacing it atomically via a
@@ -209,19 +187,10 @@ func SaveFile(path string, f *forest.Index) error {
 // renamed over path, and the directory entry is fsynced — a crash at any
 // point leaves either the complete old file or the complete new one.
 func SaveFileFS(fsys fsio.FS, path string, f *forest.Index) error {
-	_, _, err := saveFileCRC(fsys, path, f)
-	return err
-}
-
-// saveFileCRC implements the atomic-replace protocol and reports the
-// snapshot's crc32 and whether the rename happened. The distinction
-// matters to Compact: an error before the rename leaves the old state
-// fully intact, an error after it means the base has already advanced.
-func saveFileCRC(fsys fsio.FS, path string, f *forest.Index) (crc uint32, renamed bool, err error) {
 	dir := dirOf(path)
 	tmp, err := fsys.CreateTemp(dir, ".pqgram-*")
 	if err != nil {
-		return 0, false, err
+		return err
 	}
 	tmpName := tmp.Name()
 	closed := false
@@ -235,27 +204,23 @@ func saveFileCRC(fsys fsio.FS, path string, f *forest.Index) (crc uint32, rename
 		// Best effort; after a successful rename the name is gone already.
 		fsys.Remove(tmpName) //pqlint:allow errcheck-durability best-effort removal; after rename the name no longer exists
 	}()
-	crc, err = saveCRC(tmp, f)
-	if err != nil {
-		return 0, false, err
+	if err := Save(tmp, f); err != nil {
+		return err
 	}
 	// The data must be durable before the rename: otherwise a crash could
 	// persist the new directory entry pointing at unwritten content.
 	if err := tmp.Sync(); err != nil {
-		return 0, false, err
+		return err
 	}
 	closed = true
 	if err := tmp.Close(); err != nil {
-		return 0, false, err
+		return err
 	}
 	if err := fsys.Rename(tmpName, path); err != nil {
-		return 0, false, err
+		return err
 	}
 	// And the rename itself must be durable: fsync the directory entry.
-	if err := fsio.SyncDir(fsys, dir); err != nil {
-		return crc, true, err
-	}
-	return crc, true, nil
+	return fsio.SyncDir(fsys, dir)
 }
 
 // LoadFile reads an index file written by SaveFile.
@@ -265,26 +230,21 @@ func LoadFile(path string) (*forest.Index, error) {
 
 // LoadFileFS is LoadFile against an injected filesystem.
 func LoadFileFS(fsys fsio.FS, path string) (*forest.Index, error) {
-	f, _, err := loadFileCRC(fsys, path)
-	return f, err
-}
-
-func loadFileCRC(fsys fsio.FS, path string) (*forest.Index, uint32, error) {
 	fh, err := fsio.Open(fsys, path)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	f, crc, err := loadCRC(fh)
+	f, err := Load(fh)
 	if cerr := fh.Close(); err == nil && cerr != nil {
 		// The snapshot was read and checksummed, but a close failing even
 		// on a read-only handle signals an unhealthy device; surface it
 		// rather than hand back state from hardware that is misbehaving.
-		return nil, 0, cerr
+		return nil, cerr
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return f, crc, nil
+	return f, nil
 }
 
 func dirOf(path string) string {

@@ -5,57 +5,40 @@ import (
 	"pqgram/internal/store"
 )
 
-// Store is a durable forest index: a base snapshot plus a write-ahead
-// journal. Mutations (Add, Remove, Update) append a small record before
-// being applied, so the persistent cost of an incremental update is
-// proportional to the edit log, not to the index — the paper's
-// "persistent and incrementally maintainable" made literal. A crash loses
-// at most the interrupted append; OpenStore recovers the intact prefix.
-type Store = store.Store
+// Store is a durable forest index that scales beyond RAM: an LSM-style
+// storage engine whose memtable is the forest itself, a write-ahead
+// journal, and immutable on-disk segments. Mutations (Add, Remove,
+// Update) append a small journal record before being applied, so the
+// persistent cost of an incremental update is proportional to the edit
+// log, not to the index — the paper's "persistent and incrementally
+// maintainable" made literal. A crash loses at most the interrupted
+// append; OpenStore recovers the intact prefix. Flush evicts the mutated
+// documents into an immutable, checksummed, bloom-filtered segment file;
+// lookups merge the in-RAM postings with segment streams and stay
+// byte-identical to the all-in-RAM path. Without a Flush, a Compact or a
+// flush threshold everything stays resident. The on-disk formats are
+// specified in STORAGE.md.
+type Store = store.Segmented
 
-// CreateStore creates a new empty store at path (plus path+".wal").
+// SegmentStats describes the current shape of a store: live segments and
+// their total bytes, resident (memtable) vs evicted (segment-served)
+// documents, and pending tombstones.
+type SegmentStats = store.SegmentStats
+
+// CreateStore creates a new empty store rooted at path (path+".manifest",
+// path+".wal" journal, path+".NNNNNN.seg" segments as flushes happen).
 func CreateStore(path string, p Params) (*Store, error) {
-	return store.CreateStore(path, profile.Params(p))
+	return store.CreateSegmented(path, profile.Params(p))
 }
 
-// OpenStore loads the base snapshot, replays the journal, and truncates
-// any torn tail left by a crash.
-func OpenStore(path string) (*Store, error) { return store.OpenStore(path) }
+// OpenStore opens a store: loads the manifest, verifies and maps every
+// live segment, replays the journal against the memtable, truncates any
+// torn tail left by a crash, and discards a stale journal left by a crash
+// between manifest swap and journal reset.
+func OpenStore(path string) (*Store, error) { return store.OpenSegmented(path) }
 
 // RecoveryInfo describes what OpenStore found and repaired while bringing
 // a store back: intact records replayed, torn or checksum-failed bytes
 // dropped, and whether a stale or foreign journal had to be discarded.
 // Available from Store.Recovery after an open.
 type RecoveryInfo = store.RecoveryInfo
-
-// Segmented is the out-of-core variant of Store: an LSM-style storage
-// engine whose memtable is the forest itself. Flush evicts the mutated
-// documents into an immutable, checksummed, bloom-filtered segment file;
-// lookups merge the in-RAM postings with segment streams and stay
-// byte-identical to the all-in-RAM path. Use it when the collection is
-// larger than the RAM you want to spend. The on-disk format is specified
-// in STORAGE.md.
-type Segmented = store.Segmented
-
-// SegmentStats describes the current shape of a segmented store: live
-// segments and their total bytes, resident (memtable) vs evicted
-// (segment-served) documents, and pending tombstones.
-type SegmentStats = store.SegmentStats
-
-// CreateSegmented creates a new empty segmented store rooted at path
-// (path+".manifest", path+".NNNNNN.seg" segments, path+".wal" journal).
-func CreateSegmented(path string, p Params) (*Segmented, error) {
-	return store.CreateSegmented(path, profile.Params(p))
-}
-
-// OpenSegmented opens a segmented store: loads the manifest, verifies and
-// maps every live segment, replays the journal against the memtable, and
-// discards a stale journal left by a crash between manifest swap and
-// journal reset.
-func OpenSegmented(path string) (*Segmented, error) {
-	return store.OpenSegmented(path)
-}
-
-// IsSegmented reports whether path names a segmented store, by probing
-// for its manifest file. Tools use it to auto-detect which opener to use.
-func IsSegmented(path string) bool { return store.IsSegmented(path) }
