@@ -19,8 +19,10 @@
 // requests, waits (bounded) for the ones in flight, closes the store and
 // exits 0.
 //
-// The HTTP surface is documented in internal/serve/http.go;
-// examples/server exposes the same endpoints with a guided demo.
+// -plan is the only way to choose the planner mode: it is process-wide
+// and no request can change it. The HTTP surface is documented in
+// internal/serve/http.go; `go run ./examples/server` tours it. How fast
+// this binary is comes from benchmark/, which builds and drives it.
 package main
 
 import (

@@ -7,10 +7,16 @@
 //	Fig 14 (right) — incremental update time vs. log size (DBLP-shaped)
 //	Table 2        — per-step breakdown of the index update time
 //
-// plus ablations: the anchor-ID secondary index of §8.1 and the effect of
-// the edit-operation mix. Absolute numbers differ from the paper's 2006
-// RDBMS testbed; the reproduced quantities are the shapes: who wins, the
-// growth rates, where the crossovers are.
+// plus ablations: the anchor-ID secondary index of §8.1, the effect of
+// the edit-operation mix, and (p,q) against tree edit distance. Absolute
+// numbers differ from the paper's 2006 RDBMS testbed; the reproduced
+// quantities are the shapes: who wins, the growth rates, where the
+// crossovers are.
+//
+// That is all this package is for. It is not a performance harness for
+// this implementation: those numbers come from the benchmark/ module
+// (pqserve end to end, bounds with a measured noise floor), and a new
+// performance question is a workload or metric there, not a sweep here.
 package bench
 
 import (

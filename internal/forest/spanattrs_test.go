@@ -1,0 +1,100 @@
+package forest_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"pqgram/internal/forest"
+	"pqgram/internal/gen"
+	"pqgram/internal/obs"
+	"pqgram/internal/profile"
+	"pqgram/internal/tree"
+)
+
+// sumSpanAttr sums attribute key over the spans named span ("": all spans).
+func sumSpanAttr(s obs.SpanSnapshot, span, key string) int64 {
+	var n int64
+	if span == "" || s.Name == span {
+		n = s.Attrs[key]
+	}
+	for _, c := range s.Children {
+		n += sumSpanAttr(c, span, key)
+	}
+	return n
+}
+
+// TestSpanAttrsMatchCounters holds the tracing layer to the metrics
+// registry: over a batch in which every operation is traced, each work
+// attribute summed over the published span trees must equal the delta of
+// the counter it mirrors. The two are recorded by separate statements, so
+// nothing else notices when one of them drifts.
+func TestSpanAttrsMatchCounters(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var docs []*tree.Tree
+	for i := 0; i < 64; i++ { // sizes spread so the size window prunes
+		docs = append(docs, gen.DBLP(int64(i%5), 30+10*i))
+	}
+	var qs []profile.Index
+	for i := 0; i < 8; i++ {
+		q, _, err := gen.Perturb(rng, docs[i*6], 3, gen.DefaultMix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs = append(qs, profile.BuildIndex(q, p33))
+	}
+	resident, tiered, _, _ := tieredCopy(t, docs)
+	lookup := func(f *forest.Index, q profile.Index) { f.LookupIndex(q, 0.4) }
+	topk := func(f *forest.Index, q profile.Index) { f.LookupIndexTopK(q, 5) }
+	tierAttrs := map[string]string{
+		"segments_probed":  "forest_tier_segments_probed",
+		"bloom_checks":     "forest_bloom_checks",
+		"bloom_skips":      "forest_bloom_skips",
+		"postings_scanned": "forest_tier_postings_scanned",
+	}
+	cases := []struct {
+		name    string
+		f       *forest.Index
+		mode    forest.PlanMode
+		op      func(*forest.Index, profile.Index)
+		span    string            // "tier": the in-RAM scan beside it has a postings_scanned too
+		counter map[string]string // span attribute -> registry counter
+	}{
+		{"pruned", resident, forest.PlanPruned, lookup, "", map[string]string{
+			"candidates":     "forest_lookup_candidates_examined",
+			"pruned_size":    "forest_lookup_pruned_size",
+			"pruned_abandon": "forest_lookup_pruned_abandon",
+		}},
+		{"exhaustive", resident, forest.PlanExhaustive, lookup, "", map[string]string{"candidates": "forest_lookup_candidates_examined"}},
+		{"metric top-k", resident, forest.PlanMetric, topk, "", map[string]string{
+			"nodes_visited":   "forest_metric_nodes_visited",
+			"pruned_triangle": "forest_metric_pruned_triangle",
+		}},
+		{"tier pruned", tiered, forest.PlanPruned, lookup, "tier", tierAttrs},
+		{"tier exhaustive", tiered, forest.PlanExhaustive, lookup, "tier", tierAttrs},
+	}
+	for _, tc := range cases {
+		col := obs.NewCollector()
+		tr := obs.NewTracer(1, 4*len(qs)) // every op traced, none evicted
+		col.SetTracer(tr)
+		tc.f.SetCollector(col)
+		tc.f.SetPlanMode(tc.mode)
+		before := col.Snapshot()
+		for _, q := range qs {
+			tc.op(tc.f, q)
+		}
+		deltas := col.Snapshot().CounterDeltas(before)
+		traces := tr.RecentTraces(4 * len(qs))
+		if len(traces) != len(qs) {
+			t.Fatalf("%s: published %d traces, want %d", tc.name, len(traces), len(qs))
+		}
+		for attr, counter := range tc.counter {
+			var sum int64
+			for _, ts := range traces {
+				sum += sumSpanAttr(ts.Root, tc.span, attr)
+			}
+			if sum == 0 || sum != deltas[counter] {
+				t.Errorf("%s: attribute %q sums to %d, counter %s moved by %d; want equal and nonzero", tc.name, attr, sum, counter, deltas[counter])
+			}
+		}
+	}
+}

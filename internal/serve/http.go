@@ -9,8 +9,8 @@
 //	PUT    /docs/{id}          body: XML                  index a document
 //	DELETE /docs/{id}                                     drop a document
 //	POST   /docs/{id}/edits    {"xml","ids","log"}        incremental update
-//	POST   /lookup             {"xml","tau","top","plan"} approximate lookup
-//	POST   /topk               {"xml","k","plan"}         k nearest via the planner
+//	POST   /lookup             {"xml","tau","top"}        approximate lookup
+//	POST   /topk               {"xml","k"}                k nearest via the planner
 //	POST   /explain            {"xml","tau","k"}          run a query traced; plan + work counters
 //	GET    /stats                                         index + serving-tier statistics
 //	GET    /debug/metrics                                 live metrics snapshot (?format=prom)
@@ -18,12 +18,14 @@
 //	GET    /debug/vars                                    expvar (includes "pqgram")
 //	GET    /debug/pprof/...                               CPU/heap/goroutine profiles
 //
-// Input validation is strict — malformed JSON, out-of-range τ or k, and
-// unknown plan names all answer 4xx, never 5xx or a panic; the fuzz
-// target FuzzServeRequest holds the service to that contract. Shed
-// requests answer 429 with a Retry-After hint; answered lookups carry an
-// X-Cache header (hit, miss or shared) so load generators can attribute
-// latency to the tier that produced it.
+// Input validation is strict — malformed JSON and out-of-range τ or k
+// answer 4xx, never 5xx or a panic; the fuzz target FuzzServeRequest
+// holds the service to that contract. Unknown JSON fields are ignored.
+// The planner mode is the operator's (pqserve -plan, reported by
+// GET /stats); no request can change it. Shed requests answer 429 with a
+// Retry-After hint; answered lookups carry an X-Cache header (hit, miss
+// or shared) so load generators can attribute latency to the tier that
+// produced it.
 
 package serve
 
@@ -169,40 +171,6 @@ func (s *Server) writeOverloaded(w http.ResponseWriter) {
 	httpError(w, http.StatusTooManyRequests, "overloaded; retry after %s", s.cfg.RetryAfter)
 }
 
-// parsePlan resolves a planner-mode name from a request. The empty string
-// keeps the active mode; an unknown name is a client error.
-func parsePlan(name string) (forest.PlanMode, bool) {
-	switch name {
-	case "auto":
-		return forest.PlanAuto, true
-	case "exhaustive":
-		return forest.PlanExhaustive, true
-	case "pruned":
-		return forest.PlanPruned, true
-	case "metric":
-		return forest.PlanMetric, true
-	}
-	return 0, false
-}
-
-// applyPlan validates and applies a request's optional plan override. All
-// modes answer identically (the planner chooses work, not results), so
-// switching is always safe; the mode is part of the cache key, so cached
-// entries recorded under other modes are simply not consulted.
-func (s *Server) applyPlan(w http.ResponseWriter, name string) bool {
-	if name == "" {
-		return true
-	}
-	mode, ok := parsePlan(name)
-	if !ok {
-		httpError(w, http.StatusBadRequest,
-			"unknown plan %q (want auto, exhaustive, pruned or metric)", name)
-		return false
-	}
-	s.forest.SetPlanMode(mode)
-	return true
-}
-
 // parseQueryXML parses a request's query document and builds its pq-gram
 // profile under the forest's parameters.
 func (s *Server) parseQueryXML(w http.ResponseWriter, xml string) (profile.Index, bool) {
@@ -227,13 +195,11 @@ func cacheHeader(res Result) string {
 }
 
 // LookupRequest is the body of POST /lookup. Tau > 0 runs a threshold
-// lookup; Top > 0 instead returns the Top nearest trees. Plan optionally
-// switches the planner mode (auto, exhaustive, pruned, metric).
+// lookup; Top > 0 instead returns the Top nearest trees.
 type LookupRequest struct {
-	XML  string  `json:"xml"`
-	Tau  float64 `json:"tau"`
-	Top  int     `json:"top"`
-	Plan string  `json:"plan,omitempty"`
+	XML string  `json:"xml"`
+	Tau float64 `json:"tau"`
+	Top int     `json:"top"`
 }
 
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
@@ -252,9 +218,6 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Top < 0 || req.Top > maxTopK {
 		httpError(w, http.StatusBadRequest, "top %d out of range [0, %d]", req.Top, maxTopK)
-		return
-	}
-	if !s.applyPlan(w, req.Plan) {
 		return
 	}
 	q, ok := s.parseQueryXML(w, req.XML)
@@ -276,12 +239,10 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, res.Matches)
 }
 
-// TopKRequest is the body of POST /topk. K defaults to 5; Plan optionally
-// switches the planner mode.
+// TopKRequest is the body of POST /topk. K defaults to 5.
 type TopKRequest struct {
-	XML  string `json:"xml"`
-	K    int    `json:"k"`
-	Plan string `json:"plan,omitempty"`
+	XML string `json:"xml"`
+	K   int    `json:"k"`
 }
 
 // handleTopK answers k-nearest-neighbour queries. The candidate strategy
@@ -305,9 +266,6 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.K == 0 {
 		req.K = 5
-	}
-	if !s.applyPlan(w, req.Plan) {
-		return
 	}
 	q, ok := s.parseQueryXML(w, req.XML)
 	if !ok {

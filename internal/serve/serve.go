@@ -28,8 +28,9 @@
 // Caching is an optimization, never a semantic.
 //
 // http.go adds the full HTTP surface (documents, lookups, explain,
-// debug endpoints); examples/server and cmd/pqserve are thin wrappers
-// over it, so the demo and the production binary cannot drift.
+// debug endpoints). cmd/pqserve is the one binary that assembles a
+// service around it (store, planner mode, admission, shutdown);
+// examples/server only tours the handlers over an in-memory index.
 package serve
 
 import (

@@ -373,8 +373,8 @@ func TestHTTPValidation(t *testing.T) {
 		{"tau too big", "POST", "/lookup", enc(LookupRequest{XML: xml, Tau: 7}), 400},
 		{"tau negative", "POST", "/lookup", enc(LookupRequest{XML: xml, Tau: -1}), 400},
 		{"top too big", "POST", "/lookup", enc(LookupRequest{XML: xml, Top: maxTopK + 1}), 400},
-		{"bad plan", "POST", "/lookup", `{"xml":"<a/>","tau":0.5,"plan":"quantum"}`, 400},
-		{"good plan", "POST", "/lookup", enc(LookupRequest{XML: xml, Tau: 0.5, Plan: "pruned"}), 200},
+		{"bad plan", "POST", "/lookup", `{"xml":"<a/>","tau":0.5,"plan":"quantum"}`, 200},
+		{"good plan", "POST", "/lookup", `{"xml":"<a/>","tau":0.5,"plan":"pruned"}`, 200},
 		{"bad xml", "POST", "/lookup", `{"xml":"<open","tau":0.5}`, 400},
 		{"topk ok", "POST", "/topk", enc(TopKRequest{XML: xml, K: 2}), 200},
 		{"k too big", "POST", "/topk", enc(TopKRequest{XML: xml, K: maxTopK + 1}), 400},
@@ -403,6 +403,24 @@ func TestHTTPValidation(t *testing.T) {
 		}
 		if w.Header().Get("X-Request-ID") == "" {
 			t.Errorf("%s: missing X-Request-ID", tc.name)
+		}
+	}
+}
+
+// TestRequestCannotChangePlanner pins that the planner mode belongs to the
+// operator (pqserve -plan): a request body naming a plan is answered like
+// any other and leaves the shared forest's mode alone.
+func TestRequestCannotChangePlanner(t *testing.T) {
+	s, _ := newTestServer(t, Config{CacheSize: 8}, 2)
+	for _, tc := range []struct{ path, body string }{
+		{"/lookup", `{"xml":"<a><b/></a>","tau":0.9,"plan":"exhaustive"}`},
+		{"/topk", `{"xml":"<a><b/></a>","k":1,"plan":"metric"}`},
+	} {
+		if w := do(t, s, "POST", tc.path, tc.body); w.Code != 200 {
+			t.Fatalf("POST %s = %d, want 200 (body %s)", tc.path, w.Code, w.Body.String())
+		}
+		if got := s.Forest().PlanMode(); got != forest.PlanAuto {
+			t.Fatalf("after POST %s %s the shared planner mode is %v, want PlanAuto", tc.path, tc.body, got)
 		}
 	}
 }
