@@ -437,6 +437,36 @@ func BenchmarkForestLookupParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkLookupTopK runs top-k on the clustered DBLP forest through
+// the overlap accumulation every default request takes (auto) and through
+// the opt-in VP-tree (metric, built off the clock by a first query).
+func BenchmarkLookupTopK(b *testing.B) {
+	f, docs := dblpForest()
+	defer f.SetPlanMode(forest.PlanAuto)
+	rng := rand.New(rand.NewSource(78))
+	query, _, err := gen.Perturb(rng, docs[123].Tree, 8, gen.DefaultMix)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := profile.BuildIndex(query, benchP)
+	for _, mode := range []struct {
+		name string
+		mode forest.PlanMode
+	}{{"auto", forest.PlanAuto}, {"metric", forest.PlanMetric}} {
+		for _, k := range []int{1, 10, 25} {
+			b.Run(fmt.Sprintf("k=%d/%s", k, mode.name), func(b *testing.B) {
+				f.SetPlanMode(mode.mode)
+				f.LookupIndexTopK(q, k)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_ = f.LookupIndexTopK(q, k)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkLookup measures the cost of the instrumentation hooks on the
 // lookup hot path: the same query against the same forest with no collector
 // (the default one-nil-check fast path), with a collector attached

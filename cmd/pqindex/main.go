@@ -369,9 +369,9 @@ func runLookup(args []string) error {
 // runTopK answers k-nearest-neighbour queries. Unlike `lookup -top`,
 // which leaves the candidate strategy to the planner's default, it
 // exposes the plan choice: -plan metric descends the VP-tree metric
-// index (built lazily on the first query), -plan exhaustive scores every
-// document through the postings, -plan auto lets the planner decide per
-// query. Rankings are identical in every mode; only the work differs.
+// index (built lazily on the first query), -plan exhaustive and -plan
+// auto accumulate overlaps through the postings and keep the k best.
+// Rankings are identical in every mode; only the work differs.
 func runTopK(args []string) error {
 	fs := flag.NewFlagSet("topk", flag.ExitOnError)
 	idxPath := fs.String("index", "", "index file")

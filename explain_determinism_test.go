@@ -91,8 +91,10 @@ func TestExplainLookupDeterministic(t *testing.T) {
 }
 
 // TestExplainTopKDeterministic is the top-k half of the contract,
-// covering the exhaustive scorer and the VP-tree metric path (whose
-// descent counters must also be run-to-run stable).
+// covering the accumulate-and-heap scan every mode but one runs (its
+// counters must not depend on the order the query map or the touched docs
+// are visited in) and the VP-tree metric path (whose descent counters
+// must also be run-to-run stable).
 func TestExplainTopKDeterministic(t *testing.T) {
 	f1, q1 := explainCorpus(t)
 	f2, q2 := explainCorpus(t)
@@ -103,7 +105,7 @@ func TestExplainTopKDeterministic(t *testing.T) {
 	}{
 		{"exhaustive", forest.PlanExhaustive, "exhaustive"},
 		{"metric", forest.PlanMetric, "metric"},
-		{"auto", forest.PlanAuto, ""},
+		{"auto", forest.PlanAuto, "exhaustive"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -170,5 +172,48 @@ func TestLookupTracingOffAllocParity(t *testing.T) {
 	}
 	if tracerUnsampled != off {
 		t.Errorf("unsampled-tracer lookup allocates %.1f/op, collector-off %.1f/op — tracing-off is no longer free", tracerUnsampled, off)
+	}
+}
+
+// allocSink keeps measured results reachable so they are heap-allocated.
+var allocSink []forest.Match
+
+// TestLookupAllocsAreTheResult pins the lookup paths' allocation count:
+// the accumulators and the traversal state are pooled and indexed by doc
+// number, so in every plan mode a threshold lookup allocates exactly what
+// appending its matches to a slice does — however many candidates it
+// touched on the way — and a top-k lookup allocates its k-slot result
+// once, at every k.
+func TestLookupAllocsAreTheResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; exact allocs/op only hold without it")
+	}
+	f, query := explainCorpus(t)
+	defer f.SetPlanMode(forest.PlanAuto)
+	q := profile.BuildIndex(query, benchP)
+	appendAllocs := func(n int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			var out []forest.Match
+			for i := 0; i < n; i++ {
+				out = append(out, forest.Match{})
+			}
+			allocSink = out
+		})
+	}
+	for _, mode := range []forest.PlanMode{forest.PlanAuto, forest.PlanPruned, forest.PlanExhaustive} {
+		f.SetPlanMode(mode)
+		for _, tau := range []float64{0.2, 0.7, 1, 1.5} {
+			n := len(f.LookupIndex(q, tau)) // also warms the scratch pool
+			got := testing.AllocsPerRun(100, func() { allocSink = f.LookupIndex(q, tau) })
+			if want := appendAllocs(n); got != want {
+				t.Errorf("mode %v tau %v: lookup allocates %.1f/op, appending its %d matches %.1f", mode, tau, got, n, want)
+			}
+		}
+		for _, k := range []int{1, 10, 25, 100} {
+			f.LookupIndexTopK(q, k)
+			if got := testing.AllocsPerRun(100, func() { allocSink = f.LookupIndexTopK(q, k) }); got != 1 {
+				t.Errorf("mode %v: top-%d allocates %.1f/op, want 1 (the result)", mode, k, got)
+			}
+		}
 	}
 }

@@ -34,7 +34,9 @@ type Pair = forest.Pair
 // accumulates full overlaps, PlanPruned forces the pruned path whenever
 // it is sound, and PlanMetric answers top-k lookups (Forest.LookupTopK,
 // Forest.LookupNearest) through the VP-tree metric index, building it on
-// first use. Results are identical in every mode; only the work differs.
+// first use — in every other mode top-k is the overlap accumulation plus a
+// bounded heap, and the VP-tree is never built. Results are identical in
+// every mode; only the work differs.
 // Select with Forest.SetPlanMode.
 type PlanMode = forest.PlanMode
 

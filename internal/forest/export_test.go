@@ -1,5 +1,7 @@
 package forest
 
+import "pqgram/internal/profile"
+
 // CorruptBagForTest bumps one tuple count in id's bag (and the cached
 // size) behind the postings' back. TreeIndex returns a copy precisely so
 // that callers cannot do this; tests use the hook to prove SelfCheck
@@ -22,3 +24,58 @@ const NumShardsForTest = numShards
 // differential tests can rank their independently computed references
 // with the exact comparator the lookup paths use.
 func SortMatchesForTest(ms []Match) { sortMatches(ms) }
+
+// CorruptionsForTest breaks, one each, the registry and posting-list
+// invariants SelfCheck promises to catch. Every hook expects a forest
+// with at least two resident trees sharing a tuple, one evicted tree and
+// the highest doc number free; the test is single-threaded, so they take
+// no lock.
+var CorruptionsForTest = map[string]func(f *Index){
+	"entry under another doc number": func(f *Index) {
+		for _, e := range f.trees {
+			e.doc = f.free[0]
+			return
+		}
+	},
+	"unregistered entry in docs": func(f *Index) {
+		f.docs[f.free[0]] = &treeEntry{id: "ghost", doc: f.free[0]}
+		f.free = f.free[:0]
+	},
+	"free number missing from the free list": func(f *Index) { f.free = f.free[:0] },
+	"free list names a live number": func(f *Index) {
+		for _, e := range f.trees {
+			f.free = append(f.free, e.doc)
+			return
+		}
+	},
+	"posting list out of order": func(f *Index) {
+		list := sharedListForTest(f)
+		list[0], list[1] = list[1], list[0]
+	},
+	"zero count": func(f *Index) { sharedListForTest(f)[0].cnt = 0 },
+	"posting names a free number": func(f *Index) {
+		list := sharedListForTest(f)
+		list[len(list)-1].doc = f.free[0]
+	},
+	"evicted tree with a posting": func(f *Index) {
+		for _, e := range f.trees {
+			if e.idx == nil {
+				lt := profile.TupleOfLabels("*", "*", "evicted", "*", "*", "*")
+				f.shardOf(lt).add(lt, e.doc, 1)
+				return
+			}
+		}
+	},
+}
+
+// sharedListForTest returns a posting list naming at least two trees.
+func sharedListForTest(f *Index) []posting {
+	for si := range f.shards {
+		for _, list := range f.shards[si].postings {
+			if len(list) >= 2 {
+				return list
+			}
+		}
+	}
+	panic("no shared posting list")
+}

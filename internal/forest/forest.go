@@ -2,7 +2,10 @@
 // collection (Augsten, Böhlen and Gamper, VLDB 2006, §3.2 and §9.1): the
 // relation (treeId, pqg, cnt) of Figure 4, augmented with inverted postings
 // pqg → (treeId, cnt) so that an approximate lookup touches only the trees
-// that share at least one pq-gram with the query.
+// that share at least one pq-gram with the query. Tree IDs are interned to
+// dense doc numbers once, in the registry; the posting lists and the
+// per-query accumulators work on the numbers and the IDs reappear only in
+// results.
 //
 // The index supports incremental maintenance: Update applies the deltas of
 // Algorithm 1 to both the per-tree bag and the postings, so a document
@@ -40,7 +43,9 @@
 package forest
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,39 +66,63 @@ const shardBits = 5
 // numShards is the number of lock stripes of the inverted postings.
 const numShards = 1 << shardBits
 
-// shard is one stripe of the inverted postings pqg → (treeId, cnt). Its
-// mutex guards the outer map and every inner posting list reachable from
-// it; structural operations holding the registry write lock exclude
-// every shard reader and writer wholesale, which is the Index.mu:w
-// alternative of the guard.
+// posting is one entry of a posting list: a document's dense number (see
+// Index.docs) and the tuple's multiplicity in that document's bag.
+type posting struct{ doc, cnt uint32 }
+
+// shard is one stripe of the inverted postings pqg → (doc, cnt). Each list
+// is kept strictly ascending by doc number. Its mutex guards the map and
+// every list reachable from it; structural operations holding the
+// registry write lock exclude every shard reader and writer wholesale,
+// which is the Index.mu:w alternative of the guard.
 type shard struct {
 	mu       sync.RWMutex
-	postings map[profile.LabelTuple]map[string]int // guarded by mu or Index.mu:w
+	postings map[profile.LabelTuple][]posting // guarded by mu or Index.mu:w
+}
+
+// searchDoc returns the position of doc in the ascending list, or the
+// position it would be inserted at.
+func searchDoc(list []posting, doc uint32) (int, bool) {
+	return slices.BinarySearchFunc(list, doc, func(p posting, d uint32) int { return cmp.Compare(p.doc, d) })
 }
 
 // add merges one posting. Callers hold s.mu for writing, or the registry
 // write lock (which excludes all shard access).
 //
 //pqlint:locked s.mu
-func (s *shard) add(lt profile.LabelTuple, id string, c int) {
-	m := s.postings[lt]
-	if m == nil {
-		m = make(map[string]int)
-		s.postings[lt] = m
-	}
-	m[id] += c
-}
-
-// remove drops one posting. Same locking contract as add.
-//
-//pqlint:locked s.mu
-func (s *shard) remove(lt profile.LabelTuple, id string) {
-	if m := s.postings[lt]; m != nil {
-		delete(m, id)
-		if len(m) == 0 {
-			delete(s.postings, lt)
+func (s *shard) add(lt profile.LabelTuple, doc uint32, c int) {
+	list := s.postings[lt]
+	i := len(list) // bulk builds hand out ascending numbers: append
+	if i > 0 && list[i-1].doc >= doc {
+		var found bool
+		if i, found = searchDoc(list, doc); found {
+			list[i].cnt += uint32(c)
+			return
 		}
 	}
+	s.postings[lt] = slices.Insert(list, i, posting{doc, uint32(c)})
+}
+
+// sub takes c off doc's posting and drops the posting once it reaches
+// zero; it reports false, changing nothing, if the posting holds less
+// than c. Same locking contract as add.
+//
+//pqlint:locked s.mu
+func (s *shard) sub(lt profile.LabelTuple, doc uint32, c int) bool {
+	list := s.postings[lt]
+	i, found := searchDoc(list, doc)
+	if !found || list[i].cnt < uint32(c) {
+		return false
+	}
+	if list[i].cnt -= uint32(c); list[i].cnt > 0 {
+		return true
+	}
+	if len(list) == 1 {
+		delete(s.postings, lt)
+	} else {
+		s.postings[lt] = slices.Delete(list, i, i+1)
+	}
+	return true
 }
 
 // treeEntry is one indexed tree: its bag, the bag's lock, and the bag
@@ -104,11 +133,17 @@ func (s *shard) remove(lt profile.LabelTuple, id string) {
 // storage tier, the postings are absent from the shards, and distinct
 // caches the bag's distinct-tuple count (written only under the registry
 // write lock, like idx itself on eviction/promotion).
+//
+// id and doc are the entry's two names — the caller's string and the dense
+// number the postings and the per-query accumulators use — fixed when the
+// entry is registered.
 type treeEntry struct {
 	mu       sync.RWMutex
 	idx      profile.Index // guarded by mu or Index.mu:w
 	size     atomic.Int64
-	distinct int // guarded by Index.mu
+	distinct int    // guarded by Index.mu
+	id       string // guarded by Index.mu
+	doc      uint32 // guarded by Index.mu
 }
 
 // Index is the pq-gram index of a forest of named trees. It is safe for
@@ -120,8 +155,15 @@ type Index struct {
 	// (Add/Remove/Put/AddAll) and SelfCheck; every other operation holds
 	// the read lock for its full duration, so structural ops never
 	// interleave with an in-flight lookup or update.
-	mu     sync.RWMutex
-	trees  map[string]*treeEntry // guarded by mu
+	mu    sync.RWMutex
+	trees map[string]*treeEntry // guarded by mu
+
+	// docs interns tree IDs to dense doc numbers: docs[e.doc] == e for
+	// every registered entry, and the nil slots are exactly the numbers on
+	// the free list, which registration reuses before growing docs. An
+	// entry keeps its number across eviction and promotion.
+	docs   []*treeEntry // guarded by mu
+	free   []uint32     // guarded by mu
 	shards [numShards]shard
 
 	// obs is the attached instrumentation, nil when the index is not
@@ -178,7 +220,7 @@ func New(pr profile.Params) *Index {
 		trees: make(map[string]*treeEntry),
 	}
 	for i := range f.shards {
-		f.shards[i].postings = make(map[profile.LabelTuple]map[string]int)
+		f.shards[i].postings = make(map[profile.LabelTuple][]posting)
 	}
 	return f
 }
@@ -255,11 +297,9 @@ func (f *Index) addIndexLocked(id string, idx profile.Index) error {
 	if _, ok := f.trees[id]; ok {
 		return fmt.Errorf("forest: tree %q already indexed", id)
 	}
-	e := &treeEntry{idx: idx}
-	e.size.Store(int64(idx.Size()))
-	f.trees[id] = e
+	e := f.registerLocked(id, idx, idx.Size())
 	for lt, c := range idx {
-		f.shardOf(lt).add(lt, id, c)
+		f.shardOf(lt).add(lt, e.doc, c)
 	}
 	f.metric.add(id, idx)
 	f.epoch.Add(1)
@@ -267,6 +307,25 @@ func (f *Index) addIndexLocked(id string, idx profile.Index) error {
 		m.adds.Inc()
 	}
 	return nil
+}
+
+// registerLocked enters a new tree into the registry under a free doc
+// number. The most recently freed number goes first, so a Put that
+// replaces a tree hands the new bag the old one's number.
+//
+//pqlint:locked f.mu
+func (f *Index) registerLocked(id string, idx profile.Index, size int) *treeEntry {
+	e := &treeEntry{idx: idx, id: id}
+	e.size.Store(int64(size))
+	if n := len(f.free); n > 0 {
+		e.doc, f.free = f.free[n-1], f.free[:n-1]
+		f.docs[e.doc] = e
+	} else {
+		e.doc = uint32(len(f.docs))
+		f.docs = append(f.docs, e)
+	}
+	f.trees[id] = e
+	return e
 }
 
 // Remove drops a tree from the index.
@@ -282,10 +341,12 @@ func (f *Index) removeLocked(id string) error {
 	if !ok {
 		return fmt.Errorf("forest: tree %q not indexed", id)
 	}
-	for lt := range e.idx {
-		f.shardOf(lt).remove(lt, id)
+	for lt, c := range e.idx {
+		f.shardOf(lt).sub(lt, e.doc, c)
 	}
 	delete(f.trees, id)
+	f.docs[e.doc] = nil
+	f.free = append(f.free, e.doc)
 	f.metric.remove(id)
 	f.epoch.Add(1)
 	if m := f.obs.Load(); m != nil {
@@ -477,21 +538,16 @@ func (f *Index) applyDeltasEntry(e *treeEntry, id string, iPlus, iMinus profile.
 	for lt, c := range iMinus {
 		s := f.shardOf(lt)
 		s.mu.Lock()
-		m := s.postings[lt]
-		if m == nil || m[id] < c {
-			s.mu.Unlock()
+		ok := s.sub(lt, e.doc, c)
+		s.mu.Unlock()
+		if !ok {
 			return fmt.Errorf("forest: postings for tree %q underflow", id)
 		}
-		m[id] -= c
-		if m[id] == 0 {
-			s.remove(lt, id)
-		}
-		s.mu.Unlock()
 	}
 	for lt, c := range iPlus {
 		s := f.shardOf(lt)
 		s.mu.Lock()
-		s.add(lt, id, c)
+		s.add(lt, e.doc, c)
 		s.mu.Unlock()
 	}
 	// The metric copy is maintained while e.mu is still held, so deltas to
@@ -500,9 +556,12 @@ func (f *Index) applyDeltasEntry(e *treeEntry, id string, iPlus, iMinus profile.
 	return f.metric.applyDeltas(id, iPlus, iMinus)
 }
 
-// SelfCheck verifies the internal consistency of the index: the inverted
-// postings must be exactly the transposition of the resident bags, every
-// posting must live in the shard its tuple routes to, and the cached bag
+// SelfCheck verifies the internal consistency of the index: docs must be
+// the inverse of the entries' doc numbers with the free list naming
+// exactly its nil slots; every posting list must be strictly ascending by
+// doc number, live in the shard its tuple routes to and carry positive
+// counts; the postings must be exactly the transposition of the resident
+// bags (so evicted entries and free numbers have none); and the cached bag
 // sizes must match the bags. Evicted entries are checked against the
 // storage tier instead: the tier must hold their bag and the cached size
 // and distinct count must match it. It takes the registry write lock, so
@@ -511,7 +570,24 @@ func (f *Index) applyDeltasEntry(e *treeEntry, id string, iPlus, iMinus profile.
 func (f *Index) SelfCheck() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	want := make(map[profile.LabelTuple]map[string]int)
+	// Each entry owns a distinct slot and each free number a distinct nil
+	// slot, so once the counts add up no slot is unaccounted for.
+	for id, e := range f.trees {
+		if e.id != id || int(e.doc) >= len(f.docs) || f.docs[e.doc] != e {
+			return fmt.Errorf("forest: tree %q is not registered under its doc number %d", id, e.doc)
+		}
+	}
+	freed := make(map[uint32]bool, len(f.free))
+	for _, doc := range f.free {
+		if int(doc) >= len(f.docs) || f.docs[doc] != nil || freed[doc] {
+			return fmt.Errorf("forest: free list names doc number %d, which is in use, out of range or listed twice", doc)
+		}
+		freed[doc] = true
+	}
+	if len(f.trees)+len(f.free) != len(f.docs) {
+		return fmt.Errorf("forest: %d doc numbers for %d trees and %d free", len(f.docs), len(f.trees), len(f.free))
+	}
+	resident := 0 // distinct (tree, tuple) pairs the postings must hold
 	for id, e := range f.trees {
 		if e.idx == nil {
 			bag, err := f.bagOfLocked(id, e)
@@ -526,41 +602,44 @@ func (f *Index) SelfCheck() error {
 			}
 			continue
 		}
-		n := 0
-		for lt, c := range e.idx {
-			m := want[lt]
-			if m == nil {
-				m = make(map[string]int)
-				want[lt] = m
-			}
-			m[id] = c
-			n += c
-		}
-		if got := e.size.Load(); got != int64(n) {
+		if got, n := e.size.Load(), e.idx.Size(); got != int64(n) {
 			return fmt.Errorf("forest: cached size of tree %q is %d, want %d", id, got, n)
 		}
+		resident += len(e.idx)
 	}
+	// Ascending lists cannot name a (tree, tuple) pair twice, so postings
+	// that all match a bag entry and number as many as the bag entries are
+	// the transposition.
 	total := 0
 	for si := range f.shards {
-		for lt, m := range f.shards[si].postings {
+		for lt, list := range f.shards[si].postings {
 			if int(lt.Shard(shardBits)) != si {
 				return fmt.Errorf("forest: tuple %016x stored in shard %d, routes to %d",
 					uint64(lt), si, lt.Shard(shardBits))
 			}
-			wm := want[lt]
-			if len(m) != len(wm) {
-				return fmt.Errorf("forest: posting list size mismatch for one tuple")
+			if len(list) == 0 {
+				return fmt.Errorf("forest: empty posting list kept for tuple %016x", uint64(lt))
 			}
-			for id, c := range m {
-				if wm[id] != c {
-					return fmt.Errorf("forest: posting count for tree %q is %d, want %d", id, c, wm[id])
+			for i, p := range list {
+				if i > 0 && list[i-1].doc >= p.doc {
+					return fmt.Errorf("forest: posting list of tuple %016x not strictly ascending at doc number %d", uint64(lt), p.doc)
+				}
+				if int(p.doc) >= len(f.docs) || f.docs[p.doc] == nil {
+					return fmt.Errorf("forest: posting of tuple %016x names free doc number %d", uint64(lt), p.doc)
+				}
+				e := f.docs[p.doc]
+				if e.idx == nil {
+					return fmt.Errorf("forest: evicted tree %q has a posting", e.id)
+				}
+				if p.cnt == 0 || int(p.cnt) != e.idx[lt] {
+					return fmt.Errorf("forest: posting count for tree %q is %d, want %d", e.id, p.cnt, e.idx[lt])
 				}
 			}
-			total++
+			total += len(list)
 		}
 	}
-	if total != len(want) {
-		return fmt.Errorf("forest: %d posting keys, want %d", total, len(want))
+	if total != resident {
+		return fmt.Errorf("forest: %d postings, resident bags hold %d", total, resident)
 	}
 	if f.metric.built {
 		if err := f.metricSelfCheckLocked(); err != nil {
@@ -622,18 +701,16 @@ func (f *Index) lookupIndexSpanned(q profile.Index, tau float64, m *metrics, sp 
 		// for thresholds above 1; scan the whole forest then.
 		plan = planScanAll
 		scan := sp.Child("scan")
-		overlaps, scanned := f.overlapsLocked(q)
-		f.tierOverlapsLocked(q, overlaps, m, sp)
-		scan.SetAttr("postings_scanned", scanned)
-		scan.SetAttr("candidates", int64(len(overlaps)))
-		if m != nil {
-			m.lookupCandidates.Add(int64(len(overlaps)))
-		}
-		for id, e := range f.trees {
-			if d := distanceFrom(qSize, int(e.size.Load()), overlaps[id]); d < tau {
-				out = append(out, Match{TreeID: id, Distance: d})
+		sc := f.overlapsLocked(q, m, sp, scan)
+		for doc, e := range f.docs {
+			if e == nil {
+				continue
+			}
+			if d := distanceFrom(qSize, int(e.size.Load()), int(sc.acc[doc].ov)); d < tau {
+				out = append(out, Match{TreeID: e.id, Distance: d})
 			}
 		}
+		sc.release()
 		sortMatches(out)
 		scan.Finish()
 	case f.usePrunedLocked(qSize, tau):
@@ -661,26 +738,15 @@ func (f *Index) lookupIndexSpanned(q profile.Index, tau float64, m *metrics, sp 
 //pqlint:locked f.mu:r
 func (f *Index) lookupExhaustiveLocked(q profile.Index, qSize int, tau float64, m *metrics, sp *obs.Span) []Match {
 	scan := sp.Child("scan")
-	overlaps, scanned := f.overlapsLocked(q)
-	f.tierOverlapsLocked(q, overlaps, m, sp)
-	scan.SetAttr("postings_scanned", scanned)
-	scan.SetAttr("candidates", int64(len(overlaps)))
-	if m != nil {
-		m.lookupCandidates.Add(int64(len(overlaps)))
-	}
+	sc := f.overlapsLocked(q, m, sp, scan)
 	var out []Match
-	for id, ov := range overlaps {
-		e := f.trees[id]
-		if e == nil {
-			// A tier answer can race a store-level Remove between the
-			// registry removal and the tier's own bookkeeping; the
-			// document is gone, so scoring it would resurrect it.
-			continue
-		}
-		if d := distanceFrom(qSize, int(e.size.Load()), ov); d < tau {
-			out = append(out, Match{TreeID: id, Distance: d})
+	for _, doc := range sc.touched {
+		e := f.docs[doc]
+		if d := distanceFrom(qSize, int(e.size.Load()), int(sc.acc[doc].ov)); d < tau {
+			out = append(out, Match{TreeID: e.id, Distance: d})
 		}
 	}
+	sc.release()
 	sortMatches(out)
 	scan.Finish()
 	return out
@@ -693,43 +759,49 @@ func (f *Index) LookupTop(query *tree.Tree, k int) []Match {
 	return f.LookupIndexTopK(profile.BuildIndex(query, f.pr), k)
 }
 
-// overlapsLocked accumulates |I(query) ∩ I(T)| per tree via the postings.
-// It requires f.mu held (read suffices); the query tuples are grouped by
-// shard so each stripe is locked once. The second result is the number of
-// posting entries scanned — the scan stage's work attribute.
+// overlapsLocked accumulates |I(query) ∩ I(T)| per tree — the resident
+// ones via the postings, the evicted ones via the storage tier — into a
+// pooled scratch the caller must release: sc.acc[doc].ov is the overlap
+// and sc.touched lists the docs sharing at least one tuple with the
+// query. This one kernel serves the exhaustive lookup, the τ > 1 scan and
+// top-k. It requires f.mu held (read suffices); the query tuples are
+// grouped by shard so each stripe is locked once. The scan span (nil-safe)
+// receives the work attributes, and the tier read its own child of sp.
 //
 //pqlint:locked f.mu:r
-func (f *Index) overlapsLocked(q profile.Index) (map[string]int, int64) {
-	type tupleCount struct {
-		lt profile.LabelTuple
-		c  int
-	}
-	var byShard [numShards][]tupleCount
-	for lt, qc := range q {
-		si := lt.Shard(shardBits)
-		byShard[si] = append(byShard[si], tupleCount{lt, qc})
-	}
-	ov := make(map[string]int)
+func (f *Index) overlapsLocked(q profile.Index, m *metrics, sp, scan *obs.Span) *lookupScratch {
+	sc := f.scratchLocked(q)
 	var scanned int64
-	for si := range byShard {
-		if len(byShard[si]) == 0 {
+	for si := range sc.byShard {
+		if len(sc.byShard[si]) == 0 {
 			continue
 		}
 		s := &f.shards[si]
 		s.mu.RLock()
-		for _, tc := range byShard[si] {
-			scanned += int64(len(s.postings[tc.lt]))
-			for id, c := range s.postings[tc.lt] {
-				if c < tc.c {
-					ov[id] += c
-				} else {
-					ov[id] += tc.c
-				}
+		for _, ti := range sc.byShard[si] {
+			t := &sc.tuples[ti]
+			list := s.postings[t.lt]
+			scanned += int64(len(list))
+			for _, p := range list {
+				sc.add(p.doc, min(p.cnt, uint32(t.qc)))
 			}
 		}
 		s.mu.RUnlock()
 	}
-	return ov, scanned
+	for id, ov := range f.tierOverlapsLocked(q, m, sp) {
+		// A tier answer can race a store-level Remove between the registry
+		// removal and the tier's own bookkeeping; the document is gone, so
+		// scoring it would resurrect it.
+		if e := f.trees[id]; e != nil && ov > 0 {
+			sc.add(e.doc, uint32(ov))
+		}
+	}
+	scan.SetAttr("postings_scanned", scanned)
+	scan.SetAttr("candidates", int64(len(sc.touched)))
+	if m != nil {
+		m.lookupCandidates.Add(int64(len(sc.touched)))
+	}
+	return sc
 }
 
 // Pair is one result of a similarity join: two indexed trees and their
@@ -740,14 +812,14 @@ type Pair struct {
 }
 
 func sortPairs(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Distance != ps[j].Distance {
-			return ps[i].Distance < ps[j].Distance
+	slices.SortFunc(ps, func(x, y Pair) int {
+		if c := cmp.Compare(x.Distance, y.Distance); c != 0 {
+			return c
 		}
-		if ps[i].A != ps[j].A {
-			return ps[i].A < ps[j].A
+		if c := cmp.Compare(x.A, y.A); c != 0 {
+			return c
 		}
-		return ps[i].B < ps[j].B
+		return cmp.Compare(x.B, y.B)
 	})
 }
 
@@ -833,10 +905,68 @@ func distanceFrom(qSize, tSize, overlap int) float64 {
 }
 
 func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Distance != ms[j].Distance {
-			return ms[i].Distance < ms[j].Distance
+	slices.SortFunc(ms, func(x, y Match) int {
+		if c := cmp.Compare(x.Distance, y.Distance); c != 0 {
+			return c
 		}
-		return ms[i].TreeID < ms[j].TreeID
+		return cmp.Compare(x.TreeID, y.TreeID)
 	})
 }
+
+// worseMatch reports whether a ranks strictly after b in the top-k order
+// (greater distance, ties by greater id). It is the exact complement of
+// the sortMatches order, so the heap and the final sort agree on every
+// tie.
+func worseMatch(a, b Match) bool {
+	if a.Distance != b.Distance {
+		return a.Distance > b.Distance
+	}
+	return a.TreeID > b.TreeID
+}
+
+// topHeap is a bounded max-heap of the best k matches offered so far,
+// the worst of them at the root.
+type topHeap struct {
+	k  int
+	ms []Match
+}
+
+// offer considers one scored document for the top-k set.
+func (h *topHeap) offer(m Match) {
+	if len(h.ms) < h.k {
+		h.ms = append(h.ms, m)
+		for i := len(h.ms) - 1; i > 0; {
+			p := (i - 1) / 2
+			if !worseMatch(h.ms[i], h.ms[p]) {
+				break
+			}
+			h.ms[i], h.ms[p] = h.ms[p], h.ms[i]
+			i = p
+		}
+		return
+	}
+	if !worseMatch(h.ms[0], m) {
+		return
+	}
+	h.ms[0] = m
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		w := i
+		if l < len(h.ms) && worseMatch(h.ms[l], h.ms[w]) {
+			w = l
+		}
+		if r < len(h.ms) && worseMatch(h.ms[r], h.ms[w]) {
+			w = r
+		}
+		if w == i {
+			return
+		}
+		h.ms[i], h.ms[w] = h.ms[w], h.ms[i]
+		i = w
+	}
+}
+
+// full reports whether the heap holds k matches; its root is only a
+// pruning bound once it does.
+func (h *topHeap) full() bool { return len(h.ms) == h.k }

@@ -336,6 +336,36 @@ func TestSelfCheckDetectsCorruption(t *testing.T) {
 	if err := f.SelfCheck(); err == nil {
 		t.Fatal("corruption not detected")
 	}
+	// One case per registry and posting-list invariant, each on a fresh
+	// forest with two resident trees sharing tuples, an evicted tree and
+	// the highest doc number free.
+	for name, corrupt := range forest.CorruptionsForTest {
+		f := buildForest(t, map[string]*tree.Tree{
+			"x": tree.MustParse("a(b c)"),
+			"y": tree.MustParse("a(b d)"),
+		})
+		ft := newFakeTier()
+		f.SetTier(ft)
+		for _, id := range []string{"z", "w"} {
+			if err := f.Add(id, tree.MustParse("a(e)")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ft.bags["z"] = f.TreeIndex("z")
+		if err := f.Evict([]string{"z"}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Remove("w"); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.SelfCheck(); err != nil {
+			t.Fatalf("%s: forest fails self check before the corruption: %v", name, err)
+		}
+		corrupt(f)
+		if err := f.SelfCheck(); err == nil {
+			t.Errorf("%s: corruption not detected", name)
+		}
+	}
 }
 
 // TestTreeIndexReturnsCopy: the bag handed out by TreeIndex is the

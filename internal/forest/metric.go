@@ -63,19 +63,9 @@ import (
 	"pqgram/internal/tree"
 )
 
-const (
-	// metricMinTrees is the smallest collection for which PlanAuto
-	// considers the VP-tree for a top-k lookup; below it the brute-force
-	// scan is already cheap and building the tree is pure overhead.
-	metricMinTrees = 64
-	// metricKFactor: PlanAuto descends the VP-tree only when k is at most
-	// 1/metricKFactor of the collection — for larger k most of the forest
-	// is in the answer and the scan wins.
-	metricKFactor = 8
-	// metricFlushBase bounds the pending buffer: it is flushed into the
-	// tree once it exceeds metricFlushBase plus 1/8 of the tree.
-	metricFlushBase = 32
-)
+// metricFlushBase bounds the pending buffer: it is flushed into the tree
+// once it exceeds metricFlushBase plus 1/8 of the tree.
+const metricFlushBase = 32
 
 // vpItem is one document handed to the VP-tree builder: a metric-owned
 // bag and its cached cardinality.
@@ -435,67 +425,15 @@ func (mi *metricIndex) rebuildDirtyLocked(n, parent *vpNode) *vpNode {
 	return n
 }
 
-// worseMatch reports whether a ranks strictly after b in the top-k order
-// (greater distance, ties by greater id). It is the exact complement of
-// the sortMatches order, so the heap and the final sort agree on every
-// tie.
-func worseMatch(a, b Match) bool {
-	if a.Distance != b.Distance {
-		return a.Distance > b.Distance
-	}
-	return a.TreeID > b.TreeID
-}
-
-// vpSearch is the state of one top-k descent: a bounded max-heap of the
-// best k matches seen (worst at the root) plus the pruning counters.
+// vpSearch is the state of one top-k descent: the best k matches seen
+// (the heap's root is the pruning bound) plus the pruning counters.
 type vpSearch struct {
+	topHeap
 	q       profile.Index
 	qSize   int
-	k       int
-	heap    []Match
 	visited int64 // distance computations (tree nodes + pending entries)
 	pruned  int64 // subtrees skipped by the triangle/size bound
 }
-
-// offer considers one scored document for the top-k set.
-func (s *vpSearch) offer(m Match) {
-	if len(s.heap) < s.k {
-		s.heap = append(s.heap, m)
-		for i := len(s.heap) - 1; i > 0; {
-			p := (i - 1) / 2
-			if !worseMatch(s.heap[i], s.heap[p]) {
-				break
-			}
-			s.heap[i], s.heap[p] = s.heap[p], s.heap[i]
-			i = p
-		}
-		return
-	}
-	if !worseMatch(s.heap[0], m) {
-		return
-	}
-	s.heap[0] = m
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		w := i
-		if l < len(s.heap) && worseMatch(s.heap[l], s.heap[w]) {
-			w = l
-		}
-		if r < len(s.heap) && worseMatch(s.heap[r], s.heap[w]) {
-			w = r
-		}
-		if w == i {
-			return
-		}
-		s.heap[i], s.heap[w] = s.heap[w], s.heap[i]
-		i = w
-	}
-}
-
-// full reports whether the heap holds k matches; worst is only a pruning
-// bound once it does.
-func (s *vpSearch) full() bool { return len(s.heap) == s.k }
 
 // normLowerBound lower-bounds the normalized pq-gram distance of any
 // document whose absolute distance to the query is at least dlb and whose
@@ -584,14 +522,14 @@ func (s *vpSearch) visit(n *vpNode) {
 		fb, sb = outB, inB
 	}
 	if fb >= 0 {
-		if s.full() && fb > s.heap[0].Distance {
+		if s.full() && fb > s.ms[0].Distance {
 			s.pruned++
 		} else {
 			s.visit(first)
 		}
 	}
 	if sb >= 0 {
-		if s.full() && sb > s.heap[0].Distance {
+		if s.full() && sb > s.ms[0].Distance {
 			s.pruned++
 		} else {
 			s.visit(second)
@@ -609,15 +547,14 @@ func (f *Index) lookupTopMetricLocked(q profile.Index, qSize, k int, m *metrics,
 	mi.mu.RLock()
 	defer mi.mu.RUnlock()
 	descent := sp.Child("vp_descent")
-	s := &vpSearch{q: q, qSize: qSize, k: k}
+	s := &vpSearch{topHeap: topHeap{k: k}, q: q, qSize: qSize}
 	for id, e := range mi.pending {
 		_, ov := metricDist(q, qSize, e.bag, e.size)
 		s.visited++
 		s.offer(Match{TreeID: id, Distance: profile.DistanceFrom(qSize, e.size, ov)})
 	}
 	s.visit(mi.root)
-	out := make([]Match, len(s.heap))
-	copy(out, s.heap)
+	out := s.ms
 	sortMatches(out)
 	descent.SetAttr("pending", int64(len(mi.pending)))
 	descent.SetAttr("nodes_visited", s.visited)
@@ -664,9 +601,8 @@ func (f *Index) buildMetric() {
 }
 
 // MetricReady reports whether the VP-tree metric index is currently
-// built. It is built lazily by the first metric-planned top-k lookup, or
-// restored by the store; until then top-k queries fall back to the
-// exhaustive scan and mutations carry no metric overhead.
+// built. It is built lazily by the first top-k lookup under PlanMetric and
+// by nothing else; until then mutations carry no metric overhead.
 func (f *Index) MetricReady() bool {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -686,9 +622,9 @@ func (f *Index) LookupNearest(query *tree.Tree) (Match, bool) {
 // LookupTopK returns the k indexed trees nearest to the query by pq-gram
 // distance (fewer if the forest is smaller), sorted by ascending distance
 // with ties broken by ID. The candidate strategy is a planner decision
-// (PlanMode): the exhaustive scan scores every document through the
-// postings, the metric path descends the VP-tree; results are identical
-// either way.
+// (PlanMode): every mode but PlanMetric accumulates overlaps through the
+// postings and keeps the k best, PlanMetric descends the VP-tree; results
+// are identical either way.
 func (f *Index) LookupTopK(query *tree.Tree, k int) []Match {
 	return f.LookupIndexTopK(profile.BuildIndex(query, f.pr), k)
 }
@@ -718,7 +654,10 @@ func (f *Index) lookupIndexTopKSpanned(q profile.Index, k int, m *metrics, sp *o
 		f.mu.RUnlock()
 		return nil, planExhaustive
 	}
-	useMetric := f.useMetricLocked(k)
+	// Only PlanMetric descends — and therefore builds — the VP-tree; no
+	// other mode makes a request pay for the build under the write lock or
+	// the writes that follow pay for the tree's maintenance.
+	useMetric := f.PlanMode() == PlanMetric
 	if useMetric && !f.metric.built {
 		f.mu.RUnlock()
 		f.buildMetric()
@@ -751,30 +690,34 @@ func (f *Index) lookupIndexTopKSpanned(q profile.Index, k int, m *metrics, sp *o
 	return out, plan
 }
 
-// lookupTopExhaustiveLocked scores every indexed tree through the
-// postings and keeps the k best — the brute-force reference the metric
-// path must match. Requires f.mu held (read suffices) and k > 0.
+// lookupTopExhaustiveLocked is top-k on the overlap accumulation: the
+// trees sharing a tuple with the query are scored from their accumulated
+// overlap into a bounded heap of the k best, and the trees sharing none
+// (all at overlap 0) are offered only when those leave the heap short. The
+// final sort settles ties by ID, so the ranking is that of scoring every
+// tree — the reference the metric path must match. Requires f.mu held
+// (read suffices) and k > 0.
 //
 //pqlint:locked f.mu:r
 func (f *Index) lookupTopExhaustiveLocked(q profile.Index, qSize, k int, m *metrics, sp *obs.Span) []Match {
 	scan := sp.Child("scan")
-	overlaps, scanned := f.overlapsLocked(q)
-	f.tierOverlapsLocked(q, overlaps, m, sp)
-	scan.SetAttr("postings_scanned", scanned)
-	scan.SetAttr("candidates", int64(len(f.trees)))
 	defer scan.Finish()
-	if m != nil {
-		m.lookupCandidates.Add(int64(len(f.trees)))
+	sc := f.overlapsLocked(q, m, sp, scan)
+	defer sc.release()
+	h := topHeap{k: k, ms: make([]Match, 0, min(k, len(f.trees)))}
+	for _, doc := range sc.touched {
+		e := f.docs[doc]
+		h.offer(Match{TreeID: e.id, Distance: distanceFrom(qSize, int(e.size.Load()), int(sc.acc[doc].ov))})
 	}
-	out := make([]Match, 0, len(f.trees))
-	for id, e := range f.trees {
-		out = append(out, Match{TreeID: id, Distance: distanceFrom(qSize, int(e.size.Load()), overlaps[id])})
+	if !h.full() {
+		for doc, e := range f.docs {
+			if e != nil && sc.acc[doc].ov == 0 {
+				h.offer(Match{TreeID: e.id, Distance: distanceFrom(qSize, int(e.size.Load()), 0)})
+			}
+		}
 	}
-	sortMatches(out)
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
+	sortMatches(h.ms)
+	return h.ms
 }
 
 // metricSelfCheckLocked verifies the metric index against the forest:

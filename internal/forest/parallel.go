@@ -8,7 +8,6 @@ package forest
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,10 +101,9 @@ func (f *Index) AddIndexes(ids []string, bags []profile.Index, workers int) erro
 		}
 		seen[id] = true
 	}
+	docs := make([]uint32, len(ids))
 	for i, id := range ids {
-		e := &treeEntry{idx: bags[i]}
-		e.size.Store(int64(bags[i].Size()))
-		f.trees[id] = e
+		docs[i] = f.registerLocked(id, bags[i], bags[i].Size()).doc
 		f.metric.add(id, bags[i])
 	}
 	// One epoch advance per added document, matching the serial path, so
@@ -117,9 +115,9 @@ func (f *Index) AddIndexes(ids []string, bags []profile.Index, workers int) erro
 	}
 	if workers == 1 || len(bags) == 1 {
 		// Serial fast path: merge directly, no bucketing pass.
-		for i, id := range ids {
+		for i, doc := range docs {
 			for lt, c := range bags[i] {
-				f.shardOf(lt).add(lt, id, c)
+				f.shardOf(lt).add(lt, doc, c)
 			}
 		}
 		return nil
@@ -160,7 +158,7 @@ func (f *Index) AddIndexes(ids []string, bags []profile.Index, workers int) erro
 				s := &f.shards[si]
 				for i := range buckets {
 					for _, pd := range buckets[i][si] {
-						s.add(pd.lt, ids[i], pd.c)
+						s.add(pd.lt, docs[i], pd.c)
 					}
 				}
 			}
@@ -254,78 +252,41 @@ func (f *Index) SimilarityJoinWorkers(tau float64, workers int) (pairs []Pair) {
 		return f.joinAllPairsLocked(tau, workers)
 	}
 	// Candidate generation is a map-reduce over the postings stripes:
-	// accumulators sweep disjoint stripes summing per-pair overlaps,
-	// partitioned by the first ID's hash (computed once per posting row);
+	// accumulators sweep disjoint stripes summing per-pair overlaps, keyed
+	// by the pair's doc numbers and partitioned by the smaller one;
 	// reducers own disjoint pair partitions, merge the per-worker
 	// fragments and score them. Overlap counts are integers, so the
 	// grouping order cannot change any result.
-	//
-	// Unless the planner is PlanExhaustive, pair emission applies the
-	// size filter of planner.go: a pair whose bag sizes cannot be within
-	// tau even at maximal overlap never enters an accumulator. The filter
-	// evaluates the exact scoring expression, so the surviving pairs —
-	// and therefore the join result — are identical with it on or off.
-	type pairKey struct{ a, b string }
-	filter := f.PlanMode() != PlanExhaustive
-	sizes := make(map[string]int, len(f.trees))
-	for id, e := range f.trees {
-		sizes[id] = int(e.size.Load())
+	j := &joinSweep{
+		tau:    tau,
+		filter: f.PlanMode() != PlanExhaustive,
+		sizes:  make([]int, len(f.docs)),
+		ids:    make([]string, len(f.docs)),
+	}
+	for doc, e := range f.docs {
+		if e != nil {
+			j.sizes[doc], j.ids[doc] = int(e.size.Load()), e.id
+		}
 	}
 	// Pairs with at least one evicted member come from a sequential sweep
 	// of the storage tier's posting lists (tier.go); the stripe sweep
 	// below covers exactly the resident×resident pairs, so the union is
 	// every candidate pair once.
-	tierPairs, tierPruned := f.joinTierPairsLocked(tau, sizes, filter)
+	tierPairs, tierPruned := f.joinTierPairsLocked(j)
 	prunedPairs.Add(tierPruned)
-	score := func(total map[pairKey]int, out []Pair) []Pair {
-		for k, ov := range total {
-			if d := distanceFrom(sizes[k.a], sizes[k.b], ov); d < tau {
-				//pqlint:allow detcheck joinAllPairsLocked sortPairs-es the merged result before returning
-				out = append(out, Pair{A: k.a, B: k.b, Distance: d})
-			}
-		}
-		return out
-	}
-	accumulate := func(from, stride int, emit func(part int, k pairKey, ov int)) {
-		var ids []string
-		var part []int
-		var szs []int
+	accumulate := func(from, stride int, emit func(k pairKey, ov int)) {
 		pruned := int64(0)
 		for si := from; si < numShards; si += stride {
 			s := &f.shards[si]
 			s.mu.RLock()
-			for _, m := range s.postings {
-				if len(m) < 2 {
-					continue
-				}
-				ids = ids[:0]
-				for id := range m {
-					ids = append(ids, id)
-				}
-				sort.Strings(ids)
-				part = part[:0]
-				szs = szs[:0]
-				for _, id := range ids {
-					part = append(part, idPart(id, workers))
-					szs = append(szs, sizes[id])
-				}
-				for i := 0; i < len(ids); i++ {
-					for j := i + 1; j < len(ids); j++ {
-						if filter {
-							maxOv := szs[i]
-							if szs[j] < maxOv {
-								maxOv = szs[j]
-							}
-							if distanceFrom(szs[i], szs[j], maxOv) >= tau {
-								pruned++
-								continue
-							}
+			for _, list := range s.postings {
+				for i, a := range list {
+					for _, b := range list[i+1:] {
+						if k, ov, ok := j.pair(a, b); ok {
+							emit(k, ov)
+						} else {
+							pruned++
 						}
-						ov := m[ids[i]]
-						if c := m[ids[j]]; c < ov {
-							ov = c
-						}
-						emit(part[i], pairKey{ids[i], ids[j]}, ov)
 					}
 				}
 			}
@@ -336,8 +297,8 @@ func (f *Index) SimilarityJoinWorkers(tau float64, workers int) (pairs []Pair) {
 	if workers == 1 {
 		// Serial fast path: one accumulator map, no shuffle.
 		total := make(map[pairKey]int)
-		accumulate(0, 1, func(_ int, k pairKey, ov int) { total[k] += ov })
-		out := append(score(total, nil), tierPairs...)
+		accumulate(0, 1, func(k pairKey, ov int) { total[k] += ov })
+		out := append(j.score(total), tierPairs...)
 		sortPairs(out)
 		return out
 	}
@@ -351,7 +312,7 @@ func (f *Index) SimilarityJoinWorkers(tau float64, workers int) (pairs []Pair) {
 			for i := range local {
 				local[i] = make(map[pairKey]int)
 			}
-			accumulate(w, workers, func(part int, k pairKey, ov int) { local[part][k] += ov })
+			accumulate(w, workers, func(k pairKey, ov int) { local[int(k.a)%workers][k] += ov })
 			parts[w] = local
 		}(w)
 	}
@@ -367,7 +328,7 @@ func (f *Index) SimilarityJoinWorkers(tau float64, workers int) (pairs []Pair) {
 					total[k] += v
 				}
 			}
-			outs[r] = score(total, nil)
+			outs[r] = j.score(total)
 		}(r)
 	}
 	wg.Wait()
@@ -377,6 +338,50 @@ func (f *Index) SimilarityJoinWorkers(tau float64, workers int) (pairs []Pair) {
 	}
 	out = append(out, tierPairs...)
 	sortPairs(out)
+	return out
+}
+
+// pairKey names one candidate pair of a join by doc numbers, a < b.
+type pairKey struct{ a, b uint32 }
+
+// joinSweep is what the candidate sweeps of one similarity join share:
+// the threshold, whether the size filter of planner.go applies (unless
+// the planner is PlanExhaustive), and each doc number's bag size and ID as
+// of the join's start.
+type joinSweep struct {
+	tau    float64
+	filter bool
+	sizes  []int
+	ids    []string
+}
+
+// pair turns two postings of one tuple into their pair's accumulator key
+// and the overlap the tuple contributes. ok is false when the filter is on
+// and the bag sizes cannot be within tau even at maximal overlap; the
+// filter evaluates the exact scoring expression, so the surviving pairs —
+// and therefore the join result — are identical with it on or off.
+func (j *joinSweep) pair(a, b posting) (k pairKey, ov int, ok bool) {
+	if b.doc < a.doc {
+		a, b = b, a
+	}
+	if sa, sb := j.sizes[a.doc], j.sizes[b.doc]; j.filter && distanceFrom(sa, sb, min(sa, sb)) >= j.tau {
+		return pairKey{}, 0, false
+	}
+	return pairKey{a.doc, b.doc}, int(min(a.cnt, b.cnt)), true
+}
+
+// score returns the accumulated pairs within tau, in no particular order.
+func (j *joinSweep) score(total map[pairKey]int) (out []Pair) {
+	for k, ov := range total {
+		if d := distanceFrom(j.sizes[k.a], j.sizes[k.b], ov); d < j.tau {
+			a, b := j.ids[k.a], j.ids[k.b]
+			if b < a {
+				a, b = b, a
+			}
+			//pqlint:allow detcheck SimilarityJoinWorkers sortPairs-es the merged result before returning
+			out = append(out, Pair{A: a, B: b, Distance: d})
+		}
+	}
 	return out
 }
 
@@ -441,16 +446,4 @@ func (f *Index) joinAllPairsLocked(tau float64, workers int) []Pair {
 	}
 	sortPairs(out)
 	return out
-}
-
-// idPart routes a tree ID to one of n reduce partitions (FNV-1a). Pairs
-// are partitioned by their first ID so the hash is computed once per
-// posting row, not once per pair; any deterministic function of the pair
-// keeps the join exact, the choice only balances the reducers.
-func idPart(id string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h = (h ^ uint32(id[i])) * 16777619
-	}
-	return int(h % uint32(n))
 }

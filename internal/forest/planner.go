@@ -17,8 +17,9 @@
 //     stops and the survivors are finished by probing their bags directly,
 //     skipping the longest posting lists entirely.
 //  3. Pooled scratch — the traversal state (tuple order, suffix bounds,
-//     candidate accumulators) is reused across lookups, so the pruned path
-//     allocates for the survivors, not for every posting it touches.
+//     candidate accumulators indexed by doc number) is reused across
+//     lookups of every plan, so a lookup allocates its result and nothing
+//     per posting or per candidate it touches.
 //
 // Pruning decisions only ever evaluate the exact scoring expression
 // (profile.DistanceFrom) at integer boundaries, so the pruned path returns
@@ -28,7 +29,8 @@
 package forest
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"pqgram/internal/obs"
@@ -54,8 +56,10 @@ const (
 	// size.
 	PlanPruned
 	// PlanMetric answers top-k lookups through the VP-tree metric index
-	// (metric.go), building it on first use; threshold lookups keep the
-	// PlanAuto strategy. Results are identical in every mode.
+	// (metric.go), building it on first use — the only mode that does; in
+	// every other mode top-k is the overlap accumulation plus a bounded
+	// heap. Threshold lookups keep the PlanAuto strategy. Results are
+	// identical in every mode.
 	PlanMetric
 )
 
@@ -92,59 +96,68 @@ func (f *Index) usePrunedLocked(qSize int, tau float64) bool {
 	}
 }
 
-// useMetricLocked is the planner decision for one top-k lookup (k > 0).
-// It requires f.mu held (read suffices). PlanMetric forces the VP-tree,
-// PlanExhaustive forbids it; PlanAuto and PlanPruned descend the tree
-// when the collection is large enough to amortize the descent and k is a
-// small fraction of it — for k near the collection size nearly every
-// document is in the answer and the postings scan is already optimal.
-// Once the metric index is built (and therefore paid for and maintained),
-// the auto mode uses it for any k below the collection size.
-//
-//pqlint:locked f.mu:r
-func (f *Index) useMetricLocked(k int) bool {
-	switch f.PlanMode() {
-	case PlanExhaustive:
-		return false
-	case PlanMetric:
-		return true
-	default:
-		if f.metric.built {
-			return k < len(f.trees)
-		}
-		return len(f.trees) >= metricMinTrees && k*metricKFactor <= len(f.trees)
-	}
-}
-
-// queryTuple is one distinct label-tuple of the query during a pruned
-// lookup: its multiplicity in the query bag and the length of its posting
-// list at planning time.
+// queryTuple is one distinct label-tuple of the query during a lookup: its
+// multiplicity in the query bag and, on the pruned path, the length of its
+// posting list at planning time.
 type queryTuple struct {
 	lt      profile.LabelTuple
 	qc      int
 	listLen int
 }
 
-// candState is the pruned path's per-candidate accumulator. ov < 0 marks a
-// candidate that was rejected (size filter) or abandoned (overlap bound)
-// and must not be touched again.
+// candState is the per-candidate accumulator of a lookup, one per doc
+// number. ov is the overlap accumulated so far; every posting adds at
+// least 1, so 0 means the lookup has not touched the doc, and the pruned
+// path stores -1 for a candidate that was rejected (size filter) or
+// abandoned (overlap bound) and must not be touched again. need and size
+// are the pruned path's.
 type candState struct {
-	ov   int // overlap accumulated so far; -1 = dead
-	need int // o_min for this candidate's size
-	size int // cached bag size at first touch
+	ov   int32
+	need int32 // o_min for this candidate's size
+	size int32 // cached bag size at first touch
 }
 
-// lookupScratch is the pooled per-query traversal state of the pruned
-// path.
+// lookupScratch is the pooled per-query traversal state. acc is all zero
+// between lookups: release resets exactly the touched slots.
 type lookupScratch struct {
 	tuples  []queryTuple
 	suffix  []int
-	byShard [numShards][]int32
-	cands   map[string]candState
+	byShard [numShards][]int32 // indices into tuples, per postings stripe
+	acc     []candState        // indexed by doc number
+	touched []uint32           // docs whose acc slot is nonzero
 }
 
-var scratchPool = sync.Pool{
-	New: func() any { return &lookupScratch{cands: make(map[string]candState)} },
+var scratchPool = sync.Pool{New: func() any { return new(lookupScratch) }}
+
+// scratchLocked returns a scratch with the query's tuples grouped by
+// stripe and an accumulator slot for every doc number. The accumulator is
+// sized by the registry's capacity, so it is regrown only as often as
+// docs itself. It requires f.mu held (read suffices).
+//
+//pqlint:locked f.mu:r
+func (f *Index) scratchLocked(q profile.Index) *lookupScratch {
+	sc := scratchPool.Get().(*lookupScratch)
+	if len(sc.acc) < len(f.docs) {
+		sc.acc = make([]candState, cap(f.docs))
+	}
+	for lt, qc := range q {
+		if qc <= 0 {
+			continue // contributes no overlap; a zero would read as untouched
+		}
+		si := lt.Shard(shardBits)
+		sc.byShard[si] = append(sc.byShard[si], int32(len(sc.tuples)))
+		sc.tuples = append(sc.tuples, queryTuple{lt: lt, qc: qc})
+	}
+	return sc
+}
+
+// add accumulates ov > 0 onto doc's overlap, noting the first touch.
+func (sc *lookupScratch) add(doc, ov uint32) {
+	st := &sc.acc[doc]
+	if st.ov == 0 {
+		sc.touched = append(sc.touched, doc)
+	}
+	st.ov += int32(ov)
 }
 
 func (sc *lookupScratch) release() {
@@ -153,7 +166,10 @@ func (sc *lookupScratch) release() {
 	for i := range sc.byShard {
 		sc.byShard[i] = sc.byShard[i][:0]
 	}
-	clear(sc.cands)
+	for _, doc := range sc.touched {
+		sc.acc[doc] = candState{}
+	}
+	sc.touched = sc.touched[:0]
 	scratchPool.Put(sc)
 }
 
@@ -166,17 +182,10 @@ func (sc *lookupScratch) release() {
 //
 //pqlint:locked f.mu:r
 func (f *Index) lookupPrunedLocked(q profile.Index, qSize int, tau float64, m *metrics, sp *obs.Span) []Match {
-	sc := scratchPool.Get().(*lookupScratch)
+	sc := f.scratchLocked(q)
 	defer sc.release()
 
-	for lt, qc := range q {
-		sc.tuples = append(sc.tuples, queryTuple{lt: lt, qc: qc})
-	}
 	// Read every posting-list length, one stripe lock per touched stripe.
-	for i := range sc.tuples {
-		si := sc.tuples[i].lt.Shard(shardBits)
-		sc.byShard[si] = append(sc.byShard[si], int32(i))
-	}
 	for si := range sc.byShard {
 		if len(sc.byShard[si]) == 0 {
 			continue
@@ -190,11 +199,11 @@ func (f *Index) lookupPrunedLocked(q profile.Index, qSize int, tau float64, m *m
 	}
 	// Rare first: ascending posting-list length, ties broken by tuple
 	// value so the traversal order is deterministic.
-	sort.Slice(sc.tuples, func(i, j int) bool {
-		if sc.tuples[i].listLen != sc.tuples[j].listLen {
-			return sc.tuples[i].listLen < sc.tuples[j].listLen
+	slices.SortFunc(sc.tuples, func(x, y queryTuple) int {
+		if c := cmp.Compare(x.listLen, y.listLen); c != 0 {
+			return c
 		}
-		return sc.tuples[i].lt < sc.tuples[j].lt
+		return cmp.Compare(x.lt, y.lt)
 	})
 	// suffix[i] = the most overlap tuples i.. could still contribute.
 	n := len(sc.tuples)
@@ -230,29 +239,26 @@ func (f *Index) lookupPrunedLocked(q profile.Index, qSize int, tau float64, m *m
 		s := f.shardOf(t.lt)
 		s.mu.RLock()
 		scanned += int64(len(s.postings[t.lt]))
-		for id, c := range s.postings[t.lt] {
-			st, seen := sc.cands[id]
-			if seen && st.ov < 0 {
+		for _, p := range s.postings[t.lt] {
+			st := &sc.acc[p.doc]
+			if st.ov < 0 {
 				continue
 			}
-			if !seen {
-				size := int(f.trees[id].size.Load())
+			if st.ov == 0 {
+				sc.touched = append(sc.touched, p.doc)
+				size := int(f.docs[p.doc].size.Load())
 				if size < sizeLo || size > sizeHi {
-					sc.cands[id] = candState{ov: -1}
+					st.ov = -1
 					prunedSize++
 					continue
 				}
-				st = candState{size: size, need: profile.MinOverlap(qSize, size, tau)}
+				st.size, st.need = int32(size), int32(profile.MinOverlap(qSize, size, tau))
 			}
-			if c > t.qc {
-				c = t.qc
-			}
-			st.ov += c
-			if st.ov+sc.suffix[i+1] < st.need {
+			st.ov += int32(min(p.cnt, uint32(t.qc)))
+			if int(st.ov)+sc.suffix[i+1] < int(st.need) {
 				st.ov = -1
 				abandonGen++
 			}
-			sc.cands[id] = st
 		}
 		s.mu.RUnlock()
 	}
@@ -270,16 +276,17 @@ func (f *Index) lookupPrunedLocked(q profile.Index, qSize int, tau float64, m *m
 	// longest posting lists; abandon as soon as the bound closes.
 	verify := sp.Child("verify")
 	var out []Match
-	for id, st := range sc.cands {
+	for _, doc := range sc.touched {
+		st := sc.acc[doc]
 		if st.ov < 0 {
 			continue
 		}
-		ov := st.ov
+		e := f.docs[doc]
+		ov, need := int(st.ov), int(st.need)
 		if verifyFrom < n {
-			e := f.trees[id]
 			e.mu.RLock()
 			for j := verifyFrom; j < n; j++ {
-				if ov+sc.suffix[j] < st.need {
+				if ov+sc.suffix[j] < need {
 					ov = -1
 					break
 				}
@@ -300,8 +307,8 @@ func (f *Index) lookupPrunedLocked(q profile.Index, qSize int, tau float64, m *m
 		// and abandoned ones land in their own counters, so the three
 		// buckets partition every candidate the traversal touched.
 		examined++
-		if d := distanceFrom(qSize, st.size, ov); d < tau {
-			out = append(out, Match{TreeID: id, Distance: d})
+		if d := distanceFrom(qSize, int(st.size), ov); d < tau {
+			out = append(out, Match{TreeID: e.id, Distance: d})
 		}
 	}
 	verify.SetAttr("candidates", examined)
@@ -312,23 +319,19 @@ func (f *Index) lookupPrunedLocked(q profile.Index, qSize int, tau float64, m *m
 	// full overlaps on its own (with bloom-filter skip per segment), so
 	// they need no generate/verify phases: only the Def-3 size filter and
 	// the final scoring, exactly what the exhaustive path applies to them.
-	if f.tier != nil {
-		tov := make(map[string]int)
-		f.tierOverlapsLocked(q, tov, m, sp)
-		for id, ov := range tov {
-			e := f.trees[id]
-			if e == nil {
-				continue // racing store-level removal; the document is gone
-			}
-			size := int(e.size.Load())
-			if size < sizeLo || size > sizeHi {
-				prunedSize++
-				continue
-			}
-			examined++
-			if d := distanceFrom(qSize, size, ov); d < tau {
-				out = append(out, Match{TreeID: id, Distance: d})
-			}
+	for id, ov := range f.tierOverlapsLocked(q, m, sp) {
+		e := f.trees[id]
+		if e == nil {
+			continue // racing store-level removal; the document is gone
+		}
+		size := int(e.size.Load())
+		if size < sizeLo || size > sizeHi {
+			prunedSize++
+			continue
+		}
+		examined++
+		if d := distanceFrom(qSize, size, ov); d < tau {
+			out = append(out, Match{TreeID: id, Distance: d})
 		}
 	}
 	sortMatches(out)

@@ -11,9 +11,11 @@
 //
 // The invariant everything below leans on: a document is resident XOR
 // evicted. Its tuples are in the in-memory shards or reachable through
-// the tier, never both, so overlap maps merge by plain addition and the
-// merged result is byte-identical to the all-in-RAM index (the
-// differential tests in internal/store hold the whole stack to that).
+// the tier, never both, so the tier's overlaps merge into the per-doc
+// accumulator by plain addition and the merged result is byte-identical
+// to the all-in-RAM index (the differential tests in internal/store hold
+// the whole stack to that). An entry keeps its doc number across the
+// swap, so only its postings move.
 //
 // Eviction and promotion swap a document between the populations without
 // changing its content, so they advance no epoch and leave the metric
@@ -25,7 +27,6 @@ package forest
 
 import (
 	"fmt"
-	"sort"
 
 	"pqgram/internal/obs"
 	"pqgram/internal/profile"
@@ -146,8 +147,8 @@ func (f *Index) Evict(ids []string, swap func()) error {
 	}
 	for _, id := range ids {
 		e := f.trees[id]
-		for lt := range e.idx {
-			f.shardOf(lt).remove(lt, id)
+		for lt, c := range e.idx {
+			f.shardOf(lt).sub(lt, e.doc, c)
 		}
 		e.distinct = len(e.idx)
 		e.idx = nil
@@ -182,7 +183,7 @@ func (f *Index) Promote(id string, bag profile.Index, swap func()) error {
 	e.size.Store(int64(bag.Size()))
 	e.distinct = 0
 	for lt, c := range bag {
-		f.shardOf(lt).add(lt, id, c)
+		f.shardOf(lt).add(lt, e.doc, c)
 	}
 	if swap != nil {
 		swap()
@@ -204,10 +205,7 @@ func (f *Index) AddEvicted(id string, size, distinct int) error {
 	if f.metric.built {
 		return fmt.Errorf("forest: cannot add evicted %q with the metric index built", id)
 	}
-	e := &treeEntry{}
-	e.size.Store(int64(size))
-	e.distinct = distinct
-	f.trees[id] = e
+	f.registerLocked(id, nil, size).distinct = distinct
 	f.epoch.Add(1)
 	if m := f.obs.Load(); m != nil {
 		m.adds.Inc()
@@ -236,21 +234,18 @@ func (f *Index) bagOfLocked(id string, e *treeEntry) (profile.Index, error) {
 	return bag, nil
 }
 
-// tierOverlapsLocked merges the tier's overlap contributions into ov and
-// records the tier read's work on the span and counters. A document lives
-// in exactly one tier, so merging is plain addition. Requires f.mu held
-// (read suffices).
+// tierOverlapsLocked returns the tier's overlap contributions (nil without
+// a tier) and records the tier read's work on the span and counters. A
+// document lives in exactly one tier, so callers merge by plain addition.
+// Requires f.mu held (read suffices).
 //
 //pqlint:locked f.mu:r
-func (f *Index) tierOverlapsLocked(q profile.Index, ov map[string]int, m *metrics, sp *obs.Span) {
+func (f *Index) tierOverlapsLocked(q profile.Index, m *metrics, sp *obs.Span) map[string]int {
 	if f.tier == nil {
-		return
+		return nil
 	}
 	tsp := sp.Child("tier")
 	tov, st := f.tier.Overlaps(q)
-	for id, o := range tov {
-		ov[id] += o
-	}
 	tsp.SetAttr("segments_probed", st.SegmentsProbed)
 	tsp.SetAttr("bloom_checks", st.BloomChecks)
 	tsp.SetAttr("bloom_skips", st.BloomSkips)
@@ -263,6 +258,7 @@ func (f *Index) tierOverlapsLocked(q profile.Index, ov map[string]int, m *metric
 		m.tierSegmentsProbed.Add(st.SegmentsProbed)
 		m.tierPostingsScanned.Add(st.PostingsScanned)
 	}
+	return tov
 }
 
 // joinTierPairsLocked scores the similarity-join pairs with at least one
@@ -270,72 +266,39 @@ func (f *Index) tierOverlapsLocked(q profile.Index, ov map[string]int, m *metric
 // pairing tier documents with each other and with the resident documents
 // on the same tuple. Resident×resident pairs are the stripe sweep's job
 // (SimilarityJoinWorkers), so together the two passes cover every
-// candidate pair exactly once. Requires f.mu held (read suffices); sizes
-// and filter mirror the stripe sweep's arguments.
+// candidate pair exactly once. Requires f.mu held (read suffices).
 //
 //pqlint:locked f.mu:r
-func (f *Index) joinTierPairsLocked(tau float64, sizes map[string]int, filter bool) ([]Pair, int64) {
+func (f *Index) joinTierPairsLocked(j *joinSweep) ([]Pair, int64) {
 	if f.tier == nil {
 		return nil, 0
 	}
-	type pairKey struct{ a, b string }
 	total := make(map[pairKey]int)
 	var pruned int64
-	var memIDs []string
-	emit := func(a, b string, ca, cb int, szA, szB int) {
-		if b < a {
-			a, b = b, a
-			szA, szB = szB, szA
+	emit := func(a, b posting) {
+		if k, ov, ok := j.pair(a, b); ok {
+			total[k] += ov
+		} else {
+			pruned++
 		}
-		if filter {
-			maxOv := szA
-			if szB < maxOv {
-				maxOv = szB
-			}
-			if distanceFrom(szA, szB, maxOv) >= tau {
-				pruned++
-				return
-			}
-		}
-		ov := ca
-		if cb < ov {
-			ov = cb
-		}
-		total[pairKey{a, b}] += ov
 	}
+	var live []posting // the tuple's tier entries, by doc number
 	err := f.tier.ForEachPosting(func(lt profile.LabelTuple, entries []TierPosting) error {
-		// Tier × tier pairs on this tuple.
-		for i := 0; i < len(entries); i++ {
-			szI, okI := sizes[entries[i].ID]
-			if !okI {
-				continue // racing removal: the document is already gone
-			}
-			for j := i + 1; j < len(entries); j++ {
-				szJ, okJ := sizes[entries[j].ID]
-				if !okJ {
-					continue
-				}
-				emit(entries[i].ID, entries[j].ID, entries[i].Cnt, entries[j].Cnt, szI, szJ)
+		live = live[:0]
+		for _, te := range entries {
+			// A racing removal may have taken the document already.
+			if e := f.trees[te.ID]; e != nil {
+				live = append(live, posting{e.doc, uint32(te.Cnt)})
 			}
 		}
-		// Tier × resident pairs: the resident posting list for the same
-		// tuple, in sorted order for a deterministic pruned count.
 		s := f.shardOf(lt)
 		s.mu.RLock()
-		mem := s.postings[lt]
-		memIDs = memIDs[:0]
-		for id := range mem {
-			memIDs = append(memIDs, id)
-		}
-		sort.Strings(memIDs)
-		for _, mid := range memIDs {
-			szM := sizes[mid]
-			for _, te := range entries {
-				szT, okT := sizes[te.ID]
-				if !okT {
-					continue
-				}
-				emit(te.ID, mid, te.Cnt, mem[mid], szT, szM)
+		for i, a := range live {
+			for _, b := range live[i+1:] {
+				emit(a, b)
+			}
+			for _, b := range s.postings[lt] {
+				emit(a, b)
 			}
 		}
 		s.mu.RUnlock()
@@ -346,12 +309,5 @@ func (f *Index) joinTierPairsLocked(tau float64, sizes map[string]int, filter bo
 		// panics inside the tier (see Tier).
 		panic(err)
 	}
-	var out []Pair
-	for k, ov := range total {
-		if d := distanceFrom(sizes[k.a], sizes[k.b], ov); d < tau {
-			//pqlint:allow detcheck the caller sortPairs-es the merged result before returning
-			out = append(out, Pair{A: k.a, B: k.b, Distance: d})
-		}
-	}
-	return out, pruned
+	return j.score(total), pruned
 }

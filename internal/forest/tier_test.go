@@ -154,19 +154,36 @@ func TestTierLookupDifferential(t *testing.T) {
 	}
 }
 
-// TestTierTopKDifferential covers the exhaustive top-k scan over a tier
-// and the metric build that fetches evicted bags through the tier.
+// TestTierTopKDifferential covers the top-k accumulation over a tier —
+// half the documents evicted, then all of them, registered without ever
+// being resident — and the metric build that fetches evicted bags through
+// the tier.
 func TestTierTopKDifferential(t *testing.T) {
 	docs := gen.XMarkForest(11, 32, 3200)
 	resident, tiered, _, _ := tieredCopy(t, docs)
-	for _, mode := range []forest.PlanMode{forest.PlanExhaustive, forest.PlanMetric} {
+	allEvicted := forest.New(p33)
+	ft := newFakeTier()
+	allEvicted.SetTier(ft)
+	for i, d := range docs {
+		id := fmt.Sprintf("doc%03d", i)
+		ft.bags[id] = profile.BuildIndex(d, p33)
+		if err := allEvicted.AddEvicted(id, ft.bags[id].Size(), len(ft.bags[id])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, mode := range []forest.PlanMode{forest.PlanAuto, forest.PlanExhaustive, forest.PlanMetric} {
 		resident.SetPlanMode(mode)
 		tiered.SetPlanMode(mode)
-		for _, k := range []int{1, 5, 100} {
-			want := resident.LookupTopK(docs[3], k)
-			got := tiered.LookupTopK(docs[3], k)
-			if !matchesEqual(want, got) {
-				t.Fatalf("mode %v k=%d: tiered %v, resident %v", mode, k, got, want)
+		allEvicted.SetPlanMode(mode)
+		for _, query := range []*tree.Tree{docs[3], tree.MustParse("p(q r)")} {
+			for _, k := range []int{1, 5, 100} {
+				want := resident.LookupTopK(query, k)
+				if got := tiered.LookupTopK(query, k); !matchesEqual(want, got) {
+					t.Fatalf("mode %v k=%d: tiered %v, resident %v", mode, k, got, want)
+				}
+				if got := allEvicted.LookupTopK(query, k); !matchesEqual(want, got) {
+					t.Fatalf("mode %v k=%d: all-evicted %v, resident %v", mode, k, got, want)
+				}
 			}
 		}
 	}

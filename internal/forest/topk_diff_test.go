@@ -164,6 +164,25 @@ func TestTopKEdgeCases(t *testing.T) {
 	}
 	topkAllModes(t, twins, profile.Index{}, 2, "twins, empty query")
 	topkAllModes(t, twins, q, 10, "twins, k beyond |D|")
+	// k beyond the trees sharing a tuple with the query: the accumulation
+	// touches only t1 and t2, and the rest of the answer is the disjoint
+	// trees at distance 1 in ID order, however many k asks for.
+	for _, id := range []string{"u9", "u7", "u8"} {
+		if err := twins.Add(id, tree.MustParse("p(q r)")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, want := range map[int][]string{3: {"t1", "t2", "t3"}, 5: {"t1", "t2", "t3", "u7", "u8"}, 6: {"t1", "t2", "t3", "u7", "u8", "u9"}, 60: {"t1", "t2", "t3", "u7", "u8", "u9"}} {
+		got := topkAllModes(t, twins, q, k, "distance-1 tail")
+		if len(got) != len(want) {
+			t.Fatalf("top-%d returned %d matches, want %d: %v", k, len(got), len(want), got)
+		}
+		for i, m := range got {
+			if m.TreeID != want[i] || (i >= 2) != (m.Distance == 1) {
+				t.Fatalf("top-%d = %v, want %v with everything past t2 at distance 1", k, got, want)
+			}
+		}
+	}
 	if m, ok := twins.LookupNearest(tree.MustParse("a(b c)")); !ok || m.TreeID != "t1" || m.Distance != 0 {
 		t.Fatalf("nearest = %v, %v; want t1 at 0", m, ok)
 	}
@@ -339,6 +358,36 @@ func TestTopKUnderConcurrentUpdates(t *testing.T) {
 	}
 	for _, k := range []int{1, 5, 24, 48, 100} {
 		topkAllModes(t, f, q, k, "post-concurrency")
+	}
+}
+
+// TestTopKBuildsMetricOnlyUnderPlanMetric: a top-k request must not be
+// able to make the forest build (under the registry write lock) and from
+// then on maintain the VP-tree unless the operator chose PlanMetric,
+// whatever the collection size and k.
+func TestTopKBuildsMetricOnlyUnderPlanMetric(t *testing.T) {
+	f := forest.New(p33)
+	col := obs.NewCollector()
+	f.SetCollector(col)
+	for i, d := range gen.XMarkForest(9, 96, 96*30) {
+		if err := f.Add(fmt.Sprintf("doc-%03d", i), d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := profile.BuildIndex(gen.XMark(9, 30), p33)
+	for _, mode := range []forest.PlanMode{forest.PlanAuto, forest.PlanPruned, forest.PlanExhaustive} {
+		f.SetPlanMode(mode)
+		for _, k := range []int{1, 10, 96} {
+			f.LookupIndexTopK(q, k)
+		}
+		if f.MetricReady() || col.Counter("forest_metric_builds").Load() != 0 {
+			t.Fatalf("mode %v: a top-k lookup built the metric index", mode)
+		}
+	}
+	f.SetPlanMode(forest.PlanMetric)
+	f.LookupIndexTopK(q, 1)
+	if !f.MetricReady() || col.Counter("forest_metric_builds").Load() != 1 {
+		t.Fatal("PlanMetric top-k did not build the metric index")
 	}
 }
 
