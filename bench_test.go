@@ -19,6 +19,7 @@ import (
 	"pqgram/internal/diff"
 	"pqgram/internal/edit"
 	"pqgram/internal/forest"
+	"pqgram/internal/fsio"
 	"pqgram/internal/gen"
 	"pqgram/internal/obs"
 	"pqgram/internal/profile"
@@ -520,6 +521,74 @@ func BenchmarkLookup(b *testing.B) {
 			_ = f.Lookup(query, 0.7)
 		}
 	})
+}
+
+// BenchmarkTierLookup is the RAM-versus-tier gap of a threshold lookup:
+// the same clustered corpus (128 clusters of 8 near-duplicates, DBLP and
+// XMark bases alternating, sizes spread) held by a segmented store that
+// flushed every 128 documents — everything evicted, 8 segments — and by one
+// that never flushed, asked the same 16 perturbed documents at a
+// selective, a middle and a permissive threshold.
+func BenchmarkTierLookup(b *testing.B) {
+	evicted, err := store.CreateSegmentedFS(fsio.NewMemFS(), "evicted.pqg", benchP)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer evicted.Close()
+	evicted.SetFlushThreshold(128)
+	resident, err := store.CreateSegmentedFS(fsio.NewMemFS(), "resident.pqg", benchP)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer resident.Close()
+	rng := rand.New(rand.NewSource(128))
+	var docs []*pqgram.Tree
+	for c := 0; c < 128; c++ {
+		base := gen.DBLP(int64(c), 64+3*c)
+		if c%2 == 1 {
+			base = gen.XMark(int64(c), 64+3*c)
+		}
+		for m := 0; m < 8; m++ {
+			mate, _, err := gen.Perturb(rng, base, 1+m, gen.DefaultMix)
+			if err != nil {
+				b.Fatal(err)
+			}
+			docs = append(docs, mate)
+		}
+	}
+	// Cluster mates are spread over the segments, as arrival order does.
+	rng.Shuffle(len(docs), func(i, j int) { docs[i], docs[j] = docs[j], docs[i] })
+	for i, d := range docs {
+		for _, s := range []*store.Segmented{evicted, resident} {
+			if err := s.Add(fmt.Sprintf("doc-%04d", i), d); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if st := evicted.Stats(); st.Segments != 8 || st.ResidentDocs != 0 {
+		b.Fatalf("fixture not fully evicted: %+v", st)
+	}
+	queries := make([]profile.Index, 16)
+	for i := range queries {
+		q, _, err := gen.Perturb(rng, docs[i*len(docs)/len(queries)], 3, gen.DefaultMix)
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries[i] = profile.BuildIndex(q, benchP)
+	}
+	for _, side := range []struct {
+		name string
+		f    *forest.Index
+	}{{"evicted", evicted.Forest()}, {"resident", resident.Forest()}} {
+		for _, tau := range []float64{0.1, 0.3, 0.7} {
+			b.Run(fmt.Sprintf("%s/tau=%.1f", side.name, tau), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_ = side.f.LookupIndex(queries[i%len(queries)], tau)
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkSimilarityJoin sweeps the join's worker count on the 500-tree

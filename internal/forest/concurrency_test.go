@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pqgram/internal/forest"
+	"pqgram/internal/fsio"
 	"pqgram/internal/gen"
 	"pqgram/internal/profile"
 	"pqgram/internal/store"
@@ -323,5 +324,97 @@ func TestPutReplacesAtomically(t *testing.T) {
 	}
 	if top := f.LookupTop(repl, 1); len(top) != 1 || top[0].Distance != 0 {
 		t.Fatalf("lookup after Put = %+v", top)
+	}
+}
+
+// TestTierNumberReuseUnderLookups is the race-detector stress for doc
+// numbers recycled out of the storage tier: one writer keeps removing a
+// flushed near-duplicate and putting an unrelated document — which
+// inherits the freed number — then swaps them back and flushes, while
+// readers look the duplicates up. The segment copy of the removed document
+// goes dead under the same registry write lock that frees its number, so no
+// lookup may ever credit the unrelated document with its postings.
+func TestTierNumberReuseUnderLookups(t *testing.T) {
+	const dups, rounds, readers = 8, 60, 3
+	s, err := store.CreateSegmentedFS(fsio.NewMemFS(), "idx.pqg", p33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	base := gen.XMark(9, 60)
+	stranger := tree.MustParse("k(l(m n) o(p) q)")
+	for i := 0; i < dups; i++ {
+		if err := s.Add(fmt.Sprintf("dup-%d", i), base); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	f := s.Forest()
+	q := profile.BuildIndex(base, p33)
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				var ms []forest.Match
+				if tau := []float64{0, 0.1, 0.6, 1}[(r+i)%4]; tau == 0 {
+					ms = f.LookupIndexTopK(q, dups)
+				} else {
+					ms = f.LookupIndex(q, tau)
+				}
+				// Every duplicate is at distance 0 and at most one is
+				// missing at any time; the stranger shares no tuple.
+				if len(ms) < dups-1 {
+					t.Errorf("lookup saw %d of %d duplicates: %v", len(ms), dups, ms)
+					return
+				}
+				for _, m := range ms[:dups-1] {
+					if m.Distance != 0 || m.TreeID == "stranger" {
+						t.Errorf("lookup credited %q with distance %v: %v", m.TreeID, m.Distance, ms)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	write := func() error {
+		for round := 0; round < rounds && !t.Failed(); round++ {
+			id := fmt.Sprintf("dup-%d", round%dups)
+			steps := []func() error{
+				func() error { return s.Remove(id) },
+				func() error { _, err := s.Put("stranger", stranger); return err },
+				func() error { return s.Remove("stranger") },
+				func() error { return s.Add(id, base) },
+			}
+			if round%4 == 3 {
+				steps = append(steps, s.Flush)
+			}
+			for _, step := range steps {
+				if err := step(); err != nil {
+					return err
+				}
+			}
+			f.SetPlanMode([]forest.PlanMode{forest.PlanPruned, forest.PlanExhaustive}[round%2])
+		}
+		return nil
+	}
+	err = write()
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SelfCheck(); err != nil {
+		t.Fatal(err)
 	}
 }

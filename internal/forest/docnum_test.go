@@ -111,7 +111,10 @@ func (s *docScript) step() {
 	case op == 5: // Evict
 		if id, ok := s.pick(false); ok {
 			bag := s.f.TreeIndex(id)
-			s.must(s.f.Evict([]string{id}, func() { s.ft.bags[id] = bag }))
+			s.must(s.f.Evict([]string{id}, func(docs []uint32) {
+				s.ft.bags[id] = bag
+				s.ft.learn(id)(docs)
+			}))
 		}
 	case op == 6: // Promote
 		if id, ok := s.pick(true); ok {

@@ -329,11 +329,7 @@ func (f *Index) registerLocked(id string, idx profile.Index, size int) *treeEntr
 }
 
 // Remove drops a tree from the index.
-func (f *Index) Remove(id string) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.removeLocked(id)
-}
+func (f *Index) Remove(id string) error { return f.RemoveSwap(id, nil) }
 
 //pqlint:locked f.mu
 func (f *Index) removeLocked(id string) error {
@@ -760,13 +756,14 @@ func (f *Index) LookupTop(query *tree.Tree, k int) []Match {
 }
 
 // overlapsLocked accumulates |I(query) ∩ I(T)| per tree — the resident
-// ones via the postings, the evicted ones via the storage tier — into a
-// pooled scratch the caller must release: sc.acc[doc].ov is the overlap
-// and sc.touched lists the docs sharing at least one tuple with the
-// query. This one kernel serves the exhaustive lookup, the τ > 1 scan and
-// top-k. It requires f.mu held (read suffices); the query tuples are
+// ones via the postings, the evicted ones via the storage tier's runs —
+// into a pooled scratch the caller must release: sc.acc[doc].ov is the
+// overlap and sc.touched lists the docs sharing at least one tuple with
+// the query. This one kernel serves the exhaustive lookup, the τ > 1 scan
+// and top-k. It requires f.mu held (read suffices); the query tuples are
 // grouped by shard so each stripe is locked once. The scan span (nil-safe)
-// receives the work attributes, and the tier read its own child of sp.
+// receives the resident work attributes, and the tier read its own child
+// of sp.
 //
 //pqlint:locked f.mu:r
 func (f *Index) overlapsLocked(q profile.Index, m *metrics, sp, scan *obs.Span) *lookupScratch {
@@ -788,16 +785,9 @@ func (f *Index) overlapsLocked(q profile.Index, m *metrics, sp, scan *obs.Span) 
 		}
 		s.mu.RUnlock()
 	}
-	for id, ov := range f.tierOverlapsLocked(q, m, sp) {
-		// A tier answer can race a store-level Remove between the registry
-		// removal and the tier's own bookkeeping; the document is gone, so
-		// scoring it would resurrect it.
-		if e := f.trees[id]; e != nil && ov > 0 {
-			sc.add(e.doc, uint32(ov))
-		}
-	}
 	scan.SetAttr("postings_scanned", scanned)
 	scan.SetAttr("candidates", int64(len(sc.touched)))
+	f.accumulateRunsLocked(sc, m, sp)
 	if m != nil {
 		m.lookupCandidates.Add(int64(len(sc.touched)))
 	}

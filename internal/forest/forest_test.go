@@ -352,7 +352,7 @@ func TestSelfCheckDetectsCorruption(t *testing.T) {
 			}
 		}
 		ft.bags["z"] = f.TreeIndex("z")
-		if err := f.Evict([]string{"z"}, nil); err != nil {
+		if err := f.Evict([]string{"z"}, ft.learn("z")); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Remove("w"); err != nil {

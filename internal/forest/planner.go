@@ -20,6 +20,9 @@
 //     candidate accumulators indexed by doc number) is reused across
 //     lookups of every plan, so a lookup allocates its result and nothing
 //     per posting or per candidate it touches.
+//  4. The storage tier under the same bounds — each run (tier.go) holds
+//     its own documents, so lookupRunsLocked plans it as a small forest of
+//     its own, over just the query tuples its filter admits.
 //
 // Pruning decisions only ever evaluate the exact scoring expression
 // (profile.DistanceFrom) at integer boundaries, so the pruned path returns
@@ -97,12 +100,15 @@ func (f *Index) usePrunedLocked(qSize int, tau float64) bool {
 }
 
 // queryTuple is one distinct label-tuple of the query during a lookup: its
-// multiplicity in the query bag and, on the pruned path, the length of its
-// posting list at planning time.
+// multiplicity in the query bag, on the pruned path the length of its
+// posting list at planning time, and with a tier attached the number of
+// runs whose filter admits it and its row of lookupScratch.admit.
 type queryTuple struct {
 	lt      profile.LabelTuple
 	qc      int
 	listLen int
+	runs    int32
+	row     int32
 }
 
 // candState is the per-candidate accumulator of a lookup, one per doc
@@ -125,6 +131,38 @@ type lookupScratch struct {
 	byShard [numShards][]int32 // indices into tuples, per postings stripe
 	acc     []candState        // indexed by doc number
 	touched []uint32           // docs whose acc slot is nonzero
+
+	// The tier's share (admitRunsLocked, lookupRunsLocked).
+	runs  []Run       // the tier's runs, for this lookup only
+	admit []uint64    // words per tuple, one bit per run: the run's filter admits the tuple
+	words int         // len of one admit row
+	rej   []int       // per run, the query mass its filter rejected
+	run   []candState // one run's accumulators, indexed by ref; all zero between runs
+	refs  []int32     // refs whose run slot is nonzero
+}
+
+// admits reports whether run r's filter admitted the tuple.
+func (sc *lookupScratch) admits(t *queryTuple, r int) bool {
+	return sc.admit[int(t.row)*sc.words+r>>6]&(1<<(r&63)) != 0
+}
+
+// resetRun zeroes the run accumulator slots the current run touched.
+func (sc *lookupScratch) resetRun() {
+	for _, ref := range sc.refs {
+		sc.run[ref] = candState{}
+	}
+	sc.refs = sc.refs[:0]
+}
+
+// resized returns s with length n and every element zero, reallocating
+// only when the capacity falls short.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(lookupScratch) }}
@@ -170,14 +208,30 @@ func (sc *lookupScratch) release() {
 		sc.acc[doc] = candState{}
 	}
 	sc.touched = sc.touched[:0]
+	sc.resetRun()
+	clear(sc.runs) // a pooled scratch must not keep a retired run alive
+	sc.runs = sc.runs[:0]
 	scratchPool.Put(sc)
+}
+
+// prunedPlan is what the run-at-a-time planning of one pruned lookup
+// shares: the bounds — needMin is the loosest o_min over the size window —
+// and the accounting, where every candidate touched ends in one count.
+type prunedPlan struct {
+	qSize, sizeLo, sizeHi, needMin int
+	tau                            float64
+
+	examined   int64 // fully scored
+	prunedSize int64 // rejected by the size window at first touch
+	abandoned  int64 // dropped once the overlap bound closed
 }
 
 // lookupPrunedLocked is the threshold-aware lookup. It requires f.mu held
 // (read suffices) and 0 < tau ≤ 1, qSize > 0. The result is identical to
 // lookupExhaustiveLocked on the same index state. The span (nil-safe)
-// receives a "generate" child covering the rare-first candidate
-// generation — with the Def-3 size window and the loosest o_min bound as
+// receives a "tier" child covering the runs of an attached storage tier, a
+// "generate" child covering the rare-first candidate generation over the
+// shards — with the Def-3 size window and the loosest o_min bound as
 // attributes — and a "verify" child covering the bag-probe finish.
 //
 //pqlint:locked f.mu:r
@@ -197,30 +251,37 @@ func (f *Index) lookupPrunedLocked(q profile.Index, qSize int, tau float64, m *m
 		}
 		s.mu.RUnlock()
 	}
-	// Rare first: ascending posting-list length, ties broken by tuple
-	// value so the traversal order is deterministic.
-	slices.SortFunc(sc.tuples, func(x, y queryTuple) int {
-		if c := cmp.Compare(x.listLen, y.listLen); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.lt, y.lt)
-	})
-	// suffix[i] = the most overlap tuples i.. could still contribute.
-	n := len(sc.tuples)
-	if cap(sc.suffix) < n+1 {
-		sc.suffix = make([]int, n+1)
-	} else {
-		sc.suffix = sc.suffix[:n+1]
-	}
-	sc.suffix[n] = 0
-	for i := n - 1; i >= 0; i-- {
-		sc.suffix[i] = sc.suffix[i+1] + sc.tuples[i].qc
-	}
-
 	sizeLo, sizeHi := profile.SizeWindow(qSize, tau)
 	// The loosest per-candidate bound over the window; once the remaining
 	// tuples cannot reach even this, no new candidate can qualify.
 	needMin := profile.MinOverlap(qSize, sizeLo, tau)
+	tier := prunedPlan{qSize: qSize, tau: tau, sizeLo: sizeLo, sizeHi: sizeHi, needMin: needMin}
+	var tw tierWork
+	if f.tier != nil {
+		tw = f.admitRunsLocked(sc, qSize-needMin, sp)
+	}
+	// Rare first: ascending posting-list length plus the number of runs
+	// that may hold the tuple, ties broken by tuple value so the traversal
+	// order is deterministic. The order is a heuristic only; exactness
+	// rests on the suffix sums.
+	slices.SortFunc(sc.tuples, func(x, y queryTuple) int {
+		if c := cmp.Compare(x.listLen+int(x.runs), y.listLen+int(y.runs)); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.lt, y.lt)
+	})
+	var out []Match
+	if f.tier != nil {
+		out = f.lookupRunsLocked(sc, &tier, &tw)
+		tw.record(m)
+	}
+	// suffix[i] = the most overlap tuples i.. could still contribute.
+	n := len(sc.tuples)
+	sc.suffix = resized(sc.suffix, n+1)
+	for i := n - 1; i >= 0; i-- {
+		sc.suffix[i] = sc.suffix[i+1] + sc.tuples[i].qc
+	}
+
 	var examined, prunedSize, abandonGen, abandonVerify int64
 	var scanned int64
 
@@ -275,7 +336,6 @@ func (f *Index) lookupPrunedLocked(q profile.Index, qSize int, tau float64, m *m
 	// Phase 2 — finish the survivors against their bags, skipping the
 	// longest posting lists; abandon as soon as the bound closes.
 	verify := sp.Child("verify")
-	var out []Match
 	for _, doc := range sc.touched {
 		st := sc.acc[doc]
 		if st.ov < 0 {
@@ -315,30 +375,112 @@ func (f *Index) lookupPrunedLocked(q profile.Index, qSize int, tau float64, m *m
 	verify.SetAttr("pruned_abandon", abandonVerify)
 	verify.Finish()
 
-	// Phase 3 — storage-tier candidates (tier.go). The tier accumulates
-	// full overlaps on its own (with bloom-filter skip per segment), so
-	// they need no generate/verify phases: only the Def-3 size filter and
-	// the final scoring, exactly what the exhaustive path applies to them.
-	for id, ov := range f.tierOverlapsLocked(q, m, sp) {
-		e := f.trees[id]
-		if e == nil {
-			continue // racing store-level removal; the document is gone
-		}
-		size := int(e.size.Load())
-		if size < sizeLo || size > sizeHi {
-			prunedSize++
-			continue
-		}
-		examined++
-		if d := distanceFrom(qSize, size, ov); d < tau {
-			out = append(out, Match{TreeID: id, Distance: d})
-		}
-	}
 	sortMatches(out)
 	if m != nil {
-		m.lookupCandidates.Add(examined)
-		m.lookupPrunedSize.Add(prunedSize)
-		m.lookupPrunedAbandon.Add(abandonGen + abandonVerify)
+		m.lookupCandidates.Add(examined + tier.examined)
+		m.lookupPrunedSize.Add(prunedSize + tier.prunedSize)
+		m.lookupPrunedAbandon.Add(abandonGen + abandonVerify + tier.abandoned)
 	}
+	return out
+}
+
+// lookupRunsLocked answers the pruned lookup for the storage tier's
+// documents, planning each run as a small forest of its own: over the
+// tuples its filter admitted, rare first and under the suffix sums of just
+// those, candidates are generated into an accumulator indexed by the run's
+// refs — dead copies rejected and the size window applied at first touch —
+// and once no new candidate can qualify the remaining lists are scanned
+// only while a candidate survives. A run whose filter rejected more of the
+// query than the loosest bound can spare is not read at all. Requires f.mu
+// held (read suffices) and sc.tuples sorted after admitRunsLocked.
+//
+//pqlint:locked f.mu:r
+func (f *Index) lookupRunsLocked(sc *lookupScratch, p *prunedPlan, w *tierWork) (out []Match) {
+	for r, run := range sc.runs {
+		if sc.rej[r] > p.qSize-p.needMin {
+			w.pruned++
+			continue
+		}
+		// suffix[i] = the most the run's admitted tuples i.. could add.
+		n := len(sc.tuples)
+		sc.suffix = resized(sc.suffix, n+1)
+		for i := n - 1; i >= 0; i-- {
+			sc.suffix[i] = sc.suffix[i+1]
+			if sc.admits(&sc.tuples[i], r) {
+				sc.suffix[i] += sc.tuples[i].qc
+			}
+		}
+		docs := run.Docs()
+		if len(sc.run) < len(docs) {
+			sc.run = make([]candState, len(docs))
+		}
+		live, generating := 0, true // live counts the slots with ov > 0
+		for k := 0; k < n; k++ {
+			t := &sc.tuples[k]
+			if !sc.admits(t, r) {
+				continue
+			}
+			if generating && sc.suffix[k] < p.needMin {
+				// The rest cannot carry a new candidate past the bound, nor
+				// some of the old ones; the others need the finish pass.
+				generating = false
+				for _, ref := range sc.refs {
+					if st := &sc.run[ref]; st.ov > 0 && int(st.ov)+sc.suffix[k] < int(st.need) {
+						st.ov = -1
+						p.abandoned++
+						live--
+					}
+				}
+				if live > 0 {
+					w.finished++
+				}
+			}
+			if !generating && live == 0 {
+				break
+			}
+			list := run.Postings(t.lt)
+			w.scanned += int64(len(list))
+			for _, e := range list {
+				st := &sc.run[e.Ref]
+				if st.ov < 0 || st.ov == 0 && !generating {
+					continue
+				}
+				if st.ov == 0 {
+					sc.refs = append(sc.refs, e.Ref)
+					st.ov = -1 // until admitted
+					doc := docs[e.Ref]
+					if doc == NoDoc {
+						continue
+					}
+					size := int(f.docs[doc].size.Load())
+					if size < p.sizeLo || size > p.sizeHi {
+						p.prunedSize++
+						continue
+					}
+					*st = candState{size: int32(size), need: int32(profile.MinOverlap(p.qSize, size, p.tau))}
+					live++
+				}
+				st.ov += int32(min(e.Cnt, uint32(t.qc)))
+				if int(st.ov)+sc.suffix[k+1] < int(st.need) {
+					st.ov = -1
+					p.abandoned++
+					live--
+				}
+			}
+		}
+		w.probed++
+		for _, ref := range sc.refs {
+			if st := sc.run[ref]; st.ov > 0 {
+				p.examined++
+				if d := distanceFrom(p.qSize, int(st.size), int(st.ov)); d < p.tau {
+					out = append(out, Match{TreeID: f.docs[docs[ref]].id, Distance: d})
+				}
+			}
+		}
+		sc.resetRun()
+	}
+	w.candidates = p.examined
+	w.span.SetAttr("pruned_size", p.prunedSize)
+	w.span.SetAttr("pruned_abandon", p.abandoned)
 	return out
 }

@@ -73,6 +73,15 @@ func TestSpanAttrsMatchCounters(t *testing.T) {
 		{"tier pruned", tiered, forest.PlanPruned, lookup, "tier", tierAttrs},
 		{"tier exhaustive", tiered, forest.PlanExhaustive, lookup, "tier", tierAttrs},
 		{"tier top-k", tiered, forest.PlanAuto, topk, "tier", tierAttrs},
+		// The tier span carries its own share of the candidate accounting,
+		// so over every span the sums still meet the counters.
+		{"pruned with a tier", tiered, forest.PlanPruned, lookup, "", map[string]string{
+			"candidates":     "forest_lookup_candidates_examined",
+			"pruned_size":    "forest_lookup_pruned_size",
+			"pruned_abandon": "forest_lookup_pruned_abandon",
+		}},
+		{"exhaustive with a tier", tiered, forest.PlanExhaustive, lookup, "", map[string]string{"candidates": "forest_lookup_candidates_examined"}},
+		{"top-k with a tier", tiered, forest.PlanAuto, topk, "", map[string]string{"candidates": "forest_lookup_candidates_examined"}},
 	}
 	for _, tc := range cases {
 		col := obs.NewCollector()

@@ -14,40 +14,78 @@ import (
 )
 
 // fakeTier serves evicted bags straight from a map — the minimal Tier a
-// segmented store stands in for. It reports plausible TierStats (every
-// held document "probed", a bloom check per (doc, tuple) pair) so the
-// span and counter plumbing sees nonzero work.
+// segmented store stands in for. Tests put and delete bags directly; the
+// doc numbers come from Evict's swap callback (learn) or AddEvicted. Every
+// lookup sees the bags dealt round-robin over fakeRuns runs, each with a
+// dead copy of its first document, so the run-at-a-time planning, the
+// liveness table and filter false positives are all exercised.
 type fakeTier struct {
 	bags map[string]profile.Index
+	docs map[string]uint32
 }
 
-func newFakeTier() *fakeTier { return &fakeTier{bags: make(map[string]profile.Index)} }
+const fakeRuns = 3
 
-func (ft *fakeTier) Overlaps(q profile.Index) (map[string]int, forest.TierStats) {
-	ov := make(map[string]int)
-	var st forest.TierStats
-	for id, bag := range ft.bags {
-		st.SegmentsProbed++
-		o := 0
-		for lt, qc := range q {
-			st.BloomChecks++
-			dc, ok := bag[lt]
-			if !ok {
-				st.BloomSkips++
-				continue
-			}
-			st.PostingsScanned++
-			if dc < qc {
-				o += dc
-			} else {
-				o += qc
-			}
-		}
-		if o > 0 {
-			ov[id] = o
+func newFakeTier() *fakeTier {
+	return &fakeTier{bags: make(map[string]profile.Index), docs: make(map[string]uint32)}
+}
+
+// learn returns the Evict swap callback recording the doc numbers of ids.
+func (ft *fakeTier) learn(ids ...string) func([]uint32) {
+	return func(docs []uint32) {
+		for i, id := range ids {
+			ft.docs[id] = docs[i]
 		}
 	}
-	return ov, st
+}
+
+// fakeRun is one run of a fakeTier: posting lists over its own refs.
+type fakeRun struct {
+	docs []uint32
+	post map[profile.LabelTuple][]forest.RunPosting
+}
+
+func (r *fakeRun) add(doc uint32, bag profile.Index) {
+	ref := int32(len(r.docs))
+	r.docs = append(r.docs, doc)
+	for lt, c := range bag {
+		r.post[lt] = append(r.post[lt], forest.RunPosting{Ref: ref, Cnt: uint32(c)})
+	}
+}
+
+func (r *fakeRun) Docs() []uint32 { return r.docs }
+
+// MayContain is exact except for a deliberate false positive on every
+// eighth hash.
+func (r *fakeRun) MayContain(h1, _ uint64) bool {
+	_, ok := r.post[profile.LabelTuple(h1)]
+	return ok || h1%8 == 0
+}
+
+func (r *fakeRun) Postings(lt profile.LabelTuple) []forest.RunPosting { return r.post[lt] }
+
+func (ft *fakeTier) FilterHash(lt profile.LabelTuple) (h1, h2 uint64) { return uint64(lt), 0 }
+
+func (ft *fakeTier) AppendRuns(runs []forest.Run) []forest.Run {
+	ids := make([]string, 0, len(ft.bags))
+	for id := range ft.bags {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	first := len(runs)
+	for i, id := range ids {
+		if i < fakeRuns {
+			run := &fakeRun{post: make(map[profile.LabelTuple][]forest.RunPosting)}
+			run.add(forest.NoDoc, ft.bags[id])
+			runs = append(runs, run)
+		}
+		doc, ok := ft.docs[id]
+		if !ok {
+			panic("fakeTier: bag of " + id + " put without its doc number")
+		}
+		runs[first+i%fakeRuns].(*fakeRun).add(doc, ft.bags[id])
+	}
+	return runs
 }
 
 func (ft *fakeTier) Bag(id string) (profile.Index, bool) {
@@ -102,7 +140,7 @@ func tieredCopy(t *testing.T, docs []*tree.Tree) (resident, tiered *forest.Index
 			evicted = append(evicted, id)
 		}
 	}
-	if err := tiered.Evict(evicted, nil); err != nil {
+	if err := tiered.Evict(evicted, ft.learn(evicted...)); err != nil {
 		t.Fatal(err)
 	}
 	return resident, tiered, ft, evicted
@@ -167,7 +205,8 @@ func TestTierTopKDifferential(t *testing.T) {
 	for i, d := range docs {
 		id := fmt.Sprintf("doc%03d", i)
 		ft.bags[id] = profile.BuildIndex(d, p33)
-		if err := allEvicted.AddEvicted(id, ft.bags[id].Size(), len(ft.bags[id])); err != nil {
+		var err error
+		if ft.docs[id], err = allEvicted.AddEvicted(id, ft.bags[id].Size(), len(ft.bags[id])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +234,7 @@ func TestTierTopKDifferential(t *testing.T) {
 	if err := tiered.SelfCheck(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tiered.AddEvicted("late", 10, 5); err == nil || !strings.Contains(err.Error(), "metric index built") {
+	if _, err := tiered.AddEvicted("late", 10, 5); err == nil || !strings.Contains(err.Error(), "metric index built") {
 		t.Fatalf("AddEvicted after metric build: %v", err)
 	}
 }
@@ -331,9 +370,10 @@ func TestTierEvictPromote(t *testing.T) {
 
 	// And evict it again with a swap callback, round-tripping the bag.
 	swapped = false
-	if err := tiered.Evict([]string{"doc000"}, func() {
+	if err := tiered.Evict([]string{"doc000"}, func(docs []uint32) {
 		swapped = true
 		ft.bags["doc000"] = bag
+		ft.learn("doc000")(docs)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -369,14 +409,15 @@ func TestTierAddEvicted(t *testing.T) {
 		bag := profile.BuildIndex(d, p33)
 		ft.bags[id] = bag
 		epoch := tiered.Epoch()
-		if err := tiered.AddEvicted(id, bag.Size(), len(bag)); err != nil {
+		var err error
+		if ft.docs[id], err = tiered.AddEvicted(id, bag.Size(), len(bag)); err != nil {
 			t.Fatal(err)
 		}
 		if tiered.Epoch() == epoch {
 			t.Fatal("AddEvicted did not advance the epoch")
 		}
 	}
-	if err := tiered.AddEvicted("doc000", 1, 1); err == nil || !strings.Contains(err.Error(), "already indexed") {
+	if _, err := tiered.AddEvicted("doc000", 1, 1); err == nil || !strings.Contains(err.Error(), "already indexed") {
 		t.Fatalf("duplicate AddEvicted: %v", err)
 	}
 	if tiered.Len() != resident.Len() || tiered.Size() != resident.Size() {
@@ -430,26 +471,25 @@ func TestTierDetachedErrors(t *testing.T) {
 }
 
 // TestTierCounters verifies the tier read's work lands on the
-// forest_bloom_* and forest_tier_* counters when a collector is attached.
+// forest_bloom_* and forest_tier_* counters when a collector is attached,
+// from the accumulation of the exhaustive path and from the run-at-a-time
+// planning of the pruned one.
 func TestTierCounters(t *testing.T) {
 	docs := gen.XMarkForest(31, 12, 1200)
 	_, tiered, _, _ := tieredCopy(t, docs)
 	col := obs.NewCollector()
 	tiered.SetCollector(col)
-	tiered.SetPlanMode(forest.PlanExhaustive)
-	if got := tiered.Lookup(docs[0], 0.8); len(got) == 0 {
-		t.Fatal("lookup over the tier found nothing")
-	}
-	if col.Counter("forest_tier_segments_probed").Load() == 0 {
-		t.Fatal("forest_tier_segments_probed not incremented")
-	}
-	if col.Counter("forest_bloom_checks").Load() == 0 {
-		t.Fatal("forest_bloom_checks not incremented")
-	}
-	if col.Counter("forest_bloom_skips").Load() == 0 {
-		t.Fatal("forest_bloom_skips not incremented")
-	}
-	if col.Counter("forest_tier_postings_scanned").Load() == 0 {
-		t.Fatal("forest_tier_postings_scanned not incremented")
+	for _, mode := range []forest.PlanMode{forest.PlanExhaustive, forest.PlanPruned} {
+		tiered.SetPlanMode(mode)
+		before := col.Snapshot()
+		if got := tiered.Lookup(docs[0], 0.8); len(got) == 0 {
+			t.Fatalf("mode %v: lookup over the tier found nothing", mode)
+		}
+		deltas := col.Snapshot().CounterDeltas(before)
+		for _, name := range []string{"forest_tier_segments_probed", "forest_bloom_checks", "forest_bloom_skips", "forest_tier_postings_scanned"} {
+			if deltas[name] == 0 {
+				t.Errorf("mode %v: %s not incremented", mode, name)
+			}
+		}
 	}
 }

@@ -56,21 +56,26 @@ func bloomMix(x uint64) uint64 {
 	return x
 }
 
+// bloomHash derives the double-hashing pair of one fingerprint. It does
+// not depend on the filter, so a lookup hashes each query tuple once and
+// probes every segment's filter with the pair.
+func bloomHash(fp uint64) (h1, h2 uint64) {
+	h1 = bloomMix(fp)
+	return h1, bloomMix(h1) | 1
+}
+
 // add inserts one fingerprint.
 func (b *bloomFilter) add(fp uint64) {
-	h1 := bloomMix(fp)
-	h2 := bloomMix(h1) | 1
+	h1, h2 := bloomHash(fp)
 	for i := uint64(0); i < bloomHashes; i++ {
 		bit := (h1 + i*h2) % b.nbits
 		b.bits[bit>>6] |= 1 << (bit & 63)
 	}
 }
 
-// mayContain reports whether fp may have been added: false is exact,
-// true is probabilistic.
-func (b *bloomFilter) mayContain(fp uint64) bool {
-	h1 := bloomMix(fp)
-	h2 := bloomMix(h1) | 1
+// mayContain reports whether the fingerprint bloomHash hashed to (h1, h2)
+// may have been added: false is exact, true is probabilistic.
+func (b *bloomFilter) mayContain(h1, h2 uint64) bool {
 	for i := uint64(0); i < bloomHashes; i++ {
 		bit := (h1 + i*h2) % b.nbits
 		if b.bits[bit>>6]&(1<<(bit&63)) == 0 {

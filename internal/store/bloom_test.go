@@ -22,8 +22,42 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 			bf.add(keys[i])
 		}
 		for _, k := range keys {
-			if !bf.mayContain(k) {
+			if !bf.mayContain(bloomHash(k)) {
 				t.Fatalf("n=%d: false negative for key %016x", n, k)
+			}
+		}
+	}
+}
+
+// TestBloomHashedProbeMatchesUnsplit pins the hashed probe to the filter's
+// original definition — hash and probe in one function, re-hashing per
+// filter — on random keys, members and not: the split may not move a bit
+// position, or segments written before it would answer differently.
+func TestBloomHashedProbeMatchesUnsplit(t *testing.T) {
+	unsplit := func(b *bloomFilter, fp uint64) bool {
+		h1 := bloomMix(fp)
+		h2 := bloomMix(h1) | 1
+		for i := uint64(0); i < bloomHashes; i++ {
+			bit := (h1 + i*h2) % b.nbits
+			if b.bits[bit>>6]&(1<<(bit&63)) == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{1, 40, 3000} {
+		bf := newBloom(n)
+		for i := 0; i < n; i++ {
+			bf.add(rng.Uint64() % uint64(4*n))
+		}
+		for i := 0; i < 20000; i++ {
+			k := rng.Uint64() % uint64(4*n)
+			if i%2 == 0 {
+				k = rng.Uint64()
+			}
+			if got, want := bf.mayContain(bloomHash(k)), unsplit(bf, k); got != want {
+				t.Fatalf("n=%d key %016x: hashed probe says %v, the unsplit filter %v", n, k, got, want)
 			}
 		}
 	}
@@ -48,7 +82,7 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 		if member[k] {
 			continue
 		}
-		if bf.mayContain(k) {
+		if bf.mayContain(bloomHash(k)) {
 			fp++
 		}
 	}
@@ -65,7 +99,7 @@ func TestBloomEmptyAndClamp(t *testing.T) {
 		if len(bf.bits) < 1 {
 			t.Fatalf("newBloom(%d): %d words, want >= 1", n, len(bf.bits))
 		}
-		if bf.mayContain(12345) {
+		if bf.mayContain(bloomHash(12345)) {
 			t.Fatalf("newBloom(%d): empty filter claims membership", n)
 		}
 	}
@@ -106,7 +140,7 @@ func TestBloomMarshalRoundTrip(t *testing.T) {
 		}
 	}
 	for _, k := range keys {
-		if !got.mayContain(k) {
+		if !got.mayContain(bloomHash(k)) {
 			t.Fatalf("false negative after round trip: %016x", k)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"pqgram/internal/forest"
 	"pqgram/internal/fsio"
 	"pqgram/internal/gen"
+	"pqgram/internal/obs"
 	"pqgram/internal/profile"
 	"pqgram/internal/tree"
 )
@@ -28,9 +29,14 @@ func diffQueries(t *testing.T, tag string, seg, ref *forest.Index, queries []*tr
 		t.Fatalf("%s: %d docs vs %d", tag, seg.Len(), ref.Len())
 	}
 	for qi, q := range queries {
-		for _, tau := range []float64{0.3, 0.6, 0.9} {
-			if got, want := seg.Lookup(q, tau), ref.Lookup(q, tau); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: Lookup(q%d, %.1f) diverges:\n got %v\nwant %v", tag, qi, tau, got, want)
+		// The scripts stay below the collection size at which PlanAuto
+		// prunes, so the pruned path over segments is asked for by name.
+		for _, mode := range []forest.PlanMode{forest.PlanPruned, forest.PlanAuto} {
+			seg.SetPlanMode(mode)
+			for _, tau := range []float64{0.1, 0.3, 0.6, 0.9} {
+				if got, want := seg.Lookup(q, tau), ref.Lookup(q, tau); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: mode %v Lookup(q%d, %.1f) diverges:\n got %v\nwant %v", tag, mode, qi, tau, got, want)
+				}
 			}
 		}
 		if got, want := seg.LookupTop(q, 4), ref.LookupTop(q, 4); !reflect.DeepEqual(got, want) {
@@ -165,6 +171,130 @@ func TestSegmentedDifferential200(t *testing.T) {
 	}
 }
 
+// TestSegmentedClusteredDifferential is the differential at the scale the
+// per-run planning is built for: a corpus of near-duplicate clusters
+// flushed into several segments, then random replacements, removals and
+// updates, so that segments hold live, shadowed and deleted copies while
+// other documents sit in RAM. A segmented store must then answer every plan
+// mode, every threshold and top-k exactly like a store that never flushed.
+func TestSegmentedClusteredDifferential(t *testing.T) {
+	clusters, queries := 64, 64
+	if testing.Short() {
+		clusters, queries = 24, 12
+	}
+	const mates = 8
+	rng := rand.New(rand.NewSource(41))
+	seg, err := CreateSegmentedFS(fsio.NewMemFS(), "seg.pqg", p33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	seg.SetFlushThreshold(128)
+	ram, err := CreateSegmentedFS(fsio.NewMemFS(), "ram.pqg", p33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ram.Close()
+
+	docs := make(map[string]*tree.Tree)
+	var ids []string
+	put := func(id string, tr *tree.Tree) {
+		t.Helper()
+		for _, s := range []*Segmented{seg, ram} {
+			if _, err := s.Put(id, tr.Clone()); err != nil {
+				t.Fatalf("put %s: %v", id, err)
+			}
+		}
+		if docs[id] == nil {
+			ids = append(ids, id)
+		}
+		docs[id] = tr
+	}
+	for c := 0; c < clusters; c++ {
+		base := gen.DBLP(int64(c), 40+5*c)
+		if c%2 == 1 {
+			base = gen.XMark(int64(c), 40+5*c)
+		}
+		for m := 0; m < mates; m++ {
+			mate, _, err := gen.Perturb(rng, base, 1+m, gen.DefaultMix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			put(fmt.Sprintf("c%02d-m%d", c, m), mate)
+		}
+	}
+	for op := 0; op < len(ids)/2; op++ {
+		id := ids[rng.Intn(len(ids))]
+		switch r := rng.Intn(10); {
+		case docs[id] == nil:
+		case r < 3: // replace with another near-duplicate
+			mate, _, err := gen.Perturb(rng, docs[id], 2, gen.DefaultMix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			put(id, mate)
+		case r < 5:
+			for _, s := range []*Segmented{seg, ram} {
+				if err := s.Remove(id); err != nil {
+					t.Fatalf("remove %s: %v", id, err)
+				}
+			}
+			docs[id] = nil
+		default:
+			_, log, err := gen.RandomScript(rng, docs[id], 1+rng.Intn(4), gen.DefaultMix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []*Segmented{seg, ram} {
+				if _, err := s.Update(id, docs[id], log); err != nil {
+					t.Fatalf("update %s: %v", id, err)
+				}
+			}
+		}
+	}
+	if st := seg.Stats(); st.Segments < 2 || st.EvictedDocs == 0 || st.ResidentDocs == 0 || st.PendingTombstones == 0 {
+		t.Fatalf("the script left no mixed RAM/tier state: %+v", st)
+	}
+	if st := ram.Stats(); st.Segments != 0 {
+		t.Fatalf("the reference store flushed: %+v", st)
+	}
+	if err := seg.Forest().SelfCheck(); err != nil {
+		t.Fatal(err)
+	}
+
+	matches := 0
+	for qi := 0; qi < queries; qi++ {
+		id := ids[rng.Intn(len(ids))]
+		for docs[id] == nil {
+			id = ids[rng.Intn(len(ids))]
+		}
+		qt, _, err := gen.Perturb(rng, docs[id], 1+qi%5, gen.DefaultMix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := profile.BuildIndex(qt, p33)
+		for _, mode := range []forest.PlanMode{forest.PlanAuto, forest.PlanPruned, forest.PlanExhaustive} {
+			seg.Forest().SetPlanMode(mode)
+			ram.Forest().SetPlanMode(mode)
+			for _, tau := range []float64{0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0} {
+				got, want := seg.Forest().LookupIndex(q, tau), ram.Forest().LookupIndex(q, tau)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("q%d mode %v tau %v diverges:\n got %v\nwant %v", qi, mode, tau, got, want)
+				}
+				matches += len(got)
+			}
+			for _, k := range []int{1, 10} {
+				if got, want := seg.Forest().LookupIndexTopK(q, k), ram.Forest().LookupIndexTopK(q, k); !reflect.DeepEqual(got, want) {
+					t.Fatalf("q%d mode %v top-%d diverges:\n got %v\nwant %v", qi, mode, k, got, want)
+				}
+			}
+		}
+	}
+	if matches == 0 {
+		t.Fatal("no query matched anything")
+	}
+}
+
 // TestSegmentedBloomSkips proves the bloom pre-filter actually skips
 // segment probes for disjoint queries: a query sharing no tuples with a
 // flushed segment must record bloom skips and touch no postings.
@@ -186,14 +316,20 @@ func TestSegmentedBloomSkips(t *testing.T) {
 	// A single-node document with a label no XMark tree uses: its pq-gram
 	// tuples cannot appear in the segment, so every check must skip.
 	alien := tree.MustParse("zzz_alien_label")
-	out, st := s.Overlaps(profile.BuildIndex(alien, p33))
-	if len(out) != 0 {
-		t.Fatalf("alien query overlapped %v", out)
-	}
-	if st.BloomChecks == 0 || st.BloomSkips != st.BloomChecks {
-		t.Fatalf("expected all %d bloom checks to skip, got %d skips", st.BloomChecks, st.BloomSkips)
-	}
-	if st.SegmentsProbed != 0 || st.PostingsScanned != 0 {
-		t.Fatalf("alien query probed segments anyway: %+v", st)
+	col := obs.NewCollector()
+	s.SetCollector(col)
+	for _, mode := range []forest.PlanMode{forest.PlanExhaustive, forest.PlanPruned} {
+		s.Forest().SetPlanMode(mode)
+		before := col.Snapshot()
+		if out := s.Forest().Lookup(alien, 0.9); len(out) != 0 {
+			t.Fatalf("mode %v: alien query matched %v", mode, out)
+		}
+		d := col.Snapshot().CounterDeltas(before)
+		if d["forest_bloom_checks"] == 0 || d["forest_bloom_skips"] != d["forest_bloom_checks"] {
+			t.Fatalf("mode %v: expected all %d bloom checks to skip, got %d skips", mode, d["forest_bloom_checks"], d["forest_bloom_skips"])
+		}
+		if d["forest_tier_segments_probed"] != 0 || d["forest_tier_postings_scanned"] != 0 {
+			t.Fatalf("mode %v: alien query probed segments anyway: %v", mode, d)
+		}
 	}
 }

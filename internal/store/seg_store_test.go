@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -251,8 +252,10 @@ func TestSegmentedMetrics(t *testing.T) {
 }
 
 // TestSegmentedTierSpans: with tracing on, a lookup over segment-served
-// documents produces forest spans that carry the tier's bloom and probe
-// counters (the forest_bloom_* / tier counter plumbing end to end).
+// documents produces a forest "tier" span carrying the tier's bloom and
+// probe work, mirrored on the forest_bloom_* / forest_tier_* counters, and
+// says how many runs the pruned path abandoned unread and how many needed
+// the finish pass.
 func TestSegmentedTierSpans(t *testing.T) {
 	fs := fsio.NewMemFS()
 	s, err := CreateSegmentedFS(fs, "idx.pqg", p33)
@@ -260,25 +263,110 @@ func TestSegmentedTierSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for i := 0; i < 6; i++ {
-		if err := s.Add(fmt.Sprintf("doc-%d", i), gen.XMark(int64(i), 25)); err != nil {
+	// Three segments: two of near-duplicates of one document each, one of
+	// an unrelated label vocabulary that a lookup for the first must
+	// abandon on the bloom mass bound.
+	for seg, base := range []*tree.Tree{gen.XMark(1, 60), gen.XMark(2, 60), tree.MustParse("k(l(m n) o(p) q)")} {
+		for i := 0; i < 6; i++ {
+			if err := s.Add(fmt.Sprintf("doc-%d-%d", seg, i), base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	col := obs.NewCollector()
+	tr := obs.NewTracer(1, 4)
+	col.SetTracer(tr)
+	s.SetCollector(col)
+	s.Forest().SetPlanMode(forest.PlanPruned)
+	if ms := s.Forest().Lookup(gen.XMark(1, 60), 0.3); len(ms) != 6 {
+		t.Fatalf("lookup found %v, want the six copies", ms)
+	}
+	snap := col.Snapshot()
+	traces := tr.RecentTraces(1)
+	if len(traces) != 1 {
+		t.Fatalf("%d traces published, want 1", len(traces))
+	}
+	var tier *obs.SpanSnapshot
+	for i, c := range traces[0].Root.Children {
+		if c.Name == "tier" {
+			tier = &traces[0].Root.Children[i]
+		}
+	}
+	if tier == nil {
+		t.Fatalf("no tier span under %+v", traces[0].Root)
+	}
+	for attr, counter := range map[string]string{
+		"segments_probed":  "forest_tier_segments_probed",
+		"bloom_checks":     "forest_bloom_checks",
+		"bloom_skips":      "forest_bloom_skips",
+		"postings_scanned": "forest_tier_postings_scanned",
+	} {
+		if tier.Attrs[attr] == 0 || tier.Attrs[attr] != snap.Counters[counter] {
+			t.Errorf("tier span %s = %d, counter %s = %d; want equal and nonzero", attr, tier.Attrs[attr], counter, snap.Counters[counter])
+		}
+	}
+	if got := tier.Attrs["runs_pruned"]; got < 1 || got+tier.Attrs["segments_probed"] != 3 {
+		t.Errorf("runs_pruned = %d with segments_probed = %d over 3 segments", got, tier.Attrs["segments_probed"])
+	}
+	if got := tier.Attrs["runs_finished"]; got < 1 || got > tier.Attrs["segments_probed"] {
+		t.Errorf("runs_finished = %d with segments_probed = %d", got, tier.Attrs["segments_probed"])
+	}
+	if tier.Attrs["candidates"] != 6 {
+		t.Errorf("tier candidates = %d, want 6", tier.Attrs["candidates"])
+	}
+}
+
+// TestSegmentedRemovedNumberReused: removing a flushed document frees its
+// doc number, and the next registration inherits it. The segment copy must
+// be dead by then, or a lookup credits the newcomer with the removed
+// document's postings.
+func TestSegmentedRemovedNumberReused(t *testing.T) {
+	s, err := CreateSegmentedFS(fsio.NewMemFS(), "idx.pqg", p33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ref := forest.New(p33)
+	base := gen.XMark(5, 60)
+	for i := 0; i < 4; i++ {
+		id := fmt.Sprintf("dup-%d", i)
+		if err := s.Add(id, base); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Add(id, base); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	col := obs.NewCollector()
-	s.SetCollector(col)
-	if ms := s.Forest().Lookup(gen.XMark(0, 25), 0.8); len(ms) == 0 {
-		t.Fatal("lookup found nothing")
+	if err := s.Remove("dup-2"); err != nil {
+		t.Fatal(err)
 	}
-	snap := col.Snapshot()
-	if snap.Counters["forest_tier_segments_probed"] == 0 {
-		t.Fatalf("no segments probed: %v", snap.Counters)
+	if err := ref.Remove("dup-2"); err != nil {
+		t.Fatal(err)
 	}
-	if snap.Counters["forest_bloom_checks"] == 0 {
-		t.Fatalf("no bloom checks recorded: %v", snap.Counters)
+	stranger := tree.MustParse("k(l(m n) o(p) q)")
+	if _, err := s.Put("stranger", stranger); err != nil {
+		t.Fatal(err)
+	}
+	ref.Put("stranger", stranger)
+	for _, mode := range []forest.PlanMode{forest.PlanPruned, forest.PlanExhaustive} {
+		s.Forest().SetPlanMode(mode)
+		for _, tau := range []float64{0.2, 1, 1.5} {
+			if got, want := s.Forest().Lookup(base, tau), ref.Lookup(base, tau); !reflect.DeepEqual(got, want) {
+				t.Fatalf("mode %v tau %v:\n got %v\nwant %v", mode, tau, got, want)
+			}
+		}
+		if got, want := s.Forest().LookupTop(base, 4), ref.LookupTop(base, 4); !reflect.DeepEqual(got, want) {
+			t.Fatalf("mode %v top-4:\n got %v\nwant %v", mode, got, want)
+		}
+	}
+	if err := s.Forest().SelfCheck(); err != nil {
+		t.Fatal(err)
 	}
 }
 

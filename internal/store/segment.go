@@ -38,9 +38,12 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
+	"pqgram/internal/forest"
 	"pqgram/internal/fsio"
 	"pqgram/internal/profile"
 )
@@ -94,21 +97,25 @@ type segFence struct {
 }
 
 // segPosting is one decoded posting-list entry: a doc-table index and the
-// tuple's count in that document.
-type segPosting struct {
-	ref int32
-	cnt uint32
-}
+// tuple's count in that document — the forest's run posting, so decoded
+// lists reach the lookup paths as they are.
+type segPosting = forest.RunPosting
 
-// segBlock is one decoded posting block.
+// segBlock is one decoded posting block: the posting list of tuples[i] is
+// entries[starts[i]:starts[i+1]]. Decoded blocks stay cached for the life
+// of the segment, so the form is the compact one.
 type segBlock struct {
-	tuples []uint64
-	lists  [][]segPosting
+	tuples  []uint64
+	starts  []uint32
+	entries []segPosting
 }
 
-// segment is an open, verified segment file. The metadata fields are
-// immutable after openSegment; positioned reads of bags and posting
-// blocks are serialized by mu.
+func (b *segBlock) list(i int) []segPosting { return b.entries[b.starts[i]:b.starts[i+1]] }
+
+// segment is an open, verified segment file, and one run of the forest's
+// storage tier (forest.Run). The metadata fields are immutable after
+// openSegment; positioned reads of bags and posting blocks are serialized
+// by mu.
 type segment struct {
 	fs   fsio.FS
 	path string
@@ -120,6 +127,13 @@ type segment struct {
 	byID  map[string]int
 	tombs []string
 
+	// docOf maps each doc-table index to the forest's doc number of the
+	// document it serves, forest.NoDoc for a copy that is shadowed by a
+	// newer segment, deleted or promoted. RAM only: rebuilt at open, then
+	// written only inside the forest's swap callbacks, under its registry
+	// write lock — which is what lets lookups use it unlocked.
+	docOf []uint32 // guarded by Segmented.mu
+
 	fences []segFence
 	bloom  *bloomFilter
 
@@ -127,9 +141,9 @@ type segment struct {
 	postsOff int64
 
 	mu    sync.Mutex
-	f     fsio.File         // guarded by mu
-	cache map[int]*segBlock // guarded by mu
-	order []int             // guarded by mu; FIFO eviction order of cache keys
+	f     fsio.File                  // guarded by mu
+	cache []atomic.Pointer[segBlock] // decoded blocks by block index; read lock-free, filled and evicted under mu
+	order []int                      // guarded by mu; FIFO eviction order of the cached block indexes
 }
 
 // --- counting checksum streams ---------------------------------------
@@ -217,7 +231,7 @@ func writeSegment(fsys fsio.FS, path string, pr profile.Params, seq uint64, docs
 	for i, d := range docs {
 		encodeBag(&bagBufs[i], d.bag, scratch)
 		for lt, cnt := range d.bag {
-			postings[uint64(lt)] = append(postings[uint64(lt)], segPosting{ref: int32(i), cnt: uint32(cnt)})
+			postings[uint64(lt)] = append(postings[uint64(lt)], segPosting{Ref: int32(i), Cnt: uint32(cnt)})
 		}
 	}
 	tuples := make([]uint64, 0, len(postings))
@@ -254,9 +268,9 @@ func writeSegment(fsys fsio.FS, path string, pr profile.Params, seq uint64, docs
 			putUvarint(&blocks, uint64(len(list)))
 			prevRef := uint64(0)
 			for _, pe := range list {
-				putUvarint(&blocks, uint64(pe.ref)-prevRef)
-				prevRef = uint64(pe.ref)
-				putUvarint(&blocks, uint64(pe.cnt))
+				putUvarint(&blocks, uint64(pe.Ref)-prevRef)
+				prevRef = uint64(pe.Ref)
+				putUvarint(&blocks, uint64(pe.Cnt))
 			}
 		}
 		fences = append(fences, fence{first: tuples[start], off: off, n: int64(blocks.Len()) - off})
@@ -570,6 +584,11 @@ func parseSegment(fsys fsio.FS, fh fsio.File, path string, pr profile.Params, se
 		return nil, fmt.Errorf("store: segment %s: checksum mismatch: file %08x, computed %08x", path, wantCRC, got)
 	}
 
+	// No copy is live until the store says which document it serves.
+	docOf := make([]uint32, len(docs))
+	for i := range docOf {
+		docOf[i] = forest.NoDoc
+	}
 	return &segment{
 		fs:       fsys,
 		path:     path,
@@ -577,6 +596,7 @@ func parseSegment(fsys fsio.FS, fh fsio.File, path string, pr profile.Params, se
 		crc:      wantCRC,
 		size:     size,
 		docs:     docs,
+		docOf:    docOf,
 		byID:     byID,
 		tombs:    tombs,
 		fences:   fences,
@@ -584,7 +604,7 @@ func parseSegment(fsys fsio.FS, fh fsio.File, path string, pr profile.Params, se
 		bagsOff:  bagsOff,
 		postsOff: postsOff,
 		f:        fh,
-		cache:    make(map[int]*segBlock),
+		cache:    make([]atomic.Pointer[segBlock], len(fences)),
 	}, nil
 }
 
@@ -676,9 +696,12 @@ func (s *segment) bag(ref int) (profile.Index, error) {
 
 // block returns decoded posting block bi through the FIFO block cache.
 func (s *segment) block(bi int) (*segBlock, error) {
+	if b := s.cache[bi].Load(); b != nil {
+		return b, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b, ok := s.cache[bi]; ok {
+	if b := s.cache[bi].Load(); b != nil {
 		return b, nil
 	}
 	fe := s.fences[bi]
@@ -693,12 +716,11 @@ func (s *segment) block(bi int) (*segBlock, error) {
 	if len(b.tuples) == 0 || b.tuples[0] != fe.first {
 		return nil, fmt.Errorf("store: segment %s: block %d does not start at its fence tuple", s.path, bi)
 	}
-	if len(s.cache) >= segBlockCacheCap {
-		oldest := s.order[0]
+	if len(s.order) >= segBlockCacheCap {
+		s.cache[s.order[0]].Store(nil)
 		s.order = s.order[1:]
-		delete(s.cache, oldest)
 	}
-	s.cache[bi] = b
+	s.cache[bi].Store(b)
 	s.order = append(s.order, bi)
 	return b, nil
 }
@@ -706,12 +728,11 @@ func (s *segment) block(bi int) (*segBlock, error) {
 func decodeBlock(buf []byte, numDocs int) (*segBlock, error) {
 	br := bytes.NewReader(buf)
 	b := &segBlock{}
-	// All posting entries land in one backing array; the per-tuple lists
-	// become views into it once decoding is done. A block is decoded on
-	// every cache miss of every probe, so the allocation count matters
-	// more here than anywhere else in the read path.
+	// All posting entries land in one backing array, the per-tuple lists
+	// are views into it. A block is decoded on every cache miss of every
+	// probe, so the allocation count matters more here than anywhere else
+	// in the read path.
 	var entries []segPosting
-	var starts []int
 	prevT := uint64(0)
 	for br.Len() > 0 {
 		if len(b.tuples) >= segBlockTuples {
@@ -732,7 +753,7 @@ func decodeBlock(buf []byte, numDocs int) (*segBlock, error) {
 		if listLen == 0 || listLen > uint64(numDocs) {
 			return nil, fmt.Errorf("posting list length %d out of range", listLen)
 		}
-		starts = append(starts, len(entries))
+		b.starts = append(b.starts, uint32(len(entries)))
 		prevRef := uint64(0)
 		for j := uint64(0); j < listLen; j++ {
 			rd, err := binary.ReadUvarint(br)
@@ -753,18 +774,12 @@ func decodeBlock(buf []byte, numDocs int) (*segBlock, error) {
 			if cnt == 0 {
 				return nil, fmt.Errorf("zero count")
 			}
-			entries = append(entries, segPosting{ref: int32(prevRef), cnt: uint32(cnt)})
+			entries = append(entries, segPosting{Ref: int32(prevRef), Cnt: uint32(cnt)})
 		}
 		b.tuples = append(b.tuples, prevT)
 	}
-	b.lists = make([][]segPosting, len(b.tuples))
-	for i := range b.lists {
-		end := len(entries)
-		if i+1 < len(starts) {
-			end = starts[i+1]
-		}
-		b.lists[i] = entries[starts[i]:end:end]
-	}
+	b.starts = append(b.starts, uint32(len(entries)))
+	b.entries = slices.Clone(entries) // drop append's spare capacity
 	return b, nil
 }
 
@@ -783,41 +798,40 @@ func (s *segment) fenceFor(lt uint64) int {
 	return lo - 1
 }
 
-// probeBatch looks up a sorted slice of tuple fingerprints and calls hit
-// for each one present, with the decoded posting list. The monotone fence
-// cursor plus the block cache means each needed block is decoded at most
-// once per batch even when the cache is cold.
-func (s *segment) probeBatch(sorted []uint64, hit func(lt uint64, list []segPosting)) (scanned int64, err error) {
-	bi := -1
-	var blk *segBlock
-	for _, lt := range sorted {
-		fi := s.fenceFor(lt)
-		if fi < 0 {
-			continue
-		}
-		if fi != bi {
-			blk, err = s.block(fi)
-			if err != nil {
-				return scanned, err
-			}
-			bi = fi
-		}
-		// Binary search lt within the block.
-		lo, hi := 0, len(blk.tuples)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if blk.tuples[mid] < lt {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(blk.tuples) && blk.tuples[lo] == lt {
-			scanned += int64(len(blk.lists[lo]))
-			hit(lt, blk.lists[lo])
+// Docs implements forest.Run.
+func (s *segment) Docs() []uint32 {
+	//pqlint:allow lockcheck the forest calls this under its registry read lock, and the table changes only inside the swap callbacks of Evict, Promote and RemoveSwap, which hold the registry write lock
+	return s.docOf
+}
+
+// MayContain implements forest.Run over the segment's bloom filter.
+func (s *segment) MayContain(h1, h2 uint64) bool { return s.bloom.mayContain(h1, h2) }
+
+// Postings implements forest.Run: fence index, then the block through the
+// cache, then a binary search within it — spelled out, because this is the
+// hottest call of a tier lookup and slices.BinarySearch is not inlined. It
+// panics on a read failure (see the package comment).
+func (s *segment) Postings(lt profile.LabelTuple) []segPosting {
+	fi := s.fenceFor(uint64(lt))
+	if fi < 0 {
+		return nil
+	}
+	blk, err := s.block(fi)
+	if err != nil {
+		panic(fmt.Sprintf("store: segment %s: unrecoverable read during lookup: %v", s.path, err))
+	}
+	lo, hi := 0, len(blk.tuples)
+	for lo < hi {
+		if mid := (lo + hi) / 2; blk.tuples[mid] < uint64(lt) {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return scanned, nil
+	if lo < len(blk.tuples) && blk.tuples[lo] == uint64(lt) {
+		return blk.list(lo)
+	}
+	return nil
 }
 
 // forEachPosting iterates every posting block in ascending tuple order.
@@ -828,7 +842,7 @@ func (s *segment) forEachPosting(fn func(lt uint64, list []segPosting) error) er
 			return err
 		}
 		for i, lt := range blk.tuples {
-			if err := fn(lt, blk.lists[i]); err != nil {
+			if err := fn(lt, blk.list(i)); err != nil {
 				return err
 			}
 		}

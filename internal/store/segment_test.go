@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"testing"
 
+	"pqgram/internal/forest"
 	"pqgram/internal/fsio"
 	"pqgram/internal/gen"
 	"pqgram/internal/profile"
@@ -98,28 +98,21 @@ func TestSegmentRoundTrip(t *testing.T) {
 			t.Fatalf("doc meta %d: %+v", ref, sg.docs[ref])
 		}
 		for lt, c := range d.bag {
-			union[uint64(lt)] = append(union[uint64(lt)], segPosting{ref: int32(ref), cnt: uint32(c)})
+			union[uint64(lt)] = append(union[uint64(lt)], segPosting{Ref: int32(ref), Cnt: uint32(c)})
 		}
 	}
 
 	// Bloom: every stored tuple must pass.
 	for lt := range union {
-		if !sg.bloom.mayContain(lt) {
+		if !sg.MayContain(bloomHash(lt)) {
 			t.Fatalf("bloom false negative for stored tuple %016x", lt)
 		}
 	}
 
-	// Probe every stored tuple in one sorted batch and compare the posting
-	// lists (ref-ascending within a tuple, by construction).
-	tuples := make([]uint64, 0, len(union))
-	for lt := range union {
-		tuples = append(tuples, lt)
-	}
-	sort.Slice(tuples, func(i, j int) bool { return tuples[i] < tuples[j] })
-	seen := make(map[uint64]int)
-	_, err = sg.probeBatch(tuples, func(lt uint64, list []segPosting) {
-		seen[lt] = len(list)
-		want := union[lt]
+	// Probe every stored tuple and compare the posting lists
+	// (ref-ascending within a tuple, by construction).
+	for lt, want := range union {
+		list := sg.Postings(profile.LabelTuple(lt))
 		if len(list) != len(want) {
 			t.Fatalf("tuple %016x: %d postings, want %d", lt, len(list), len(want))
 		}
@@ -128,12 +121,6 @@ func TestSegmentRoundTrip(t *testing.T) {
 				t.Fatalf("tuple %016x entry %d: %+v, want %+v", lt, i, list[i], want[i])
 			}
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != len(union) {
-		t.Fatalf("probe visited %d tuples, want %d", len(seen), len(union))
 	}
 
 	// Full enumeration visits exactly the union, in ascending tuple order.
@@ -156,13 +143,17 @@ func TestSegmentRoundTrip(t *testing.T) {
 		t.Fatalf("forEachPosting visited %d tuples, want %d", enumerated, len(union))
 	}
 
-	// Probing tuples the segment does not hold must hit nothing and not error.
-	if _, err := sg.probeBatch([]uint64{0, ^uint64(0)}, func(lt uint64, _ []segPosting) {
-		if _, ok := union[lt]; !ok {
+	// Probing tuples the segment does not hold must hit nothing; no copy
+	// is live until the store says so.
+	for _, lt := range []uint64{0, ^uint64(0)} {
+		if _, ok := union[lt]; !ok && sg.Postings(profile.LabelTuple(lt)) != nil {
 			t.Fatalf("probe surfaced absent tuple %016x", lt)
 		}
-	}); err != nil {
-		t.Fatal(err)
+	}
+	for ref, doc := range sg.Docs() {
+		if doc != forest.NoDoc {
+			t.Fatalf("ref %d live (doc %d) in a segment no store published", ref, doc)
+		}
 	}
 }
 

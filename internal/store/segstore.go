@@ -43,12 +43,13 @@
 // Mutating methods (Add, AddAll, Put, Remove, Update, Flush, Compact)
 // must be serialized by the caller; lookups through the forest are
 // concurrent with them. The store is the forest's storage tier
-// (forest.Tier): Overlaps, Bag and ForEachPosting are called by the
-// forest with its registry lock held, read only the immutable segments
-// under the store's read lock, and panic on a read failure — a
-// checksummed immutable file failing mid-read after its open-time
-// verification means the storage itself is gone, and fabricating an
-// empty answer would silently corrupt query results.
+// (forest.Tier) and its open segments are the tier's runs (forest.Run):
+// the forest reads them with its registry lock held, they touch only the
+// immutable segment files and each segment's RAM-only table of the doc
+// numbers it serves, and they panic on a read failure — a checksummed
+// immutable file failing mid-read after its open-time verification means
+// the storage itself is gone, and fabricating an empty answer would
+// silently corrupt query results.
 package store
 
 import (
@@ -57,6 +58,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -236,9 +238,10 @@ func OpenSegmentedFS(fsys fsio.FS, path string) (*Segmented, error) {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	for _, id := range ids {
+	docs := make([]uint32, len(ids))
+	for i, id := range ids {
 		d := loc[id].seg.docs[loc[id].ref]
-		if err := f.AddEvicted(id, d.size, d.distinct); err != nil {
+		if docs[i], err = f.AddEvicted(id, d.size, d.distinct); err != nil {
 			closeSegs()
 			return nil, err
 		}
@@ -249,6 +252,12 @@ func OpenSegmentedFS(fsys fsio.FS, path string) (*Segmented, error) {
 		segs: segs, loc: loc, tombs: make(map[string]bool), dirty: make(map[string]bool),
 		nextSeq: man.nextSeq, manCRC: manCRC,
 	}
+	s.mu.Lock()
+	for i, id := range ids {
+		l := loc[id]
+		l.seg.docOf[l.ref] = docs[i]
+	}
+	s.mu.Unlock()
 	f.SetTier(s)
 	// Retry the removal of segments a previous compaction superseded; the
 	// files are invisible to recovery either way.
@@ -427,22 +436,21 @@ func (s *Segmented) Remove(id string) error {
 }
 
 // removeApplied applies a removal whose journal record is already
-// durable: drop the forest entry, then the tier location (with a
-// tombstone, if a segment holds a copy). Lookups racing the two steps can
-// see the tier serve an id the registry no longer has; every query path
-// nil-guards that.
+// durable: drop the forest entry and, under the same registry write lock,
+// the tier location (marking the segment copy dead and tombstoning it, if
+// a segment holds one). The removal frees the document's doc number for
+// the next registration, so no lookup may run between the two steps.
 func (s *Segmented) removeApplied(id string) error {
-	if err := s.forest.Remove(id); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if _, ok := s.loc[id]; ok {
-		delete(s.loc, id)
-		s.tombs[id] = true
-	}
-	delete(s.dirty, id)
-	s.mu.Unlock()
-	return nil
+	return s.forest.RemoveSwap(id, func() {
+		s.mu.Lock()
+		if l, ok := s.loc[id]; ok {
+			l.seg.docOf[l.ref] = forest.NoDoc
+			delete(s.loc, id)
+			s.tombs[id] = true
+		}
+		delete(s.dirty, id)
+		s.mu.Unlock()
+	})
 }
 
 // Put replaces a document, journaling a removal (if the id is indexed)
@@ -496,9 +504,9 @@ func (s *Segmented) Update(id string, tn *tree.Tree, log edit.Log) (core.Stats, 
 }
 
 // promoteIfEvicted pulls a flushed document's bag out of its segment and
-// back into the memtable, tombstoning the segment copy under the same
-// registry write lock (forest.Promote's swap callback) so no lookup can
-// count the document twice.
+// back into the memtable, marking the segment copy dead and tombstoning it
+// under the same registry write lock (forest.Promote's swap callback) so
+// no lookup can count the document twice.
 func (s *Segmented) promoteIfEvicted(id string) error {
 	s.mu.RLock()
 	l, ok := s.loc[id]
@@ -512,6 +520,7 @@ func (s *Segmented) promoteIfEvicted(id string) error {
 	}
 	return s.forest.Promote(id, bag, func() {
 		s.mu.Lock()
+		l.seg.docOf[l.ref] = forest.NoDoc
 		delete(s.loc, id)
 		s.tombs[id] = true
 		s.dirty[id] = true
@@ -624,8 +633,9 @@ func (s *Segmented) Flush() error {
 		}
 		return err // old manifest + intact journal: nothing lost
 	}
-	if err := s.forest.Evict(ids, func() {
+	if err := s.forest.Evict(ids, func(docs []uint32) {
 		s.mu.Lock()
+		sg.docOf = docs // the doc table is ids, in order
 		s.segs = append(s.segs, sg)
 		for i, id := range ids {
 			s.loc[id] = segLoc{seg: sg, ref: i}
@@ -741,7 +751,7 @@ func (s *Segmented) Compact() error {
 		}
 		return err
 	}
-	if err := s.forest.Evict(resident, func() {
+	if err := s.forest.Evict(resident, func(docs []uint32) {
 		s.mu.Lock()
 		for _, og := range oldSegs {
 			// Read-only handles of superseded files; their content is
@@ -749,12 +759,22 @@ func (s *Segmented) Compact() error {
 			og.close() //pqlint:allow errcheck-durability read-only handle of a superseded segment; its content is in the new one
 		}
 		s.segs = nil
-		s.loc = make(map[string]segLoc, len(all))
 		if sg != nil {
 			s.segs = []*segment{sg}
+			// A document keeps its doc number: the resident ones report
+			// theirs, the evicted ones' are in the tables being retired.
 			for i, id := range all {
-				s.loc[id] = segLoc{seg: sg, ref: i}
+				if j, ok := slices.BinarySearch(resident, id); ok {
+					sg.docOf[i] = docs[j]
+				} else {
+					l := s.loc[id]
+					sg.docOf[i] = l.seg.docOf[l.ref]
+				}
 			}
+		}
+		s.loc = make(map[string]segLoc, len(all))
+		for i, id := range all {
+			s.loc[id] = segLoc{seg: sg, ref: i}
 		}
 		s.tombs = make(map[string]bool)
 		s.dirty = make(map[string]bool)
@@ -839,78 +859,18 @@ func addPayload(id string, bag profile.Index) []byte {
 
 // --- the forest.Tier implementation ------------------------------------
 
-// Overlaps implements forest.Tier: the overlap of the query bag with
-// every live evicted document, accumulated per segment with a bloom
-// pre-filter and batched, fence-guided block probes. Called by the forest
-// with its registry lock held; panics on a segment read failure (see the
-// package comment).
-func (s *Segmented) Overlaps(q profile.Index) (map[string]int, forest.TierStats) {
-	var st forest.TierStats
+// AppendRuns implements forest.Tier: the live segments.
+func (s *Segmented) AppendRuns(dst []forest.Run) []forest.Run {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if len(s.segs) == 0 || len(q) == 0 {
-		return nil, st
-	}
-	tuples := make([]uint64, 0, len(q))
-	for lt := range q {
-		tuples = append(tuples, uint64(lt))
-	}
-	sort.Slice(tuples, func(i, j int) bool { return tuples[i] < tuples[j] })
-	out := make(map[string]int)
-	passed := make([]uint64, 0, len(tuples))
-	var ovs []int // per-ref overlap accumulator, reused across segments
 	for _, sg := range s.segs {
-		passed = passed[:0]
-		for _, lt := range tuples {
-			st.BloomChecks++
-			if sg.bloom.mayContain(lt) {
-				passed = append(passed, lt)
-			} else {
-				st.BloomSkips++
-			}
-		}
-		if len(passed) == 0 {
-			continue
-		}
-		st.SegmentsProbed++
-		// Accumulate by integer doc ref first — the per-tuple inner loop
-		// is the hottest code in a tier lookup, and hashing the id string
-		// there (instead of once per overlapping doc below) dominates it.
-		if cap(ovs) < len(sg.docs) {
-			ovs = make([]int, len(sg.docs))
-		} else {
-			ovs = ovs[:len(sg.docs)]
-			for i := range ovs {
-				ovs[i] = 0
-			}
-		}
-		scanned, err := sg.probeBatch(passed, func(lt uint64, list []segPosting) {
-			qc := q[profile.LabelTuple(lt)]
-			for _, pe := range list {
-				ov := int(pe.cnt)
-				if ov > qc {
-					ov = qc
-				}
-				ovs[pe.ref] += ov
-			}
-		})
-		st.PostingsScanned += scanned
-		if err != nil {
-			panic(fmt.Sprintf("store: segment %s: unrecoverable read during lookup: %v", sg.path, err))
-		}
-		for ref, ov := range ovs {
-			if ov == 0 {
-				continue
-			}
-			id := sg.docs[ref].id
-			if l, ok := s.loc[id]; !ok || l.seg != sg {
-				continue // shadowed by a newer segment, deleted, or promoted
-			}
-			out[id] += ov
-		}
+		dst = append(dst, sg)
 	}
-	return out, st
+	return dst
 }
+
+// FilterHash implements forest.Tier with the segments' bloom hash.
+func (s *Segmented) FilterHash(lt profile.LabelTuple) (h1, h2 uint64) { return bloomHash(uint64(lt)) }
 
 // Bag implements forest.Tier: a fresh copy of one evicted document's bag.
 // Panics on a segment read failure.
@@ -964,12 +924,12 @@ func (s *Segmented) ForEachPosting(fn func(lt profile.LabelTuple, entries []fore
 			if c.blk.tuples[c.ti] != lo {
 				continue
 			}
-			for _, pe := range c.blk.lists[c.ti] {
-				id := c.seg.docs[pe.ref].id
+			for _, pe := range c.blk.list(c.ti) {
+				id := c.seg.docs[pe.Ref].id
 				if l, ok := s.loc[id]; !ok || l.seg != c.seg {
 					continue
 				}
-				entries = append(entries, forest.TierPosting{ID: id, Cnt: int(pe.cnt)})
+				entries = append(entries, forest.TierPosting{ID: id, Cnt: int(pe.Cnt)})
 			}
 		}
 		if len(entries) > 0 {
