@@ -12,16 +12,15 @@
 GO      ?= go
 FUZZTIME ?= 5s
 
-# Coverage floors of the gate below: the measured baseline at the time
-# the gate was added (forest 84.6%, profile 88.0%, obs 93.5%, serve
-# 84.4%, store 84.0%), minus a small slack so unrelated refactors don't
-# trip it. Raise them when coverage rises; never lower them to make a
-# change pass.
-COVER_FLOOR_FOREST  ?= 80
-COVER_FLOOR_PROFILE ?= 84
-COVER_FLOOR_OBS     ?= 85
+# Coverage floors of the gate below: the last measured figures (forest
+# 91.7%, profile 94.7%, obs 93.5%, serve 84.6%, store 89.8%) minus 4
+# points of slack so unrelated refactors don't trip it. Raise them when
+# coverage rises; never lower them to make a change pass.
+COVER_FLOOR_FOREST  ?= 87
+COVER_FLOOR_PROFILE ?= 90
+COVER_FLOOR_OBS     ?= 89
 COVER_FLOOR_SERVE   ?= 80
-COVER_FLOOR_STORE   ?= 80
+COVER_FLOOR_STORE   ?= 85
 
 .PHONY: check fmt-check lint vet build test race fuzz cover bench bench-smoke bench-check
 
@@ -62,12 +61,12 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/tree
-	$(GO) test -run='^$$' -fuzz=FuzzDistanceMetric -fuzztime=$(FUZZTIME) ./internal/profile
+	$(GO) test -run='^$$' -fuzz=FuzzDistance -fuzztime=$(FUZZTIME) ./internal/profile
 	$(GO) test -run='^$$' -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) ./internal/serve
 
 # Coverage gate: the packages that carry the correctness arguments
-# (distance algebra, lookup planning, the metric index, the serving
-# tier) must not slip below their recorded floors.
+# (distance algebra, lookup planning, the serving tier, the store) must
+# not slip below their recorded floors.
 cover:
 	@set -e; \
 	for spec in internal/forest:$(COVER_FLOOR_FOREST) internal/profile:$(COVER_FLOOR_PROFILE) internal/obs:$(COVER_FLOOR_OBS) internal/serve:$(COVER_FLOOR_SERVE) internal/store:$(COVER_FLOOR_STORE); do \

@@ -438,33 +438,24 @@ func BenchmarkForestLookupParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkLookupTopK runs top-k on the clustered DBLP forest through
-// the overlap accumulation every default request takes (auto) and through
-// the opt-in VP-tree (metric, built off the clock by a first query).
+// BenchmarkLookupTopK runs top-k on the clustered DBLP forest.
 func BenchmarkLookupTopK(b *testing.B) {
 	f, docs := dblpForest()
-	defer f.SetPlanMode(forest.PlanAuto)
 	rng := rand.New(rand.NewSource(78))
 	query, _, err := gen.Perturb(rng, docs[123].Tree, 8, gen.DefaultMix)
 	if err != nil {
 		b.Fatal(err)
 	}
 	q := profile.BuildIndex(query, benchP)
-	for _, mode := range []struct {
-		name string
-		mode forest.PlanMode
-	}{{"auto", forest.PlanAuto}, {"metric", forest.PlanMetric}} {
-		for _, k := range []int{1, 10, 25} {
-			b.Run(fmt.Sprintf("k=%d/%s", k, mode.name), func(b *testing.B) {
-				f.SetPlanMode(mode.mode)
-				f.LookupIndexTopK(q, k)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_ = f.LookupIndexTopK(q, k)
-				}
-			})
-		}
+	for _, k := range []int{1, 10, 25} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			f.LookupIndexTopK(q, k) // warm the scratch pool off the clock
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = f.LookupIndexTopK(q, k)
+			}
+		})
 	}
 }
 

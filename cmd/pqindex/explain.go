@@ -20,7 +20,7 @@ func runExplain(args []string) error {
 	idxPath := fs.String("index", "", "index file")
 	tau := fs.Float64("tau", 0, "threshold lookup: explain dist < tau")
 	k := fs.Int("k", 0, "top-k lookup: explain the k nearest")
-	plan := fs.String("plan", "auto", "candidate strategy: auto, exhaustive, pruned or metric")
+	plan := fs.String("plan", "auto", "candidate strategy: auto, exhaustive or pruned")
 	timings := fs.Bool("timings", false, "include per-stage wall time (output no longer run-to-run stable)")
 	asJSON := fs.Bool("json", false, "emit the structured ExplainResult as JSON")
 	fs.Parse(args)
@@ -40,10 +40,8 @@ func runExplain(args []string) error {
 		f.SetPlanMode(pqgram.PlanExhaustive)
 	case "pruned":
 		f.SetPlanMode(pqgram.PlanPruned)
-	case "metric":
-		f.SetPlanMode(pqgram.PlanMetric)
 	default:
-		return fmt.Errorf("explain: unknown -plan %q (want auto, exhaustive, pruned or metric)", *plan)
+		return fmt.Errorf("explain: unknown -plan %q (want auto, exhaustive or pruned)", *plan)
 	}
 	q, err := parseDoc(fs.Arg(0))
 	if err != nil {

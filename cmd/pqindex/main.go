@@ -8,7 +8,7 @@
 //	pqindex remove -index idx.pqg -id doc.xml
 //	pqindex update -index idx.pqg -id doc.xml -log changes.log doc-new.xml
 //	pqindex lookup -index idx.pqg [-tau 0.5 | -top 5] query.xml [more.xml ...]
-//	pqindex topk   -index idx.pqg [-k 5] [-plan metric] query.xml [more.xml ...]
+//	pqindex topk   -index idx.pqg [-k 5] query.xml [more.xml ...]
 //	pqindex explain -index idx.pqg {-tau 0.5 | -k 5} [-plan auto] [-timings] [-json] query.xml
 //	pqindex dist   a.xml b.xml [-p 3 -q 3]
 //	pqindex info   -index idx.pqg
@@ -366,17 +366,11 @@ func runLookup(args []string) error {
 	return nil
 }
 
-// runTopK answers k-nearest-neighbour queries. Unlike `lookup -top`,
-// which leaves the candidate strategy to the planner's default, it
-// exposes the plan choice: -plan metric descends the VP-tree metric
-// index (built lazily on the first query), -plan exhaustive and -plan
-// auto accumulate overlaps through the postings and keep the k best.
-// Rankings are identical in every mode; only the work differs.
+// runTopK answers k-nearest-neighbour queries.
 func runTopK(args []string) error {
 	fs := flag.NewFlagSet("topk", flag.ExitOnError)
 	idxPath := fs.String("index", "", "index file")
 	k := fs.Int("k", 5, "number of nearest documents to return")
-	plan := fs.String("plan", "metric", "candidate strategy: metric, exhaustive or auto")
 	stats := fs.Bool("stats", false, "print an op report (metrics snapshot) to stderr when done")
 	fs.Parse(args)
 	if *idxPath == "" || fs.NArg() == 0 || *k < 1 {
@@ -391,17 +385,7 @@ func runTopK(args []string) error {
 		defer maybeReport(*stats, attachStats(st))
 	}
 	f := st.Forest()
-	switch *plan {
-	case "metric":
-		f.SetPlanMode(pqgram.PlanMetric)
-	case "exhaustive":
-		f.SetPlanMode(pqgram.PlanExhaustive)
-	case "auto":
-		f.SetPlanMode(pqgram.PlanAuto)
-	default:
-		return fmt.Errorf("topk: unknown -plan %q (want metric, exhaustive or auto)", *plan)
-	}
-	for i, path := range fs.Args() {
+	for _, path := range fs.Args() {
 		q, err := parseDoc(path)
 		if err != nil {
 			return err
@@ -415,11 +399,6 @@ func runTopK(args []string) error {
 		}
 		if len(matches) == 0 {
 			fmt.Println("no matches")
-		}
-		if i == 0 && *plan == "metric" && !f.MetricReady() {
-			// Can only happen if the build was raced away by Close;
-			// surface it rather than silently falling back forever.
-			fmt.Fprintln(os.Stderr, "topk: metric index not built; answered by exhaustive scan")
 		}
 	}
 	return nil

@@ -49,13 +49,20 @@ import (
 // in flight before it closes the store under them.
 const shutdownWait = 5 * time.Second
 
+// readHeaderWait bounds how long a connection may take to deliver one
+// request's headers, so a client that never finishes its request line
+// cannot hold a goroutine and a descriptor forever. On a kept-alive
+// connection the clock starts at the next request's first bytes, so idle
+// pooled connections are not affected.
+const readHeaderWait = 5 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	index := flag.String("index", "", "back the service with a persistent store at this path (journaled; survives restarts)")
 	syncWrites := flag.Bool("sync", false, "with -index: fsync every journaled mutation before acknowledging it")
 	flag.Bool("segments", false, "accepted for compatibility and ignored: every index is segmented")
 	flushEvery := flag.Int("flush-every", 4096, "with -index: flush the memtable to a segment after this many dirty documents (0 = never automatically)")
-	plan := flag.String("plan", "auto", "query planner mode: auto, exhaustive, pruned or metric")
+	plan := flag.String("plan", "auto", "query planner mode: auto, exhaustive or pruned")
 	cacheSize := flag.Int("cache", 1024, "result-cache capacity in entries (0 disables)")
 	maxInflight := flag.Int("max-inflight", 64, "concurrent lookups executing at once (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 256, "lookups allowed to wait for an in-flight slot before shedding")
@@ -67,11 +74,11 @@ func main() {
 
 	planModes := map[string]forest.PlanMode{
 		"auto": forest.PlanAuto, "exhaustive": forest.PlanExhaustive,
-		"pruned": forest.PlanPruned, "metric": forest.PlanMetric,
+		"pruned": forest.PlanPruned,
 	}
 	planMode, ok := planModes[*plan]
 	if !ok {
-		log.Fatalf("unknown -plan %q (want auto, exhaustive, pruned or metric)", *plan)
+		log.Fatalf("unknown -plan %q (want auto, exhaustive or pruned)", *plan)
 	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -121,7 +128,7 @@ func main() {
 		Logger:       logger,
 	}, col)
 
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: readHeaderWait}
 	listenErr := make(chan error, 1)
 	//pqlint:allow goroutinecheck joined through listenErr: both arms of the select below receive its one send before the store closes
 	go func() { listenErr <- hs.ListenAndServe() }()

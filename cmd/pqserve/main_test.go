@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os/exec"
@@ -110,20 +111,29 @@ func (s *server) docs() int {
 	return stats.Docs
 }
 
+// build compiles the pqserve binary into a directory of the test's own
+// and returns both; under -short the test is skipped instead.
+func build(t *testing.T) (dir, bin string) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and runs the pqserve binary")
+	}
+	dir = t.TempDir()
+	bin = filepath.Join(dir, "pqserve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return dir, bin
+}
+
 // TestServeStopsCleanlyAndRecovers drives the real binary through its
 // process-level contract: SIGTERM is a clean exit 0 that loses nothing,
 // kill -9 loses nothing that was acknowledged (-sync) and the restart
 // says how much it replayed, and an index of the removed snapshot engine
-// is refused by name instead of being shadowed by a new empty store.
+// or a planner mode that does not exist is refused by name instead of
+// being served with something else.
 func TestServeStopsCleanlyAndRecovers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the pqserve binary")
-	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "pqserve")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	dir, bin := build(t)
 	idx := filepath.Join(dir, "idx")
 
 	s := start(t, bin, "-index", idx, "-sync")
@@ -163,16 +173,52 @@ func TestServeStopsCleanlyAndRecovers(t *testing.T) {
 	if err := store.SaveFile(legacy, forest.New(profile.Default)); err != nil {
 		t.Fatal(err)
 	}
-	// Killed by the context if it wrongly starts serving.
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	var stderr bytes.Buffer
-	cmd := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", "-index", legacy)
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err == nil || ctx.Err() != nil {
-		t.Fatalf("pqserve did not refuse a legacy snapshot path (%v):\n%s", err, &stderr)
+	for _, refused := range []struct {
+		args []string
+		want string // what stderr must say
+	}{
+		{[]string{"-index", legacy}, `legacy "PQGI" snapshot`},
+		{[]string{"-plan", "metric"}, `unknown -plan "metric" (want auto, exhaustive or pruned)`},
+	} {
+		// Killed by the context if it wrongly starts serving.
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		var stderr bytes.Buffer
+		cmd := exec.CommandContext(ctx, bin, append([]string{"-addr", "127.0.0.1:0"}, refused.args...)...)
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		timedOut := ctx.Err() != nil
+		cancel()
+		if err == nil || timedOut {
+			t.Fatalf("pqserve %v was not refused (%v):\n%s", refused.args, err, &stderr)
+		}
+		if !strings.Contains(stderr.String(), refused.want) {
+			t.Fatalf("pqserve %v: stderr lacks %q:\n%s", refused.args, refused.want, &stderr)
+		}
 	}
-	if !strings.Contains(stderr.String(), `legacy "PQGI" snapshot`) {
-		t.Fatalf("stderr does not name the legacy format:\n%s", &stderr)
+}
+
+// TestServeBoundsHeaderReads: a client that opens a connection and never
+// finishes its request line is hung up on after readHeaderWait.
+func TestServeBoundsHeaderReads(t *testing.T) {
+	_, bin := build(t)
+	s := start(t, bin)
+	conn, err := net.Dial("tcp", strings.TrimPrefix(s.base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	began := time.Now()
+	if _, err := conn.Write([]byte("GET /sta")); err != nil {
+		t.Fatal(err)
+	}
+	const slack = 3 * time.Second
+	conn.SetReadDeadline(began.Add(readHeaderWait + slack))
+	// The server may answer 408 before closing; either way the read ends
+	// with the connection closed by the peer, not with our own deadline.
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("connection still open %v after half a request line: %v", time.Since(began), err)
+	}
+	if took := time.Since(began); took < readHeaderWait-time.Second {
+		t.Fatalf("connection closed after %v, before the %v bound", took, readHeaderWait)
 	}
 }

@@ -40,8 +40,6 @@ func main() {
 	pqgram.SetProfileCollector(col)
 	f := pqgram.NewForest(pqgram.DefaultParams)
 	f.SetCollector(col)
-	// The demo showcases the metric path: /topk descends the VP-tree.
-	f.SetPlanMode(pqgram.PlanMetric)
 	runDemo(serve.New(f, nil, serve.Config{CacheSize: 1024}, col))
 }
 
@@ -127,11 +125,10 @@ func runDemo(h http.Handler) {
 		fmt.Printf("  %-8s %.3f\n", m.TreeID, m.Distance)
 	}
 
-	// Ask the metric endpoint for the two nearest neighbours; the demo
-	// forest runs in metric mode, so this descends the VP-tree.
+	// Ask for the two nearest neighbours.
 	tb, _ := json.Marshal(serve.TopKRequest{XML: mustXML(query), K: 2})
 	tout := client("POST", "/topk", tb)
-	fmt.Printf("top-%v via /topk (metric index built: %v):\n", tout["k"], tout["metric"])
+	fmt.Printf("top-%v via /topk:\n", tout["k"])
 	if ms, ok := tout["matches"].([]any); ok {
 		for _, m := range ms {
 			if mm, ok := m.(map[string]any); ok {

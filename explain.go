@@ -14,9 +14,9 @@ import (
 // ExplainResult is the structured outcome of (*Forest).ExplainLookup /
 // ExplainTopK: the plan the query planner chose, the matches, and a
 // JSON-ready span tree whose integer attributes carry the per-stage work
-// counters (candidates examined, postings scanned, VP-tree nodes visited,
-// ...). For a fixed corpus, query and plan mode the work counters are
-// byte-identical across runs; only the span durations vary.
+// counters (candidates examined, postings scanned, ...). For a fixed
+// corpus, query and plan mode the work counters are byte-identical across
+// runs; only the span durations vary.
 type ExplainResult = forest.ExplainResult
 
 // SpanSnapshot is one node of a finished trace: name, duration and

@@ -90,11 +90,9 @@ func TestExplainLookupDeterministic(t *testing.T) {
 	}
 }
 
-// TestExplainTopKDeterministic is the top-k half of the contract,
-// covering the accumulate-and-heap scan every mode but one runs (its
-// counters must not depend on the order the query map or the touched docs
-// are visited in) and the VP-tree metric path (whose descent counters
-// must also be run-to-run stable).
+// TestExplainTopKDeterministic is the top-k half of the contract: the
+// counters of the accumulate-and-heap scan must not depend on the order
+// the query map or the touched docs are visited in.
 func TestExplainTopKDeterministic(t *testing.T) {
 	f1, q1 := explainCorpus(t)
 	f2, q2 := explainCorpus(t)
@@ -104,7 +102,6 @@ func TestExplainTopKDeterministic(t *testing.T) {
 		wantPlan string
 	}{
 		{"exhaustive", forest.PlanExhaustive, "exhaustive"},
-		{"metric", forest.PlanMetric, "metric"},
 		{"auto", forest.PlanAuto, "exhaustive"},
 	}
 	for _, c := range cases {
@@ -122,8 +119,8 @@ func TestExplainTopKDeterministic(t *testing.T) {
 			if s1, s2 := pqgram.FormatExplain(r1, false), pqgram.FormatExplain(r2, false); s1 != s2 {
 				t.Fatalf("rendered explains differ:\n%svs\n%s", s1, s2)
 			}
-			// A second explain on the now-warm forest (VP-tree built) must
-			// still agree with itself.
+			// A second explain on the now-warm forest must still agree with
+			// itself.
 			r3 := f1.ExplainTopK(q1, 5)
 			r4 := f1.ExplainTopK(q1, 5)
 			if j3, j4 := strippedJSON(t, r3), strippedJSON(t, r4); j3 != j4 {

@@ -31,13 +31,11 @@ type Pair = forest.Pair
 // PlanMode selects how Forest lookups and joins gather candidates:
 // PlanAuto (the default) uses the threshold-aware pruned path when the
 // distance bounds can pay for themselves, PlanExhaustive always
-// accumulates full overlaps, PlanPruned forces the pruned path whenever
-// it is sound, and PlanMetric answers top-k lookups (Forest.LookupTopK,
-// Forest.LookupNearest) through the VP-tree metric index, building it on
-// first use — in every other mode top-k is the overlap accumulation plus a
-// bounded heap, and the VP-tree is never built. Results are identical in
-// every mode; only the work differs.
-// Select with Forest.SetPlanMode.
+// accumulates full overlaps, and PlanPruned forces the pruned path
+// whenever it is sound. Top-k lookups (Forest.LookupTopK,
+// Forest.LookupNearest) are the overlap accumulation plus a bounded heap
+// in every mode. Results are identical in every mode; only the work
+// differs. Select with Forest.SetPlanMode.
 type PlanMode = forest.PlanMode
 
 // Query-planning modes for Forest.SetPlanMode.
@@ -45,7 +43,6 @@ const (
 	PlanAuto       = forest.PlanAuto
 	PlanExhaustive = forest.PlanExhaustive
 	PlanPruned     = forest.PlanPruned
-	PlanMetric     = forest.PlanMetric
 )
 
 // NewForest creates an empty forest index.

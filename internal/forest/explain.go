@@ -28,21 +28,17 @@ const (
 	// planPruned is the threshold-aware path: size window, rare-first
 	// traversal, o_min early abandon.
 	planPruned = "pruned"
-	// planMetric answers top-k through the VP-tree metric index.
-	planMetric = "metric"
 )
 
 // planCode maps a plan name to its integer span-attribute encoding:
-// 0 scan-all, 1 exhaustive, 2 pruned, 3 metric (matching the
-// PlanExhaustive/PlanPruned/PlanMetric constants).
+// 0 scan-all, 1 exhaustive, 2 pruned (matching the
+// PlanExhaustive/PlanPruned constants).
 func planCode(plan string) int {
 	switch plan {
 	case planExhaustive:
 		return int(PlanExhaustive)
 	case planPruned:
 		return int(PlanPruned)
-	case planMetric:
-		return int(PlanMetric)
 	default:
 		return 0
 	}
@@ -87,15 +83,15 @@ func (f *Index) ExplainIndexLookup(q profile.Index, tau float64) ExplainResult {
 func (f *Index) ExplainTopK(query *tree.Tree, k int) ExplainResult {
 	sp := obs.StartSpan("forest.topk")
 	q := profile.BuildIndexSpanned(query, f.pr, sp)
-	out, plan := f.lookupIndexTopKSpanned(q, k, f.obs.Load(), sp)
+	out := f.lookupIndexTopKSpanned(q, k, f.obs.Load(), sp)
 	sp.Finish()
-	return ExplainResult{Op: "topk", Plan: plan, K: k, Matches: out, Trace: sp.Snapshot()}
+	return ExplainResult{Op: "topk", Plan: planExhaustive, K: k, Matches: out, Trace: sp.Snapshot()}
 }
 
 // ExplainIndexTopK is ExplainTopK for a precomputed query index.
 func (f *Index) ExplainIndexTopK(q profile.Index, k int) ExplainResult {
 	sp := obs.StartSpan("forest.topk")
-	out, plan := f.lookupIndexTopKSpanned(q, k, f.obs.Load(), sp)
+	out := f.lookupIndexTopKSpanned(q, k, f.obs.Load(), sp)
 	sp.Finish()
-	return ExplainResult{Op: "topk", Plan: plan, K: k, Matches: out, Trace: sp.Snapshot()}
+	return ExplainResult{Op: "topk", Plan: planExhaustive, K: k, Matches: out, Trace: sp.Snapshot()}
 }

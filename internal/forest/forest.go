@@ -186,12 +186,6 @@ type Index struct {
 	// completed mutation.
 	epoch atomic.Uint64
 
-	// metric is the VP-tree top-k index (metric.go). It starts unbuilt
-	// and free; once built it is maintained incrementally by every
-	// mutation. Its lock nests strictly after the registry, entry and
-	// shard locks.
-	metric metricIndex
-
 	// tier is the storage tier serving evicted documents (tier.go), nil
 	// when every document is resident. Attached once at open time by the
 	// segmented store.
@@ -200,15 +194,12 @@ type Index struct {
 
 // The package's lock-acquisition order, enforced by the lockorder
 // analyzer. The registry lock is always outermost, per-document bag
-// locks nest inside it, postings stripes inside those, and the metric
-// index's lock is innermost on the mutation path (it is never held
-// while acquiring any other forest lock). Multi-instance acquisitions
-// of the same class (two bag locks in Distance, the pairwise join) are
-// sanctioned separately: always in ascending tree-ID order.
+// locks nest inside it, and postings stripes inside those.
+// Multi-instance acquisitions of the same class (two bag locks in
+// Distance, the pairwise join) are sanctioned separately: always in
+// ascending tree-ID order.
 //
 //pqlint:lockorder Index.mu < treeEntry.mu < shard.mu
-//pqlint:lockorder treeEntry.mu < metricIndex.mu
-//pqlint:lockorder Index.mu < metricIndex.mu
 
 // New creates an empty forest index with the given pq-gram parameters.
 func New(pr profile.Params) *Index {
@@ -301,7 +292,6 @@ func (f *Index) addIndexLocked(id string, idx profile.Index) error {
 	for lt, c := range idx {
 		f.shardOf(lt).add(lt, e.doc, c)
 	}
-	f.metric.add(id, idx)
 	f.epoch.Add(1)
 	if m := f.obs.Load(); m != nil {
 		m.adds.Inc()
@@ -343,7 +333,6 @@ func (f *Index) removeLocked(id string) error {
 	delete(f.trees, id)
 	f.docs[e.doc] = nil
 	f.free = append(f.free, e.doc)
-	f.metric.remove(id)
 	f.epoch.Add(1)
 	if m := f.obs.Load(); m != nil {
 		m.removes.Inc()
@@ -546,10 +535,7 @@ func (f *Index) applyDeltasEntry(e *treeEntry, id string, iPlus, iMinus profile.
 		s.add(lt, e.doc, c)
 		s.mu.Unlock()
 	}
-	// The metric copy is maintained while e.mu is still held, so deltas to
-	// the same document reach the metric index in the order they reached
-	// the bag.
-	return f.metric.applyDeltas(id, iPlus, iMinus)
+	return nil
 }
 
 // SelfCheck verifies the internal consistency of the index: docs must be
@@ -636,11 +622,6 @@ func (f *Index) SelfCheck() error {
 	}
 	if total != resident {
 		return fmt.Errorf("forest: %d postings, resident bags hold %d", total, resident)
-	}
-	if f.metric.built {
-		if err := f.metricSelfCheckLocked(); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -750,7 +731,7 @@ func (f *Index) lookupExhaustiveLocked(q profile.Index, qSize int, tau float64, 
 
 // LookupTop returns the k nearest trees by pq-gram distance (fewer if the
 // forest is smaller), sorted by ascending distance. It is LookupTopK
-// under the planner's candidate strategy; see metric.go.
+// under another name; see topk.go.
 func (f *Index) LookupTop(query *tree.Tree, k int) []Match {
 	return f.LookupIndexTopK(profile.BuildIndex(query, f.pr), k)
 }

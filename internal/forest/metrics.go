@@ -38,13 +38,7 @@ type metrics struct {
 	tierSegmentsProbed  *obs.Counter // forest_tier_segments_probed
 	tierPostingsScanned *obs.Counter // forest_tier_postings_scanned
 
-	// Metric-index visibility (metric.go): top-k lookups answered, VP-tree
-	// nodes whose distance was computed, subtrees skipped by the
-	// triangle/size bound, and full builds of the structure.
-	topkLookups          *obs.Counter // forest_topk_lookups
-	metricNodesVisited   *obs.Counter // forest_metric_nodes_visited
-	metricPrunedTriangle *obs.Counter // forest_metric_pruned_triangle
-	metricBuilds         *obs.Counter // forest_metric_builds
+	topkLookups *obs.Counter // forest_topk_lookups (topk.go)
 
 	distOps *obs.Counter   // forest_dist_ops
 	distNS  *obs.Histogram // forest_dist_ns
@@ -78,37 +72,34 @@ func (f *Index) SetCollector(c *obs.Collector) {
 		return
 	}
 	m := &metrics{
-		col:                  c,
-		lookups:              c.Counter("forest_lookups"),
-		lookupNS:             c.Histogram("forest_lookup_ns"),
-		lookupMatches:        c.Counter("forest_lookup_matches"),
-		batchLookups:         c.Counter("forest_batch_lookups"),
-		lookupCandidates:     c.Counter("forest_lookup_candidates_examined"),
-		lookupPrunedSize:     c.Counter("forest_lookup_pruned_size"),
-		lookupPrunedAbandon:  c.Counter("forest_lookup_pruned_abandon"),
-		joinPrunedSize:       c.Counter("forest_join_pruned_size"),
-		bloomChecks:          c.Counter("forest_bloom_checks"),
-		bloomSkips:           c.Counter("forest_bloom_skips"),
-		tierSegmentsProbed:   c.Counter("forest_tier_segments_probed"),
-		tierPostingsScanned:  c.Counter("forest_tier_postings_scanned"),
-		topkLookups:          c.Counter("forest_topk_lookups"),
-		metricNodesVisited:   c.Counter("forest_metric_nodes_visited"),
-		metricPrunedTriangle: c.Counter("forest_metric_pruned_triangle"),
-		metricBuilds:         c.Counter("forest_metric_builds"),
-		distOps:              c.Counter("forest_dist_ops"),
-		distNS:               c.Histogram("forest_dist_ns"),
-		joins:                c.Counter("forest_joins"),
-		joinNS:               c.Histogram("forest_join_ns"),
-		joinPairs:            c.Counter("forest_join_pairs"),
-		updates:              c.Counter("forest_updates"),
-		updateNS:             c.Histogram("forest_update_ns"),
-		updateGramsPlus:      c.Counter("forest_update_grams_plus"),
-		updateGramsMinus:     c.Counter("forest_update_grams_minus"),
-		adds:                 c.Counter("forest_adds"),
-		removes:              c.Counter("forest_removes"),
-		puts:                 c.Counter("forest_puts"),
-		bulkOps:              c.Counter("forest_bulk_ops"),
-		poolDepth:            c.Gauge("forest_pool_depth"),
+		col:                 c,
+		lookups:             c.Counter("forest_lookups"),
+		lookupNS:            c.Histogram("forest_lookup_ns"),
+		lookupMatches:       c.Counter("forest_lookup_matches"),
+		batchLookups:        c.Counter("forest_batch_lookups"),
+		lookupCandidates:    c.Counter("forest_lookup_candidates_examined"),
+		lookupPrunedSize:    c.Counter("forest_lookup_pruned_size"),
+		lookupPrunedAbandon: c.Counter("forest_lookup_pruned_abandon"),
+		joinPrunedSize:      c.Counter("forest_join_pruned_size"),
+		bloomChecks:         c.Counter("forest_bloom_checks"),
+		bloomSkips:          c.Counter("forest_bloom_skips"),
+		tierSegmentsProbed:  c.Counter("forest_tier_segments_probed"),
+		tierPostingsScanned: c.Counter("forest_tier_postings_scanned"),
+		topkLookups:         c.Counter("forest_topk_lookups"),
+		distOps:             c.Counter("forest_dist_ops"),
+		distNS:              c.Histogram("forest_dist_ns"),
+		joins:               c.Counter("forest_joins"),
+		joinNS:              c.Histogram("forest_join_ns"),
+		joinPairs:           c.Counter("forest_join_pairs"),
+		updates:             c.Counter("forest_updates"),
+		updateNS:            c.Histogram("forest_update_ns"),
+		updateGramsPlus:     c.Counter("forest_update_grams_plus"),
+		updateGramsMinus:    c.Counter("forest_update_grams_minus"),
+		adds:                c.Counter("forest_adds"),
+		removes:             c.Counter("forest_removes"),
+		puts:                c.Counter("forest_puts"),
+		bulkOps:             c.Counter("forest_bulk_ops"),
+		poolDepth:           c.Gauge("forest_pool_depth"),
 	}
 	c.RegisterFunc("forest_stripe_load", f.StripeLoad)
 	f.obs.Store(m)

@@ -104,7 +104,6 @@ func (f *Index) AddIndexes(ids []string, bags []profile.Index, workers int) erro
 	docs := make([]uint32, len(ids))
 	for i, id := range ids {
 		docs[i] = f.registerLocked(id, bags[i], bags[i].Size()).doc
-		f.metric.add(id, bags[i])
 	}
 	// One epoch advance per added document, matching the serial path, so
 	// result caches see the same invalidation cadence either way.

@@ -41,7 +41,8 @@ import (
 )
 
 // PlanMode selects how Lookup, LookupMany and SimilarityJoin gather
-// candidates. The zero value PlanAuto is the default.
+// candidates. The zero value PlanAuto is the default. Top-k lookups are
+// answered the same way in every mode (topk.go).
 type PlanMode int32
 
 const (
@@ -58,12 +59,6 @@ const (
 	// (0 < τ ≤ 1 and a non-empty query index), regardless of collection
 	// size.
 	PlanPruned
-	// PlanMetric answers top-k lookups through the VP-tree metric index
-	// (metric.go), building it on first use — the only mode that does; in
-	// every other mode top-k is the overlap accumulation plus a bounded
-	// heap. Threshold lookups keep the PlanAuto strategy. Results are
-	// identical in every mode.
-	PlanMetric
 )
 
 // prunedMinTrees is the smallest collection for which PlanAuto chooses the

@@ -66,10 +66,6 @@ func TestSpanAttrsMatchCounters(t *testing.T) {
 		}},
 		{"exhaustive", resident, forest.PlanExhaustive, lookup, "", map[string]string{"candidates": "forest_lookup_candidates_examined"}},
 		{"top-k", resident, forest.PlanAuto, topk, "", map[string]string{"candidates": "forest_lookup_candidates_examined"}},
-		{"metric top-k", resident, forest.PlanMetric, topk, "", map[string]string{
-			"nodes_visited":   "forest_metric_nodes_visited",
-			"pruned_triangle": "forest_metric_pruned_triangle",
-		}},
 		{"tier pruned", tiered, forest.PlanPruned, lookup, "tier", tierAttrs},
 		{"tier exhaustive", tiered, forest.PlanExhaustive, lookup, "tier", tierAttrs},
 		{"tier top-k", tiered, forest.PlanAuto, topk, "tier", tierAttrs},

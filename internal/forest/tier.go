@@ -23,12 +23,12 @@
 // plans each one as a small forest of its own (planner.go).
 //
 // Eviction and promotion swap a document between the populations without
-// changing its content, so they advance no epoch and leave the metric
-// index untouched (it owns cloned bags). Both — like the removal of a
-// document the tier may hold — run under the registry write lock together
-// with the store's own bookkeeping (the swap callback), which makes the
-// tier handoff atomic with respect to every lookup: no lookup can observe
-// a document in both tiers or in neither, or a run naming a freed number.
+// changing its content, so they advance no epoch. Both — like the removal
+// of a document the tier may hold — run under the registry write lock
+// together with the store's own bookkeeping (the swap callback), which
+// makes the tier handoff atomic with respect to every lookup: no lookup
+// can observe a document in both tiers or in neither, or a run naming a
+// freed number.
 package forest
 
 import (
@@ -196,7 +196,7 @@ func (f *Index) Evict(ids []string, swap func(docs []uint32)) error {
 // under the registry write lock after the postings are re-added; the
 // store uses it to drop its tier location and mark the stale segment copy
 // dead, so no lookup can count the document twice. Like Evict, promotion
-// changes no content: no epoch advance, no metric maintenance.
+// changes no content: no epoch advance.
 func (f *Index) Promote(id string, bag profile.Index, swap func()) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -240,17 +240,12 @@ func (f *Index) RemoveSwap(id string, swap func()) error {
 // AddEvicted registers a document that already lives in the tier, storing
 // only its cached size and distinct-tuple count, and returns its doc
 // number for the run's doc table — the segmented store's open path uses it
-// to rebuild the registry without reading any bag. It is an open-time
-// operation: it fails once the metric index is built, because the metric
-// needs the bag at insert time.
+// to rebuild the registry without reading any bag.
 func (f *Index) AddEvicted(id string, size, distinct int) (uint32, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, ok := f.trees[id]; ok {
 		return 0, fmt.Errorf("forest: tree %q already indexed", id)
-	}
-	if f.metric.built {
-		return 0, fmt.Errorf("forest: cannot add evicted %q with the metric index built", id)
 	}
 	e := f.registerLocked(id, nil, size)
 	e.distinct = distinct

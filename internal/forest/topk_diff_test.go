@@ -1,10 +1,9 @@
-// Differential and metamorphic battery for top-k lookups: the VP-tree
-// metric path must return results byte-identical to the brute-force
-// k-smallest scan — same IDs, same float distances, same (distance, id)
-// tie-breaks — on every seed, every k shape, and under concurrent
-// incremental maintenance. The brute-force reference here is computed
-// from scratch via per-tree Index.Distance, so it shares no code with
-// either planner path.
+// Differential and metamorphic battery for top-k lookups: they must
+// return results byte-identical to the brute-force k-smallest scan — same
+// IDs, same float distances, same (distance, id) tie-breaks — on every
+// seed, every k shape, and under concurrent incremental maintenance. The
+// brute-force reference here is computed from scratch via per-tree
+// Index.Distance, so it shares no code with the postings path.
 
 package forest_test
 
@@ -17,7 +16,6 @@ import (
 
 	"pqgram/internal/forest"
 	"pqgram/internal/gen"
-	"pqgram/internal/obs"
 	"pqgram/internal/profile"
 	"pqgram/internal/tree"
 )
@@ -49,7 +47,6 @@ func topkAllModes(t *testing.T, f *forest.Index, q profile.Index, k int, ctx str
 		mode forest.PlanMode
 	}{
 		{"exhaustive", forest.PlanExhaustive},
-		{"metric", forest.PlanMetric},
 		{"auto", forest.PlanAuto},
 		{"pruned", forest.PlanPruned},
 	}
@@ -152,7 +149,6 @@ func TestTopKEdgeCases(t *testing.T) {
 	})
 	q := profile.BuildIndex(tree.MustParse("a(b c)"), p33)
 	for _, k := range []int{-1, 0} {
-		twins.SetPlanMode(forest.PlanMetric)
 		if got := twins.LookupIndexTopK(q, k); got != nil {
 			t.Fatalf("top-%d = %v, want nil", k, got)
 		}
@@ -188,11 +184,10 @@ func TestTopKEdgeCases(t *testing.T) {
 	}
 }
 
-// TestTopKIncrementalMaintenance drives the metric index through its
-// maintenance paths — buffered adds past the flush threshold, removes
-// (tombstones), incremental updates of both buffered and tree-resident
-// documents, and dirty-subtree rebuilds — re-verifying exactness and the
-// structural invariants after every phase.
+// TestTopKIncrementalMaintenance drives the forest through bulk adds,
+// mass removal, incremental updates and re-adds under freed IDs,
+// re-verifying top-k exactness and the structural invariants after every
+// phase.
 func TestTopKIncrementalMaintenance(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	f := forest.New(p33)
@@ -206,24 +201,15 @@ func TestTopKIncrementalMaintenance(t *testing.T) {
 	}
 	query := gen.RandomTree(rng, 20)
 	q := profile.BuildIndex(query, p33)
-	// Force the build, then mutate: the structure must stay exact through
-	// every incremental phase.
-	f.SetPlanMode(forest.PlanMetric)
-	f.LookupIndexTopK(q, 5)
-	if !f.MetricReady() {
-		t.Fatal("metric index not built after a PlanMetric lookup")
-	}
 	check := func(phase string) {
 		t.Helper()
 		for _, k := range []int{1, 7, 40, 200} {
 			topkAllModes(t, f, q, k, phase)
 		}
-		f.SetPlanMode(forest.PlanMetric)
 		if err := f.SelfCheck(); err != nil {
 			t.Fatalf("%s: %v", phase, err)
 		}
 	}
-	// Buffered adds, several times past the flush threshold.
 	for i := 80; i < 200; i++ {
 		id := fmt.Sprintf("doc-%03d", i)
 		docs[id] = gen.RandomTree(rng, 5+rng.Intn(40))
@@ -231,8 +217,8 @@ func TestTopKIncrementalMaintenance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	check("after buffered adds")
-	// Tombstone more than half the tree to force dirty-subtree rebuilds.
+	check("after adds")
+	// Remove three quarters of the collection.
 	for i := 0; i < 150; i += 1 {
 		id := fmt.Sprintf("doc-%03d", i)
 		if err := f.Remove(id); err != nil {
@@ -241,8 +227,6 @@ func TestTopKIncrementalMaintenance(t *testing.T) {
 		delete(docs, id)
 	}
 	check("after mass removal")
-	// Incremental updates: some documents are freshly buffered, some are
-	// tree residents; both must keep their metric copy in sync.
 	for i := 150; i < 190; i++ {
 		id := fmt.Sprintf("doc-%03d", i)
 		_, log, err := gen.RandomScript(rng, docs[id], 1+rng.Intn(6), gen.DefaultMix)
@@ -272,13 +256,12 @@ func TestTopKIncrementalMaintenance(t *testing.T) {
 	check("after re-adds and updates")
 }
 
-// TestTopKUnderConcurrentUpdates runs metric-planned top-k lookups
-// concurrently with AddAll batches, removes and incremental updates under
-// the race detector, then verifies post-quiescence exactness in every
-// planner mode.
+// TestTopKUnderConcurrentUpdates runs top-k lookups concurrently with
+// AddAll batches, removes and incremental updates under the race
+// detector, then verifies post-quiescence exactness in every planner
+// mode.
 func TestTopKUnderConcurrentUpdates(t *testing.T) {
 	f := forest.New(p33)
-	f.SetPlanMode(forest.PlanMetric)
 	rng := rand.New(rand.NewSource(11))
 	seedDocs := make([]forest.Doc, 24)
 	for i := range seedDocs {
@@ -292,7 +275,6 @@ func TestTopKUnderConcurrentUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := profile.BuildIndex(query, p33)
-	f.LookupIndexTopK(q, 3) // build the metric index before the storm
 
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -358,104 +340,5 @@ func TestTopKUnderConcurrentUpdates(t *testing.T) {
 	}
 	for _, k := range []int{1, 5, 24, 48, 100} {
 		topkAllModes(t, f, q, k, "post-concurrency")
-	}
-}
-
-// TestTopKBuildsMetricOnlyUnderPlanMetric: a top-k request must not be
-// able to make the forest build (under the registry write lock) and from
-// then on maintain the VP-tree unless the operator chose PlanMetric,
-// whatever the collection size and k.
-func TestTopKBuildsMetricOnlyUnderPlanMetric(t *testing.T) {
-	f := forest.New(p33)
-	col := obs.NewCollector()
-	f.SetCollector(col)
-	for i, d := range gen.XMarkForest(9, 96, 96*30) {
-		if err := f.Add(fmt.Sprintf("doc-%03d", i), d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := profile.BuildIndex(gen.XMark(9, 30), p33)
-	for _, mode := range []forest.PlanMode{forest.PlanAuto, forest.PlanPruned, forest.PlanExhaustive} {
-		f.SetPlanMode(mode)
-		for _, k := range []int{1, 10, 96} {
-			f.LookupIndexTopK(q, k)
-		}
-		if f.MetricReady() || col.Counter("forest_metric_builds").Load() != 0 {
-			t.Fatalf("mode %v: a top-k lookup built the metric index", mode)
-		}
-	}
-	f.SetPlanMode(forest.PlanMetric)
-	f.LookupIndexTopK(q, 1)
-	if !f.MetricReady() || col.Counter("forest_metric_builds").Load() != 1 {
-		t.Fatal("PlanMetric top-k did not build the metric index")
-	}
-}
-
-// TestTopKPrunesObservably attaches a collector and checks that on a
-// clustered corpus with a near-duplicate query the VP-tree visits
-// strictly fewer nodes than the exhaustive scan examines candidates, and
-// that the triangle bound reports actual pruning work.
-//
-// The corpus is 16 XMark base documents with 8 perturbed versions each —
-// the dedup shape top-k queries exist for. On corpora of mutually
-// dissimilar documents the k-th best distance sits in the bulk of the
-// distance distribution and no exact metric index can prune
-// (concentration of measure); with version clusters the k nearest are
-// genuinely near and the triangle bound bites.
-func TestTopKPrunesObservably(t *testing.T) {
-	f := forest.New(p33)
-	rng := rand.New(rand.NewSource(5))
-	bases := gen.XMarkForest(3, 16, 16*60)
-	var docs []*tree.Tree
-	for _, b := range bases {
-		for v := 0; v < 8; v++ {
-			doc := b
-			if v > 0 {
-				var err error
-				doc, _, err = gen.Perturb(rng, b, 1+rng.Intn(5), gen.XMLSafeMix)
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			docs = append(docs, doc)
-		}
-	}
-	for i, d := range docs {
-		if err := f.Add(fmt.Sprintf("doc-%03d", i), d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	query, _, err := gen.Perturb(rng, bases[5], 3, gen.XMLSafeMix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := profile.BuildIndex(query, p33)
-
-	col := obs.NewCollector()
-	f.SetCollector(col)
-	defer f.SetCollector(nil)
-
-	f.SetPlanMode(forest.PlanExhaustive)
-	before := col.Snapshot()
-	f.LookupIndexTopK(q, 5)
-	mid := col.Snapshot()
-	f.SetPlanMode(forest.PlanMetric)
-	f.LookupIndexTopK(q, 5) // first call may build; second measures steady state
-	mid2 := col.Snapshot()
-	f.LookupIndexTopK(q, 5)
-	after := col.Snapshot()
-
-	exDelta := mid.CounterDeltas(before)
-	prDelta := after.CounterDeltas(mid2)
-	exExamined := exDelta["forest_lookup_candidates_examined"]
-	visited := prDelta["forest_metric_nodes_visited"]
-	if exExamined != 128 {
-		t.Fatalf("exhaustive top-k examined %d candidates, want 128", exExamined)
-	}
-	if visited == 0 || visited >= exExamined {
-		t.Fatalf("metric top-k visited %d nodes, exhaustive examined %d — no pruning", visited, exExamined)
-	}
-	if prDelta["forest_metric_pruned_triangle"] == 0 {
-		t.Fatal("metric top-k reported no triangle pruning")
 	}
 }

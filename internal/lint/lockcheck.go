@@ -78,7 +78,7 @@ func checkGuardedAccess(p *Pass, ann *lockAnnotations, fresh map[types.Object]bo
 	for _, alt := range alts {
 		if alt.typeName == "" {
 			// Sibling guard: the lock at the access's own base must be
-			// held — s.mu for s.postings, f.metric.mu for f.metric.byID.
+			// held — s.mu for s.postings, f.cache.mu for f.cache.byID.
 			if !keyOK {
 				continue
 			}

@@ -455,7 +455,7 @@ func collectEntryAssertions(p *Pass, f *ast.File, ann *lockAnnotations, report f
 	}
 }
 
-// resolveEntryLock resolves "f.mu" / "f.metric.mu" / "f.mu:r" against
+// resolveEntryLock resolves "f.mu" / "f.cache.mu" / "f.mu:r" against
 // the function's receiver and parameters, walking field types to the
 // final mutex field.
 func resolveEntryLock(p *Pass, fd *ast.FuncDecl, spec string, pos token.Pos) (entryLock, string) {

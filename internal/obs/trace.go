@@ -1,10 +1,9 @@
 // Per-query tracing: a Trace is a deterministic tree of Spans, each
 // carrying a name, a monotonic duration and a bag of integer work
-// attributes (candidates examined, postings scanned, VP-tree nodes
-// visited, journal records replayed, ...). Aggregate metrics answer "how
-// is the index doing"; traces answer "why did THIS query cost what it
-// did" — which plan the planner chose, which bounds fired, where the
-// candidates died.
+// attributes (candidates examined, postings scanned, journal records
+// replayed, ...). Aggregate metrics answer "how is the index doing";
+// traces answer "why did THIS query cost what it did" — which plan the
+// planner chose, which bounds fired, where the candidates died.
 //
 // Collection is opt-in per query through a Tracer attached to the
 // Collector: Tracer.Start samples deterministically (every Nth call) and

@@ -245,11 +245,7 @@ type TopKRequest struct {
 	K   int    `json:"k"`
 }
 
-// handleTopK answers k-nearest-neighbour queries. The candidate strategy
-// is the planner's: in metric mode the first query builds the VP-tree
-// metric index, which is then maintained incrementally by every mutation;
-// the response reports whether it is built so operators can see which
-// path answered.
+// handleTopK answers k-nearest-neighbour queries.
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST required")
@@ -284,7 +280,6 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{
 		"k":       req.K,
 		"matches": matches,
-		"metric":  s.forest.MetricReady(),
 	})
 }
 

