@@ -514,24 +514,37 @@ func BenchmarkLookup(b *testing.B) {
 	})
 }
 
-// BenchmarkTierLookup is the RAM-versus-tier gap of a threshold lookup:
-// the same clustered corpus (128 clusters of 8 near-duplicates, DBLP and
-// XMark bases alternating, sizes spread) held by a segmented store that
-// flushed every 128 documents — everything evicted, 8 segments — and by one
-// that never flushed, asked the same 16 perturbed documents at a
-// selective, a middle and a permissive threshold.
-func BenchmarkTierLookup(b *testing.B) {
+// tierSide is one of the two stores of the tier benchmarks' fixture.
+type tierSide struct {
+	name string
+	f    *forest.Index
+}
+
+var (
+	tierSidesFix   []tierSide
+	tierQueriesFix []profile.Index
+)
+
+// tierFixture is the clustered corpus of the tier benchmarks (128 clusters
+// of 8 near-duplicates, DBLP and XMark bases alternating, sizes spread)
+// held by a segmented store that flushed every 128 documents — everything
+// evicted, 8 segments — and by one that never flushed, plus 16 perturbed
+// documents to ask. Built once and shared; nothing mutates it.
+func tierFixture() ([]tierSide, []profile.Index) {
+	fixMu.Lock()
+	defer fixMu.Unlock()
+	if tierSidesFix != nil {
+		return tierSidesFix, tierQueriesFix
+	}
 	evicted, err := store.CreateSegmentedFS(fsio.NewMemFS(), "evicted.pqg", benchP)
 	if err != nil {
-		b.Fatal(err)
+		panic(err)
 	}
-	defer evicted.Close()
 	evicted.SetFlushThreshold(128)
 	resident, err := store.CreateSegmentedFS(fsio.NewMemFS(), "resident.pqg", benchP)
 	if err != nil {
-		b.Fatal(err)
+		panic(err)
 	}
-	defer resident.Close()
 	rng := rand.New(rand.NewSource(128))
 	var docs []*pqgram.Tree
 	for c := 0; c < 128; c++ {
@@ -542,7 +555,7 @@ func BenchmarkTierLookup(b *testing.B) {
 		for m := 0; m < 8; m++ {
 			mate, _, err := gen.Perturb(rng, base, 1+m, gen.DefaultMix)
 			if err != nil {
-				b.Fatal(err)
+				panic(err)
 			}
 			docs = append(docs, mate)
 		}
@@ -552,25 +565,32 @@ func BenchmarkTierLookup(b *testing.B) {
 	for i, d := range docs {
 		for _, s := range []*store.Segmented{evicted, resident} {
 			if err := s.Add(fmt.Sprintf("doc-%04d", i), d); err != nil {
-				b.Fatal(err)
+				panic(err)
 			}
 		}
 	}
 	if st := evicted.Stats(); st.Segments != 8 || st.ResidentDocs != 0 {
-		b.Fatalf("fixture not fully evicted: %+v", st)
+		panic(fmt.Sprintf("fixture not fully evicted: %+v", st))
 	}
 	queries := make([]profile.Index, 16)
 	for i := range queries {
 		q, _, err := gen.Perturb(rng, docs[i*len(docs)/len(queries)], 3, gen.DefaultMix)
 		if err != nil {
-			b.Fatal(err)
+			panic(err)
 		}
 		queries[i] = profile.BuildIndex(q, benchP)
 	}
-	for _, side := range []struct {
-		name string
-		f    *forest.Index
-	}{{"evicted", evicted.Forest()}, {"resident", resident.Forest()}} {
+	tierSidesFix = []tierSide{{"evicted", evicted.Forest()}, {"resident", resident.Forest()}}
+	tierQueriesFix = queries
+	return tierSidesFix, tierQueriesFix
+}
+
+// BenchmarkTierLookup is the RAM-versus-tier gap of a threshold lookup on
+// tierFixture: the same 16 perturbed documents asked of the evicted and the
+// resident store at a selective, a middle and a permissive threshold.
+func BenchmarkTierLookup(b *testing.B) {
+	sides, queries := tierFixture()
+	for _, side := range sides {
 		for _, tau := range []float64{0.1, 0.3, 0.7} {
 			b.Run(fmt.Sprintf("%s/tau=%.1f", side.name, tau), func(b *testing.B) {
 				b.ReportAllocs()
@@ -582,17 +602,38 @@ func BenchmarkTierLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkSimilarityJoin sweeps the join's worker count on the 500-tree
-// DBLP forest; the result set is identical at every width. The speedup
-// from widths > 1 requires GOMAXPROCS > 1 — on a single-CPU machine the
-// map-reduce shuffle is pure overhead and workers=1 (the serial fast
-// path) wins.
+// BenchmarkTierJoin is the same gap for the similarity join over all 1 024
+// documents of tierFixture: on the evicted side every document's bag comes
+// from its segment and every lookup reads the runs.
+func BenchmarkTierJoin(b *testing.B) {
+	sides, _ := tierFixture()
+	for _, side := range sides {
+		for _, tau := range []float64{0.3, 0.7} {
+			b.Run(fmt.Sprintf("%s/tau=%.1f", side.name, tau), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					_ = side.f.SimilarityJoinWorkers(tau, 1)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkSimilarityJoin times the join — one lookup per document — on
+// the 500-tree DBLP forest: serially at a selective, a middle and an
+// all-pairs threshold (τ > 1 takes the scan-all plan), and at four
+// workers, whose speedup needs GOMAXPROCS > 1. The result set is identical
+// at every width.
 func BenchmarkSimilarityJoin(b *testing.B) {
 	f, _ := dblpForest()
-	for _, w := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+	for _, c := range []struct {
+		workers int
+		tau     float64
+	}{{1, 0.1}, {1, 0.5}, {1, 1.5}, {4, 0.5}} {
+		b.Run(fmt.Sprintf("workers=%d/tau=%.1f", c.workers, c.tau), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = f.SimilarityJoinWorkers(0.5, w)
+				_ = f.SimilarityJoinWorkers(c.tau, c.workers)
 			}
 		})
 	}

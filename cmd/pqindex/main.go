@@ -8,7 +8,6 @@
 //	pqindex remove -index idx.pqg -id doc.xml
 //	pqindex update -index idx.pqg -id doc.xml -log changes.log doc-new.xml
 //	pqindex lookup -index idx.pqg [-tau 0.5 | -top 5] query.xml [more.xml ...]
-//	pqindex topk   -index idx.pqg [-k 5] query.xml [more.xml ...]
 //	pqindex explain -index idx.pqg {-tau 0.5 | -k 5} [-plan auto] [-timings] [-json] query.xml
 //	pqindex dist   a.xml b.xml [-p 3 -q 3]
 //	pqindex info   -index idx.pqg
@@ -55,8 +54,6 @@ func main() {
 		err = runUpdate(args)
 	case "lookup":
 		err = runLookup(args)
-	case "topk":
-		err = runTopK(args)
 	case "explain":
 		err = runExplain(args)
 	case "join":
@@ -81,7 +78,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: pqindex {build|add|remove|update|lookup|topk|explain|join|dist|diff|info|compact|verify} [flags] [files]")
+	fmt.Fprintln(os.Stderr, "usage: pqindex {build|add|remove|update|lookup|explain|join|dist|diff|info|compact|verify} [flags] [files]")
 	os.Exit(2)
 }
 
@@ -346,7 +343,7 @@ func runLookup(args []string) error {
 	if *top > 0 {
 		results = make([][]pqgram.Match, len(queries))
 		for i, q := range queries {
-			results[i] = f.LookupTop(q, *top)
+			results[i] = f.LookupTopK(q, *top)
 		}
 	} else {
 		// Batched lookup: queries are profiled and matched concurrently.
@@ -356,44 +353,6 @@ func runLookup(args []string) error {
 		if len(queries) > 1 {
 			fmt.Printf("%s:\n", fs.Arg(i))
 		}
-		for _, m := range matches {
-			fmt.Printf("%.4f  %s\n", m.Distance, m.TreeID)
-		}
-		if len(matches) == 0 {
-			fmt.Println("no matches")
-		}
-	}
-	return nil
-}
-
-// runTopK answers k-nearest-neighbour queries.
-func runTopK(args []string) error {
-	fs := flag.NewFlagSet("topk", flag.ExitOnError)
-	idxPath := fs.String("index", "", "index file")
-	k := fs.Int("k", 5, "number of nearest documents to return")
-	stats := fs.Bool("stats", false, "print an op report (metrics snapshot) to stderr when done")
-	fs.Parse(args)
-	if *idxPath == "" || fs.NArg() == 0 || *k < 1 {
-		return fmt.Errorf("topk needs -index, -k >= 1 and at least one query document")
-	}
-	st, err := pqgram.OpenStore(*idxPath)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	if *stats {
-		defer maybeReport(*stats, attachStats(st))
-	}
-	f := st.Forest()
-	for _, path := range fs.Args() {
-		q, err := parseDoc(path)
-		if err != nil {
-			return err
-		}
-		if fs.NArg() > 1 {
-			fmt.Printf("%s:\n", path)
-		}
-		matches := f.LookupTopK(q, *k)
 		for _, m := range matches {
 			fmt.Printf("%.4f  %s\n", m.Distance, m.TreeID)
 		}

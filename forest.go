@@ -13,8 +13,9 @@ import (
 // for concurrent use — the postings are sharded across lock stripes and
 // each document's bag has its own lock, so lookups run in parallel with
 // each other and with incremental updates of other documents. Bulk entry
-// points (AddAll, LookupMany, SimilarityJoinWorkers) fan work out across a
-// worker pool with results identical to the serial path.
+// points (AddAll, LookupMany, and SimilarityJoinWorkers, which is one
+// lookup per document) fan work out across a worker pool with results
+// identical to the serial path.
 type Forest = forest.Index
 
 // Doc is one named document of a bulk build (Forest.AddAll, Store.AddAll).
@@ -28,14 +29,13 @@ type Match = forest.Match
 // pq-gram distance.
 type Pair = forest.Pair
 
-// PlanMode selects how Forest lookups and joins gather candidates:
-// PlanAuto (the default) uses the threshold-aware pruned path when the
-// distance bounds can pay for themselves, PlanExhaustive always
+// PlanMode selects how Forest threshold lookups, and so joins, gather
+// candidates: PlanAuto (the default) uses the threshold-aware pruned path
+// when the distance bounds can pay for themselves, PlanExhaustive always
 // accumulates full overlaps, and PlanPruned forces the pruned path
-// whenever it is sound. Top-k lookups (Forest.LookupTopK,
-// Forest.LookupNearest) are the overlap accumulation plus a bounded heap
-// in every mode. Results are identical in every mode; only the work
-// differs. Select with Forest.SetPlanMode.
+// whenever it is sound. Top-k lookups (Forest.LookupTopK) are the overlap
+// accumulation plus a bounded heap in every mode. Results are identical
+// in every mode; only the work differs. Select with Forest.SetPlanMode.
 type PlanMode = forest.PlanMode
 
 // Query-planning modes for Forest.SetPlanMode.

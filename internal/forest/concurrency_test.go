@@ -18,7 +18,7 @@ import (
 )
 
 // TestForestConcurrentMix is the race-detector stress test: concurrent
-// readers (Lookup, LookupTop, Distance, IDs, TreeIndex, Size) against
+// readers (Lookup, LookupTopK, Distance, IDs, TreeIndex, Size) against
 // concurrent writers (Add, Remove, Update, Put) over XMark-shaped trees.
 // Each writer owns a disjoint set of documents, mirroring the serving
 // contract that updates to one document form a single coherent sequence.
@@ -89,7 +89,7 @@ func TestForestConcurrentMix(t *testing.T) {
 				case 0:
 					f.Lookup(query, 0.9)
 				case 1:
-					f.LookupTop(query, 3)
+					f.LookupTopK(query, 3)
 				case 2:
 					// A concurrently removed tree is a legal miss.
 					f.Distance(ids[rng.Intn(nDocs)], ids[rng.Intn(nDocs)])
@@ -102,7 +102,6 @@ func TestForestConcurrentMix(t *testing.T) {
 					f.TreeIndex(ids[rng.Intn(nDocs)])
 				default:
 					f.Size()
-					f.DistanceTo(query, ids[rng.Intn(nDocs)])
 				}
 			}
 		}(r)
@@ -256,8 +255,9 @@ func TestParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestJoinAllPairsParallelEquivalence covers the tau > 1 degenerate path,
-// which scores every pair directly.
+// TestJoinAllPairsParallelEquivalence covers the tau > 1 degenerate join,
+// whose lookups take the scan-all plan and so return every pair: serial,
+// parallel and brute force must agree exactly.
 func TestJoinAllPairsParallelEquivalence(t *testing.T) {
 	docs := dblpDocs(80)
 	f := forest.New(p33)
@@ -271,6 +271,9 @@ func TestJoinAllPairsParallelEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(j1, jN) {
 		t.Fatal("parallel all-pairs join differs from serial")
+	}
+	if !reflect.DeepEqual(j1, bruteJoin(t, f, 1.5)) {
+		t.Fatal("all-pairs join differs from brute force")
 	}
 }
 
@@ -322,7 +325,7 @@ func TestPutReplacesAtomically(t *testing.T) {
 	if err := f.SelfCheck(); err != nil {
 		t.Fatal(err)
 	}
-	if top := f.LookupTop(repl, 1); len(top) != 1 || top[0].Distance != 0 {
+	if top := f.LookupTopK(repl, 1); len(top) != 1 || top[0].Distance != 0 {
 		t.Fatalf("lookup after Put = %+v", top)
 	}
 }

@@ -70,27 +70,10 @@ func (f *Index) ExplainLookup(query *tree.Tree, tau float64) ExplainResult {
 	return ExplainResult{Op: "lookup", Plan: plan, Tau: tau, Matches: out, Trace: sp.Snapshot()}
 }
 
-// ExplainIndexLookup is ExplainLookup for a precomputed query index (no
-// profile.build stage in the trace).
-func (f *Index) ExplainIndexLookup(q profile.Index, tau float64) ExplainResult {
-	sp := obs.StartSpan("forest.lookup")
-	out, plan := f.lookupIndexSpanned(q, tau, f.obs.Load(), sp)
-	sp.Finish()
-	return ExplainResult{Op: "lookup", Plan: plan, Tau: tau, Matches: out, Trace: sp.Snapshot()}
-}
-
 // ExplainTopK runs LookupTopK with tracing forced on; see ExplainLookup.
 func (f *Index) ExplainTopK(query *tree.Tree, k int) ExplainResult {
 	sp := obs.StartSpan("forest.topk")
 	q := profile.BuildIndexSpanned(query, f.pr, sp)
-	out := f.lookupIndexTopKSpanned(q, k, f.obs.Load(), sp)
-	sp.Finish()
-	return ExplainResult{Op: "topk", Plan: planExhaustive, K: k, Matches: out, Trace: sp.Snapshot()}
-}
-
-// ExplainIndexTopK is ExplainTopK for a precomputed query index.
-func (f *Index) ExplainIndexTopK(q profile.Index, k int) ExplainResult {
-	sp := obs.StartSpan("forest.topk")
 	out := f.lookupIndexTopKSpanned(q, k, f.obs.Load(), sp)
 	sp.Finish()
 	return ExplainResult{Op: "topk", Plan: planExhaustive, K: k, Matches: out, Trace: sp.Snapshot()}

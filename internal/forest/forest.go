@@ -36,10 +36,10 @@
 // or without locking, exactly as in single-threaded use.
 //
 // Lock ordering is registry → tree entry → postings shard; shard locks are
-// never held while acquiring an entry lock, and multi-entry read locks are
-// always taken in ascending tree-ID order. The storage tier's own lock
-// nests after all of them: tier reads run under the registry lock and
-// never call back into the forest.
+// never held while acquiring an entry lock, and the two bag locks of
+// Distance are taken in ascending tree-ID order. The storage tier's own
+// lock nests after all of them: tier reads run under the registry lock
+// and never call back into the forest.
 package forest
 
 import (
@@ -195,9 +195,8 @@ type Index struct {
 // The package's lock-acquisition order, enforced by the lockorder
 // analyzer. The registry lock is always outermost, per-document bag
 // locks nest inside it, and postings stripes inside those.
-// Multi-instance acquisitions of the same class (two bag locks in
-// Distance, the pairwise join) are sanctioned separately: always in
-// ascending tree-ID order.
+// The one multi-instance acquisition of a class, the two bag locks of
+// Distance, is sanctioned separately: always in ascending tree-ID order.
 //
 //pqlint:lockorder Index.mu < treeEntry.mu < shard.mu
 
@@ -370,19 +369,27 @@ func (f *Index) TreeIndex(id string) profile.Index {
 	if e == nil {
 		return nil
 	}
+	bag, err := f.bagCopyLocked(id, e)
+	if err != nil {
+		return nil
+	}
+	return bag
+}
+
+// bagCopyLocked returns a copy of one entry's bag that the caller owns:
+// a clone of a resident bag, taken under its lock, or the tier's fresh
+// copy of an evicted one. It requires f.mu held (read suffices), which
+// keeps the document from being promoted or re-flushed mid-read, and
+// fails only on a tier inconsistency (see bagOfLocked).
+//
+//pqlint:locked f.mu:r
+func (f *Index) bagCopyLocked(id string, e *treeEntry) (profile.Index, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.idx == nil {
-		// Evicted: the tier hands back a fresh copy already. The registry
-		// read lock is held across the fetch so the document cannot be
-		// promoted or re-flushed mid-read.
-		bag, err := f.bagOfLocked(id, e)
-		if err != nil {
-			return nil
-		}
-		return bag
+		return f.bagOfLocked(id, e)
 	}
-	return e.idx.Clone()
+	return e.idx.Clone(), nil
 }
 
 // TreeStats returns the bag cardinality and the number of distinct tuples
@@ -670,15 +677,31 @@ func (f *Index) lookupIndexSpanned(q profile.Index, tau float64, m *metrics, sp 
 	defer f.mu.RUnlock()
 	sp.SetAttr("q_size", int64(qSize))
 	sp.SetAttr("trees", int64(len(f.trees)))
-	var out []Match
-	var plan string
+	out, plan := f.lookupLocked(q, qSize, tau, m, sp)
+	sp.SetAttr("plan", int64(planCode(plan)))
+	sp.SetAttr("matches", int64(len(out)))
+	if m != nil {
+		m.lookups.Inc()
+		m.lookupMatches.Add(int64(len(out)))
+		m.lookupNS.ObserveSince(t0)
+	}
+	return out, plan
+}
+
+// lookupLocked answers one threshold lookup of a query bag of size qSize
+// on the plan the planner picks, and names the plan. The metrics and the
+// span are nil-safe; the similarity join passes nil for both. It requires
+// f.mu held (read suffices).
+//
+//pqlint:locked f.mu:r
+func (f *Index) lookupLocked(q profile.Index, qSize int, tau float64, m *metrics, sp *obs.Span) ([]Match, string) {
 	switch {
 	case tau > 1:
 		// Trees sharing no pq-gram (distance exactly 1) can qualify only
 		// for thresholds above 1; scan the whole forest then.
-		plan = planScanAll
 		scan := sp.Child("scan")
 		sc := f.overlapsLocked(q, m, sp, scan)
+		var out []Match
 		for doc, e := range f.docs {
 			if e == nil {
 				continue
@@ -690,21 +713,12 @@ func (f *Index) lookupIndexSpanned(q profile.Index, tau float64, m *metrics, sp 
 		sc.release()
 		sortMatches(out)
 		scan.Finish()
+		return out, planScanAll
 	case f.usePrunedLocked(qSize, tau):
-		plan = planPruned
-		out = f.lookupPrunedLocked(q, qSize, tau, m, sp)
+		return f.lookupPrunedLocked(q, qSize, tau, m, sp), planPruned
 	default:
-		plan = planExhaustive
-		out = f.lookupExhaustiveLocked(q, qSize, tau, m, sp)
+		return f.lookupExhaustiveLocked(q, qSize, tau, m, sp), planExhaustive
 	}
-	sp.SetAttr("plan", int64(planCode(plan)))
-	sp.SetAttr("matches", int64(len(out)))
-	if m != nil {
-		m.lookups.Inc()
-		m.lookupMatches.Add(int64(len(out)))
-		m.lookupNS.ObserveSince(t0)
-	}
-	return out, plan
 }
 
 // lookupExhaustiveLocked accumulates the full overlap of every tree
@@ -727,13 +741,6 @@ func (f *Index) lookupExhaustiveLocked(q profile.Index, qSize int, tau float64, 
 	sortMatches(out)
 	scan.Finish()
 	return out
-}
-
-// LookupTop returns the k nearest trees by pq-gram distance (fewer if the
-// forest is smaller), sorted by ascending distance. It is LookupTopK
-// under another name; see topk.go.
-func (f *Index) LookupTop(query *tree.Tree, k int) []Match {
-	return f.LookupIndexTopK(profile.BuildIndex(query, f.pr), k)
 }
 
 // overlapsLocked accumulates |I(query) ∩ I(T)| per tree — the resident
@@ -838,34 +845,6 @@ func (f *Index) Distance(id1, id2 string) (float64, error) {
 		return 0, err
 	}
 	return abag.Distance(bbag), nil
-}
-
-// DistanceTo returns the pq-gram distance between a query tree and one
-// indexed tree.
-func (f *Index) DistanceTo(query *tree.Tree, id string) (float64, error) {
-	m := f.obs.Load()
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-		defer func() {
-			m.distOps.Inc()
-			m.distNS.ObserveSince(t0)
-		}()
-	}
-	q := profile.BuildIndex(query, f.pr)
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	e, ok := f.trees[id]
-	if !ok {
-		return 0, fmt.Errorf("forest: tree %q not indexed", id)
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	bag, err := f.bagOfLocked(id, e)
-	if err != nil {
-		return 0, err
-	}
-	return q.Distance(bag), nil
 }
 
 // distanceFrom is the shared scoring expression; it delegates to

@@ -119,7 +119,7 @@ func TestLookupSelfIsClosest(t *testing.T) {
 		trees[fmt.Sprintf("other-%d", i)] = p
 	}
 	f := buildForest(t, trees)
-	top := f.LookupTop(base, 1)
+	top := f.LookupTopK(base, 1)
 	if len(top) != 1 || top[0].TreeID != "self" || top[0].Distance != 0 {
 		t.Fatalf("top = %+v, want self at distance 0", top)
 	}
@@ -131,7 +131,7 @@ func TestLookupTopK(t *testing.T) {
 		"y": tree.MustParse("a(b d)"),
 		"z": tree.MustParse("q(w e)"),
 	})
-	top := f.LookupTop(tree.MustParse("a(b c)"), 2)
+	top := f.LookupTopK(tree.MustParse("a(b c)"), 2)
 	if len(top) != 2 {
 		t.Fatalf("got %d results", len(top))
 	}
@@ -141,9 +141,9 @@ func TestLookupTopK(t *testing.T) {
 	if top[1].TreeID != "y" {
 		t.Fatalf("top2 = %+v", top[1])
 	}
-	all := f.LookupTop(tree.MustParse("a(b c)"), 99)
+	all := f.LookupTopK(tree.MustParse("a(b c)"), 99)
 	if len(all) != 3 {
-		t.Fatalf("LookupTop with large k returned %d", len(all))
+		t.Fatalf("LookupTopK with large k returned %d", len(all))
 	}
 }
 
@@ -177,10 +177,7 @@ func TestDistanceAccessors(t *testing.T) {
 	if _, err := f.Distance("x", "nope"); err == nil {
 		t.Fatal("missing tree not reported")
 	}
-	if d, err := f.DistanceTo(tree.MustParse("a(b c)"), "x"); err != nil || d != 0 {
-		t.Fatalf("DistanceTo = %g, %v", d, err)
-	}
-	if _, err := f.DistanceTo(tree.MustParse("a"), "nope"); err == nil {
+	if _, err := f.Distance("nope", "x"); err == nil {
 		t.Fatal("missing tree not reported")
 	}
 }
@@ -213,7 +210,7 @@ func TestUpdateMaintainsForest(t *testing.T) {
 		}
 		// Postings must be consistent: lookup of the current document
 		// returns itself at distance 0.
-		top := f.LookupTop(doc, 1)
+		top := f.LookupTopK(doc, 1)
 		if len(top) != 1 || top[0].TreeID != "doc" || top[0].Distance != 0 {
 			t.Fatalf("round %d: lookup after update = %+v", round, top)
 		}
@@ -249,7 +246,7 @@ func TestEmptyForestLookup(t *testing.T) {
 	if got := f.Lookup(tree.MustParse("a"), 0.5); len(got) != 0 {
 		t.Fatalf("lookup on empty forest = %v", got)
 	}
-	if got := f.LookupTop(tree.MustParse("a"), 3); len(got) != 0 {
+	if got := f.LookupTopK(tree.MustParse("a"), 3); len(got) != 0 {
 		t.Fatalf("top on empty forest = %v", got)
 	}
 }
@@ -266,6 +263,10 @@ func TestSizeAccounting(t *testing.T) {
 	}
 }
 
+// TestSimilarityJoinMatchesBruteForce holds the join to pairwise Distance
+// on a cluster of perturbed copies plus an outlier. Eleven trees are below
+// the collection size at which PlanAuto prunes, so the PlanPruned pass of
+// joinBoth is what runs the pruned lookup as a join here.
 func TestSimilarityJoinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	trees := make(map[string]*tree.Tree)
@@ -281,32 +282,9 @@ func TestSimilarityJoinMatchesBruteForce(t *testing.T) {
 	f := buildForest(t, trees)
 
 	for _, tau := range []float64{0.05, 0.3, 0.8, 1.0, 1.5} {
-		got := f.SimilarityJoin(tau)
-		// Brute force over all pairs.
-		ids := f.IDs()
-		want := make(map[[2]string]float64)
-		for i := 0; i < len(ids); i++ {
-			for j := i + 1; j < len(ids); j++ {
-				d, err := f.Distance(ids[i], ids[j])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d < tau {
-					want[[2]string{ids[i], ids[j]}] = d
-				}
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("tau=%g: %d pairs, want %d", tau, len(got), len(want))
-		}
-		for i, p := range got {
-			d, ok := want[[2]string{p.A, p.B}]
-			if !ok || math.Abs(d-p.Distance) > 1e-12 {
-				t.Fatalf("tau=%g: pair %s-%s dist %g, want %g (present %v)", tau, p.A, p.B, p.Distance, d, ok)
-			}
-			if i > 0 && got[i-1].Distance > p.Distance {
-				t.Fatalf("tau=%g: pairs not sorted", tau)
-			}
+		got := joinBoth(t, f, tau, "perturbed cluster")
+		if tau == 0.8 && len(got) == 0 {
+			t.Fatal("join fixture produced no pairs at tau=0.8")
 		}
 	}
 }

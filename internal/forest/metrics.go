@@ -28,7 +28,6 @@ type metrics struct {
 	lookupCandidates    *obs.Counter // forest_lookup_candidates_examined
 	lookupPrunedSize    *obs.Counter // forest_lookup_pruned_size (size window)
 	lookupPrunedAbandon *obs.Counter // forest_lookup_pruned_abandon (overlap bound)
-	joinPrunedSize      *obs.Counter // forest_join_pruned_size (pair emissions skipped)
 
 	// Storage-tier visibility (tier.go): per-segment bloom membership
 	// tests and the probes they skipped, segments actually probed, and
@@ -80,7 +79,6 @@ func (f *Index) SetCollector(c *obs.Collector) {
 		lookupCandidates:    c.Counter("forest_lookup_candidates_examined"),
 		lookupPrunedSize:    c.Counter("forest_lookup_pruned_size"),
 		lookupPrunedAbandon: c.Counter("forest_lookup_pruned_abandon"),
-		joinPrunedSize:      c.Counter("forest_join_pruned_size"),
 		bloomChecks:         c.Counter("forest_bloom_checks"),
 		bloomSkips:          c.Counter("forest_bloom_skips"),
 		tierSegmentsProbed:  c.Counter("forest_tier_segments_probed"),

@@ -213,11 +213,11 @@ func (f *Index) LookupMany(queries []*tree.Tree, tau float64, workers int) [][]M
 
 // SimilarityJoin returns every unordered pair of indexed trees whose
 // pq-gram distance is strictly below tau — the approximate join of the
-// paper's related work (Guha et al.), powered by the index: candidate
-// pairs are generated from the inverted postings (only trees sharing at
-// least one pq-gram can have distance < 1), so disjoint pairs are never
-// scored. Results are sorted by distance, then IDs. The join fans out
-// across GOMAXPROCS workers; use SimilarityJoinWorkers to pick the width.
+// paper's related work (Guha et al.). It is §3.2's lookup
+// {T ∈ F | dist(X, T) < τ} run once per indexed tree X, on the plan
+// PlanMode picks, keeping each pair once, from its smaller ID. Results
+// are sorted by distance, then IDs. The join fans out across GOMAXPROCS
+// workers; use SimilarityJoinWorkers to pick the width.
 //
 // For tau > 1 every pair qualifies and the join degenerates to all pairs.
 func (f *Index) SimilarityJoin(tau float64) []Pair {
@@ -228,221 +228,51 @@ func (f *Index) SimilarityJoin(tau float64) []Pair {
 // (< 1 means GOMAXPROCS). The result is identical at every worker count.
 func (f *Index) SimilarityJoinWorkers(tau float64, workers int) (pairs []Pair) {
 	workers = normWorkers(workers)
-	var prunedPairs atomic.Int64
 	var sp *obs.Span
 	if m := f.obs.Load(); m != nil {
 		sp = m.col.StartTrace("forest.join")
 		t0 := time.Now()
 		defer func() {
 			sp.SetAttr("pairs", int64(len(pairs)))
-			sp.SetAttr("pruned_size", prunedPairs.Load())
 			sp.Finish()
 			m.joins.Inc()
 			m.joinPairs.Add(int64(len(pairs)))
-			m.joinPrunedSize.Add(prunedPairs.Load())
 			m.joinNS.ObserveSince(t0)
 		}()
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	sp.SetAttr("trees", int64(len(f.trees)))
-	sp.SetAttr("workers", int64(workers))
-	if tau > 1 {
-		return f.joinAllPairsLocked(tau, workers)
-	}
-	// Candidate generation is a map-reduce over the postings stripes:
-	// accumulators sweep disjoint stripes summing per-pair overlaps, keyed
-	// by the pair's doc numbers and partitioned by the smaller one;
-	// reducers own disjoint pair partitions, merge the per-worker
-	// fragments and score them. Overlap counts are integers, so the
-	// grouping order cannot change any result.
-	j := &joinSweep{
-		tau:    tau,
-		filter: f.PlanMode() != PlanExhaustive,
-		sizes:  make([]int, len(f.docs)),
-		ids:    make([]string, len(f.docs)),
-	}
-	for doc, e := range f.docs {
-		if e != nil {
-			j.sizes[doc], j.ids[doc] = int(e.size.Load()), e.id
-		}
-	}
-	// Pairs with at least one evicted member come from a sequential sweep
-	// of the storage tier's posting lists (tier.go); the stripe sweep
-	// below covers exactly the resident×resident pairs, so the union is
-	// every candidate pair once.
-	tierPairs, tierPruned := f.joinTierPairsLocked(j)
-	prunedPairs.Add(tierPruned)
-	accumulate := func(from, stride int, emit func(k pairKey, ov int)) {
-		pruned := int64(0)
-		for si := from; si < numShards; si += stride {
-			s := &f.shards[si]
-			s.mu.RLock()
-			for _, list := range s.postings {
-				for i, a := range list {
-					for _, b := range list[i+1:] {
-						if k, ov, ok := j.pair(a, b); ok {
-							emit(k, ov)
-						} else {
-							pruned++
-						}
-					}
-				}
-			}
-			s.mu.RUnlock()
-		}
-		prunedPairs.Add(pruned)
-	}
-	if workers == 1 {
-		// Serial fast path: one accumulator map, no shuffle.
-		total := make(map[pairKey]int)
-		accumulate(0, 1, func(k pairKey, ov int) { total[k] += ov })
-		out := append(j.score(total), tierPairs...)
-		sortPairs(out)
-		return out
-	}
-	parts := make([][]map[pairKey]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := make([]map[pairKey]int, workers)
-			for i := range local {
-				local[i] = make(map[pairKey]int)
-			}
-			accumulate(w, workers, func(k pairKey, ov int) { local[int(k.a)%workers][k] += ov })
-			parts[w] = local
-		}(w)
-	}
-	wg.Wait()
-	outs := make([][]Pair, workers)
-	for r := 0; r < workers; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			total := parts[0][r]
-			for w := 1; w < workers; w++ {
-				for k, v := range parts[w][r] {
-					total[k] += v
-				}
-			}
-			outs[r] = j.score(total)
-		}(r)
-	}
-	wg.Wait()
-	var out []Pair
-	for _, o := range outs {
-		out = append(out, o...)
-	}
-	out = append(out, tierPairs...)
-	sortPairs(out)
-	return out
-}
-
-// pairKey names one candidate pair of a join by doc numbers, a < b.
-type pairKey struct{ a, b uint32 }
-
-// joinSweep is what the candidate sweeps of one similarity join share:
-// the threshold, whether the size filter of planner.go applies (unless
-// the planner is PlanExhaustive), and each doc number's bag size and ID as
-// of the join's start.
-type joinSweep struct {
-	tau    float64
-	filter bool
-	sizes  []int
-	ids    []string
-}
-
-// pair turns two postings of one tuple into their pair's accumulator key
-// and the overlap the tuple contributes. ok is false when the filter is on
-// and the bag sizes cannot be within tau even at maximal overlap; the
-// filter evaluates the exact scoring expression, so the surviving pairs —
-// and therefore the join result — are identical with it on or off.
-func (j *joinSweep) pair(a, b posting) (k pairKey, ov int, ok bool) {
-	if b.doc < a.doc {
-		a, b = b, a
-	}
-	if sa, sb := j.sizes[a.doc], j.sizes[b.doc]; j.filter && distanceFrom(sa, sb, min(sa, sb)) >= j.tau {
-		return pairKey{}, 0, false
-	}
-	return pairKey{a.doc, b.doc}, int(min(a.cnt, b.cnt)), true
-}
-
-// score returns the accumulated pairs within tau, in no particular order.
-func (j *joinSweep) score(total map[pairKey]int) (out []Pair) {
-	for k, ov := range total {
-		if d := distanceFrom(j.sizes[k.a], j.sizes[k.b], ov); d < j.tau {
-			a, b := j.ids[k.a], j.ids[k.b]
-			if b < a {
-				a, b = b, a
-			}
-			//pqlint:allow detcheck SimilarityJoinWorkers sortPairs-es the merged result before returning
-			out = append(out, Pair{A: a, B: b, Distance: d})
-		}
-	}
-	return out
-}
-
-// joinAllPairsLocked scores every pair directly; it requires f.mu held
-// (read suffices). Rows are strided across workers; bag read locks are
-// taken in ascending ID order, the global multi-entry order. Evicted
-// bags are prefetched from the storage tier once up front — the all-pairs
-// join reads every bag O(n) times, and tier fetches are positioned disk
-// reads.
-//
-//pqlint:locked f.mu:r
-func (f *Index) joinAllPairsLocked(tau float64, workers int) []Pair {
 	ids := f.idsLocked()
-	var tierBags map[string]profile.Index
-	if f.tier != nil {
-		tierBags = make(map[string]profile.Index)
-		for _, id := range ids {
-			//pqlint:allow lockcheck only the pointer's nil-ness is read; the pointer swaps only under the registry write lock, which f.mu:r excludes
-			if f.trees[id].idx == nil {
-				if bag, ok := f.tier.Bag(id); ok {
-					tierBags[id] = bag
-				}
-			}
-		}
-	}
-	bagOf := func(id string, e *treeEntry) profile.Index {
-		if e.idx != nil { //pqlint:allow lockcheck every caller holds e.mu read-locked around the call, which excludes delta application
-			return e.idx
-		}
-		return tierBags[id]
-	}
+	sp.SetAttr("trees", int64(len(ids)))
+	sp.SetAttr("workers", int64(workers))
+	// Documents are strided over the workers. Each worker queries with a
+	// copy of the document's bag that it owns: no bag lock is held during
+	// the lookup, whose pruned finish takes other documents' bag locks.
 	outs := make([][]Pair, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var out []Pair
 			for i := w; i < len(ids); i += workers {
-				a := f.trees[ids[i]]
-				a.mu.RLock()
-				abag := bagOf(ids[i], a)
-				for j := i + 1; j < len(ids); j++ {
-					b := f.trees[ids[j]]
-					//pqlint:allow lockorder two bag locks of one class, taken in ascending tree-ID order (the global multi-entry order), so workers cannot deadlock
-					b.mu.RLock()
-					d := abag.Distance(bagOf(ids[j], b))
-					b.mu.RUnlock()
-					if d < tau {
-						out = append(out, Pair{A: ids[i], B: ids[j], Distance: d})
+				a := ids[i]
+				q, err := f.bagCopyLocked(a, f.trees[a])
+				if err != nil {
+					panic(err) // a tier inconsistency; see Tier
+				}
+				ms, _ := f.lookupLocked(q, q.Size(), tau, nil, nil)
+				for _, m := range ms {
+					if m.TreeID > a {
+						outs[w] = append(outs[w], Pair{A: a, B: m.TreeID, Distance: m.Distance})
 					}
 				}
-				a.mu.RUnlock()
 			}
-			outs[w] = out
 		}(w)
 	}
 	wg.Wait()
-	var out []Pair
 	for _, o := range outs {
-		out = append(out, o...)
+		pairs = append(pairs, o...)
 	}
-	sortPairs(out)
-	return out
+	sortPairs(pairs)
+	return pairs
 }

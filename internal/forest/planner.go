@@ -40,9 +40,10 @@ import (
 	"pqgram/internal/profile"
 )
 
-// PlanMode selects how Lookup, LookupMany and SimilarityJoin gather
-// candidates. The zero value PlanAuto is the default. Top-k lookups are
-// answered the same way in every mode (topk.go).
+// PlanMode selects how threshold lookups gather candidates: Lookup,
+// LookupMany, and SimilarityJoin, which is one such lookup per document.
+// The zero value PlanAuto is the default. Top-k lookups are answered the
+// same way in every mode (topk.go).
 type PlanMode int32
 
 const (
@@ -52,8 +53,8 @@ const (
 	PlanAuto PlanMode = iota
 	// PlanExhaustive always accumulates the full overlap of every tree
 	// sharing at least one tuple with the query (the pre-planner
-	// behavior) and disables the join's size filter. Benchmarks and the
-	// differential tests use it as the reference path.
+	// behavior). Benchmarks and the differential tests use it as the
+	// reference path.
 	PlanExhaustive
 	// PlanPruned uses the threshold-aware path whenever it is sound
 	// (0 < τ ≤ 1 and a non-empty query index), regardless of collection

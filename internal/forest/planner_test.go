@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -38,20 +39,43 @@ func lookupBoth(t *testing.T, f *forest.Index, q profile.Index, tau float64, ctx
 	return want
 }
 
-// joinBoth runs the similarity join with and without the size filter at
-// several worker counts and fails on any divergence.
+// joinBoth runs the similarity join in every plan mode at several worker
+// counts and fails unless each run equals bruteJoin exactly, leaving the
+// forest in PlanAuto.
 func joinBoth(t *testing.T, f *forest.Index, tau float64, ctx string) []forest.Pair {
 	t.Helper()
-	f.SetPlanMode(forest.PlanExhaustive)
-	want := f.SimilarityJoinWorkers(tau, 1)
-	f.SetPlanMode(forest.PlanAuto)
-	for _, w := range []int{1, 3} {
-		got := f.SimilarityJoinWorkers(tau, w)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: filtered join diverged (tau=%v, workers=%d)\nfiltered:   %v\nexhaustive: %v", ctx, tau, w, got, want)
+	want := bruteJoin(t, f, tau)
+	for _, mode := range []forest.PlanMode{forest.PlanExhaustive, forest.PlanPruned, forest.PlanAuto} {
+		f.SetPlanMode(mode)
+		for _, w := range []int{1, 3} {
+			if got := f.SimilarityJoinWorkers(tau, w); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: mode %v join diverged from brute force (tau=%v, workers=%d)\njoin:        %v\nbrute force: %v", ctx, mode, tau, w, got, want)
+			}
 		}
 	}
 	return want
+}
+
+// bruteJoin is the join's independent reference: Distance on every pair
+// of f.IDs(), in the join's result order. Both sides evaluate
+// profile.DistanceFrom on the same integers, so equality is exact.
+func bruteJoin(t *testing.T, f *forest.Index, tau float64) []forest.Pair {
+	t.Helper()
+	ids := f.IDs()
+	var out []forest.Pair
+	for i := range ids {
+		for _, b := range ids[i+1:] {
+			d, err := f.Distance(ids[i], b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d < tau {
+				out = append(out, forest.Pair{A: ids[i], B: b, Distance: d})
+			}
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Distance < out[j].Distance })
+	return out
 }
 
 // TestPlannerDifferential is the randomized sweep: 200 seeds, each
@@ -59,7 +83,7 @@ func joinBoth(t *testing.T, f *forest.Index, tau float64, ctx string) []forest.P
 // threshold in both directions) and querying it with perturbed members,
 // unrelated trees and indexed members themselves, across the full tau
 // sweep. Pruned results must be deep-equal to exhaustive ones — IDs and
-// distances — and the join must agree with its unfiltered self.
+// distances — and the join in every mode must equal the brute-force one.
 func TestPlannerDifferential(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -95,8 +119,8 @@ func TestPlannerDifferential(t *testing.T) {
 				lookupBoth(t, f, q, tau, fmt.Sprintf("seed %d query %d", seed, qi))
 			}
 		}
-		// The join sweep is quadratic; run it on a tau subset.
-		for _, tau := range []float64{0, 0.3, 0.7, 1} {
+		// The brute-force join is quadratic; run it on a tau subset.
+		for _, tau := range []float64{0, 0.3, 0.7, 1, 1.5} {
 			joinBoth(t, f, tau, fmt.Sprintf("seed %d", seed))
 		}
 	}

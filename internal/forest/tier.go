@@ -39,13 +39,6 @@ import (
 	"pqgram/internal/profile"
 )
 
-// TierPosting is one entry of a tier posting list: a document and the
-// tuple's multiplicity in its bag.
-type TierPosting struct {
-	ID  string
-	Cnt int
-}
-
 // NoDoc in a run's doc table marks a copy that serves no live document:
 // shadowed by a newer run, deleted, or promoted back into the shards.
 const NoDoc = ^uint32(0)
@@ -94,11 +87,6 @@ type Tier interface {
 	// Bag returns a fresh copy of one evicted document's bag, or
 	// ok=false if the tier does not hold the document.
 	Bag(id string) (bag profile.Index, ok bool)
-
-	// ForEachPosting iterates the merged posting lists of every live
-	// evicted document in ascending tuple order; entries are sorted by
-	// document ID. Iteration stops at the first error, which is returned.
-	ForEachPosting(fn func(lt profile.LabelTuple, entries []TierPosting) error) error
 }
 
 // SetTier attaches (or, with nil, detaches) the storage tier. The
@@ -379,52 +367,4 @@ func (f *Index) accumulateRunsLocked(sc *lookupScratch, m *metrics, sp *obs.Span
 	}
 	w.candidates = int64(len(sc.touched) - resident)
 	w.record(m)
-}
-
-// joinTierPairsLocked scores the similarity-join pairs with at least one
-// evicted member: a sequential sweep of the tier's merged posting lists,
-// pairing tier documents with each other and with the resident documents
-// on the same tuple. Resident×resident pairs are the stripe sweep's job
-// (SimilarityJoinWorkers), so together the two passes cover every
-// candidate pair exactly once. Requires f.mu held (read suffices).
-//
-//pqlint:locked f.mu:r
-func (f *Index) joinTierPairsLocked(j *joinSweep) ([]Pair, int64) {
-	if f.tier == nil {
-		return nil, 0
-	}
-	total := make(map[pairKey]int)
-	var pruned int64
-	emit := func(a, b posting) {
-		if k, ov, ok := j.pair(a, b); ok {
-			total[k] += ov
-		} else {
-			pruned++
-		}
-	}
-	var live []posting // the tuple's tier entries, by doc number
-	err := f.tier.ForEachPosting(func(lt profile.LabelTuple, entries []TierPosting) error {
-		live = live[:0]
-		for _, te := range entries {
-			live = append(live, posting{f.trees[te.ID].doc, uint32(te.Cnt)})
-		}
-		s := f.shardOf(lt)
-		s.mu.RLock()
-		for i, a := range live {
-			for _, b := range live[i+1:] {
-				emit(a, b)
-			}
-			for _, b := range s.postings[lt] {
-				emit(a, b)
-			}
-		}
-		s.mu.RUnlock()
-		return nil
-	})
-	if err != nil {
-		// The callback above never returns an error; a tier read failure
-		// panics inside the tier (see Tier).
-		panic(err)
-	}
-	return j.score(total), pruned
 }

@@ -96,28 +96,6 @@ func (ft *fakeTier) Bag(id string) (profile.Index, bool) {
 	return bag.Clone(), true
 }
 
-func (ft *fakeTier) ForEachPosting(fn func(lt profile.LabelTuple, entries []forest.TierPosting) error) error {
-	post := make(map[profile.LabelTuple][]forest.TierPosting)
-	for id, bag := range ft.bags {
-		for lt, c := range bag {
-			post[lt] = append(post[lt], forest.TierPosting{ID: id, Cnt: c})
-		}
-	}
-	lts := make([]profile.LabelTuple, 0, len(post))
-	for lt := range post {
-		lts = append(lts, lt)
-	}
-	sort.Slice(lts, func(i, j int) bool { return lts[i] < lts[j] })
-	for _, lt := range lts {
-		es := post[lt]
-		sort.Slice(es, func(i, j int) bool { return es[i].ID < es[j].ID })
-		if err := fn(lt, es); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // tieredCopy builds the same document set twice: once all-resident, once
 // with every even-numbered document evicted into a fakeTier. The two
 // forests must answer every query identically.
@@ -144,6 +122,24 @@ func tieredCopy(t *testing.T, docs []*tree.Tree) (resident, tiered *forest.Index
 		t.Fatal(err)
 	}
 	return resident, tiered, ft, evicted
+}
+
+// allEvictedCopy indexes the documents under tieredCopy's IDs in a forest
+// that registers every one as evicted into a fakeTier, never resident.
+func allEvictedCopy(t *testing.T, docs []*tree.Tree) *forest.Index {
+	t.Helper()
+	f := forest.New(p33)
+	ft := newFakeTier()
+	f.SetTier(ft)
+	for i, d := range docs {
+		id := fmt.Sprintf("doc%03d", i)
+		ft.bags[id] = profile.BuildIndex(d, p33)
+		var err error
+		if ft.docs[id], err = f.AddEvicted(id, ft.bags[id].Size(), len(ft.bags[id])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return f
 }
 
 func matchesEqual(a, b []forest.Match) bool {
@@ -198,17 +194,7 @@ func TestTierLookupDifferential(t *testing.T) {
 func TestTierTopKDifferential(t *testing.T) {
 	docs := gen.XMarkForest(11, 32, 3200)
 	resident, tiered, _, _ := tieredCopy(t, docs)
-	allEvicted := forest.New(p33)
-	ft := newFakeTier()
-	allEvicted.SetTier(ft)
-	for i, d := range docs {
-		id := fmt.Sprintf("doc%03d", i)
-		ft.bags[id] = profile.BuildIndex(d, p33)
-		var err error
-		if ft.docs[id], err = allEvicted.AddEvicted(id, ft.bags[id].Size(), len(ft.bags[id])); err != nil {
-			t.Fatal(err)
-		}
-	}
+	allEvicted := allEvictedCopy(t, docs)
 	for _, mode := range []forest.PlanMode{forest.PlanAuto, forest.PlanExhaustive, forest.PlanPruned} {
 		resident.SetPlanMode(mode)
 		tiered.SetPlanMode(mode)
@@ -235,17 +221,26 @@ func TestTierTopKDifferential(t *testing.T) {
 	}
 }
 
-// TestTierJoinDifferential covers both join strategies over a tier: the
-// posting-sweep (joinTierPairsLocked merging tier×tier and tier×resident
-// pairs) and the τ>1 all-pairs scan that fetches tier bags up front.
+// TestTierJoinDifferential holds the join — one lookup per document —
+// byte-identical over a half-evicted and an all-evicted forest to the
+// all-in-RAM one, in every plan mode: resident and evicted bags alike
+// are the queries, and the τ>1 threshold takes the scan-all plan.
 func TestTierJoinDifferential(t *testing.T) {
 	docs := gen.XMarkForest(13, 28, 2400)
 	resident, tiered, _, _ := tieredCopy(t, docs)
-	for _, tau := range []float64{0.4, 0.7, 1.5} {
-		want := resident.SimilarityJoin(tau)
-		got := tiered.SimilarityJoin(tau)
-		if !pairsEqual(want, got) {
-			t.Fatalf("tau %v: tiered join %v, resident %v", tau, got, want)
+	allEvicted := allEvictedCopy(t, docs)
+	for _, mode := range []forest.PlanMode{forest.PlanAuto, forest.PlanExhaustive, forest.PlanPruned} {
+		for _, f := range []*forest.Index{resident, tiered, allEvicted} {
+			f.SetPlanMode(mode)
+		}
+		for _, tau := range []float64{0.4, 0.7, 1.5} {
+			want := resident.SimilarityJoin(tau)
+			if got := tiered.SimilarityJoin(tau); !pairsEqual(want, got) {
+				t.Fatalf("mode %v tau %v: tiered join %v, resident %v", mode, tau, got, want)
+			}
+			if got := allEvicted.SimilarityJoin(tau); !pairsEqual(want, got) {
+				t.Fatalf("mode %v tau %v: all-evicted join %v, resident %v", mode, tau, got, want)
+			}
 		}
 	}
 }
@@ -285,22 +280,16 @@ func TestTierAccessors(t *testing.T) {
 		t.Fatalf("TreeStats(%q) = (%d, %d, %v), want (%d, %d, true)", ev, size, distinct, ok, wsize, wdistinct)
 	}
 
-	// Distance between an evicted and a resident document, and from a query.
-	want, err := resident.Distance(ev, "doc001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := tiered.Distance(ev, "doc001")
-	if err != nil || got != want {
-		t.Fatalf("Distance = %v, %v; want %v", got, err, want)
-	}
-	wantTo, err := resident.DistanceTo(docs[1], ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotTo, err := tiered.DistanceTo(docs[1], ev)
-	if err != nil || gotTo != wantTo {
-		t.Fatalf("DistanceTo = %v, %v; want %v", gotTo, err, wantTo)
+	// Distance from an evicted document to a resident and to an evicted one.
+	for _, other := range []string{"doc001", evicted[1]} {
+		want, err := resident.Distance(ev, other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tiered.Distance(ev, other)
+		if err != nil || got != want {
+			t.Fatalf("Distance(%q, %q) = %v, %v; want %v", ev, other, got, err, want)
+		}
 	}
 
 	// ForEachTree traverses evicted documents through the tier.
@@ -449,8 +438,8 @@ func TestTierDetachedErrors(t *testing.T) {
 	if got := tiered.TreeIndex(evicted[1]); got != nil {
 		t.Fatalf("TreeIndex with no tier = %v, want nil", got)
 	}
-	if _, err := tiered.DistanceTo(docs[0], evicted[1]); err == nil || !strings.Contains(err.Error(), "no tier is attached") {
-		t.Fatalf("DistanceTo with no tier: %v", err)
+	if _, err := tiered.Distance("doc001", evicted[1]); err == nil || !strings.Contains(err.Error(), "no tier is attached") {
+		t.Fatalf("Distance with no tier: %v", err)
 	}
 	if err := tiered.ForEachTree(func(string, profile.Index) error { return nil }); err == nil {
 		t.Fatal("ForEachTree with no tier succeeded")

@@ -1,7 +1,7 @@
-// Top-k / nearest-neighbor lookups: the overlap accumulation of the
-// exhaustive lookup (overlapsLocked) scored into a bounded heap of the k
-// best (topHeap, forest.go). There is no other top-k path; PlanMode does
-// not change how these are answered.
+// Top-k lookups: the overlap accumulation of the exhaustive lookup
+// (overlapsLocked) scored into a bounded heap of the k best (topHeap,
+// forest.go). There is no other top-k path; PlanMode does not change how
+// these are answered.
 
 package forest
 
@@ -12,16 +12,6 @@ import (
 	"pqgram/internal/profile"
 	"pqgram/internal/tree"
 )
-
-// LookupNearest returns the single nearest indexed tree to the query by
-// pq-gram distance (ties by smallest ID), or ok=false on an empty forest.
-func (f *Index) LookupNearest(query *tree.Tree) (Match, bool) {
-	out := f.LookupIndexTopK(profile.BuildIndex(query, f.pr), 1)
-	if len(out) == 0 {
-		return Match{}, false
-	}
-	return out[0], true
-}
 
 // LookupTopK returns the k indexed trees nearest to the query by pq-gram
 // distance (fewer if the forest is smaller), sorted by ascending distance

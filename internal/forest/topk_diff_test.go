@@ -141,8 +141,8 @@ func TestTopKEdgeCases(t *testing.T) {
 	if got := empty.LookupTopK(tree.MustParse("a(b)"), 3); got != nil {
 		t.Fatalf("top-k on empty forest = %v, want nil", got)
 	}
-	if _, ok := empty.LookupNearest(tree.MustParse("a")); ok {
-		t.Fatal("nearest on empty forest reported a match")
+	if got := empty.LookupTopK(tree.MustParse("a"), 1); len(got) != 0 {
+		t.Fatalf("top-1 on empty forest = %v", got)
 	}
 	twins := buildForest(t, map[string]*tree.Tree{
 		"t1": tree.MustParse("a(b c)"), "t2": tree.MustParse("a(b c)"), "t3": tree.MustParse("x(y)"),
@@ -179,8 +179,8 @@ func TestTopKEdgeCases(t *testing.T) {
 			}
 		}
 	}
-	if m, ok := twins.LookupNearest(tree.MustParse("a(b c)")); !ok || m.TreeID != "t1" || m.Distance != 0 {
-		t.Fatalf("nearest = %v, %v; want t1 at 0", m, ok)
+	if got := twins.LookupTopK(tree.MustParse("a(b c)"), 1); len(got) != 1 || got[0].TreeID != "t1" || got[0].Distance != 0 {
+		t.Fatalf("top-1 = %v; want t1 at 0", got)
 	}
 }
 

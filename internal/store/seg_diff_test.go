@@ -39,11 +39,10 @@ func diffQueries(t *testing.T, tag string, seg, ref *forest.Index, queries []*tr
 				}
 			}
 		}
-		if got, want := seg.LookupTop(q, 4), ref.LookupTop(q, 4); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: LookupTop(q%d) diverges:\n got %v\nwant %v", tag, qi, got, want)
-		}
-		if got, want := seg.LookupTopK(q, 5), ref.LookupTopK(q, 5); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: LookupTopK(q%d) diverges:\n got %v\nwant %v", tag, qi, got, want)
+		for _, k := range []int{4, 5} {
+			if got, want := seg.LookupTopK(q, k), ref.LookupTopK(q, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: LookupTopK(q%d, %d) diverges:\n got %v\nwant %v", tag, qi, k, got, want)
+			}
 		}
 	}
 	if got, want := seg.SimilarityJoinWorkers(0.8, 2), ref.SimilarityJoinWorkers(0.8, 2); !reflect.DeepEqual(got, want) {

@@ -361,7 +361,7 @@ func TestSegmentedRemovedNumberReused(t *testing.T) {
 				t.Fatalf("mode %v tau %v:\n got %v\nwant %v", mode, tau, got, want)
 			}
 		}
-		if got, want := s.Forest().LookupTop(base, 4), ref.LookupTop(base, 4); !reflect.DeepEqual(got, want) {
+		if got, want := s.Forest().LookupTopK(base, 4), ref.LookupTopK(base, 4); !reflect.DeepEqual(got, want) {
 			t.Fatalf("mode %v top-4:\n got %v\nwant %v", mode, got, want)
 		}
 	}

@@ -833,19 +833,3 @@ func (s *segment) Postings(lt profile.LabelTuple) []segPosting {
 	}
 	return nil
 }
-
-// forEachPosting iterates every posting block in ascending tuple order.
-func (s *segment) forEachPosting(fn func(lt uint64, list []segPosting) error) error {
-	for bi := range s.fences {
-		blk, err := s.block(bi)
-		if err != nil {
-			return err
-		}
-		for i, lt := range blk.tuples {
-			if err := fn(lt, blk.list(i)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}

@@ -123,24 +123,27 @@ func TestSegmentRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Full enumeration visits exactly the union, in ascending tuple order.
+	// Walking every block visits exactly the union, in ascending tuple order.
 	var last uint64
 	enumerated := 0
-	if err := sg.forEachPosting(func(lt uint64, list []segPosting) error {
-		if enumerated > 0 && lt <= last {
-			t.Fatalf("forEachPosting out of order: %016x after %016x", lt, last)
+	for bi := range sg.fences {
+		blk, err := sg.block(bi)
+		if err != nil {
+			t.Fatal(err)
 		}
-		last = lt
-		enumerated++
-		if len(list) != len(union[lt]) {
-			t.Fatalf("forEachPosting tuple %016x: %d postings, want %d", lt, len(list), len(union[lt]))
+		for i, lt := range blk.tuples {
+			if enumerated > 0 && lt <= last {
+				t.Fatalf("block walk out of order: %016x after %016x", lt, last)
+			}
+			last = lt
+			enumerated++
+			if n := len(blk.list(i)); n != len(union[lt]) {
+				t.Fatalf("block walk tuple %016x: %d postings, want %d", lt, n, len(union[lt]))
+			}
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
 	if enumerated != len(union) {
-		t.Fatalf("forEachPosting visited %d tuples, want %d", enumerated, len(union))
+		t.Fatalf("block walk visited %d tuples, want %d", enumerated, len(union))
 	}
 
 	// Probing tuples the segment does not hold must hit nothing; no copy

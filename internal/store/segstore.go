@@ -888,82 +888,6 @@ func (s *Segmented) Bag(id string) (profile.Index, bool) {
 	return bag, true
 }
 
-// ForEachPosting implements forest.Tier: a k-way merge of every live
-// segment's posting blocks in ascending tuple order, entries filtered to
-// live documents and sorted by id. Panics on a segment read failure.
-func (s *Segmented) ForEachPosting(fn func(lt profile.LabelTuple, entries []forest.TierPosting) error) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	type cursor struct {
-		seg *segment
-		bi  int
-		ti  int
-		blk *segBlock
-	}
-	curs := make([]*cursor, 0, len(s.segs))
-	for _, sg := range s.segs {
-		if len(sg.fences) == 0 {
-			continue
-		}
-		blk, err := sg.block(0)
-		if err != nil {
-			panic(fmt.Sprintf("store: segment %s: unrecoverable read during join: %v", sg.path, err))
-		}
-		curs = append(curs, &cursor{seg: sg, blk: blk})
-	}
-	var entries []forest.TierPosting
-	for len(curs) > 0 {
-		lo := curs[0].blk.tuples[curs[0].ti]
-		for _, c := range curs[1:] {
-			if t := c.blk.tuples[c.ti]; t < lo {
-				lo = t
-			}
-		}
-		entries = entries[:0]
-		for _, c := range curs {
-			if c.blk.tuples[c.ti] != lo {
-				continue
-			}
-			for _, pe := range c.blk.list(c.ti) {
-				id := c.seg.docs[pe.Ref].id
-				if l, ok := s.loc[id]; !ok || l.seg != c.seg {
-					continue
-				}
-				entries = append(entries, forest.TierPosting{ID: id, Cnt: int(pe.Cnt)})
-			}
-		}
-		if len(entries) > 0 {
-			// A document has exactly one live copy, so ids are unique here;
-			// sorting keeps the contract deterministic across segments.
-			sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
-			if err := fn(profile.LabelTuple(lo), entries); err != nil {
-				return err
-			}
-		}
-		live := curs[:0]
-		for _, c := range curs {
-			if c.blk.tuples[c.ti] == lo {
-				c.ti++
-				if c.ti >= len(c.blk.tuples) {
-					c.bi++
-					c.ti = 0
-					if c.bi >= len(c.seg.fences) {
-						continue // segment exhausted
-					}
-					blk, err := c.seg.block(c.bi)
-					if err != nil {
-						panic(fmt.Sprintf("store: segment %s: unrecoverable read during join: %v", c.seg.path, err))
-					}
-					c.blk = blk
-				}
-			}
-			live = append(live, c)
-		}
-		curs = live
-	}
-	return nil
-}
-
 // --- introspection ------------------------------------------------------
 
 // SegmentStats summarizes the segmented store's current shape, for

@@ -104,7 +104,7 @@ func TestLoadedLookupWorks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Postings are rebuilt on load: lookups must work.
-	top := g.LookupTop(base, 1)
+	top := g.LookupTopK(base, 1)
 	if len(top) != 1 || top[0].TreeID != "base" || top[0].Distance != 0 {
 		t.Fatalf("lookup on loaded index = %+v", top)
 	}
