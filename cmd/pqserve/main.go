@@ -56,6 +56,20 @@ const shutdownWait = 5 * time.Second
 // pooled connections are not affected.
 const readHeaderWait = 5 * time.Second
 
+// readWait bounds how long a connection may take to deliver one whole
+// request, headers and body, so a client that announces a body and then
+// trickles it cannot hold a handler goroutine forever. net/http clears
+// the deadline once the body has been read, so it never cuts a slow
+// handler short. At the default 8 MiB body cap it still admits clients
+// sending 0.8 MB/s.
+const readWait = 10 * time.Second
+
+// idleWait closes a kept-alive connection that has sat idle this long.
+// It exceeds net/http clients' default 90 s idle timeout, so the client
+// side normally closes first and never reuses a connection the server is
+// closing.
+const idleWait = 2 * time.Minute
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	index := flag.String("index", "", "back the service with a persistent store at this path (journaled; survives restarts)")
@@ -128,7 +142,10 @@ func main() {
 		Logger:       logger,
 	}, col)
 
-	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: readHeaderWait}
+	// WriteTimeout stays unset: /debug/pprof/profile streams for 30 s by
+	// default (longer on request), and a write deadline would cut it off.
+	hs := &http.Server{Addr: *addr, Handler: srv,
+		ReadHeaderTimeout: readHeaderWait, ReadTimeout: readWait, IdleTimeout: idleWait}
 	listenErr := make(chan error, 1)
 	//pqlint:allow goroutinecheck joined through listenErr: both arms of the select below receive its one send before the store closes
 	go func() { listenErr <- hs.ListenAndServe() }()

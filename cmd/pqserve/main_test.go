@@ -201,24 +201,41 @@ func TestServeStopsCleanlyAndRecovers(t *testing.T) {
 // finishes its request line is hung up on after readHeaderWait.
 func TestServeBoundsHeaderReads(t *testing.T) {
 	_, bin := build(t)
-	s := start(t, bin)
+	assertHungUp(t, start(t, bin), "GET /sta", readHeaderWait)
+}
+
+// TestServeBoundsBodyReads: a client that sends complete headers
+// announcing a 100-byte body and then only one byte of it is hung up on
+// after readWait.
+func TestServeBoundsBodyReads(t *testing.T) {
+	_, bin := build(t)
+	assertHungUp(t, start(t, bin),
+		"POST /lookup HTTP/1.1\r\nHost: pqserve\r\nContent-Length: 100\r\n\r\n{", readWait)
+}
+
+// assertHungUp sends partial to the server and requires the server to
+// close the connection after bound (give or take a second) and within
+// bound + 3 s.
+func assertHungUp(t *testing.T, s *server, partial string, bound time.Duration) {
+	t.Helper()
 	conn, err := net.Dial("tcp", strings.TrimPrefix(s.base, "http://"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	began := time.Now()
-	if _, err := conn.Write([]byte("GET /sta")); err != nil {
+	if _, err := conn.Write([]byte(partial)); err != nil {
 		t.Fatal(err)
 	}
 	const slack = 3 * time.Second
-	conn.SetReadDeadline(began.Add(readHeaderWait + slack))
-	// The server may answer 408 before closing; either way the read ends
-	// with the connection closed by the peer, not with our own deadline.
+	conn.SetReadDeadline(began.Add(bound + slack))
+	// The server may answer (408, or 400 for the unreadable body) before
+	// closing; either way the read ends with the connection closed by the
+	// peer, not with our own deadline.
 	if _, err := io.Copy(io.Discard, conn); err != nil {
-		t.Fatalf("connection still open %v after half a request line: %v", time.Since(began), err)
+		t.Fatalf("connection still open %v after %q: %v", time.Since(began), partial, err)
 	}
-	if took := time.Since(began); took < readHeaderWait-time.Second {
-		t.Fatalf("connection closed after %v, before the %v bound", took, readHeaderWait)
+	if took := time.Since(began); took < bound-time.Second {
+		t.Fatalf("connection closed after %v, before the %v bound", took, bound)
 	}
 }

@@ -2,7 +2,7 @@
 // shared postings traversal.
 //
 // A flight is keyed on (queryKey, forest epoch at request time). The
-// first request under a key becomes the leader and runs the traversal;
+// first request under a key leads: it builds the query bag and traverses;
 // requests that arrive with the same key while it is in flight wait for
 // the leader and share its result. Because the epoch is part of the key,
 // a request admitted after a mutation completed can never join a
@@ -22,12 +22,13 @@ type flightKey struct {
 	epoch uint64
 }
 
-// flight is one in-progress shared traversal. joined and out are written
-// under the batcher lock (joined) or strictly before done is closed
-// (out), and read only after <-done.
+// flight is one in-progress shared traversal. joined is written under
+// the batcher lock; out and err strictly before done is closed, and read
+// only after <-done.
 type flight struct {
 	done   chan struct{}
 	out    []forest.Match
+	err    error
 	joined int64 // guarded by batcher.mu; requests sharing this traversal, including the leader
 }
 
@@ -49,10 +50,10 @@ func newBatcher(m serveMetrics) *batcher {
 }
 
 // do runs fn once for all concurrent callers with the same key and epoch
-// and hands every caller the same result. The second return reports
-// whether this caller shared another request's traversal. fn must not
-// call back into the batcher.
-func (b *batcher) do(key queryKey, epoch uint64, fn func() []forest.Match) ([]forest.Match, bool) {
+// and hands every caller the same result or error. The second return
+// reports whether this caller shared another request's traversal. fn
+// must not call back into the batcher.
+func (b *batcher) do(key queryKey, epoch uint64, fn func() ([]forest.Match, error)) ([]forest.Match, bool, error) {
 	fk := flightKey{qk: key, epoch: epoch}
 	b.mu.Lock()
 	if fl, ok := b.flights[fk]; ok {
@@ -60,7 +61,7 @@ func (b *batcher) do(key queryKey, epoch uint64, fn func() []forest.Match) ([]fo
 		b.mu.Unlock()
 		<-fl.done
 		b.m.batchJoined.Inc()
-		return fl.out, true
+		return fl.out, true, fl.err
 	}
 	fl := &flight{done: make(chan struct{})}
 	fl.joined = 1
@@ -79,6 +80,6 @@ func (b *batcher) do(key queryKey, epoch uint64, fn func() []forest.Match) ([]fo
 		b.m.batchFlights.Inc()
 		b.m.batchSize.Observe(joined)
 	}()
-	fl.out = fn()
-	return fl.out, false
+	fl.out, fl.err = fn()
+	return fl.out, false, fl.err
 }

@@ -1,22 +1,29 @@
 // The result cache of the serving tier: a strict-invalidation LRU over
 // lookup and top-k answers.
 //
-// Keys are (op, plan mode, τ or k, query fingerprint); the fingerprint is
-// an order-independent 64-bit hash of the query's (tuple, count) multiset.
-// Entries additionally store a clone of the full query bag and the forest
-// epoch the answer was computed under. A probe hits only when the epoch
-// still matches (otherwise the entry is evicted and counted as an
-// invalidation) and the stored bag equals the probe's bag exactly — a
-// fingerprint collision therefore costs a miss, never a wrong answer.
+// Keys are (op, plan mode, τ or k, source form, source); the source is an
+// HTTP request's raw XML or a programmatic bag's canonical bytes (bagKey).
+// The map compares it in full, so a hit is verified by byte equality and
+// nothing is parsed to probe; two spellings of one document are two
+// entries. A probe hits only while the entry's forest epoch still matches,
+// otherwise the entry is evicted and counted as an invalidation.
 
 package serve
 
 import (
 	"container/list"
+	"encoding/binary"
+	"slices"
 	"sync"
 
 	"pqgram/internal/forest"
 	"pqgram/internal/profile"
+)
+
+// Source forms of a queryKey: an XML string never equals a bag's bytes.
+const (
+	srcXML uint8 = iota // src is an HTTP request's raw query XML
+	srcBag              // src is bagKey of a programmatic query bag
 )
 
 // queryKey identifies one cacheable computation. τ and k are disjoint by
@@ -29,47 +36,39 @@ type queryKey struct {
 	plan forest.PlanMode
 	tau  float64
 	k    int
-	fp   uint64
+	form uint8
+	src  string
 }
 
-// fingerprintIndex hashes a query bag order-independently: each
-// (tuple, count) pair is mixed to a pseudo-random word, and the words are
-// combined with commutative operations (sum and xor) so Go's randomized
-// map iteration cannot influence the result. Collisions are tolerated —
-// the cache verifies the full bag on every hit.
-func fingerprintIndex(q profile.Index) uint64 {
-	var sum, x uint64
-	for lt, c := range q {
-		v := mix64(uint64(lt) ^ mix64(uint64(c)))
-		sum += v
-		x ^= v
+// bagKey is the canonical byte form of a query bag: its (tuple, count)
+// pairs in ascending tuple order, so equal bags have equal keys whatever
+// order their maps were built or iterated in.
+func bagKey(q profile.Index) string {
+	tuples := make([]profile.LabelTuple, 0, len(q))
+	for lt := range q {
+		tuples = append(tuples, lt)
 	}
-	return mix64(sum ^ (x<<32 | x>>32) ^ uint64(len(q)))
-}
-
-// mix64 is the SplitMix64 finalizer: a cheap full-avalanche mixer.
-func mix64(v uint64) uint64 {
-	v ^= v >> 30
-	v *= 0xbf58476d1ce4e5b9
-	v ^= v >> 27
-	v *= 0x94d049bb133111eb
-	v ^= v >> 31
-	return v
+	slices.Sort(tuples)
+	buf := make([]byte, 0, 16*len(tuples))
+	for _, lt := range tuples {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(lt))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(q[lt]))
+	}
+	return string(buf)
 }
 
 // cacheEntry is one cached answer. out is shared with every response that
 // hits the entry; it is never mutated after insertion.
 type cacheEntry struct {
 	key   queryKey
-	q     profile.Index  // guarded by resultCache.mu; cloned query bag, verified on every hit
 	out   []forest.Match // guarded by resultCache.mu
 	epoch uint64         // guarded by resultCache.mu
 	elem  *list.Element  // guarded by resultCache.mu
 }
 
 // resultCache is a mutex-guarded LRU. The lock is held only for map and
-// list surgery plus the bag-equality check — never across a forest
-// traversal — so it does not serialize lookups.
+// list surgery — never across a forest traversal — so it does not
+// serialize lookups.
 type resultCache struct {
 	mu      sync.Mutex
 	max     int
@@ -83,9 +82,9 @@ func newResultCache(max int, m serveMetrics) *resultCache {
 }
 
 // get returns the cached answer for key if it was computed under exactly
-// the given epoch and its stored query bag equals q. A stale-epoch entry
-// is evicted eagerly and counted as an invalidation.
-func (c *resultCache) get(key queryKey, q profile.Index, epoch uint64) ([]forest.Match, bool) {
+// the given epoch. A stale-epoch entry is evicted eagerly and counted as
+// an invalidation.
+func (c *resultCache) get(key queryKey, epoch uint64) ([]forest.Match, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[key]
@@ -99,29 +98,23 @@ func (c *resultCache) get(key queryKey, q profile.Index, epoch uint64) ([]forest
 		c.m.cacheInvalidate.Inc()
 		return nil, false
 	}
-	if !e.q.Equal(q) {
-		// Fingerprint collision: a different query landed on the same
-		// key. Treated as a miss; the subsequent put replaces the entry.
-		return nil, false
-	}
 	c.lru.MoveToFront(e.elem)
 	return e.out, true
 }
 
 // put records an answer computed under the given epoch, evicting the
-// least-recently-used entries past the capacity. The query bag is cloned;
-// the result slice is stored as-is and must be treated as immutable.
-func (c *resultCache) put(key queryKey, q profile.Index, out []forest.Match, epoch uint64) {
+// least-recently-used entries past the capacity. The result slice is
+// stored as-is and must be treated as immutable.
+func (c *resultCache) put(key queryKey, out []forest.Match, epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e := c.entries[key]; e != nil {
-		e.q = q.Clone()
 		e.out = out
 		e.epoch = epoch
 		c.lru.MoveToFront(e.elem)
 		return
 	}
-	e := &cacheEntry{key: key, q: q.Clone(), out: out, epoch: epoch}
+	e := &cacheEntry{key: key, out: out, epoch: epoch}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
 	for len(c.entries) > c.max {

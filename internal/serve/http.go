@@ -31,6 +31,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"io"
@@ -163,23 +164,26 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeOverloaded maps ErrOverloaded to 429 Too Many Requests with the
-// configured Retry-After hint.
-func (s *Server) writeOverloaded(w http.ResponseWriter) {
+// queryXML answers a query given as raw XML. The cache and the batcher
+// key on the XML's bytes, so a repeat is answered without parsing; only a
+// flight leader after a miss streams the bag out of it.
+func (s *Server) queryXML(op uint8, xml string, tau float64, k int) (Result, error) {
+	return s.query(queryKey{op: op, tau: tau, k: k, form: srcXML, src: xml}, func() (profile.Index, error) {
+		return xmlconv.StreamIndex(strings.NewReader(xml), xmlconv.Options{}, s.forest.Params())
+	})
+}
+
+// writeQueryError maps a failed query to its status: ErrOverloaded is 429
+// Too Many Requests with the configured Retry-After hint; any other error
+// came from the query document.
+func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
+	if !errors.Is(err, ErrOverloaded) {
+		httpError(w, http.StatusBadRequest, "bad query document: %v", err)
+		return
+	}
 	w.Header().Set("Retry-After",
 		strconv.FormatInt(int64(math.Ceil(s.cfg.RetryAfter.Seconds())), 10))
 	httpError(w, http.StatusTooManyRequests, "overloaded; retry after %s", s.cfg.RetryAfter)
-}
-
-// parseQueryXML parses a request's query document and builds its pq-gram
-// profile under the forest's parameters.
-func (s *Server) parseQueryXML(w http.ResponseWriter, xml string) (profile.Index, bool) {
-	t, err := xmlconv.ParseString(xml, xmlconv.Options{})
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad query document: %v", err)
-		return nil, false
-	}
-	return profile.BuildIndex(t, s.forest.Params()), true
 }
 
 // cacheHeader attributes an answered lookup to the tier that produced it.
@@ -220,19 +224,15 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "top %d out of range [0, %d]", req.Top, maxTopK)
 		return
 	}
-	q, ok := s.parseQueryXML(w, req.XML)
-	if !ok {
-		return
-	}
 	var res Result
 	var err error
 	if req.Top > 0 {
-		res, err = s.TopK(q, req.Top)
+		res, err = s.queryXML(opTopK, req.XML, 0, req.Top)
 	} else {
-		res, err = s.Lookup(q, req.Tau)
+		res, err = s.queryXML(opLookup, req.XML, req.Tau, 0)
 	}
 	if err != nil {
-		s.writeOverloaded(w)
+		s.writeQueryError(w, err)
 		return
 	}
 	w.Header().Set("X-Cache", cacheHeader(res))
@@ -263,13 +263,9 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if req.K == 0 {
 		req.K = 5
 	}
-	q, ok := s.parseQueryXML(w, req.XML)
-	if !ok {
-		return
-	}
-	res, err := s.TopK(q, req.K)
+	res, err := s.queryXML(opTopK, req.XML, 0, req.K)
 	if err != nil {
-		s.writeOverloaded(w)
+		s.writeQueryError(w, err)
 		return
 	}
 	matches := res.Matches

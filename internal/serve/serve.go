@@ -9,16 +9,15 @@
 //     new requests are shed immediately (HTTP 429 + Retry-After) instead
 //     of queueing behind work the service cannot absorb.
 //  2. Result cache (cache.go) — an LRU of lookup/top-k results keyed on
-//     (query fingerprint, τ or k, plan mode), validated against the
-//     forest's mutation epoch: every incremental Add/Remove/Update
-//     advances the epoch, so an entry computed under an older epoch is
-//     strictly invalid and is evicted on the next probe. Hits verify the
-//     full query bag, so a fingerprint collision degrades to a miss,
-//     never a wrong answer.
+//     (query source, τ or k, plan mode), validated against the forest's
+//     mutation epoch: every Add/Remove/Update advances the epoch, so an
+//     older entry is strictly invalid and evicted on the next probe. The
+//     source is the request's raw XML, so a hit parses nothing.
 //  3. Request batching (batch.go) — concurrent lookups with the same key
 //     and the same epoch coalesce into a single shared postings
 //     traversal; N-1 of them wait for the leader and share its result.
-//     A flight is keyed on the epoch it started under, so a request that
+//     Only the leader streams the query bag (xmlconv.StreamIndex). A
+//     flight is keyed on the epoch it started under, so a request that
 //     arrives after a mutation never joins a pre-mutation traversal —
 //     read-your-writes holds for every client.
 //
@@ -224,7 +223,7 @@ const (
 // control, then the result cache, then a (possibly shared) postings
 // traversal. The query index must not be mutated while the call runs.
 func (s *Server) Lookup(q profile.Index, tau float64) (Result, error) {
-	return s.query(opLookup, q, tau, 0)
+	return s.query(queryKey{op: opLookup, tau: tau, form: srcBag, src: bagKey(q)}, func() (profile.Index, error) { return q, nil })
 }
 
 // TopK answers a top-k lookup through the serving tier; see Lookup.
@@ -232,14 +231,16 @@ func (s *Server) TopK(q profile.Index, k int) (Result, error) {
 	if k <= 0 {
 		return Result{Epoch: s.forest.Epoch()}, nil
 	}
-	return s.query(opTopK, q, 0, k)
+	return s.query(queryKey{op: opTopK, k: k, form: srcBag, src: bagKey(q)}, func() (profile.Index, error) { return q, nil })
 }
 
-func (s *Server) query(op uint8, q profile.Index, tau float64, k int) (Result, error) {
+// query answers key (filling in its plan). bag runs only in a flight
+// leader after a cache miss; its error is every flight member's.
+func (s *Server) query(key queryKey, bag func() (profile.Index, error)) (Result, error) {
 	s.m.requests.Inc()
 	sp := s.col.StartTrace("serve.query")
 	defer sp.Finish()
-	sp.SetAttr("op", int64(op))
+	sp.SetAttr("op", int64(key.op))
 	if err := s.adm.acquire(); err != nil {
 		s.m.shed.Inc()
 		sp.SetAttr("shed", 1)
@@ -248,10 +249,10 @@ func (s *Server) query(op uint8, q profile.Index, tau float64, k int) (Result, e
 	defer s.adm.release()
 	t0 := time.Now()
 
-	key := queryKey{op: op, plan: s.forest.PlanMode(), tau: tau, k: k, fp: fingerprintIndex(q)}
+	key.plan = s.forest.PlanMode()
 	epoch := s.forest.Epoch()
 	if s.cache != nil {
-		if out, ok := s.cache.get(key, q, epoch); ok {
+		if out, ok := s.cache.get(key, epoch); ok {
 			s.m.cacheHits.Inc()
 			sp.SetAttr("cache_hit", 1)
 			sp.SetAttr("matches", int64(len(out)))
@@ -264,28 +265,35 @@ func (s *Server) query(op uint8, q profile.Index, tau float64, k int) (Result, e
 	// Coalesce with concurrent identical requests of the same epoch; the
 	// flight leader runs the traversal and re-validates the epoch around
 	// it before publishing to the cache.
-	out, shared := s.batch.do(key, epoch, func() []forest.Match {
+	out, shared, err := s.batch.do(key, epoch, func() ([]forest.Match, error) {
 		if s.hookFlightStart != nil {
 			s.hookFlightStart()
 		}
+		q, err := bag()
+		if err != nil {
+			return nil, err
+		}
 		e1 := s.forest.Epoch()
 		var ms []forest.Match
-		if op == opLookup {
-			ms = s.forest.LookupIndex(q, tau)
+		if key.op == opLookup {
+			ms = s.forest.LookupIndex(q, key.tau)
 		} else {
-			ms = s.forest.LookupIndexTopK(q, k)
+			ms = s.forest.LookupIndexTopK(q, key.k)
 		}
 		// Publish only results provably computed inside one epoch: a
 		// bump during the traversal means a mutation may have completed
 		// mid-scan, and such a result must not outlive this response.
 		if s.cache != nil && e1 == epoch && s.forest.Epoch() == e1 {
-			s.cache.put(key, q, ms, e1)
+			s.cache.put(key, ms, e1)
 		}
-		return ms
+		return ms, nil
 	})
+	s.finishTimed(t0)
+	if err != nil {
+		return Result{}, err
+	}
 	sp.SetAttr("shared", boolAttr(shared))
 	sp.SetAttr("matches", int64(len(out)))
-	s.finishTimed(t0)
 	return Result{Matches: out, Shared: shared, Epoch: epoch}, nil
 }
 

@@ -1,6 +1,7 @@
 // White-box unit tests of the serving tier's three mechanisms — the
-// result cache (hit, strict epoch invalidation, LRU eviction, collision
-// safety), the batcher (deterministic coalescing via the flight hook),
+// result cache (hit, strict epoch invalidation, LRU eviction, keys on the
+// query's bytes), the batcher (deterministic coalescing via the flight
+// hook, distinct queries in distinct flights),
 // and admission control (queue shedding, latency-budget shedding and
 // recovery) — plus the HTTP validation surface. The cross-cutting
 // correctness arguments live in diff_test.go (semantic invisibility) and
@@ -15,8 +16,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -129,37 +132,76 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheCollisionIsMissNotWrongAnswer(t *testing.T) {
-	s, docs := newTestServer(t, Config{CacheSize: 8}, 2)
-	qa := queryOf(t, s, docs[0])
-	qb := queryOf(t, s, docs[1])
-	key := queryKey{op: opLookup, tau: 0.5}
-
-	// Force both bags onto one key, simulating a fingerprint collision.
-	s.cache.put(key, qa, []forest.Match{{TreeID: "a", Distance: 0.1}}, s.forest.Epoch())
-	if _, ok := s.cache.get(key, qb, s.forest.Epoch()); ok {
-		t.Fatal("colliding bag served another query's answer")
+// TestBagKeyIndependentOfMapOrder pins the programmatic cache key: equal
+// bags built in any order share one key, and any change to a tuple's
+// count or presence changes it.
+func TestBagKeyIndependentOfMapOrder(t *testing.T) {
+	q := profile.BuildIndex(gen.RandomTree(rand.New(rand.NewSource(3)), 60), profile.Default)
+	tuples := make([]profile.LabelTuple, 0, len(q))
+	for lt := range q {
+		tuples = append(tuples, lt)
 	}
-	if out, ok := s.cache.get(key, qa, s.forest.Epoch()); !ok || out[0].TreeID != "a" {
-		t.Fatalf("original bag lost its entry: ok=%v out=%v", ok, out)
+	slices.Sort(tuples)
+	up, down := make(profile.Index), make(profile.Index)
+	for i := range tuples {
+		up[tuples[i]] = q[tuples[i]]
+		j := len(tuples) - 1 - i
+		down[tuples[j]] = q[tuples[j]]
+	}
+	if bagKey(up) != bagKey(q) || bagKey(down) != bagKey(q) {
+		t.Fatal("bag key depends on map construction order")
+	}
+	more := q.Clone()
+	more.Add(tuples[0])
+	less := q.Clone()
+	delete(less, tuples[len(tuples)-1])
+	if bagKey(more) == bagKey(q) || bagKey(less) == bagKey(q) {
+		t.Fatal("bag key ignores a count or a missing tuple")
 	}
 }
 
-func TestFingerprintOrderIndependentAndDiscriminating(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	base := gen.RandomTree(rng, 60)
-	q1 := profile.BuildIndex(base, profile.Default)
-	q2 := profile.BuildIndex(base, profile.Default) // fresh map, new iteration order
-	if fingerprintIndex(q1) != fingerprintIndex(q2) {
-		t.Fatal("fingerprint depends on construction/iteration order")
-	}
-	seen := map[uint64]bool{fingerprintIndex(q1): true}
-	for i := 0; i < 50; i++ {
-		fp := fingerprintIndex(profile.BuildIndex(gen.RandomTree(rng, 60), profile.Default))
-		if seen[fp] {
-			t.Fatalf("fingerprint collision across %d distinct random queries", i+1)
+// TestBatchDistinctQueriesDoNotShare holds query A's flight open and
+// shows that a concurrent, different query B runs and finishes its own
+// flight instead of waiting for (and sharing) A's.
+func TestBatchDistinctQueriesDoNotShare(t *testing.T) {
+	s, docs := newTestServer(t, Config{}, 2)
+	qa, qb := queryOf(t, s, docs[0]), queryOf(t, s, docs[1])
+
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var held atomic.Bool // not a sync.Once: Once.Do would block B's hook until A's returns
+	s.hookFlightStart = func() {
+		if held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
 		}
-		seen[fp] = true
+	}
+	lookup := func(q profile.Index, out chan<- Result) {
+		r, err := s.Lookup(q, 0.5)
+		if err != nil {
+			t.Error(err)
+		}
+		out <- r
+	}
+	doneA, doneB := make(chan Result, 1), make(chan Result, 1)
+	go lookup(qa, doneA)
+	<-entered // A's leader is inside its flight
+
+	go lookup(qb, doneB)
+	var rb Result
+	select {
+	case rb = <-doneB:
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("query B is still waiting 5s into query A's held flight")
+	}
+	close(release)
+	ra := <-doneA
+	if ra.Shared || rb.Shared {
+		t.Fatalf("Shared = %v (A), %v (B); distinct queries must not share a flight", ra.Shared, rb.Shared)
+	}
+	if got := s.m.batchFlights.Load(); got != 2 {
+		t.Fatalf("serve_batch_flights = %d, want 2", got)
 	}
 }
 
@@ -201,7 +243,7 @@ func TestBatchCoalesce(t *testing.T) {
 	}
 	// Wait until every joiner is registered on the open flight, then let
 	// the leader finish.
-	fk := flightKey{qk: queryKey{op: opLookup, plan: s.forest.PlanMode(), tau: 0.5, fp: fingerprintIndex(q)}, epoch: s.forest.Epoch()}
+	fk := flightKey{qk: queryKey{op: opLookup, plan: s.forest.PlanMode(), tau: 0.5, form: srcBag, src: bagKey(q)}, epoch: s.forest.Epoch()}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		s.batch.mu.Lock()
@@ -459,5 +501,68 @@ func TestHTTPCacheHeaderAndRetryAfter(t *testing.T) {
 	close(release)
 	if w := <-done; w.Code != 200 {
 		t.Fatalf("slot holder = %d, want 200", w.Code)
+	}
+}
+
+// TestHTTPHitDoesNotParse pins that a cache hit is a probe on the
+// request's bytes: repeating one ≥ 200-node lookup through ServeHTTP
+// allocates less than a tenth of what the same request costs as a miss,
+// which streams the bag and traverses the postings.
+func TestHTTPHitDoesNotParse(t *testing.T) {
+	doc := gen.DBLP(11, 300)
+	if doc.Size() < 200 {
+		t.Fatalf("query has %d nodes, want at least 200", doc.Size())
+	}
+	b, err := json.Marshal(LookupRequest{XML: mustBody(t, doc), Tau: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(b)
+	cold, _ := newTestServer(t, Config{}, 4)
+	hot, _ := newTestServer(t, Config{CacheSize: 8}, 4)
+	if w := do(t, hot, "POST", "/lookup", body); w.Code != 200 {
+		t.Fatalf("warm-up lookup = %d: %s", w.Code, w.Body.String())
+	}
+	miss := testing.AllocsPerRun(20, func() { do(t, cold, "POST", "/lookup", body) })
+	hit := testing.AllocsPerRun(20, func() { do(t, hot, "POST", "/lookup", body) })
+	if w := do(t, hot, "POST", "/lookup", body); w.Header().Get("X-Cache") != "hit" {
+		t.Fatalf("repeat lookup X-Cache = %q, want hit", w.Header().Get("X-Cache"))
+	}
+	if hit*10 >= miss {
+		t.Fatalf("a hit allocates %.0f times, a miss %.0f: want hit < miss/10", hit, miss)
+	}
+}
+
+// TestHTTPCacheKeysOnQueryBytes: the cache key is the query's XML as
+// sent. A byte-different spelling of the same document is a miss with an
+// identical answer, and malformed XML is a 400 even while a valid query
+// at the same τ is cached.
+func TestHTTPCacheKeysOnQueryBytes(t *testing.T) {
+	s, docs := newTestServer(t, Config{CacheSize: 8}, 3)
+	xml := mustBody(t, docs[0])
+	enc := func(xml string) string {
+		b, err := json.Marshal(LookupRequest{XML: xml, Tau: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	first := do(t, s, "POST", "/lookup", enc(xml))
+	if first.Code != 200 {
+		t.Fatalf("lookup = %d: %s", first.Code, first.Body.String())
+	}
+	spaced := do(t, s, "POST", "/lookup", enc("\n"+xml+"\n"))
+	if got := spaced.Header().Get("X-Cache"); got != "miss" {
+		t.Fatalf("whitespace-padded query X-Cache = %q, want miss", got)
+	}
+	if spaced.Code != first.Code || spaced.Body.String() != first.Body.String() {
+		t.Fatalf("whitespace-padded query answered %d %s, want %d %s",
+			spaced.Code, spaced.Body.String(), first.Code, first.Body.String())
+	}
+	for pass := 0; pass < 2; pass++ {
+		w := do(t, s, "POST", "/lookup", enc(xml[:len(xml)/2]))
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "bad query document") {
+			t.Fatalf("pass %d: truncated query = %d %s, want 400 bad query document", pass, w.Code, w.Body.String())
+		}
 	}
 }

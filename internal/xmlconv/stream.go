@@ -1,11 +1,11 @@
 package xmlconv
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"pqgram/internal/fingerprint"
 	"pqgram/internal/profile"
@@ -16,13 +16,14 @@ import (
 // the document depth plus the child counts along one root path — for the
 // paper's DBLP scale (211MB, 11M nodes) this is a few megabytes instead of
 // gigabytes. The result is identical to Parse followed by
-// profile.BuildIndex with the same options.
+// profile.BuildIndex with the same options, and it fails on exactly the
+// inputs Parse rejects.
 func StreamIndex(r io.Reader, opts Options, pr profile.Params) (profile.Index, error) {
 	if err := pr.Validate(); err != nil {
 		return nil, err
 	}
 	dec := xml.NewDecoder(r)
-	s := &streamer{opts: opts, pr: pr, idx: make(profile.Index)}
+	s := &streamer{pr: pr, idx: make(profile.Index), tuple: make([]fingerprint.Hash, pr.Len())}
 	sawRoot := false
 	for {
 		tok, err := dec.Token()
@@ -40,7 +41,7 @@ func StreamIndex(r io.Reader, opts Options, pr profile.Params) (profile.Index, e
 				}
 				sawRoot = true
 			}
-			s.open(tk.Name.Local)
+			s.stack = append(s.stack, frame{label: fingerprint.Of(tk.Name.Local), start: len(s.kids)})
 			if !opts.SkipAttributes && len(tk.Attr) > 0 {
 				attrs := make([]xml.Attr, len(tk.Attr))
 				copy(attrs, tk.Attr)
@@ -48,7 +49,8 @@ func StreamIndex(r io.Reader, opts Options, pr profile.Params) (profile.Index, e
 					return attrs[i].Name.Local < attrs[j].Name.Local
 				})
 				for _, a := range attrs {
-					s.leafChild("@" + a.Name.Local + "=" + a.Value)
+					s.lab = append(append(append(append(s.lab[:0], '@'), a.Name.Local...), '='), a.Value...)
+					s.leafChild(fingerprint.Of(string(s.lab)))
 				}
 			}
 		case xml.EndElement:
@@ -60,11 +62,11 @@ func StreamIndex(r io.Reader, opts Options, pr profile.Params) (profile.Index, e
 			if opts.SkipText || len(s.stack) == 0 {
 				continue
 			}
-			text := string(tk)
-			if !opts.KeepWhitespaceText && strings.TrimSpace(text) == "" {
+			if !opts.KeepWhitespaceText && len(bytes.TrimSpace(tk)) == 0 {
 				continue
 			}
-			s.leafChild("=" + text)
+			s.lab = append(append(s.lab[:0], '='), tk...)
+			s.leafChild(fingerprint.Of(string(s.lab)))
 		}
 	}
 	if !sawRoot {
@@ -76,77 +78,82 @@ func StreamIndex(r io.Reader, opts Options, pr profile.Params) (profile.Index, e
 	return s.idx, nil
 }
 
-// frame is one open element: its label fingerprint and the fingerprints of
-// the children seen so far.
+// frame is one open element: its label fingerprint and where its children
+// begin in streamer.kids.
 type frame struct {
-	label    fingerprint.Hash
-	children []fingerprint.Hash
+	label fingerprint.Hash
+	start int
 }
 
+// streamer holds the state of one StreamIndex pass. The children seen so
+// far of every open element live in one shared slice, kids: a frame's
+// children run from its start to the next frame's start (to the end for
+// the innermost frame), because an element's own children are dropped
+// before its label is appended to its parent's. tuple and lab are scratch
+// buffers reused by every emitted pq-gram and leaf label.
 type streamer struct {
-	opts  Options
 	pr    profile.Params
 	idx   profile.Index
 	stack []frame
+	kids  []fingerprint.Hash
+	tuple []fingerprint.Hash
+	lab   []byte
 }
 
-// open pushes an element with the given label.
-func (s *streamer) open(label string) {
-	s.stack = append(s.stack, frame{label: fingerprint.Of(label)})
-}
-
-// registerAt builds the null-padded p-part register for the node at stack
-// depth `depth` (1-based innermost). Recomputing from the stack is cheap:
-// p is a small constant.
-func (s *streamer) registerAt(depth int) []fingerprint.Hash {
-	reg := make([]fingerprint.Hash, s.pr.P)
-	for i := 0; i < s.pr.P && i < depth; i++ {
-		reg[s.pr.P-1-i] = s.stack[depth-1-i].label
+// register writes the labels of the innermost len(dst) open elements into
+// dst, innermost last, padding with Null where the stack is shallower (the
+// null ancestors of the extended tree).
+func (s *streamer) register(dst []fingerprint.Hash) {
+	off := len(s.stack) - len(dst)
+	for i := range dst {
+		if off+i >= 0 {
+			dst[i] = s.stack[off+i].label
+		} else {
+			dst[i] = fingerprint.Null
+		}
 	}
-	return reg
 }
 
-// leafChild records a leaf (attribute or text) under the current element
-// and emits its single pq-gram.
-func (s *streamer) leafChild(label string) {
-	h := fingerprint.Of(label)
-	top := len(s.stack) - 1
-	s.stack[top].children = append(s.stack[top].children, h)
-	// The leaf's p-part: the last p-1 stack labels plus the leaf.
-	tuple := make([]fingerprint.Hash, s.pr.Len())
-	for i := 0; i < s.pr.P-1 && i < len(s.stack); i++ {
-		tuple[s.pr.P-2-i] = s.stack[len(s.stack)-1-i].label
-	}
-	tuple[s.pr.P-1] = h
-	// q-part: all nulls (already zero).
-	s.idx.Add(profile.TupleOf(tuple...))
+// leafChild records a leaf (attribute or text) with label fingerprint h
+// under the current element and emits its single pq-gram: the last p-1
+// open labels, the leaf, and an all-null q-part.
+func (s *streamer) leafChild(h fingerprint.Hash) {
+	p := s.pr.P
+	s.kids = append(s.kids, h)
+	s.register(s.tuple[:p-1])
+	s.tuple[p-1] = h
+	clear(s.tuple[p:])
+	s.idx.Add(profile.TupleOf(s.tuple...))
 }
 
 // close pops the current element, emitting its anchor pq-grams.
 func (s *streamer) close() {
+	p, q := s.pr.P, s.pr.Q
 	top := len(s.stack) - 1
 	f := s.stack[top]
-	p, q := s.pr.P, s.pr.Q
-
-	tuple := make([]fingerprint.Hash, p+q)
-	copy(tuple[:p], s.registerAt(len(s.stack)))
-
-	if len(f.children) == 0 {
+	s.register(s.tuple[:p])
+	kids := s.kids[f.start:]
+	if len(kids) == 0 {
 		// Leaf element: single all-null q-part.
-		s.idx.Add(profile.TupleOf(tuple...))
+		clear(s.tuple[p:])
+		s.idx.Add(profile.TupleOf(s.tuple...))
 	} else {
-		win := make([]fingerprint.Hash, 0, len(f.children)+2*(q-1))
-		win = append(win, make([]fingerprint.Hash, q-1)...)
-		win = append(win, f.children...)
-		win = append(win, make([]fingerprint.Hash, q-1)...)
-		for st := 0; st+q <= len(win); st++ {
-			copy(tuple[p:], win[st:st+q])
-			s.idx.Add(profile.TupleOf(tuple...))
+		// Slide a q-window over •^{q-1} ++ kids ++ •^{q-1}; st is the
+		// window's first position in kids, negative inside the padding.
+		for st := 1 - q; st < len(kids); st++ {
+			for j := 0; j < q; j++ {
+				if c := st + j; c >= 0 && c < len(kids) {
+					s.tuple[p+j] = kids[c]
+				} else {
+					s.tuple[p+j] = fingerprint.Null
+				}
+			}
+			s.idx.Add(profile.TupleOf(s.tuple...))
 		}
 	}
-
 	s.stack = s.stack[:top]
+	s.kids = s.kids[:f.start]
 	if top > 0 {
-		s.stack[top-1].children = append(s.stack[top-1].children, f.label)
+		s.kids = append(s.kids, f.label)
 	}
 }

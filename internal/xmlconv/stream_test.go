@@ -93,6 +93,36 @@ func TestStreamIndexErrors(t *testing.T) {
 	}
 }
 
+// FuzzStreamIndex holds StreamIndex to Parse + BuildIndex on arbitrary
+// input: it fails exactly when ParseString does, and otherwise builds the
+// same bag. The serving tier's "400 bad query document" contract rests on
+// StreamIndex, so this is what keeps it equal to the tree path's. Wired
+// into `make fuzz`.
+func FuzzStreamIndex(f *testing.F) {
+	for _, doc := range []string{``, `<a>`, `</a>`, `<a/><b/>`, `text`, `<a x="1" y="2"><b>text</b>tail<c/></a>`} {
+		f.Add(doc)
+	}
+	doc, err := WriteString(gen.DBLP(3, 60))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(doc)
+
+	f.Fuzz(func(t *testing.T, doc string) {
+		got, serr := StreamIndex(strings.NewReader(doc), Options{}, profile.Default)
+		tr, perr := ParseString(doc, Options{})
+		if (serr == nil) != (perr == nil) {
+			t.Fatalf("StreamIndex error %v, ParseString error %v", serr, perr)
+		}
+		if perr != nil {
+			return
+		}
+		if want := profile.BuildIndex(tr, profile.Default); !got.Equal(want) {
+			t.Fatalf("stream bag differs from tree build: %d vs %d tuples", got.Size(), want.Size())
+		}
+	})
+}
+
 func BenchmarkStreamIndex(b *testing.B) {
 	doc, err := WriteString(gen.DBLP(1, 50000))
 	if err != nil {
