@@ -13,7 +13,7 @@ GO      ?= go
 FUZZTIME ?= 5s
 
 # Coverage floors of the gate below: the last measured figures (forest
-# 92.0%, profile 94.7%, obs 93.5%, serve 84.6%, store 89.8%) minus 4
+# 92.3%, profile 94.7%, obs 93.5%, serve 85.4%, store 89.8%) minus 4
 # points of slack so unrelated refactors don't trip it. Raise them when
 # coverage rises; never lower them to make a change pass.
 COVER_FLOOR_FOREST  ?= 88

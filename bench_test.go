@@ -157,34 +157,6 @@ func BenchmarkFig13LookupIndexed(b *testing.B) {
 	}
 }
 
-// BenchmarkLookupPlanner compares the exhaustive lookup path against the
-// threshold-aware pruned planner on the Figure-13 collection, at a
-// selective and a permissive threshold.
-func BenchmarkLookupPlanner(b *testing.B) {
-	f, docs := lookupFixture(256)
-	defer f.SetPlanMode(forest.PlanAuto)
-	rng := rand.New(rand.NewSource(256))
-	query, _, err := gen.Perturb(rng, docs[128], 10, gen.DefaultMix)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := profile.BuildIndex(query, benchP)
-	for _, tau := range []float64{0.3, 0.7} {
-		for _, mode := range []struct {
-			name string
-			mode forest.PlanMode
-		}{{"exhaustive", forest.PlanExhaustive}, {"pruned", forest.PlanPruned}} {
-			b.Run(fmt.Sprintf("tau=%.1f/%s", tau, mode.name), func(b *testing.B) {
-				f.SetPlanMode(mode.mode)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					_ = f.LookupIndex(q, tau)
-				}
-			})
-		}
-	}
-}
-
 func BenchmarkFig13LookupOnTheFly(b *testing.B) {
 	for _, numDocs := range []int{32, 256, 2048} {
 		_, docs := lookupFixture(numDocs)
@@ -585,13 +557,14 @@ func tierFixture() ([]tierSide, []profile.Index) {
 	return tierSidesFix, tierQueriesFix
 }
 
-// BenchmarkTierLookup is the RAM-versus-tier gap of a threshold lookup on
-// tierFixture: the same 16 perturbed documents asked of the evicted and the
-// resident store at a selective, a middle and a permissive threshold.
+// BenchmarkTierLookup is the lookup grid: the same 16 perturbed documents
+// asked of tierFixture's evicted and resident store at four thresholds,
+// from selective to permissive — the RAM-versus-tier gap of a threshold
+// lookup at each.
 func BenchmarkTierLookup(b *testing.B) {
 	sides, queries := tierFixture()
 	for _, side := range sides {
-		for _, tau := range []float64{0.1, 0.3, 0.7} {
+		for _, tau := range []float64{0.1, 0.3, 0.5, 0.7} {
 			b.Run(fmt.Sprintf("%s/tau=%.1f", side.name, tau), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

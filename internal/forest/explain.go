@@ -25,8 +25,9 @@ const (
 	// at least one tuple (threshold lookups), or scores every tree
 	// (top-k).
 	planExhaustive = "exhaustive"
-	// planPruned is the threshold-aware path: size window, rare-first
-	// traversal, o_min early abandon.
+	// planPruned accumulates the resident trees like planExhaustive and
+	// plans the storage tier's runs with the threshold bounds: size
+	// window, rare-first traversal, o_min early abandon.
 	planPruned = "pruned"
 )
 

@@ -20,6 +20,21 @@ func CorruptBagForTest(f *Index, id string) {
 // NumShardsForTest exposes the stripe count for shard-distribution tests.
 const NumShardsForTest = numShards
 
+// SortRareFirstForTest orders tuples given by value and weight the way the
+// tier read does (sortRareFirst) and returns the values in that order.
+func SortRareFirstForTest(lts []profile.LabelTuple, weights []int) []profile.LabelTuple {
+	var sc lookupScratch
+	for i, lt := range lts {
+		sc.tuples = append(sc.tuples, queryTuple{lt: lt, listLen: weights[i]})
+	}
+	sc.sortRareFirst()
+	out := make([]profile.LabelTuple, len(sc.tuples))
+	for i, t := range sc.tuples {
+		out[i] = t.lt
+	}
+	return out
+}
+
 // SortMatchesForTest exposes the canonical (distance, id) result order so
 // differential tests can rank their independently computed references
 // with the exact comparator the lookup paths use.

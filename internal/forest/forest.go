@@ -24,8 +24,9 @@
 // targets: many clients looking up while edit feeds stream in. The inverted
 // postings are lock-striped into shards keyed by label-tuple hash, each
 // per-tree bag is guarded by its own RWMutex, and a registry RWMutex guards
-// the tree table. Lookups, distance queries and incremental updates of
-// different documents all proceed in parallel; only the structural
+// the tree table. Lookups read only the postings and the cached bag sizes,
+// so they never take a bag lock. Lookups, distance queries and incremental
+// updates of different documents all proceed in parallel; only the structural
 // operations (Add, Remove, Put, AddAll) and SelfCheck take the registry
 // write lock and briefly exclude everything else.
 //
@@ -646,11 +647,10 @@ func (f *Index) Lookup(query *tree.Tree, tau float64) []Match {
 	return f.LookupIndex(profile.BuildIndex(query, f.pr), tau)
 }
 
-// LookupIndex is Lookup for a precomputed query index. The candidate
-// strategy is a planner decision (see PlanMode in planner.go): by default
-// the threshold-aware pruned path handles queries it can provably answer
-// identically, and the exhaustive overlap accumulation covers the rest
-// (τ ≥ 1, empty query bags, tiny collections).
+// LookupIndex is Lookup for a precomputed query index. The resident
+// documents are read by one overlap accumulation; how the storage tier is
+// read is a planner decision (see PlanMode in planner.go). τ ≤ 0 matches
+// nothing and reads nothing.
 func (f *Index) LookupIndex(q profile.Index, tau float64) []Match {
 	m := f.obs.Load()
 	var sp *obs.Span
@@ -689,73 +689,71 @@ func (f *Index) lookupIndexSpanned(q profile.Index, tau float64, m *metrics, sp 
 }
 
 // lookupLocked answers one threshold lookup of a query bag of size qSize
-// on the plan the planner picks, and names the plan. The metrics and the
-// span are nil-safe; the similarity join passes nil for both. It requires
-// f.mu held (read suffices).
+// and names the plan. Every plan reads the resident documents with the
+// one accumulation pass (accumulateLocked); they differ only in how they
+// read the storage tier. The metrics and the span are nil-safe; the
+// similarity join passes nil for both. It requires f.mu held (read
+// suffices).
 //
 //pqlint:locked f.mu:r
 func (f *Index) lookupLocked(q profile.Index, qSize int, tau float64, m *metrics, sp *obs.Span) ([]Match, string) {
-	switch {
-	case tau > 1:
-		// Trees sharing no pq-gram (distance exactly 1) can qualify only
-		// for thresholds above 1; scan the whole forest then.
-		scan := sp.Child("scan")
+	if tau <= 0 {
+		// Lookups are strict, d < τ, and no distance is negative.
+		return nil, planExhaustive
+	}
+	scan := sp.Child("scan")
+	defer scan.Finish()
+	if tau > 1 {
+		// Trees sharing no pq-gram (distance exactly 1) qualify too, so
+		// every tree is scored.
 		sc := f.overlapsLocked(q, m, sp, scan)
+		defer sc.release()
 		var out []Match
 		for doc, e := range f.docs {
 			if e == nil {
 				continue
 			}
-			if d := distanceFrom(qSize, int(e.size.Load()), int(sc.acc[doc].ov)); d < tau {
+			if d := distanceFrom(qSize, int(e.size.Load()), int(sc.acc[doc])); d < tau {
 				out = append(out, Match{TreeID: e.id, Distance: d})
 			}
 		}
-		sc.release()
 		sortMatches(out)
-		scan.Finish()
 		return out, planScanAll
-	case f.usePrunedLocked(qSize, tau):
-		return f.lookupPrunedLocked(q, qSize, tau, m, sp), planPruned
+	}
+	b := newBounds(qSize, tau)
+	sc := f.accumulateLocked(q, scan)
+	defer sc.release()
+	resident := len(sc.touched)
+	out := f.scoreLocked(nil, sc, sc.touched, &b, m, scan)
+	plan := planExhaustive
+	if f.usePrunedLocked(qSize, tau) {
+		plan = planPruned
+	}
+	switch {
+	case f.tier == nil:
+	case plan == planPruned:
+		out = f.lookupRunsLocked(out, sc, &b, m, sp)
 	default:
-		return f.lookupExhaustiveLocked(q, qSize, tau, m, sp), planExhaustive
+		w := f.accumulateRunsLocked(sc, sp)
+		out = f.scoreLocked(out, sc, sc.touched[resident:], &b, m, w.span)
+		w.record(m)
 	}
-}
-
-// lookupExhaustiveLocked accumulates the full overlap of every tree
-// sharing at least one tuple with the query and scores them all — the
-// reference lookup the pruned path must match. It requires f.mu held
-// (read suffices) and tau ≤ 1.
-//
-//pqlint:locked f.mu:r
-func (f *Index) lookupExhaustiveLocked(q profile.Index, qSize int, tau float64, m *metrics, sp *obs.Span) []Match {
-	scan := sp.Child("scan")
-	sc := f.overlapsLocked(q, m, sp, scan)
-	var out []Match
-	for _, doc := range sc.touched {
-		e := f.docs[doc]
-		if d := distanceFrom(qSize, int(e.size.Load()), int(sc.acc[doc].ov)); d < tau {
-			out = append(out, Match{TreeID: e.id, Distance: d})
-		}
-	}
-	sc.release()
 	sortMatches(out)
-	scan.Finish()
-	return out
+	return out, plan
 }
 
-// overlapsLocked accumulates |I(query) ∩ I(T)| per tree — the resident
-// ones via the postings, the evicted ones via the storage tier's runs —
-// into a pooled scratch the caller must release: sc.acc[doc].ov is the
-// overlap and sc.touched lists the docs sharing at least one tuple with
-// the query. This one kernel serves the exhaustive lookup, the τ > 1 scan
-// and top-k. It requires f.mu held (read suffices); the query tuples are
-// grouped by shard so each stripe is locked once. The scan span (nil-safe)
-// receives the resident work attributes, and the tier read its own child
-// of sp.
+// accumulateLocked is the resident kernel of every lookup: one pass over
+// the query's posting lists, each stripe locked once, adding each
+// posting's share of the overlap onto its doc and noting each list's
+// length for the tier's run order. It returns a pooled scratch the caller
+// must release: sc.acc[doc] is the overlap and sc.touched lists the docs
+// sharing at least one tuple with the query. The scan span (nil-safe)
+// receives the postings read. It requires f.mu held (read suffices).
 //
 //pqlint:locked f.mu:r
-func (f *Index) overlapsLocked(q profile.Index, m *metrics, sp, scan *obs.Span) *lookupScratch {
+func (f *Index) accumulateLocked(q profile.Index, scan *obs.Span) *lookupScratch {
 	sc := f.scratchLocked(q)
+	acc, touched := sc.acc, sc.touched // locals the inner loop keeps in registers
 	var scanned int64
 	for si := range sc.byShard {
 		if len(sc.byShard[si]) == 0 {
@@ -766,16 +764,40 @@ func (f *Index) overlapsLocked(q profile.Index, m *metrics, sp, scan *obs.Span) 
 		for _, ti := range sc.byShard[si] {
 			t := &sc.tuples[ti]
 			list := s.postings[t.lt]
+			t.listLen = len(list)
 			scanned += int64(len(list))
+			qc := uint32(t.qc)
 			for _, p := range list {
-				sc.add(p.doc, min(p.cnt, uint32(t.qc)))
+				if acc[p.doc] == 0 {
+					touched = append(touched, p.doc)
+				}
+				acc[p.doc] += min(p.cnt, qc)
 			}
 		}
 		s.mu.RUnlock()
 	}
+	sc.touched = touched
 	scan.SetAttr("postings_scanned", scanned)
-	scan.SetAttr("candidates", int64(len(sc.touched)))
-	f.accumulateRunsLocked(sc, m, sp)
+	return sc
+}
+
+// overlapsLocked accumulates |I(query) ∩ I(T)| per tree — the resident
+// ones via accumulateLocked, the evicted ones via the storage tier's runs
+// — for the two readers that score every tree it touches, the τ > 1 scan
+// and top-k. The scan span (nil-safe) counts the resident docs touched as
+// its candidates, the tier read its own child of sp. It requires f.mu
+// held (read suffices).
+//
+//pqlint:locked f.mu:r
+func (f *Index) overlapsLocked(q profile.Index, m *metrics, sp, scan *obs.Span) *lookupScratch {
+	sc := f.accumulateLocked(q, scan)
+	resident := len(sc.touched)
+	scan.SetAttr("candidates", int64(resident))
+	if f.tier != nil {
+		w := f.accumulateRunsLocked(sc, sp)
+		w.span.SetAttr("candidates", int64(len(sc.touched)-resident))
+		w.record(m)
+	}
 	if m != nil {
 		m.lookupCandidates.Add(int64(len(sc.touched)))
 	}

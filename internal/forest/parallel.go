@@ -246,8 +246,8 @@ func (f *Index) SimilarityJoinWorkers(tau float64, workers int) (pairs []Pair) {
 	sp.SetAttr("trees", int64(len(ids)))
 	sp.SetAttr("workers", int64(workers))
 	// Documents are strided over the workers. Each worker queries with a
-	// copy of the document's bag that it owns: no bag lock is held during
-	// the lookup, whose pruned finish takes other documents' bag locks.
+	// copy of the document's bag that it owns, taken under the bag lock and
+	// released before the lookup.
 	outs := make([][]Pair, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

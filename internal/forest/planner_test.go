@@ -157,54 +157,154 @@ func TestPlannerEdgeCases(t *testing.T) {
 	}
 }
 
-// TestPlannerPrunesObservably attaches a collector and checks that on a
-// clustered workload with a selective threshold the pruned path (a)
-// examines no more candidates than the exhaustive one and (b) actually
-// reports pruning work through the new counters.
-func TestPlannerPrunesObservably(t *testing.T) {
+// allPlanModes are the plan modes a resident lookup must not tell apart.
+var allPlanModes = []forest.PlanMode{forest.PlanAuto, forest.PlanPruned, forest.PlanExhaustive}
+
+// sizeSpreadForest indexes 120 DBLP-shaped documents whose sizes spread
+// far past the Def-3 window of the returned query (a perturbed member of
+// their family), so a threshold lookup touches documents of every size.
+func sizeSpreadForest(t *testing.T) (*forest.Index, *tree.Tree) {
+	t.Helper()
 	f := forest.New(p33)
-	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 120; i++ {
-		var doc *tree.Tree
-		if i%2 == 0 {
-			doc = gen.DBLP(int64(i%5), 60+i%40)
-		} else {
-			doc = gen.RandomTree(rng, 5+rng.Intn(200))
-		}
-		if err := f.Add(fmt.Sprintf("doc-%03d", i), doc); err != nil {
+		if err := f.Add(fmt.Sprintf("doc-%03d", i), gen.DBLP(int64(i%5), 20+5*i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	query, _, err := gen.Perturb(rng, gen.DBLP(0, 80), 4, gen.DefaultMix)
+	query, _, err := gen.Perturb(rand.New(rand.NewSource(7)), gen.DBLP(0, 120), 4, gen.DefaultMix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := profile.BuildIndex(query, p33)
+	return f, query
+}
 
+// scanSpan returns the "scan" child of an explained lookup.
+func scanSpan(t *testing.T, res forest.ExplainResult) obs.SpanSnapshot {
+	t.Helper()
+	for _, c := range res.Trace.Children {
+		if c.Name == "scan" {
+			return c
+		}
+	}
+	t.Fatalf("no scan span in %+v", res.Trace)
+	return obs.SpanSnapshot{}
+}
+
+// TestPlannerPrunesObservably attaches a collector and checks what a
+// resident lookup reports in every plan mode: one "scan" span carrying the
+// postings read and the candidates scored, with the documents the Def-3
+// size window rejected counted in pruned_size, on the span and the
+// counters alike — and nothing abandoned, since only the tier is planned.
+func TestPlannerPrunesObservably(t *testing.T) {
+	f, query := sizeSpreadForest(t)
 	col := obs.NewCollector()
 	f.SetCollector(col)
 	defer f.SetCollector(nil)
-
-	f.SetPlanMode(forest.PlanExhaustive)
-	before := col.Snapshot()
-	f.LookupIndex(q, 0.3)
-	mid := col.Snapshot()
-	f.SetPlanMode(forest.PlanPruned)
-	f.LookupIndex(q, 0.3)
-	after := col.Snapshot()
-
-	exDelta := mid.CounterDeltas(before)
-	prDelta := after.CounterDeltas(mid)
-	exExamined := exDelta["forest_lookup_candidates_examined"]
-	prExamined := prDelta["forest_lookup_candidates_examined"]
-	if exExamined == 0 {
-		t.Fatal("exhaustive lookup examined no candidates; workload broken")
+	defer f.SetPlanMode(forest.PlanAuto)
+	for _, mode := range allPlanModes {
+		f.SetPlanMode(mode)
+		before := col.Snapshot()
+		res := f.ExplainLookup(query, 0.3)
+		d := col.Snapshot().CounterDeltas(before)
+		examined, prunedSize := d["forest_lookup_candidates_examined"], d["forest_lookup_pruned_size"]
+		if examined == 0 || prunedSize == 0 {
+			t.Fatalf("mode %v: examined %d, size window rejected %d; want both nonzero", mode, examined, prunedSize)
+		}
+		if n := d["forest_lookup_pruned_abandon"]; n != 0 {
+			t.Fatalf("mode %v: a resident lookup abandoned %d candidates", mode, n)
+		}
+		scan := scanSpan(t, res)
+		if scan.Attrs["postings_scanned"] == 0 || scan.Attrs["candidates"] != examined || scan.Attrs["pruned_size"] != prunedSize {
+			t.Fatalf("mode %v: scan attrs %v, counters examined %d pruned_size %d", mode, scan.Attrs, examined, prunedSize)
+		}
+		if len(res.Trace.Children) != 2 {
+			t.Fatalf("mode %v: want profile.build and scan only, got %+v", mode, res.Trace.Children)
+		}
 	}
-	if prExamined > exExamined {
-		t.Fatalf("pruned path examined %d candidates, exhaustive %d", prExamined, exExamined)
+}
+
+// TestResidentScanSameInEveryMode: with every document resident the plan
+// modes read the same postings and score the same candidates, so the
+// explained scan spans are identical.
+func TestResidentScanSameInEveryMode(t *testing.T) {
+	f, query := sizeSpreadForest(t)
+	defer f.SetPlanMode(forest.PlanAuto)
+	var want obs.SpanSnapshot
+	for i, mode := range allPlanModes {
+		f.SetPlanMode(mode)
+		got := scanSpan(t, f.ExplainLookup(query, 0.5)).StripDurations()
+		if i == 0 {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Fatalf("mode %v: scan %+v, mode %v: %+v", mode, got, allPlanModes[0], want)
+		}
 	}
-	if prDelta["forest_lookup_pruned_size"]+prDelta["forest_lookup_pruned_abandon"] == 0 {
-		t.Fatalf("pruned lookup reported no pruning at tau=0.3 (examined %d of %d)", prExamined, exExamined)
+}
+
+// TestLookupTauZeroReadsNothing pins τ = 0: lookups are strict, d < τ, so
+// nothing can match and no posting — resident or in the tier — is read.
+func TestLookupTauZeroReadsNothing(t *testing.T) {
+	docs := gen.XMarkForest(5, 24, 2400)
+	resident, tiered, _, _ := tieredCopy(t, docs)
+	for _, f := range []*forest.Index{resident, tiered} {
+		for _, mode := range allPlanModes {
+			f.SetPlanMode(mode)
+			res := f.ExplainLookup(docs[3], 0)
+			if len(res.Matches) != 0 {
+				t.Fatalf("mode %v: tau 0 matched %v", mode, res.Matches)
+			}
+			for _, attr := range []string{"postings_scanned", "bloom_checks"} {
+				if n := res.Trace.SumAttr(attr); n != 0 {
+					t.Fatalf("mode %v: tau 0 lookup has %s = %d", mode, attr, n)
+				}
+			}
+		}
+	}
+}
+
+// TestSortRareFirst holds the tier's tuple order, which sorts packed
+// integer keys, to the plain comparison: ascending weight, ties by tuple
+// value — also when many values share their leading bits, so the packed
+// keys tie and the order rests on the fix-up pass.
+func TestSortRareFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 2, 7, 300, 2000} {
+		for _, c := range []struct {
+			name       string
+			maxW, mask uint64 // weights below maxW; values vary only in mask's bits
+		}{{"spread", 1 << 20, ^uint64(0)}, {"few weights", 3, ^uint64(0)}, {"shared prefix", 3, 0xffff}, {"one weight", 1, 0xfffff}} {
+			lts := make([]profile.LabelTuple, n)
+			weights := make([]int, n)
+			seen := make(map[profile.LabelTuple]bool)
+			base := rng.Uint64()
+			for i := range lts {
+				for {
+					lts[i] = profile.LabelTuple(base&^c.mask | rng.Uint64()&c.mask)
+					if !seen[lts[i]] {
+						break
+					}
+				}
+				seen[lts[i]] = true
+				weights[i] = int(rng.Uint64() % c.maxW)
+			}
+			idx := make([]int, n)
+			for i := range idx {
+				idx[i] = i
+			}
+			sort.Slice(idx, func(a, b int) bool {
+				x, y := idx[a], idx[b]
+				if weights[x] != weights[y] {
+					return weights[x] < weights[y]
+				}
+				return lts[x] < lts[y]
+			})
+			got := forest.SortRareFirstForTest(lts, weights)
+			for i, j := range idx {
+				if got[i] != lts[j] {
+					t.Fatalf("n=%d %s: position %d holds %x, want %x", n, c.name, i, got[i], lts[j])
+				}
+			}
+		}
 	}
 }
 

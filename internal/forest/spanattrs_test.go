@@ -23,11 +23,36 @@ func sumSpanAttr(s obs.SpanSnapshot, span, key string) int64 {
 	return n
 }
 
+// tierOnlyAttrs are the run-planning attributes: the resident documents
+// are read by one accumulation pass in every plan, so no other span may
+// carry them.
+var tierOnlyAttrs = []string{"pruned_abandon", "runs_pruned", "runs_finished"}
+
+// misplacedTierAttr names the first span other than "tier" that carries
+// one of tierOnlyAttrs, or returns "".
+func misplacedTierAttr(s obs.SpanSnapshot) string {
+	if s.Name != "tier" {
+		for _, key := range tierOnlyAttrs {
+			if _, ok := s.Attrs[key]; ok {
+				return s.Name + "." + key
+			}
+		}
+	}
+	for _, c := range s.Children {
+		if bad := misplacedTierAttr(c); bad != "" {
+			return bad
+		}
+	}
+	return ""
+}
+
 // TestSpanAttrsMatchCounters holds the tracing layer to the metrics
 // registry: over a batch in which every operation is traced, each work
 // attribute summed over the published span trees must equal the delta of
 // the counter it mirrors. The two are recorded by separate statements, so
-// nothing else notices when one of them drifts.
+// nothing else notices when one of them drifts. Resident documents report
+// their candidates and size-window rejections on "scan"; abandonment and
+// run pruning appear on the "tier" span only.
 func TestSpanAttrsMatchCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var docs []*tree.Tree
@@ -51,6 +76,10 @@ func TestSpanAttrsMatchCounters(t *testing.T) {
 		"bloom_skips":      "forest_bloom_skips",
 		"postings_scanned": "forest_tier_postings_scanned",
 	}
+	scored := map[string]string{
+		"candidates":  "forest_lookup_candidates_examined",
+		"pruned_size": "forest_lookup_pruned_size",
+	}
 	cases := []struct {
 		name    string
 		f       *forest.Index
@@ -59,13 +88,9 @@ func TestSpanAttrsMatchCounters(t *testing.T) {
 		span    string            // "tier": the in-RAM scan beside it has a postings_scanned too
 		counter map[string]string // span attribute -> registry counter
 	}{
-		{"pruned", resident, forest.PlanPruned, lookup, "", map[string]string{
-			"candidates":     "forest_lookup_candidates_examined",
-			"pruned_size":    "forest_lookup_pruned_size",
-			"pruned_abandon": "forest_lookup_pruned_abandon",
-		}},
-		{"exhaustive", resident, forest.PlanExhaustive, lookup, "", map[string]string{"candidates": "forest_lookup_candidates_examined"}},
-		{"top-k", resident, forest.PlanAuto, topk, "", map[string]string{"candidates": "forest_lookup_candidates_examined"}},
+		{"pruned", resident, forest.PlanPruned, lookup, "scan", scored},
+		{"exhaustive", resident, forest.PlanExhaustive, lookup, "scan", scored},
+		{"top-k", resident, forest.PlanAuto, topk, "scan", map[string]string{"candidates": "forest_lookup_candidates_examined"}},
 		{"tier pruned", tiered, forest.PlanPruned, lookup, "tier", tierAttrs},
 		{"tier exhaustive", tiered, forest.PlanExhaustive, lookup, "tier", tierAttrs},
 		{"tier top-k", tiered, forest.PlanAuto, topk, "tier", tierAttrs},
@@ -76,7 +101,7 @@ func TestSpanAttrsMatchCounters(t *testing.T) {
 			"pruned_size":    "forest_lookup_pruned_size",
 			"pruned_abandon": "forest_lookup_pruned_abandon",
 		}},
-		{"exhaustive with a tier", tiered, forest.PlanExhaustive, lookup, "", map[string]string{"candidates": "forest_lookup_candidates_examined"}},
+		{"exhaustive with a tier", tiered, forest.PlanExhaustive, lookup, "", scored},
 		{"top-k with a tier", tiered, forest.PlanAuto, topk, "", map[string]string{"candidates": "forest_lookup_candidates_examined"}},
 	}
 	for _, tc := range cases {
@@ -102,6 +127,14 @@ func TestSpanAttrsMatchCounters(t *testing.T) {
 			if sum == 0 || sum != deltas[counter] {
 				t.Errorf("%s: attribute %q sums to %d, counter %s moved by %d; want equal and nonzero", tc.name, attr, sum, counter, deltas[counter])
 			}
+		}
+		for _, ts := range traces {
+			if bad := misplacedTierAttr(ts.Root); bad != "" {
+				t.Errorf("%s: %s reported outside the tier span", tc.name, bad)
+			}
+		}
+		if tc.f == resident && deltas["forest_lookup_pruned_abandon"] != 0 {
+			t.Errorf("%s: a resident forest abandoned %d candidates", tc.name, deltas["forest_lookup_pruned_abandon"])
 		}
 	}
 }

@@ -266,16 +266,16 @@ func (f *Index) bagOfLocked(id string, e *treeEntry) (profile.Index, error) {
 }
 
 // tierWork is the work one lookup's tier read performed, for its "tier"
-// span and the forest_bloom_* / forest_tier_* counters.
+// span and the forest_bloom_* / forest_tier_* counters. The candidate
+// accounting goes on the span beside it, set by the caller.
 type tierWork struct {
-	span       *obs.Span // nil when the lookup is not traced
-	probed     int64     // runs with at least one posting list fetched
-	checks     int64     // (run, tuple) filter tests
-	skips      int64     // filter tests that rejected the tuple
-	scanned    int64     // posting entries read
-	candidates int64     // tier documents the lookup went on to score
-	pruned     int64     // runs abandoned on the filter mass bound, unread
-	finished   int64     // runs whose survivors needed the finish pass
+	span     *obs.Span // nil when the lookup is not traced
+	probed   int64     // runs with at least one posting list fetched
+	checks   int64     // (run, tuple) filter tests
+	skips    int64     // filter tests that rejected the tuple
+	scanned  int64     // posting entries read
+	pruned   int64     // runs abandoned on the filter mass bound, unread
+	finished int64     // runs whose survivors needed the finish pass
 }
 
 // record closes the tier span with the work as attributes and adds it to
@@ -285,7 +285,6 @@ func (w *tierWork) record(m *metrics) {
 	w.span.SetAttr("bloom_checks", w.checks)
 	w.span.SetAttr("bloom_skips", w.skips)
 	w.span.SetAttr("postings_scanned", w.scanned)
-	w.span.SetAttr("candidates", w.candidates)
 	w.span.SetAttr("runs_pruned", w.pruned)
 	w.span.SetAttr("runs_finished", w.finished)
 	w.span.Finish()
@@ -303,13 +302,16 @@ func (w *tierWork) record(m *metrics) {
 // runs may hold a tuple, its runs field counts them, and sc.rej[r] is the
 // query mass run r provably lacks; once that exceeds slack no document of
 // the run can reach the overlap the caller needs and the run is not asked
-// again. The caller records the returned work. Requires a tier and f.mu
-// held (read suffices).
+// again. With no runs it hashes nothing. The caller records the returned
+// work. Requires a tier and f.mu held (read suffices).
 //
 //pqlint:locked f.mu:r
 func (f *Index) admitRunsLocked(sc *lookupScratch, slack int, sp *obs.Span) tierWork {
 	w := tierWork{span: sp.Child("tier")}
 	sc.runs = f.tier.AppendRuns(sc.runs)
+	if len(sc.runs) == 0 {
+		return w
+	}
 	sc.words = (len(sc.runs) + 63) / 64
 	sc.admit = resized(sc.admit, len(sc.tuples)*sc.words)
 	sc.rej = resized(sc.rej, len(sc.runs))
@@ -334,16 +336,14 @@ func (f *Index) admitRunsLocked(sc *lookupScratch, slack int, sp *obs.Span) tier
 	return w
 }
 
-// accumulateRunsLocked is the tier half of overlapsLocked: every admitted
-// posting list of every run lands in sc.acc, dead copies skipped. Requires
-// f.mu held (read suffices).
+// accumulateRunsLocked is the tier half of every accumulation: every
+// admitted posting list of every run lands in sc.acc, dead copies skipped,
+// so the tier's documents follow the resident ones in sc.touched. The
+// caller records the returned work. Requires a tier and f.mu held (read
+// suffices).
 //
 //pqlint:locked f.mu:r
-func (f *Index) accumulateRunsLocked(sc *lookupScratch, m *metrics, sp *obs.Span) {
-	if f.tier == nil {
-		return
-	}
-	resident := len(sc.touched)
+func (f *Index) accumulateRunsLocked(sc *lookupScratch, sp *obs.Span) tierWork {
 	w := f.admitRunsLocked(sc, math.MaxInt, sp)
 	for r, run := range sc.runs {
 		docs := run.Docs()
@@ -365,6 +365,5 @@ func (f *Index) accumulateRunsLocked(sc *lookupScratch, m *metrics, sp *obs.Span
 			w.probed++
 		}
 	}
-	w.candidates = int64(len(sc.touched) - resident)
-	w.record(m)
+	return w
 }

@@ -85,11 +85,11 @@ func (f *Index) lookupTopExhaustiveLocked(q profile.Index, qSize, k int, m *metr
 	h := topHeap{k: k, ms: make([]Match, 0, min(k, len(f.trees)))}
 	for _, doc := range sc.touched {
 		e := f.docs[doc]
-		h.offer(Match{TreeID: e.id, Distance: distanceFrom(qSize, int(e.size.Load()), int(sc.acc[doc].ov))})
+		h.offer(Match{TreeID: e.id, Distance: distanceFrom(qSize, int(e.size.Load()), int(sc.acc[doc]))})
 	}
 	if !h.full() {
 		for doc, e := range f.docs {
-			if e != nil && sc.acc[doc].ov == 0 {
+			if e != nil && sc.acc[doc] == 0 {
 				h.offer(Match{TreeID: e.id, Distance: distanceFrom(qSize, int(e.size.Load()), 0)})
 			}
 		}

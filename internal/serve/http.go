@@ -198,8 +198,10 @@ func cacheHeader(res Result) string {
 	}
 }
 
-// LookupRequest is the body of POST /lookup. Tau > 0 runs a threshold
-// lookup; Top > 0 instead returns the Top nearest trees.
+// LookupRequest is the body of POST /lookup. Tau runs a threshold lookup,
+// which returns the trees at distance strictly below Tau: Tau = 0 (the
+// default) matches nothing, and an exact-duplicate search asks for a tiny
+// positive Tau. Top > 0 instead returns the Top nearest trees.
 type LookupRequest struct {
 	XML string  `json:"xml"`
 	Tau float64 `json:"tau"`
@@ -236,7 +238,16 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Cache", cacheHeader(res))
-	writeJSON(w, res.Matches)
+	writeJSON(w, nonNil(res.Matches))
+}
+
+// nonNil returns ms, or an empty slice for nil, so that no match encodes
+// as [] rather than null.
+func nonNil(ms []forest.Match) []forest.Match {
+	if ms == nil {
+		return []forest.Match{}
+	}
+	return ms
 }
 
 // TopKRequest is the body of POST /topk. K defaults to 5.
@@ -268,14 +279,10 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryError(w, err)
 		return
 	}
-	matches := res.Matches
-	if matches == nil {
-		matches = []forest.Match{}
-	}
 	w.Header().Set("X-Cache", cacheHeader(res))
 	writeJSON(w, map[string]any{
 		"k":       req.K,
-		"matches": matches,
+		"matches": nonNil(res.Matches),
 	})
 }
 

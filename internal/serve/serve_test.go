@@ -449,6 +449,35 @@ func TestHTTPValidation(t *testing.T) {
 	}
 }
 
+// TestHTTPNoMatchIsEmptyArray: a query that matches nothing answers an
+// empty JSON array on /lookup — τ = 0 can match nothing, lookups being
+// strict d < τ, and neither can top-k over an empty index — and an empty
+// "matches" array on /topk; never null.
+func TestHTTPNoMatchIsEmptyArray(t *testing.T) {
+	s, docs := newTestServer(t, Config{}, 2)
+	empty, _ := newTestServer(t, Config{}, 0)
+	xml := mustBody(t, docs[0])
+	for _, tc := range []struct {
+		name string
+		s    *Server
+		path string
+		req  any
+		want string
+	}{
+		{"lookup tau 0", s, "/lookup", LookupRequest{XML: xml}, "[]\n"},
+		{"lookup top, empty index", empty, "/lookup", LookupRequest{XML: xml, Top: 3}, "[]\n"},
+		{"topk, empty index", empty, "/topk", TopKRequest{XML: xml, K: 3}, `{"k":3,"matches":[]}` + "\n"},
+	} {
+		b, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := do(t, tc.s, "POST", tc.path, string(b)); w.Code != 200 || w.Body.String() != tc.want {
+			t.Errorf("%s: POST %s = %d %q, want 200 %q", tc.name, tc.path, w.Code, w.Body.String(), tc.want)
+		}
+	}
+}
+
 // TestRequestCannotChangePlanner pins that the planner mode belongs to the
 // operator (pqserve -plan): a request body naming a plan is answered like
 // any other and leaves the shared forest's mode alone.
