@@ -13,13 +13,13 @@ GO      ?= go
 FUZZTIME ?= 5s
 
 # Coverage floors of the gate below: the last measured figures (forest
-# 92.3%, profile 94.7%, obs 93.5%, serve 85.4%, store 89.8%) minus 4
+# 93.4%, profile 94.7%, obs 93.5%, serve 85.0%, store 89.8%) minus 4
 # points of slack so unrelated refactors don't trip it. Raise them when
 # coverage rises; never lower them to make a change pass.
-COVER_FLOOR_FOREST  ?= 88
+COVER_FLOOR_FOREST  ?= 89
 COVER_FLOOR_PROFILE ?= 90
 COVER_FLOOR_OBS     ?= 89
-COVER_FLOOR_SERVE   ?= 80
+COVER_FLOOR_SERVE   ?= 81
 COVER_FLOOR_STORE   ?= 85
 
 .PHONY: check fmt-check lint vet build test race fuzz cover bench bench-smoke bench-check

@@ -12,15 +12,14 @@ import (
 // runExplain runs one query with tracing forced on and renders the plan
 // decision plus the per-stage work counters as an indented tree (EXPLAIN
 // ANALYZE-style). Without -timings the output carries only work counters
-// and is byte-identical across runs for the same index, query and plan
-// mode, so it is safe to diff in tests and docs; -timings appends each
+// and is byte-identical across runs for the same index and query, so it
+// is safe to diff in tests and docs; -timings appends each
 // stage's wall time. -json emits the structured ExplainResult instead.
 func runExplain(args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
 	idxPath := fs.String("index", "", "index file")
 	tau := fs.Float64("tau", 0, "threshold lookup: explain dist < tau")
 	k := fs.Int("k", 0, "top-k lookup: explain the k nearest")
-	plan := fs.String("plan", "auto", "candidate strategy: auto, exhaustive or pruned")
 	timings := fs.Bool("timings", false, "include per-stage wall time (output no longer run-to-run stable)")
 	asJSON := fs.Bool("json", false, "emit the structured ExplainResult as JSON")
 	fs.Parse(args)
@@ -33,16 +32,6 @@ func runExplain(args []string) error {
 	}
 	defer st.Close()
 	f := st.Forest()
-	switch *plan {
-	case "auto":
-		f.SetPlanMode(pqgram.PlanAuto)
-	case "exhaustive":
-		f.SetPlanMode(pqgram.PlanExhaustive)
-	case "pruned":
-		f.SetPlanMode(pqgram.PlanPruned)
-	default:
-		return fmt.Errorf("explain: unknown -plan %q (want auto, exhaustive or pruned)", *plan)
-	}
 	q, err := parseDoc(fs.Arg(0))
 	if err != nil {
 		return err

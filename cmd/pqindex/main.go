@@ -8,7 +8,7 @@
 //	pqindex remove -index idx.pqg -id doc.xml
 //	pqindex update -index idx.pqg -id doc.xml -log changes.log doc-new.xml
 //	pqindex lookup -index idx.pqg [-tau 0.5 | -top 5] query.xml [more.xml ...]
-//	pqindex explain -index idx.pqg {-tau 0.5 | -k 5} [-plan auto] [-timings] [-json] query.xml
+//	pqindex explain -index idx.pqg {-tau 0.5 | -k 5} [-timings] [-json] query.xml
 //	pqindex dist   a.xml b.xml [-p 3 -q 3]
 //	pqindex info   -index idx.pqg
 //	pqindex compact -index idx.pqg

@@ -1,7 +1,7 @@
 // pqserve is the production pq-gram similarity service: the
-// internal/serve tier — request batching, an epoch-invalidated result
-// cache, and latency-driven admission control — over an in-memory or
-// journaled persistent index.
+// internal/serve tier — an epoch-invalidated result cache and
+// latency-driven admission control — over an in-memory or journaled
+// persistent index.
 //
 // Typical invocations:
 //
@@ -19,9 +19,7 @@
 // requests, waits (bounded) for the ones in flight, closes the store and
 // exits 0.
 //
-// -plan is the only way to choose the planner mode: it is process-wide
-// and no request can change it. The HTTP surface is documented in
-// internal/serve/http.go; `go run ./examples/server` tours it. How fast
+// The HTTP surface is documented in internal/serve/http.go; `go run ./examples/server` tours it. How fast
 // this binary is comes from benchmark/, which builds and drives it.
 package main
 
@@ -76,7 +74,6 @@ func main() {
 	syncWrites := flag.Bool("sync", false, "with -index: fsync every journaled mutation before acknowledging it")
 	flag.Bool("segments", false, "accepted for compatibility and ignored: every index is segmented")
 	flushEvery := flag.Int("flush-every", 4096, "with -index: flush the memtable to a segment after this many dirty documents (0 = never automatically)")
-	plan := flag.String("plan", "auto", "query planner mode: auto, exhaustive or pruned")
 	cacheSize := flag.Int("cache", 1024, "result-cache capacity in entries (0 disables)")
 	maxInflight := flag.Int("max-inflight", 64, "concurrent lookups executing at once (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 256, "lookups allowed to wait for an in-flight slot before shedding")
@@ -85,15 +82,6 @@ func main() {
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint attached to shed responses")
 	quiet := flag.Bool("quiet", false, "suppress per-request logging")
 	flag.Parse()
-
-	planModes := map[string]forest.PlanMode{
-		"auto": forest.PlanAuto, "exhaustive": forest.PlanExhaustive,
-		"pruned": forest.PlanPruned,
-	}
-	planMode, ok := planModes[*plan]
-	if !ok {
-		log.Fatalf("unknown -plan %q (want auto, exhaustive or pruned)", *plan)
-	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	if *quiet {
@@ -130,7 +118,6 @@ func main() {
 		f = forest.New(profile.Default)
 		f.SetCollector(col)
 	}
-	f.SetPlanMode(planMode)
 
 	srv := serve.New(f, backend, serve.Config{
 		CacheSize:    *cacheSize,

@@ -130,8 +130,8 @@ func build(t *testing.T) (dir, bin string) {
 // process-level contract: SIGTERM is a clean exit 0 that loses nothing,
 // kill -9 loses nothing that was acknowledged (-sync) and the restart
 // says how much it replayed, and an index of the removed snapshot engine
-// or a planner mode that does not exist is refused by name instead of
-// being served with something else.
+// or the removed -plan flag is refused by name instead of being served
+// with something else.
 func TestServeStopsCleanlyAndRecovers(t *testing.T) {
 	dir, bin := build(t)
 	idx := filepath.Join(dir, "idx")
@@ -176,9 +176,10 @@ func TestServeStopsCleanlyAndRecovers(t *testing.T) {
 	for _, refused := range []struct {
 		args []string
 		want string // what stderr must say
+		code int    // the exit code
 	}{
-		{[]string{"-index", legacy}, `legacy "PQGI" snapshot`},
-		{[]string{"-plan", "metric"}, `unknown -plan "metric" (want auto, exhaustive or pruned)`},
+		{[]string{"-index", legacy}, `legacy "PQGI" snapshot`, 1},
+		{[]string{"-plan", "auto"}, "flag provided but not defined: -plan", 2},
 	} {
 		// Killed by the context if it wrongly starts serving.
 		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
@@ -193,6 +194,9 @@ func TestServeStopsCleanlyAndRecovers(t *testing.T) {
 		}
 		if !strings.Contains(stderr.String(), refused.want) {
 			t.Fatalf("pqserve %v: stderr lacks %q:\n%s", refused.args, refused.want, &stderr)
+		}
+		if code := cmd.ProcessState.ExitCode(); code != refused.code {
+			t.Fatalf("pqserve %v exited %d, want %d", refused.args, code, refused.code)
 		}
 	}
 }

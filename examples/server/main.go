@@ -4,16 +4,16 @@
 // follows the feed, and approximate lookups stay fast because nothing is
 // rebuilt.
 //
-// The entire HTTP surface — and the serving tier behind it: request
-// batching, the epoch-invalidated result cache, admission control — is
+// The entire HTTP surface — and the serving tier behind it: the
+// epoch-invalidated result cache and admission control — is
 // internal/serve (endpoints: internal/serve/http.go). This example serves
 // it from an in-memory index on a random loopback port, exercises every
 // endpoint with generated data, prints the results, and exits. It is not a
 // server to deploy: that is cmd/pqserve, the one binary that assembles
-// persistence, planner mode, admission control and shutdown.
+// persistence, admission control and shutdown.
 //
 // Every response carries a request ID in X-Request-ID; lookups additionally
-// carry an X-Cache header (hit, miss or shared).
+// carry an X-Cache header (hit or miss).
 package main
 
 import (

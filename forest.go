@@ -29,22 +29,6 @@ type Match = forest.Match
 // pq-gram distance.
 type Pair = forest.Pair
 
-// PlanMode selects how Forest threshold lookups, and so joins, gather
-// candidates: PlanAuto (the default) uses the threshold-aware pruned path
-// when the distance bounds can pay for themselves, PlanExhaustive always
-// accumulates full overlaps, and PlanPruned forces the pruned path
-// whenever it is sound. Top-k lookups (Forest.LookupTopK) are the overlap
-// accumulation plus a bounded heap in every mode. Results are identical
-// in every mode; only the work differs. Select with Forest.SetPlanMode.
-type PlanMode = forest.PlanMode
-
-// Query-planning modes for Forest.SetPlanMode.
-const (
-	PlanAuto       = forest.PlanAuto
-	PlanExhaustive = forest.PlanExhaustive
-	PlanPruned     = forest.PlanPruned
-)
-
 // NewForest creates an empty forest index.
 func NewForest(p Params) *Forest { return forest.New(p) }
 

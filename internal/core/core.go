@@ -80,8 +80,7 @@ func UpdateIndexStats(i0 profile.Index, tn *tree.Tree, log edit.Log, pr profile.
 
 // UpdateIndexInPlace is UpdateIndex applied destructively to i0, matching
 // the paper's implementation where I₀ ∖ I⁻ ⊎ I⁺ is an UPDATE on the stored
-// relation. On error i0 may hold a partially applied delta and must be
-// discarded.
+// relation. On error i0 is unchanged.
 func UpdateIndexInPlace(i0 profile.Index, tn *tree.Tree, log edit.Log, pr profile.Params) (Stats, error) {
 	iPlus, iMinus, st, err := Deltas(tn, log, pr)
 	if err != nil {
@@ -137,21 +136,24 @@ func Deltas(tn *tree.Tree, log edit.Log, pr profile.Params) (iPlus, iMinus profi
 	return iPlus, iMinus, st, nil
 }
 
-// ApplyDeltas performs in = in ∖ iMinus ⊎ iPlus in place. It fails if
-// iMinus is not contained in the index, which indicates that the log does
-// not belong to the index's tree.
+// ApplyDeltas performs in = in ∖ iMinus ⊎ iPlus in place. It fails, leaving
+// in unchanged, if iMinus is not contained in the index, which indicates
+// that the log does not belong to the index's tree.
 func ApplyDeltas(in, iPlus, iMinus profile.Index) error {
 	for lt, c := range iMinus {
-		for i := 0; i < c; i++ {
-			if err := in.Sub(lt); err != nil {
-				return fmt.Errorf("core: I⁻ not contained in I₀: %w", err)
-			}
+		if in[lt] < c {
+			return fmt.Errorf("core: I⁻ not contained in I₀: tuple %016x occurs %d times, I⁻ removes %d", uint64(lt), in[lt], c)
+		}
+	}
+	for lt, c := range iMinus {
+		if n := in[lt] - c; n == 0 {
+			delete(in, lt)
+		} else {
+			in[lt] = n
 		}
 	}
 	for lt, c := range iPlus {
-		for i := 0; i < c; i++ {
-			in.Add(lt)
-		}
+		in[lt] += c
 	}
 	return nil
 }

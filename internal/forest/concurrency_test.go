@@ -407,7 +407,6 @@ func TestTierNumberReuseUnderLookups(t *testing.T) {
 					return err
 				}
 			}
-			f.SetPlanMode([]forest.PlanMode{forest.PlanPruned, forest.PlanExhaustive}[round%2])
 		}
 		return nil
 	}

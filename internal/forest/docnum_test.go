@@ -158,26 +158,22 @@ func (s *docScript) compare(extra []forest.Doc, ctx string) {
 			queries = append(queries, s.docs[id])
 		}
 	}
-	for _, mode := range []forest.PlanMode{forest.PlanAuto, forest.PlanPruned, forest.PlanExhaustive} {
-		s.f.SetPlanMode(mode)
-		for _, query := range queries {
-			q := profile.BuildIndex(query, p33)
-			for _, tau := range []float64{0.1, 0.5, 1, 1.5} {
-				if got, want := s.f.LookupIndex(q, tau), ref.LookupIndex(q, tau); !reflect.DeepEqual(got, want) {
-					s.t.Fatalf("%s: mode %v lookup tau=%v\ngot:  %v\nwant: %v", ctx, mode, tau, got, want)
-				}
-			}
-			for _, k := range []int{1, 3, ref.Len() + 1} {
-				if got, want := s.f.LookupIndexTopK(q, k), ref.LookupIndexTopK(q, k); !reflect.DeepEqual(got, want) {
-					s.t.Fatalf("%s: mode %v top-%d\ngot:  %v\nwant: %v", ctx, mode, k, got, want)
-				}
+	for _, query := range queries {
+		q := profile.BuildIndex(query, p33)
+		for _, tau := range []float64{0.1, 0.5, 1, 1.5} {
+			if got, want := s.f.LookupIndex(q, tau), ref.LookupIndex(q, tau); !reflect.DeepEqual(got, want) {
+				s.t.Fatalf("%s: lookup tau=%v\ngot:  %v\nwant: %v", ctx, tau, got, want)
 			}
 		}
-		if got, want := s.f.SimilarityJoinWorkers(0.6, 2), ref.SimilarityJoinWorkers(0.6, 1); !reflect.DeepEqual(got, want) {
-			s.t.Fatalf("%s: mode %v join\ngot:  %v\nwant: %v", ctx, mode, got, want)
+		for _, k := range []int{1, 3, ref.Len() + 1} {
+			if got, want := s.f.LookupIndexTopK(q, k), ref.LookupIndexTopK(q, k); !reflect.DeepEqual(got, want) {
+				s.t.Fatalf("%s: top-%d\ngot:  %v\nwant: %v", ctx, k, got, want)
+			}
 		}
 	}
-	s.f.SetPlanMode(forest.PlanAuto)
+	if got, want := s.f.SimilarityJoinWorkers(0.6, 2), ref.SimilarityJoinWorkers(0.6, 1); !reflect.DeepEqual(got, want) {
+		s.t.Fatalf("%s: join\ngot:  %v\nwant: %v", ctx, got, want)
+	}
 }
 
 // TestRecycledDocNumbers runs 200 random scripts of Put, Remove, Update,

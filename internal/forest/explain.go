@@ -2,10 +2,9 @@
 // the plan decision plus the span tree of work counters. The explain path
 // reuses the exact production lookup code (lookupIndexSpanned /
 // lookupIndexTopKSpanned), so what EXPLAIN reports is what a real query
-// does — same planner decision, same bounds, same counters — and the
-// work-counter attributes are byte-identical across runs for the same
-// corpus, query and plan mode (only durations vary; see
-// obs.SpanSnapshot.StripDurations).
+// does — same plan, same bounds, same counters — and the work-counter
+// attributes are byte-identical across runs for the same corpus and query
+// (only durations vary; see obs.SpanSnapshot.StripDurations).
 
 package forest
 
@@ -21,25 +20,24 @@ const (
 	// planScanAll is the τ > 1 whole-forest scan: every tree qualifies
 	// at distance 1, so the postings cannot enumerate the answer.
 	planScanAll = "scan-all"
-	// planExhaustive accumulates the full overlap of every tree sharing
-	// at least one tuple (threshold lookups), or scores every tree
-	// (top-k).
+	// planExhaustive scores every tree (top-k) from the full overlap
+	// accumulation; a τ ≤ 0 lookup, which reads nothing, reports it too.
 	planExhaustive = "exhaustive"
-	// planPruned accumulates the resident trees like planExhaustive and
-	// plans the storage tier's runs with the threshold bounds: size
-	// window, rare-first traversal, o_min early abandon.
+	// planPruned is every threshold lookup with 0 < τ ≤ 1 and a
+	// non-empty query: the resident trees accumulated and scored inside
+	// the size window, the storage tier's runs planned with the threshold
+	// bounds (size window, rare-first traversal, o_min early abandon).
 	planPruned = "pruned"
 )
 
 // planCode maps a plan name to its integer span-attribute encoding:
-// 0 scan-all, 1 exhaustive, 2 pruned (matching the
-// PlanExhaustive/PlanPruned constants).
+// 0 scan-all, 1 exhaustive, 2 pruned.
 func planCode(plan string) int {
 	switch plan {
 	case planExhaustive:
-		return int(PlanExhaustive)
+		return 1
 	case planPruned:
-		return int(PlanPruned)
+		return 2
 	default:
 		return 0
 	}

@@ -172,10 +172,6 @@ type Index struct {
 	// metrics.go.
 	obs atomic.Pointer[metrics]
 
-	// plan is the query-planning mode (PlanMode); see planner.go. The
-	// zero value is PlanAuto.
-	plan atomic.Int32
-
 	// epoch is the mutation epoch of the index: a counter advanced by
 	// every operation that can change lookup results (Add, Remove, Put,
 	// bulk builds, incremental delta application). Result caches key
@@ -519,9 +515,10 @@ func (f *Index) applyDeltasEntry(e *treeEntry, id string, iPlus, iMinus profile.
 	// with lookups, so the epoch is advanced on both sides of the change
 	// (seqlock-style): a lookup that observes the same epoch before and
 	// after its traversal is guaranteed not to have raced a completed
-	// mutation. The exit bump happens even on error — a failed
-	// application may have partially changed the bag, and a spurious
-	// cache invalidation is always safe.
+	// mutation. The exit bump happens even on error: a delta the bag
+	// cannot absorb changes nothing, but a postings underflow (a corrupt
+	// index) may leave a partial change, and a spurious cache
+	// invalidation is always safe.
 	f.epoch.Add(1)
 	defer f.epoch.Add(1)
 	if err := core.ApplyDeltas(e.idx, iPlus, iMinus); err != nil {
@@ -648,8 +645,8 @@ func (f *Index) Lookup(query *tree.Tree, tau float64) []Match {
 }
 
 // LookupIndex is Lookup for a precomputed query index. The resident
-// documents are read by one overlap accumulation; how the storage tier is
-// read is a planner decision (see PlanMode in planner.go). τ ≤ 0 matches
+// documents are read by one overlap accumulation and the storage tier
+// run by run under the threshold bounds (planner.go). τ ≤ 0 matches
 // nothing and reads nothing.
 func (f *Index) LookupIndex(q profile.Index, tau float64) []Match {
 	m := f.obs.Load()
@@ -689,9 +686,10 @@ func (f *Index) lookupIndexSpanned(q profile.Index, tau float64, m *metrics, sp 
 }
 
 // lookupLocked answers one threshold lookup of a query bag of size qSize
-// and names the plan. Every plan reads the resident documents with the
-// one accumulation pass (accumulateLocked); they differ only in how they
-// read the storage tier. The metrics and the span are nil-safe; the
+// and names the plan. Resident documents are read by the one accumulation
+// pass (accumulateLocked) and scored inside the size window; the storage
+// tier, if any, is planned run by run under the same bounds
+// (lookupRunsLocked). The metrics and the span are nil-safe; the
 // similarity join passes nil for both. It requires f.mu held (read
 // suffices).
 //
@@ -703,9 +701,10 @@ func (f *Index) lookupLocked(q profile.Index, qSize int, tau float64, m *metrics
 	}
 	scan := sp.Child("scan")
 	defer scan.Finish()
-	if tau > 1 {
-		// Trees sharing no pq-gram (distance exactly 1) qualify too, so
-		// every tree is scored.
+	if tau > 1 || qSize == 0 {
+		// Every tree is scored: at τ > 1 trees sharing no pq-gram
+		// (distance exactly 1) qualify too, and an empty query is at
+		// distance 0 from every empty bag. Neither has a posting.
 		sc := f.overlapsLocked(q, m, sp, scan)
 		defer sc.release()
 		var out []Match
@@ -723,23 +722,12 @@ func (f *Index) lookupLocked(q profile.Index, qSize int, tau float64, m *metrics
 	b := newBounds(qSize, tau)
 	sc := f.accumulateLocked(q, scan)
 	defer sc.release()
-	resident := len(sc.touched)
 	out := f.scoreLocked(nil, sc, sc.touched, &b, m, scan)
-	plan := planExhaustive
-	if f.usePrunedLocked(qSize, tau) {
-		plan = planPruned
-	}
-	switch {
-	case f.tier == nil:
-	case plan == planPruned:
+	if f.tier != nil {
 		out = f.lookupRunsLocked(out, sc, &b, m, sp)
-	default:
-		w := f.accumulateRunsLocked(sc, sp)
-		out = f.scoreLocked(out, sc, sc.touched[resident:], &b, m, w.span)
-		w.record(m)
 	}
 	sortMatches(out)
-	return out, plan
+	return out, planPruned
 }
 
 // accumulateLocked is the resident kernel of every lookup: one pass over

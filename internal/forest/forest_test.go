@@ -264,9 +264,7 @@ func TestSizeAccounting(t *testing.T) {
 }
 
 // TestSimilarityJoinMatchesBruteForce holds the join to pairwise Distance
-// on a cluster of perturbed copies plus an outlier. Eleven trees are below
-// the collection size at which PlanAuto prunes, so the PlanPruned pass of
-// joinBoth is what runs the pruned lookup as a join here.
+// on a cluster of perturbed copies plus an outlier.
 func TestSimilarityJoinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	trees := make(map[string]*tree.Tree)
@@ -282,10 +280,41 @@ func TestSimilarityJoinMatchesBruteForce(t *testing.T) {
 	f := buildForest(t, trees)
 
 	for _, tau := range []float64{0.05, 0.3, 0.8, 1.0, 1.5} {
-		got := joinBoth(t, f, tau, "perturbed cluster")
+		got := checkJoin(t, f, tau, "perturbed cluster")
 		if tau == 0.8 && len(got) == 0 {
 			t.Fatal("join fixture produced no pairs at tau=0.8")
 		}
+	}
+}
+
+// TestApplyDeltasRejectsForeignDelta: a delta whose I⁻ the bag does not
+// contain — one tuple removed once more often than the bag holds it, as a
+// log of another document produces — fails and changes nothing: the bag,
+// its cached size and the postings stay as they were.
+func TestApplyDeltasRejectsForeignDelta(t *testing.T) {
+	f := buildForest(t, map[string]*tree.Tree{
+		"x": tree.MustParse("a(b c(d e) b)"),
+		"y": tree.MustParse("a(b c)"),
+	})
+	bag := f.TreeIndex("x")
+	size, distinct, _ := f.TreeStats("x")
+	minus := bag.Clone()
+	for lt := range minus {
+		minus[lt]++
+		break
+	}
+	plus := profile.BuildIndex(tree.MustParse("z(y)"), p33)
+	if err := f.ApplyDeltas("x", plus, minus); err == nil {
+		t.Fatal("over-subtracting delta applied")
+	}
+	if got := f.TreeIndex("x"); !got.Equal(bag) {
+		t.Fatalf("bag changed by a rejected delta: %v, want %v", got, bag)
+	}
+	if s, d, _ := f.TreeStats("x"); s != size || d != distinct {
+		t.Fatalf("TreeStats = (%d, %d) after a rejected delta, want (%d, %d)", s, d, size, distinct)
+	}
+	if err := f.SelfCheck(); err != nil {
+		t.Fatalf("rejected delta left the index inconsistent: %v", err)
 	}
 }
 

@@ -214,8 +214,8 @@ func (f *Index) LookupMany(queries []*tree.Tree, tau float64, workers int) [][]M
 // SimilarityJoin returns every unordered pair of indexed trees whose
 // pq-gram distance is strictly below tau — the approximate join of the
 // paper's related work (Guha et al.). It is §3.2's lookup
-// {T ∈ F | dist(X, T) < τ} run once per indexed tree X, on the plan
-// PlanMode picks, keeping each pair once, from its smaller ID. Results
+// {T ∈ F | dist(X, T) < τ} run once per indexed tree X, keeping each
+// pair once, from its smaller ID. Results
 // are sorted by distance, then IDs. The join fans out across GOMAXPROCS
 // workers; use SimilarityJoinWorkers to pick the width.
 //

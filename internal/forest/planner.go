@@ -29,13 +29,15 @@
 //     survives; a run whose filter rejects too much of the query is not
 //     read at all.
 //
-// PlanMode decides only whether the tier is read that way or accumulated
-// whole. The traversal state (tuples, suffix bounds, accumulators indexed
-// by doc number) is pooled, so a lookup allocates its result and nothing
-// per posting or per candidate it touches. Pruning decisions only ever
-// evaluate the exact scoring expression (profile.DistanceFrom) at integer
-// boundaries, so every plan returns byte-identical results; the
-// differential tests in planner_test.go hold it to that.
+// Every threshold lookup with 0 < τ ≤ 1 and a non-empty query reads the
+// tier that way; top-k, τ > 1 and the empty query accumulate it whole
+// (accumulateRunsLocked, tier.go). The traversal state (tuples, suffix bounds, accumulators
+// indexed by doc number) is pooled, so a lookup allocates its result and
+// nothing per posting or per candidate it touches. Pruning decisions only
+// ever evaluate the exact scoring expression (profile.DistanceFrom) at
+// integer boundaries, so the bounded read returns exactly what reading
+// every run whole would; the differential tests in planner_test.go and
+// tier_test.go hold it to that against a brute-force reference.
 
 package forest
 
@@ -49,59 +51,6 @@ import (
 	"pqgram/internal/obs"
 	"pqgram/internal/profile"
 )
-
-// PlanMode selects how threshold lookups read the storage tier: Lookup,
-// LookupMany, and SimilarityJoin, which is one such lookup per document.
-// The zero value PlanAuto is the default. Resident documents and top-k
-// lookups (topk.go) are read the same way in every mode.
-type PlanMode int32
-
-const (
-	// PlanAuto plans the tier's runs with the threshold bounds when they
-	// can pay for themselves — τ < 1, a non-empty query index, and at
-	// least prunedMinTrees indexed — and accumulates them otherwise.
-	PlanAuto PlanMode = iota
-	// PlanExhaustive always accumulates the full overlap of every tree
-	// sharing at least one tuple with the query. The differential tests
-	// use it as the reference path.
-	PlanExhaustive
-	// PlanPruned plans the tier's runs with the bounds whenever that is
-	// sound (0 < τ ≤ 1 and a non-empty query index), regardless of
-	// collection size.
-	PlanPruned
-)
-
-// prunedMinTrees is the smallest collection for which PlanAuto plans the
-// tier's runs; below it the accumulation is already cheap and the bound
-// computations are pure overhead.
-const prunedMinTrees = 16
-
-// SetPlanMode selects the query-planning mode. It may be called at any
-// time, including concurrently with lookups; in-flight operations keep the
-// mode they observed at entry.
-func (f *Index) SetPlanMode(mode PlanMode) { f.plan.Store(int32(mode)) }
-
-// PlanMode returns the current query-planning mode.
-func (f *Index) PlanMode() PlanMode { return PlanMode(f.plan.Load()) }
-
-// usePrunedLocked is the planner decision for one lookup with 0 < τ ≤ 1.
-// It requires f.mu held (read suffices). The bounds need a non-empty
-// query bag.
-//
-//pqlint:locked f.mu:r
-func (f *Index) usePrunedLocked(qSize int, tau float64) bool {
-	if qSize == 0 {
-		return false
-	}
-	switch f.PlanMode() {
-	case PlanExhaustive:
-		return false
-	case PlanPruned:
-		return true
-	default:
-		return tau < 1 && len(f.trees) >= prunedMinTrees
-	}
-}
 
 // queryTuple is one distinct label-tuple of the query during a lookup: its
 // multiplicity in the query bag, the length of its resident posting list,

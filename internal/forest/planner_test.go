@@ -20,37 +20,40 @@ import (
 // between.
 var plannerTaus = []float64{0, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1, 1.5}
 
-// lookupBoth runs the same lookup through both planner paths and fails if
-// they differ in any way (IDs, distances, order).
-func lookupBoth(t *testing.T, f *forest.Index, q profile.Index, tau float64, ctx string) []forest.Match {
-	t.Helper()
-	f.SetPlanMode(forest.PlanExhaustive)
-	want := f.LookupIndex(q, tau)
-	f.SetPlanMode(forest.PlanPruned)
-	got := f.LookupIndex(q, tau)
-	f.SetPlanMode(forest.PlanAuto)
-	auto := f.LookupIndex(q, tau)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: pruned lookup diverged (tau=%v)\npruned:     %v\nexhaustive: %v", ctx, tau, got, want)
+// bruteLookup is the lookup's independent reference: the query's
+// profile.Index.Distance to every indexed bag, kept strictly below tau, in
+// the lookup's result order. Both sides evaluate profile.DistanceFrom on
+// the same integers, so equality is exact.
+func bruteLookup(f *forest.Index, q profile.Index, tau float64) []forest.Match {
+	var out []forest.Match
+	for _, id := range f.IDs() {
+		if d := q.Distance(f.TreeIndex(id)); d < tau {
+			out = append(out, forest.Match{TreeID: id, Distance: d})
+		}
 	}
-	if !reflect.DeepEqual(auto, want) {
-		t.Fatalf("%s: auto lookup diverged (tau=%v)\nauto:       %v\nexhaustive: %v", ctx, tau, auto, want)
+	forest.SortMatchesForTest(out)
+	return out
+}
+
+// checkLookup fails unless the lookup equals bruteLookup exactly — IDs,
+// distances and order — and returns the answer.
+func checkLookup(t *testing.T, f *forest.Index, q profile.Index, tau float64, ctx string) []forest.Match {
+	t.Helper()
+	want := bruteLookup(f, q, tau)
+	if got := f.LookupIndex(q, tau); !matchesEqual(got, want) {
+		t.Fatalf("%s: lookup diverged from brute force (tau=%v)\nlookup:      %v\nbrute force: %v", ctx, tau, got, want)
 	}
 	return want
 }
 
-// joinBoth runs the similarity join in every plan mode at several worker
-// counts and fails unless each run equals bruteJoin exactly, leaving the
-// forest in PlanAuto.
-func joinBoth(t *testing.T, f *forest.Index, tau float64, ctx string) []forest.Pair {
+// checkJoin runs the similarity join at several worker counts and fails
+// unless each run equals bruteJoin exactly.
+func checkJoin(t *testing.T, f *forest.Index, tau float64, ctx string) []forest.Pair {
 	t.Helper()
 	want := bruteJoin(t, f, tau)
-	for _, mode := range []forest.PlanMode{forest.PlanExhaustive, forest.PlanPruned, forest.PlanAuto} {
-		f.SetPlanMode(mode)
-		for _, w := range []int{1, 3} {
-			if got := f.SimilarityJoinWorkers(tau, w); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: mode %v join diverged from brute force (tau=%v, workers=%d)\njoin:        %v\nbrute force: %v", ctx, mode, tau, w, got, want)
-			}
+	for _, w := range []int{1, 3} {
+		if got := f.SimilarityJoinWorkers(tau, w); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: join diverged from brute force (tau=%v, workers=%d)\njoin:        %v\nbrute force: %v", ctx, tau, w, got, want)
 		}
 	}
 	return want
@@ -79,11 +82,10 @@ func bruteJoin(t *testing.T, f *forest.Index, tau float64) []forest.Pair {
 }
 
 // TestPlannerDifferential is the randomized sweep: 200 seeds, each
-// building a random forest (mixed generators, sizes crossing the PlanAuto
-// threshold in both directions) and querying it with perturbed members,
-// unrelated trees and indexed members themselves, across the full tau
-// sweep. Pruned results must be deep-equal to exhaustive ones — IDs and
-// distances — and the join in every mode must equal the brute-force one.
+// building a random forest (mixed generators, 1 to 40 documents) and
+// querying it with perturbed members, unrelated trees and indexed members
+// themselves, across the full tau sweep. Every lookup must equal the
+// brute-force one — IDs and distances — and so must the join.
 func TestPlannerDifferential(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -116,23 +118,33 @@ func TestPlannerDifferential(t *testing.T) {
 		for qi, query := range queries {
 			q := profile.BuildIndex(query, p33)
 			for _, tau := range plannerTaus {
-				lookupBoth(t, f, q, tau, fmt.Sprintf("seed %d query %d", seed, qi))
+				checkLookup(t, f, q, tau, fmt.Sprintf("seed %d query %d", seed, qi))
 			}
 		}
 		// The brute-force join is quadratic; run it on a tau subset.
 		for _, tau := range []float64{0, 0.3, 0.7, 1, 1.5} {
-			joinBoth(t, f, tau, fmt.Sprintf("seed %d", seed))
+			checkJoin(t, f, tau, fmt.Sprintf("seed %d", seed))
 		}
 	}
 }
 
 // TestPlannerEdgeCases pins the boundary inputs individually: empty query
-// index, single-tree collection, identical trees, tau at exactly 0 and 1.
+// index, documents indexed with empty bags, single-tree collection,
+// identical trees, tau at exactly 0 and 1.
 func TestPlannerEdgeCases(t *testing.T) {
 	single := buildForest(t, map[string]*tree.Tree{"only": tree.MustParse("a(b c(d))")})
 	twins := buildForest(t, map[string]*tree.Tree{
 		"t1": tree.MustParse("a(b c)"), "t2": tree.MustParse("a(b c)"), "t3": tree.MustParse("x(y)"),
 	})
+	// Two empty bags beside a real one: an empty query is at distance 0
+	// from each and at distance 1 from the rest, and so is one empty bag
+	// from the other in the join. Empty bags have no postings.
+	empties := forest.New(p33)
+	for id, bag := range map[string]profile.Index{"e1": {}, "e2": {}, "real": profile.BuildIndex(tree.MustParse("a(b c)"), p33)} {
+		if err := empties.AddIndex(id, bag); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		f    *forest.Index
@@ -140,25 +152,36 @@ func TestPlannerEdgeCases(t *testing.T) {
 	}{
 		{"empty query, single tree", single, profile.Index{}},
 		{"empty query, twins", twins, profile.Index{}},
+		{"empty query, empty bags", empties, profile.Index{}},
+		{"member query, empty bags", empties, profile.BuildIndex(tree.MustParse("a(b c)"), p33)},
 		{"single tree, matching query", single, profile.BuildIndex(tree.MustParse("a(b c(d))"), p33)},
 		{"twins, exact-member query", twins, profile.BuildIndex(tree.MustParse("a(b c)"), p33)},
 		{"twins, disjoint query", twins, profile.BuildIndex(tree.MustParse("zzz"), p33)},
 	} {
 		for _, tau := range plannerTaus {
-			lookupBoth(t, tc.f, tc.q, tau, tc.name)
+			checkLookup(t, tc.f, tc.q, tau, tc.name)
 		}
 	}
-	// Exact duplicates must surface at distance 0 for any positive tau on
-	// both paths.
-	twins.SetPlanMode(forest.PlanPruned)
+	for _, tau := range plannerTaus {
+		checkJoin(t, empties, tau, "empty bags")
+	}
+	// The empty query finds both empty bags at distance 0 at every
+	// positive τ, as a threshold lookup and as a top-k lookup alike.
+	zero := []forest.Match{{TreeID: "e1"}, {TreeID: "e2"}}
+	for _, tau := range []float64{0.5, 1, 1.5} {
+		if got := empties.LookupIndex(profile.Index{}, tau); len(got) < 2 || !matchesEqual(got[:2], zero) {
+			t.Fatalf("tau %v: empty query found %v, want e1 and e2 at distance 0 first", tau, got)
+		}
+	}
+	if got := empties.LookupIndexTopK(profile.Index{}, 1); !matchesEqual(got, zero[:1]) {
+		t.Fatalf("empty query top-1 = %v, want e1 at distance 0", got)
+	}
+	// Exact duplicates must surface at distance 0 for any positive tau.
 	got := twins.LookupIndex(profile.BuildIndex(tree.MustParse("a(b c)"), p33), 0.5)
 	if len(got) < 2 || got[0].Distance != 0 || got[1].Distance != 0 {
-		t.Fatalf("pruned lookup missed exact duplicates: %v", got)
+		t.Fatalf("lookup missed exact duplicates: %v", got)
 	}
 }
-
-// allPlanModes are the plan modes a resident lookup must not tell apart.
-var allPlanModes = []forest.PlanMode{forest.PlanAuto, forest.PlanPruned, forest.PlanExhaustive}
 
 // sizeSpreadForest indexes 120 DBLP-shaped documents whose sizes spread
 // far past the Def-3 window of the returned query (a perturbed member of
@@ -191,53 +214,31 @@ func scanSpan(t *testing.T, res forest.ExplainResult) obs.SpanSnapshot {
 }
 
 // TestPlannerPrunesObservably attaches a collector and checks what a
-// resident lookup reports in every plan mode: one "scan" span carrying the
-// postings read and the candidates scored, with the documents the Def-3
-// size window rejected counted in pruned_size, on the span and the
-// counters alike — and nothing abandoned, since only the tier is planned.
+// resident lookup reports: one "scan" span carrying the postings read and
+// the candidates scored, with the documents the Def-3 size window rejected
+// counted in pruned_size, on the span and the counters alike — and nothing
+// abandoned, since only the tier is planned.
 func TestPlannerPrunesObservably(t *testing.T) {
 	f, query := sizeSpreadForest(t)
 	col := obs.NewCollector()
 	f.SetCollector(col)
 	defer f.SetCollector(nil)
-	defer f.SetPlanMode(forest.PlanAuto)
-	for _, mode := range allPlanModes {
-		f.SetPlanMode(mode)
-		before := col.Snapshot()
-		res := f.ExplainLookup(query, 0.3)
-		d := col.Snapshot().CounterDeltas(before)
-		examined, prunedSize := d["forest_lookup_candidates_examined"], d["forest_lookup_pruned_size"]
-		if examined == 0 || prunedSize == 0 {
-			t.Fatalf("mode %v: examined %d, size window rejected %d; want both nonzero", mode, examined, prunedSize)
-		}
-		if n := d["forest_lookup_pruned_abandon"]; n != 0 {
-			t.Fatalf("mode %v: a resident lookup abandoned %d candidates", mode, n)
-		}
-		scan := scanSpan(t, res)
-		if scan.Attrs["postings_scanned"] == 0 || scan.Attrs["candidates"] != examined || scan.Attrs["pruned_size"] != prunedSize {
-			t.Fatalf("mode %v: scan attrs %v, counters examined %d pruned_size %d", mode, scan.Attrs, examined, prunedSize)
-		}
-		if len(res.Trace.Children) != 2 {
-			t.Fatalf("mode %v: want profile.build and scan only, got %+v", mode, res.Trace.Children)
-		}
+	before := col.Snapshot()
+	res := f.ExplainLookup(query, 0.3)
+	d := col.Snapshot().CounterDeltas(before)
+	examined, prunedSize := d["forest_lookup_candidates_examined"], d["forest_lookup_pruned_size"]
+	if examined == 0 || prunedSize == 0 {
+		t.Fatalf("examined %d, size window rejected %d; want both nonzero", examined, prunedSize)
 	}
-}
-
-// TestResidentScanSameInEveryMode: with every document resident the plan
-// modes read the same postings and score the same candidates, so the
-// explained scan spans are identical.
-func TestResidentScanSameInEveryMode(t *testing.T) {
-	f, query := sizeSpreadForest(t)
-	defer f.SetPlanMode(forest.PlanAuto)
-	var want obs.SpanSnapshot
-	for i, mode := range allPlanModes {
-		f.SetPlanMode(mode)
-		got := scanSpan(t, f.ExplainLookup(query, 0.5)).StripDurations()
-		if i == 0 {
-			want = got
-		} else if !reflect.DeepEqual(got, want) {
-			t.Fatalf("mode %v: scan %+v, mode %v: %+v", mode, got, allPlanModes[0], want)
-		}
+	if n := d["forest_lookup_pruned_abandon"]; n != 0 {
+		t.Fatalf("a resident lookup abandoned %d candidates", n)
+	}
+	scan := scanSpan(t, res)
+	if scan.Attrs["postings_scanned"] == 0 || scan.Attrs["candidates"] != examined || scan.Attrs["pruned_size"] != prunedSize {
+		t.Fatalf("scan attrs %v, counters examined %d pruned_size %d", scan.Attrs, examined, prunedSize)
+	}
+	if len(res.Trace.Children) != 2 {
+		t.Fatalf("want profile.build and scan only, got %+v", res.Trace.Children)
 	}
 }
 
@@ -247,16 +248,13 @@ func TestLookupTauZeroReadsNothing(t *testing.T) {
 	docs := gen.XMarkForest(5, 24, 2400)
 	resident, tiered, _, _ := tieredCopy(t, docs)
 	for _, f := range []*forest.Index{resident, tiered} {
-		for _, mode := range allPlanModes {
-			f.SetPlanMode(mode)
-			res := f.ExplainLookup(docs[3], 0)
-			if len(res.Matches) != 0 {
-				t.Fatalf("mode %v: tau 0 matched %v", mode, res.Matches)
-			}
-			for _, attr := range []string{"postings_scanned", "bloom_checks"} {
-				if n := res.Trace.SumAttr(attr); n != 0 {
-					t.Fatalf("mode %v: tau 0 lookup has %s = %d", mode, attr, n)
-				}
+		res := f.ExplainLookup(docs[3], 0)
+		if len(res.Matches) != 0 {
+			t.Fatalf("tau 0 matched %v", res.Matches)
+		}
+		for _, attr := range []string{"postings_scanned", "bloom_checks"} {
+			if n := res.Trace.SumAttr(attr); n != 0 {
+				t.Fatalf("tau 0 lookup has %s = %d", attr, n)
 			}
 		}
 	}
@@ -308,12 +306,12 @@ func TestSortRareFirst(t *testing.T) {
 	}
 }
 
-// TestPlannerUnderConcurrentAddAll runs pruned lookups and joins
-// concurrently with AddAll batches under the race detector, then verifies
-// post-quiescence that both paths still agree on the final state.
+// TestPlannerUnderConcurrentAddAll runs lookups and joins concurrently
+// with AddAll batches under the race detector, then verifies
+// post-quiescence that both still equal the brute force on the final
+// state.
 func TestPlannerUnderConcurrentAddAll(t *testing.T) {
 	f := forest.New(p33)
-	f.SetPlanMode(forest.PlanPruned)
 	rng := rand.New(rand.NewSource(11))
 	seedDocs := make([]forest.Doc, 10)
 	for i := range seedDocs {
@@ -362,7 +360,7 @@ func TestPlannerUnderConcurrentAddAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tau := range plannerTaus {
-		lookupBoth(t, f, q, tau, "post-concurrency")
+		checkLookup(t, f, q, tau, "post-concurrency")
 	}
-	joinBoth(t, f, 0.6, "post-concurrency")
+	checkJoin(t, f, 0.6, "post-concurrency")
 }

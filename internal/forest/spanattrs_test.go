@@ -24,8 +24,7 @@ func sumSpanAttr(s obs.SpanSnapshot, span, key string) int64 {
 }
 
 // tierOnlyAttrs are the run-planning attributes: the resident documents
-// are read by one accumulation pass in every plan, so no other span may
-// carry them.
+// are read by one accumulation pass, so no other span may carry them.
 var tierOnlyAttrs = []string{"pruned_abandon", "runs_pruned", "runs_finished"}
 
 // misplacedTierAttr names the first span other than "tier" that carries
@@ -83,33 +82,28 @@ func TestSpanAttrsMatchCounters(t *testing.T) {
 	cases := []struct {
 		name    string
 		f       *forest.Index
-		mode    forest.PlanMode
 		op      func(*forest.Index, profile.Index)
 		span    string            // "tier": the in-RAM scan beside it has a postings_scanned too
 		counter map[string]string // span attribute -> registry counter
 	}{
-		{"pruned", resident, forest.PlanPruned, lookup, "scan", scored},
-		{"exhaustive", resident, forest.PlanExhaustive, lookup, "scan", scored},
-		{"top-k", resident, forest.PlanAuto, topk, "scan", map[string]string{"candidates": "forest_lookup_candidates_examined"}},
-		{"tier pruned", tiered, forest.PlanPruned, lookup, "tier", tierAttrs},
-		{"tier exhaustive", tiered, forest.PlanExhaustive, lookup, "tier", tierAttrs},
-		{"tier top-k", tiered, forest.PlanAuto, topk, "tier", tierAttrs},
+		{"lookup", resident, lookup, "scan", scored},
+		{"top-k", resident, topk, "scan", map[string]string{"candidates": "forest_lookup_candidates_examined"}},
+		{"tier lookup", tiered, lookup, "tier", tierAttrs},
+		{"tier top-k", tiered, topk, "tier", tierAttrs},
 		// The tier span carries its own share of the candidate accounting,
 		// so over every span the sums still meet the counters.
-		{"pruned with a tier", tiered, forest.PlanPruned, lookup, "", map[string]string{
+		{"lookup with a tier", tiered, lookup, "", map[string]string{
 			"candidates":     "forest_lookup_candidates_examined",
 			"pruned_size":    "forest_lookup_pruned_size",
 			"pruned_abandon": "forest_lookup_pruned_abandon",
 		}},
-		{"exhaustive with a tier", tiered, forest.PlanExhaustive, lookup, "", scored},
-		{"top-k with a tier", tiered, forest.PlanAuto, topk, "", map[string]string{"candidates": "forest_lookup_candidates_examined"}},
+		{"top-k with a tier", tiered, topk, "", map[string]string{"candidates": "forest_lookup_candidates_examined"}},
 	}
 	for _, tc := range cases {
 		col := obs.NewCollector()
 		tr := obs.NewTracer(1, 4*len(qs)) // every op traced, none evicted
 		col.SetTracer(tr)
 		tc.f.SetCollector(col)
-		tc.f.SetPlanMode(tc.mode)
 		before := col.Snapshot()
 		for _, q := range qs {
 			tc.op(tc.f, q)

@@ -166,23 +166,22 @@ func pairsEqual(a, b []forest.Pair) bool {
 	return true
 }
 
-// TestTierLookupDifferential holds the tier-merged lookup paths (pruned,
-// exhaustive, and the τ>1 scan-all branch) byte-identical to the
-// all-in-RAM forest.
+// TestTierLookupDifferential holds the tier-merged lookup — the planned
+// run read for 0 < τ ≤ 1, the τ>1 scan-all branch, and the empty query —
+// to the brute-force reference and byte-identical to the all-in-RAM
+// forest. τ = 1 is where the bounds admit every overlapping document.
 func TestTierLookupDifferential(t *testing.T) {
 	docs := gen.XMarkForest(7, 48, 4800)
 	resident, tiered, _, _ := tieredCopy(t, docs)
-	queries := append([]*tree.Tree{tree.MustParse("a(b c)")}, docs[0], docs[1], docs[7], docs[20])
-	for _, mode := range []forest.PlanMode{forest.PlanExhaustive, forest.PlanPruned, forest.PlanAuto} {
-		resident.SetPlanMode(mode)
-		tiered.SetPlanMode(mode)
-		for qi, q := range queries {
-			for _, tau := range []float64{0.2, 0.55, 1.5} {
-				want := resident.Lookup(q, tau)
-				got := tiered.Lookup(q, tau)
-				if !matchesEqual(want, got) {
-					t.Fatalf("mode %v query %d tau %v: tiered %v, resident %v", mode, qi, tau, got, want)
-				}
+	queries := []profile.Index{{}, profile.BuildIndex(tree.MustParse("a(b c)"), p33)}
+	for _, i := range []int{0, 1, 7, 20} {
+		queries = append(queries, profile.BuildIndex(docs[i], p33))
+	}
+	for qi, q := range queries {
+		for _, tau := range []float64{0.2, 0.55, 1, 1.5} {
+			want := checkLookup(t, resident, q, tau, fmt.Sprintf("resident query %d", qi))
+			if got := tiered.LookupIndex(q, tau); !matchesEqual(want, got) {
+				t.Fatalf("query %d tau %v: tiered %v, resident %v", qi, tau, got, want)
 			}
 		}
 	}
@@ -195,19 +194,14 @@ func TestTierTopKDifferential(t *testing.T) {
 	docs := gen.XMarkForest(11, 32, 3200)
 	resident, tiered, _, _ := tieredCopy(t, docs)
 	allEvicted := allEvictedCopy(t, docs)
-	for _, mode := range []forest.PlanMode{forest.PlanAuto, forest.PlanExhaustive, forest.PlanPruned} {
-		resident.SetPlanMode(mode)
-		tiered.SetPlanMode(mode)
-		allEvicted.SetPlanMode(mode)
-		for _, query := range []*tree.Tree{docs[3], tree.MustParse("p(q r)")} {
-			for _, k := range []int{1, 5, 100} {
-				want := resident.LookupTopK(query, k)
-				if got := tiered.LookupTopK(query, k); !matchesEqual(want, got) {
-					t.Fatalf("mode %v k=%d: tiered %v, resident %v", mode, k, got, want)
-				}
-				if got := allEvicted.LookupTopK(query, k); !matchesEqual(want, got) {
-					t.Fatalf("mode %v k=%d: all-evicted %v, resident %v", mode, k, got, want)
-				}
+	for _, query := range []*tree.Tree{docs[3], tree.MustParse("p(q r)")} {
+		for _, k := range []int{1, 5, 100} {
+			want := resident.LookupTopK(query, k)
+			if got := tiered.LookupTopK(query, k); !matchesEqual(want, got) {
+				t.Fatalf("k=%d: tiered %v, resident %v", k, got, want)
+			}
+			if got := allEvicted.LookupTopK(query, k); !matchesEqual(want, got) {
+				t.Fatalf("k=%d: all-evicted %v, resident %v", k, got, want)
 			}
 		}
 	}
@@ -223,24 +217,20 @@ func TestTierTopKDifferential(t *testing.T) {
 
 // TestTierJoinDifferential holds the join — one lookup per document —
 // byte-identical over a half-evicted and an all-evicted forest to the
-// all-in-RAM one, in every plan mode: resident and evicted bags alike
-// are the queries, and the τ>1 threshold takes the scan-all plan.
+// all-in-RAM one, which equals the brute-force reference: resident and
+// evicted bags alike are the queries, and the τ>1 threshold takes the
+// scan-all plan.
 func TestTierJoinDifferential(t *testing.T) {
 	docs := gen.XMarkForest(13, 28, 2400)
 	resident, tiered, _, _ := tieredCopy(t, docs)
 	allEvicted := allEvictedCopy(t, docs)
-	for _, mode := range []forest.PlanMode{forest.PlanAuto, forest.PlanExhaustive, forest.PlanPruned} {
-		for _, f := range []*forest.Index{resident, tiered, allEvicted} {
-			f.SetPlanMode(mode)
+	for _, tau := range []float64{0.4, 0.7, 1.5} {
+		want := checkJoin(t, resident, tau, "resident")
+		if got := tiered.SimilarityJoin(tau); !pairsEqual(want, got) {
+			t.Fatalf("tau %v: tiered join %v, resident %v", tau, got, want)
 		}
-		for _, tau := range []float64{0.4, 0.7, 1.5} {
-			want := resident.SimilarityJoin(tau)
-			if got := tiered.SimilarityJoin(tau); !pairsEqual(want, got) {
-				t.Fatalf("mode %v tau %v: tiered join %v, resident %v", mode, tau, got, want)
-			}
-			if got := allEvicted.SimilarityJoin(tau); !pairsEqual(want, got) {
-				t.Fatalf("mode %v tau %v: all-evicted join %v, resident %v", mode, tau, got, want)
-			}
+		if got := allEvicted.SimilarityJoin(tau); !pairsEqual(want, got) {
+			t.Fatalf("tau %v: all-evicted join %v, resident %v", tau, got, want)
 		}
 	}
 }
@@ -457,23 +447,25 @@ func TestTierDetachedErrors(t *testing.T) {
 
 // TestTierCounters verifies the tier read's work lands on the
 // forest_bloom_* and forest_tier_* counters when a collector is attached,
-// from the accumulation of the exhaustive path and from the run-at-a-time
-// planning of the pruned one.
+// from the run-at-a-time planning of a threshold lookup and from the
+// whole-run accumulation of top-k.
 func TestTierCounters(t *testing.T) {
 	docs := gen.XMarkForest(31, 12, 1200)
 	_, tiered, _, _ := tieredCopy(t, docs)
 	col := obs.NewCollector()
 	tiered.SetCollector(col)
-	for _, mode := range []forest.PlanMode{forest.PlanExhaustive, forest.PlanPruned} {
-		tiered.SetPlanMode(mode)
+	for name, lookup := range map[string]func() []forest.Match{
+		"lookup": func() []forest.Match { return tiered.Lookup(docs[0], 0.8) },
+		"top-k":  func() []forest.Match { return tiered.LookupTopK(docs[0], 3) },
+	} {
 		before := col.Snapshot()
-		if got := tiered.Lookup(docs[0], 0.8); len(got) == 0 {
-			t.Fatalf("mode %v: lookup over the tier found nothing", mode)
+		if got := lookup(); len(got) == 0 {
+			t.Fatalf("%s over the tier found nothing", name)
 		}
 		deltas := col.Snapshot().CounterDeltas(before)
-		for _, name := range []string{"forest_tier_segments_probed", "forest_bloom_checks", "forest_bloom_skips", "forest_tier_postings_scanned"} {
-			if deltas[name] == 0 {
-				t.Errorf("mode %v: %s not incremented", mode, name)
+		for _, counter := range []string{"forest_tier_segments_probed", "forest_bloom_checks", "forest_bloom_skips", "forest_tier_postings_scanned"} {
+			if deltas[counter] == 0 {
+				t.Errorf("%s: %s not incremented", name, counter)
 			}
 		}
 	}

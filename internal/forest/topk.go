@@ -1,7 +1,6 @@
 // Top-k lookups: the overlap accumulation of the exhaustive lookup
 // (overlapsLocked) scored into a bounded heap of the k best (topHeap,
-// forest.go). There is no other top-k path; PlanMode does not change how
-// these are answered.
+// forest.go). There is no other top-k path.
 
 package forest
 
@@ -15,8 +14,8 @@ import (
 
 // LookupTopK returns the k indexed trees nearest to the query by pq-gram
 // distance (fewer if the forest is smaller), sorted by ascending distance
-// with ties broken by ID. Every PlanMode answers it the same way: overlaps
-// accumulated through the postings, the k best kept in a bounded heap.
+// with ties broken by ID: overlaps accumulated through the postings, the k
+// best kept in a bounded heap.
 func (f *Index) LookupTopK(query *tree.Tree, k int) []Match {
 	return f.LookupIndexTopK(profile.BuildIndex(query, f.pr), k)
 }

@@ -37,28 +37,14 @@ func bruteTopK(f *forest.Index, q profile.Index, k int) []forest.Match {
 	return out
 }
 
-// topkAllModes runs the same top-k query through every planner mode plus
-// the independent brute force and fails on any divergence.
-func topkAllModes(t *testing.T, f *forest.Index, q profile.Index, k int, ctx string) []forest.Match {
+// checkTopK runs the top-k query beside the independent brute force and
+// fails on any divergence.
+func checkTopK(t *testing.T, f *forest.Index, q profile.Index, k int, ctx string) []forest.Match {
 	t.Helper()
 	want := bruteTopK(f, q, k)
-	modes := []struct {
-		name string
-		mode forest.PlanMode
-	}{
-		{"exhaustive", forest.PlanExhaustive},
-		{"auto", forest.PlanAuto},
-		{"pruned", forest.PlanPruned},
+	if got := f.LookupIndexTopK(q, k); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: top-%d diverged from brute force\ngot:  %v\nwant: %v", ctx, k, got, want)
 	}
-	for _, m := range modes {
-		f.SetPlanMode(m.mode)
-		got := f.LookupIndexTopK(q, k)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: %s top-%d diverged from brute force\ngot:  %v\nwant: %v",
-				ctx, m.name, k, got, want)
-		}
-	}
-	f.SetPlanMode(forest.PlanAuto)
 	return want
 }
 
@@ -66,8 +52,8 @@ func topkAllModes(t *testing.T, f *forest.Index, q profile.Index, k int, ctx str
 // a random forest (mixed generators, duplicate documents, occasionally a
 // forest of identical trees so every distance ties) and querying it with
 // members, perturbed members and unrelated trees at k ∈ {1, 5, |D|,
-// |D|+1}. Every planner mode must match the independent brute force
-// exactly, top-k must be a prefix of top-(k+1), and top-|D| must agree
+// |D|+1}. Top-k must match the independent brute force exactly, top-k
+// must be a prefix of top-(k+1), and top-|D| must agree
 // with the full threshold lookup at τ = ∞.
 func TestTopKDifferential(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
@@ -108,17 +94,17 @@ func TestTopKDifferential(t *testing.T) {
 			q := profile.BuildIndex(query, p33)
 			ctx := fmt.Sprintf("seed %d query %d (|D|=%d)", seed, qi, nDocs)
 			for _, k := range []int{1, 5, nDocs, nDocs + 1} {
-				topkAllModes(t, f, q, k, ctx)
+				checkTopK(t, f, q, k, ctx)
 			}
 			// Metamorphic: top-k is a prefix of top-(k+1).
 			k := 1 + rng.Intn(nDocs+2)
-			small, big := topkAllModes(t, f, q, k, ctx), topkAllModes(t, f, q, k+1, ctx)
+			small, big := checkTopK(t, f, q, k, ctx), checkTopK(t, f, q, k+1, ctx)
 			if len(small) > len(big) || !reflect.DeepEqual(small, big[:len(small)]) {
 				t.Fatalf("%s: top-%d is not a prefix of top-%d\ntop-k:   %v\ntop-k+1: %v",
 					ctx, k, k+1, small, big)
 			}
 			// Metamorphic: top-|D| is the τ=∞ threshold lookup, ranked.
-			all := topkAllModes(t, f, q, nDocs, ctx)
+			all := checkTopK(t, f, q, nDocs, ctx)
 			full := f.LookupIndex(q, 2)
 			if nDocs == 0 {
 				full = nil
@@ -153,13 +139,13 @@ func TestTopKEdgeCases(t *testing.T) {
 			t.Fatalf("top-%d = %v, want nil", k, got)
 		}
 	}
-	got := topkAllModes(t, twins, q, 2, "twins")
+	got := checkTopK(t, twins, q, 2, "twins")
 	if len(got) != 2 || got[0].Distance != 0 || got[1].Distance != 0 ||
 		got[0].TreeID != "t1" || got[1].TreeID != "t2" {
 		t.Fatalf("duplicate trees not tie-broken by ID: %v", got)
 	}
-	topkAllModes(t, twins, profile.Index{}, 2, "twins, empty query")
-	topkAllModes(t, twins, q, 10, "twins, k beyond |D|")
+	checkTopK(t, twins, profile.Index{}, 2, "twins, empty query")
+	checkTopK(t, twins, q, 10, "twins, k beyond |D|")
 	// k beyond the trees sharing a tuple with the query: the accumulation
 	// touches only t1 and t2, and the rest of the answer is the disjoint
 	// trees at distance 1 in ID order, however many k asks for.
@@ -169,7 +155,7 @@ func TestTopKEdgeCases(t *testing.T) {
 		}
 	}
 	for k, want := range map[int][]string{3: {"t1", "t2", "t3"}, 5: {"t1", "t2", "t3", "u7", "u8"}, 6: {"t1", "t2", "t3", "u7", "u8", "u9"}, 60: {"t1", "t2", "t3", "u7", "u8", "u9"}} {
-		got := topkAllModes(t, twins, q, k, "distance-1 tail")
+		got := checkTopK(t, twins, q, k, "distance-1 tail")
 		if len(got) != len(want) {
 			t.Fatalf("top-%d returned %d matches, want %d: %v", k, len(got), len(want), got)
 		}
@@ -204,7 +190,7 @@ func TestTopKIncrementalMaintenance(t *testing.T) {
 	check := func(phase string) {
 		t.Helper()
 		for _, k := range []int{1, 7, 40, 200} {
-			topkAllModes(t, f, q, k, phase)
+			checkTopK(t, f, q, k, phase)
 		}
 		if err := f.SelfCheck(); err != nil {
 			t.Fatalf("%s: %v", phase, err)
@@ -258,8 +244,7 @@ func TestTopKIncrementalMaintenance(t *testing.T) {
 
 // TestTopKUnderConcurrentUpdates runs top-k lookups concurrently with
 // AddAll batches, removes and incremental updates under the race
-// detector, then verifies post-quiescence exactness in every planner
-// mode.
+// detector, then verifies post-quiescence exactness.
 func TestTopKUnderConcurrentUpdates(t *testing.T) {
 	f := forest.New(p33)
 	rng := rand.New(rand.NewSource(11))
@@ -339,6 +324,6 @@ func TestTopKUnderConcurrentUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 5, 24, 48, 100} {
-		topkAllModes(t, f, q, k, "post-concurrency")
+		checkTopK(t, f, q, k, "post-concurrency")
 	}
 }

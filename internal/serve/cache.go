@@ -1,7 +1,7 @@
 // The result cache of the serving tier: a strict-invalidation LRU over
 // lookup and top-k answers.
 //
-// Keys are (op, plan mode, τ or k, source form, source); the source is an
+// Keys are (op, τ or k, source form, source); the source is an
 // HTTP request's raw XML or a programmatic bag's canonical bytes (bagKey).
 // The map compares it in full, so a hit is verified by byte equality and
 // nothing is parsed to probe; two spellings of one document are two
@@ -27,13 +27,9 @@ const (
 )
 
 // queryKey identifies one cacheable computation. τ and k are disjoint by
-// op (a threshold lookup zeroes k and vice versa), and the plan mode is
-// part of the key because the planner is allowed to answer the same query
-// with different work — results are identical, but a mode switch must not
-// serve an entry recorded under bounds the operator just turned off.
+// op (a threshold lookup zeroes k and vice versa).
 type queryKey struct {
 	op   uint8
-	plan forest.PlanMode
 	tau  float64
 	k    int
 	form uint8

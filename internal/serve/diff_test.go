@@ -1,12 +1,11 @@
-// The differential battery: the serving tier's cache and batcher must be
-// semantically invisible. For 200 seeded scripts of interleaved
+// The differential battery: the serving tier's cache must be semantically
+// invisible. For 200 seeded scripts of interleaved
 // Put/Remove/Update/Lookup/TopK, every HTTP response from a server with
 // the cache enabled must be byte-identical to the response from a server
 // with it disabled — including repeats (which hit the cache) and bursts
-// of concurrent identical requests (which coalesce in the batcher). Run
-// under -race by `make test`; a stale-cache-after-update bug, an epoch
-// bump missed by any mutation path, or a batcher leaking results across
-// epochs all fail this test.
+// of concurrent identical requests (which race to fill it). Run under
+// -race by `make test`; a stale-cache-after-update bug or an epoch bump
+// missed by any mutation path fails this test.
 
 package serve
 
@@ -132,8 +131,8 @@ func runDiffScript(t *testing.T, seed int64) {
 // compareResponses issues the query once against the cache-off server and
 // three times against the cached server — twice sequentially (the second
 // must be served from the cache) and once as a burst of concurrent
-// identical requests (which coalesce) — and requires every status and
-// body to be byte-identical.
+// identical requests — and requires every status and body to be
+// byte-identical.
 func compareResponses(t *testing.T, seed int64, op int, cached, plain *Server, path, body string) {
 	t.Helper()
 	wantCode, wantBody := doPost(plain, path, body)

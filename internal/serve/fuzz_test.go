@@ -1,6 +1,6 @@
 // FuzzServeRequest holds the HTTP surface to its validation contract:
 // whatever a client sends — malformed JSON, huge or NaN τ, absurd k,
-// unknown plan names, unparseable XML, pathological document ids — the
+// a stray "plan" field, unparseable XML, pathological document ids — the
 // service answers 2xx or 4xx. It never panics and never answers 5xx,
 // because a request body must not be able to take the tier down or get
 // blamed on the server. Wired into `make fuzz`.

@@ -1,6 +1,6 @@
 // The HTTP surface of the serving tier. Every query endpoint routes
-// through Server.query — admission control, result cache, request
-// batching — and mutations route through Server.Put/Remove/Update so the
+// through Server.query — admission control, then the result cache — and
+// mutations route through Server.Put/Remove/Update so the
 // journal (when store-backed) and the epoch-based cache invalidation are
 // shared with programmatic callers.
 //
@@ -20,12 +20,11 @@
 //
 // Input validation is strict — malformed JSON and out-of-range τ or k
 // answer 4xx, never 5xx or a panic; the fuzz target FuzzServeRequest
-// holds the service to that contract. Unknown JSON fields are ignored.
-// The planner mode is the operator's (pqserve -plan, reported by
-// GET /stats); no request can change it. Shed requests answer 429 with a
-// Retry-After hint; answered lookups carry an X-Cache header (hit, miss
-// or shared) so load generators can attribute latency to the tier that
-// produced it.
+// holds the service to that contract. Unknown JSON fields are ignored,
+// "plan" among them: every lookup takes the one path. Shed requests
+// answer 429 with a Retry-After hint; answered lookups carry an X-Cache
+// header (hit or miss) so load generators can attribute latency to the
+// tier that produced it.
 
 package serve
 
@@ -164,9 +163,9 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// queryXML answers a query given as raw XML. The cache and the batcher
-// key on the XML's bytes, so a repeat is answered without parsing; only a
-// flight leader after a miss streams the bag out of it.
+// queryXML answers a query given as raw XML. The cache keys on the XML's
+// bytes, so a repeat is answered without parsing; only a miss streams the
+// bag out of it.
 func (s *Server) queryXML(op uint8, xml string, tau float64, k int) (Result, error) {
 	return s.query(queryKey{op: op, tau: tau, k: k, form: srcXML, src: xml}, func() (profile.Index, error) {
 		return xmlconv.StreamIndex(strings.NewReader(xml), xmlconv.Options{}, s.forest.Params())
@@ -188,14 +187,10 @@ func (s *Server) writeQueryError(w http.ResponseWriter, err error) {
 
 // cacheHeader attributes an answered lookup to the tier that produced it.
 func cacheHeader(res Result) string {
-	switch {
-	case res.Cached:
+	if res.Cached {
 		return "hit"
-	case res.Shared:
-		return "shared"
-	default:
-		return "miss"
 	}
+	return "miss"
 }
 
 // LookupRequest is the body of POST /lookup. Tau runs a threshold lookup,
@@ -296,7 +291,7 @@ type ExplainRequest struct {
 
 // handleExplain runs one query with tracing forced on and returns the
 // plan decision plus the per-stage work-counter span tree. Explain is a
-// diagnostic: it bypasses the cache and the batcher on purpose (a cached
+// diagnostic: it bypasses the cache on purpose (a cached
 // answer has no work counters to report) but still runs the production
 // lookup code. The trace is also published into the tracer's ring buffer
 // tagged with this request's ID, correlating with the request log.
@@ -441,7 +436,7 @@ func (s *Server) handleEdits(w http.ResponseWriter, r *http.Request, id string) 
 }
 
 // handleStats reports the index shape plus the serving tier's live state:
-// the mutation epoch, the active plan mode, and the result-cache fill.
+// the mutation epoch and the result-cache fill.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	pr := s.forest.Params()
 	cacheLen := 0
@@ -453,7 +448,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"docs": s.forest.Len(), "pqgrams": s.forest.Size(),
 		"serve": map[string]any{
 			"epoch":         s.forest.Epoch(),
-			"plan":          int(s.forest.PlanMode()),
 			"cache_entries": cacheLen,
 			"cache_size":    s.cfg.CacheSize,
 		},

@@ -1,7 +1,7 @@
 // Package serve is the production serving tier over a pq-gram forest
 // index: the layer that turns the library into a service built for heavy
-// concurrent traffic. It composes three mechanisms in front of the
-// planner, in request order:
+// concurrent traffic. It puts two mechanisms in front of the forest
+// lookup, in request order:
 //
 //  1. Admission control (admission.go) — a bounded in-flight semaphore
 //     plus a bounded wait queue, with latency-driven backpressure: when
@@ -9,27 +9,25 @@
 //     new requests are shed immediately (HTTP 429 + Retry-After) instead
 //     of queueing behind work the service cannot absorb.
 //  2. Result cache (cache.go) — an LRU of lookup/top-k results keyed on
-//     (query source, τ or k, plan mode), validated against the forest's
-//     mutation epoch: every Add/Remove/Update advances the epoch, so an
-//     older entry is strictly invalid and evicted on the next probe. The
-//     source is the request's raw XML, so a hit parses nothing.
-//  3. Request batching (batch.go) — concurrent lookups with the same key
-//     and the same epoch coalesce into a single shared postings
-//     traversal; N-1 of them wait for the leader and share its result.
-//     Only the leader streams the query bag (xmlconv.StreamIndex). A
-//     flight is keyed on the epoch it started under, so a request that
-//     arrives after a mutation never joins a pre-mutation traversal —
-//     read-your-writes holds for every client.
+//     (query source, τ or k), validated against the forest's mutation
+//     epoch: every Add/Remove/Update advances the epoch, so an older
+//     entry is strictly invalid and evicted on the next probe. The source
+//     is the request's raw XML, so a hit parses nothing.
+//
+// A miss streams the query bag (xmlconv.StreamIndex) and runs the forest
+// lookup. Its answer is cached only if the epoch read before the probe is
+// still current afterwards, so a result computed across a mutation never
+// outlives its response and read-your-writes holds for every client.
 //
 // The invariant carried by the differential tests (diff_test.go): for any
 // sequential script of mutations and lookups, responses with the cache
-// and batcher enabled are byte-identical to responses with them disabled.
-// Caching is an optimization, never a semantic.
+// enabled are byte-identical to responses with it disabled. Caching is an
+// optimization, never a semantic.
 //
 // http.go adds the full HTTP surface (documents, lookups, explain,
 // debug endpoints). cmd/pqserve is the one binary that assembles a
-// service around it (store, planner mode, admission, shutdown);
-// examples/server only tours the handlers over an in-memory index.
+// service around it (store, admission, shutdown); examples/server only
+// tours the handlers over an in-memory index.
 package serve
 
 import (
@@ -110,10 +108,6 @@ type Result struct {
 	// Cached reports that the answer came from the result cache.
 	Cached bool
 
-	// Shared reports that the request joined an in-flight traversal
-	// started by a concurrent identical request.
-	Shared bool
-
 	// Epoch is the forest mutation epoch the answer is known valid for.
 	Epoch uint64
 }
@@ -144,16 +138,15 @@ type Server struct {
 	storeMu sync.Mutex
 
 	cache *resultCache // nil when disabled
-	batch *batcher
 	adm   *admission
 	m     serveMetrics
 
 	httpState
 
-	// hookFlightStart, when set, runs inside every batch-flight leader
-	// before the forest traversal. Tests use it to hold a traversal open
-	// deterministically; nil in production.
-	hookFlightStart func()
+	// hookMiss, when set, runs on every admitted request that missed the
+	// cache, before the query bag is built. Tests use it to hold an
+	// in-flight slot open deterministically; nil in production.
+	hookMiss func()
 }
 
 // serveMetrics is the serving tier's obs wiring. The collector is always
@@ -165,9 +158,6 @@ type serveMetrics struct {
 	cacheMisses     *obs.Counter   // serve_cache_miss
 	cacheInvalidate *obs.Counter   // serve_cache_invalidate (stale-epoch evictions)
 	shed            *obs.Counter   // serve_shed
-	batchFlights    *obs.Counter   // serve_batch_flights (traversals executed)
-	batchJoined     *obs.Counter   // serve_batch_joined (requests that shared one)
-	batchSize       *obs.Histogram // serve_batch_size (requests per traversal)
 	lookupNS        *obs.Histogram // serve_lookup_ns (end-to-end, incl. cache hits)
 	inflight        *obs.Gauge     // serve_inflight
 	queueDepth      *obs.Gauge     // serve_queue_depth
@@ -189,9 +179,6 @@ func New(f *forest.Index, st Backend, cfg Config, col *obs.Collector) *Server {
 		cacheMisses:     col.Counter("serve_cache_miss"),
 		cacheInvalidate: col.Counter("serve_cache_invalidate"),
 		shed:            col.Counter("serve_shed"),
-		batchFlights:    col.Counter("serve_batch_flights"),
-		batchJoined:     col.Counter("serve_batch_joined"),
-		batchSize:       col.Histogram("serve_batch_size"),
 		lookupNS:        col.Histogram("serve_lookup_ns"),
 		inflight:        col.Gauge("serve_inflight"),
 		queueDepth:      col.Gauge("serve_queue_depth"),
@@ -199,7 +186,6 @@ func New(f *forest.Index, st Backend, cfg Config, col *obs.Collector) *Server {
 	if cfg.CacheSize > 0 {
 		s.cache = newResultCache(cfg.CacheSize, s.m)
 	}
-	s.batch = newBatcher(s.m)
 	s.adm = newAdmission(cfg, s.m)
 	col.RegisterFunc("serve_admission", s.adm.stats)
 	s.initHTTP()
@@ -220,8 +206,8 @@ const (
 )
 
 // Lookup answers a threshold lookup through the serving tier: admission
-// control, then the result cache, then a (possibly shared) postings
-// traversal. The query index must not be mutated while the call runs.
+// control, then the result cache, then the forest lookup. The query index
+// must not be mutated while the call runs.
 func (s *Server) Lookup(q profile.Index, tau float64) (Result, error) {
 	return s.query(queryKey{op: opLookup, tau: tau, form: srcBag, src: bagKey(q)}, func() (profile.Index, error) { return q, nil })
 }
@@ -234,8 +220,8 @@ func (s *Server) TopK(q profile.Index, k int) (Result, error) {
 	return s.query(queryKey{op: opTopK, k: k, form: srcBag, src: bagKey(q)}, func() (profile.Index, error) { return q, nil })
 }
 
-// query answers key (filling in its plan). bag runs only in a flight
-// leader after a cache miss; its error is every flight member's.
+// query answers key: admission, the cache probe, and on a miss the bag
+// (bag runs only then; its error is the request's) and the forest lookup.
 func (s *Server) query(key queryKey, bag func() (profile.Index, error)) (Result, error) {
 	s.m.requests.Inc()
 	sp := s.col.StartTrace("serve.query")
@@ -247,54 +233,39 @@ func (s *Server) query(key queryKey, bag func() (profile.Index, error)) (Result,
 		return Result{}, err
 	}
 	defer s.adm.release()
-	t0 := time.Now()
+	defer s.finishTimed(time.Now())
 
-	key.plan = s.forest.PlanMode()
 	epoch := s.forest.Epoch()
 	if s.cache != nil {
 		if out, ok := s.cache.get(key, epoch); ok {
 			s.m.cacheHits.Inc()
 			sp.SetAttr("cache_hit", 1)
 			sp.SetAttr("matches", int64(len(out)))
-			s.finishTimed(t0)
 			return Result{Matches: out, Cached: true, Epoch: epoch}, nil
 		}
 		s.m.cacheMisses.Inc()
 	}
-
-	// Coalesce with concurrent identical requests of the same epoch; the
-	// flight leader runs the traversal and re-validates the epoch around
-	// it before publishing to the cache.
-	out, shared, err := s.batch.do(key, epoch, func() ([]forest.Match, error) {
-		if s.hookFlightStart != nil {
-			s.hookFlightStart()
-		}
-		q, err := bag()
-		if err != nil {
-			return nil, err
-		}
-		e1 := s.forest.Epoch()
-		var ms []forest.Match
-		if key.op == opLookup {
-			ms = s.forest.LookupIndex(q, key.tau)
-		} else {
-			ms = s.forest.LookupIndexTopK(q, key.k)
-		}
-		// Publish only results provably computed inside one epoch: a
-		// bump during the traversal means a mutation may have completed
-		// mid-scan, and such a result must not outlive this response.
-		if s.cache != nil && e1 == epoch && s.forest.Epoch() == e1 {
-			s.cache.put(key, ms, e1)
-		}
-		return ms, nil
-	})
-	s.finishTimed(t0)
+	if s.hookMiss != nil {
+		s.hookMiss()
+	}
+	q, err := bag()
 	if err != nil {
 		return Result{}, err
 	}
-	sp.SetAttr("shared", boolAttr(shared))
+	var out []forest.Match
+	if key.op == opLookup {
+		out = s.forest.LookupIndex(q, key.tau)
+	} else {
+		out = s.forest.LookupIndexTopK(q, key.k)
+	}
+	// Publish only a result provably computed inside one epoch: a bump
+	// since the probe means a mutation may have completed mid-scan, and
+	// such a result must not outlive this response.
+	if s.cache != nil && s.forest.Epoch() == epoch {
+		s.cache.put(key, out, epoch)
+	}
 	sp.SetAttr("matches", int64(len(out)))
-	return Result{Matches: out, Shared: shared, Epoch: epoch}, nil
+	return Result{Matches: out, Epoch: epoch}, nil
 }
 
 // finishTimed records one served request's latency into both the
@@ -303,13 +274,6 @@ func (s *Server) finishTimed(t0 time.Time) {
 	d := time.Since(t0)
 	s.m.lookupNS.Observe(d.Nanoseconds())
 	s.adm.observe(d)
-}
-
-func boolAttr(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // --- mutations --------------------------------------------------------

@@ -1,9 +1,7 @@
-// White-box unit tests of the serving tier's three mechanisms — the
-// result cache (hit, strict epoch invalidation, LRU eviction, keys on the
-// query's bytes), the batcher (deterministic coalescing via the flight
-// hook, distinct queries in distinct flights),
-// and admission control (queue shedding, latency-budget shedding and
-// recovery) — plus the HTTP validation surface. The cross-cutting
+// White-box unit tests of the serving tier's two mechanisms — the result
+// cache (hit, strict epoch invalidation, LRU eviction, keys on the query's
+// bytes) and admission control (queue shedding, latency-budget shedding
+// and recovery) — plus the HTTP validation surface. The cross-cutting
 // correctness arguments live in diff_test.go (semantic invisibility) and
 // soak_test.go (no lost responses under contention).
 
@@ -19,7 +17,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -105,12 +102,6 @@ func TestCacheDistinguishesOpsAndParams(t *testing.T) {
 			t.Fatalf("%s: cached=%v err=%v, want fresh", name, r.Cached, err)
 		}
 	}
-	// And the plan mode is part of the key.
-	s.forest.SetPlanMode(forest.PlanExhaustive)
-	r, err := s.Lookup(q, 0.5)
-	if err != nil || r.Cached {
-		t.Fatalf("plan switch: cached=%v err=%v, want fresh", r.Cached, err)
-	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
@@ -160,135 +151,6 @@ func TestBagKeyIndependentOfMapOrder(t *testing.T) {
 	}
 }
 
-// TestBatchDistinctQueriesDoNotShare holds query A's flight open and
-// shows that a concurrent, different query B runs and finishes its own
-// flight instead of waiting for (and sharing) A's.
-func TestBatchDistinctQueriesDoNotShare(t *testing.T) {
-	s, docs := newTestServer(t, Config{}, 2)
-	qa, qb := queryOf(t, s, docs[0]), queryOf(t, s, docs[1])
-
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var held atomic.Bool // not a sync.Once: Once.Do would block B's hook until A's returns
-	s.hookFlightStart = func() {
-		if held.CompareAndSwap(false, true) {
-			close(entered)
-			<-release
-		}
-	}
-	lookup := func(q profile.Index, out chan<- Result) {
-		r, err := s.Lookup(q, 0.5)
-		if err != nil {
-			t.Error(err)
-		}
-		out <- r
-	}
-	doneA, doneB := make(chan Result, 1), make(chan Result, 1)
-	go lookup(qa, doneA)
-	<-entered // A's leader is inside its flight
-
-	go lookup(qb, doneB)
-	var rb Result
-	select {
-	case rb = <-doneB:
-	case <-time.After(5 * time.Second):
-		close(release)
-		t.Fatal("query B is still waiting 5s into query A's held flight")
-	}
-	close(release)
-	ra := <-doneA
-	if ra.Shared || rb.Shared {
-		t.Fatalf("Shared = %v (A), %v (B); distinct queries must not share a flight", ra.Shared, rb.Shared)
-	}
-	if got := s.m.batchFlights.Load(); got != 2 {
-		t.Fatalf("serve_batch_flights = %d, want 2", got)
-	}
-}
-
-// TestBatchCoalesce holds a traversal open via the flight hook and proves
-// that concurrent identical requests join it instead of traversing again.
-func TestBatchCoalesce(t *testing.T) {
-	const joiners = 3
-	s, docs := newTestServer(t, Config{}, 2) // no cache: every request reaches the batcher
-	q := queryOf(t, s, docs[0])
-
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var hookOnce sync.Once
-	s.hookFlightStart = func() {
-		hookOnce.Do(func() { close(entered); <-release })
-	}
-
-	results := make(chan Result, joiners+1)
-	go func() {
-		r, err := s.Lookup(q, 0.5)
-		if err != nil {
-			t.Error(err)
-		}
-		results <- r
-	}()
-	<-entered // the leader is inside its traversal
-
-	var wg sync.WaitGroup
-	for i := 0; i < joiners; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r, err := s.Lookup(q, 0.5)
-			if err != nil {
-				t.Error(err)
-			}
-			results <- r
-		}()
-	}
-	// Wait until every joiner is registered on the open flight, then let
-	// the leader finish.
-	fk := flightKey{qk: queryKey{op: opLookup, plan: s.forest.PlanMode(), tau: 0.5, form: srcBag, src: bagKey(q)}, epoch: s.forest.Epoch()}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.batch.mu.Lock()
-		fl := s.batch.flights[fk]
-		n := int64(0)
-		if fl != nil {
-			n = fl.joined
-		}
-		s.batch.mu.Unlock()
-		if n == joiners+1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("flight joined = %d, want %d", n, joiners+1)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	close(release)
-	wg.Wait()
-
-	shared := 0
-	first := <-results
-	for i := 0; i < joiners; i++ {
-		r := <-results
-		if r.Shared {
-			shared++
-		}
-		if len(r.Matches) != len(first.Matches) {
-			t.Fatalf("coalesced result diverged: %d vs %d matches", len(r.Matches), len(first.Matches))
-		}
-	}
-	if first.Shared {
-		shared++
-	}
-	if shared != joiners {
-		t.Fatalf("%d requests report Shared, want %d", shared, joiners)
-	}
-	if got := s.m.batchFlights.Load(); got != 1 {
-		t.Fatalf("serve_batch_flights = %d, want 1 shared traversal", got)
-	}
-	if got := s.m.batchJoined.Load(); got != joiners {
-		t.Fatalf("serve_batch_joined = %d, want %d", got, joiners)
-	}
-}
-
 // TestAdmissionQueueShed fills the single in-flight slot and the
 // one-deep wait queue deterministically, then proves the next arrival is
 // shed with ErrOverloaded.
@@ -300,13 +162,13 @@ func TestAdmissionQueueShed(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var hookOnce sync.Once
-	s.hookFlightStart = func() {
+	s.hookMiss = func() {
 		hookOnce.Do(func() { close(entered); <-release })
 	}
 
 	done := make(chan error, 2)
 	go func() { _, err := s.Lookup(q0, 0.5); done <- err }()
-	<-entered // slot holder is mid-traversal
+	<-entered // the slot holder missed the cache and holds its slot
 
 	go func() { _, err := s.Lookup(q1, 0.5); done <- err }()
 	deadline := time.Now().Add(5 * time.Second)
@@ -478,24 +340,6 @@ func TestHTTPNoMatchIsEmptyArray(t *testing.T) {
 	}
 }
 
-// TestRequestCannotChangePlanner pins that the planner mode belongs to the
-// operator (pqserve -plan): a request body naming a plan is answered like
-// any other and leaves the shared forest's mode alone.
-func TestRequestCannotChangePlanner(t *testing.T) {
-	s, _ := newTestServer(t, Config{CacheSize: 8}, 2)
-	for _, tc := range []struct{ path, body string }{
-		{"/lookup", `{"xml":"<a><b/></a>","tau":0.9,"plan":"exhaustive"}`},
-		{"/topk", `{"xml":"<a><b/></a>","k":1,"plan":"metric"}`},
-	} {
-		if w := do(t, s, "POST", tc.path, tc.body); w.Code != 200 {
-			t.Fatalf("POST %s = %d, want 200 (body %s)", tc.path, w.Code, w.Body.String())
-		}
-		if got := s.Forest().PlanMode(); got != forest.PlanAuto {
-			t.Fatalf("after POST %s %s the shared planner mode is %v, want PlanAuto", tc.path, tc.body, got)
-		}
-	}
-}
-
 func TestHTTPCacheHeaderAndRetryAfter(t *testing.T) {
 	s, docs := newTestServer(t, Config{CacheSize: 8, MaxInFlight: 1, RetryAfter: 3 * time.Second}, 2)
 	body, _ := json.Marshal(LookupRequest{XML: mustBody(t, docs[0]), Tau: 0.5})
@@ -512,7 +356,7 @@ func TestHTTPCacheHeaderAndRetryAfter(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var hookOnce sync.Once
-	s.hookFlightStart = func() {
+	s.hookMiss = func() {
 		hookOnce.Do(func() { close(entered); <-release })
 	}
 	other, _ := json.Marshal(LookupRequest{XML: mustBody(t, docs[1]), Tau: 0.5})

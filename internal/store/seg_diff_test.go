@@ -29,14 +29,9 @@ func diffQueries(t *testing.T, tag string, seg, ref *forest.Index, queries []*tr
 		t.Fatalf("%s: %d docs vs %d", tag, seg.Len(), ref.Len())
 	}
 	for qi, q := range queries {
-		// The scripts stay below the collection size at which PlanAuto
-		// prunes, so the pruned path over segments is asked for by name.
-		for _, mode := range []forest.PlanMode{forest.PlanPruned, forest.PlanAuto} {
-			seg.SetPlanMode(mode)
-			for _, tau := range []float64{0.1, 0.3, 0.6, 0.9} {
-				if got, want := seg.Lookup(q, tau), ref.Lookup(q, tau); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: mode %v Lookup(q%d, %.1f) diverges:\n got %v\nwant %v", tag, mode, qi, tau, got, want)
-				}
+		for _, tau := range []float64{0.1, 0.3, 0.6, 0.9, 1} {
+			if got, want := seg.Lookup(q, tau), ref.Lookup(q, tau); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Lookup(q%d, %.1f) diverges:\n got %v\nwant %v", tag, qi, tau, got, want)
 			}
 		}
 		for _, k := range []int{4, 5} {
@@ -170,8 +165,8 @@ func TestSegmentedDifferential200(t *testing.T) {
 // per-run planning is built for: a corpus of near-duplicate clusters
 // flushed into several segments, then random replacements, removals and
 // updates, so that segments hold live, shadowed and deleted copies while
-// other documents sit in RAM. A segmented store must then answer every plan
-// mode, every threshold and top-k exactly like a store that never flushed.
+// other documents sit in RAM. A segmented store must then answer every
+// threshold and top-k exactly like a store that never flushed.
 func TestSegmentedClusteredDifferential(t *testing.T) {
 	clusters, queries := 64, 64
 	if testing.Short() {
@@ -268,20 +263,16 @@ func TestSegmentedClusteredDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := profile.BuildIndex(qt, p33)
-		for _, mode := range []forest.PlanMode{forest.PlanAuto, forest.PlanPruned, forest.PlanExhaustive} {
-			seg.Forest().SetPlanMode(mode)
-			ram.Forest().SetPlanMode(mode)
-			for _, tau := range []float64{0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0} {
-				got, want := seg.Forest().LookupIndex(q, tau), ram.Forest().LookupIndex(q, tau)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("q%d mode %v tau %v diverges:\n got %v\nwant %v", qi, mode, tau, got, want)
-				}
-				matches += len(got)
+		for _, tau := range []float64{0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0} {
+			got, want := seg.Forest().LookupIndex(q, tau), ram.Forest().LookupIndex(q, tau)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("q%d tau %v diverges:\n got %v\nwant %v", qi, tau, got, want)
 			}
-			for _, k := range []int{1, 10} {
-				if got, want := seg.Forest().LookupIndexTopK(q, k), ram.Forest().LookupIndexTopK(q, k); !reflect.DeepEqual(got, want) {
-					t.Fatalf("q%d mode %v top-%d diverges:\n got %v\nwant %v", qi, mode, k, got, want)
-				}
+			matches += len(got)
+		}
+		for _, k := range []int{1, 10} {
+			if got, want := seg.Forest().LookupIndexTopK(q, k), ram.Forest().LookupIndexTopK(q, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("q%d top-%d diverges:\n got %v\nwant %v", qi, k, got, want)
 			}
 		}
 	}
@@ -313,18 +304,25 @@ func TestSegmentedBloomSkips(t *testing.T) {
 	alien := tree.MustParse("zzz_alien_label")
 	col := obs.NewCollector()
 	s.SetCollector(col)
-	for _, mode := range []forest.PlanMode{forest.PlanExhaustive, forest.PlanPruned} {
-		s.Forest().SetPlanMode(mode)
+	// A threshold lookup plans the runs; top-k accumulates them whole.
+	// Both read the filters first. The top-k answer is every document at
+	// distance 1, scored from cached sizes.
+	for name, lookup := range map[string]func(){
+		"lookup": func() {
+			if out := s.Forest().Lookup(alien, 0.9); len(out) != 0 {
+				t.Fatalf("alien query matched %v", out)
+			}
+		},
+		"top-k": func() { s.Forest().LookupTopK(alien, 3) },
+	} {
 		before := col.Snapshot()
-		if out := s.Forest().Lookup(alien, 0.9); len(out) != 0 {
-			t.Fatalf("mode %v: alien query matched %v", mode, out)
-		}
+		lookup()
 		d := col.Snapshot().CounterDeltas(before)
 		if d["forest_bloom_checks"] == 0 || d["forest_bloom_skips"] != d["forest_bloom_checks"] {
-			t.Fatalf("mode %v: expected all %d bloom checks to skip, got %d skips", mode, d["forest_bloom_checks"], d["forest_bloom_skips"])
+			t.Fatalf("%s: expected all %d bloom checks to skip, got %d skips", name, d["forest_bloom_checks"], d["forest_bloom_skips"])
 		}
 		if d["forest_tier_segments_probed"] != 0 || d["forest_tier_postings_scanned"] != 0 {
-			t.Fatalf("mode %v: alien query probed segments anyway: %v", mode, d)
+			t.Fatalf("%s: alien query probed segments anyway: %v", name, d)
 		}
 	}
 }

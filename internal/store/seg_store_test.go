@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -280,7 +281,6 @@ func TestSegmentedTierSpans(t *testing.T) {
 	tr := obs.NewTracer(1, 4)
 	col.SetTracer(tr)
 	s.SetCollector(col)
-	s.Forest().SetPlanMode(forest.PlanPruned)
 	if ms := s.Forest().Lookup(gen.XMark(1, 60), 0.3); len(ms) != 6 {
 		t.Fatalf("lookup found %v, want the six copies", ms)
 	}
@@ -319,6 +319,55 @@ func TestSegmentedTierSpans(t *testing.T) {
 	}
 }
 
+// TestUpdateForeignLogRejected: the edit log of another document yields an
+// I⁻ the stored bag does not contain. Update must refuse it before the
+// journal append — a journaled record that cannot be applied would make
+// every later open fail on replay — so the store reopens with the
+// document's bag unchanged, whether it was resident or flushed.
+func TestUpdateForeignLogRejected(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, flushed := range []bool{false, true} {
+			fs := fsio.NewMemFS()
+			s, err := CreateSegmentedFS(fs, "idx.pqg", p33)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Add("doc", gen.XMark(seed, 80)); err != nil {
+				t.Fatal(err)
+			}
+			if flushed {
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := s.Forest().TreeIndex("doc")
+			tn, log, err := gen.Perturb(rand.New(rand.NewSource(seed)), gen.XMark(seed+100, 80), 4, gen.DefaultMix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Update("doc", tn, log); err == nil {
+				t.Fatalf("seed %d: a foreign log was applied", seed)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := OpenSegmentedFS(fs, "idx.pqg")
+			if err != nil {
+				t.Fatalf("seed %d flushed %v: reopen after a rejected update: %v", seed, flushed, err)
+			}
+			if got := r.Forest().TreeIndex("doc"); !got.Equal(want) {
+				t.Fatalf("seed %d flushed %v: bag changed by a rejected update", seed, flushed)
+			}
+			if err := r.Forest().SelfCheck(); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestSegmentedRemovedNumberReused: removing a flushed document frees its
 // doc number, and the next registration inherits it. The segment copy must
 // be dead by then, or a lookup credits the newcomer with the removed
@@ -354,16 +403,13 @@ func TestSegmentedRemovedNumberReused(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref.Put("stranger", stranger)
-	for _, mode := range []forest.PlanMode{forest.PlanPruned, forest.PlanExhaustive} {
-		s.Forest().SetPlanMode(mode)
-		for _, tau := range []float64{0.2, 1, 1.5} {
-			if got, want := s.Forest().Lookup(base, tau), ref.Lookup(base, tau); !reflect.DeepEqual(got, want) {
-				t.Fatalf("mode %v tau %v:\n got %v\nwant %v", mode, tau, got, want)
-			}
+	for _, tau := range []float64{0.2, 1, 1.5} {
+		if got, want := s.Forest().Lookup(base, tau), ref.Lookup(base, tau); !reflect.DeepEqual(got, want) {
+			t.Fatalf("tau %v:\n got %v\nwant %v", tau, got, want)
 		}
-		if got, want := s.Forest().LookupTopK(base, 4), ref.LookupTopK(base, 4); !reflect.DeepEqual(got, want) {
-			t.Fatalf("mode %v top-4:\n got %v\nwant %v", mode, got, want)
-		}
+	}
+	if got, want := s.Forest().LookupTopK(base, 4), ref.LookupTopK(base, 4); !reflect.DeepEqual(got, want) {
+		t.Fatalf("top-4:\n got %v\nwant %v", got, want)
 	}
 	if err := s.Forest().SelfCheck(); err != nil {
 		t.Fatal(err)

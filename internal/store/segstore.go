@@ -490,6 +490,13 @@ func (s *Segmented) Update(id string, tn *tree.Tree, log edit.Log) (core.Stats, 
 	if err := s.promoteIfEvicted(id); err != nil {
 		return st, err
 	}
+	// Reject a delta the stored bag cannot absorb (a log of another
+	// document) before it is journaled: replay would fail on the record
+	// and leave the store unopenable. Writers are serialized, so the bag
+	// cannot change before ApplyDeltas runs.
+	if err := core.ApplyDeltas(s.forest.TreeIndex(id), nil, iMinus); err != nil {
+		return st, fmt.Errorf("store: tree %q: %w", id, err)
+	}
 	var payload bytes.Buffer
 	writeString(&payload, id)
 	writeBag(&payload, iMinus)
