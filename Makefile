@@ -1,10 +1,12 @@
 # Development targets. `make check` is the gate a change must pass:
 # formatting, vet, the pqlint invariant suite (see internal/lint), build,
-# the full test suite under the race detector, a short fuzz pass over
-# every fuzz target (seed corpora plus FUZZTIME of generation), a
-# coverage gate over the correctness-critical packages, a
+# the full test suite under the race detector, the suite again in -short
+# mode (the scaled-down fixtures that tests pick under testing.Short()), a
+# short fuzz pass over every fuzz target (seed corpora plus FUZZTIME of
+# generation), a coverage gate over the correctness-critical packages, a
 # single-iteration sweep of the root package's `go test` benchmarks so
-# they cannot silently rot, and vet + tests + pqlint of the separate
+# they cannot silently rot (the paper's experiments among them check
+# update ≡ rebuild at full scale), and vet + tests + pqlint of the separate
 # benchmark module (the one source of performance numbers), which tier-1
 # never builds. Nothing in the gate compares wall-clock times. Override
 # the fuzz duration with e.g. `make check FUZZTIME=30s`.
@@ -22,9 +24,9 @@ COVER_FLOOR_OBS     ?= 89
 COVER_FLOOR_SERVE   ?= 81
 COVER_FLOOR_STORE   ?= 85
 
-.PHONY: check fmt-check lint vet build test race fuzz cover bench bench-smoke bench-check
+.PHONY: check fmt-check lint vet build test test-short race fuzz cover bench bench-smoke bench-check
 
-check: fmt-check vet lint build test fuzz cover bench-smoke bench-check
+check: fmt-check vet lint build test test-short fuzz cover bench-smoke bench-check
 
 # gofmt guard: fails listing the unformatted files instead of rewriting
 # them, so CI and `make check` reject what `gofmt -w` would change.
@@ -45,6 +47,11 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# The -short paths: tests that branch on testing.Short() run smaller
+# fixtures there, which nothing else in the gate exercises.
+test-short:
+	$(GO) test -short ./...
 
 # Dedicated race-detector pass (its own CI job): every test twice under
 # a bounded GOMAXPROCS, giving schedule-dependent interleavings a second
@@ -81,14 +88,18 @@ cover:
 		fi; \
 	done
 
+# Every benchmark of the root package; the paper's tables in
+# EXPERIMENTS.md come from `-bench 'Fig|Table2|Ablation' -count 5`.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem .
+	$(GO) test -run='^$$' -bench=. -benchmem -timeout=90m .
 
 # One iteration of every `go test` benchmark of the root package, so
-# bench_test.go cannot rot. It asserts nothing about time: a performance
-# question is answered by benchmark/ (`bash benchmark/run.sh`, then
-# `bash benchmark/run.sh compare A B`), whose bounds have a measured
-# noise floor.
+# bench_test.go cannot rot. The paper's experiments check their
+# incremental results against rebuilds off the clock, so this is also a
+# correctness run at their full scale. It asserts nothing about time: a
+# performance question is answered by benchmark/ (`bash
+# benchmark/run.sh`, then `bash benchmark/run.sh compare A B`), whose
+# bounds have a measured noise floor.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x .
 

@@ -1,11 +1,17 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (§9) as testing.B benchmarks, plus microbenchmarks of the core
-// operations and the ablation of §8.1's anchor-ID index claim. Run with
+// operations and the ablations (§8.1's anchor-ID index, the edit mix).
+// Run the paper's experiments with
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench 'Fig|Table2|Ablation' -count 5 .
 //
-// Fixtures are generated once per size and shared across benchmarks. The
-// larger experiment scales live in cmd/pqbench.
+// Fixtures are generated once per size and shared across benchmarks. Off
+// the clock, every update experiment checks the updated index against a
+// rebuild and the on-the-fly lookup checks its matches against the
+// indexed one; either fails on divergence, so a one-iteration sweep
+// (-benchtime=1x) is a correctness run at the paper's scale. The shapes
+// the figures show are asserted by shape_test.go; EXPERIMENTS.md holds
+// the measured tables.
 package pqgram_test
 
 import (
@@ -13,6 +19,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"pqgram"
 	"pqgram/internal/core"
@@ -80,26 +87,87 @@ func lookupFixture(numDocs int) (*forest.Index, []*pqgram.Tree) {
 	return f, docs
 }
 
-// benchLiveUpdate measures continuous incremental maintenance: a live
-// document and its live index, updated in place per batch of edits, as in
-// the paper's application scenario. Script generation runs off the clock.
-func benchLiveUpdate(b *testing.B, doc *pqgram.Tree, ops int) {
+// updateKey names one random script of a benchmark: ops edits drawn from
+// mix on doc.
+type updateKey struct {
+	doc *pqgram.Tree
+	ops int
+	mix gen.OpMix
+}
+
+var updateScripts = map[updateKey]pqgram.Script{}
+
+// updateScript generates the key's script once and shares it across runs:
+// gen.RandomScript walks the whole tree per edit, which would dwarf the
+// update it feeds at these sizes.
+func updateScript(k updateKey) pqgram.Script {
+	fixMu.Lock()
+	defer fixMu.Unlock()
+	if s, ok := updateScripts[k]; ok {
+		return s
+	}
+	s, _, err := gen.RandomScript(rand.New(rand.NewSource(int64(k.ops))), k.doc.Clone(), k.ops, k.mix)
+	if err != nil {
+		panic(err)
+	}
+	updateScripts[k] = s
+	return s
+}
+
+// benchUpdate times the paper's maintenance step: the index of doc
+// updated in place with the log of one script of ops edits drawn from
+// mix. Every iteration replays the same script from the same T₀ and I₀.
+// Moving the document and its index back (undoing the edits, and updating
+// the index with the undo's own log) and the document forward to Tₙ run
+// off the clock, and so does the final check that the index equals a
+// rebuild of Tₙ. It returns the per-step statistics summed over the b.N
+// updates.
+func benchUpdate(b *testing.B, doc *pqgram.Tree, ops int, mix gen.OpMix) pqgram.UpdateStats {
 	b.Helper()
+	script := updateScript(updateKey{doc, ops, mix})
 	tn := doc.Clone()
 	idx := pqgram.BuildIndex(tn, benchP)
-	rng := rand.New(rand.NewSource(int64(ops)))
+	var log pqgram.Log
+	var agg pqgram.UpdateStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		_, log, err := gen.RandomScript(rng, tn, ops, gen.DefaultMix)
-		if err != nil {
+		if i > 0 {
+			undo := make(pqgram.Script, len(log))
+			for j, op := range log {
+				undo[len(log)-1-j] = op
+			}
+			back, err := undo.Apply(tn)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := pqgram.UpdateIndexInPlace(idx, tn, back, benchP); err != nil {
+				b.Fatal(err)
+			}
+		}
+		var err error
+		if log, err = script.Apply(tn); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := pqgram.UpdateIndexInPlace(idx, tn, log, benchP); err != nil {
+		st, err := pqgram.UpdateIndexInPlace(idx, tn, log, benchP)
+		if err != nil {
 			b.Fatal(err)
 		}
+		agg.DeltaPlus += st.DeltaPlus
+		agg.LambdaPlus += st.LambdaPlus
+		agg.DeltaMinus += st.DeltaMinus
+		agg.LambdaMinus += st.LambdaMinus
+		agg.ApplyIndex += st.ApplyIndex
+		agg.Total += st.Total
+		agg.PlusGrams += st.PlusGrams
+		agg.MinusGrams += st.MinusGrams
 	}
+	b.StopTimer()
+	if !idx.Equal(pqgram.BuildIndex(tn, benchP)) {
+		b.Fatalf("%d edits, %d runs: the updated index diverged from a rebuild", ops, b.N)
+	}
+	return agg
 }
 
 // --- microbenchmarks -------------------------------------------------------
@@ -159,21 +227,26 @@ func BenchmarkFig13LookupIndexed(b *testing.B) {
 
 func BenchmarkFig13LookupOnTheFly(b *testing.B) {
 	for _, numDocs := range []int{32, 256, 2048} {
-		_, docs := lookupFixture(numDocs)
+		f, docs := lookupFixture(numDocs)
 		rng := rand.New(rand.NewSource(int64(numDocs)))
 		query, _, err := gen.Perturb(rng, docs[numDocs/2], 10, gen.DefaultMix)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("docs=%d", numDocs), func(b *testing.B) {
+			matches := 0
 			for i := 0; i < b.N; i++ {
 				q := pqgram.BuildIndex(query, benchP)
-				matches := 0
+				matches = 0
 				for _, d := range docs {
 					if q.Distance(pqgram.BuildIndex(d, benchP)) < 0.7 {
 						matches++
 					}
 				}
+			}
+			b.StopTimer()
+			if indexed := len(f.Lookup(query, 0.7)); indexed != matches {
+				b.Fatalf("%d matches on the fly, %d indexed", matches, indexed)
 			}
 		})
 	}
@@ -182,7 +255,7 @@ func BenchmarkFig13LookupOnTheFly(b *testing.B) {
 // --- Figure 13 (right): build from scratch vs incremental update ----------
 
 func BenchmarkFig13BuildScratch(b *testing.B) {
-	for _, n := range []int{50000, 200000, 800000} {
+	for _, n := range []int{50000, 100000, 200000, 400000, 800000} {
 		doc := xmarkDoc(n)
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -193,10 +266,10 @@ func BenchmarkFig13BuildScratch(b *testing.B) {
 }
 
 func BenchmarkFig13IncrementalUpdate(b *testing.B) {
-	for _, n := range []int{50000, 200000, 800000} {
+	for _, n := range []int{50000, 100000, 200000, 400000, 800000} {
 		doc := xmarkDoc(n)
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
-			benchLiveUpdate(b, doc, 100)
+			benchUpdate(b, doc, 100, gen.DefaultMix)
 		})
 	}
 }
@@ -204,7 +277,7 @@ func BenchmarkFig13IncrementalUpdate(b *testing.B) {
 // --- Figure 14 (left): index size --------------------------------------
 
 func BenchmarkFig14IndexSize(b *testing.B) {
-	for _, n := range []int{50000, 200000} {
+	for _, n := range []int{25000, 50000, 100000, 200000, 400000} {
 		doc := xmarkDoc(n)
 		xml, err := pqgram.WriteXMLString(doc)
 		if err != nil {
@@ -235,47 +308,35 @@ func BenchmarkFig14IndexSize(b *testing.B) {
 
 func BenchmarkFig14UpdateByLogSize(b *testing.B) {
 	doc := dblpDoc(200000)
-	for _, ops := range []int{1, 10, 100, 1000} {
+	for _, ops := range []int{1, 4, 16, 64, 256, 1024, 4096} {
 		b.Run(fmt.Sprintf("edits=%d", ops), func(b *testing.B) {
-			benchLiveUpdate(b, doc, ops)
+			benchUpdate(b, doc, ops, gen.DefaultMix)
 		})
 	}
 }
 
 // --- Table 2: breakdown of the update time ------------------------------
 
+// BenchmarkTable2Breakdown reports each step's mean time per update and
+// its share of the update's total.
 func BenchmarkTable2Breakdown(b *testing.B) {
 	doc := dblpDoc(200000)
 	for _, ops := range []int{1, 10, 100, 1000} {
 		b.Run(fmt.Sprintf("edits=%d", ops), func(b *testing.B) {
-			tn := doc.Clone()
-			idx := pqgram.BuildIndex(tn, benchP)
-			rng := rand.New(rand.NewSource(7 * int64(ops)))
-			var agg pqgram.UpdateStats
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				_, log, err := gen.RandomScript(rng, tn, ops, gen.DefaultMix)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				st, err := pqgram.UpdateIndexInPlace(idx, tn, log, benchP)
-				if err != nil {
-					b.Fatal(err)
-				}
-				agg.DeltaPlus += st.DeltaPlus
-				agg.LambdaPlus += st.LambdaPlus
-				agg.DeltaMinus += st.DeltaMinus
-				agg.LambdaMinus += st.LambdaMinus
-				agg.ApplyIndex += st.ApplyIndex
+			agg := benchUpdate(b, doc, ops, gen.DefaultMix)
+			for _, step := range []struct {
+				name string
+				d    time.Duration
+			}{
+				{"Δ+", agg.DeltaPlus},
+				{"λΔ+", agg.LambdaPlus},
+				{"Δ-", agg.DeltaMinus},
+				{"λΔ-", agg.LambdaMinus},
+				{"apply", agg.ApplyIndex},
+			} {
+				b.ReportMetric(float64(step.d)/float64(b.N)/1e6, step.name+"ms/op")
+				b.ReportMetric(float64(step.d)/float64(agg.Total), step.name+"share")
 			}
-			n := float64(b.N)
-			b.ReportMetric(float64(agg.DeltaPlus.Microseconds())/n/1000, "Δ+ms/op")
-			b.ReportMetric(float64(agg.LambdaPlus.Microseconds())/n/1000, "λΔ+ms/op")
-			b.ReportMetric(float64(agg.DeltaMinus.Microseconds())/n/1000, "Δ-ms/op")
-			b.ReportMetric(float64(agg.LambdaMinus.Microseconds())/n/1000, "λΔ-ms/op")
-			b.ReportMetric(float64(agg.ApplyIndex.Microseconds())/n/1000, "applyms/op")
 		})
 	}
 }
@@ -305,6 +366,29 @@ func BenchmarkAblationAnchorIndex(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// --- Ablation: the edit-operation mix ----------------------------------------
+
+// BenchmarkAblationOpMix updates a 200 k-node XMark document with logs of
+// 500 edits of one kind, or the even mix, and reports the Δ⁺ tuples each
+// update computes.
+func BenchmarkAblationOpMix(b *testing.B) {
+	doc := xmarkDoc(200000)
+	for _, m := range []struct {
+		name string
+		mix  gen.OpMix
+	}{
+		{"renames", gen.OpMix{Rename: 1}},
+		{"inserts", gen.OpMix{Insert: 1}},
+		{"deletes", gen.OpMix{Delete: 1}},
+		{"even", gen.DefaultMix},
+	} {
+		b.Run("mix="+m.name, func(b *testing.B) {
+			agg := benchUpdate(b, doc, 500, m.mix)
+			b.ReportMetric(float64(agg.PlusGrams)/float64(b.N), "Δ+grams/op")
 		})
 	}
 }

@@ -168,9 +168,11 @@ func TestSegmentedDifferential200(t *testing.T) {
 // other documents sit in RAM. A segmented store must then answer every
 // threshold and top-k exactly like a store that never flushed.
 func TestSegmentedClusteredDifferential(t *testing.T) {
-	clusters, queries := 64, 64
+	// The flush threshold scales with the corpus so that both sizes flush
+	// at least twice: 24 clusters of 8 would cross 128 documents only once.
+	clusters, queries, flushAt := 64, 64, 128
 	if testing.Short() {
-		clusters, queries = 24, 12
+		clusters, queries, flushAt = 24, 12, 64
 	}
 	const mates = 8
 	rng := rand.New(rand.NewSource(41))
@@ -179,7 +181,7 @@ func TestSegmentedClusteredDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seg.Close()
-	seg.SetFlushThreshold(128)
+	seg.SetFlushThreshold(flushAt)
 	ram, err := CreateSegmentedFS(fsio.NewMemFS(), "ram.pqg", p33)
 	if err != nil {
 		t.Fatal(err)
