@@ -15,14 +15,14 @@ GO      ?= go
 FUZZTIME ?= 5s
 
 # Coverage floors of the gate below: the last measured figures (forest
-# 93.4%, profile 94.7%, obs 93.5%, serve 85.0%, store 89.8%) minus 4
+# 93.4%, profile 94.7%, obs 93.5%, serve 85.0%, store 90.6%) minus 4
 # points of slack so unrelated refactors don't trip it. Raise them when
 # coverage rises; never lower them to make a change pass.
 COVER_FLOOR_FOREST  ?= 89
 COVER_FLOOR_PROFILE ?= 90
 COVER_FLOOR_OBS     ?= 89
 COVER_FLOOR_SERVE   ?= 81
-COVER_FLOOR_STORE   ?= 85
+COVER_FLOOR_STORE   ?= 86
 
 .PHONY: check fmt-check lint vet build test test-short race fuzz cover bench bench-smoke bench-check
 
@@ -67,6 +67,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadLog -fuzztime=$(FUZZTIME) ./internal/edit
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzOpenSegment -fuzztime=$(FUZZTIME) ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzParseManifest -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/tree
 	$(GO) test -run='^$$' -fuzz=FuzzStreamIndex -fuzztime=$(FUZZTIME) ./internal/xmlconv
 	$(GO) test -run='^$$' -fuzz=FuzzDistance -fuzztime=$(FUZZTIME) ./internal/profile

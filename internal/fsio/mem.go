@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -164,10 +165,7 @@ func (m *MemFS) CreateTemp(dir, pattern string) (File, error) {
 	if !strings.Contains(pattern, "*") {
 		name = pattern + fmt.Sprintf("%08d", seq)
 	}
-	if dir != "" && dir != "." {
-		name = dir + "/" + name
-	}
-	return m.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
+	return m.OpenFile(filepath.Join(dir, name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
 }
 
 // Rename atomically repoints newpath at oldpath's node. A node that was

@@ -15,7 +15,11 @@
 // which gives bloomHashes well-spread positions from one 64-bit input.
 package store
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+	"io"
+)
 
 const (
 	// bloomBitsPerKey sizes the filter: ~10 bits per distinct tuple.
@@ -100,16 +104,20 @@ func (b *bloomFilter) marshalInto(w *countingCRCWriter) {
 	}
 }
 
-// unmarshalBloom reads a filter written by marshalInto.
-func unmarshalBloom(r *countingCRCReader) (*bloomFilter, error) {
-	words, err := getUvarint(r, 1<<32)
+// unmarshalBloom reads a filter written by marshalInto from a section
+// of at most maxBytes bytes.
+func unmarshalBloom(r *countingCRCReader, maxBytes int64) (*bloomFilter, error) {
+	words, err := getUvarint(r, uint64(max(maxBytes, 0))/8)
 	if err != nil {
 		return nil, err
+	}
+	if words == 0 {
+		return nil, fmt.Errorf("empty filter")
 	}
 	b := &bloomFilter{bits: make([]uint64, words), nbits: words * 64}
 	var buf [8]byte
 	for i := range b.bits {
-		if _, err := readFull(r, buf[:]); err != nil {
+		if _, err := io.ReadFull(r, buf[:]); err != nil {
 			return nil, err
 		}
 		b.bits[i] = binary.BigEndian.Uint64(buf[:])

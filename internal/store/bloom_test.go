@@ -1,9 +1,7 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
-	"hash/crc32"
 	"math/rand"
 	"testing"
 )
@@ -117,17 +115,15 @@ func TestBloomMarshalRoundTrip(t *testing.T) {
 		bf.add(keys[i])
 	}
 	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	cw := &countingCRCWriter{w: bw, h: crc32.NewIEEE()}
+	cw := newCRCWriter(&buf)
 	bf.marshalInto(cw)
-	if cw.err != nil {
-		t.Fatal(cw.err)
-	}
-	if err := bw.Flush(); err != nil {
+	if err := cw.w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	cr := &countingCRCReader{r: bufio.NewReader(bytes.NewReader(buf.Bytes())), h: crc32.NewIEEE()}
-	got, err := unmarshalBloom(cr)
+	if _, err := unmarshalBloom(newCRCReader(bytes.NewReader(buf.Bytes()), 4096), int64(buf.Len())-8); err == nil {
+		t.Fatal("accepted a filter larger than its section")
+	}
+	got, err := unmarshalBloom(newCRCReader(bytes.NewReader(buf.Bytes()), 4096), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}

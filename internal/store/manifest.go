@@ -3,8 +3,7 @@
 // durable state derives from it — segment files not named by the current
 // manifest do not exist as far as recovery is concerned, and the
 // journal's header binds to the manifest's content checksum.
-// The manifest is replaced atomically (temp + fsync + rename + dir
-// fsync), so a crash anywhere leaves either the complete old manifest or
+// The manifest is replaced atomically (replaceFile), so a crash anywhere leaves either the complete old manifest or
 // the complete new one; see STORAGE.md for the recovery matrix.
 //
 // Layout (varints unless noted):
@@ -22,11 +21,8 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"pqgram/internal/fsio"
@@ -62,70 +58,28 @@ func segmentPath(base string, seq uint64) string {
 	return fmt.Sprintf("%s.%06d.seg", base, seq)
 }
 
-// encodeManifest renders m and returns the bytes plus the trailing crc.
-func encodeManifest(m *manifest) ([]byte, uint32) {
-	var buf bytes.Buffer
-	buf.Write(manMagic[:])
-	buf.WriteByte(manVersion)
-	putUvarint(&buf, uint64(m.pr.P))
-	putUvarint(&buf, uint64(m.pr.Q))
-	putUvarint(&buf, m.nextSeq)
-	putUvarint(&buf, uint64(len(m.segs)))
-	var crcBuf [4]byte
-	for _, s := range m.segs {
-		putUvarint(&buf, s.seq)
-		binary.BigEndian.PutUint32(crcBuf[:], s.crc)
-		buf.Write(crcBuf[:])
-	}
-	putUvarint(&buf, uint64(len(m.obsolete)))
-	for _, seq := range m.obsolete {
-		putUvarint(&buf, seq)
-	}
-	crc := crc32.ChecksumIEEE(buf.Bytes())
-	binary.BigEndian.PutUint32(crcBuf[:], crc)
-	buf.Write(crcBuf[:])
-	return buf.Bytes(), crc
-}
-
 // writeManifestFile atomically replaces the manifest at path and returns
 // its content crc and whether the rename happened: an error before the
 // rename leaves the old manifest fully intact, an error after it means
 // the live segment set has already advanced durably.
 func writeManifestFile(fsys fsio.FS, path string, m *manifest) (crc uint32, renamed bool, err error) {
-	data, crc := encodeManifest(m)
-	dir := dirOf(path)
-	tmp, err := fsys.CreateTemp(dir, ".pqgram-*")
-	if err != nil {
-		return 0, false, err
-	}
-	tmpName := tmp.Name()
-	closed := false
-	defer func() {
-		if !closed {
-			// Failure-path cleanup: the write already returned its error
-			// and the temp file is about to be removed.
-			tmp.Close() //pqlint:allow errcheck-durability failure-path cleanup of a doomed temp file
+	renamed, err = replaceFile(fsys, path, func(w io.Writer) error {
+		cw := newCRCWriter(w)
+		writeHeader(cw, manMagic, manVersion, m.pr)
+		putUvarint(cw, m.nextSeq)
+		putUvarint(cw, uint64(len(m.segs)))
+		for _, s := range m.segs {
+			putUvarint(cw, s.seq)
+			cw.Write(binary.BigEndian.AppendUint32(nil, s.crc))
 		}
-		// Best effort; after a successful rename the name is gone already.
-		fsys.Remove(tmpName) //pqlint:allow errcheck-durability best-effort removal; after rename the name no longer exists
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return 0, false, err
-	}
-	if err := tmp.Sync(); err != nil {
-		return 0, false, err
-	}
-	closed = true
-	if err := tmp.Close(); err != nil {
-		return 0, false, err
-	}
-	if err := fsys.Rename(tmpName, path); err != nil {
-		return 0, false, err
-	}
-	if err := fsio.SyncDir(fsys, dir); err != nil {
-		return crc, true, err
-	}
-	return crc, true, nil
+		putUvarint(cw, uint64(len(m.obsolete)))
+		for _, seq := range m.obsolete {
+			putUvarint(cw, seq)
+		}
+		crc, err = cw.finish(nil)
+		return err
+	})
+	return crc, renamed, err
 }
 
 // loadManifestFile reads and verifies the manifest at path, returning it
@@ -135,7 +89,7 @@ func loadManifestFile(fsys fsio.FS, path string) (*manifest, uint32, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	m, crc, err := parseManifest(bufio.NewReader(fh))
+	m, crc, err := parseManifest(fh)
 	if cerr := fh.Close(); err == nil && cerr != nil {
 		return nil, 0, cerr
 	}
@@ -145,30 +99,13 @@ func loadManifestFile(fsys fsio.FS, path string) (*manifest, uint32, error) {
 	return m, crc, nil
 }
 
-func parseManifest(r *bufio.Reader) (*manifest, uint32, error) {
-	cr := &crcReader{r: r, h: crc32.NewIEEE()}
-	var hdr [5]byte
-	if _, err := io.ReadFull(cr, hdr[:]); err != nil {
-		return nil, 0, fmt.Errorf("reading header: %w", err)
-	}
-	if [4]byte(hdr[:4]) != manMagic {
-		return nil, 0, fmt.Errorf("bad magic %q", hdr[:4])
-	}
-	if hdr[4] != manVersion {
-		return nil, 0, fmt.Errorf("unsupported version %d", hdr[4])
-	}
-	p, err := getUvarint(cr, maxParam)
+func parseManifest(r io.Reader) (*manifest, uint32, error) {
+	cr := newCRCReader(r, 4096)
+	pr, err := readHeader(cr, manMagic, manVersion)
 	if err != nil {
-		return nil, 0, fmt.Errorf("reading p: %w", err)
-	}
-	q, err := getUvarint(cr, maxParam)
-	if err != nil {
-		return nil, 0, fmt.Errorf("reading q: %w", err)
-	}
-	m := &manifest{pr: profile.Params{P: int(p), Q: int(q)}}
-	if err := m.pr.Validate(); err != nil {
 		return nil, 0, err
 	}
+	m := &manifest{pr: pr}
 	if m.nextSeq, err = getUvarint(cr, 1<<62); err != nil {
 		return nil, 0, fmt.Errorf("reading nextSeq: %w", err)
 	}
@@ -207,12 +144,9 @@ func parseManifest(r *bufio.Reader) (*manifest, uint32, error) {
 		}
 		m.obsolete = append(m.obsolete, seq)
 	}
-	want := cr.h.Sum32()
-	if _, err := io.ReadFull(cr.r, crcBuf[:]); err != nil {
-		return nil, 0, fmt.Errorf("reading checksum: %w", err)
-	}
-	if got := binary.BigEndian.Uint32(crcBuf[:]); got != want {
-		return nil, 0, fmt.Errorf("checksum mismatch: file %08x, computed %08x", got, want)
+	want, err := cr.verify()
+	if err != nil {
+		return nil, 0, err
 	}
 	// Anything after the checksum is corruption, not padding.
 	if _, err := cr.r.ReadByte(); err != io.EOF {

@@ -31,15 +31,11 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -146,78 +142,13 @@ type segment struct {
 	order []int                      // guarded by mu; FIFO eviction order of the cached block indexes
 }
 
-// --- counting checksum streams ---------------------------------------
-
-// countingCRCWriter folds position tracking into the checksummed write
-// stream, so section offsets are discovered as the writer emits them.
-type countingCRCWriter struct {
-	w   *bufio.Writer
-	h   hash.Hash32
-	n   int64
-	err error
-}
-
-func (c *countingCRCWriter) Write(p []byte) (int, error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	n, err := c.w.Write(p)
-	c.h.Write(p[:n])
-	c.n += int64(n)
-	c.err = err
-	return n, err
-}
-
-// countingCRCReader is the read-side twin.
-type countingCRCReader struct {
-	r *bufio.Reader
-	h hash.Hash32
-	n int64
-}
-
-func (c *countingCRCReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.h.Write(p[:n])
-	c.n += int64(n)
-	return n, err
-}
-
-// ReadByte lets binary.ReadUvarint consume single bytes through the crc.
-func (c *countingCRCReader) ReadByte() (byte, error) {
-	b, err := c.r.ReadByte()
-	if err == nil {
-		c.h.Write([]byte{b})
-		c.n++
-	}
-	return b, err
-}
-
-func readFull(r io.Reader, p []byte) (int, error) { return io.ReadFull(r, p) }
-
 // --- writer -----------------------------------------------------------
 
-// encodeBag writes one bag region: ascending tuples, delta-encoded, each
-// followed by its count. The same per-document encoding as the v1
-// snapshot, minus the tuple-count prefix (the doc table carries it).
-func encodeBag(buf *bytes.Buffer, bag profile.Index, tuples []uint64) {
-	tuples = tuples[:0]
-	for lt := range bag {
-		tuples = append(tuples, uint64(lt))
-	}
-	sort.Slice(tuples, func(i, j int) bool { return tuples[i] < tuples[j] })
-	prev := uint64(0)
-	for _, lt := range tuples {
-		putUvarint(buf, lt-prev)
-		prev = lt
-		putUvarint(buf, uint64(bag[profile.LabelTuple(lt)]))
-	}
-}
-
-// writeSegment writes a segment file via the atomic temp+fsync+rename+
-// dir-fsync protocol and returns its content crc32 and whether the rename
-// happened. docs must be sorted ascending by id with non-nil bags; tombs
-// must be sorted ascending and disjoint from the doc ids — a segment that
-// both stores and deletes the same id would be ambiguous.
+// writeSegment writes a segment file through replaceFile and returns its
+// content crc32 and whether the rename happened. docs must be sorted
+// ascending by id with non-nil bags; tombs must be sorted ascending and
+// disjoint from the doc ids — a segment that both stores and deletes the
+// same id would be ambiguous.
 func writeSegment(fsys fsio.FS, path string, pr profile.Params, seq uint64, docs []segDoc, tombs []string) (crc uint32, renamed bool, err error) {
 	if len(docs) >= 1<<31 {
 		return 0, false, fmt.Errorf("store: segment doc count %d exceeds doc-ref range", len(docs))
@@ -229,7 +160,7 @@ func writeSegment(fsys fsio.FS, path string, pr profile.Params, seq uint64, docs
 	postings := make(map[uint64][]segPosting)
 	var scratch []uint64
 	for i, d := range docs {
-		encodeBag(&bagBufs[i], d.bag, scratch)
+		scratch = writeSortedBag(&bagBufs[i], d.bag, scratch)
 		for lt, cnt := range d.bag {
 			postings[uint64(lt)] = append(postings[uint64(lt)], segPosting{Ref: int32(i), Cnt: uint32(cnt)})
 		}
@@ -238,7 +169,7 @@ func writeSegment(fsys fsio.FS, path string, pr profile.Params, seq uint64, docs
 	for lt := range postings {
 		tuples = append(tuples, lt)
 	}
-	sort.Slice(tuples, func(i, j int) bool { return tuples[i] < tuples[j] })
+	slices.Sort(tuples)
 
 	bloom := newBloom(len(tuples))
 	for _, lt := range tuples {
@@ -247,18 +178,10 @@ func writeSegment(fsys fsio.FS, path string, pr profile.Params, seq uint64, docs
 
 	// Posting blocks: each self-contained (first tuple and first doc ref
 	// absolute), so a point probe decodes one block and nothing else.
-	type fence struct {
-		first uint64
-		off   int64
-		n     int64
-	}
 	var blocks bytes.Buffer
-	var fences []fence
+	var fences []segFence
 	for start := 0; start < len(tuples); start += segBlockTuples {
-		end := start + segBlockTuples
-		if end > len(tuples) {
-			end = len(tuples)
-		}
+		end := min(start+segBlockTuples, len(tuples))
 		off := int64(blocks.Len())
 		prevT := uint64(0)
 		for _, lt := range tuples[start:end] {
@@ -273,103 +196,58 @@ func writeSegment(fsys fsio.FS, path string, pr profile.Params, seq uint64, docs
 				putUvarint(&blocks, uint64(pe.Cnt))
 			}
 		}
-		fences = append(fences, fence{first: tuples[start], off: off, n: int64(blocks.Len()) - off})
+		fences = append(fences, segFence{first: tuples[start], off: off, n: int64(blocks.Len()) - off})
 	}
 
-	dir := dirOf(path)
-	tmp, err := fsys.CreateTemp(dir, ".pqgram-*")
-	if err != nil {
-		return 0, false, err
-	}
-	tmpName := tmp.Name()
-	closed := false
-	defer func() {
-		if !closed {
-			// Failure-path cleanup: the write already returned its error
-			// and the temp file is about to be removed.
-			tmp.Close() //pqlint:allow errcheck-durability failure-path cleanup of a doomed temp file
+	renamed, err = replaceFile(fsys, path, func(w io.Writer) error {
+		cw := newCRCWriter(w)
+		writeHeader(cw, segMagic, segVersion, pr)
+		putUvarint(cw, seq)
+
+		docsOff := cw.n
+		putUvarint(cw, uint64(len(docs)))
+		for i, d := range docs {
+			writeID(cw, d.id)
+			putUvarint(cw, uint64(d.bag.Size()))
+			putUvarint(cw, uint64(len(d.bag)))
+			putUvarint(cw, uint64(bagBufs[i].Len()))
 		}
-		// Best effort; after a successful rename the name is gone already.
-		fsys.Remove(tmpName) //pqlint:allow errcheck-durability best-effort removal; after rename the name no longer exists
-	}()
+		putUvarint(cw, uint64(len(tombs)))
+		for _, id := range tombs {
+			writeID(cw, id)
+		}
 
-	cw := &countingCRCWriter{w: bufio.NewWriter(tmp), h: crc32.NewIEEE()}
-	cw.Write(segMagic[:])
-	cw.Write([]byte{segVersion})
-	putUvarint(cw, uint64(pr.P))
-	putUvarint(cw, uint64(pr.Q))
-	putUvarint(cw, seq)
+		bagsOff := cw.n
+		for i := range bagBufs {
+			cw.Write(bagBufs[i].Bytes())
+		}
 
-	docsOff := cw.n
-	putUvarint(cw, uint64(len(docs)))
-	for i, d := range docs {
-		putUvarint(cw, uint64(len(d.id)))
-		io.WriteString(cw, d.id)
-		putUvarint(cw, uint64(d.bag.Size()))
-		putUvarint(cw, uint64(len(d.bag)))
-		putUvarint(cw, uint64(bagBufs[i].Len()))
-	}
-	putUvarint(cw, uint64(len(tombs)))
-	for _, id := range tombs {
-		putUvarint(cw, uint64(len(id)))
-		io.WriteString(cw, id)
-	}
+		postsOff := cw.n
+		cw.Write(blocks.Bytes())
 
-	bagsOff := cw.n
-	for i := range bagBufs {
-		cw.Write(bagBufs[i].Bytes())
-	}
+		fencesOff := cw.n
+		putUvarint(cw, uint64(len(fences)))
+		prevFirst, prevOff := uint64(0), int64(0)
+		for _, fe := range fences {
+			putUvarint(cw, fe.first-prevFirst)
+			prevFirst = fe.first
+			putUvarint(cw, uint64(fe.off-prevOff))
+			prevOff = fe.off
+			putUvarint(cw, uint64(fe.n))
+		}
 
-	postsOff := cw.n
-	cw.Write(blocks.Bytes())
+		bloomOff := cw.n
+		bloom.marshalInto(cw)
 
-	fencesOff := cw.n
-	putUvarint(cw, uint64(len(fences)))
-	prevFirst, prevOff := uint64(0), int64(0)
-	for _, fe := range fences {
-		putUvarint(cw, fe.first-prevFirst)
-		prevFirst = fe.first
-		putUvarint(cw, uint64(fe.off-prevOff))
-		prevOff = fe.off
-		putUvarint(cw, uint64(fe.n))
-	}
-
-	bloomOff := cw.n
-	bloom.marshalInto(cw)
-
-	var foot [5 * 8]byte
-	for i, off := range []int64{docsOff, bagsOff, postsOff, fencesOff, bloomOff} {
-		binary.BigEndian.PutUint64(foot[i*8:], uint64(off))
-	}
-	cw.Write(foot[:])
-	if cw.err != nil {
-		return 0, false, cw.err
-	}
-	crc = cw.h.Sum32()
-	var tail [8]byte
-	binary.BigEndian.PutUint32(tail[:4], crc)
-	copy(tail[4:], segTrailer[:])
-	if _, err := cw.w.Write(tail[:]); err != nil {
-		return 0, false, err
-	}
-	if err := cw.w.Flush(); err != nil {
-		return 0, false, err
-	}
-	// Data must be durable before the rename publishes the name.
-	if err := tmp.Sync(); err != nil {
-		return 0, false, err
-	}
-	closed = true
-	if err := tmp.Close(); err != nil {
-		return 0, false, err
-	}
-	if err := fsys.Rename(tmpName, path); err != nil {
-		return 0, false, err
-	}
-	if err := fsio.SyncDir(fsys, dir); err != nil {
-		return crc, true, err
-	}
-	return crc, true, nil
+		var foot [5 * 8]byte
+		for i, off := range []int64{docsOff, bagsOff, postsOff, fencesOff, bloomOff} {
+			binary.BigEndian.PutUint64(foot[i*8:], uint64(off))
+		}
+		cw.Write(foot[:])
+		crc, err = cw.finish(segTrailer[:])
+		return err
+	})
+	return crc, renamed, err
 }
 
 // --- reader -----------------------------------------------------------
@@ -431,27 +309,13 @@ func parseSegment(fsys fsio.FS, fh fsio.File, path string, pr profile.Params, se
 	if _, err := fh.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	cr := &countingCRCReader{r: bufio.NewReaderSize(fh, 1<<16), h: crc32.NewIEEE()}
-	var hdr [5]byte
-	if _, err := io.ReadFull(cr, hdr[:]); err != nil {
-		return nil, fmt.Errorf("store: segment %s: reading header: %w", path, err)
-	}
-	if [4]byte(hdr[:4]) != segMagic {
-		return nil, fmt.Errorf("store: segment %s: bad magic %q", path, hdr[:4])
-	}
-	if hdr[4] != segVersion {
-		return nil, fmt.Errorf("store: segment %s: unsupported version %d", path, hdr[4])
-	}
-	p, err := getUvarint(cr, maxParam)
+	cr := newCRCReader(fh, 1<<16)
+	filePR, err := readHeader(cr, segMagic, segVersion)
 	if err != nil {
-		return nil, fmt.Errorf("store: segment %s: reading p: %w", path, err)
+		return nil, fmt.Errorf("store: segment %s: %w", path, err)
 	}
-	q, err := getUvarint(cr, maxParam)
-	if err != nil {
-		return nil, fmt.Errorf("store: segment %s: reading q: %w", path, err)
-	}
-	if int(p) != pr.P || int(q) != pr.Q {
-		return nil, fmt.Errorf("store: segment %s: params %d,%d do not match index %d,%d", path, p, q, pr.P, pr.Q)
+	if filePR != pr {
+		return nil, fmt.Errorf("store: segment %s: params %d,%d do not match index %d,%d", path, filePR.P, filePR.Q, pr.P, pr.Q)
 	}
 	gotSeq, err := getUvarint(cr, 1<<62)
 	if err != nil {
@@ -468,15 +332,11 @@ func parseSegment(fsys fsio.FS, fh fsio.File, path string, pr profile.Params, se
 	if err != nil {
 		return nil, fmt.Errorf("store: segment %s: reading doc count: %w", path, err)
 	}
-	hint := numDocs
-	if hint > 1<<16 {
-		hint = 1 << 16
-	}
-	docs := make([]segDocMeta, 0, hint)
-	byID := make(map[string]int, hint)
+	docs := make([]segDocMeta, 0, min(numDocs, maxHint))
+	byID := make(map[string]int, min(numDocs, maxHint))
 	var bagOff int64
 	for i := uint64(0); i < numDocs; i++ {
-		id, err := readSegString(cr)
+		id, err := readID(cr)
 		if err != nil {
 			return nil, fmt.Errorf("store: segment %s: doc %d: %w", path, i, err)
 		}
@@ -495,6 +355,14 @@ func parseSegment(fsys fsio.FS, fh fsio.File, path string, pr profile.Params, se
 		if err != nil {
 			return nil, fmt.Errorf("store: segment %s: doc %q: reading bag length: %w", path, id, err)
 		}
+		// Every bag entry takes at least two bytes and counts at least one,
+		// so these bound what a promotion will allocate for the bag.
+		if distinct > bagLen/2 || dsize < distinct {
+			return nil, fmt.Errorf("store: segment %s: doc %q: %d distinct tuples impossible in %d bytes of size %d", path, id, distinct, bagLen, dsize)
+		}
+		if int64(bagLen) > postsOff-bagsOff-bagOff {
+			return nil, fmt.Errorf("store: segment %s: doc %q: bag extends past the bag section", path, id)
+		}
 		docs = append(docs, segDocMeta{id: id, size: int(dsize), distinct: int(distinct), bagOff: bagOff, bagLen: int64(bagLen)})
 		byID[id] = int(i)
 		bagOff += int64(bagLen)
@@ -503,9 +371,9 @@ func parseSegment(fsys fsio.FS, fh fsio.File, path string, pr profile.Params, se
 	if err != nil {
 		return nil, fmt.Errorf("store: segment %s: reading tombstone count: %w", path, err)
 	}
-	tombs := make([]string, 0, min64(numTombs, 1<<16))
+	tombs := make([]string, 0, min(numTombs, maxHint))
 	for i := uint64(0); i < numTombs; i++ {
-		id, err := readSegString(cr)
+		id, err := readID(cr)
 		if err != nil {
 			return nil, fmt.Errorf("store: segment %s: tombstone %d: %w", path, i, err)
 		}
@@ -532,7 +400,7 @@ func parseSegment(fsys fsio.FS, fh fsio.File, path string, pr profile.Params, se
 	if err != nil {
 		return nil, fmt.Errorf("store: segment %s: reading fence count: %w", path, err)
 	}
-	fences := make([]segFence, 0, min64(numBlocks, 1<<16))
+	fences := make([]segFence, 0, min(numBlocks, maxHint))
 	prevFirst, off := uint64(0), int64(0)
 	for i := uint64(0); i < numBlocks; i++ {
 		fd, err := getUvarint(cr, 1<<63)
@@ -568,7 +436,7 @@ func parseSegment(fsys fsio.FS, fh fsio.File, path string, pr profile.Params, se
 	if cr.n != bloomOff {
 		return nil, fmt.Errorf("store: segment %s: bloom at %d, footer says %d", path, cr.n, bloomOff)
 	}
-	bloom, err := unmarshalBloom(cr)
+	bloom, err := unmarshalBloom(cr, size-segFooterLen-bloomOff)
 	if err != nil {
 		return nil, fmt.Errorf("store: segment %s: reading bloom filter: %w", path, err)
 	}
@@ -606,25 +474,6 @@ func parseSegment(fsys fsio.FS, fh fsio.File, path string, pr profile.Params, se
 		f:        fh,
 		cache:    make([]atomic.Pointer[segBlock], len(fences)),
 	}, nil
-}
-
-func readSegString(cr *countingCRCReader) (string, error) {
-	n, err := getUvarint(cr, 1<<20)
-	if err != nil {
-		return "", fmt.Errorf("reading id length: %w", err)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(cr, buf); err != nil {
-		return "", fmt.Errorf("reading id: %w", err)
-	}
-	return string(buf), nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // close releases the segment's file handle.
@@ -668,25 +517,9 @@ func (s *segment) bag(ref int) (profile.Index, error) {
 		return nil, fmt.Errorf("store: segment %s: reading bag of %q: %w", s.path, d.id, err)
 	}
 	br := bytes.NewReader(buf)
-	idx := make(profile.Index, d.distinct)
-	prev := uint64(0)
-	for j := 0; j < d.distinct; j++ {
-		delta, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("store: segment %s: bag of %q: tuple %d: %w", s.path, d.id, j, err)
-		}
-		if j > 0 && delta == 0 {
-			return nil, fmt.Errorf("store: segment %s: bag of %q: duplicate tuple", s.path, d.id)
-		}
-		prev += delta
-		cnt, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("store: segment %s: bag of %q: count %d: %w", s.path, d.id, j, err)
-		}
-		if cnt == 0 {
-			return nil, fmt.Errorf("store: segment %s: bag of %q: zero count", s.path, d.id)
-		}
-		idx[profile.LabelTuple(prev)] = int(cnt)
+	idx, err := readSortedBag(br, uint64(d.distinct))
+	if err != nil {
+		return nil, fmt.Errorf("store: segment %s: bag of %q: %w", s.path, d.id, err)
 	}
 	if br.Len() != 0 {
 		return nil, fmt.Errorf("store: segment %s: bag of %q: %d trailing bytes", s.path, d.id, br.Len())

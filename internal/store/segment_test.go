@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"strings"
@@ -26,7 +29,7 @@ func segTestDocs(n int) []segDoc {
 	return docs
 }
 
-func readFileBytes(t *testing.T, fs fsio.FS, path string) []byte {
+func readFileBytes(t testing.TB, fs fsio.FS, path string) []byte {
 	t.Helper()
 	fh, err := fs.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
@@ -40,7 +43,7 @@ func readFileBytes(t *testing.T, fs fsio.FS, path string) []byte {
 	return data
 }
 
-func writeFileBytes(t *testing.T, fs fsio.FS, path string, data []byte) {
+func writeFileBytes(t testing.TB, fs fsio.FS, path string, data []byte) {
 	t.Helper()
 	fh, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -196,6 +199,78 @@ func TestSegmentTruncationRejected(t *testing.T) {
 		if sg, err := openSegment(fs, "cut.seg", p33, 1); err == nil {
 			sg.close()
 			t.Fatalf("truncated to %d/%d bytes: accepted", cut, len(orig))
+		}
+	}
+}
+
+// patchDocEntry rewrites the size and distinct fields of the first
+// doc-table entry of a segment file, shifts the footer offsets of the
+// sections after it and recomputes the checksum — a corruption only the
+// open-time field checks can catch.
+func patchDocEntry(seg []byte, size, distinct uint64) []byte {
+	r := bytes.NewReader(seg[5:])
+	for range 4 { // p, q, seq, numDocs
+		binary.ReadUvarint(r)
+	}
+	idLen, _ := binary.ReadUvarint(r)
+	r.Seek(int64(idLen), io.SeekCurrent)
+	start := len(seg) - r.Len()
+	binary.ReadUvarint(r)
+	binary.ReadUvarint(r)
+	end := len(seg) - r.Len()
+
+	out := append([]byte(nil), seg[:start]...)
+	out = binary.AppendUvarint(out, size)
+	out = binary.AppendUvarint(out, distinct)
+	out = append(out, seg[end:]...)
+	shift := uint64(len(out) - len(seg))
+	foot := out[len(out)-segFooterLen:]
+	for i := 1; i < 5; i++ { // every section but the doc table moves
+		binary.BigEndian.PutUint64(foot[i*8:], binary.BigEndian.Uint64(foot[i*8:])+shift)
+	}
+	binary.BigEndian.PutUint32(foot[40:], crc32.ChecksumIEEE(out[:len(out)-8]))
+	return out
+}
+
+// TestSegmentImpossibleDocEntryRejected: a doc-table entry whose distinct
+// count its bag's bytes cannot hold (every entry takes two bytes at
+// least), or whose size is below its distinct count (every count is at
+// least one), is rejected at open even under a valid checksum. Accepted,
+// a claimed distinct of 2³⁰ would size the bag's map at the first
+// promotion and kill the process.
+func TestSegmentImpossibleDocEntryRejected(t *testing.T) {
+	fs := fsio.NewMemFS()
+	docs := segTestDocs(2)
+	if _, _, err := writeSegment(fs, "x.000001.seg", p33, 1, docs, nil); err != nil {
+		t.Fatal(err)
+	}
+	orig := readFileBytes(t, fs, "x.000001.seg")
+	bag := docs[0].bag
+	for _, tc := range []struct {
+		name           string
+		size, distinct uint64
+		ok             bool
+	}{
+		{"true values", uint64(bag.Size()), uint64(len(bag)), true},
+		{"distinct beyond the bag's bytes", 1 << 31, 1 << 30, false},
+		{"size below distinct", uint64(len(bag)) - 1, uint64(len(bag)), false},
+	} {
+		writeFileBytes(t, fs, "p.000001.seg", patchDocEntry(orig, tc.size, tc.distinct))
+		sg, err := openSegment(fs, "p.000001.seg", p33, 1)
+		if !tc.ok {
+			if err == nil {
+				sg.close()
+				t.Fatalf("%s: accepted", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := sg.bag(0)
+		sg.close()
+		if err != nil || !got.Equal(bag) {
+			t.Fatalf("%s: bag read back wrong (err %v)", tc.name, err)
 		}
 	}
 }

@@ -7,8 +7,9 @@
 // applied in memory, so an incremental update persists its two small
 // delta bags (λ(Δ⁻), λ(Δ⁺)), never the whole index — the paper's
 // "persistent AND incrementally maintainable". store.go holds the
-// single-file export format behind Save/Load. Every on-disk format is
-// specified in STORAGE.md.
+// single-file export format behind Save/Load, and codec.go the encodings
+// every format shares (atomic replace, checksummed stream, header, id,
+// sorted bag). Every on-disk format is specified in STORAGE.md.
 //
 // Durable state is three kinds of file, all reached through the injected
 // fsio.FS:
@@ -39,6 +40,11 @@
 // renames over it. Stale segments are therefore discarded, never
 // resurrected, and the recovered state is always a prefix of the
 // acknowledged operations.
+//
+// Compact follows the same ordering, and both run it through the same two
+// steps: publish (write the segment, open-verify it, replace the
+// manifest) and settle (the forest swap, the journal reset). A new writer
+// of segments builds on those two rather than on the steps inside them.
 //
 // Mutating methods (Add, AddAll, Put, Remove, Update, Flush, Compact)
 // must be serialized by the caller; lookups through the forest are
@@ -280,7 +286,7 @@ func (s *Segmented) applyRecoveredRecord(rec []byte) error {
 	r := bytes.NewReader(rec[1:])
 	switch rec[0] {
 	case recAdd:
-		id, err := readString(r)
+		id, err := readID(r)
 		if err != nil {
 			return err
 		}
@@ -296,13 +302,13 @@ func (s *Segmented) applyRecoveredRecord(rec []byte) error {
 		s.mu.Unlock()
 		return nil
 	case recRemove:
-		id, err := readString(r)
+		id, err := readID(r)
 		if err != nil {
 			return err
 		}
 		return s.removeApplied(id)
 	case recUpdate:
-		id, err := readString(r)
+		id, err := readID(r)
 		if err != nil {
 			return err
 		}
@@ -428,7 +434,7 @@ func (s *Segmented) Remove(id string) error {
 		return fmt.Errorf("store: tree %q not indexed", id)
 	}
 	var payload bytes.Buffer
-	writeString(&payload, id)
+	writeID(&payload, id)
 	if err := s.journal(recRemove, payload.Bytes()); err != nil {
 		return err
 	}
@@ -498,7 +504,7 @@ func (s *Segmented) Update(id string, tn *tree.Tree, log edit.Log) (core.Stats, 
 		return st, fmt.Errorf("store: tree %q: %w", id, err)
 	}
 	var payload bytes.Buffer
-	writeString(&payload, id)
+	writeID(&payload, id)
 	writeBag(&payload, iMinus)
 	writeBag(&payload, iPlus)
 	if err := s.journal(recUpdate, payload.Bytes()); err != nil {
@@ -595,52 +601,16 @@ func (s *Segmented) Flush() error {
 	}
 	sort.Strings(ids)
 	sort.Strings(tombsOut)
-	docs := make([]segDoc, len(ids))
-	for i, id := range ids {
-		bag := s.forest.TreeIndex(id)
-		if bag == nil {
-			return fmt.Errorf("store: flush: resident tree %q not indexed", id)
-		}
-		docs[i] = segDoc{id: id, bag: bag}
-	}
-
-	segName := segmentPath(s.path, seq)
-	crc, _, err := writeSegment(s.fs, segName, s.forest.Params(), seq, docs, tombsOut)
+	docs, err := s.segDocs("flush", ids)
 	if err != nil {
-		// Whether or not the rename happened, the manifest does not name
-		// this segment: the store's durable state is untouched and the
-		// next flush renames over the same sequence number.
 		return err
 	}
-	// Open-verify before publishing: the manifest must never name a
-	// segment that does not read back byte-exact.
-	sg, err := openSegment(s.fs, segName, s.forest.Params(), seq)
+	man := &manifest{pr: s.forest.Params(), nextSeq: seq, segs: liveSegs, obsolete: pending}
+	sg, manCRC, err := s.publish("flush", man, docs, tombsOut)
 	if err != nil {
-		return fmt.Errorf("store: flush: verifying new segment: %w", err)
+		return err
 	}
-	if sg.crc != crc {
-		sg.close() //pqlint:allow errcheck-durability failure-path cleanup of a rejected read-only handle
-		return fmt.Errorf("store: flush: segment %s read back with crc %08x, wrote %08x", segName, sg.crc, crc)
-	}
-
-	man := &manifest{
-		pr:       s.forest.Params(),
-		nextSeq:  seq + 1,
-		segs:     append(liveSegs, manifestSeg{seq: seq, crc: crc}),
-		obsolete: pending,
-	}
-	manCRC, renamed, err := writeManifestFile(s.fs, manifestPath(s.path), man)
-	if err != nil {
-		sg.close() //pqlint:allow errcheck-durability failure-path cleanup of a read-only handle; the segment stays unpublished
-		if renamed {
-			// The live segment set advanced on disk but its durability is
-			// uncertain, and memory no longer matches it.
-			s.wal.failed = err
-			return fmt.Errorf("store: flush: manifest replaced but not settled: %w", err)
-		}
-		return err // old manifest + intact journal: nothing lost
-	}
-	if err := s.forest.Evict(ids, func(docs []uint32) {
+	err = s.settle("flush", ids, manCRC, func(docs []uint32) {
 		s.mu.Lock()
 		sg.docOf = docs // the doc table is ids, in order
 		s.segs = append(s.segs, sg)
@@ -649,17 +619,12 @@ func (s *Segmented) Flush() error {
 		}
 		s.tombs = make(map[string]bool)
 		s.dirty = make(map[string]bool)
-		s.nextSeq = seq + 1
+		s.nextSeq = man.nextSeq
 		s.manCRC = manCRC
 		s.mu.Unlock()
-	}); err != nil {
-		// The manifest already advanced; a memtable that refuses to match
-		// it cannot accept further writes safely.
-		s.wal.failed = err
-		return fmt.Errorf("store: flush: evicting flushed documents: %w", err)
-	}
-	if err := s.wal.reset(manCRC); err != nil {
-		return fmt.Errorf("store: flush: journal reset failed: %w", err)
+	})
+	if err != nil {
+		return err
 	}
 	if m != nil {
 		m.flushes.Inc()
@@ -672,7 +637,7 @@ func (s *Segmented) Flush() error {
 		sp.SetAttr("tombstones", int64(len(tombsOut)))
 		sp.SetAttr("segment_bytes", sg.size)
 		m.col.Event("segment flushed",
-			"path", segName, "seq", seq, "docs", len(ids),
+			"path", sg.path, "seq", seq, "docs", len(ids),
 			"tombstones", len(tombsOut), "bytes", sg.size)
 	}
 	return nil
@@ -708,57 +673,26 @@ func (s *Segmented) Compact() error {
 	}
 	seq := s.nextSeq
 	oldSegs := append([]*segment(nil), s.segs...)
-	pending := append([]uint64(nil), s.obsolete...)
+	obsolete := append([]uint64(nil), s.obsolete...)
 	s.mu.RUnlock()
 	sort.Strings(resident)
 	sort.Strings(all)
 
-	docs := make([]segDoc, len(all))
-	for i, id := range all {
-		bag := s.forest.TreeIndex(id)
-		if bag == nil {
-			return fmt.Errorf("store: compact: tree %q not indexed", id)
-		}
-		docs[i] = segDoc{id: id, bag: bag}
+	docs, err := s.segDocs("compact", all)
+	if err != nil {
+		return err
 	}
-
-	obsolete := pending
 	for _, sg := range oldSegs {
 		obsolete = append(obsolete, sg.seq)
 	}
-	sort.Slice(obsolete, func(i, j int) bool { return obsolete[i] < obsolete[j] })
+	slices.Sort(obsolete)
 
 	man := &manifest{pr: s.forest.Params(), nextSeq: seq, obsolete: obsolete}
-	var sg *segment
-	if len(docs) > 0 {
-		segName := segmentPath(s.path, seq)
-		crc, _, err := writeSegment(s.fs, segName, s.forest.Params(), seq, docs, nil)
-		if err != nil {
-			return err
-		}
-		sg, err = openSegment(s.fs, segName, s.forest.Params(), seq)
-		if err != nil {
-			return fmt.Errorf("store: compact: verifying new segment: %w", err)
-		}
-		if sg.crc != crc {
-			sg.close() //pqlint:allow errcheck-durability failure-path cleanup of a rejected read-only handle
-			return fmt.Errorf("store: compact: segment %s read back with crc %08x, wrote %08x", segName, sg.crc, crc)
-		}
-		man.nextSeq = seq + 1
-		man.segs = []manifestSeg{{seq: seq, crc: crc}}
-	}
-	manCRC, renamed, err := writeManifestFile(s.fs, manifestPath(s.path), man)
+	sg, manCRC, err := s.publish("compact", man, docs, nil)
 	if err != nil {
-		if sg != nil {
-			sg.close() //pqlint:allow errcheck-durability failure-path cleanup of a read-only handle; the segment stays unpublished
-		}
-		if renamed {
-			s.wal.failed = err
-			return fmt.Errorf("store: compact: manifest replaced but not settled: %w", err)
-		}
 		return err
 	}
-	if err := s.forest.Evict(resident, func(docs []uint32) {
+	err = s.settle("compact", resident, manCRC, func(docs []uint32) {
 		s.mu.Lock()
 		for _, og := range oldSegs {
 			// Read-only handles of superseded files; their content is
@@ -789,12 +723,9 @@ func (s *Segmented) Compact() error {
 		s.manCRC = manCRC
 		s.obsolete = obsolete
 		s.mu.Unlock()
-	}); err != nil {
-		s.wal.failed = err
-		return fmt.Errorf("store: compact: evicting documents: %w", err)
-	}
-	if err := s.wal.reset(manCRC); err != nil {
-		return fmt.Errorf("store: compact: journal reset failed: %w", err)
+	})
+	if err != nil {
+		return err
 	}
 	s.gcObsolete(obsolete)
 	if m != nil {
@@ -807,6 +738,82 @@ func (s *Segmented) Compact() error {
 		sp.SetAttr("merged_segments", int64(len(oldSegs)))
 		m.col.Event("segments compacted",
 			"path", s.path, "seq", seq, "docs", len(all), "merged", len(oldSegs))
+	}
+	return nil
+}
+
+// segDocs pairs each id with its current bag, for a segment write.
+func (s *Segmented) segDocs(op string, ids []string) ([]segDoc, error) {
+	docs := make([]segDoc, len(ids))
+	for i, id := range ids {
+		bag := s.forest.TreeIndex(id)
+		if bag == nil {
+			return nil, fmt.Errorf("store: %s: tree %q not indexed", op, id)
+		}
+		docs[i] = segDoc{id: id, bag: bag}
+	}
+	return docs, nil
+}
+
+// publish is the durable half of the crash ordering (package comment):
+// it writes docs and tombs as segment man.nextSeq, reads the file back
+// through openSegment, and atomically replaces the manifest with man
+// naming the new segment too. With no docs and no tombs it writes no
+// segment, replaces the manifest alone and returns a nil segment. Until
+// the manifest rename nothing durable has changed — an orphan segment
+// file is invisible, and the next write renames over its sequence number
+// — so an error is returned as is; a rename that does not settle poisons
+// the store, since the disk has advanced past what memory holds.
+func (s *Segmented) publish(op string, man *manifest, docs []segDoc, tombs []string) (*segment, uint32, error) {
+	var sg *segment
+	if len(docs) > 0 || len(tombs) > 0 {
+		seq := man.nextSeq
+		name := segmentPath(s.path, seq)
+		crc, _, err := writeSegment(s.fs, name, man.pr, seq, docs, tombs)
+		if err != nil {
+			return nil, 0, err
+		}
+		// The manifest must never name a segment that does not read back
+		// byte-exact.
+		if sg, err = openSegment(s.fs, name, man.pr, seq); err != nil {
+			return nil, 0, fmt.Errorf("store: %s: verifying new segment: %w", op, err)
+		}
+		if sg.crc != crc {
+			sg.close() //pqlint:allow errcheck-durability failure-path cleanup of a rejected read-only handle
+			return nil, 0, fmt.Errorf("store: %s: segment %s read back with crc %08x, wrote %08x", op, name, sg.crc, crc)
+		}
+		man.segs = append(man.segs, manifestSeg{seq: seq, crc: crc})
+		man.nextSeq = seq + 1
+	}
+	manCRC, renamed, err := writeManifestFile(s.fs, manifestPath(s.path), man)
+	if err != nil {
+		if sg != nil {
+			sg.close() //pqlint:allow errcheck-durability failure-path cleanup of a read-only handle; the segment stays unpublished
+		}
+		if renamed {
+			// The live segment set advanced on disk but its durability is
+			// uncertain, and memory no longer matches it.
+			s.wal.failed = err
+			return nil, 0, fmt.Errorf("store: %s: manifest replaced but not settled: %w", op, err)
+		}
+		return nil, 0, err // old manifest + intact journal: nothing lost
+	}
+	return sg, manCRC, nil
+}
+
+// settle is the in-memory half, after publish: forest.Evict moves evict
+// out of the memtable and runs swap — which installs the published state
+// under the store lock — under the registry write lock, and the journal
+// is reset against the new manifest. A failure poisons the store: the
+// manifest has advanced already, and a memtable or journal that does not
+// match it cannot take further writes safely.
+func (s *Segmented) settle(op string, evict []string, manCRC uint32, swap func(docs []uint32)) error {
+	if err := s.forest.Evict(evict, swap); err != nil {
+		s.wal.failed = err
+		return fmt.Errorf("store: %s: evicting documents: %w", op, err)
+	}
+	if err := s.wal.reset(manCRC); err != nil {
+		return fmt.Errorf("store: %s: journal reset failed: %w", op, err)
 	}
 	return nil
 }
@@ -859,7 +866,7 @@ func (s *Segmented) journal(typ byte, payloads ...[]byte) error {
 // addPayload renders the payload of an add record: id, full bag.
 func addPayload(id string, bag profile.Index) []byte {
 	var buf bytes.Buffer
-	writeString(&buf, id)
+	writeID(&buf, id)
 	writeBag(&buf, bag)
 	return buf.Bytes()
 }

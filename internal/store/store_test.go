@@ -3,14 +3,17 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"pqgram/internal/forest"
+	"pqgram/internal/fsio"
 	"pqgram/internal/gen"
 	"pqgram/internal/profile"
+	"pqgram/internal/tree"
 )
 
 var p33 = profile.Params{P: 3, Q: 3}
@@ -232,11 +235,51 @@ func TestIndexSmallerThanDocument(t *testing.T) {
 	}
 }
 
-func TestDirOf(t *testing.T) {
-	if d := dirOf("a/b/c.pqg"); d != "a/b" {
-		t.Errorf("dirOf = %q", d)
+// TestReplaceFileInItsDirectory: an atomic replace creates its temp file
+// in the target's own directory (a temp file elsewhere could not be
+// renamed across devices) and fsyncs that directory. A store in the root
+// directory is the edge case: "/idx" lives in "/", not in "".
+func TestReplaceFileInItsDirectory(t *testing.T) {
+	for _, tc := range []struct{ path, dir string }{
+		{"/idx", "/"},
+		{"a/b/c.pqg", "a/b"},
+		{"c.pqg", "."},
+	} {
+		mem := fsio.NewMemFS()
+		renamed, err := replaceFile(mem, tc.path, func(w io.Writer) error {
+			_, err := w.Write([]byte("x"))
+			return err
+		})
+		if err != nil || !renamed {
+			t.Fatalf("%s: renamed=%v err=%v", tc.path, renamed, err)
+		}
+		var dirs []string
+		for _, op := range mem.Trace() {
+			switch op.Kind {
+			case fsio.OpCreate:
+				dirs = append(dirs, "temp in "+filepath.Dir(op.Path))
+			case fsio.OpDirSync:
+				dirs = append(dirs, "sync "+op.Path)
+			}
+		}
+		if want := []string{"temp in " + tc.dir, "sync " + tc.dir}; fmt.Sprint(dirs) != fmt.Sprint(want) {
+			t.Errorf("%s: %v, want %v", tc.path, dirs, want)
+		}
 	}
-	if d := dirOf("c.pqg"); d != "." {
-		t.Errorf("dirOf = %q", d)
+
+	mem := fsio.NewMemFS()
+	s, err := CreateSegmentedFS(mem, "/idx", p33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Add("a", tree.MustParse("r(x)")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := mem.Paths(); fmt.Sprint(got) != "[/idx.000001.seg /idx.manifest /idx.wal]" {
+		t.Fatalf("store at the root left %v", got)
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 	"time"
 
 	"pqgram/internal/fsio"
@@ -334,34 +333,14 @@ func nextRecord(data []byte) (rec []byte, n int, badCRC bool) {
 	return out, end + 4, false
 }
 
-func writeString(buf *bytes.Buffer, s string) {
-	putUvarint(buf, uint64(len(s)))
-	buf.WriteString(s)
-}
-
-func readString(r *bytes.Reader) (string, error) {
-	n, err := getUvarint(r, 1<<20)
-	if err != nil {
-		return "", err
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
+// writeBag renders a journal bag: numTuples | numTuples × ( tuple | cnt ),
+// tuples absolute rather than delta-encoded (the journal predates the
+// shared sorted bag and keeps its own encoding). The order is still
+// canonical: a journal record must be byte-identical for identical
+// logical content.
 func writeBag(buf *bytes.Buffer, idx profile.Index) {
 	putUvarint(buf, uint64(len(idx)))
-	// Canonical order: a journal record must be byte-identical for
-	// identical logical content. Emitting in map order would make the
-	// journal differ between runs of the same workload.
-	tuples := make([]uint64, 0, len(idx))
-	for lt := range idx {
-		tuples = append(tuples, uint64(lt))
-	}
-	sort.Slice(tuples, func(i, j int) bool { return tuples[i] < tuples[j] })
-	for _, lt := range tuples {
+	for _, lt := range sortedTuples(idx, nil) {
 		putUvarint(buf, lt)
 		putUvarint(buf, uint64(idx[profile.LabelTuple(lt)]))
 	}
@@ -372,11 +351,7 @@ func readBag(r *bytes.Reader) (profile.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	hint := n
-	if hint > 1<<16 {
-		hint = 1 << 16
-	}
-	idx := make(profile.Index, hint)
+	idx := make(profile.Index, min(n, maxHint))
 	for i := uint64(0); i < n; i++ {
 		lt, err := binary.ReadUvarint(r)
 		if err != nil {
