@@ -15,10 +15,10 @@ GO      ?= go
 FUZZTIME ?= 5s
 
 # Coverage floors of the gate below: the last measured figures (forest
-# 93.4%, profile 94.7%, obs 93.5%, serve 85.0%, store 90.6%) minus 4
+# 94.5%, profile 94.7%, obs 93.5%, serve 85.0%, store 90.6%) minus 4
 # points of slack so unrelated refactors don't trip it. Raise them when
 # coverage rises; never lower them to make a change pass.
-COVER_FLOOR_FOREST  ?= 89
+COVER_FLOOR_FOREST  ?= 90
 COVER_FLOOR_PROFILE ?= 90
 COVER_FLOOR_OBS     ?= 89
 COVER_FLOOR_SERVE   ?= 81

@@ -669,7 +669,7 @@ func BenchmarkTierJoin(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/tau=%.1f", side.name, tau), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					_ = side.f.SimilarityJoinWorkers(tau, 1)
+					_ = side.f.SimilarityJoin(tau, 1)
 				}
 			})
 		}
@@ -690,7 +690,7 @@ func BenchmarkSimilarityJoin(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d/tau=%.1f", c.workers, c.tau), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = f.SimilarityJoinWorkers(c.tau, c.workers)
+				_ = f.SimilarityJoin(c.tau, c.workers)
 			}
 		})
 	}

@@ -318,7 +318,6 @@ func runLookup(args []string) error {
 	idxPath := fs.String("index", "", "index file")
 	tau := fs.Float64("tau", 0, "distance threshold (results with dist < tau)")
 	top := fs.Int("top", 0, "return the k nearest documents instead of thresholding")
-	workers := fs.Int("workers", 0, "parallel lookup workers for multiple queries (0 = GOMAXPROCS)")
 	stats := fs.Bool("stats", false, "print an op report (metrics snapshot) to stderr when done")
 	fs.Parse(args)
 	if *idxPath == "" || fs.NArg() == 0 || (*tau <= 0) == (*top <= 0) {
@@ -339,17 +338,13 @@ func runLookup(args []string) error {
 			return err
 		}
 	}
-	var results [][]pqgram.Match
-	if *top > 0 {
-		results = make([][]pqgram.Match, len(queries))
-		for i, q := range queries {
-			results[i] = f.LookupTopK(q, *top)
+	for i, q := range queries {
+		var matches []pqgram.Match
+		if *top > 0 {
+			matches = f.LookupTopK(q, *top)
+		} else {
+			matches = f.Lookup(q, *tau)
 		}
-	} else {
-		// Batched lookup: queries are profiled and matched concurrently.
-		results = f.LookupMany(queries, *tau, *workers)
-	}
-	for i, matches := range results {
 		if len(queries) > 1 {
 			fmt.Printf("%s:\n", fs.Arg(i))
 		}
@@ -381,7 +376,7 @@ func runJoin(args []string) error {
 	if *stats {
 		defer maybeReport(*stats, attachStats(st))
 	}
-	pairs := st.Forest().SimilarityJoinWorkers(*tau, *workers)
+	pairs := st.Forest().SimilarityJoin(*tau, *workers)
 	for _, p := range pairs {
 		fmt.Printf("%.4f  %s  %s\n", p.Distance, p.A, p.B)
 	}

@@ -72,13 +72,14 @@ func writeDocs(t *testing.T, dir string) []string {
 }
 
 // TestPQIndexSubcommands drives the offline workflow through the real
-// binary — build, threshold and top-k lookup, join, verify, compact — and
-// checks the join's output against the library's answer on the same store.
+// binary — build, threshold and top-k lookup of one and of two queries,
+// join, verify, compact — and checks the multi-query lookups' and the
+// join's output against the library's answers on the same store.
 func TestPQIndexSubcommands(t *testing.T) {
 	dir, bin := build(t)
 	docs := writeDocs(t, dir)
 	idx := filepath.Join(dir, "idx.pqg")
-	query := docs[4]
+	query, other := docs[4], docs[9]
 	self := "0.0000  " + query + "\n"
 
 	for _, tc := range []struct {
@@ -89,6 +90,8 @@ func TestPQIndexSubcommands(t *testing.T) {
 		{"build", append([]string{"build", "-index", idx, "-workers", "2"}, docs...), "segments: 1"},
 		{"lookup -tau", []string{"lookup", "-index", idx, "-tau", "0.5", query}, self},
 		{"lookup -top", []string{"lookup", "-index", idx, "-top", "3", query}, self},
+		{"lookup -tau, two queries", []string{"lookup", "-index", idx, "-tau", "0.5", query, other}, other + ":\n"},
+		{"lookup -top, two queries", []string{"lookup", "-index", idx, "-top", "3", query, other}, other + ":\n"},
 		{"join", []string{"join", "-index", idx, "-tau", "0.5"}, ""},
 		{"verify", []string{"verify", "-index", idx}, fmt.Sprintf("ok: %d trees", len(docs))},
 		{"compact", []string{"compact", "-index", idx}, "compacted:"},
@@ -105,6 +108,14 @@ func TestPQIndexSubcommands(t *testing.T) {
 			if n := strings.Count(stdout, "\n"); n != 3 || !strings.HasPrefix(stdout, self) {
 				t.Fatalf("lookup -top 3 printed %d lines, want 3 starting with the query itself:\n%s", n, stdout)
 			}
+		case "lookup -tau, two queries":
+			if got, want := stdout, libraryLookups(t, idx, 0.5, 0, query, other); got != want {
+				t.Fatalf("lookup of two queries differs from per-query Lookup:\n got %q\nwant %q", got, want)
+			}
+		case "lookup -top, two queries":
+			if got, want := stdout, libraryLookups(t, idx, 0, 3, query, other); got != want {
+				t.Fatalf("lookup -top of two queries differs from per-query LookupTopK:\n got %q\nwant %q", got, want)
+			}
 		case "join":
 			if got, want := stdout, libraryJoin(t, idx, 0.5); got != want {
 				t.Fatalf("join output differs from SimilarityJoin:\n got %q\nwant %q", got, want)
@@ -119,6 +130,40 @@ func TestPQIndexSubcommands(t *testing.T) {
 	}
 }
 
+// libraryLookups opens the store through the library and renders one
+// lookup per query the way `pqindex lookup` prints several: each query's
+// path as a header, then its matches, in argument order. top > 0 asks for
+// the top nearest documents, otherwise the threshold is tau.
+func libraryLookups(t *testing.T, idx string, tau float64, top int, queries ...string) string {
+	t.Helper()
+	st, err := pqgram.OpenStore(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var b strings.Builder
+	for _, path := range queries {
+		q, err := parseDoc(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ms []pqgram.Match
+		if top > 0 {
+			ms = st.Forest().LookupTopK(q, top)
+		} else {
+			ms = st.Forest().Lookup(q, tau)
+		}
+		if len(ms) == 0 {
+			t.Fatalf("lookup fixture: %s matches nothing", path)
+		}
+		fmt.Fprintf(&b, "%s:\n", path)
+		for _, m := range ms {
+			fmt.Fprintf(&b, "%.4f  %s\n", m.Distance, m.TreeID)
+		}
+	}
+	return b.String()
+}
+
 // libraryJoin opens the store through the library and renders its
 // similarity join the way `pqindex join` prints it.
 func libraryJoin(t *testing.T, idx string, tau float64) string {
@@ -128,7 +173,7 @@ func libraryJoin(t *testing.T, idx string, tau float64) string {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	pairs := st.Forest().SimilarityJoin(tau)
+	pairs := st.Forest().SimilarityJoin(tau, 0)
 	if len(pairs) == 0 {
 		t.Fatal("join fixture has no pairs at tau 0.5")
 	}

@@ -52,7 +52,7 @@ func ExampleForest_SimilarityJoin() {
 	f.Add("a2", pqgram.MustParseTree("r(x y w)"))
 	f.Add("b1", pqgram.MustParseTree("q(m(n) o)"))
 
-	for _, p := range f.SimilarityJoin(0.7) {
+	for _, p := range f.SimilarityJoin(0.7, 0) {
 		fmt.Printf("%s ~ %s (%.2f)\n", p.A, p.B, p.Distance)
 	}
 	// Output:

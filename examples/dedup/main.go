@@ -76,7 +76,7 @@ func main() {
 
 	// One similarity join finds every sub-threshold pair via the index;
 	// disjoint documents are never even scored.
-	joined := f.SimilarityJoin(*tau)
+	joined := f.SimilarityJoin(*tau, 0)
 	for _, p := range joined {
 		union(p.A, p.B)
 	}

@@ -12,10 +12,10 @@ import (
 // approximate lookups and incremental per-document maintenance. It is safe
 // for concurrent use — the postings are sharded across lock stripes and
 // each document's bag has its own lock, so lookups run in parallel with
-// each other and with incremental updates of other documents. Bulk entry
-// points (AddAll, LookupMany, and SimilarityJoinWorkers, which is one
-// lookup per document) fan work out across a worker pool with results
-// identical to the serial path.
+// each other and with incremental updates of other documents. The bulk
+// entry points (AddAll, and SimilarityJoin, which is one lookup per
+// document) fan work out across a worker pool with results identical at
+// every worker count.
 type Forest = forest.Index
 
 // Doc is one named document of a bulk build (Forest.AddAll, Store.AddAll).

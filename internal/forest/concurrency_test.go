@@ -92,7 +92,7 @@ func TestForestConcurrentMix(t *testing.T) {
 					f.LookupTopK(query, 3)
 				case 2:
 					// A concurrently removed tree is a legal miss.
-					f.Distance(ids[rng.Intn(nDocs)], ids[rng.Intn(nDocs)])
+					f.TreeStats(ids[rng.Intn(nDocs)])
 				case 3:
 					if got := f.IDs(); len(got) > nDocs {
 						errs <- fmt.Errorf("IDs grew to %d", len(got))
@@ -203,7 +203,7 @@ func dblpDocs(n int) []forest.Doc {
 // TestParallelEquivalence: AddAll and SimilarityJoin at workers=1 versus
 // workers=GOMAXPROCS produce identical forests (byte-for-byte through the
 // store) and identical sorted join results on a 500-tree DBLP-shaped
-// corpus; LookupMany matches per-query Lookup.
+// corpus.
 func TestParallelEquivalence(t *testing.T) {
 	docs := dblpDocs(500)
 	wide := runtime.GOMAXPROCS(0)
@@ -233,24 +233,13 @@ func TestParallelEquivalence(t *testing.T) {
 	}
 
 	for _, tau := range []float64{0.3, 0.6} {
-		j1 := f1.SimilarityJoinWorkers(tau, 1)
-		jN := fN.SimilarityJoinWorkers(tau, wide)
+		j1 := f1.SimilarityJoin(tau, 1)
+		jN := fN.SimilarityJoin(tau, wide)
 		if !reflect.DeepEqual(j1, jN) {
 			t.Fatalf("tau=%g: parallel join differs from serial (%d vs %d pairs)", tau, len(j1), len(jN))
 		}
 		if tau == 0.6 && len(j1) == 0 {
 			t.Fatal("join fixture produced no pairs — corpus too sparse to test anything")
-		}
-	}
-
-	queries := make([]*tree.Tree, 0, 8)
-	for i := 0; i < 8; i++ {
-		queries = append(queries, docs[i*37].Tree)
-	}
-	many := f1.LookupMany(queries, 0.5, wide)
-	for i, q := range queries {
-		if want := fN.Lookup(q, 0.5); !reflect.DeepEqual(many[i], want) {
-			t.Fatalf("LookupMany[%d] differs from Lookup (%d vs %d matches)", i, len(many[i]), len(want))
 		}
 	}
 }
@@ -264,8 +253,8 @@ func TestJoinAllPairsParallelEquivalence(t *testing.T) {
 	if err := f.AddAll(docs, 0); err != nil {
 		t.Fatal(err)
 	}
-	j1 := f.SimilarityJoinWorkers(1.5, 1)
-	jN := f.SimilarityJoinWorkers(1.5, runtime.GOMAXPROCS(0))
+	j1 := f.SimilarityJoin(1.5, 1)
+	jN := f.SimilarityJoin(1.5, runtime.GOMAXPROCS(0))
 	if len(j1) != len(docs)*(len(docs)-1)/2 {
 		t.Fatalf("all-pairs join returned %d pairs", len(j1))
 	}

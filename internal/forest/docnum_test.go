@@ -53,7 +53,7 @@ func (s *docScript) newDoc() (string, *tree.Tree) {
 func (s *docScript) pick(evicted bool) (string, bool) {
 	var ids []string
 	for _, id := range s.f.IDs() {
-		if _, scripted := s.docs[id]; scripted && s.f.Evicted(id) == evicted {
+		if _, scripted := s.docs[id]; scripted && forest.EvictedForTest(s.f, id) == evicted {
 			ids = append(ids, id)
 		}
 	}
@@ -171,7 +171,7 @@ func (s *docScript) compare(extra []forest.Doc, ctx string) {
 			}
 		}
 	}
-	if got, want := s.f.SimilarityJoinWorkers(0.6, 2), ref.SimilarityJoinWorkers(0.6, 1); !reflect.DeepEqual(got, want) {
+	if got, want := s.f.SimilarityJoin(0.6, 2), ref.SimilarityJoin(0.6, 1); !reflect.DeepEqual(got, want) {
 		s.t.Fatalf("%s: join\ngot:  %v\nwant: %v", ctx, got, want)
 	}
 }
@@ -224,7 +224,7 @@ func TestRecycledDocNumbersUnderConcurrentAddAll(t *testing.T) {
 					s.f.LookupIndex(q, 0.1+float64((r+i)%15)/10)
 					s.f.LookupIndexTopK(q, 1+(r+i)%6)
 					if i%10 == 0 {
-						s.f.SimilarityJoinWorkers(0.5, 2)
+						s.f.SimilarityJoin(0.5, 2)
 					}
 				}
 			}(r)

@@ -17,6 +17,15 @@ func CorruptBagForTest(f *Index, id string) {
 	}
 }
 
+// EvictedForTest reports whether id is indexed with its bag evicted to
+// the storage tier.
+func EvictedForTest(f *Index, id string) bool {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	e, ok := f.trees[id]
+	return ok && e.idx == nil
+}
+
 // NumShardsForTest exposes the stripe count for shard-distribution tests.
 const NumShardsForTest = numShards
 

@@ -14,9 +14,9 @@
 // The in-memory postings need not hold the whole collection: a storage
 // tier (tier.go, implemented by the segmented store in internal/store)
 // can serve evicted documents' bags and postings from immutable on-disk
-// segments. Every lookup, join and distance path merges the two
-// populations and returns results byte-identical to the all-in-RAM index;
-// see tier.go for the resident-XOR-evicted invariant this rests on.
+// segments. Every lookup and join path merges the two populations and
+// returns results byte-identical to the all-in-RAM index; see tier.go
+// for the resident-XOR-evicted invariant this rests on.
 //
 // # Concurrency
 //
@@ -25,10 +25,11 @@
 // postings are lock-striped into shards keyed by label-tuple hash, each
 // per-tree bag is guarded by its own RWMutex, and a registry RWMutex guards
 // the tree table. Lookups read only the postings and the cached bag sizes,
-// so they never take a bag lock. Lookups, distance queries and incremental
-// updates of different documents all proceed in parallel; only the structural
-// operations (Add, Remove, Put, AddAll) and SelfCheck take the registry
-// write lock and briefly exclude everything else.
+// so they never take a bag lock. Lookups, joins and incremental updates of
+// different documents all proceed in parallel; only the structural
+// operations (Add, AddIndex, AddIndexes, AddAll, AddEvicted, Remove,
+// RemoveSwap, Put, Evict, Promote), SetTier and SelfCheck take the
+// registry write lock and briefly exclude everything else.
 //
 // Concurrent Update/ApplyDeltas calls against the same document serialize
 // on the document's lock and keep the index internally consistent, but the
@@ -37,10 +38,10 @@
 // or without locking, exactly as in single-threaded use.
 //
 // Lock ordering is registry → tree entry → postings shard; shard locks are
-// never held while acquiring an entry lock, and the two bag locks of
-// Distance are taken in ascending tree-ID order. The storage tier's own
-// lock nests after all of them: tier reads run under the registry lock
-// and never call back into the forest.
+// never held while acquiring an entry lock, and no operation holds two
+// locks of one class. The storage tier's own lock nests after all of them:
+// tier reads run under the registry lock and never call back into the
+// forest.
 package forest
 
 import (
@@ -191,9 +192,9 @@ type Index struct {
 
 // The package's lock-acquisition order, enforced by the lockorder
 // analyzer. The registry lock is always outermost, per-document bag
-// locks nest inside it, and postings stripes inside those.
-// The one multi-instance acquisition of a class, the two bag locks of
-// Distance, is sanctioned separately: always in ascending tree-ID order.
+// locks nest inside it, and postings stripes inside those. No code holds
+// two locks of one class, so the analyzer's same-class rule needs no
+// exception here.
 //
 //pqlint:lockorder Index.mu < treeEntry.mu < shard.mu
 
@@ -809,52 +810,6 @@ func sortPairs(ps []Pair) {
 		}
 		return cmp.Compare(x.B, y.B)
 	})
-}
-
-// Distance returns the pq-gram distance between two indexed trees.
-func (f *Index) Distance(id1, id2 string) (float64, error) {
-	m := f.obs.Load()
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-		defer func() {
-			m.distOps.Inc()
-			m.distNS.ObserveSince(t0)
-		}()
-	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	a, ok := f.trees[id1]
-	if !ok {
-		return 0, fmt.Errorf("forest: tree %q not indexed", id1)
-	}
-	b, ok := f.trees[id2]
-	if !ok {
-		return 0, fmt.Errorf("forest: tree %q not indexed", id2)
-	}
-	if id1 == id2 {
-		return 0, nil
-	}
-	// Both bag locks are needed; take them in ID order (the global
-	// multi-entry order) so concurrent distance queries cannot deadlock.
-	if id2 < id1 {
-		a, b = b, a
-		id1, id2 = id2, id1
-	}
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	//pqlint:allow lockorder — two bag locks of one class, always in ascending tree-ID order (the global multi-entry order), so concurrent Distance calls cannot deadlock
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	abag, err := f.bagOfLocked(id1, a)
-	if err != nil {
-		return 0, err
-	}
-	bbag, err := f.bagOfLocked(id2, b)
-	if err != nil {
-		return 0, err
-	}
-	return abag.Distance(bbag), nil
 }
 
 // distanceFrom is the shared scoring expression; it delegates to

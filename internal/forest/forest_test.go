@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"pqgram/internal/edit"
@@ -162,26 +164,6 @@ func TestLookupThresholdOne(t *testing.T) {
 	}
 }
 
-func TestDistanceAccessors(t *testing.T) {
-	f := buildForest(t, map[string]*tree.Tree{
-		"x": tree.MustParse("a(b c)"),
-		"y": tree.MustParse("a(b c)"),
-		"z": tree.MustParse("z(z z)"),
-	})
-	if d, err := f.Distance("x", "y"); err != nil || d != 0 {
-		t.Fatalf("Distance(x,y) = %g, %v", d, err)
-	}
-	if d, err := f.Distance("x", "z"); err != nil || d != 1 {
-		t.Fatalf("Distance(x,z) = %g, %v", d, err)
-	}
-	if _, err := f.Distance("x", "nope"); err == nil {
-		t.Fatal("missing tree not reported")
-	}
-	if _, err := f.Distance("nope", "x"); err == nil {
-		t.Fatal("missing tree not reported")
-	}
-}
-
 func TestUpdateMaintainsForest(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	base := gen.XMark(3, 200)
@@ -263,8 +245,8 @@ func TestSizeAccounting(t *testing.T) {
 	}
 }
 
-// TestSimilarityJoinMatchesBruteForce holds the join to pairwise Distance
-// on a cluster of perturbed copies plus an outlier.
+// TestSimilarityJoinMatchesBruteForce holds the join to pairwise bag
+// distances on a cluster of perturbed copies plus an outlier.
 func TestSimilarityJoinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	trees := make(map[string]*tree.Tree)
@@ -320,11 +302,11 @@ func TestApplyDeltasRejectsForeignDelta(t *testing.T) {
 
 func TestSimilarityJoinEmptyAndSingle(t *testing.T) {
 	f := forest.New(p33)
-	if got := f.SimilarityJoin(0.5); len(got) != 0 {
+	if got := f.SimilarityJoin(0.5, 0); len(got) != 0 {
 		t.Fatal("join on empty forest")
 	}
 	f.Add("only", tree.MustParse("a(b)"))
-	if got := f.SimilarityJoin(0.5); len(got) != 0 {
+	if got := f.SimilarityJoin(0.5, 0); len(got) != 0 {
 		t.Fatal("join with one tree")
 	}
 }
@@ -452,5 +434,27 @@ func TestMetamorphicForestOps(t *testing.T) {
 	}
 	if f.Len() != len(live) {
 		t.Fatalf("forest has %d trees, want %d", f.Len(), len(live))
+	}
+}
+
+// TestIndexMethodSet pins the exported surface of *forest.Index, which the
+// root package re-exports as pqgram.Forest: one method per question a
+// caller asks. A new method means editing this list on purpose.
+func TestIndexMethodSet(t *testing.T) {
+	want := []string{
+		"Add", "AddAll", "AddEvicted", "AddIndex", "AddIndexes", "ApplyDeltas",
+		"Epoch", "Evict", "ExplainLookup", "ExplainTopK", "ForEachTree", "Has",
+		"IDs", "Len", "Lookup", "LookupIndex", "LookupIndexTopK", "LookupTopK",
+		"MetricReady", "Params", "Promote", "Put", "Remove", "RemoveSwap",
+		"SelfCheck", "SetCollector", "SetTier", "SimilarityJoin", "Size",
+		"TreeIndex", "TreeStats", "Update",
+	}
+	typ := reflect.TypeOf((*forest.Index)(nil))
+	got := make([]string, typ.NumMethod())
+	for i := range got {
+		got[i] = typ.Method(i).Name
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("*forest.Index exports %d methods, want %d:\n got %v\nwant %v", len(got), len(want), got, want)
 	}
 }

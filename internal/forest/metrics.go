@@ -21,7 +21,6 @@ type metrics struct {
 	lookups       *obs.Counter   // forest_lookups
 	lookupNS      *obs.Histogram // forest_lookup_ns
 	lookupMatches *obs.Counter   // forest_lookup_matches
-	batchLookups  *obs.Counter   // forest_batch_lookups (LookupMany calls)
 
 	// Query-planner visibility (planner.go): how many candidate trees a
 	// lookup actually touched, and how many of those the bounds killed.
@@ -39,9 +38,6 @@ type metrics struct {
 
 	topkLookups *obs.Counter // forest_topk_lookups (topk.go)
 
-	distOps *obs.Counter   // forest_dist_ops
-	distNS  *obs.Histogram // forest_dist_ns
-
 	joins     *obs.Counter   // forest_joins
 	joinNS    *obs.Histogram // forest_join_ns
 	joinPairs *obs.Counter   // forest_join_pairs
@@ -51,11 +47,10 @@ type metrics struct {
 	updateGramsPlus  *obs.Counter   // forest_update_grams_plus
 	updateGramsMinus *obs.Counter   // forest_update_grams_minus
 
-	adds      *obs.Counter // forest_adds (trees added, incl. bulk)
-	removes   *obs.Counter // forest_removes
-	puts      *obs.Counter // forest_puts
-	bulkOps   *obs.Counter // forest_bulk_ops (AddAll/AddIndexes batches)
-	poolDepth *obs.Gauge   // forest_pool_depth (pending items in worker pools)
+	adds    *obs.Counter // forest_adds (trees added, incl. bulk)
+	removes *obs.Counter // forest_removes
+	puts    *obs.Counter // forest_puts
+	bulkOps *obs.Counter // forest_bulk_ops (AddAll/AddIndexes batches)
 }
 
 // SetCollector attaches (or, with nil, detaches) a metrics collector. It
@@ -75,7 +70,6 @@ func (f *Index) SetCollector(c *obs.Collector) {
 		lookups:             c.Counter("forest_lookups"),
 		lookupNS:            c.Histogram("forest_lookup_ns"),
 		lookupMatches:       c.Counter("forest_lookup_matches"),
-		batchLookups:        c.Counter("forest_batch_lookups"),
 		lookupCandidates:    c.Counter("forest_lookup_candidates_examined"),
 		lookupPrunedSize:    c.Counter("forest_lookup_pruned_size"),
 		lookupPrunedAbandon: c.Counter("forest_lookup_pruned_abandon"),
@@ -84,8 +78,6 @@ func (f *Index) SetCollector(c *obs.Collector) {
 		tierSegmentsProbed:  c.Counter("forest_tier_segments_probed"),
 		tierPostingsScanned: c.Counter("forest_tier_postings_scanned"),
 		topkLookups:         c.Counter("forest_topk_lookups"),
-		distOps:             c.Counter("forest_dist_ops"),
-		distNS:              c.Histogram("forest_dist_ns"),
 		joins:               c.Counter("forest_joins"),
 		joinNS:              c.Histogram("forest_join_ns"),
 		joinPairs:           c.Counter("forest_join_pairs"),
@@ -97,18 +89,9 @@ func (f *Index) SetCollector(c *obs.Collector) {
 		removes:             c.Counter("forest_removes"),
 		puts:                c.Counter("forest_puts"),
 		bulkOps:             c.Counter("forest_bulk_ops"),
-		poolDepth:           c.Gauge("forest_pool_depth"),
 	}
-	c.RegisterFunc("forest_stripe_load", f.StripeLoad)
+	c.RegisterFunc("forest_stripe_load", f.stripeLoad)
 	f.obs.Store(m)
-}
-
-// Collector returns the attached collector, or nil.
-func (f *Index) Collector() *obs.Collector {
-	if m := f.obs.Load(); m != nil {
-		return m.col
-	}
-	return nil
 }
 
 // StripeLoadStats summarizes how the distinct posting tuples spread over
@@ -125,11 +108,11 @@ type StripeLoadStats struct {
 	P99      int     `json:"p99"` // 99th percentile stripe, by distinct tuples
 }
 
-// StripeLoad reports the current postings-stripe load distribution. It
+// stripeLoad reports the current postings-stripe load distribution. It
 // read-locks each stripe briefly and never blocks writers for longer than
 // one stripe scan. The result is declared as `any` so it can be registered
 // as a computed metric.
-func (f *Index) StripeLoad() any {
+func (f *Index) stripeLoad() any {
 	var st StripeLoadStats
 	st.Stripes = numShards
 	loads := make([]int, numShards)

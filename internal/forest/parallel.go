@@ -1,7 +1,7 @@
 // Parallel entry points of the forest index: bulk build over a worker
-// pool, a fan-out similarity join, and batched lookups. All of them are
-// deterministic — the same inputs produce identical results at any worker
-// count — so callers can scale with GOMAXPROCS without changing behavior.
+// pool and a fan-out similarity join. Both are deterministic — the same
+// inputs produce identical results at any worker count — so callers can
+// scale with GOMAXPROCS without changing behavior.
 
 package forest
 
@@ -105,21 +105,12 @@ func (f *Index) AddIndexes(ids []string, bags []profile.Index, workers int) erro
 	for i, id := range ids {
 		docs[i] = f.registerLocked(id, bags[i], bags[i].Size()).doc
 	}
-	// One epoch advance per added document, matching the serial path, so
-	// result caches see the same invalidation cadence either way.
+	// One epoch advance per added document, matching AddIndex, so result
+	// caches see the same invalidation cadence either way.
 	f.epoch.Add(uint64(len(ids)))
 	if m := f.obs.Load(); m != nil {
 		m.bulkOps.Inc()
 		m.adds.Add(int64(len(ids)))
-	}
-	if workers == 1 || len(bags) == 1 {
-		// Serial fast path: merge directly, no bucketing pass.
-		for i, doc := range docs {
-			for lt, c := range bags[i] {
-				f.shardOf(lt).add(lt, doc, c)
-			}
-		}
-		return nil
 	}
 	// Bucket each bag's tuples by shard (parallel over docs), then merge
 	// (parallel over shards). Each merge worker owns a disjoint set of
@@ -167,66 +158,16 @@ func (f *Index) AddIndexes(ids []string, bags []profile.Index, workers int) erro
 	return nil
 }
 
-// LookupMany runs one approximate lookup per query concurrently and
-// returns the result slices in query order. Each element equals what
-// Lookup would return for that query. workers < 1 means GOMAXPROCS.
-func (f *Index) LookupMany(queries []*tree.Tree, tau float64, workers int) [][]Match {
-	workers = normWorkers(workers)
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	m := f.obs.Load()
-	if m != nil {
-		m.batchLookups.Inc()
-		m.poolDepth.Set(int64(len(queries)))
-	}
-	out := make([][]Match, len(queries))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				out[i] = f.Lookup(queries[i], tau)
-				if m != nil {
-					// Remaining unclaimed work = the pool's queue depth.
-					if d := int64(len(queries)) - next.Load(); d >= 0 {
-						m.poolDepth.Set(d)
-					} else {
-						m.poolDepth.Set(0)
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if m != nil {
-		m.poolDepth.Set(0)
-	}
-	return out
-}
-
 // SimilarityJoin returns every unordered pair of indexed trees whose
 // pq-gram distance is strictly below tau — the approximate join of the
 // paper's related work (Guha et al.). It is §3.2's lookup
 // {T ∈ F | dist(X, T) < τ} run once per indexed tree X, keeping each
-// pair once, from its smaller ID. Results
-// are sorted by distance, then IDs. The join fans out across GOMAXPROCS
-// workers; use SimilarityJoinWorkers to pick the width.
+// pair once, from its smaller ID. Results are sorted by distance, then
+// IDs. The join fans out across a pool of workers (< 1 means GOMAXPROCS);
+// the result is identical at every worker count.
 //
 // For tau > 1 every pair qualifies and the join degenerates to all pairs.
-func (f *Index) SimilarityJoin(tau float64) []Pair {
-	return f.SimilarityJoinWorkers(tau, 0)
-}
-
-// SimilarityJoinWorkers is SimilarityJoin with an explicit worker count
-// (< 1 means GOMAXPROCS). The result is identical at every worker count.
-func (f *Index) SimilarityJoinWorkers(tau float64, workers int) (pairs []Pair) {
+func (f *Index) SimilarityJoin(tau float64, workers int) (pairs []Pair) {
 	workers = normWorkers(workers)
 	var sp *obs.Span
 	if m := f.obs.Load(); m != nil {

@@ -52,28 +52,31 @@ func checkJoin(t *testing.T, f *forest.Index, tau float64, ctx string) []forest.
 	t.Helper()
 	want := bruteJoin(t, f, tau)
 	for _, w := range []int{1, 3} {
-		if got := f.SimilarityJoinWorkers(tau, w); !reflect.DeepEqual(got, want) {
+		if got := f.SimilarityJoin(tau, w); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: join diverged from brute force (tau=%v, workers=%d)\njoin:        %v\nbrute force: %v", ctx, tau, w, got, want)
 		}
 	}
 	return want
 }
 
-// bruteJoin is the join's independent reference: Distance on every pair
-// of f.IDs(), in the join's result order. Both sides evaluate
-// profile.DistanceFrom on the same integers, so equality is exact.
+// bruteJoin is the join's independent reference: profile.Index.Distance
+// between the TreeIndex copies of every pair of f.IDs(), in the join's
+// result order. Both sides evaluate profile.DistanceFrom on the same
+// integers, so equality is exact.
 func bruteJoin(t *testing.T, f *forest.Index, tau float64) []forest.Pair {
 	t.Helper()
 	ids := f.IDs()
+	bags := make([]profile.Index, len(ids))
+	for i, id := range ids {
+		if bags[i] = f.TreeIndex(id); bags[i] == nil {
+			t.Fatalf("TreeIndex(%q) = nil for an indexed tree", id)
+		}
+	}
 	var out []forest.Pair
 	for i := range ids {
-		for _, b := range ids[i+1:] {
-			d, err := f.Distance(ids[i], b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d < tau {
-				out = append(out, forest.Pair{A: ids[i], B: b, Distance: d})
+		for j := i + 1; j < len(ids); j++ {
+			if d := bags[i].Distance(bags[j]); d < tau {
+				out = append(out, forest.Pair{A: ids[i], B: ids[j], Distance: d})
 			}
 		}
 	}
@@ -334,7 +337,7 @@ func TestPlannerUnderConcurrentAddAll(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				f.LookupIndex(q, 0.1+float64((w+i)%10)/10)
 				if i%10 == 0 {
-					f.SimilarityJoinWorkers(0.5, 2)
+					f.SimilarityJoin(0.5, 2)
 				}
 			}
 		}(w)

@@ -97,48 +97,6 @@ func (f *Index) SetTier(t Tier) {
 	f.tier = t
 }
 
-// Evicted reports whether the document is indexed with its bag evicted
-// to the storage tier.
-func (f *Index) Evicted(id string) bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	e, ok := f.trees[id]
-	//pqlint:allow lockcheck only the pointer's nil-ness is read; the pointer swaps only under the registry write lock, which f.mu:r excludes
-	return ok && e.idx == nil
-}
-
-// ResidentSize returns the total bag cardinality over resident trees
-// only — the posting entries the in-memory shards actually hold. Size
-// counts evicted trees too (their sizes are cached in the registry), so
-// Size minus ResidentSize is how much of the index lives in the storage
-// tier; the segments benchmark plots this as resident memory.
-func (f *Index) ResidentSize() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	n := int64(0)
-	for _, e := range f.trees {
-		//pqlint:allow lockcheck only the pointer's nil-ness is read; the pointer swaps only under the registry write lock, which f.mu:r excludes
-		if e.idx != nil {
-			n += e.size.Load()
-		}
-	}
-	return int(n)
-}
-
-// EvictedLen returns how many indexed documents are currently evicted.
-func (f *Index) EvictedLen() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	n := 0
-	for _, e := range f.trees {
-		//pqlint:allow lockcheck only the pointer's nil-ness is read; the pointer swaps only under the registry write lock, which f.mu:r excludes
-		if e.idx == nil {
-			n++
-		}
-	}
-	return n
-}
-
 // Evict moves documents from the resident population to the tier: their
 // postings leave the in-memory shards and their bags are dropped, keeping
 // only the cached size and distinct-tuple count. swap (if non-nil) runs

@@ -226,10 +226,10 @@ func TestTierJoinDifferential(t *testing.T) {
 	allEvicted := allEvictedCopy(t, docs)
 	for _, tau := range []float64{0.4, 0.7, 1.5} {
 		want := checkJoin(t, resident, tau, "resident")
-		if got := tiered.SimilarityJoin(tau); !pairsEqual(want, got) {
+		if got := tiered.SimilarityJoin(tau, 0); !pairsEqual(want, got) {
 			t.Fatalf("tau %v: tiered join %v, resident %v", tau, got, want)
 		}
-		if got := allEvicted.SimilarityJoin(tau); !pairsEqual(want, got) {
+		if got := allEvicted.SimilarityJoin(tau, 0); !pairsEqual(want, got) {
 			t.Fatalf("tau %v: all-evicted join %v, resident %v", tau, got, want)
 		}
 	}
@@ -241,23 +241,8 @@ func TestTierAccessors(t *testing.T) {
 	docs := gen.XMarkForest(17, 10, 900)
 	resident, tiered, _, evicted := tieredCopy(t, docs)
 	ev := evicted[0]
-	if !tiered.Evicted(ev) {
-		t.Fatalf("Evicted(%q) = false", ev)
-	}
-	if tiered.Evicted("doc001") || tiered.Evicted("nope") {
-		t.Fatal("Evicted true for resident or unknown document")
-	}
-	if got, want := tiered.EvictedLen(), len(evicted); got != want {
-		t.Fatalf("EvictedLen = %d, want %d", got, want)
-	}
 	if tiered.Len() != resident.Len() || tiered.Size() != resident.Size() {
 		t.Fatal("Len/Size changed by eviction")
-	}
-	if rs := tiered.ResidentSize(); rs >= tiered.Size() || rs <= 0 {
-		t.Fatalf("ResidentSize = %d with Size = %d", rs, tiered.Size())
-	}
-	if resident.ResidentSize() != resident.Size() {
-		t.Fatal("ResidentSize != Size on an all-resident forest")
 	}
 
 	// TreeIndex and TreeStats on an evicted document.
@@ -268,18 +253,6 @@ func TestTierAccessors(t *testing.T) {
 	wsize, wdistinct, _ := resident.TreeStats(ev)
 	if !ok || size != wsize || distinct != wdistinct {
 		t.Fatalf("TreeStats(%q) = (%d, %d, %v), want (%d, %d, true)", ev, size, distinct, ok, wsize, wdistinct)
-	}
-
-	// Distance from an evicted document to a resident and to an evicted one.
-	for _, other := range []string{"doc001", evicted[1]} {
-		want, err := resident.Distance(ev, other)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := tiered.Distance(ev, other)
-		if err != nil || got != want {
-			t.Fatalf("Distance(%q, %q) = %v, %v; want %v", ev, other, got, err, want)
-		}
 	}
 
 	// ForEachTree traverses evicted documents through the tier.
@@ -336,7 +309,7 @@ func TestTierEvictPromote(t *testing.T) {
 	if !swapped {
 		t.Fatal("promote swap callback did not run")
 	}
-	if tiered.Evicted("doc000") {
+	if forest.EvictedForTest(tiered, "doc000") {
 		t.Fatal("doc000 still evicted after promotion")
 	}
 	if tiered.Epoch() != epoch {
@@ -398,8 +371,10 @@ func TestTierAddEvicted(t *testing.T) {
 	if tiered.Len() != resident.Len() || tiered.Size() != resident.Size() {
 		t.Fatal("Len/Size wrong after AddEvicted")
 	}
-	if tiered.ResidentSize() != 0 {
-		t.Fatal("ResidentSize nonzero on a fully evicted forest")
+	for _, id := range tiered.IDs() {
+		if !forest.EvictedForTest(tiered, id) {
+			t.Fatalf("%s resident in a forest built by AddEvicted", id)
+		}
 	}
 	for _, tau := range []float64{0.3, 0.8} {
 		if want, got := resident.Lookup(docs[2], tau), tiered.Lookup(docs[2], tau); !matchesEqual(want, got) {
@@ -420,19 +395,16 @@ func TestTierDetachedErrors(t *testing.T) {
 	ev := evicted[0]
 
 	delete(ft.bags, ev)
-	if _, err := tiered.Distance(ev, "doc001"); err == nil || !strings.Contains(err.Error(), "does not hold") {
-		t.Fatalf("Distance with a hole in the tier: %v", err)
+	if err := tiered.ForEachTree(func(string, profile.Index) error { return nil }); err == nil || !strings.Contains(err.Error(), "does not hold") {
+		t.Fatalf("ForEachTree with a hole in the tier: %v", err)
 	}
 
 	tiered.SetTier(nil)
 	if got := tiered.TreeIndex(evicted[1]); got != nil {
 		t.Fatalf("TreeIndex with no tier = %v, want nil", got)
 	}
-	if _, err := tiered.Distance("doc001", evicted[1]); err == nil || !strings.Contains(err.Error(), "no tier is attached") {
-		t.Fatalf("Distance with no tier: %v", err)
-	}
-	if err := tiered.ForEachTree(func(string, profile.Index) error { return nil }); err == nil {
-		t.Fatal("ForEachTree with no tier succeeded")
+	if err := tiered.ForEachTree(func(string, profile.Index) error { return nil }); err == nil || !strings.Contains(err.Error(), "no tier is attached") {
+		t.Fatalf("ForEachTree with no tier: %v", err)
 	}
 	if err := tiered.SelfCheck(); err == nil {
 		t.Fatal("SelfCheck with no tier succeeded")

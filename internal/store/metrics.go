@@ -150,11 +150,3 @@ func boolAttr(b bool) int64 {
 	}
 	return 0
 }
-
-// Collector returns the attached collector, or nil.
-func (s *Segmented) Collector() *obs.Collector {
-	if m := s.obs.Load(); m != nil {
-		return m.col
-	}
-	return nil
-}

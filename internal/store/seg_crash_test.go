@@ -295,7 +295,7 @@ func runCrashHarness(t *testing.T, sc crashScript, syncMode bool, seed int64) {
 		if got, want := rs.Forest().Lookup(query, 0.75), rebuilt.Lookup(query, 0.75); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: Lookup diverges after recovery: %v vs %v", name, got, want)
 		}
-		if got, want := rs.Forest().SimilarityJoinWorkers(0.8, 2), rebuilt.SimilarityJoinWorkers(0.8, 2); !reflect.DeepEqual(got, want) {
+		if got, want := rs.Forest().SimilarityJoin(0.8, 2), rebuilt.SimilarityJoin(0.8, 2); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: SimilarityJoin diverges after recovery: %v vs %v", name, got, want)
 		}
 		if got, want := rs.Forest().LookupTopK(query, 5), rebuilt.LookupTopK(query, 5); !reflect.DeepEqual(got, want) {

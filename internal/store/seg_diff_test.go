@@ -40,7 +40,7 @@ func diffQueries(t *testing.T, tag string, seg, ref *forest.Index, queries []*tr
 			}
 		}
 	}
-	if got, want := seg.SimilarityJoinWorkers(0.8, 2), ref.SimilarityJoinWorkers(0.8, 2); !reflect.DeepEqual(got, want) {
+	if got, want := seg.SimilarityJoin(0.8, 2), ref.SimilarityJoin(0.8, 2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: SimilarityJoin diverges:\n got %v\nwant %v", tag, got, want)
 	}
 }
