@@ -140,10 +140,8 @@ func Deltas(tn *tree.Tree, log edit.Log, pr profile.Params) (iPlus, iMinus profi
 // in unchanged, if iMinus is not contained in the index, which indicates
 // that the log does not belong to the index's tree.
 func ApplyDeltas(in, iPlus, iMinus profile.Index) error {
-	for lt, c := range iMinus {
-		if in[lt] < c {
-			return fmt.Errorf("core: I⁻ not contained in I₀: tuple %016x occurs %d times, I⁻ removes %d", uint64(lt), in[lt], c)
-		}
+	if err := CheckMinus(in, iMinus); err != nil {
+		return err
 	}
 	for lt, c := range iMinus {
 		if n := in[lt] - c; n == 0 {
@@ -154,6 +152,17 @@ func ApplyDeltas(in, iPlus, iMinus profile.Index) error {
 	}
 	for lt, c := range iPlus {
 		in[lt] += c
+	}
+	return nil
+}
+
+// CheckMinus is ApplyDeltas's containment check alone, for a caller that
+// must know a delta applies before it applies it.
+func CheckMinus(in, iMinus profile.Index) error {
+	for lt, c := range iMinus {
+		if in[lt] < c {
+			return fmt.Errorf("core: I⁻ not contained in I₀: tuple %016x occurs %d times, I⁻ removes %d", uint64(lt), in[lt], c)
+		}
 	}
 	return nil
 }

@@ -46,6 +46,7 @@ type metrics struct {
 	updateNS         *obs.Histogram // forest_update_ns
 	updateGramsPlus  *obs.Counter   // forest_update_grams_plus
 	updateGramsMinus *obs.Counter   // forest_update_grams_minus
+	bagCopyTuples    *obs.Counter   // forest_bag_copy_tuples (distinct tuples bagCopyLocked hands out)
 
 	adds    *obs.Counter // forest_adds (trees added, incl. bulk)
 	removes *obs.Counter // forest_removes
@@ -85,6 +86,7 @@ func (f *Index) SetCollector(c *obs.Collector) {
 		updateNS:            c.Histogram("forest_update_ns"),
 		updateGramsPlus:     c.Counter("forest_update_grams_plus"),
 		updateGramsMinus:    c.Counter("forest_update_grams_minus"),
+		bagCopyTuples:       c.Counter("forest_bag_copy_tuples"),
 		adds:                c.Counter("forest_adds"),
 		removes:             c.Counter("forest_removes"),
 		puts:                c.Counter("forest_puts"),

@@ -15,6 +15,7 @@ import (
 
 	"pqgram/internal/core"
 	"pqgram/internal/forest"
+	"pqgram/internal/fsio"
 	"pqgram/internal/gen"
 	"pqgram/internal/obs"
 	"pqgram/internal/profile"
@@ -93,6 +94,55 @@ func TestShapeUpdateIndependentOfTreeSize(t *testing.T) {
 	}
 	if s := spread(applied); s > 2 {
 		t.Errorf("the forest's applied |I+|+|I-| spreads %.2f× over document sizes (bound 2×): %v", s, applied)
+	}
+}
+
+// TestShapeStoreUpdateIndependentOfTreeSize is Figure 13 (right) through
+// the durable store, resident row: the documents and 100-edit logs of
+// TestShapeUpdateIndependentOfTreeSize go through a Segmented store on
+// MemFS, which checks, journals and applies each update. Its work is the
+// bag tuples it copies (forest_bag_copy_tuples) plus the delta tuples the
+// forest applies, and it must not grow with the document: an update
+// copies no bag, and the work spreads ≤ 2×. Measured: 0 copies, applied
+// |I+|+|I-| of 1 396, 1 296 and 1 382 (1.08×). A store that checked I⁻
+// against a copy of the bag would copy 10 762, 34 471 and 114 340 distinct
+// tuples per update (9.5×).
+func TestShapeStoreUpdateIndependentOfTreeSize(t *testing.T) {
+	var work []float64
+	for _, n := range []int{12500, 50000, 200000} {
+		doc := gen.XMark(int64(n), n)
+		s, err := store.CreateSegmentedFS(fsio.NewMemFS(), "idx.pqg", benchP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Add("doc", doc); err != nil {
+			t.Fatal(err)
+		}
+		col := obs.NewCollector()
+		s.SetCollector(col)
+		_, log, err := gen.RandomScript(rand.New(rand.NewSource(int64(n)*17)), doc, 100, gen.DefaultMix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Update("doc", doc, log); err != nil {
+			t.Fatal(err)
+		}
+		copies := col.Counter("forest_bag_copy_tuples").Load()
+		applied := col.Counter("forest_update_grams_plus").Load() + col.Counter("forest_update_grams_minus").Load()
+		if !s.Forest().TreeIndex("doc").Equal(profile.BuildIndex(doc, benchP)) {
+			t.Fatalf("%d nodes: store update diverged from rebuild", doc.Size())
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%d nodes: copied=%d applied=%d", doc.Size(), copies, applied)
+		if copies != 0 {
+			t.Errorf("%d nodes: the update copied %d bag tuples, want 0", doc.Size(), copies)
+		}
+		work = append(work, float64(copies+applied))
+	}
+	if s := spread(work); s > 2 {
+		t.Errorf("the store's update work spreads %.2f× over document sizes (bound 2×): %v", s, work)
 	}
 }
 
