@@ -14,10 +14,11 @@
 GO      ?= go
 FUZZTIME ?= 5s
 
-# Coverage floors of the gate below: the last measured figures (forest
-# 94.5%, profile 94.7%, obs 93.5%, serve 85.0%, store 90.6%) minus 4
-# points of slack so unrelated refactors don't trip it. Raise them when
-# coverage rises; never lower them to make a change pass.
+# Coverage floors of the gate below: the last measured figures (core
+# 91.4%, forest 94.5%, profile 94.7%, obs 93.5%, serve 85.0%, store
+# 90.6%) minus 4 points of slack so unrelated refactors don't trip it.
+# Raise them when coverage rises; never lower them to make a change pass.
+COVER_FLOOR_CORE    ?= 87
 COVER_FLOOR_FOREST  ?= 90
 COVER_FLOOR_PROFILE ?= 90
 COVER_FLOOR_OBS     ?= 89
@@ -74,12 +75,12 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDistance -fuzztime=$(FUZZTIME) ./internal/profile
 	$(GO) test -run='^$$' -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) ./internal/serve
 
-# Coverage gate: the packages that carry the correctness arguments
-# (distance algebra, lookup planning, the serving tier, the store) must
-# not slip below their recorded floors.
+# Coverage gate: the packages that carry the correctness arguments (the
+# paper's update algorithm, distance algebra, lookup planning, the
+# serving tier, the store) must not slip below their recorded floors.
 cover:
 	@set -e; \
-	for spec in internal/forest:$(COVER_FLOOR_FOREST) internal/profile:$(COVER_FLOOR_PROFILE) internal/obs:$(COVER_FLOOR_OBS) internal/serve:$(COVER_FLOOR_SERVE) internal/store:$(COVER_FLOOR_STORE); do \
+	for spec in internal/core:$(COVER_FLOOR_CORE) internal/forest:$(COVER_FLOOR_FOREST) internal/profile:$(COVER_FLOOR_PROFILE) internal/obs:$(COVER_FLOOR_OBS) internal/serve:$(COVER_FLOOR_SERVE) internal/store:$(COVER_FLOOR_STORE); do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; prof=$$(mktemp); \
 		$(GO) test -coverprofile=$$prof ./$$pkg > /dev/null; \
 		pct=$$($(GO) tool cover -func=$$prof | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \

@@ -114,7 +114,7 @@ func (f *Index) Evict(ids []string, swap func(docs []uint32)) error {
 	for _, id := range ids {
 		e, ok := f.trees[id]
 		if !ok {
-			return fmt.Errorf("forest: tree %q not indexed", id)
+			return fmt.Errorf("forest: tree %q %w", id, ErrNotIndexed)
 		}
 		if e.idx == nil {
 			return fmt.Errorf("forest: tree %q already evicted", id)
@@ -148,7 +148,7 @@ func (f *Index) Promote(id string, bag profile.Index, swap func()) error {
 	defer f.mu.Unlock()
 	e, ok := f.trees[id]
 	if !ok {
-		return fmt.Errorf("forest: tree %q not indexed", id)
+		return fmt.Errorf("forest: tree %q %w", id, ErrNotIndexed)
 	}
 	if e.idx != nil {
 		return fmt.Errorf("forest: tree %q already resident", id)

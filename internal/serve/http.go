@@ -20,7 +20,9 @@
 //
 // Input validation is strict — malformed JSON and out-of-range τ or k
 // answer 4xx, never 5xx or a panic; the fuzz target FuzzServeRequest
-// holds the service to that contract. Unknown JSON fields are ignored,
+// holds the service to that contract. A DELETE or an edit log naming an
+// id that is not indexed answers 404; a DELETE the store fails to
+// journal answers 500. Unknown JSON fields are ignored,
 // "plan" among them: every lookup takes the one path. Shed requests
 // answer 429 with a Retry-After hint; answered lookups carry an X-Cache
 // header (hit or miss) so load generators can attribute latency to the
@@ -369,13 +371,22 @@ func (s *Server) handleDocs(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{"id": id, "nodes": doc.Size(), "pqgrams": grams})
 	case http.MethodDelete:
 		if err := s.Remove(id); err != nil {
-			httpError(w, http.StatusNotFound, "%v", err)
+			httpError(w, notIndexedOr(err, http.StatusInternalServerError), "%v", err)
 			return
 		}
 		writeJSON(w, map[string]string{"removed": id})
 	default:
 		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 	}
+}
+
+// notIndexedOr is the status of a failed mutation of one document: 404
+// if the document is not indexed, code for any other failure.
+func notIndexedOr(err error, code int) int {
+	if errors.Is(err, forest.ErrNotIndexed) {
+		return http.StatusNotFound
+	}
+	return code
 }
 
 func validDocID(w http.ResponseWriter, id string) bool {
@@ -425,7 +436,7 @@ func (s *Server) handleEdits(w http.ResponseWriter, r *http.Request, id string) 
 	ops = edit.OptimizeLog(tn, ops)
 	st, err := s.Update(id, tn, ops)
 	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "update failed: %v", err)
+		httpError(w, notIndexedOr(err, http.StatusUnprocessableEntity), "update failed: %v", err)
 		return
 	}
 	writeJSON(w, map[string]any{

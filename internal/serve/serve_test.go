@@ -17,9 +17,12 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
+	"pqgram/internal/core"
+	"pqgram/internal/edit"
 	"pqgram/internal/forest"
 	"pqgram/internal/gen"
 	"pqgram/internal/profile"
@@ -294,6 +297,7 @@ func TestHTTPValidation(t *testing.T) {
 		{"docs bad method", "POST", "/docs/new", "", 405},
 		{"edits bad json", "POST", "/docs/doc-0/edits", "{", 400},
 		{"edits bad log", "POST", "/docs/doc-0/edits", `{"xml":"<a/>","log":["garbage op"]}`, 400},
+		{"edits unknown id", "POST", "/docs/nope/edits", `{"xml":"<a/>","log":[]}`, 404},
 		{"stats", "GET", "/stats", "", 200},
 		{"metrics", "GET", "/debug/metrics", "", 200},
 		{"metrics prom", "GET", "/debug/metrics?format=prom", "", 200},
@@ -308,6 +312,26 @@ func TestHTTPValidation(t *testing.T) {
 		if w.Header().Get("X-Request-ID") == "" {
 			t.Errorf("%s: missing X-Request-ID", tc.name)
 		}
+	}
+}
+
+// failingBackend is a store whose journal fails every write.
+type failingBackend struct{ err error }
+
+func (b failingBackend) Put(string, *tree.Tree) (int, error) { return 0, b.err }
+func (b failingBackend) Remove(string) error                 { return b.err }
+func (b failingBackend) Update(string, *tree.Tree, edit.Log) (core.Stats, error) {
+	return core.Stats{}, b.err
+}
+
+// TestHTTPDeleteStoreFailureIs500: a DELETE whose store fails for any
+// reason but a missing document is a server error, not "not found".
+func TestHTTPDeleteStoreFailureIs500(t *testing.T) {
+	f := forest.New(profile.Default)
+	f.Put("doc", tree.MustParse("a(b c)"))
+	s := New(f, failingBackend{fmt.Errorf("store: journal append: %w", syscall.EIO)}, Config{}, nil)
+	if w := do(t, s, "DELETE", "/docs/doc", ""); w.Code != http.StatusInternalServerError {
+		t.Fatalf("DELETE on a failing store = %d, want 500 (body %s)", w.Code, w.Body.String())
 	}
 }
 

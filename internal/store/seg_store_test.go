@@ -104,11 +104,11 @@ func TestSegmentedPutAndErrors(t *testing.T) {
 	if st.ResidentDocs != 1 || st.EvictedDocs != 0 || st.PendingTombstones != 1 {
 		t.Fatalf("after evicted Put: %+v", st)
 	}
-	if err := s.Remove("ghost"); err == nil {
-		t.Fatal("Remove accepted an unknown id")
+	if err := s.Remove("ghost"); !errors.Is(err, forest.ErrNotIndexed) {
+		t.Fatalf("Remove of an unknown id = %v, want ErrNotIndexed", err)
 	}
-	if _, err := s.Update("ghost", tree.MustParse("g"), nil); err == nil {
-		t.Fatal("Update accepted an unknown id")
+	if _, err := s.Update("ghost", tree.MustParse("g"), nil); !errors.Is(err, forest.ErrNotIndexed) {
+		t.Fatalf("Update of an unknown id = %v, want ErrNotIndexed", err)
 	}
 	// Flush writes the new copy; the tombstone is unnecessary (same id is
 	// re-stored) and must not shadow it.
@@ -117,6 +117,70 @@ func TestSegmentedPutAndErrors(t *testing.T) {
 	}
 	if ms := s.Forest().Lookup(tree.MustParse("r(x y z)"), 0.2); len(ms) != 1 || ms[0].TreeID != "a" {
 		t.Fatalf("replaced doc lost: %v", ms)
+	}
+}
+
+// TestPutReplaceIsOneAppend: a synced Put of an indexed id journals its
+// remove and add records as one append, so the replace costs one journal
+// write and one fsync, and a power cut at any byte of that write recovers
+// the document as it was, as absent or as replaced — never anything else.
+func TestPutReplaceIsOneAppend(t *testing.T) {
+	mem := fsio.NewMemFS()
+	s, err := CreateSegmentedFS(mem, "idx.pqg", p33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetSync(true)
+	oldDoc, newDoc := gen.XMark(1, 30), gen.XMark(2, 30)
+	if err := s.Add("doc", oldDoc); err != nil {
+		t.Fatal(err)
+	}
+	start := mem.TraceLen()
+	if _, err := s.Put("doc", newDoc); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	trace := mem.Trace()
+	write, writes, syncs := -1, 0, 0
+	for i := start; i < len(trace); i++ {
+		switch trace[i].Kind {
+		case fsio.OpWrite:
+			write, writes = i, writes+1
+		case fsio.OpSync:
+			syncs++
+		}
+	}
+	if writes != 1 || syncs != 1 {
+		t.Fatalf("a synced replace issued %d writes and %d syncs, want 1 and 1", writes, syncs)
+	}
+	oldBag, newBag := profile.BuildIndex(oldDoc, p33), profile.BuildIndex(newDoc, p33)
+	seen := map[string]bool{}
+	for cut := 0; cut <= len(trace[write].Data); cut++ {
+		rs, err := OpenSegmentedFS(mem.CrashClone(write, cut), "idx.pqg")
+		if err != nil {
+			t.Fatalf("cut at byte %d: recovery failed: %v", cut, err)
+		}
+		switch bag := rs.Forest().TreeIndex("doc"); {
+		case bag == nil:
+			seen["absent"] = true
+		case bag.Equal(oldBag):
+			seen["old"] = true
+		case bag.Equal(newBag):
+			seen["new"] = true
+		default:
+			t.Fatalf("cut at byte %d: recovered a bag that is neither the old nor the new document", cut)
+		}
+		if err := rs.Forest().SelfCheck(); err != nil {
+			t.Fatalf("cut at byte %d: %v", cut, err)
+		}
+		if err := rs.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(seen) != 3 {
+		t.Fatalf("the cuts recovered only %v; want old, absent and new", seen)
 	}
 }
 
