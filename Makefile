@@ -3,20 +3,22 @@
 # the full test suite under the race detector, the suite again in -short
 # mode (the scaled-down fixtures that tests pick under testing.Short()), a
 # short fuzz pass over every fuzz target (seed corpora plus FUZZTIME of
-# generation), a coverage gate over the correctness-critical packages, a
-# single-iteration sweep of the root package's `go test` benchmarks so
-# they cannot silently rot (the paper's experiments among them check
-# update ≡ rebuild at full scale), and vet + tests + pqlint of the separate
-# benchmark module (the one source of performance numbers), which tier-1
-# never builds. Nothing in the gate compares wall-clock times. Override
-# the fuzz duration with e.g. `make check FUZZTIME=30s`.
+# generation), a coverage gate over the correctness-critical packages
+# and internal/lint, a single-iteration sweep of the root package's
+# `go test` benchmarks so they cannot silently rot (the paper's
+# experiments among them check update ≡ rebuild at full scale), and
+# vet + tests + pqlint of the separate benchmark module (the one source
+# of performance numbers), which tier-1 never builds. Nothing in the gate
+# compares wall-clock times. Override the fuzz duration with e.g.
+# `make check FUZZTIME=30s`.
 
 GO      ?= go
 FUZZTIME ?= 5s
 
 # Coverage floors of the gate below: the last measured figures (core
 # 91.4%, forest 94.5%, profile 94.7%, obs 93.5%, serve 85.0%, store
-# 90.6%) minus 4 points of slack so unrelated refactors don't trip it.
+# 90.6%, lint 84.0%) minus 4 points of slack so unrelated refactors
+# don't trip it.
 # Raise them when coverage rises; never lower them to make a change pass.
 COVER_FLOOR_CORE    ?= 87
 COVER_FLOOR_FOREST  ?= 90
@@ -24,6 +26,7 @@ COVER_FLOOR_PROFILE ?= 90
 COVER_FLOOR_OBS     ?= 89
 COVER_FLOOR_SERVE   ?= 81
 COVER_FLOOR_STORE   ?= 86
+COVER_FLOOR_LINT    ?= 80
 
 .PHONY: check fmt-check lint vet build test test-short race fuzz cover bench bench-smoke bench-check
 
@@ -77,10 +80,12 @@ fuzz:
 
 # Coverage gate: the packages that carry the correctness arguments (the
 # paper's update algorithm, distance algebra, lookup planning, the
-# serving tier, the store) must not slip below their recorded floors.
+# serving tier, the store) and the pqlint flow engine that checks their
+# locking, span and nil-guard discipline must not slip below their
+# recorded floors.
 cover:
 	@set -e; \
-	for spec in internal/core:$(COVER_FLOOR_CORE) internal/forest:$(COVER_FLOOR_FOREST) internal/profile:$(COVER_FLOOR_PROFILE) internal/obs:$(COVER_FLOOR_OBS) internal/serve:$(COVER_FLOOR_SERVE) internal/store:$(COVER_FLOOR_STORE); do \
+	for spec in internal/core:$(COVER_FLOOR_CORE) internal/forest:$(COVER_FLOOR_FOREST) internal/profile:$(COVER_FLOOR_PROFILE) internal/obs:$(COVER_FLOOR_OBS) internal/serve:$(COVER_FLOOR_SERVE) internal/store:$(COVER_FLOOR_STORE) internal/lint:$(COVER_FLOOR_LINT); do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; prof=$$(mktemp); \
 		$(GO) test -coverprofile=$$prof ./$$pkg > /dev/null; \
 		pct=$$($(GO) tool cover -func=$$prof | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \

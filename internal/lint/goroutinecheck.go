@@ -13,9 +13,9 @@ import (
 // goroutine body (a function literal, or the body of a function
 // declared in the same package):
 //
-//   - WaitGroup: the body calls wg.Done (deferred, or lexically before
-//     every return), and a matching wg.Add appears before the go
-//     statement in the spawning function;
+//   - WaitGroup: the body calls wg.Done on every path out (deferred, or
+//     on each branch before its return), and a matching wg.Add appears
+//     before the go statement in the spawning function;
 //   - stop channel: the body receives from or ranges over a channel
 //     whose name signals shutdown (stop/done/quit/exit/shutdown/close/
 //     ctx...), or ranges over any channel (a producer closing the
@@ -100,69 +100,34 @@ func packageFuncDecls(p *Pass) map[types.Object]*ast.FuncDecl {
 	return decls
 }
 
-// waitGroupDiscipline reports whether the goroutine body releases a
-// WaitGroup on every path: a deferred Done (directly or inside a
-// deferred closure), or a Done lexically preceding every return and the
-// fall-off-the-end point. Returns the Done receiver's key for matching
-// against the spawner's Add.
+// waitGroupDiscipline reports whether the goroutine body calls Done on
+// its WaitGroup on every path out: the flow walk starts the body owing
+// the Done, and no return (nor the fall off the end) may still owe it.
+// A deferred Done, directly or inside a deferred closure, pays it on
+// every path. Returns the Done receiver's key for matching against the
+// spawner's Add.
 func waitGroupDiscipline(info *types.Info, body *ast.BlockStmt) (heldKey, bool) {
 	var wg heldKey
-	deferred := false
-	var donePos []token.Pos
-	var returns []token.Pos
+	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.DeferStmt:
-			if key, ok := waitGroupDoneCall(info, n.Call); ok {
-				wg, deferred = key, true
-				return false
-			}
-			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				ast.Inspect(lit.Body, func(c ast.Node) bool {
-					if call, ok := c.(*ast.CallExpr); ok {
-						if key, ok := waitGroupDoneCall(info, call); ok {
-							wg, deferred = key, true
-						}
-					}
-					return !deferred
-				})
-				return false
-			}
-		case *ast.CallExpr:
-			if key, ok := waitGroupDoneCall(info, n); ok {
-				wg = key
-				donePos = append(donePos, n.Pos())
-			}
-		case *ast.ReturnStmt:
-			returns = append(returns, n.Pos())
+		if call, ok := n.(*ast.CallExpr); ok && !found {
+			wg, found = waitGroupDoneCall(info, call)
 		}
-		return true
+		return !found
 	})
-	if deferred {
-		return wg, true
-	}
-	if len(donePos) == 0 {
+	if !found {
 		return heldKey{}, false
 	}
-	covered := func(at token.Pos) bool {
-		for _, dp := range donePos {
-			if dp < at {
-				return true
-			}
+	entry := newFlowState()
+	entry.owed[wg] = &debt{kind: debtDone}
+	joined := true
+	w := &flowWalker{info: info, hooks: flowHooks{ret: func(st *flowState, _ token.Pos, _ bool) {
+		if st.owed[wg] != nil {
+			joined = false
 		}
-		return false
-	}
-	for _, r := range returns {
-		if !covered(r) {
-			return heldKey{}, false
-		}
-	}
-	if !terminates(body) && !covered(body.End()) {
-		return heldKey{}, false
-	}
-	return wg, true
+	}}}
+	w.walkFuncBody(body, entry)
+	return wg, joined
 }
 
 // waitGroupDoneCall matches wg.Done() on a sync.WaitGroup and returns

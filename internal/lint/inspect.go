@@ -1,12 +1,10 @@
 // Shared AST and type predicates for the analyzers: ancestor-stack
-// traversal, nil-comparison matching, and recognition of the repo's
-// metric-handle types.
+// traversal and recognition of the repo's metric-handle types.
 
 package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -39,67 +37,6 @@ func calleeName(call *ast.CallExpr) string {
 		return fun.Sel.Name
 	}
 	return ""
-}
-
-// isNilComparison reports whether expr is `x <op> nil` or `nil <op> x`
-// where x denotes the given object.
-func isNilComparison(info *types.Info, expr ast.Expr, op token.Token, obj types.Object) bool {
-	bin, ok := ast.Unparen(expr).(*ast.BinaryExpr)
-	if !ok || bin.Op != op {
-		return false
-	}
-	matches := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && info.ObjectOf(id) == obj
-	}
-	isNil := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && id.Name == "nil" && info.ObjectOf(id) == types.Universe.Lookup("nil")
-	}
-	return (matches(bin.X) && isNil(bin.Y)) || (isNil(bin.X) && matches(bin.Y))
-}
-
-// guaranteesNonNil reports whether cond being true proves obj != nil:
-// the comparison itself, or a conjunction containing one.
-func guaranteesNonNil(info *types.Info, cond ast.Expr, obj types.Object) bool {
-	if isNilComparison(info, cond, token.NEQ, obj) {
-		return true
-	}
-	if bin, ok := ast.Unparen(cond).(*ast.BinaryExpr); ok && bin.Op == token.LAND {
-		return guaranteesNonNil(info, bin.X, obj) || guaranteesNonNil(info, bin.Y, obj)
-	}
-	return false
-}
-
-// triggersOnNil reports whether cond is true whenever obj == nil: the
-// comparison itself, or a disjunction containing one. An if with such a
-// condition and a terminating body guards everything after it.
-func triggersOnNil(info *types.Info, cond ast.Expr, obj types.Object) bool {
-	if isNilComparison(info, cond, token.EQL, obj) {
-		return true
-	}
-	if bin, ok := ast.Unparen(cond).(*ast.BinaryExpr); ok && bin.Op == token.LOR {
-		return triggersOnNil(info, bin.X, obj) || triggersOnNil(info, bin.Y, obj)
-	}
-	return false
-}
-
-// terminates reports whether the block always leaves the enclosing scope:
-// its last statement is a return, a branch, or a panic call.
-func terminates(body *ast.BlockStmt) bool {
-	if body == nil || len(body.List) == 0 {
-		return false
-	}
-	switch last := body.List[len(body.List)-1].(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.BranchStmt:
-		return last.Tok == token.CONTINUE || last.Tok == token.BREAK || last.Tok == token.GOTO
-	case *ast.ExprStmt:
-		call, ok := last.X.(*ast.CallExpr)
-		return ok && calleeName(call) == "panic"
-	}
-	return false
 }
 
 // stmtLists yields the statement list a node carries, if any — blocks

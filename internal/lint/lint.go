@@ -6,38 +6,11 @@
 // external dependencies — and is wired into `make lint` / `make check`
 // through cmd/pqlint.
 //
-// # Invariants enforced
-//
-//   - fsiocheck: store code must perform every filesystem mutation through
-//     the fsio.FS it was opened with, never the os package directly, so the
-//     fault-injection and crash-consistency harness covers every byte that
-//     reaches disk.
-//   - obscheck: metric-handle structs must sit behind atomic.Pointer and
-//     every dereference of a possibly-nil metrics pointer must be
-//     nil-guarded — the "one atomic load when off" observability contract.
-//   - spancheck: every call that starts a trace span (*obs.Span result)
-//     must bind it and finish it on all return paths, by a defer or a
-//     Finish before each return — an unfinished root span is a trace that
-//     never publishes.
-//   - aliascheck: exported index/profile/store API must not return
-//     internal slice or map fields without copying (the TreeIndex bug
-//     class).
-//   - errcheck-durability: Sync/Close/Rename/Remove/Truncate/rollback
-//     errors on the durability path must not be discarded.
-//   - detcheck: iteration over a map must not feed a returned slice or an
-//     output stream without an intervening sort, and a top-k ranking
-//     drained from a heap must be sorted with the tie-broken comparator
-//     before it is returned (the nondeterminism bug class).
-//   - lockcheck: fields annotated `// guarded by <mu>` are only accessed
-//     while that mutex is held (write-held for writes), and every
-//     acquired lock is released on all return paths.
-//   - lockorder: lock acquisitions follow the package's declared
-//     //pqlint:lockorder partial order; same-class nesting is flagged as
-//     a potential deadlock.
-//   - atomiccheck: a field ever accessed via sync/atomic (or a typed
-//     atomic) is never accessed non-atomically outside its init path.
-//   - goroutinecheck: every go statement has a provable join (WaitGroup
-//     Add-before-go / Done-on-all-paths) or shutdown (stop channel) path.
+// The analyzers and the guarantee each one protects are tabulated once,
+// in ARCHITECTURE.md's "Enforced invariants"; `pqlint -list` prints the
+// one-line rule of each. Five of them share one flow engine
+// (lockflow.go): lockcheck, lockorder, spancheck, obscheck and
+// goroutinecheck.
 //
 // # Suppression
 //

@@ -34,38 +34,29 @@ func runLockCheck(p *Pass) {
 	ann := collectLockAnnotations(p, func(pos token.Pos, format string, args ...any) {
 		p.ReportHintf(pos, "see the concurrency-annotations guide in the README", format, args...)
 	})
-	info := p.Pkg.Info
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fresh := freshLocals(info, fd.Body)
-			w := &lockWalker{info: info}
-			w.hooks = lockHooks{
-				access: func(sel *ast.SelectorExpr, fld *types.Var, write bool, st *lockState) {
-					checkGuardedAccess(p, ann, fresh, sel, fld, write, st)
-				},
-				ret: func(st *lockState, pos token.Pos) {
-					for _, l := range st.held {
-						if l.acquiredHere && !l.deferred {
-							p.ReportHintf(pos,
-								"defer the unlock right after acquiring, or release it before this return",
-								"%s acquired at line %d is still held when the function returns here",
-								l.class, p.Pkg.Fset.Position(l.pos).Line)
-						}
+	walkFuncs(p, ann, func(body *ast.BlockStmt) flowHooks {
+		fresh := freshLocals(p.Pkg.Info, body)
+		return flowHooks{
+			selector: func(sel *ast.SelectorExpr, fld *types.Var, write bool, st *flowState) {
+				checkGuardedAccess(p, ann, fresh, sel, fld, write, st)
+			},
+			ret: func(st *flowState, pos token.Pos, _ bool) {
+				for _, d := range st.owed {
+					if d.kind == debtUnlock {
+						p.ReportHintf(pos,
+							"defer the unlock right after acquiring, or release it before this return",
+							"%s acquired at line %d is still held when the function returns here",
+							d.class, p.Pkg.Fset.Position(d.call.Pos()).Line)
 					}
-				},
-			}
-			w.walkFuncBody(fd.Body, entryState(ann, fd))
+				}
+			},
 		}
-	}
+	})
 }
 
 // checkGuardedAccess verifies one field access against the field's
 // guard alternatives and the held-lock set.
-func checkGuardedAccess(p *Pass, ann *lockAnnotations, fresh map[types.Object]bool, sel *ast.SelectorExpr, fld *types.Var, write bool, st *lockState) {
+func checkGuardedAccess(p *Pass, ann *lockAnnotations, fresh map[types.Object]bool, sel *ast.SelectorExpr, fld *types.Var, write bool, st *flowState) {
 	alts := ann.guards[fld]
 	if len(alts) == 0 {
 		return

@@ -1,16 +1,31 @@
-// Lock-flow engine shared by lockcheck and lockorder: parsing of the
-// concurrency annotations (`// guarded by <mu>` on struct fields,
-// `//pqlint:locked <expr>` entry assertions on functions, and the
-// package-level `//pqlint:lockorder` manifests) plus a structured,
-// defer-aware abstract interpretation of function bodies that tracks
-// the set of held locks through branches, loops, switches and selects.
+// Flow engine shared by lockcheck, lockorder, spancheck, obscheck and
+// goroutinecheck: parsing of the concurrency annotations (`// guarded
+// by <mu>` on struct fields, `//pqlint:locked <expr>` entry assertions
+// on functions, and the package-level `//pqlint:lockorder` manifests)
+// plus a structured, defer-aware abstract interpretation of function
+// bodies through branches, loops, switches and selects. It tracks three
+// facts per program point:
 //
-// The analysis is intraprocedural by design (the issue-#10 contract):
-// a `//pqlint:locked` assertion is trusted at function entry and never
-// re-proven at call sites. The walk merges branch states by
-// intersection, so a lock is considered held only on paths where it
-// provably is — false negatives are possible, silent false positives
-// are not supposed to be (and are //pqlint:allow-able when they are).
+//   - held: the locks held on every path here. Branches merge by
+//     intersection, so a guarded access is sanctioned only where the
+//     lock provably is held.
+//   - owed: the releases the function still owes on some path here — an
+//     Unlock for each lock it acquired, a Finish for each span it started
+//     and bound to a variable, the Done a goroutine body owes from entry.
+//     Branches merge by union, so a release made in one branch only is
+//     still owed after the merge. A direct release, a `defer` of one
+//     (directly or inside a deferred closure), and a span returned or
+//     re-bound pay the debt.
+//   - nonNil: the variables proven non-nil on every path here, by an
+//     `x != nil` conjunct of a taken condition, an `x == nil` disjunct of
+//     a skipped one, or `x = &T{...}`; any other assignment clears it.
+//     Merged by intersection. The same reading proves a span variable
+//     nil, which pays its debt: `if sp != nil { sp.Finish() }` is whole.
+//
+// The analysis is intraprocedural by design: a `//pqlint:locked`
+// assertion is trusted at function entry and never re-proven at call
+// sites. False negatives are possible, silent false positives are not
+// supposed to be (and are //pqlint:allow-able when they are).
 
 package lint
 
@@ -41,8 +56,8 @@ func (c lockClass) String() string {
 	return c.typeName + "." + c.field
 }
 
-// heldKey identifies a lock *instance* as precisely as the source lets
-// us: the root object of the expression that was locked plus the
+// heldKey identifies a lock *instance* (or a span variable, or a
+// WaitGroup) as precisely as the source lets us: the root object of the expression that was locked plus the
 // rendered selector/index path below it. `f.shards[si].mu` and
 // `s.mu` (with s := &f.shards[si]) are different keys — the engine
 // tracks whichever spelling the code locks through, and guarded-field
@@ -54,35 +69,65 @@ type heldKey struct {
 
 // heldLock is one lock in the abstract state.
 type heldLock struct {
-	key          heldKey
-	class        lockClass
-	rw           bool // the lock is an RWMutex
-	write        bool // held exclusively (Lock, not RLock)
-	acquiredHere bool // acquired in this function (vs asserted at entry)
-	deferred     bool // a defer releases it on every outgoing path
-	pos          token.Pos
+	key   heldKey
+	class lockClass
+	write bool // held exclusively (Lock, not RLock)
+	pos   token.Pos
 }
 
-// lockState is the set of locks held at a program point.
-type lockState struct {
-	held map[heldKey]*heldLock
+// debtKind names the release a debt is paid by.
+type debtKind int
+
+const (
+	debtUnlock debtKind = iota // Unlock/RUnlock of an acquired lock
+	debtFinish                 // Finish/FinishWithDuration of a bound span
+	debtDone                   // Done of a goroutine's WaitGroup
+)
+
+// debt is one release the function still owes, keyed in the state by
+// what it releases: the lock instance, the span variable, the
+// WaitGroup. Debts are never mutated, so states share them.
+type debt struct {
+	kind  debtKind
+	class lockClass     // debtUnlock: the lock's class
+	call  *ast.CallExpr // the Lock or span-starting call; nil for debtDone
 }
 
-func newLockState() *lockState { return &lockState{held: make(map[heldKey]*heldLock)} }
+// flowState is the abstract state at a program point.
+type flowState struct {
+	held   map[heldKey]*heldLock // held on every path
+	owed   map[heldKey]*debt     // owed on some path
+	nonNil map[types.Object]bool // non-nil on every path
+}
 
-func (s *lockState) clone() *lockState {
-	out := newLockState()
+func newFlowState() *flowState {
+	return &flowState{
+		held:   make(map[heldKey]*heldLock),
+		owed:   make(map[heldKey]*debt),
+		nonNil: make(map[types.Object]bool),
+	}
+}
+
+func (s *flowState) clone() *flowState {
+	out := newFlowState()
 	for k, l := range s.held {
 		cp := *l
 		out.held[k] = &cp
 	}
+	for k, d := range s.owed {
+		out.owed[k] = d
+	}
+	for v := range s.nonNil {
+		out.nonNil[v] = true
+	}
 	return out
 }
 
-// intersect merges two branch exits: a lock survives only if held on
-// both, exclusively only if exclusive on both, deferred-released only
-// if deferred on both.
-func (s *lockState) intersect(o *lockState) {
+// merge joins another branch's exit into s: a lock stays held only if
+// held on both (exclusively only if exclusive on both), a variable stays
+// non-nil only if non-nil on both, and a release is owed if either path
+// still owes it.
+func (s *flowState) merge(o *flowState) {
 	for k, l := range s.held {
 		ol, ok := o.held[k]
 		if !ok {
@@ -90,12 +135,20 @@ func (s *lockState) intersect(o *lockState) {
 			continue
 		}
 		l.write = l.write && ol.write
-		l.deferred = l.deferred && ol.deferred
-		l.acquiredHere = l.acquiredHere || ol.acquiredHere
+	}
+	for k, d := range o.owed {
+		if s.owed[k] == nil {
+			s.owed[k] = d
+		}
+	}
+	for v := range s.nonNil {
+		if !o.nonNil[v] {
+			delete(s.nonNil, v)
+		}
 	}
 }
 
-func (s *lockState) list() []*heldLock {
+func (s *flowState) list() []*heldLock {
 	out := make([]*heldLock, 0, len(s.held))
 	for _, l := range s.held {
 		out = append(out, l)
@@ -135,10 +188,10 @@ func mutexType(t types.Type) (rw, ok bool) {
 
 // lockCall matches `expr.Lock()`, `expr.RLock()`, `expr.Unlock()`,
 // `expr.RUnlock()` on a sync.Mutex / sync.RWMutex and decomposes it.
-func lockCall(info *types.Info, call *ast.CallExpr) (lockExpr ast.Expr, acquire, write, rw, ok bool) {
+func lockCall(info *types.Info, call *ast.CallExpr) (lockExpr ast.Expr, acquire, write, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
-		return nil, false, false, false, false
+		return nil, false, false, false
 	}
 	switch sel.Sel.Name {
 	case "Lock":
@@ -150,13 +203,12 @@ func lockCall(info *types.Info, call *ast.CallExpr) (lockExpr ast.Expr, acquire,
 	case "RUnlock":
 		acquire, write = false, false
 	default:
-		return nil, false, false, false, false
+		return nil, false, false, false
 	}
-	rw, ok = mutexType(info.TypeOf(sel.X))
-	if !ok {
-		return nil, false, false, false, false
+	if _, ok = mutexType(info.TypeOf(sel.X)); !ok {
+		return nil, false, false, false
 	}
-	return sel.X, acquire, write, rw, true
+	return sel.X, acquire, write, true
 }
 
 // exprKey renders an expression as a trackable (root object, path) key.
@@ -247,7 +299,6 @@ func fieldVarOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
 type guardAlt struct {
 	typeName  string // "" = sibling field of the guarded field's struct
 	field     string
-	rw        bool // guard is an RWMutex
 	exclusive bool // ":w": only a write-hold counts, even for reads
 }
 
@@ -267,7 +318,6 @@ func (a guardAlt) String() string {
 type entryLock struct {
 	key   heldKey
 	class lockClass
-	rw    bool
 	write bool
 	pos   token.Pos
 }
@@ -374,18 +424,14 @@ func parseGuardAlts(p *Pass, st *ast.StructType, spec string) ([]guardAlt, strin
 		}
 		if dot := strings.IndexByte(part, '.'); dot >= 0 {
 			alt.typeName, alt.field = part[:dot], part[dot+1:]
-			rw, ok := packageMutexField(p, alt.typeName, alt.field)
-			if !ok {
+			if _, ok := packageMutexField(p, alt.typeName, alt.field); !ok {
 				return nil, "guard " + part + " does not name a sync.Mutex/RWMutex field of a struct type in this package"
 			}
-			alt.rw = rw
 		} else {
 			alt.field = part
-			rw, ok := siblingMutexField(p, st, part)
-			if !ok {
+			if _, ok := siblingMutexField(p, st, part); !ok {
 				return nil, "guard " + part + " is not a sibling sync.Mutex/RWMutex field (use Type.field for a cross-struct guard)"
 			}
-			alt.rw = rw
 		}
 		alts = append(alts, alt)
 	}
@@ -499,7 +545,6 @@ func resolveEntryLock(p *Pass, fd *ast.FuncDecl, spec string, pos token.Pos) (en
 	if !ok {
 		return el, spec + " is not a sync.Mutex/RWMutex field"
 	}
-	el.rw = rw
 	if !el.write && !rw {
 		return el, "a plain sync.Mutex has no read mode; drop the :r suffix"
 	}
@@ -531,15 +576,16 @@ func lookupFuncVar(p *Pass, fd *ast.FuncDecl, name string) types.Object {
 	return check(fd.Type.Params)
 }
 
-// entryState builds the initial lock state of a function from its
-// assertions.
-func entryState(ann *lockAnnotations, fd *ast.FuncDecl) *lockState {
-	st := newLockState()
+// entryState builds the initial state of a function from its lock
+// assertions (none for a nil ann or fd). Asserted locks are held, not
+// owed: the caller releases them.
+func entryState(ann *lockAnnotations, fd *ast.FuncDecl) *flowState {
+	st := newFlowState()
+	if ann == nil {
+		return st
+	}
 	for _, el := range ann.entry[fd] {
-		cp := el
-		st.held[el.key] = &heldLock{
-			key: el.key, class: el.class, rw: el.rw, write: el.write, pos: cp.pos,
-		}
+		st.held[el.key] = &heldLock{key: el.key, class: el.class, write: el.write, pos: el.pos}
 	}
 	return st
 }
@@ -608,38 +654,69 @@ func freshLocals(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
 // The structured walker
 // ---------------------------------------------------------------------
 
-// lockHooks are the analyzer callbacks of one function walk.
-type lockHooks struct {
-	// access fires for every struct-field selector, with the statically
-	// known held set. write reports mutation context (assignment target,
-	// ++/--, &x.f, delete/append first argument).
-	access func(sel *ast.SelectorExpr, fld *types.Var, write bool, st *lockState)
+// flowHooks are the analyzer callbacks of one function walk.
+type flowHooks struct {
+	// selector fires for every selector expression with the state just
+	// before it. fld is the struct field it reads or writes (nil for a
+	// method value or a qualified identifier); write reports mutation
+	// context (assignment target, ++/--, &x.f, delete/append first
+	// argument).
+	selector func(sel *ast.SelectorExpr, fld *types.Var, write bool, st *flowState)
 	// acquire fires at every Lock/RLock with the locks held just before.
 	acquire func(l *heldLock, prior []*heldLock)
-	// ret fires at every return statement and at the fall-off-the-end
-	// point of a non-terminating body.
-	ret func(st *lockState, pos token.Pos)
+	// ret fires at every return statement, once its results are
+	// evaluated, and at the closing brace of a body that can fall off
+	// its end (end set).
+	ret func(st *flowState, pos token.Pos, end bool)
 }
 
-type lockWalker struct {
+type flowWalker struct {
 	info  *types.Info
-	hooks lockHooks
+	hooks flowHooks
+}
+
+// walkFuncs runs a flow walk over every function body of the package:
+// each declared function, seeded with its //pqlint:locked assertions
+// when ann is non-nil, and each function literal of a package-level
+// declaration. hooks builds the callbacks for one body; function
+// literals nested in a body are walked as part of it.
+func walkFuncs(p *Pass, ann *lockAnnotations, hooks func(body *ast.BlockStmt) flowHooks) {
+	walk := func(fd *ast.FuncDecl, body *ast.BlockStmt) {
+		w := &flowWalker{info: p.Pkg.Info, hooks: hooks(body)}
+		w.walkFuncBody(body, entryState(ann, fd))
+	}
+	for _, f := range p.Pkg.Files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Body != nil {
+					walk(d, d.Body)
+				}
+			case *ast.GenDecl:
+				ast.Inspect(d, func(n ast.Node) bool {
+					if lit, ok := n.(*ast.FuncLit); ok {
+						walk(nil, lit.Body)
+						return false
+					}
+					return true
+				})
+			}
+		}
+	}
 }
 
 // walkFuncBody runs the abstract interpretation over one function body.
-func (w *lockWalker) walkFuncBody(body *ast.BlockStmt, entry *lockState) {
+func (w *flowWalker) walkFuncBody(body *ast.BlockStmt, entry *flowState) {
 	st := entry.clone()
-	if !w.walkStmts(body.List, st) {
-		if w.hooks.ret != nil {
-			w.hooks.ret(st, body.Rbrace)
-		}
+	if !w.walkStmts(body.List, st) && w.hooks.ret != nil {
+		w.hooks.ret(st, body.Rbrace, true)
 	}
 }
 
 // walkStmts interprets a statement list, mutating st; the result
 // reports whether every path through the list leaves the function or
 // the enclosing loop (return, branch, or panic).
-func (w *lockWalker) walkStmts(list []ast.Stmt, st *lockState) bool {
+func (w *flowWalker) walkStmts(list []ast.Stmt, st *flowState) bool {
 	for _, s := range list {
 		if w.walkStmt(s, st) {
 			return true
@@ -648,7 +725,7 @@ func (w *lockWalker) walkStmts(list []ast.Stmt, st *lockState) bool {
 	return false
 }
 
-func (w *lockWalker) walkStmt(s ast.Stmt, st *lockState) (terminated bool) {
+func (w *flowWalker) walkStmt(s ast.Stmt, st *flowState) (terminated bool) {
 	switch s := s.(type) {
 	case nil:
 		return false
@@ -658,25 +735,17 @@ func (w *lockWalker) walkStmt(s ast.Stmt, st *lockState) (terminated bool) {
 		w.walkStmt(s.Init, st)
 		w.scanExpr(s.Cond, st)
 		thenSt := st.clone()
+		w.assume(s.Cond, true, thenSt)
+		w.assume(s.Cond, false, st) // st continues as the else (or skip) path
 		thenTerm := w.walkStmt(s.Body, thenSt)
-		if s.Else != nil {
-			elseSt := st.clone()
-			elseTerm := w.walkStmt(s.Else, elseSt)
-			switch {
-			case thenTerm && elseTerm:
-				return true
-			case thenTerm:
-				*st = *elseSt
-			case elseTerm:
-				*st = *thenSt
-			default:
-				thenSt.intersect(elseSt)
-				*st = *thenSt
-			}
-			return false
-		}
-		if !thenTerm {
-			st.intersect(thenSt)
+		elseTerm := w.walkStmt(s.Else, st)
+		switch {
+		case thenTerm && elseTerm:
+			return true
+		case elseTerm:
+			*st = *thenSt
+		case !thenTerm:
+			st.merge(thenSt)
 		}
 		return false
 	case *ast.ForStmt:
@@ -685,14 +754,14 @@ func (w *lockWalker) walkStmt(s ast.Stmt, st *lockState) (terminated bool) {
 		bodySt := st.clone()
 		if !w.walkStmt(s.Body, bodySt) {
 			w.walkStmt(s.Post, bodySt)
-			st.intersect(bodySt)
+			st.merge(bodySt)
 		}
 		return false
 	case *ast.RangeStmt:
 		w.scanExpr(s.X, st)
 		bodySt := st.clone()
 		if !w.walkStmt(s.Body, bodySt) {
-			st.intersect(bodySt)
+			st.merge(bodySt)
 		}
 		return false
 	case *ast.SwitchStmt:
@@ -708,9 +777,16 @@ func (w *lockWalker) walkStmt(s ast.Stmt, st *lockState) (terminated bool) {
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
 			w.scanExpr(r, st)
+			// A returned span is the caller's to finish.
+			ast.Inspect(r, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && spanPtr(w.info.TypeOf(id)) {
+					delete(st.owed, heldKey{root: w.info.ObjectOf(id)})
+				}
+				return true
+			})
 		}
 		if w.hooks.ret != nil {
-			w.hooks.ret(st, s.Pos())
+			w.hooks.ret(st, s.Pos(), false)
 		}
 		return true
 	case *ast.BranchStmt:
@@ -720,7 +796,7 @@ func (w *lockWalker) walkStmt(s ast.Stmt, st *lockState) (terminated bool) {
 		// the jump are checked where they occur).
 		return true
 	case *ast.DeferStmt:
-		w.walkDefer(s, st)
+		w.walkDefer(s.Call, st)
 		return false
 	case *ast.GoStmt:
 		for _, arg := range s.Call.Args {
@@ -728,11 +804,35 @@ func (w *lockWalker) walkStmt(s ast.Stmt, st *lockState) (terminated bool) {
 		}
 		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
 			w.walkNestedFunc(lit, st)
+		} else {
+			w.scanExpr(s.Call.Fun, st)
 		}
 		return false
 	case *ast.LabeledStmt:
 		return w.walkStmt(s.Stmt, st)
-	case *ast.ExprStmt, *ast.AssignStmt, *ast.IncDecStmt, *ast.SendStmt, *ast.DeclStmt:
+	case *ast.AssignStmt:
+		w.scanExpr(s, st)
+		w.bind(s.Lhs, s.Rhs, st)
+		return false
+	case *ast.DeclStmt:
+		w.scanExpr(s, st)
+		if gd, ok := s.Decl.(*ast.GenDecl); ok {
+			for _, spec := range gd.Specs {
+				if vs, ok := spec.(*ast.ValueSpec); ok {
+					lhs := make([]ast.Expr, len(vs.Names))
+					for i, id := range vs.Names {
+						lhs[i] = id
+					}
+					w.bind(lhs, vs.Values, st)
+				}
+			}
+		}
+		return false
+	case *ast.ExprStmt:
+		w.scanExpr(s, st)
+		call, ok := ast.Unparen(s.X).(*ast.CallExpr)
+		return ok && calleeName(call) == "panic"
+	case *ast.IncDecStmt, *ast.SendStmt:
 		w.scanExpr(s, st)
 		return false
 	}
@@ -742,8 +842,8 @@ func (w *lockWalker) walkStmt(s ast.Stmt, st *lockState) (terminated bool) {
 // walkClauses interprets switch/select clause bodies from a shared
 // entry state and merges the non-terminating exits. Without a default
 // (or for select, always) the fall-past path keeps the entry state.
-func (w *lockWalker) walkClauses(body *ast.BlockStmt, st *lockState, isSelect bool) bool {
-	var exits []*lockState
+func (w *flowWalker) walkClauses(body *ast.BlockStmt, st *flowState, isSelect bool) bool {
+	var exits []*flowState
 	hasDefault := false
 	allTerm := true
 	for _, cl := range body.List {
@@ -777,73 +877,140 @@ func (w *lockWalker) walkClauses(body *ast.BlockStmt, st *lockState, isSelect bo
 	if len(exits) > 0 {
 		merged := exits[0]
 		for _, e := range exits[1:] {
-			merged.intersect(e)
+			merged.merge(e)
 		}
 		if !covered {
-			merged.intersect(st)
+			merged.merge(st)
 		}
 		*st = *merged
 	}
 	return false
 }
 
-// walkDefer handles a defer statement: a deferred unlock (direct or
-// inside a deferred closure) marks the lock released-on-exit; a
-// deferred closure body is then interpreted as its own function.
-func (w *lockWalker) walkDefer(s *ast.DeferStmt, st *lockState) {
-	call := s.Call
-	if lockExpr, acquire, _, _, ok := lockCall(w.info, call); ok {
-		if !acquire {
-			if key, keyOK := keyOf(w.info, lockExpr); keyOK {
-				if l := st.held[key]; l != nil {
-					l.deferred = true
-				}
-			}
+// walkDefer handles a deferred call: a deferred release (direct or
+// inside a deferred closure) pays its debt on every outgoing path; a
+// deferred closure body is then interpreted as its own function, and
+// the operands of any other deferred call are evaluated now.
+func (w *flowWalker) walkDefer(call *ast.CallExpr, st *flowState) {
+	lit, ok := call.Fun.(*ast.FuncLit)
+	if !ok {
+		if key, ok := releaseKey(w.info, call); ok {
+			delete(st.owed, key)
+			return
+		}
+		w.scanExpr(call.Fun, st)
+		for _, arg := range call.Args {
+			w.scanExpr(arg, st)
 		}
 		return
 	}
-	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		// Unlocks of currently-held locks inside the deferred closure
-		// release them on every outgoing path.
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if inner, ok := n.(*ast.FuncLit); ok && inner != lit {
-				return false
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			if key, ok := releaseKey(w.info, n); ok {
+				delete(st.owed, key)
 			}
-			c, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if lockExpr, acquire, _, _, ok := lockCall(w.info, c); ok && !acquire {
-				if key, keyOK := keyOf(w.info, lockExpr); keyOK {
-					if l := st.held[key]; l != nil {
-						l.deferred = true
-					}
-				}
-			}
-			return true
-		})
-		w.walkNestedFunc(lit, st)
-		return
-	}
-	// Arguments of a deferred call are evaluated now.
-	for _, arg := range call.Args {
-		w.scanExpr(arg, st)
-	}
+		}
+		return true
+	})
+	w.walkNestedFunc(lit, st)
 }
 
 // walkNestedFunc interprets a function literal under a snapshot of the
 // current state: closures invoked inline (sort comparators, ForEach
-// callbacks) run under the caller's locks. Inherited locks are demoted
-// to not-acquired-here so the literal's own return paths only answer
-// for locks it acquired itself. (For `go` literals this inherits locks
+// callbacks) run under the caller's locks and nil guards. The literal
+// owes nothing at entry, so its own return paths only answer for what
+// it acquires or starts itself. (For `go` literals this inherits locks
 // the goroutine will not actually hold — lenient, never a false
 // positive.)
-func (w *lockWalker) walkNestedFunc(lit *ast.FuncLit, st *lockState) {
+func (w *flowWalker) walkNestedFunc(lit *ast.FuncLit, st *flowState) {
 	inner := st.clone()
-	for _, l := range inner.held {
-		l.acquiredHere = false
-	}
+	inner.owed = make(map[heldKey]*debt)
 	w.walkFuncBody(lit.Body, inner)
+}
+
+// bind records what an assignment (or var declaration) binds: a span
+// start bound to a named variable incurs its Finish, a span variable on
+// the right-hand side is handed off, and a variable bound to &T{...} is
+// non-nil until its next binding.
+func (w *flowWalker) bind(lhs, rhs []ast.Expr, st *flowState) {
+	for i, l := range lhs {
+		id, ok := l.(*ast.Ident)
+		if !ok || id.Name == "_" {
+			continue
+		}
+		obj := w.info.ObjectOf(id)
+		delete(st.nonNil, obj)
+		if len(lhs) != len(rhs) {
+			continue
+		}
+		r := ast.Unparen(rhs[i])
+		if call, ok := r.(*ast.CallExpr); ok && spanPtr(w.info.TypeOf(call)) {
+			st.owed[heldKey{root: obj}] = &debt{kind: debtFinish, call: call}
+		}
+		if u, ok := r.(*ast.UnaryExpr); ok && u.Op == token.AND {
+			if _, ok := ast.Unparen(u.X).(*ast.CompositeLit); ok {
+				st.nonNil[obj] = true
+			}
+		}
+	}
+	for _, r := range rhs {
+		if id, ok := ast.Unparen(r).(*ast.Ident); ok && spanPtr(w.info.TypeOf(id)) {
+			delete(st.owed, heldKey{root: w.info.ObjectOf(id)})
+		}
+	}
+}
+
+// assume records what cond evaluating to want proves: the `x != nil`
+// conjuncts of a true condition and the `x == nil` disjuncts of a false
+// one make x non-nil; the mirror cases prove x nil, which pays the debt
+// of a span variable holding no span.
+func (w *flowWalker) assume(cond ast.Expr, want bool, st *flowState) {
+	e, ok := ast.Unparen(cond).(*ast.BinaryExpr)
+	if !ok {
+		return
+	}
+	switch e.Op {
+	case token.LAND, token.LOR:
+		if want == (e.Op == token.LAND) {
+			w.assume(e.X, want, st)
+			w.assume(e.Y, want, st)
+		}
+	case token.EQL, token.NEQ:
+		obj := nilCompared(w.info, e)
+		switch {
+		case obj == nil:
+		case want == (e.Op == token.NEQ):
+			st.nonNil[obj] = true
+		default:
+			delete(st.nonNil, obj)
+			delete(st.owed, heldKey{root: obj})
+		}
+	}
+}
+
+// nilCompared returns the variable of `x == nil`, `nil != x` and the
+// like, or nil when bin compares no variable against nil.
+func nilCompared(info *types.Info, bin *ast.BinaryExpr) types.Object {
+	isNil := func(e ast.Expr) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		return ok && info.ObjectOf(id) == types.Universe.Lookup("nil")
+	}
+	x := bin.X
+	switch {
+	case isNil(bin.X):
+		x = bin.Y
+	case !isNil(bin.Y):
+		return nil
+	}
+	if id, ok := ast.Unparen(x).(*ast.Ident); ok {
+		if v, ok := info.ObjectOf(id).(*types.Var); ok {
+			return v
+		}
+	}
+	return nil
 }
 
 // keyOf is exprKey with the root/path pair packed into a heldKey.
@@ -855,61 +1022,78 @@ func keyOf(info *types.Info, e ast.Expr) (heldKey, bool) {
 	return heldKey{root: root, path: path}, true
 }
 
+// releaseKey matches a call that pays a debt — Unlock/RUnlock of a
+// mutex, Finish/FinishWithDuration of a span, Done of a WaitGroup — and
+// returns the key of what it releases.
+func releaseKey(info *types.Info, call *ast.CallExpr) (heldKey, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return heldKey{}, false
+	}
+	t := info.TypeOf(sel.X)
+	switch sel.Sel.Name {
+	case "Unlock", "RUnlock":
+		_, ok = mutexType(t)
+	case "Finish", "FinishWithDuration":
+		ok = spanPtr(t)
+	case "Done":
+		ok = waitGroupType(t)
+	default:
+		ok = false
+	}
+	if !ok {
+		return heldKey{}, false
+	}
+	return keyOf(info, sel.X)
+}
+
 // scanExpr interprets one simple statement or expression in evaluation
-// order: lock calls mutate the state, field selectors fire the access
-// hook, nested function literals are interpreted under a state
+// order: lock and release calls mutate the state, selectors fire the
+// selector hook, nested function literals are interpreted under a state
 // snapshot.
-func (w *lockWalker) scanExpr(n ast.Node, st *lockState) {
+func (w *flowWalker) scanExpr(n ast.Node, st *flowState) {
 	if n == nil {
 		return
 	}
 	writes := make(map[ast.Node]bool)
 	markWrites(n, writes)
-	w.scanNode(n, st, writes)
-}
-
-func (w *lockWalker) scanNode(n ast.Node, st *lockState, writes map[ast.Node]bool) {
 	ast.Inspect(n, func(c ast.Node) bool {
 		switch c := c.(type) {
 		case *ast.FuncLit:
 			w.walkNestedFunc(c, st)
 			return false
 		case *ast.CallExpr:
-			if lockExpr, acquire, write, rw, ok := lockCall(w.info, c); ok {
-				w.applyLockCall(lockExpr, acquire, write, rw, c.Pos(), st)
-				return false
+			lockExpr, acquire, write, isLock := lockCall(w.info, c)
+			if isLock && acquire {
+				w.acquire(c, lockExpr, write, st)
 			}
-			return true
+			if key, ok := releaseKey(w.info, c); ok {
+				delete(st.held, key)
+				delete(st.owed, key)
+			}
+			return !isLock
 		case *ast.SelectorExpr:
-			if fld := fieldVarOf(w.info, c); fld != nil && w.hooks.access != nil {
-				w.hooks.access(c, fld, writes[c], st)
+			if w.hooks.selector != nil {
+				w.hooks.selector(c, fieldVarOf(w.info, c), writes[c], st)
 			}
-			return true
 		}
 		return true
 	})
 }
 
-func (w *lockWalker) applyLockCall(lockExpr ast.Expr, acquire, write, rw bool, pos token.Pos, st *lockState) {
+// acquire records a Lock/RLock: the lock is held and its Unlock owed.
+func (w *flowWalker) acquire(call *ast.CallExpr, lockExpr ast.Expr, write bool, st *flowState) {
+	l := &heldLock{class: classOf(w.info, lockExpr), write: write, pos: call.Pos()}
 	key, keyOK := keyOf(w.info, lockExpr)
-	if acquire {
-		l := &heldLock{
-			class: classOf(w.info, lockExpr), rw: rw, write: write,
-			acquiredHere: true, pos: pos,
-		}
-		if keyOK {
-			l.key = key
-		}
-		if w.hooks.acquire != nil {
-			w.hooks.acquire(l, st.list())
-		}
-		if keyOK {
-			st.held[key] = l
-		}
-		return
+	if keyOK {
+		l.key = key
+	}
+	if w.hooks.acquire != nil {
+		w.hooks.acquire(l, st.list())
 	}
 	if keyOK {
-		delete(st.held, key)
+		st.held[key] = l
+		st.owed[key] = &debt{kind: debtUnlock, class: l.class, call: call}
 	}
 }
 

@@ -41,22 +41,11 @@ type lockOrderDecl struct {
 func runLockOrder(p *Pass) {
 	order := collectLockOrder(p)
 	ann := collectLockAnnotations(p, nil) // lockcheck reports malformed annotations
-	info := p.Pkg.Info
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			w := &lockWalker{info: info}
-			w.hooks = lockHooks{
-				acquire: func(l *heldLock, prior []*heldLock) {
-					checkAcquisition(p, order, l, prior)
-				},
-			}
-			w.walkFuncBody(fd.Body, entryState(ann, fd))
-		}
-	}
+	walkFuncs(p, ann, func(*ast.BlockStmt) flowHooks {
+		return flowHooks{acquire: func(l *heldLock, prior []*heldLock) {
+			checkAcquisition(p, order, l, prior)
+		}}
+	})
 }
 
 func checkAcquisition(p *Pass, order *lockOrderDecl, l *heldLock, prior []*heldLock) {

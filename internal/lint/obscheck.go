@@ -26,8 +26,26 @@ func runObsCheck(p *Pass) {
 	}
 	for _, f := range p.Pkg.Files {
 		checkMetricsFields(p, f)
-		checkNilGuards(p, f)
 	}
+	info := p.Pkg.Info
+	walkFuncs(p, nil, func(*ast.BlockStmt) flowHooks {
+		return flowHooks{selector: func(sel *ast.SelectorExpr, _ *types.Var, _ bool, st *flowState) {
+			// A dereference of a metrics pointer the walk has not proven
+			// non-nil on every path here. Guards around a closure hold
+			// inside it: metrics pointers are loaded once into locals.
+			id, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return
+			}
+			v, ok := info.ObjectOf(id).(*types.Var)
+			if !ok || !metricsStructPtr(v.Type()) || st.nonNil[v] {
+				return
+			}
+			p.ReportHintf(sel.Pos(),
+				"metrics pointers are nil when no collector is attached; wrap the use in `if "+id.Name+" != nil { ... }` (or early-return on nil)",
+				"possibly-nil metrics pointer %q dereferenced without a nil guard", id.Name)
+		}}
+	})
 }
 
 // checkMetricsFields flags plain struct fields whose type is a pointer to
@@ -49,138 +67,4 @@ func checkMetricsFields(p *Pass, f *ast.File) {
 		}
 		return true
 	})
-}
-
-// checkNilGuards flags dereferences of metrics-struct pointers that no
-// dominating nil check protects.
-func checkNilGuards(p *Pass, f *ast.File) {
-	info := p.Pkg.Info
-	nonNil := provablyNonNilVars(info, f)
-	walkStack(f, func(n ast.Node, stack []ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := info.ObjectOf(id)
-		if obj == nil {
-			return true
-		}
-		if _, isVar := obj.(*types.Var); !isVar {
-			return true
-		}
-		if !metricsStructPtr(obj.Type()) {
-			return true
-		}
-		if nonNil[obj] || nilGuarded(info, n, obj, stack) {
-			return true
-		}
-		p.ReportHintf(sel.Pos(),
-			"metrics pointers are nil when no collector is attached; wrap the use in `if "+id.Name+" != nil { ... }` (or early-return on nil)",
-			"possibly-nil metrics pointer %q dereferenced without a nil guard", id.Name)
-		return true
-	})
-}
-
-// provablyNonNilVars collects variables every assignment of which is the
-// address of a composite literal — `m := &metrics{...}` cannot be nil, so
-// the construction site in SetCollector needs no guard.
-func provablyNonNilVars(info *types.Info, f *ast.File) map[types.Object]bool {
-	sources := make(map[types.Object][]ast.Expr)
-	record := func(lhs ast.Expr, rhs ast.Expr) {
-		id, ok := lhs.(*ast.Ident)
-		if !ok {
-			return
-		}
-		obj := info.ObjectOf(id)
-		if obj == nil {
-			return
-		}
-		sources[obj] = append(sources[obj], rhs)
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if len(n.Lhs) == len(n.Rhs) {
-				for i := range n.Lhs {
-					record(n.Lhs[i], n.Rhs[i])
-				}
-			}
-		case *ast.ValueSpec:
-			if len(n.Names) == len(n.Values) {
-				for i := range n.Names {
-					record(n.Names[i], n.Values[i])
-				}
-			}
-		}
-		return true
-	})
-	out := make(map[types.Object]bool)
-	for obj, rhss := range sources {
-		ok := true
-		for _, rhs := range rhss {
-			u, isUnary := ast.Unparen(rhs).(*ast.UnaryExpr)
-			if !isUnary {
-				ok = false
-				break
-			}
-			if _, isLit := u.X.(*ast.CompositeLit); !isLit {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out[obj] = true
-		}
-	}
-	return out
-}
-
-// nilGuarded reports whether a dominating check proves obj is non-nil at
-// n: an enclosing `if obj != nil` (or the else branch of `if obj == nil`),
-// or an earlier `if obj == nil { return/continue/... }` in a statement
-// list on the path to n.
-func nilGuarded(info *types.Info, n ast.Node, obj types.Object, stack []ast.Node) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch anc := stack[i].(type) {
-		case *ast.IfStmt:
-			if within(n, anc.Body) && guaranteesNonNil(info, anc.Cond, obj) {
-				return true
-			}
-			if anc.Else != nil && within(n, anc.Else) && triggersOnNil(info, anc.Cond, obj) {
-				return true
-			}
-		case *ast.FuncLit:
-			// A closure may run long after the guards around its creation
-			// ceased to hold — but metrics pointers are immutable locals,
-			// so a lexical guard outside the closure still proves the
-			// pointer non-nil inside it. Keep walking outward.
-		default:
-			for _, list := range stmtLists(stack[i]) {
-				for _, stmt := range list {
-					if !before(stmt, n) {
-						break
-					}
-					ifs, ok := stmt.(*ast.IfStmt)
-					if ok && triggersOnNil(info, ifs.Cond, obj) && terminates(ifs.Body) {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return false
-}
-
-// within reports whether n lies inside node's source range.
-func within(n, node ast.Node) bool {
-	return node.Pos() <= n.Pos() && n.Pos() < node.End()
-}
-
-// before reports whether stmt ends before n starts.
-func before(stmt ast.Stmt, n ast.Node) bool {
-	return stmt.End() <= n.Pos()
 }

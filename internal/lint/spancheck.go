@@ -10,15 +10,15 @@ import (
 // starts a span (obs.StartSpan, Collector.StartTrace, Tracer.Start,
 // Span.Child — any call returning *obs.Span) must finish it. An
 // unfinished span from a tracer is a trace that never publishes; an
-// unfinished child never records its duration. The check is lexical, in
-// the spirit of the other analyzers: a span-typed call result must be
-// bound to a variable (not discarded), and every return statement after
-// the start — plus the fall-off-the-end path — must be preceded by a
-// Finish/FinishWithDuration on that variable, by a `defer` of one
-// (directly or inside a deferred function literal), or by returning the
-// span itself (ownership transfer). Binding the span to another variable
-// or a field transfers ownership out of the analyzer's sight and is not
-// checked. False positives are silenced with //pqlint:allow spancheck.
+// unfinished child never records its duration. A span-typed call result
+// must be bound to a variable (not discarded), and the flow walk then
+// holds every path out of the function — each return and the fall off
+// the end — to a Finish/FinishWithDuration on that variable, a `defer`
+// of one (directly or inside a deferred function literal), a nil check
+// that proves no span was started, or returning the span itself
+// (ownership transfer). Binding the span to another variable or a field
+// transfers ownership out of the analyzer's sight and is not checked.
+// False positives are silenced with //pqlint:allow spancheck.
 var SpanCheck = &Analyzer{
 	Name: "spancheck",
 	Doc:  "every started span must be finished on all return paths (defer or per-branch)",
@@ -32,40 +32,46 @@ func runSpanCheck(p *Pass) {
 		return
 	}
 	for _, f := range p.Pkg.Files {
-		checkSpanOwnership(p, f)
+		checkSpanBinding(p, f)
 	}
+	walkFuncs(p, nil, func(*ast.BlockStmt) flowHooks {
+		return flowHooks{ret: func(st *flowState, pos token.Pos, end bool) {
+			for key, d := range st.owed {
+				if d.kind != debtFinish {
+					continue
+				}
+				name := key.root.Name()
+				hint := "call " + name + ".Finish() before returning, or defer it right after the span starts"
+				if end {
+					p.ReportHintf(d.call.Pos(), hint,
+						"span %q started from %s() is never finished before the function falls off the end", name, calleeName(d.call))
+				} else {
+					p.ReportHintf(pos, hint,
+						"span %q started from %s() is not finished on this return path", name, calleeName(d.call))
+				}
+			}
+		}}
+	})
 }
 
-// spanStart is one span-creating call bound to a variable inside fn.
-type spanStart struct {
-	fn   ast.Node // *ast.FuncDecl or *ast.FuncLit owning the creation
-	obj  types.Object
-	call *ast.CallExpr
-}
-
-func checkSpanOwnership(p *Pass, f *ast.File) {
+// checkSpanBinding reports span-starting calls inside functions whose
+// result is discarded or not bound to a single variable: the flow walk
+// can only hold a named variable to its Finish.
+func checkSpanBinding(p *Pass, f *ast.File) {
 	info := p.Pkg.Info
-	var starts []spanStart
 	walkStack(f, func(n ast.Node, stack []ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || !spanPtr(info.TypeOf(call)) {
-			return true
-		}
-		fn := enclosingFunc(stack)
-		if fn == nil {
+		if !ok || !spanPtr(info.TypeOf(call)) || enclosingFunc(stack) == nil {
 			return true
 		}
 		// How is the result consumed? The direct parent decides.
-		parent := stack[len(stack)-1]
-		switch pn := parent.(type) {
+		switch pn := stack[len(stack)-1].(type) {
 		case *ast.AssignStmt:
-			if obj := singleAssignTarget(info, pn, call); obj != nil {
-				starts = append(starts, spanStart{fn: fn, obj: obj, call: call})
-				return true
+			if singleAssignTarget(info, pn, call) == nil {
+				p.ReportHintf(call.Pos(),
+					"bind the span to its own variable so each return path can finish it",
+					"span from %s() is not bound to a single variable; its Finish cannot be checked", calleeName(call))
 			}
-			p.ReportHintf(call.Pos(),
-				"bind the span to its own variable so each return path can finish it",
-				"span from %s() is not bound to a single variable; its Finish cannot be checked", calleeName(call))
 		case *ast.ExprStmt:
 			p.ReportHintf(call.Pos(),
 				"assign the result and call Finish on it (or defer it)",
@@ -75,88 +81,6 @@ func checkSpanOwnership(p *Pass, f *ast.File) {
 		// pass the span along; the receiver owns finishing it.
 		return true
 	})
-	for _, st := range starts {
-		checkSpanFinished(p, f, st)
-	}
-}
-
-// checkSpanFinished verifies one bound span: a defer covers every path;
-// otherwise each return statement after the start (and the implicit
-// return at the end of a non-terminating body) needs a lexically
-// preceding finish call on the variable.
-func checkSpanFinished(p *Pass, f *ast.File, st spanStart) {
-	body := funcBody(st.fn)
-	if body == nil {
-		return
-	}
-	info := p.Pkg.Info
-	var deferred, escaped bool
-	var finishes []token.Pos
-	var returns []*ast.ReturnStmt
-	walkStack(f, func(n ast.Node, stack []ast.Node) bool {
-		if isFunc(n) && n != st.fn {
-			// Descend through ancestors to reach st.fn, but do not enter
-			// nested function literals: their return paths (and any finish
-			// inside them, unless deferred) prove nothing about this
-			// function's.
-			return nodeWithin(st.fn, n)
-		}
-		if !nodeWithin(n, st.fn) {
-			return true
-		}
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			if callsFinish(info, n.Call, st.obj) || containsFinish(info, n.Call, st.obj) {
-				deferred = true
-			}
-		case *ast.CallExpr:
-			if callsFinish(info, n, st.obj) {
-				finishes = append(finishes, n.Pos())
-			}
-		case *ast.ReturnStmt:
-			for _, res := range n.Results {
-				if mentionsObj(info, res, st.obj) {
-					escaped = true
-				}
-			}
-			returns = append(returns, n)
-		case *ast.AssignStmt:
-			// Re-binding the span (alias, field store) transfers ownership
-			// beyond lexical reach.
-			for _, rhs := range n.Rhs {
-				if id, ok := ast.Unparen(rhs).(*ast.Ident); ok && info.ObjectOf(id) == st.obj {
-					escaped = true
-				}
-			}
-		}
-		return true
-	})
-	if deferred || escaped {
-		return
-	}
-	start := st.call.End()
-	covered := func(at token.Pos) bool {
-		for _, fp := range finishes {
-			if fp > start && fp < at {
-				return true
-			}
-		}
-		return false
-	}
-	hint := "call " + st.obj.Name() + ".Finish() before returning, or defer it right after the span starts"
-	for _, r := range returns {
-		if r.Pos() <= start {
-			continue
-		}
-		if !covered(r.Pos()) {
-			p.ReportHintf(r.Pos(), hint,
-				"span %q started from %s() is not finished on this return path", st.obj.Name(), calleeName(st.call))
-		}
-	}
-	if !terminates(body) && !covered(body.End()) {
-		p.ReportHintf(st.call.Pos(), hint,
-			"span %q started from %s() is never finished before the function falls off the end", st.obj.Name(), calleeName(st.call))
-	}
 }
 
 // spanPtr reports whether t is *obs.Span.
@@ -171,42 +95,6 @@ func spanPtr(t types.Type) bool {
 	}
 	obj := named.Obj()
 	return obj.Name() == "Span" && obj.Pkg() != nil && pathWithin(obj.Pkg().Path(), "internal/obs")
-}
-
-// callsFinish reports whether call is obj.Finish(...) or
-// obj.FinishWithDuration(...).
-func callsFinish(info *types.Info, call *ast.CallExpr, obj types.Object) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Finish" && sel.Sel.Name != "FinishWithDuration") {
-		return false
-	}
-	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	return ok && info.ObjectOf(id) == obj
-}
-
-// containsFinish reports whether any descendant of n (e.g. the body of a
-// deferred function literal) finishes obj.
-func containsFinish(info *types.Info, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(c ast.Node) bool {
-		if call, ok := c.(*ast.CallExpr); ok && callsFinish(info, call, obj) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// mentionsObj reports whether expr references obj anywhere.
-func mentionsObj(info *types.Info, expr ast.Expr, obj types.Object) bool {
-	found := false
-	ast.Inspect(expr, func(c ast.Node) bool {
-		if id, ok := c.(*ast.Ident); ok && info.ObjectOf(id) == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // singleAssignTarget returns the variable object the call's result is
@@ -234,19 +122,12 @@ func singleAssignTarget(info *types.Info, as *ast.AssignStmt, call *ast.CallExpr
 // the stack, or nil at file scope.
 func enclosingFunc(stack []ast.Node) ast.Node {
 	for i := len(stack) - 1; i >= 0; i-- {
-		if isFunc(stack[i]) {
+		switch stack[i].(type) {
+		case *ast.FuncDecl, *ast.FuncLit:
 			return stack[i]
 		}
 	}
 	return nil
-}
-
-func isFunc(n ast.Node) bool {
-	switch n.(type) {
-	case *ast.FuncDecl, *ast.FuncLit:
-		return true
-	}
-	return false
 }
 
 func funcBody(n ast.Node) *ast.BlockStmt {
@@ -257,9 +138,4 @@ func funcBody(n ast.Node) *ast.BlockStmt {
 		return n.Body
 	}
 	return nil
-}
-
-// nodeWithin reports whether n lies inside container's source range.
-func nodeWithin(n, container ast.Node) bool {
-	return n.Pos() >= container.Pos() && n.End() <= container.End()
 }

@@ -195,3 +195,14 @@ func (s *counterShard) deferredClosureUnlock(k string) int {
 func (b *broken) use() int {
 	return b.count
 }
+
+// unlockOneBranch releases the lock on one branch only: the skipped
+// path still owes the unlock, and owed releases merge by union.
+func (s *counterShard) unlockOneBranch(k string, drop bool) int {
+	s.mu.Lock()
+	v := s.vals[k]
+	if drop {
+		s.mu.Unlock()
+	}
+	return v // want `counterShard\.mu acquired at line \d+ is still held when the function returns here`
+}

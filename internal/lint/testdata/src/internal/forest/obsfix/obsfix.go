@@ -86,3 +86,30 @@ func newMetrics(c *obs.Collector) *metrics {
 	m.lookups.Inc()
 	return m
 }
+
+// A re-load after the guard may be nil again: the guard proved only the
+// value it checked.
+func (x *goodIndex) reloadedAfterGuard() {
+	m := x.m.Load()
+	if m == nil {
+		return
+	}
+	m = x.m.Load()
+	m.lookups.Inc() // want `possibly-nil metrics pointer "m" dereferenced without a nil guard`
+}
+
+// A nil disjunct of an early return's condition guards what follows.
+func guardedDisjunction(m *metrics, off bool) {
+	if m == nil || off {
+		return
+	}
+	m.lookups.Inc()
+}
+
+// A panic on nil leaves the function as surely as a return.
+func guardedPanic(m *metrics) {
+	if m == nil {
+		panic("no metrics")
+	}
+	m.lookups.Inc()
+}

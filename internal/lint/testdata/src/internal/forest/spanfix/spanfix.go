@@ -100,3 +100,43 @@ func allowedLeak() {
 	sp := obs.StartSpan("allowed") //pqlint:allow spancheck — intentionally unfinished in this fixture
 	sp.SetAttr("n", 1)
 }
+
+// Finishing on one branch only leaves the other path's span open.
+func badFinishOneBranch(cond bool) int {
+	sp := obs.StartSpan("bad.onebranch")
+	if cond {
+		sp.Finish()
+	}
+	return 0 // want `span "sp" started from StartSpan\(\) is not finished on this return path`
+}
+
+// A nil check that proves no span was started covers the skipped path.
+func goodNilChecked(col *obs.Collector) {
+	if sp := col.StartTrace("good.nilchecked"); sp != nil {
+		sp.Finish()
+	}
+}
+
+// A span started only when tracing is on, finished under the same nil
+// check: the skipped path never held a span.
+func goodConditionalStart(col *obs.Collector, on bool) int {
+	var sp *obs.Span
+	if on {
+		sp = col.StartTrace("good.conditional")
+	}
+	n := 1
+	if sp != nil {
+		sp.SetAttr("n", int64(n))
+		sp.Finish()
+	}
+	return n
+}
+
+// A package-level function literal is held to the same contract.
+var badPackageLevel = func(cond bool) {
+	sp := obs.StartSpan("bad.pkglevel")
+	if cond {
+		return // want `span "sp" started from StartSpan\(\) is not finished on this return path`
+	}
+	sp.Finish()
+}

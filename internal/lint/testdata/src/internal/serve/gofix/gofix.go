@@ -109,3 +109,14 @@ func doneOnAllPaths(wg *sync.WaitGroup, cond bool) {
 func unresolvable() {
 	go println("x") // want `goroutine has no provable join or shutdown path \(target is not declared in this package\)`
 }
+
+// doneOneBranch: the Done runs on one branch only, so the goroutine
+// can return without it.
+func doneOneBranch(wg *sync.WaitGroup, cond bool) {
+	wg.Add(1)
+	go func() { // want `goroutine has no provable join or shutdown path`
+		if cond {
+			wg.Done()
+		}
+	}()
+}

@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pqgram/internal/forest"
@@ -140,12 +142,26 @@ func TestSaveFileAllOrNothing(t *testing.T) {
 	oldBytes := snapshotBytes(t, oldF)
 	newBytes := snapshotBytes(t, newF)
 
-	// Count the ops of one replacement.
-	probe := fsio.NewFaultFS(fsio.NewMemFS())
+	// Count the ops of one replacement, and find the rename among them:
+	// every op before it succeeds and records exactly one trace entry, so
+	// fault op n is trace entry n-1 up to and including the rename.
+	probeMem := fsio.NewMemFS()
+	probe := fsio.NewFaultFS(probeMem)
 	if err := SaveFileFS(probe, "x.pqg", newF); err != nil {
 		t.Fatal(err)
 	}
 	total := probe.Ops()
+	trace := probeMem.Trace()
+	renameOp := int64(0)
+	for i, op := range trace {
+		if op.Kind == fsio.OpRename {
+			renameOp = int64(i) + 1
+			break
+		}
+	}
+	if renameOp == 0 {
+		t.Fatal("probe replacement issued no rename")
+	}
 
 	for n := int64(1); n <= total; n++ {
 		mem := fsio.NewMemFS()
@@ -166,7 +182,12 @@ func TestSaveFileAllOrNothing(t *testing.T) {
 				t.Fatalf("op %d: SaveFile reported success but old snapshot survived", n)
 			}
 		case bytes.Equal(got, newBytes):
-			// New snapshot in place; the error (if any) hit after the rename.
+			// New snapshot in place. Success is only honest when the
+			// failed op came at or after the rename: a failure before it
+			// (a temp-file write or its fsync) must be reported.
+			if err == nil && n < renameOp {
+				t.Fatalf("op %d (%s, before the rename) failed but SaveFile reported success", n, trace[n-1].Kind)
+			}
 		default:
 			t.Fatalf("op %d: snapshot is neither old nor new (%d bytes)", n, len(got))
 		}
@@ -384,6 +405,43 @@ func TestAddAllFailureLeavesNoRecords(t *testing.T) {
 			if n := mem.OpenHandles(); n != 0 {
 				t.Fatalf("%s@%d: %d handles leaked", name, k, n)
 			}
+		}
+	}
+}
+
+// TestSyncedAppendFsyncFailure fails the fsync of one synced journal
+// append. The ordered MemFS keeps every written byte whether or not the
+// fsync succeeded, so only the store's own handling can lose the
+// record: the Put must return the error, the store must refuse the next
+// mutation as poisoned, and a reopen must not hold the document.
+func TestSyncedAppendFsyncFailure(t *testing.T) {
+	mem := fsio.NewMemFS()
+	ffs := fsio.NewFaultFS(mem)
+	s, err := CreateSegmentedFS(ffs, "idx.pqg", p33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetSync(true)
+	// The Put journals one append: its single write, then its fsync.
+	ffs.FailOp(2, fsio.ErrIO)
+	if _, err := s.Put("a", tree.MustParse("r(x y)")); !errors.Is(err, fsio.ErrIO) {
+		t.Fatalf("Put with a failed journal fsync returned %v, want %v", err, fsio.ErrIO)
+	}
+	if got := ffs.Injected(); got != 1 {
+		t.Fatalf("%d faults injected, want 1", got)
+	}
+	if _, err := s.Put("b", tree.MustParse("r(z)")); err == nil || !strings.Contains(err.Error(), "unusable after earlier failure") {
+		t.Fatalf("mutation after a failed fsync returned %v, want the poisoned-store error", err)
+	}
+	s.Close()
+	re, err := OpenSegmentedFS(mem, "idx.pqg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for _, id := range []string{"a", "b"} {
+		if re.Forest().Has(id) {
+			t.Fatalf("reopen holds %q, whose Put was never acknowledged", id)
 		}
 	}
 }
