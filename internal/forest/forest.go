@@ -174,8 +174,9 @@ type Index struct {
 	free   []uint32     // guarded by mu
 	shards [numShards]shard
 
-	// obs is the attached instrumentation, nil when the index is not
-	// observed (the default). Hot paths load it once at entry; see
+	// obs is the attached instrumentation: handles resolved from the
+	// attached collector, or nil no-op handles when none is (the
+	// default). It is never nil. Hot paths load it once at entry; see
 	// metrics.go.
 	obs atomic.Pointer[metrics]
 
@@ -216,6 +217,7 @@ func New(pr profile.Params) *Index {
 	for i := range f.shards {
 		f.shards[i].postings = make(map[profile.LabelTuple][]posting)
 	}
+	f.SetCollector(nil)
 	return f
 }
 
@@ -296,9 +298,7 @@ func (f *Index) addIndexLocked(id string, idx profile.Index) error {
 		f.shardOf(lt).add(lt, e.doc, c)
 	}
 	f.epoch.Add(1)
-	if m := f.obs.Load(); m != nil {
-		m.adds.Inc()
-	}
+	f.obs.Load().adds.Inc()
 	return nil
 }
 
@@ -337,9 +337,7 @@ func (f *Index) removeLocked(id string) error {
 	f.docs[e.doc] = nil
 	f.free = append(f.free, e.doc)
 	f.epoch.Add(1)
-	if m := f.obs.Load(); m != nil {
-		m.removes.Inc()
-	}
+	f.obs.Load().removes.Inc()
 	return nil
 }
 
@@ -356,9 +354,7 @@ func (f *Index) Put(id string, t *tree.Tree) int {
 		f.removeLocked(id)
 	}
 	f.addIndexLocked(id, idx)
-	if m := f.obs.Load(); m != nil {
-		m.puts.Inc()
-	}
+	f.obs.Load().puts.Inc()
 	return n
 }
 
@@ -394,9 +390,7 @@ func (f *Index) bagCopyLocked(id string, e *treeEntry) (profile.Index, error) {
 	if e.idx != nil {
 		bag = bag.Clone()
 	}
-	if m := f.obs.Load(); m != nil {
-		m.bagCopyTuples.Add(int64(len(bag)))
-	}
+	f.obs.Load().bagCopyTuples.Add(int64(len(bag)))
 	return bag, err
 }
 
@@ -510,10 +504,7 @@ func (f *Index) ApplyDeltas(id string, iPlus, iMinus profile.Index, commit func(
 		}
 	}
 	m := f.obs.Load()
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	// Delta application runs under the registry *read* lock, concurrent
 	// with lookups, so the epoch is advanced on both sides of the change
 	// (seqlock-style): a lookup that observes the same epoch before and
@@ -542,12 +533,10 @@ func (f *Index) ApplyDeltas(id string, iPlus, iMinus profile.Index, commit func(
 		s.add(lt, e.doc, c)
 		s.mu.Unlock()
 	}
-	if m != nil {
-		m.updates.Inc()
-		m.updateGramsPlus.Add(int64(iPlus.Size()))
-		m.updateGramsMinus.Add(int64(iMinus.Size()))
-		m.updateNS.ObserveSince(t0)
-	}
+	m.updates.Inc()
+	m.updateGramsPlus.Add(int64(iPlus.Size()))
+	m.updateGramsMinus.Add(int64(iMinus.Size()))
+	m.updateNS.ObserveSince(t0)
 	return nil
 }
 
@@ -658,10 +647,7 @@ func (f *Index) Lookup(query *tree.Tree, tau float64) []Match {
 // nothing and reads nothing.
 func (f *Index) LookupIndex(q profile.Index, tau float64) []Match {
 	m := f.obs.Load()
-	var sp *obs.Span
-	if m != nil {
-		sp = m.col.StartTrace("forest.lookup")
-	}
+	sp := m.col.StartTrace("forest.lookup")
 	out, _ := f.lookupIndexSpanned(q, tau, m, sp)
 	sp.Finish()
 	return out
@@ -673,10 +659,7 @@ func (f *Index) LookupIndex(q profile.Index, tau float64) []Match {
 // API. Metric recording lives here too, so explained queries count like
 // any other.
 func (f *Index) lookupIndexSpanned(q profile.Index, tau float64, m *metrics, sp *obs.Span) ([]Match, string) {
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	qSize := q.Size()
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -685,11 +668,9 @@ func (f *Index) lookupIndexSpanned(q profile.Index, tau float64, m *metrics, sp 
 	out, plan := f.lookupLocked(q, qSize, tau, m, sp)
 	sp.SetAttr("plan", int64(planCode(plan)))
 	sp.SetAttr("matches", int64(len(out)))
-	if m != nil {
-		m.lookups.Inc()
-		m.lookupMatches.Add(int64(len(out)))
-		m.lookupNS.ObserveSince(t0)
-	}
+	m.lookups.Inc()
+	m.lookupMatches.Add(int64(len(out)))
+	m.lookupNS.ObserveSince(t0)
 	return out, plan
 }
 
@@ -697,8 +678,8 @@ func (f *Index) lookupIndexSpanned(q profile.Index, tau float64, m *metrics, sp 
 // and names the plan. Resident documents are read by the one accumulation
 // pass (accumulateLocked) and scored inside the size window; the storage
 // tier, if any, is planned run by run under the same bounds
-// (lookupRunsLocked). The metrics and the span are nil-safe; the
-// similarity join passes nil for both. It requires f.mu held (read
+// (lookupRunsLocked). The span is nil-safe; the similarity join passes
+// a nil span and detached metrics. It requires f.mu held (read
 // suffices).
 //
 //pqlint:locked f.mu:r
@@ -794,9 +775,7 @@ func (f *Index) overlapsLocked(q profile.Index, m *metrics, sp, scan *obs.Span) 
 		w.span.SetAttr("candidates", int64(len(sc.touched)-resident))
 		w.record(m)
 	}
-	if m != nil {
-		m.lookupCandidates.Add(int64(len(sc.touched)))
-	}
+	m.lookupCandidates.Add(int64(len(sc.touched)))
 	return sc
 }
 

@@ -1,8 +1,8 @@
-// Instrumentation of the forest index. Metrics are opt-in: SetCollector
-// resolves every handle once into a metrics struct behind an atomic
-// pointer, so the uninstrumented fast path costs a single nil check per
-// operation and the instrumented path records through preresolved pointers
-// without touching the registry.
+// Instrumentation of the forest index. SetCollector resolves every handle
+// once into a metrics struct behind an atomic pointer, so operations
+// record through preresolved handles without touching the registry. The
+// pointer is never nil; with no collector attached its handles are nil
+// no-ops (see package obs).
 
 package forest
 
@@ -12,9 +12,8 @@ import (
 	"pqgram/internal/obs"
 )
 
-// metrics holds the preresolved metric handles of one forest index. All
-// fields are nil-safe no-ops when unset, but in practice the struct is
-// either fully populated or the pointer to it is nil.
+// metrics holds the preresolved metric handles of one forest index: all
+// resolved from one collector, or all nil no-ops when none is attached.
 type metrics struct {
 	col *obs.Collector
 
@@ -60,12 +59,8 @@ type metrics struct {
 // Attaching also registers a computed "forest_stripe_load" metric that
 // reports the distribution of distinct tuples over the postings stripes at
 // snapshot time — the contention-visibility counterpart of the lock
-// striping.
+// striping. A nil collector resolves every handle to a nil no-op.
 func (f *Index) SetCollector(c *obs.Collector) {
-	if c == nil {
-		f.obs.Store(nil)
-		return
-	}
 	m := &metrics{
 		col:                 c,
 		lookups:             c.Counter("forest_lookups"),

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pqgram/internal/obs"
 	"pqgram/internal/profile"
 	"pqgram/internal/tree"
 )
@@ -108,10 +107,9 @@ func (f *Index) AddIndexes(ids []string, bags []profile.Index, workers int) erro
 	// One epoch advance per added document, matching AddIndex, so result
 	// caches see the same invalidation cadence either way.
 	f.epoch.Add(uint64(len(ids)))
-	if m := f.obs.Load(); m != nil {
-		m.bulkOps.Inc()
-		m.adds.Add(int64(len(ids)))
-	}
+	m := f.obs.Load()
+	m.bulkOps.Inc()
+	m.adds.Add(int64(len(ids)))
 	// Bucket each bag's tuples by shard (parallel over docs), then merge
 	// (parallel over shards). Each merge worker owns a disjoint set of
 	// stripes, so no shard locking is needed under the registry write
@@ -169,18 +167,16 @@ func (f *Index) AddIndexes(ids []string, bags []profile.Index, workers int) erro
 // For tau > 1 every pair qualifies and the join degenerates to all pairs.
 func (f *Index) SimilarityJoin(tau float64, workers int) (pairs []Pair) {
 	workers = normWorkers(workers)
-	var sp *obs.Span
-	if m := f.obs.Load(); m != nil {
-		sp = m.col.StartTrace("forest.join")
-		t0 := time.Now()
-		defer func() {
-			sp.SetAttr("pairs", int64(len(pairs)))
-			sp.Finish()
-			m.joins.Inc()
-			m.joinPairs.Add(int64(len(pairs)))
-			m.joinNS.ObserveSince(t0)
-		}()
-	}
+	m := f.obs.Load()
+	sp := m.col.StartTrace("forest.join")
+	t0 := time.Now()
+	defer func() {
+		sp.SetAttr("pairs", int64(len(pairs)))
+		sp.Finish()
+		m.joins.Inc()
+		m.joinPairs.Add(int64(len(pairs)))
+		m.joinNS.ObserveSince(t0)
+	}()
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	ids := f.idsLocked()
@@ -188,7 +184,10 @@ func (f *Index) SimilarityJoin(tau float64, workers int) (pairs []Pair) {
 	sp.SetAttr("workers", int64(workers))
 	// Documents are strided over the workers. Each worker queries with a
 	// copy of the document's bag that it owns, taken under the bag lock and
-	// released before the lookup.
+	// released before the lookup. The per-document lookups are the join's
+	// own work, so they record into detached metrics, not the lookup
+	// counters.
+	quiet := &metrics{}
 	outs := make([][]Pair, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -201,7 +200,7 @@ func (f *Index) SimilarityJoin(tau float64, workers int) (pairs []Pair) {
 				if err != nil {
 					panic(err) // a tier inconsistency; see Tier
 				}
-				ms, _ := f.lookupLocked(q, q.Size(), tau, nil, nil)
+				ms, _ := f.lookupLocked(q, q.Size(), tau, quiet, nil)
 				for _, m := range ms {
 					if m.TreeID > a {
 						outs[w] = append(outs[w], Pair{A: a, B: m.TreeID, Distance: m.Distance})

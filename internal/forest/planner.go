@@ -247,10 +247,8 @@ func (f *Index) scoreLocked(out []Match, sc *lookupScratch, docs []uint32, b *bo
 	prunedSize := int64(len(docs)) - examined
 	span.SetAttr("candidates", examined)
 	span.SetAttr("pruned_size", prunedSize)
-	if m != nil {
-		m.lookupCandidates.Add(examined)
-		m.lookupPrunedSize.Add(prunedSize)
-	}
+	m.lookupCandidates.Add(examined)
+	m.lookupPrunedSize.Add(prunedSize)
 	return out
 }
 
@@ -360,10 +358,8 @@ func (f *Index) lookupRunsLocked(out []Match, sc *lookupScratch, b *bounds, m *m
 	w.span.SetAttr("pruned_size", prunedSize)
 	w.span.SetAttr("pruned_abandon", abandoned)
 	w.record(m)
-	if m != nil {
-		m.lookupCandidates.Add(examined)
-		m.lookupPrunedSize.Add(prunedSize)
-		m.lookupPrunedAbandon.Add(abandoned)
-	}
+	m.lookupCandidates.Add(examined)
+	m.lookupPrunedSize.Add(prunedSize)
+	m.lookupPrunedAbandon.Add(abandoned)
 	return out
 }

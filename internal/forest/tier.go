@@ -196,9 +196,7 @@ func (f *Index) AddEvicted(id string, size, distinct int) (uint32, error) {
 	e := f.registerLocked(id, nil, size)
 	e.distinct = distinct
 	f.epoch.Add(1)
-	if m := f.obs.Load(); m != nil {
-		m.adds.Inc()
-	}
+	f.obs.Load().adds.Inc()
 	return e.doc, nil
 }
 
@@ -246,12 +244,10 @@ func (w *tierWork) record(m *metrics) {
 	w.span.SetAttr("runs_pruned", w.pruned)
 	w.span.SetAttr("runs_finished", w.finished)
 	w.span.Finish()
-	if m != nil {
-		m.bloomChecks.Add(w.checks)
-		m.bloomSkips.Add(w.skips)
-		m.tierSegmentsProbed.Add(w.probed)
-		m.tierPostingsScanned.Add(w.scanned)
-	}
+	m.bloomChecks.Add(w.checks)
+	m.bloomSkips.Add(w.skips)
+	m.tierSegmentsProbed.Add(w.probed)
+	m.tierPostingsScanned.Add(w.scanned)
 }
 
 // admitRunsLocked starts a lookup's tier read under a "tier" child of sp:

@@ -23,10 +23,7 @@ func (f *Index) LookupTopK(query *tree.Tree, k int) []Match {
 // LookupIndexTopK is LookupTopK for a precomputed query index.
 func (f *Index) LookupIndexTopK(q profile.Index, k int) []Match {
 	m := f.obs.Load()
-	var sp *obs.Span
-	if m != nil {
-		sp = m.col.StartTrace("forest.topk")
-	}
+	sp := m.col.StartTrace("forest.topk")
 	out := f.lookupIndexTopKSpanned(q, k, m, sp)
 	sp.Finish()
 	return out
@@ -36,10 +33,7 @@ func (f *Index) LookupIndexTopK(q profile.Index, k int) []Match {
 // threaded through; see lookupIndexSpanned. The plan is always
 // planExhaustive.
 func (f *Index) lookupIndexTopKSpanned(q profile.Index, k int, m *metrics, sp *obs.Span) []Match {
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	qSize := q.Size()
 	f.mu.RLock()
 	if k <= 0 || len(f.trees) == 0 {
@@ -53,12 +47,10 @@ func (f *Index) lookupIndexTopKSpanned(q profile.Index, k int, m *metrics, sp *o
 	f.mu.RUnlock()
 	sp.SetAttr("plan", int64(planCode(planExhaustive)))
 	sp.SetAttr("matches", int64(len(out)))
-	if m != nil {
-		m.lookups.Inc()
-		m.topkLookups.Inc()
-		m.lookupMatches.Add(int64(len(out)))
-		m.lookupNS.ObserveSince(t0)
-	}
+	m.lookups.Inc()
+	m.topkLookups.Inc()
+	m.lookupMatches.Add(int64(len(out)))
+	m.lookupNS.ObserveSince(t0)
 	return out
 }
 

@@ -8,9 +8,8 @@
 //
 // The analyzers and the guarantee each one protects are tabulated once,
 // in ARCHITECTURE.md's "Enforced invariants"; `pqlint -list` prints the
-// one-line rule of each. Five of them share one flow engine
-// (lockflow.go): lockcheck, lockorder, spancheck, obscheck and
-// goroutinecheck.
+// one-line rule of each. Four of them share one flow engine
+// (lockflow.go): lockcheck, lockorder, spancheck and goroutinecheck.
 //
 // # Suppression
 //

@@ -1,10 +1,12 @@
-// Flow engine shared by lockcheck, lockorder, spancheck, obscheck and
+// Flow engine shared by lockcheck, lockorder, spancheck and
 // goroutinecheck: parsing of the concurrency annotations (`// guarded
 // by <mu>` on struct fields, `//pqlint:locked <expr>` entry assertions
 // on functions, and the package-level `//pqlint:lockorder` manifests)
 // plus a structured, defer-aware abstract interpretation of function
-// bodies through branches, loops, switches and selects. It tracks three
-// facts per program point:
+// bodies through branches, loops, switches and selects. A `break`
+// carries its path to the exit of its loop, switch or select, and a
+// `continue` to its loop's next iteration; a `goto` or `fallthrough`
+// leaves the walk. It tracks two facts per program point:
 //
 //   - held: the locks held on every path here. Branches merge by
 //     intersection, so a guarded access is sanctioned only where the
@@ -15,12 +17,9 @@
 //     Branches merge by union, so a release made in one branch only is
 //     still owed after the merge. A direct release, a `defer` of one
 //     (directly or inside a deferred closure), and a span returned or
-//     re-bound pay the debt.
-//   - nonNil: the variables proven non-nil on every path here, by an
-//     `x != nil` conjunct of a taken condition, an `x == nil` disjunct of
-//     a skipped one, or `x = &T{...}`; any other assignment clears it.
-//     Merged by intersection. The same reading proves a span variable
-//     nil, which pays its debt: `if sp != nil { sp.Finish() }` is whole.
+//     re-bound pay the debt, and so does a path on which a condition
+//     proves the span variable nil: `if sp != nil { sp.Finish() }` is
+//     whole.
 //
 // The analysis is intraprocedural by design: a `//pqlint:locked`
 // assertion is trusted at function entry and never re-proven at call
@@ -95,16 +94,14 @@ type debt struct {
 
 // flowState is the abstract state at a program point.
 type flowState struct {
-	held   map[heldKey]*heldLock // held on every path
-	owed   map[heldKey]*debt     // owed on some path
-	nonNil map[types.Object]bool // non-nil on every path
+	held map[heldKey]*heldLock // held on every path
+	owed map[heldKey]*debt     // owed on some path
 }
 
 func newFlowState() *flowState {
 	return &flowState{
-		held:   make(map[heldKey]*heldLock),
-		owed:   make(map[heldKey]*debt),
-		nonNil: make(map[types.Object]bool),
+		held: make(map[heldKey]*heldLock),
+		owed: make(map[heldKey]*debt),
 	}
 }
 
@@ -117,16 +114,12 @@ func (s *flowState) clone() *flowState {
 	for k, d := range s.owed {
 		out.owed[k] = d
 	}
-	for v := range s.nonNil {
-		out.nonNil[v] = true
-	}
 	return out
 }
 
 // merge joins another branch's exit into s: a lock stays held only if
-// held on both (exclusively only if exclusive on both), a variable stays
-// non-nil only if non-nil on both, and a release is owed if either path
-// still owes it.
+// held on both (exclusively only if exclusive on both), and a release is
+// owed if either path still owes it.
 func (s *flowState) merge(o *flowState) {
 	for k, l := range s.held {
 		ol, ok := o.held[k]
@@ -139,11 +132,6 @@ func (s *flowState) merge(o *flowState) {
 	for k, d := range o.owed {
 		if s.owed[k] == nil {
 			s.owed[k] = d
-		}
-	}
-	for v := range s.nonNil {
-		if !o.nonNil[v] {
-			delete(s.nonNil, v)
 		}
 	}
 }
@@ -671,8 +659,19 @@ type flowHooks struct {
 }
 
 type flowWalker struct {
-	info  *types.Info
-	hooks flowHooks
+	info    *types.Info
+	hooks   flowHooks
+	targets []*jumpTarget // enclosing loops, switches and selects, innermost last
+	label   string        // label of the construct about to be entered
+}
+
+// jumpTarget is a loop, switch or select that a break leaves (and, for a
+// loop, that a continue repeats), with the states its jumps carry to it.
+type jumpTarget struct {
+	label  string
+	loop   bool
+	breaks []*flowState // at the breaks out of it: joined into its exit
+	conts  []*flowState // at its continues: joined into the next iteration
 }
 
 // walkFuncs runs a flow walk over every function body of the package:
@@ -714,8 +713,8 @@ func (w *flowWalker) walkFuncBody(body *ast.BlockStmt, entry *flowState) {
 }
 
 // walkStmts interprets a statement list, mutating st; the result
-// reports whether every path through the list leaves the function or
-// the enclosing loop (return, branch, or panic).
+// reports whether no path reaches the end of the list: each returns,
+// panics or jumps.
 func (w *flowWalker) walkStmts(list []ast.Stmt, st *flowState) bool {
 	for _, s := range list {
 		if w.walkStmt(s, st) {
@@ -749,31 +748,37 @@ func (w *flowWalker) walkStmt(s ast.Stmt, st *flowState) (terminated bool) {
 		}
 		return false
 	case *ast.ForStmt:
+		t := w.enter(true)
 		w.walkStmt(s.Init, st)
 		w.scanExpr(s.Cond, st)
-		bodySt := st.clone()
-		if !w.walkStmt(s.Body, bodySt) {
-			w.walkStmt(s.Post, bodySt)
-			st.merge(bodySt)
+		if next := w.walkLoopBody(t, s.Body, st); next != nil {
+			w.walkStmt(s.Post, next)
+			if s.Cond != nil {
+				st.merge(next)
+			}
 		}
-		return false
+		// Without a condition only a break leaves the loop.
+		return w.leave(t, st, s.Cond == nil)
 	case *ast.RangeStmt:
+		t := w.enter(true)
 		w.scanExpr(s.X, st)
-		bodySt := st.clone()
-		if !w.walkStmt(s.Body, bodySt) {
-			st.merge(bodySt)
+		if next := w.walkLoopBody(t, s.Body, st); next != nil {
+			st.merge(next)
 		}
-		return false
+		return w.leave(t, st, false)
 	case *ast.SwitchStmt:
+		t := w.enter(false)
 		w.walkStmt(s.Init, st)
 		w.scanExpr(s.Tag, st)
-		return w.walkClauses(s.Body, st, false)
+		return w.leave(t, st, w.walkClauses(s.Body, st, false))
 	case *ast.TypeSwitchStmt:
+		t := w.enter(false)
 		w.walkStmt(s.Init, st)
 		w.walkStmt(s.Assign, st)
-		return w.walkClauses(s.Body, st, false)
+		return w.leave(t, st, w.walkClauses(s.Body, st, false))
 	case *ast.SelectStmt:
-		return w.walkClauses(s.Body, st, true)
+		t := w.enter(false)
+		return w.leave(t, st, w.walkClauses(s.Body, st, true))
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
 			w.scanExpr(r, st)
@@ -790,10 +795,7 @@ func (w *flowWalker) walkStmt(s ast.Stmt, st *flowState) (terminated bool) {
 		}
 		return true
 	case *ast.BranchStmt:
-		// break/continue/goto leave the current construct; the path no
-		// longer reaches the statements below, so it drops out of the
-		// merge the same way a return does (returns on the far side of
-		// the jump are checked where they occur).
+		w.jump(s, st)
 		return true
 	case *ast.DeferStmt:
 		w.walkDefer(s.Call, st)
@@ -809,6 +811,10 @@ func (w *flowWalker) walkStmt(s ast.Stmt, st *flowState) (terminated bool) {
 		}
 		return false
 	case *ast.LabeledStmt:
+		switch s.Stmt.(type) {
+		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+			w.label = s.Label.Name // claimed by the construct's jump target
+		}
 		return w.walkStmt(s.Stmt, st)
 	case *ast.AssignStmt:
 		w.scanExpr(s, st)
@@ -837,6 +843,68 @@ func (w *flowWalker) walkStmt(s ast.Stmt, st *flowState) (terminated bool) {
 		return false
 	}
 	return false
+}
+
+// enter pushes the jump target of a loop, switch or select, claiming
+// the label of an enclosing labeled statement.
+func (w *flowWalker) enter(loop bool) *jumpTarget {
+	t := &jumpTarget{label: w.label, loop: loop}
+	w.label = ""
+	w.targets = append(w.targets, t)
+	return t
+}
+
+// leave pops t and joins its breaks into st, the state on the paths that
+// fall out of the construct (none if term). It reports whether no path
+// leaves the construct.
+func (w *flowWalker) leave(t *jumpTarget, st *flowState, term bool) bool {
+	w.targets = w.targets[:len(w.targets)-1]
+	for _, b := range t.breaks {
+		if term {
+			*st = *b
+			term = false
+		} else {
+			st.merge(b)
+		}
+	}
+	return term
+}
+
+// walkLoopBody walks one iteration of a loop body from st and returns
+// the state entering the next one: the body's end joined with its
+// continues, or nil when no path gets there.
+func (w *flowWalker) walkLoopBody(t *jumpTarget, body *ast.BlockStmt, st *flowState) *flowState {
+	bodySt := st.clone()
+	if !w.walkStmt(body, bodySt) {
+		t.conts = append(t.conts, bodySt)
+	}
+	if len(t.conts) == 0 {
+		return nil
+	}
+	next := t.conts[0]
+	for _, c := range t.conts[1:] {
+		next.merge(c)
+	}
+	return next
+}
+
+// jump carries the state at a break to its construct's exit and at a
+// continue to its loop's next iteration. The path of a goto or a
+// fallthrough leaves the walk; returns past the jump are checked where
+// they occur.
+func (w *flowWalker) jump(s *ast.BranchStmt, st *flowState) {
+	for i := len(w.targets) - 1; i >= 0; i-- {
+		t := w.targets[i]
+		switch {
+		case s.Label != nil && s.Label.Name != t.label:
+		case s.Tok == token.BREAK:
+			t.breaks = append(t.breaks, st.clone())
+			return
+		case s.Tok == token.CONTINUE && t.loop:
+			t.conts = append(t.conts, st.clone())
+			return
+		}
+	}
 }
 
 // walkClauses interprets switch/select clause bodies from a shared
@@ -920,40 +988,30 @@ func (w *flowWalker) walkDefer(call *ast.CallExpr, st *flowState) {
 
 // walkNestedFunc interprets a function literal under a snapshot of the
 // current state: closures invoked inline (sort comparators, ForEach
-// callbacks) run under the caller's locks and nil guards. The literal
-// owes nothing at entry, so its own return paths only answer for what
-// it acquires or starts itself. (For `go` literals this inherits locks
-// the goroutine will not actually hold — lenient, never a false
-// positive.)
+// callbacks) run under the caller's locks. The literal owes nothing at
+// entry, so its own return paths only answer for what it acquires or
+// starts itself. (For `go` literals this inherits locks the goroutine
+// will not actually hold — lenient, never a false positive.)
 func (w *flowWalker) walkNestedFunc(lit *ast.FuncLit, st *flowState) {
 	inner := st.clone()
 	inner.owed = make(map[heldKey]*debt)
+	outer := w.targets // no jump leaves a function literal
+	w.targets = nil
 	w.walkFuncBody(lit.Body, inner)
+	w.targets = outer
 }
 
 // bind records what an assignment (or var declaration) binds: a span
-// start bound to a named variable incurs its Finish, a span variable on
-// the right-hand side is handed off, and a variable bound to &T{...} is
-// non-nil until its next binding.
+// start bound to a named variable incurs its Finish, and a span variable
+// on the right-hand side is handed off.
 func (w *flowWalker) bind(lhs, rhs []ast.Expr, st *flowState) {
 	for i, l := range lhs {
 		id, ok := l.(*ast.Ident)
-		if !ok || id.Name == "_" {
+		if !ok || id.Name == "_" || len(lhs) != len(rhs) {
 			continue
 		}
-		obj := w.info.ObjectOf(id)
-		delete(st.nonNil, obj)
-		if len(lhs) != len(rhs) {
-			continue
-		}
-		r := ast.Unparen(rhs[i])
-		if call, ok := r.(*ast.CallExpr); ok && spanPtr(w.info.TypeOf(call)) {
-			st.owed[heldKey{root: obj}] = &debt{kind: debtFinish, call: call}
-		}
-		if u, ok := r.(*ast.UnaryExpr); ok && u.Op == token.AND {
-			if _, ok := ast.Unparen(u.X).(*ast.CompositeLit); ok {
-				st.nonNil[obj] = true
-			}
+		if call, ok := ast.Unparen(rhs[i]).(*ast.CallExpr); ok && spanPtr(w.info.TypeOf(call)) {
+			st.owed[heldKey{root: w.info.ObjectOf(id)}] = &debt{kind: debtFinish, call: call}
 		}
 	}
 	for _, r := range rhs {
@@ -963,10 +1021,10 @@ func (w *flowWalker) bind(lhs, rhs []ast.Expr, st *flowState) {
 	}
 }
 
-// assume records what cond evaluating to want proves: the `x != nil`
-// conjuncts of a true condition and the `x == nil` disjuncts of a false
-// one make x non-nil; the mirror cases prove x nil, which pays the debt
-// of a span variable holding no span.
+// assume records what cond evaluating to want proves: the `x == nil`
+// conjuncts of a true condition and the `x != nil` disjuncts of a false
+// one prove x nil, which pays the debt of a span variable holding no
+// span.
 func (w *flowWalker) assume(cond ast.Expr, want bool, st *flowState) {
 	e, ok := ast.Unparen(cond).(*ast.BinaryExpr)
 	if !ok {
@@ -979,13 +1037,7 @@ func (w *flowWalker) assume(cond ast.Expr, want bool, st *flowState) {
 			w.assume(e.Y, want, st)
 		}
 	case token.EQL, token.NEQ:
-		obj := nilCompared(w.info, e)
-		switch {
-		case obj == nil:
-		case want == (e.Op == token.NEQ):
-			st.nonNil[obj] = true
-		default:
-			delete(st.nonNil, obj)
+		if obj := nilCompared(w.info, e); obj != nil && want == (e.Op == token.EQL) {
 			delete(st.owed, heldKey{root: obj})
 		}
 	}

@@ -5,18 +5,17 @@ import (
 	"go/types"
 )
 
-// ObsCheck enforces the observability contract established by the metrics
-// layer: outside internal/obs, a struct of preresolved metric handles
-// (the `metrics` pattern) must be reachable only through an
-// atomic.Pointer — so attaching and detaching a collector is race-free —
-// and every dereference of a possibly-nil metrics pointer must sit behind
-// a nil guard, because the uninstrumented fast path hands out nil. A
-// direct field of metrics-struct-pointer type would let SetCollector race
-// with readers; an unguarded dereference panics the first unobserved
-// operation.
+// ObsCheck enforces the observability contract of package obs: an
+// instrumented type holds its preresolved metric handles (the `metrics`
+// pattern) behind an atomic.Pointer, so attaching and detaching a
+// collector is race-free, and that pointer is never nil — detaching
+// stores a struct of nil no-op handles, which is what lets every use
+// skip a nil guard. A direct field of metrics-struct-pointer type would
+// let SetCollector race with readers; a Store(nil) into the pointer
+// panics the next operation that records.
 var ObsCheck = &Analyzer{
 	Name: "obscheck",
-	Doc:  "metric-handle structs must sit behind atomic.Pointer and be nil-guarded at use",
+	Doc:  "metric-handle structs must sit behind atomic.Pointer, which is never stored nil",
 	Run:  runObsCheck,
 }
 
@@ -26,26 +25,8 @@ func runObsCheck(p *Pass) {
 	}
 	for _, f := range p.Pkg.Files {
 		checkMetricsFields(p, f)
+		checkMetricsNilStores(p, f)
 	}
-	info := p.Pkg.Info
-	walkFuncs(p, nil, func(*ast.BlockStmt) flowHooks {
-		return flowHooks{selector: func(sel *ast.SelectorExpr, _ *types.Var, _ bool, st *flowState) {
-			// A dereference of a metrics pointer the walk has not proven
-			// non-nil on every path here. Guards around a closure hold
-			// inside it: metrics pointers are loaded once into locals.
-			id, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return
-			}
-			v, ok := info.ObjectOf(id).(*types.Var)
-			if !ok || !metricsStructPtr(v.Type()) || st.nonNil[v] {
-				return
-			}
-			p.ReportHintf(sel.Pos(),
-				"metrics pointers are nil when no collector is attached; wrap the use in `if "+id.Name+" != nil { ... }` (or early-return on nil)",
-				"possibly-nil metrics pointer %q dereferenced without a nil guard", id.Name)
-		}}
-	})
 }
 
 // checkMetricsFields flags plain struct fields whose type is a pointer to
@@ -65,6 +46,33 @@ func checkMetricsFields(p *Pass, f *ast.File) {
 				"hold the handles behind atomic.Pointer[T] and resolve them with Load(), so SetCollector cannot race with readers",
 				"metric-handle struct stored in a plain field of type %s", t.String())
 		}
+		return true
+	})
+}
+
+// checkMetricsNilStores flags Store(nil) and Swap(nil) on an
+// atomic.Pointer of a metrics struct: its readers use what they load
+// without a nil guard.
+func checkMetricsNilStores(p *Pass, f *ast.File) {
+	info := p.Pkg.Info
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) != 1 || !info.Types[call.Args[0]].IsNil() {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok || (sel.Sel.Name != "Store" && sel.Sel.Name != "Swap") {
+			return true
+		}
+		// The method of an atomic.Pointer[T] takes a *T.
+		m := info.Selections[sel]
+		if m == nil || m.Obj().Pkg() == nil || m.Obj().Pkg().Path() != "sync/atomic" ||
+			!metricsStructPtr(m.Type().(*types.Signature).Params().At(0).Type()) {
+			return true
+		}
+		p.ReportHintf(call.Pos(),
+			"store a struct of nil handles instead (resolving them from a nil *obs.Collector gives exactly that)",
+			"nil stored into a metrics pointer; its readers use what they load without a nil guard")
 		return true
 	})
 }

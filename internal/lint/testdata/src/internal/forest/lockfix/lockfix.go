@@ -206,3 +206,78 @@ func (s *counterShard) unlockOneBranch(k string, drop bool) int {
 	}
 	return v // want `counterShard\.mu acquired at line \d+ is still held when the function returns here`
 }
+
+// breakHoldsLock leaves the loop by a break with the lock held: the
+// break carries the owed unlock to the loop's exit.
+func (s *counterShard) breakHoldsLock(n int) int {
+	for i := 0; ; i++ {
+		s.mu.Lock()
+		if i == n {
+			break
+		}
+		s.mu.Unlock()
+	}
+	return n // want `counterShard\.mu acquired at line \d+ is still held when the function returns here`
+}
+
+// continueHoldsLock skips the unlock on a continue: the next iteration,
+// and so the loop's exit, still owes it.
+func (s *counterShard) continueHoldsLock(keys []string) int {
+	n := 0
+	for _, k := range keys {
+		s.mu.Lock()
+		if k == "" {
+			continue
+		}
+		n += s.vals[k]
+		s.mu.Unlock()
+	}
+	return n // want `counterShard\.mu acquired at line \d+ is still held when the function returns here`
+}
+
+// breakUnderLock: a loop without a condition is left only by its break,
+// which holds the lock, so the read after the loop is guarded.
+func (s *counterShard) breakUnderLock(k string) int {
+	for {
+		s.mu.Lock()
+		if s.vals[k] > 0 {
+			break
+		}
+		s.mu.Unlock()
+	}
+	defer s.mu.Unlock()
+	return s.vals[k]
+}
+
+// selectBreak: a break in a select leaves the select, not the loop,
+// which goes on to release the lock.
+func (s *counterShard) selectBreak(ch chan int) {
+	for i := 0; i < 3; i++ {
+		s.mu.Lock()
+		select {
+		case <-ch:
+			break
+		default:
+		}
+		s.mu.Unlock()
+	}
+}
+
+// labeledBreak: a labeled break leaves the outer loop, so the inner
+// loop's exit still holds the lock for the read after it.
+func (s *counterShard) labeledBreak(rows [][]string) int {
+	n := 0
+outer:
+	for _, row := range rows {
+		s.mu.Lock()
+		for _, k := range row {
+			if k == "" {
+				s.mu.Unlock()
+				break outer
+			}
+		}
+		n += len(s.vals)
+		s.mu.Unlock()
+	}
+	return n
+}

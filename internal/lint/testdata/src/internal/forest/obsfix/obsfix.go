@@ -1,6 +1,5 @@
 // Fixture for obscheck: metric-handle structs must sit behind
-// atomic.Pointer, and a possibly-nil metrics pointer may only be
-// dereferenced under a nil guard.
+// atomic.Pointer, and that pointer is never stored nil.
 package obsfix
 
 import (
@@ -27,89 +26,38 @@ type goodIndex struct {
 	c *obs.Collector
 }
 
-// Load-then-guard is the canonical read pattern.
+// Readers use what they load: the pointer is never nil.
 func (x *goodIndex) observe() {
 	m := x.m.Load()
-	if m != nil {
-		m.lookups.Inc()
-	}
-}
-
-func unguarded(m *metrics) {
-	m.lookups.Inc() // want `possibly-nil metrics pointer "m" dereferenced without a nil guard`
-}
-
-func guardedIf(m *metrics) {
-	if m != nil {
-		m.lookups.Inc()
-	}
-}
-
-func guardedEarlyReturn(m *metrics) {
-	if m == nil {
-		return
-	}
 	m.lookups.Inc()
+	m.latency.Observe(1)
 }
 
-func guardedConjunction(m *metrics, on bool) {
-	if on && m != nil {
-		m.latency.Observe(1)
-	}
-}
-
-func guardedElseBranch(m *metrics) {
-	if m == nil {
-		println("uninstrumented")
-	} else {
-		m.lookups.Inc()
-	}
-}
-
-// A lexical guard outside a closure still holds inside it: metrics
-// pointers are immutable locals.
-func guardedClosure(m *metrics) func() {
-	if m == nil {
-		return func() {}
-	}
-	return func() {
-		m.lookups.Inc()
-	}
-}
-
-// A pointer built from a composite literal is provably non-nil.
-func newMetrics(c *obs.Collector) *metrics {
-	m := &metrics{
+// Detaching resolves the handles from a nil collector: nil no-ops.
+func (x *goodIndex) setCollector(c *obs.Collector) {
+	x.m.Store(&metrics{
 		lookups: c.Counter("lookups"),
 		latency: c.Histogram("latency"),
-	}
-	m.lookups.Inc()
-	return m
+	})
 }
 
-// A re-load after the guard may be nil again: the guard proved only the
-// value it checked.
-func (x *goodIndex) reloadedAfterGuard() {
-	m := x.m.Load()
-	if m == nil {
-		return
-	}
-	m = x.m.Load()
-	m.lookups.Inc() // want `possibly-nil metrics pointer "m" dereferenced without a nil guard`
+func (x *goodIndex) detach() {
+	x.m.Store(nil) // want `nil stored into a metrics pointer`
 }
 
-// A nil disjunct of an early return's condition guards what follows.
-func guardedDisjunction(m *metrics, off bool) {
-	if m == nil || off {
-		return
-	}
-	m.lookups.Inc()
+func (x *goodIndex) detachSwap() *metrics {
+	return x.m.Swap(nil) // want `nil stored into a metrics pointer`
 }
 
-// A panic on nil leaves the function as surely as a return.
-func guardedPanic(m *metrics) {
-	if m == nil {
-		panic("no metrics")
-	}
-	m.lookups.Inc()
+var global atomic.Pointer[metrics]
+
+func detachGlobal() {
+	global.Store(nil) // want `nil stored into a metrics pointer`
+}
+
+// An atomic.Pointer to anything but a metrics struct may hold nil.
+var collector atomic.Pointer[obs.Collector]
+
+func detachCollector() {
+	collector.Store(nil)
 }

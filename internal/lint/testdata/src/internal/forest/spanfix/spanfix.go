@@ -36,7 +36,7 @@ func goodDeferredClosure(col *obs.Collector) {
 		sp.SetAttr("done", 1)
 		sp.Finish()
 	}()
-	sp.AddAttr("work", 1)
+	sp.SetAttr("work", 1)
 }
 
 // FinishWithDuration counts as finishing.

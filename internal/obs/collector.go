@@ -8,9 +8,8 @@ import (
 
 // Collector is the handle instrumented subsystems record through: a metric
 // registry plus an optional structured-log event sink. A nil *Collector is
-// a fully valid no-op — every method is nil-safe and the metric handles it
-// returns are nil-safe no-ops too — so call sites need exactly one nil
-// check (or none, if they tolerate the no-op handles).
+// a fully valid no-op, and so are the handles it returns (see the package
+// comment).
 type Collector struct {
 	reg    *Registry
 	logger atomic.Pointer[slog.Logger]
@@ -20,14 +19,6 @@ type Collector struct {
 // NewCollector creates a collector with a fresh registry and no log sink.
 func NewCollector() *Collector {
 	return &Collector{reg: NewRegistry()}
-}
-
-// Registry returns the underlying registry; nil on a nil collector.
-func (c *Collector) Registry() *Registry {
-	if c == nil {
-		return nil
-	}
-	return c.reg
 }
 
 // Counter resolves a named counter; nil (no-op) on a nil collector.
@@ -69,14 +60,6 @@ func (c *Collector) SetLogger(l *slog.Logger) {
 		return
 	}
 	c.logger.Store(l)
-}
-
-// Logger returns the attached sink, or nil.
-func (c *Collector) Logger() *slog.Logger {
-	if c == nil {
-		return nil
-	}
-	return c.logger.Load()
 }
 
 // SetTracer attaches a per-query tracer; a nil tracer detaches it.
@@ -140,12 +123,4 @@ func (c *Collector) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	return c.reg.Snapshot()
-}
-
-// Reset zeroes every metric; no-op on a nil collector.
-func (c *Collector) Reset() {
-	if c == nil {
-		return
-	}
-	c.reg.Reset()
 }

@@ -4,10 +4,21 @@
 //
 // The package is dependency-free and allocation-conscious: recording a
 // sample is a handful of atomic operations on preallocated state, and every
-// metric type is safe for concurrent use. Instrumentation throughout the
-// repository is opt-in — a nil *Collector (and the nil metric handles it
-// hands out) is a valid no-op, so the uninstrumented fast path costs one
-// nil check and nothing else.
+// metric type is safe for concurrent use.
+//
+// The instrumentation contract, which every instrumented package follows:
+//
+//   - Every method of Counter, Gauge, Histogram, Span and Collector is a
+//     no-op on a nil receiver, and a nil *Collector hands out nil
+//     handles and nil spans.
+//   - An instrumented type resolves its handles once into a metrics
+//     struct and always holds one, behind an atomic.Pointer that is
+//     never nil. With no collector attached the struct's handles are nil
+//     (resolving them from a nil *Collector gives exactly that), so call
+//     sites record without a nil guard.
+//
+// pqlint's obscheck enforces the second rule: a metrics struct lives
+// behind atomic.Pointer, and nil is never stored there.
 package obs
 
 import (
@@ -44,8 +55,6 @@ func (c *Counter) Load() int64 {
 	return c.v.Load()
 }
 
-func (c *Counter) reset() { c.v.Store(0) }
-
 // Gauge is an instantaneous value (queue depth, pool width). The zero value
 // is ready to use; a nil *Gauge is a no-op.
 type Gauge struct {
@@ -73,8 +82,6 @@ func (g *Gauge) Load() int64 {
 	}
 	return g.v.Load()
 }
-
-func (g *Gauge) reset() { g.v.Store(0) }
 
 // numBuckets is the number of log2 histogram buckets: bucket 0 holds the
 // value 0, bucket i (i ≥ 1) holds values in [2^(i-1), 2^i − 1]. 64 value
@@ -251,14 +258,4 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		}
 	}
 	return s
-}
-
-func (h *Histogram) reset() {
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.min.Store(0)
-	h.max.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
 }

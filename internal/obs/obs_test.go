@@ -134,10 +134,6 @@ func TestNilSafety(t *testing.T) {
 	col.RegisterFunc("f", func() any { return 1 })
 	col.SetLogger(slog.Default())
 	col.Event("nothing happens", "k", "v")
-	col.Reset()
-	if col.Logger() != nil {
-		t.Error("nil collector returned a logger")
-	}
 	if got := col.Counter("x").Load(); got != 0 {
 		t.Errorf("nil counter Load = %d", got)
 	}
@@ -151,10 +147,6 @@ func TestNilSafety(t *testing.T) {
 
 	var reg *obs.Registry
 	reg.Counter("a").Inc()
-	reg.Reset()
-	if names := reg.Names(); names != nil {
-		t.Errorf("nil registry Names = %v", names)
-	}
 }
 
 // TestSnapshotDeterminism feeds two registries identically and requires
@@ -198,28 +190,6 @@ func TestSnapshotDeterminism(t *testing.T) {
 	}
 }
 
-// TestRegistryResetKeepsHandles proves that Reset zeroes values but keeps
-// resolved handles live — instrumented code must not need re-resolution.
-func TestRegistryResetKeepsHandles(t *testing.T) {
-	r := obs.NewRegistry()
-	c := r.Counter("ops")
-	h := r.Histogram("lat")
-	c.Add(5)
-	h.Observe(9)
-	r.Reset()
-	if c.Load() != 0 || h.Count() != 0 {
-		t.Fatalf("reset left values: counter=%d hist=%d", c.Load(), h.Count())
-	}
-	c.Inc()
-	h.Observe(3)
-	if r.Counter("ops") != c {
-		t.Error("counter handle changed identity across Reset")
-	}
-	if c.Load() != 1 || h.Count() != 1 {
-		t.Errorf("handles dead after reset: counter=%d hist=%d", c.Load(), h.Count())
-	}
-}
-
 // TestRegisterFunc checks computed metrics land under Values.
 func TestRegisterFunc(t *testing.T) {
 	c := obs.NewCollector()
@@ -253,18 +223,6 @@ func TestQuantileEmptyAndEdge(t *testing.T) {
 		if got := h.Quantile(q); got != 64 {
 			t.Errorf("Quantile(%v) = %d, want 64", q, got)
 		}
-	}
-}
-
-// TestCounterNames smoke-checks Names ordering.
-func TestCounterNames(t *testing.T) {
-	r := obs.NewRegistry()
-	r.Counter("b")
-	r.Counter("a")
-	r.Histogram("c")
-	got := fmt.Sprint(r.Names())
-	if got != "[a b c]" {
-		t.Errorf("Names = %s, want [a b c]", got)
 	}
 }
 

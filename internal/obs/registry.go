@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Registry is a named-metric registry. Metric handles are created on first
 // use and stable afterwards, so instrumented code resolves its handles once
@@ -166,47 +163,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Reset zeroes every counter, gauge and histogram, keeping registrations
-// (and resolved handles) intact. Computed metrics are untouched.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, c := range r.counters {
-		c.reset()
-	}
-	for _, g := range r.gauges {
-		g.reset()
-	}
-	for _, h := range r.hists {
-		h.reset()
-	}
-}
-
-// Names returns the sorted names of all registered metrics, for reports.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.funcs))
-	for name := range r.counters {
-		out = append(out, name)
-	}
-	for name := range r.gauges {
-		out = append(out, name)
-	}
-	for name := range r.hists {
-		out = append(out, name)
-	}
-	for name := range r.funcs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

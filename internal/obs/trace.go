@@ -88,21 +88,6 @@ func (s *Span) SetAttr(key string, v int64) {
 	s.attrs = append(s.attrs, SpanAttr{Key: key, Value: v})
 }
 
-// AddAttr adds delta to an integer work attribute, creating it at the
-// delta if absent. No-op on a nil span.
-func (s *Span) AddAttr(key string, delta int64) {
-	if s == nil {
-		return
-	}
-	for i := range s.attrs {
-		if s.attrs[i].Key == key {
-			s.attrs[i].Value += delta
-			return
-		}
-	}
-	s.attrs = append(s.attrs, SpanAttr{Key: key, Value: delta})
-}
-
 // SetTraceID attaches a correlation ID (e.g. an HTTP request ID) carried
 // on the published TraceSnapshot. Meaningful on root spans; no-op on nil.
 func (s *Span) SetTraceID(id string) {

@@ -13,7 +13,6 @@ import (
 func TestNilSpanNoOp(t *testing.T) {
 	var sp *Span
 	sp.SetAttr("k", 1)
-	sp.AddAttr("k", 1)
 	sp.SetTraceID("id")
 	sp.Finish()
 	sp.FinishWithDuration(time.Second)
@@ -29,8 +28,7 @@ func TestSpanTreeSnapshot(t *testing.T) {
 	sp := StartSpan("root")
 	sp.SetAttr("plan", 2)
 	sp.SetAttr("plan", 3) // replace, not append
-	sp.AddAttr("work", 5)
-	sp.AddAttr("work", 7) // accumulate
+	sp.SetAttr("work", 12)
 	gen := sp.Child("generate")
 	gen.SetAttr("postings", 100)
 	gen.Finish()
@@ -247,7 +245,7 @@ func TestTracerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				if sp := tr.Start("q"); sp != nil {
-					sp.AddAttr("n", 1)
+					sp.SetAttr("n", 1)
 					sp.Finish()
 				}
 				if i%32 == 0 {

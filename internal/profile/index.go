@@ -55,49 +55,35 @@ type Index map[LabelTuple]int
 // publish a standalone "profile.build" trace.
 func BuildIndex(t *tree.Tree, pr Params) Index {
 	m := buildObs.Load()
-	var t0 time.Time
-	var sp *obs.Span
-	if m != nil {
-		t0 = time.Now()
-		sp = m.col.StartTrace("profile.build")
-	}
-	idx := make(Index, t.Size())
-	ForEachGram(t, pr, func(g Gram) {
-		idx[g.LabelTuple()]++
-	})
-	recordBuild(m, idx, t0)
-	if sp != nil {
-		setBuildAttrs(sp, t, idx)
-		sp.Finish()
-	}
-	return idx
+	return buildIndex(t, pr, m, m.col.StartTrace("profile.build"))
 }
 
 // BuildIndexSpanned is BuildIndex recording its work into a
 // "profile.build" child of parent (nil-safe) instead of sampling through
 // the tracer — the explain path, where tracing is forced.
 func BuildIndexSpanned(t *tree.Tree, pr Params, parent *obs.Span) Index {
-	m := buildObs.Load()
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
-	sp := parent.Child("profile.build")
+	return buildIndex(t, pr, buildObs.Load(), parent.Child("profile.build"))
+}
+
+// buildIndex is the body of both builders: it fills the bag, feeds the
+// metrics with it and finishes sp (nil-safe) with its work counters.
+func buildIndex(t *tree.Tree, pr Params, m *buildMetrics, sp *obs.Span) Index {
+	t0 := time.Now()
 	idx := make(Index, t.Size())
 	ForEachGram(t, pr, func(g Gram) {
 		idx[g.LabelTuple()]++
 	})
-	recordBuild(m, idx, t0)
-	setBuildAttrs(sp, t, idx)
+	size, distinct := int64(idx.Size()), int64(len(idx))
+	m.builds.Inc()
+	m.grams.Add(size)
+	m.distinct.Add(distinct)
+	m.bagSize.Observe(size)
+	m.buildNS.ObserveSince(t0)
+	sp.SetAttr("nodes", int64(t.Size()))
+	sp.SetAttr("grams", size)
+	sp.SetAttr("distinct_tuples", distinct)
 	sp.Finish()
 	return idx
-}
-
-// setBuildAttrs records the finished bag's work counters on the span.
-func setBuildAttrs(sp *obs.Span, t *tree.Tree, idx Index) {
-	sp.SetAttr("nodes", int64(t.Size()))
-	sp.SetAttr("grams", int64(idx.Size()))
-	sp.SetAttr("distinct_tuples", int64(len(idx)))
 }
 
 // Size returns the bag cardinality |I| (the sum of multiplicities).

@@ -1,14 +1,14 @@
 // Instrumentation of profiling (pq-gram extraction). BuildIndex is a pure
 // function with no receiver to hang per-instance state on, so the collector
-// is package-global: SetCollector swaps an atomic pointer, and an
-// uninstrumented build costs one atomic load. Per-gram work is never
-// instrumented — the counters are fed once per build from the finished bag.
+// is package-global: SetCollector swaps an atomic pointer that is never
+// nil, and with no collector attached its handles are nil no-ops (see
+// package obs). Per-gram work is never instrumented — the counters are fed
+// once per build from the finished bag.
 
 package profile
 
 import (
 	"sync/atomic"
-	"time"
 
 	"pqgram/internal/obs"
 )
@@ -25,13 +25,11 @@ type buildMetrics struct {
 
 var buildObs atomic.Pointer[buildMetrics]
 
+func init() { SetCollector(nil) }
+
 // SetCollector attaches (or, with nil, detaches) the process-global
 // profiling collector. Safe to call concurrently with builds.
 func SetCollector(c *obs.Collector) {
-	if c == nil {
-		buildObs.Store(nil)
-		return
-	}
 	buildObs.Store(&buildMetrics{
 		col:      c,
 		builds:   c.Counter("profile_builds"),
@@ -43,23 +41,4 @@ func SetCollector(c *obs.Collector) {
 }
 
 // Collector returns the attached profiling collector, or nil.
-func Collector() *obs.Collector {
-	if m := buildObs.Load(); m != nil {
-		return m.col
-	}
-	return nil
-}
-
-// recordBuild feeds one finished build into the metrics; no-op when
-// uninstrumented.
-func recordBuild(m *buildMetrics, idx Index, t0 time.Time) {
-	if m == nil {
-		return
-	}
-	size := idx.Size()
-	m.builds.Inc()
-	m.grams.Add(int64(size))
-	m.distinct.Add(int64(len(idx)))
-	m.bagSize.Observe(int64(size))
-	m.buildNS.ObserveSince(t0)
-}
+func Collector() *obs.Collector { return buildObs.Load().col }

@@ -139,11 +139,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	s.mux.ServeHTTP(sw, r)
 	dur := time.Since(t0)
-	s.col.Counter("http_requests").Inc()
+	s.m.httpRequests.Inc()
 	if sw.status >= 400 {
-		s.col.Counter("http_errors").Inc()
+		s.m.httpErrors.Inc()
 	}
-	s.col.Histogram("http_request_ns").Observe(dur.Nanoseconds())
+	s.m.httpNS.Observe(dur.Nanoseconds())
 	s.logger.Info("request",
 		"id", id,
 		"method", r.Method,

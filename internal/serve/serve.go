@@ -161,6 +161,10 @@ type serveMetrics struct {
 	lookupNS        *obs.Histogram // serve_lookup_ns (end-to-end, incl. cache hits)
 	inflight        *obs.Gauge     // serve_inflight
 	queueDepth      *obs.Gauge     // serve_queue_depth
+
+	httpRequests *obs.Counter   // http_requests
+	httpErrors   *obs.Counter   // http_errors (status >= 400)
+	httpNS       *obs.Histogram // http_request_ns
 }
 
 // New builds a serving tier over f. If st is non-nil, mutations are
@@ -182,6 +186,9 @@ func New(f *forest.Index, st Backend, cfg Config, col *obs.Collector) *Server {
 		lookupNS:        col.Histogram("serve_lookup_ns"),
 		inflight:        col.Gauge("serve_inflight"),
 		queueDepth:      col.Gauge("serve_queue_depth"),
+		httpRequests:    col.Counter("http_requests"),
+		httpErrors:      col.Counter("http_errors"),
+		httpNS:          col.Histogram("http_request_ns"),
 	}
 	if cfg.CacheSize > 0 {
 		s.cache = newResultCache(cfg.CacheSize, s.m)

@@ -1,8 +1,9 @@
 // Instrumentation of the store: journal append/replay counts, bytes and
 // latencies, segment lifecycle counters (flushes, compactions) and shape
 // gauges (segment count and bytes, resident vs evicted documents). Like
-// the forest, metrics are opt-in through a nil-safe collector resolved
-// once into preallocated handles.
+// the forest, the store resolves its collector once into preallocated
+// handles behind a pointer that is never nil; with no collector attached
+// the handles are nil no-ops (see package obs).
 
 package store
 
@@ -45,16 +46,13 @@ type storeMetrics struct {
 }
 
 // SetCollector attaches (or, with nil, detaches) a metrics collector to
-// the store and to its in-memory forest. The journal replay that
-// OpenSegmented performed is published into the replay metrics on first
-// attach. Attach a collector once per store handle; re-attaching the same
-// collector would re-publish the replay numbers.
+// the store and to its in-memory forest; a nil collector resolves every
+// handle to a nil no-op. The journal replay that OpenSegmented performed
+// is published into the replay metrics on first attach. Attach a
+// collector once per store handle; re-attaching the same collector would
+// re-publish the replay numbers.
 func (s *Segmented) SetCollector(c *obs.Collector) {
 	s.forest.SetCollector(c)
-	if c == nil {
-		s.obs.Store(nil)
-		return
-	}
 	m := &storeMetrics{
 		col:             c,
 		appends:         c.Counter("store_journal_appends"),
@@ -128,9 +126,6 @@ func (s *Segmented) SetCollector(c *obs.Collector) {
 
 // publishGauges refreshes the shape gauges from the current bookkeeping.
 func (s *Segmented) publishGauges(m *storeMetrics) {
-	if m == nil {
-		return
-	}
 	s.mu.RLock()
 	var bytes int64
 	for _, sg := range s.segs {

@@ -303,13 +303,20 @@ func TestSegmentedMetrics(t *testing.T) {
 	if !found {
 		t.Fatal("no synthesized store.replay trace after reattach")
 	}
-	// Detach: the metrics pointer drops and mutations keep working.
+	// Detach: mutations keep working and the detached collector's
+	// counters, the store's and the forest's, stop moving.
 	rs.SetCollector(nil)
-	if rs.obs.Load() != nil {
-		t.Fatal("store metrics still attached after detach")
-	}
+	before := col2.Snapshot()
 	if err := rs.Add("post-detach", gen.XMark(101, 15)); err != nil {
 		t.Fatal(err)
+	}
+	if err := rs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range col2.Snapshot().CounterDeltas(before) {
+		if d != 0 {
+			t.Errorf("counter %s moved by %d after detach", name, d)
+		}
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -120,7 +121,6 @@ type segment struct {
 	size int64
 
 	docs  []segDocMeta
-	byID  map[string]int
 	tombs []string
 
 	// docOf maps each doc-table index to the forest's doc number of the
@@ -333,7 +333,6 @@ func parseSegment(fsys fsio.FS, fh fsio.File, path string, pr profile.Params, se
 		return nil, fmt.Errorf("store: segment %s: reading doc count: %w", path, err)
 	}
 	docs := make([]segDocMeta, 0, min(numDocs, maxHint))
-	byID := make(map[string]int, min(numDocs, maxHint))
 	var bagOff int64
 	for i := uint64(0); i < numDocs; i++ {
 		id, err := readID(cr)
@@ -364,7 +363,6 @@ func parseSegment(fsys fsio.FS, fh fsio.File, path string, pr profile.Params, se
 			return nil, fmt.Errorf("store: segment %s: doc %q: bag extends past the bag section", path, id)
 		}
 		docs = append(docs, segDocMeta{id: id, size: int(dsize), distinct: int(distinct), bagOff: bagOff, bagLen: int64(bagLen)})
-		byID[id] = int(i)
 		bagOff += int64(bagLen)
 	}
 	numTombs, err := getUvarint(cr, 1<<31-1)
@@ -380,7 +378,8 @@ func parseSegment(fsys fsio.FS, fh fsio.File, path string, pr profile.Params, se
 		if i > 0 && id <= tombs[i-1] {
 			return nil, fmt.Errorf("store: segment %s: tombstones not ascending at %q", path, id)
 		}
-		if _, dup := byID[id]; dup {
+		// The doc table is verified ascending above.
+		if _, dup := slices.BinarySearchFunc(docs, id, func(d segDocMeta, id string) int { return strings.Compare(d.id, id) }); dup {
 			return nil, fmt.Errorf("store: segment %s: %q is both stored and tombstoned", path, id)
 		}
 		tombs = append(tombs, id)
@@ -465,7 +464,6 @@ func parseSegment(fsys fsio.FS, fh fsio.File, path string, pr profile.Params, se
 		size:     size,
 		docs:     docs,
 		docOf:    docOf,
-		byID:     byID,
 		tombs:    tombs,
 		fences:   fences,
 		bloom:    bloom,

@@ -293,6 +293,26 @@ func TestSegmentIdentityChecks(t *testing.T) {
 	}
 }
 
+// TestSegmentStoredAndTombstonedRejected: within one segment an id is
+// either stored or tombstoned, never both; open rejects a file naming a
+// doc-table id, first, middle or last, among its tombstones.
+func TestSegmentStoredAndTombstonedRejected(t *testing.T) {
+	fs := fsio.NewMemFS()
+	for _, dead := range []string{"doc-000", "doc-001", "doc-002"} {
+		if _, _, err := writeSegment(fs, "x.000001.seg", p33, 1, segTestDocs(3), []string{dead}); err != nil {
+			t.Fatal(err)
+		}
+		sg, err := openSegment(fs, "x.000001.seg", p33, 1)
+		if err == nil {
+			sg.close()
+			t.Fatalf("tombstone %q of a stored doc accepted", dead)
+		}
+		if !strings.Contains(err.Error(), "both stored and tombstoned") {
+			t.Fatalf("tombstone %q: %v", dead, err)
+		}
+	}
+}
+
 // TestManifestRoundTrip: encode → write → load preserves params, the next
 // sequence number, the live segment list and the obsolete list; the load
 // reports the same content crc the writer computed (the value journal

@@ -77,7 +77,6 @@ import (
 	"pqgram/internal/edit"
 	"pqgram/internal/forest"
 	"pqgram/internal/fsio"
-	"pqgram/internal/obs"
 	"pqgram/internal/profile"
 	"pqgram/internal/tree"
 )
@@ -183,6 +182,7 @@ func CreateSegmentedFS(fsys fsio.FS, path string, pr profile.Params) (*Segmented
 		loc: make(map[string]segLoc), tombs: make(map[string]bool), dirty: make(map[string]bool),
 		nextSeq: 1, manCRC: crc,
 	}
+	s.obs.Store(&storeMetrics{})
 	f.SetTier(s)
 	return s, nil
 }
@@ -261,6 +261,7 @@ func OpenSegmentedFS(fsys fsio.FS, path string) (*Segmented, error) {
 		segs: segs, loc: loc, tombs: make(map[string]bool), dirty: make(map[string]bool),
 		nextSeq: man.nextSeq, manCRC: manCRC,
 	}
+	s.obs.Store(&storeMetrics{})
 	s.mu.Lock()
 	for i, id := range ids {
 		l := loc[id]
@@ -593,13 +594,9 @@ func (s *Segmented) Flush() error {
 		return nil
 	}
 	m := s.obs.Load()
-	var t0 time.Time
-	var sp *obs.Span
-	if m != nil {
-		t0 = time.Now()
-		sp = m.col.StartTrace("store.flush")
-		defer sp.Finish()
-	}
+	t0 := time.Now()
+	sp := m.col.StartTrace("store.flush")
+	defer sp.Finish()
 	sort.Strings(ids)
 	sort.Strings(tombsOut)
 	docs, err := s.segDocs("flush", ids)
@@ -627,20 +624,18 @@ func (s *Segmented) Flush() error {
 	if err != nil {
 		return err
 	}
-	if m != nil {
-		m.flushes.Inc()
-		m.flushedDocs.Add(int64(len(ids)))
-		m.flushNS.ObserveSince(t0)
-		m.journalBytes.Set(journalHeaderLen)
-		s.publishGauges(m)
-		sp.SetAttr("seq", int64(seq))
-		sp.SetAttr("docs", int64(len(ids)))
-		sp.SetAttr("tombstones", int64(len(tombsOut)))
-		sp.SetAttr("segment_bytes", sg.size)
-		m.col.Event("segment flushed",
-			"path", sg.path, "seq", seq, "docs", len(ids),
-			"tombstones", len(tombsOut), "bytes", sg.size)
-	}
+	m.flushes.Inc()
+	m.flushedDocs.Add(int64(len(ids)))
+	m.flushNS.ObserveSince(t0)
+	m.journalBytes.Set(journalHeaderLen)
+	s.publishGauges(m)
+	sp.SetAttr("seq", int64(seq))
+	sp.SetAttr("docs", int64(len(ids)))
+	sp.SetAttr("tombstones", int64(len(tombsOut)))
+	sp.SetAttr("segment_bytes", sg.size)
+	m.col.Event("segment flushed",
+		"path", sg.path, "seq", seq, "docs", len(ids),
+		"tombstones", len(tombsOut), "bytes", sg.size)
 	return nil
 }
 
@@ -655,13 +650,9 @@ func (s *Segmented) Compact() error {
 		return err
 	}
 	m := s.obs.Load()
-	var t0 time.Time
-	var sp *obs.Span
-	if m != nil {
-		t0 = time.Now()
-		sp = m.col.StartTrace("store.compact")
-		defer sp.Finish()
-	}
+	t0 := time.Now()
+	sp := m.col.StartTrace("store.compact")
+	defer sp.Finish()
 	s.mu.RLock()
 	resident := make([]string, 0, len(s.dirty))
 	for id := range s.dirty {
@@ -729,17 +720,15 @@ func (s *Segmented) Compact() error {
 		return err
 	}
 	s.gcObsolete(obsolete)
-	if m != nil {
-		m.compactions.Inc()
-		m.compactNS.ObserveSince(t0)
-		m.journalBytes.Set(journalHeaderLen)
-		s.publishGauges(m)
-		sp.SetAttr("seq", int64(seq))
-		sp.SetAttr("docs", int64(len(all)))
-		sp.SetAttr("merged_segments", int64(len(oldSegs)))
-		m.col.Event("segments compacted",
-			"path", s.path, "seq", seq, "docs", len(all), "merged", len(oldSegs))
-	}
+	m.compactions.Inc()
+	m.compactNS.ObserveSince(t0)
+	m.journalBytes.Set(journalHeaderLen)
+	s.publishGauges(m)
+	sp.SetAttr("seq", int64(seq))
+	sp.SetAttr("docs", int64(len(all)))
+	sp.SetAttr("merged_segments", int64(len(oldSegs)))
+	m.col.Event("segments compacted",
+		"path", s.path, "seq", seq, "docs", len(all), "merged", len(oldSegs))
 	return nil
 }
 
@@ -845,10 +834,7 @@ type record struct {
 // write, all or nothing — and accounts for them.
 func (s *Segmented) journal(rs ...record) error {
 	m := s.obs.Load()
-	var t0 time.Time
-	if m != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	var recs bytes.Buffer
 	for _, r := range rs {
 		appendRecord(&recs, r.typ, r.payload)
@@ -856,17 +842,15 @@ func (s *Segmented) journal(rs ...record) error {
 	if err := s.wal.append(recs.Bytes()); err != nil {
 		return err
 	}
-	if m != nil {
-		m.appends.Add(int64(len(rs)))
-		m.appendBytes.Add(int64(recs.Len()))
-		m.journalBytes.Add(int64(recs.Len()))
-		m.appendNS.ObserveSince(t0)
-		if sp := m.col.StartTrace("store.append"); sp != nil {
-			// Synthesized after the fact so the un-sampled path does not
-			// even start a span inside the write sequence.
-			sp.SetAttr("bytes", int64(recs.Len()))
-			sp.FinishWithDuration(time.Since(t0))
-		}
+	m.appends.Add(int64(len(rs)))
+	m.appendBytes.Add(int64(recs.Len()))
+	m.journalBytes.Add(int64(recs.Len()))
+	m.appendNS.ObserveSince(t0)
+	if sp := m.col.StartTrace("store.append"); sp != nil {
+		// Synthesized after the fact so the un-sampled path does not
+		// even start a span inside the write sequence.
+		sp.SetAttr("bytes", int64(recs.Len()))
+		sp.FinishWithDuration(time.Since(t0))
 	}
 	return nil
 }

@@ -8,8 +8,8 @@ import (
 // Collector is the observability handle of the library: a named-metric
 // registry (atomic counters, gauges, log2-bucket latency histograms with
 // p50/p95/p99) plus an optional *slog.Logger event sink. Instrumentation
-// is opt-in everywhere: a nil *Collector is a valid no-op, and an
-// unobserved index pays one nil check per operation.
+// is opt-in everywhere: a nil *Collector is a valid no-op (the contract
+// is stated in the internal/obs package comment).
 //
 // Attach it with (*Forest).SetCollector or (*Store).SetCollector — the
 // store variant also covers its in-memory forest — and, for profiling
