@@ -4,9 +4,9 @@
 # mode (the scaled-down fixtures that tests pick under testing.Short()), a
 # short fuzz pass over every fuzz target (seed corpora plus FUZZTIME of
 # generation), a coverage gate over the correctness-critical packages,
-# the untrusted-input parsers (internal/xmlconv, internal/edit) and
-# internal/lint, a single-iteration sweep of the root package's
-# `go test` benchmarks so they cannot silently rot (the paper's
+# the untrusted-input parsers (internal/xmlconv, internal/edit),
+# internal/tree and internal/lint, a single-iteration sweep of the root
+# package's `go test` benchmarks so they cannot silently rot (the paper's
 # experiments among them check update ≡ rebuild at full scale), and
 # vet + tests + pqlint of the separate benchmark module (the one source
 # of performance numbers), which tier-1 never builds. Nothing in the gate
@@ -17,19 +17,20 @@ GO      ?= go
 FUZZTIME ?= 5s
 
 # Coverage floors of the gate below: the last measured figures (core
-# 91.4%, forest 94.5%, profile 94.7%, obs 93.5%, serve 85.0%, store
-# 90.6%, lint 84.0%, xmlconv 92.0%, edit 93.4%) minus 4 points of slack
-# so unrelated refactors don't trip it.
+# 91.4%, forest 97.5%, profile 95.8%, obs 95.1%, serve 88.1%, store
+# 91.0%, lint 87.4%, xmlconv 92.0%, edit 93.4%, tree 83.7%) minus about
+# 4 points of slack so unrelated refactors don't trip it.
 # Raise them when coverage rises; never lower them to make a change pass.
 COVER_FLOOR_CORE    ?= 87
-COVER_FLOOR_FOREST  ?= 90
-COVER_FLOOR_PROFILE ?= 90
-COVER_FLOOR_OBS     ?= 89
-COVER_FLOOR_SERVE   ?= 81
-COVER_FLOOR_STORE   ?= 86
-COVER_FLOOR_LINT    ?= 80
+COVER_FLOOR_FOREST  ?= 93
+COVER_FLOOR_PROFILE ?= 91
+COVER_FLOOR_OBS     ?= 91
+COVER_FLOOR_SERVE   ?= 84
+COVER_FLOOR_STORE   ?= 87
+COVER_FLOOR_LINT    ?= 83
 COVER_FLOOR_XMLCONV ?= 88
 COVER_FLOOR_EDIT    ?= 89
+COVER_FLOOR_TREE    ?= 80
 
 .PHONY: check fmt-check lint vet build test test-short race fuzz cover bench bench-smoke bench-check
 
@@ -89,7 +90,7 @@ fuzz:
 # their recorded floors.
 cover:
 	@set -e; \
-	for spec in internal/core:$(COVER_FLOOR_CORE) internal/forest:$(COVER_FLOOR_FOREST) internal/profile:$(COVER_FLOOR_PROFILE) internal/obs:$(COVER_FLOOR_OBS) internal/serve:$(COVER_FLOOR_SERVE) internal/store:$(COVER_FLOOR_STORE) internal/lint:$(COVER_FLOOR_LINT) internal/xmlconv:$(COVER_FLOOR_XMLCONV) internal/edit:$(COVER_FLOOR_EDIT); do \
+	for spec in internal/core:$(COVER_FLOOR_CORE) internal/forest:$(COVER_FLOOR_FOREST) internal/profile:$(COVER_FLOOR_PROFILE) internal/obs:$(COVER_FLOOR_OBS) internal/serve:$(COVER_FLOOR_SERVE) internal/store:$(COVER_FLOOR_STORE) internal/lint:$(COVER_FLOOR_LINT) internal/xmlconv:$(COVER_FLOOR_XMLCONV) internal/edit:$(COVER_FLOOR_EDIT) internal/tree:$(COVER_FLOOR_TREE); do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; prof=$$(mktemp); \
 		$(GO) test -coverprofile=$$prof ./$$pkg > /dev/null; \
 		pct=$$($(GO) tool cover -func=$$prof | awk '/^total:/ { sub(/%/, "", $$3); print $$3 }'); \

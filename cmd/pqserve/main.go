@@ -27,7 +27,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"io"
 	"log"
 	"log/slog"
 	"net/http"
@@ -85,7 +84,7 @@ func main() {
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	if *quiet {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		logger = obs.DiscardLogger()
 	}
 
 	col := obs.NewCollector()

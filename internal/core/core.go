@@ -140,7 +140,7 @@ func Deltas(tn *tree.Tree, log edit.Log, pr profile.Params) (iPlus, iMinus profi
 // in unchanged, if iMinus is not contained in the index, which indicates
 // that the log does not belong to the index's tree.
 func ApplyDeltas(in, iPlus, iMinus profile.Index) error {
-	if err := CheckMinus(in, iMinus); err != nil {
+	if err := CheckMinus(func(lt profile.LabelTuple) int { return in[lt] }, iMinus); err != nil {
 		return err
 	}
 	for lt, c := range iMinus {
@@ -157,11 +157,12 @@ func ApplyDeltas(in, iPlus, iMinus profile.Index) error {
 }
 
 // CheckMinus is ApplyDeltas's containment check alone, for a caller that
-// must know a delta applies before it applies it.
-func CheckMinus(in, iMinus profile.Index) error {
+// must know a delta applies before it applies it. count gives a tuple's
+// multiplicity in I₀, whatever form I₀ is held in.
+func CheckMinus(count func(profile.LabelTuple) int, iMinus profile.Index) error {
 	for lt, c := range iMinus {
-		if in[lt] < c {
-			return fmt.Errorf("core: I⁻ not contained in I₀: tuple %016x occurs %d times, I⁻ removes %d", uint64(lt), in[lt], c)
+		if have := count(lt); have < c {
+			return fmt.Errorf("core: I⁻ not contained in I₀: tuple %016x occurs %d times, I⁻ removes %d", uint64(lt), have, c)
 		}
 	}
 	return nil

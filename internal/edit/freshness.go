@@ -6,6 +6,19 @@ import (
 	"pqgram/internal/tree"
 )
 
+// VerifyLog checks that a log is a valid sequence of inverse operations
+// for the tree tn: applied in reverse order to a clone, every operation is
+// applicable. It returns the reconstructed original tree T0 on success.
+// Use it to vet logs from untrusted feeds before UpdateIndex; it costs a
+// tree copy plus the replay, which index maintenance itself avoids.
+func VerifyLog(tn *tree.Tree, log Log) (*tree.Tree, error) {
+	t0 := tn.Clone()
+	if err := log.Undo(t0); err != nil {
+		return nil, err
+	}
+	return t0, nil
+}
+
 // CheckFreshIDs verifies that a script uses fresh node identities: every
 // inserted node ID must never have occurred before — neither in the initial
 // tree t0 nor as an earlier insert, even if the node was deleted in between.
@@ -22,19 +35,6 @@ import (
 //
 // The script is not applied; only ID bookkeeping is simulated, so t0 may be
 // the tree before or a clone.
-// VerifyLog checks that a log is a valid sequence of inverse operations
-// for the tree tn: applied in reverse order to a clone, every operation is
-// applicable. It returns the reconstructed original tree T0 on success.
-// Use it to vet logs from untrusted feeds before UpdateIndex; it costs a
-// tree copy plus the replay, which index maintenance itself avoids.
-func VerifyLog(tn *tree.Tree, log Log) (*tree.Tree, error) {
-	t0 := tn.Clone()
-	if err := log.Undo(t0); err != nil {
-		return nil, err
-	}
-	return t0, nil
-}
-
 func CheckFreshIDs(t0 *tree.Tree, s Script) error {
 	used := make(map[tree.NodeID]bool, t0.Size()+len(s))
 	for _, id := range t0.IDs() {

@@ -12,6 +12,7 @@ import (
 	"pqgram/internal/forest"
 	"pqgram/internal/fsio"
 	"pqgram/internal/gen"
+	"pqgram/internal/obs"
 	"pqgram/internal/profile"
 	"pqgram/internal/store"
 	"pqgram/internal/tree"
@@ -404,6 +405,48 @@ func TestTierNumberReuseUnderLookups(t *testing.T) {
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := f.SelfCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStripeLoadSnapshotDuringPuts takes collector snapshots, whose
+// forest_stripe_load value scans every shard map, while Put replaces
+// documents. Put writes the shard maps under the registry write lock
+// alone, so the scan must hold the registry read lock: under -race this
+// test reports the unguarded read, and without it the runtime can die of
+// a concurrent map iteration and write.
+func TestStripeLoadSnapshotDuringPuts(t *testing.T) {
+	f := forest.New(p33)
+	col := obs.NewCollector()
+	f.SetCollector(col)
+	docs := make([]*tree.Tree, 4)
+	for i := range docs {
+		docs[i] = gen.XMark(int64(i+1), 60)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				col.Snapshot()
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		f.Put(fmt.Sprintf("doc-%d", i%8), docs[i%len(docs)])
+	}
+	close(done)
+	wg.Wait()
+	st, ok := col.Snapshot().Values["forest_stripe_load"].(forest.StripeLoadStats)
+	if !ok || st.Keys == 0 || st.Postings == 0 {
+		t.Fatalf("forest_stripe_load after the puts: %+v (present %v)", st, ok)
 	}
 	if err := f.SelfCheck(); err != nil {
 		t.Fatal(err)

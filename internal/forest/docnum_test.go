@@ -118,7 +118,7 @@ func (s *docScript) step() {
 		}
 	case op == 6: // Promote
 		if id, ok := s.pick(true); ok {
-			s.must(s.f.Promote(id, s.ft.bags[id].Clone(), func() { delete(s.ft.bags, id) }))
+			s.must(s.f.Promote(id, profile.Freeze(s.ft.bags[id]), func() { delete(s.ft.bags, id) }))
 		}
 	default: // AddIndexes
 		ids := make([]string, 1+s.rng.Intn(3))

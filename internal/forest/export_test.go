@@ -3,18 +3,27 @@ package forest
 import "pqgram/internal/profile"
 
 // CorruptBagForTest bumps one tuple count in id's bag (and the cached
-// size) behind the postings' back. TreeIndex returns a copy precisely so
-// that callers cannot do this; tests use the hook to prove SelfCheck
-// would catch such corruption.
+// size) behind the postings' back, through the overlay. TreeIndex returns
+// a copy precisely so that callers cannot do this; tests use the hook to
+// prove SelfCheck would catch such corruption.
 func CorruptBagForTest(f *Index, id string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	e := f.trees[id]
-	for lt := range e.idx {
-		e.idx[lt]++
-		e.size.Add(1)
-		break
-	}
+	lt, c := e.base.At(0)
+	e.over = map[profile.LabelTuple]int{lt: c + 1}
+	e.size.Add(1)
+}
+
+// OverlayForTest reports how many tuples id's bag overlay holds: 0 right
+// after a fold.
+func OverlayForTest(f *Index, id string) int {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	e := f.trees[id]
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return len(e.over)
 }
 
 // EvictedForTest reports whether id is indexed with its bag evicted to
@@ -23,7 +32,7 @@ func EvictedForTest(f *Index, id string) bool {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	e, ok := f.trees[id]
-	return ok && e.idx == nil
+	return ok && e.evicted
 }
 
 // NumShardsForTest exposes the stripe count for shard-distribution tests.
@@ -83,7 +92,7 @@ var CorruptionsForTest = map[string]func(f *Index){
 	},
 	"evicted tree with a posting": func(f *Index) {
 		for _, e := range f.trees {
-			if e.idx == nil {
+			if e.evicted {
 				lt := profile.TupleOfLabels("*", "*", "evicted", "*", "*", "*")
 				f.shardOf(lt).add(lt, e.doc, 1)
 				return

@@ -9,7 +9,11 @@
 //
 // The index supports incremental maintenance: Update applies the deltas of
 // Algorithm 1 to both the per-tree bag and the postings, so a document
-// change costs time proportional to the log, not to the forest.
+// change costs time proportional to the log, not to the forest. Each
+// per-tree bag is a frozen sorted profile.Bag plus a small overlay of the
+// tuples changed since it was frozen (treeEntry), so a resident document
+// costs 12 bytes per distinct tuple instead of a Go map's 30 while an
+// update still touches only its deltas.
 //
 // The in-memory postings need not hold the whole collection: a storage
 // tier (tier.go, implemented by the segmented store in internal/store)
@@ -75,11 +79,13 @@ type posting struct{ doc, cnt uint32 }
 
 // shard is one stripe of the inverted postings pqg → (doc, cnt). Each list
 // is kept strictly ascending by doc number. Its mutex guards the map and
-// every list reachable from it; structural operations holding the
-// registry write lock exclude every shard reader and writer wholesale,
-// which is the Index.mu:w alternative of the guard.
+// every list reachable from it against delta applications; structural
+// operations write them under the registry write lock alone, which is the
+// Index.mu:w alternative of the guard.
 type shard struct {
-	mu       sync.RWMutex
+	mu sync.RWMutex
+	// postings is written under mu or under Index.mu:w, so a reader holds
+	// Index.mu (read suffices) as well as mu.
 	postings map[profile.LabelTuple][]posting // guarded by mu or Index.mu:w
 }
 
@@ -128,25 +134,76 @@ func (s *shard) sub(lt profile.LabelTuple, doc uint32, c int) bool {
 	return true
 }
 
+// foldFraction bounds a bag's overlay: once it holds more than
+// 1/foldFraction as many tuples as the frozen base, ApplyDeltas folds it
+// into a new base. A fold costs O(base + overlay) and follows at least
+// base/foldFraction overlay changes, each paid for by a delta tuple, so an
+// update costs amortised O(|I⁺| + |I⁻|) while the overlay adds at most an
+// eighth of a map's footprint to the 12 bytes per tuple of the base.
+const foldFraction = 8
+
 // treeEntry is one indexed tree: its bag, the bag's lock, and the bag
 // cardinality cached so that lookups can score candidates without taking
 // the bag lock at all.
 //
-// idx == nil marks an evicted entry (tier.go): the bag lives in the
-// storage tier, the postings are absent from the shards, and distinct
-// caches the bag's distinct-tuple count (written only under the registry
-// write lock, like idx itself on eviction/promotion).
+// The bag is base plus over: base is frozen (a sorted profile.Bag), and
+// over holds the absolute count of each tuple changed since base was
+// frozen, 0 for a tuple removed. over is nil when no tuple has changed;
+// ApplyDeltas writes only over and folds it into a new base (one
+// Bag.Apply merge) once it outgrows base/foldFraction.
+//
+// evicted marks an entry whose bag lives in the storage tier (tier.go):
+// base and over are empty, the postings are absent from the shards, and
+// distinct caches the bag's distinct-tuple count (written only under the
+// registry write lock, like evicted itself).
 //
 // id and doc are the entry's two names — the caller's string and the dense
 // number the postings and the per-query accumulators use — fixed when the
 // entry is registered.
 type treeEntry struct {
 	mu       sync.RWMutex
-	idx      profile.Index // guarded by mu or Index.mu:w
+	base     profile.Bag                // guarded by mu or Index.mu:w
+	over     map[profile.LabelTuple]int // guarded by mu or Index.mu:w
+	evicted  bool                       // guarded by Index.mu
 	size     atomic.Int64
 	distinct int    // guarded by Index.mu
 	id       string // guarded by Index.mu
 	doc      uint32 // guarded by Index.mu
+}
+
+// count returns the multiplicity of lt in the entry's bag.
+//
+//pqlint:locked e.mu:r
+func (e *treeEntry) count(lt profile.LabelTuple) int {
+	if c, ok := e.over[lt]; ok {
+		return c
+	}
+	return e.base.Count(lt)
+}
+
+// bag returns the entry's bag with the overlay merged in: base itself
+// when there is no overlay, else a new Bag.
+//
+//pqlint:locked e.mu:r
+func (e *treeEntry) bag() profile.Bag {
+	if e.over == nil {
+		return e.base
+	}
+	plus, minus := profile.Index{}, profile.Index{}
+	for lt, c := range e.over {
+		switch b := e.base.Count(lt); {
+		case c > b:
+			plus[lt] = c - b
+		case c < b:
+			minus[lt] = b - c
+		}
+	}
+	bag, err := e.base.Apply(profile.Freeze(plus), profile.Freeze(minus))
+	if err != nil {
+		// minus holds only tuples of base, at most their count.
+		panic(fmt.Sprintf("forest: folding a bag's overlay: %v", err))
+	}
+	return bag
 }
 
 // ErrNotIndexed is wrapped by every error that names a tree ID the index
@@ -277,24 +334,26 @@ func (f *Index) Add(id string, t *tree.Tree) error {
 }
 
 // AddIndex indexes a precomputed pq-gram index (e.g. one loaded from disk)
-// under the given ID. The index is owned by the forest afterwards and must
-// not be modified by the caller.
+// under the given ID. The forest keeps a frozen copy; idx stays the
+// caller's.
 func (f *Index) AddIndex(id string, idx profile.Index) error {
+	bag := profile.Freeze(idx)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.addIndexLocked(id, idx)
+	return f.addBagLocked(id, bag)
 }
 
-// addIndexLocked requires f.mu held for writing; under the write lock the
+// addBagLocked requires f.mu held for writing; under the write lock the
 // shards need no locking of their own.
 //
 //pqlint:locked f.mu
-func (f *Index) addIndexLocked(id string, idx profile.Index) error {
+func (f *Index) addBagLocked(id string, bag profile.Bag) error {
 	if _, ok := f.trees[id]; ok {
 		return fmt.Errorf("forest: tree %q already indexed", id)
 	}
-	e := f.registerLocked(id, idx, idx.Size())
-	for lt, c := range idx {
+	e := f.registerLocked(id, bag, bag.Size())
+	for i := 0; i < bag.Distinct(); i++ {
+		lt, c := bag.At(i)
 		f.shardOf(lt).add(lt, e.doc, c)
 	}
 	f.epoch.Add(1)
@@ -307,8 +366,8 @@ func (f *Index) addIndexLocked(id string, idx profile.Index) error {
 // replaces a tree hands the new bag the old one's number.
 //
 //pqlint:locked f.mu
-func (f *Index) registerLocked(id string, idx profile.Index, size int) *treeEntry {
-	e := &treeEntry{idx: idx, id: id}
+func (f *Index) registerLocked(id string, bag profile.Bag, size int) *treeEntry {
+	e := &treeEntry{base: bag, id: id}
 	e.size.Store(int64(size))
 	if n := len(f.free); n > 0 {
 		e.doc, f.free = f.free[n-1], f.free[:n-1]
@@ -330,7 +389,9 @@ func (f *Index) removeLocked(id string) error {
 	if !ok {
 		return fmt.Errorf("forest: tree %q %w", id, ErrNotIndexed)
 	}
-	for lt, c := range e.idx {
+	bag := e.bag()
+	for i := 0; i < bag.Distinct(); i++ {
+		lt, c := bag.At(i)
 		f.shardOf(lt).sub(lt, e.doc, c)
 	}
 	delete(f.trees, id)
@@ -346,16 +407,15 @@ func (f *Index) removeLocked(id string) error {
 // the serving path needs: with separate Has/Remove/Add calls two writers
 // can interleave, with Put they cannot.
 func (f *Index) Put(id string, t *tree.Tree) int {
-	idx := profile.BuildIndex(t, f.pr)
-	n := idx.Size()
+	bag := profile.Freeze(profile.BuildIndex(t, f.pr))
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, ok := f.trees[id]; ok {
 		f.removeLocked(id)
 	}
-	f.addIndexLocked(id, idx)
+	f.addBagLocked(id, bag)
 	f.obs.Load().puts.Inc()
-	return n
+	return bag.Size()
 }
 
 // TreeIndex returns a copy of the pq-gram index of one tree, or nil if the
@@ -376,22 +436,22 @@ func (f *Index) TreeIndex(id string) profile.Index {
 	return bag
 }
 
-// bagCopyLocked returns a copy of one entry's bag that the caller owns:
-// a clone of a resident bag, taken under its lock, or the tier's fresh
-// copy of an evicted one. It requires f.mu held (read suffices), which
-// keeps the document from being promoted or re-flushed mid-read, and
-// fails only on a tier inconsistency (see bagOfLocked).
+// bagCopyLocked returns a copy of one entry's bag that the caller owns,
+// materialised as an Index: from a resident bag, taken under its lock, or
+// from the tier's copy of an evicted one. It requires f.mu held (read
+// suffices), which keeps the document from being promoted or re-flushed
+// mid-read, and fails only on a tier inconsistency (see bagOfLocked).
 //
 //pqlint:locked f.mu:r
 func (f *Index) bagCopyLocked(id string, e *treeEntry) (profile.Index, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	bag, err := f.bagOfLocked(id, e)
-	if e.idx != nil {
-		bag = bag.Clone()
+	if err != nil {
+		return nil, err
 	}
-	f.obs.Load().bagCopyTuples.Add(int64(len(bag)))
-	return bag, err
+	f.obs.Load().bagCopyTuples.Add(int64(bag.Distinct()))
+	return bag.Index(), nil
 }
 
 // TreeStats returns the bag cardinality and the number of distinct tuples
@@ -405,20 +465,19 @@ func (f *Index) TreeStats(id string) (size, distinct int, ok bool) {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if e.idx == nil {
+	if e.evicted {
 		return int(e.size.Load()), e.distinct, true
 	}
-	return int(e.size.Load()), len(e.idx), true
+	return int(e.size.Load()), e.bag().Distinct(), true
 }
 
 // ForEachTree calls fn once per indexed tree in ascending ID order, passing
-// the internal bag (for resident trees) or a tier-fetched copy (for
-// evicted ones). fn must treat the bag as read-only and must not retain
-// it after returning; the bag's lock is held for the duration of the call.
-// Iteration stops at the first error, which is returned. This is the
-// traversal the store uses to serialize the forest without copying every
-// resident bag.
-func (f *Index) ForEachTree(fn func(id string, idx profile.Index) error) error {
+// its frozen bag: the internal one of a resident tree whose overlay is
+// empty, a merged one otherwise, or a tier-fetched copy for an evicted
+// tree. The bag's lock is held for the duration of the call. Iteration
+// stops at the first error, which is returned. This is the traversal the
+// store uses to serialize the forest in the bags' own sorted order.
+func (f *Index) ForEachTree(fn func(id string, bag profile.Bag) error) error {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	for _, id := range f.idsLocked() {
@@ -490,12 +549,12 @@ func (f *Index) ApplyDeltas(id string, iPlus, iMinus profile.Index, commit func(
 	// serialize as a whole and never observe each other half-applied.
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.idx == nil {
+	if e.evicted {
 		// Deltas mutate the resident bag and the in-memory postings; the
 		// segmented store promotes a flushed document before updating it.
 		return fmt.Errorf("forest: tree %q is evicted; promote it before applying deltas", id)
 	}
-	if err := core.CheckMinus(e.idx, iMinus); err != nil {
+	if err := core.CheckMinus(e.count, iMinus); err != nil {
 		return fmt.Errorf("forest: tree %q: %w", id, err)
 	}
 	if commit != nil {
@@ -514,8 +573,19 @@ func (f *Index) ApplyDeltas(id string, iPlus, iMinus profile.Index, commit func(
 	// invalidation is always safe.
 	f.epoch.Add(1)
 	defer f.epoch.Add(1)
-	if err := core.ApplyDeltas(e.idx, iPlus, iMinus); err != nil {
-		return fmt.Errorf("forest: tree %q: %w", id, err)
+	// The bag changes in the overlay alone: I₀ ∖ I⁻ ⊎ I⁺ as absolute
+	// counts of the tuples the deltas name.
+	if e.over == nil && len(iPlus)+len(iMinus) > 0 {
+		e.over = make(map[profile.LabelTuple]int, len(iPlus)+len(iMinus))
+	}
+	for lt, c := range iMinus {
+		e.over[lt] = e.count(lt) - c
+	}
+	for lt, c := range iPlus {
+		e.over[lt] = e.count(lt) + c
+	}
+	if len(e.over) > e.base.Distinct()/foldFraction {
+		e.base, e.over = e.bag(), nil
 	}
 	e.size.Add(int64(iPlus.Size() - iMinus.Size()))
 	for lt, c := range iMinus {
@@ -573,23 +643,23 @@ func (f *Index) SelfCheck() error {
 	}
 	resident := 0 // distinct (tree, tuple) pairs the postings must hold
 	for id, e := range f.trees {
-		if e.idx == nil {
-			bag, err := f.bagOfLocked(id, e)
-			if err != nil {
-				return err
-			}
+		bag, err := f.bagOfLocked(id, e)
+		if err != nil {
+			return err
+		}
+		if e.evicted {
 			if got := e.size.Load(); got != int64(bag.Size()) {
 				return fmt.Errorf("forest: cached size of evicted tree %q is %d, tier bag has %d", id, got, bag.Size())
 			}
-			if e.distinct != len(bag) {
-				return fmt.Errorf("forest: cached distinct of evicted tree %q is %d, tier bag has %d", id, e.distinct, len(bag))
+			if e.distinct != bag.Distinct() {
+				return fmt.Errorf("forest: cached distinct of evicted tree %q is %d, tier bag has %d", id, e.distinct, bag.Distinct())
 			}
 			continue
 		}
-		if got, n := e.size.Load(), e.idx.Size(); got != int64(n) {
+		if got, n := e.size.Load(), bag.Size(); got != int64(n) {
 			return fmt.Errorf("forest: cached size of tree %q is %d, want %d", id, got, n)
 		}
-		resident += len(e.idx)
+		resident += bag.Distinct()
 	}
 	// Ascending lists cannot name a (tree, tuple) pair twice, so postings
 	// that all match a bag entry and number as many as the bag entries are
@@ -612,11 +682,11 @@ func (f *Index) SelfCheck() error {
 					return fmt.Errorf("forest: posting of tuple %016x names free doc number %d", uint64(lt), p.doc)
 				}
 				e := f.docs[p.doc]
-				if e.idx == nil {
+				if e.evicted {
 					return fmt.Errorf("forest: evicted tree %q has a posting", e.id)
 				}
-				if p.cnt == 0 || int(p.cnt) != e.idx[lt] {
-					return fmt.Errorf("forest: posting count for tree %q is %d, want %d", e.id, p.cnt, e.idx[lt])
+				if want := e.count(lt); p.cnt == 0 || int(p.cnt) != want {
+					return fmt.Errorf("forest: posting count for tree %q is %d, want %d", e.id, p.cnt, want)
 				}
 			}
 			total += len(list)

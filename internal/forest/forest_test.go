@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -518,5 +519,86 @@ func TestIndexMethodSet(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("*forest.Index exports %d methods, want %d:\n got %v\nwant %v", len(got), len(want), got, want)
+	}
+}
+
+// TestHeapPerGram pins what the resident index costs: an in-memory forest
+// loaded with a generated corpus shaped like the service benchmark's —
+// clusters of eight near-duplicates (up to eight edits apart) of 64- to
+// 512-node documents — keeps at most 25 heap bytes per pq-gram, bags,
+// postings and registry together. Per-document bag maps took 37.7; the
+// frozen bags take 12 bytes per distinct tuple.
+func TestHeapPerGram(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var docs []*tree.Tree
+	for c := 0; c < 64; c++ {
+		base := gen.XMark(int64(c+1), int(64*math.Pow(8, (float64(c)+0.5)/64)))
+		docs = append(docs, base)
+		for m := 1; m < 8; m++ {
+			d, _, err := gen.Perturb(rng, base, 1+rng.Intn(8), gen.DefaultMix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs = append(docs, d)
+		}
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f := forest.New(p33)
+	for i, d := range docs {
+		f.Put(fmt.Sprintf("doc-%05d", i), d)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grams := f.Size()
+	runtime.KeepAlive(docs) // allocated before the first reading
+	runtime.KeepAlive(f)
+	perGram := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(grams)
+	t.Logf("%d documents, %d grams: %.1f heap bytes per gram", len(docs), grams, perGram)
+	if perGram > 25 {
+		t.Fatalf("the forest keeps %.1f heap bytes per gram, bound 25", perGram)
+	}
+}
+
+// TestOverlayFolds drives small edit logs through one document until its
+// bag overlay has been folded into a new frozen base several times. After
+// every update the bag must equal a rebuild of the edited document, and
+// its distinct count the rebuild's; SelfCheck must hold at the end.
+func TestOverlayFolds(t *testing.T) {
+	doc := gen.XMark(11, 400)
+	f := forest.New(p33)
+	if err := f.Add("doc", doc); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	folds, prev := 0, 0
+	for i := 0; i < 80; i++ {
+		_, log, err := gen.RandomScript(rng, doc, 3, gen.DefaultMix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Update("doc", doc, log); err != nil {
+			t.Fatal(err)
+		}
+		// Only a fold shrinks the overlay.
+		n := forest.OverlayForTest(f, "doc")
+		if n < prev {
+			folds++
+		}
+		prev = n
+		want := profile.BuildIndex(doc, p33)
+		if !f.TreeIndex("doc").Equal(want) {
+			t.Fatalf("update %d (overlay %d tuples): bag differs from the rebuild", i, n)
+		}
+		if size, distinct, _ := f.TreeStats("doc"); size != want.Size() || distinct != want.Distinct() {
+			t.Fatalf("update %d: TreeStats (%d, %d), rebuild (%d, %d)", i, size, distinct, want.Size(), want.Distinct())
+		}
+	}
+	if folds < 2 {
+		t.Fatalf("the overlay folded %d times in 80 updates, want at least 2", folds)
+	}
+	if err := f.SelfCheck(); err != nil {
+		t.Fatal(err)
 	}
 }

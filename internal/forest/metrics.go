@@ -106,13 +106,17 @@ type StripeLoadStats struct {
 }
 
 // stripeLoad reports the current postings-stripe load distribution. It
-// read-locks each stripe briefly and never blocks writers for longer than
-// one stripe scan. The result is declared as `any` so it can be registered
-// as a computed metric.
+// holds the registry read lock for the whole scan, since structural
+// operations write the shard maps under the registry write lock alone,
+// and read-locks each stripe briefly, so a delta application waits for at
+// most one stripe scan. The result is declared as `any` so it can be
+// registered as a computed metric.
 func (f *Index) stripeLoad() any {
 	var st StripeLoadStats
 	st.Stripes = numShards
 	loads := make([]int, numShards)
+	f.mu.RLock()
+	defer f.mu.RUnlock()
 	for i := range f.shards {
 		s := &f.shards[i]
 		s.mu.RLock()

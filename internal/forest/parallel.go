@@ -79,10 +79,11 @@ func (f *Index) AddAll(docs []Doc, workers int) error {
 }
 
 // AddIndexes bulk-indexes precomputed bags (e.g. from BuildIndexes or a
-// snapshot loader) under the given IDs. The bags are owned by the forest
-// afterwards. The merge into the postings runs with one worker per shard
-// stripe; because the stripes partition the tuple space, the workers never
-// contend and the result is identical to a serial merge.
+// snapshot loader) under the given IDs. The forest keeps frozen copies,
+// made in parallel; the bags stay the caller's. The merge into the
+// postings runs with one worker per shard stripe; because the stripes
+// partition the tuple space, the workers never contend and the result is
+// identical to a serial merge.
 func (f *Index) AddIndexes(ids []string, bags []profile.Index, workers int) error {
 	if len(ids) != len(bags) {
 		return fmt.Errorf("forest: %d ids for %d bags", len(ids), len(bags))
@@ -100,24 +101,15 @@ func (f *Index) AddIndexes(ids []string, bags []profile.Index, workers int) erro
 		}
 		seen[id] = true
 	}
-	docs := make([]uint32, len(ids))
-	for i, id := range ids {
-		docs[i] = f.registerLocked(id, bags[i], bags[i].Size()).doc
-	}
-	// One epoch advance per added document, matching AddIndex, so result
-	// caches see the same invalidation cadence either way.
-	f.epoch.Add(uint64(len(ids)))
-	m := f.obs.Load()
-	m.bulkOps.Inc()
-	m.adds.Add(int64(len(ids)))
-	// Bucket each bag's tuples by shard (parallel over docs), then merge
-	// (parallel over shards). Each merge worker owns a disjoint set of
-	// stripes, so no shard locking is needed under the registry write
-	// lock.
+	// Freeze each bag and bucket its tuples by shard (parallel over docs),
+	// then merge (parallel over shards). Each merge worker owns a disjoint
+	// set of stripes, so no shard locking is needed under the registry
+	// write lock.
 	type postDelta struct {
 		lt profile.LabelTuple
 		c  int
 	}
+	frozen := make([]profile.Bag, len(bags))
 	buckets := make([][numShards][]postDelta, len(bags))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -130,7 +122,9 @@ func (f *Index) AddIndexes(ids []string, bags []profile.Index, workers int) erro
 				if i >= len(bags) {
 					return
 				}
-				for lt, c := range bags[i] {
+				frozen[i] = profile.Freeze(bags[i])
+				for j := 0; j < frozen[i].Distinct(); j++ {
+					lt, c := frozen[i].At(j)
 					si := lt.Shard(shardBits)
 					buckets[i][si] = append(buckets[i][si], postDelta{lt, c})
 				}
@@ -138,6 +132,16 @@ func (f *Index) AddIndexes(ids []string, bags []profile.Index, workers int) erro
 		}()
 	}
 	wg.Wait()
+	docs := make([]uint32, len(ids))
+	for i, id := range ids {
+		docs[i] = f.registerLocked(id, frozen[i], frozen[i].Size()).doc
+	}
+	// One epoch advance per added document, matching AddIndex, so result
+	// caches see the same invalidation cadence either way.
+	f.epoch.Add(uint64(len(ids)))
+	m := f.obs.Load()
+	m.bulkOps.Inc()
+	m.adds.Add(int64(len(ids)))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {

@@ -5,9 +5,9 @@
 // live in immutable on-disk segments. The forest stays the single query
 // engine for both populations through the Tier interface: every document
 // is represented by a treeEntry in the registry (so Has/Len/IDs and the
-// cached sizes behave identically), but an evicted entry's bag pointer is
-// nil and its postings are absent from the shards — lookups merge the
-// tier's overlap contributions instead.
+// cached sizes behave identically), but an evicted entry holds no bag and
+// its postings are absent from the shards — lookups merge the tier's
+// overlap contributions instead.
 //
 // The invariant everything below leans on: a document is resident XOR
 // evicted. Its tuples are in the in-memory shards or reachable through
@@ -84,9 +84,9 @@ type Tier interface {
 	// FilterHash hashes a tuple for every run's MayContain.
 	FilterHash(lt profile.LabelTuple) (h1, h2 uint64)
 
-	// Bag returns a fresh copy of one evicted document's bag, or
-	// ok=false if the tier does not hold the document.
-	Bag(id string) (bag profile.Index, ok bool)
+	// Bag returns one evicted document's bag, or ok=false if the tier
+	// does not hold the document.
+	Bag(id string) (bag profile.Bag, ok bool)
 }
 
 // SetTier attaches (or, with nil, detaches) the storage tier. The
@@ -116,18 +116,20 @@ func (f *Index) Evict(ids []string, swap func(docs []uint32)) error {
 		if !ok {
 			return fmt.Errorf("forest: tree %q %w", id, ErrNotIndexed)
 		}
-		if e.idx == nil {
+		if e.evicted {
 			return fmt.Errorf("forest: tree %q already evicted", id)
 		}
 	}
 	docs := make([]uint32, len(ids))
 	for i, id := range ids {
 		e := f.trees[id]
-		for lt, c := range e.idx {
+		bag := e.bag()
+		for j := 0; j < bag.Distinct(); j++ {
+			lt, c := bag.At(j)
 			f.shardOf(lt).sub(lt, e.doc, c)
 		}
-		e.distinct = len(e.idx)
-		e.idx = nil
+		e.distinct = bag.Distinct()
+		e.base, e.over, e.evicted = profile.Bag{}, nil, true
 		docs[i] = e.doc
 	}
 	if swap != nil {
@@ -137,29 +139,27 @@ func (f *Index) Evict(ids []string, swap func(docs []uint32)) error {
 }
 
 // Promote moves one evicted document back into the resident population
-// with the given bag (owned by the forest afterwards) — the store calls
-// it before applying incremental deltas to a flushed document. swap runs
-// under the registry write lock after the postings are re-added; the
-// store uses it to drop its tier location and mark the stale segment copy
-// dead, so no lookup can count the document twice. Like Evict, promotion
-// changes no content: no epoch advance.
-func (f *Index) Promote(id string, bag profile.Index, swap func()) error {
+// with the given bag — the store calls it before applying incremental
+// deltas to a flushed document. swap runs under the registry write lock
+// after the postings are re-added; the store uses it to drop its tier
+// location and mark the stale segment copy dead, so no lookup can count
+// the document twice. Like Evict, promotion changes no content: no epoch
+// advance.
+func (f *Index) Promote(id string, bag profile.Bag, swap func()) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	e, ok := f.trees[id]
 	if !ok {
 		return fmt.Errorf("forest: tree %q %w", id, ErrNotIndexed)
 	}
-	if e.idx != nil {
+	if !e.evicted {
 		return fmt.Errorf("forest: tree %q already resident", id)
 	}
-	if bag == nil {
-		return fmt.Errorf("forest: promoting %q with nil bag", id)
-	}
-	e.idx = bag
+	e.base, e.evicted = bag, false
 	e.size.Store(int64(bag.Size()))
 	e.distinct = 0
-	for lt, c := range bag {
+	for i := 0; i < bag.Distinct(); i++ {
+		lt, c := bag.At(i)
 		f.shardOf(lt).add(lt, e.doc, c)
 	}
 	if swap != nil {
@@ -193,30 +193,30 @@ func (f *Index) AddEvicted(id string, size, distinct int) (uint32, error) {
 	if _, ok := f.trees[id]; ok {
 		return 0, fmt.Errorf("forest: tree %q already indexed", id)
 	}
-	e := f.registerLocked(id, nil, size)
-	e.distinct = distinct
+	e := f.registerLocked(id, profile.Bag{}, size)
+	e.evicted, e.distinct = true, distinct
 	f.epoch.Add(1)
 	f.obs.Load().adds.Inc()
 	return e.doc, nil
 }
 
-// bagOfLocked returns the bag of one entry, fetching evicted bags from
-// the tier (the returned copy is the caller's). Requires f.mu held (read
-// suffices) and, for resident entries, e.mu if concurrent delta
-// application must be excluded. It fails only on a tier inconsistency: an
-// evicted entry the tier does not serve.
+// bagOfLocked returns the bag of one entry: a resident one with its
+// overlay merged in, an evicted one fetched from the tier. Requires f.mu
+// held (read suffices) and, for resident entries, e.mu or f.mu for
+// writing. It fails only on a tier inconsistency: an evicted entry the
+// tier does not serve.
 //
 //pqlint:locked f.mu:r
-func (f *Index) bagOfLocked(id string, e *treeEntry) (profile.Index, error) {
-	if e.idx != nil { //pqlint:allow lockcheck the pointer is stable under f.mu; callers that must exclude concurrent delta application hold e.mu as documented above
-		return e.idx, nil
+func (f *Index) bagOfLocked(id string, e *treeEntry) (profile.Bag, error) {
+	if !e.evicted {
+		return e.bag(), nil
 	}
 	if f.tier == nil {
-		return nil, fmt.Errorf("forest: tree %q is evicted and no tier is attached", id)
+		return profile.Bag{}, fmt.Errorf("forest: tree %q is evicted and no tier is attached", id)
 	}
 	bag, ok := f.tier.Bag(id)
 	if !ok {
-		return nil, fmt.Errorf("forest: tree %q is evicted but the tier does not hold it", id)
+		return profile.Bag{}, fmt.Errorf("forest: tree %q is evicted but the tier does not hold it", id)
 	}
 	return bag, nil
 }

@@ -88,12 +88,12 @@ func (ft *fakeTier) AppendRuns(runs []forest.Run) []forest.Run {
 	return runs
 }
 
-func (ft *fakeTier) Bag(id string) (profile.Index, bool) {
+func (ft *fakeTier) Bag(id string) (profile.Bag, bool) {
 	bag, ok := ft.bags[id]
 	if !ok {
-		return nil, false
+		return profile.Bag{}, false
 	}
-	return bag.Clone(), true
+	return profile.Freeze(bag), true
 }
 
 // tieredCopy builds the same document set twice: once all-resident, once
@@ -257,8 +257,8 @@ func TestTierAccessors(t *testing.T) {
 
 	// ForEachTree traverses evicted documents through the tier.
 	seen := make(map[string]int)
-	if err := tiered.ForEachTree(func(id string, idx profile.Index) error {
-		seen[id] = idx.Size()
+	if err := tiered.ForEachTree(func(id string, bag profile.Bag) error {
+		seen[id] = bag.Size()
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -285,14 +285,11 @@ func TestTierEvictPromote(t *testing.T) {
 	if err := tiered.Evict([]string{"doc000"}, nil); err == nil || !strings.Contains(err.Error(), "already evicted") {
 		t.Fatalf("double evict: %v", err)
 	}
-	if err := tiered.Promote("nope", profile.Index{}, nil); err == nil || !strings.Contains(err.Error(), "not indexed") {
+	if err := tiered.Promote("nope", profile.Bag{}, nil); err == nil || !strings.Contains(err.Error(), "not indexed") {
 		t.Fatalf("promoting unknown: %v", err)
 	}
-	if err := tiered.Promote("doc001", profile.Index{}, nil); err == nil || !strings.Contains(err.Error(), "already resident") {
+	if err := tiered.Promote("doc001", profile.Bag{}, nil); err == nil || !strings.Contains(err.Error(), "already resident") {
 		t.Fatalf("promoting resident: %v", err)
-	}
-	if err := tiered.Promote("doc000", nil, nil); err == nil || !strings.Contains(err.Error(), "nil bag") {
-		t.Fatalf("promoting with nil bag: %v", err)
 	}
 
 	// Promote doc000 back; the swap callback drops the tier copy under
@@ -300,7 +297,7 @@ func TestTierEvictPromote(t *testing.T) {
 	epoch := tiered.Epoch()
 	swapped := false
 	bag := ft.bags["doc000"]
-	if err := tiered.Promote("doc000", bag.Clone(), func() {
+	if err := tiered.Promote("doc000", profile.Freeze(bag), func() {
 		swapped = true
 		delete(ft.bags, "doc000")
 	}); err != nil {
@@ -395,7 +392,7 @@ func TestTierDetachedErrors(t *testing.T) {
 	ev := evicted[0]
 
 	delete(ft.bags, ev)
-	if err := tiered.ForEachTree(func(string, profile.Index) error { return nil }); err == nil || !strings.Contains(err.Error(), "does not hold") {
+	if err := tiered.ForEachTree(func(string, profile.Bag) error { return nil }); err == nil || !strings.Contains(err.Error(), "does not hold") {
 		t.Fatalf("ForEachTree with a hole in the tier: %v", err)
 	}
 
@@ -403,7 +400,7 @@ func TestTierDetachedErrors(t *testing.T) {
 	if got := tiered.TreeIndex(evicted[1]); got != nil {
 		t.Fatalf("TreeIndex with no tier = %v, want nil", got)
 	}
-	if err := tiered.ForEachTree(func(string, profile.Index) error { return nil }); err == nil || !strings.Contains(err.Error(), "no tier is attached") {
+	if err := tiered.ForEachTree(func(string, profile.Bag) error { return nil }); err == nil || !strings.Contains(err.Error(), "no tier is attached") {
 		t.Fatalf("ForEachTree with no tier: %v", err)
 	}
 	if err := tiered.SelfCheck(); err == nil {

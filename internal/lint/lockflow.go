@@ -4,9 +4,10 @@
 // on functions, and the package-level `//pqlint:lockorder` manifests)
 // plus a structured, defer-aware abstract interpretation of function
 // bodies through branches, loops, switches and selects. A `break`
-// carries its path to the exit of its loop, switch or select, and a
-// `continue` to its loop's next iteration; a `goto` or `fallthrough`
-// leaves the walk. It tracks two facts per program point:
+// carries its path to the exit of its loop, switch or select, a
+// `continue` to its loop's next iteration and a `fallthrough` to the
+// entry of the next clause; a `goto` leaves the walk. It tracks two
+// facts per program point:
 //
 //   - held: the locks held on every path here. Branches merge by
 //     intersection, so a guarded access is sanctioned only where the
@@ -672,6 +673,7 @@ type jumpTarget struct {
 	loop   bool
 	breaks []*flowState // at the breaks out of it: joined into its exit
 	conts  []*flowState // at its continues: joined into the next iteration
+	fall   *flowState   // at a fallthrough: joined into the next clause's entry
 }
 
 // walkFuncs runs a flow walk over every function body of the package:
@@ -888,11 +890,15 @@ func (w *flowWalker) walkLoopBody(t *jumpTarget, body *ast.BlockStmt, st *flowSt
 	return next
 }
 
-// jump carries the state at a break to its construct's exit and at a
-// continue to its loop's next iteration. The path of a goto or a
-// fallthrough leaves the walk; returns past the jump are checked where
-// they occur.
+// jump carries the state at a break to its construct's exit, at a
+// continue to its loop's next iteration and at a fallthrough to the next
+// clause of the innermost switch. The path of a goto leaves the walk;
+// returns past the jump are checked where they occur.
 func (w *flowWalker) jump(s *ast.BranchStmt, st *flowState) {
+	if s.Tok == token.FALLTHROUGH {
+		w.targets[len(w.targets)-1].fall = st.clone()
+		return
+	}
 	for i := len(w.targets) - 1; i >= 0; i-- {
 		t := w.targets[i]
 		switch {
@@ -908,15 +914,21 @@ func (w *flowWalker) jump(s *ast.BranchStmt, st *flowState) {
 }
 
 // walkClauses interprets switch/select clause bodies from a shared
-// entry state and merges the non-terminating exits. Without a default
+// entry state, joined with the state a fallthrough carries from the
+// clause before, and merges the non-terminating exits. Without a default
 // (or for select, always) the fall-past path keeps the entry state.
 func (w *flowWalker) walkClauses(body *ast.BlockStmt, st *flowState, isSelect bool) bool {
 	var exits []*flowState
 	hasDefault := false
 	allTerm := true
+	t := w.targets[len(w.targets)-1]
 	for _, cl := range body.List {
 		var stmts []ast.Stmt
 		clSt := st.clone()
+		if t.fall != nil {
+			clSt.merge(t.fall)
+			t.fall = nil
+		}
 		switch cl := cl.(type) {
 		case *ast.CaseClause:
 			if cl.List == nil {

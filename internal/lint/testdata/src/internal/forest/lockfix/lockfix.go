@@ -281,3 +281,16 @@ outer:
 	}
 	return n
 }
+
+// fallthroughHoldsLock locks in a clause that falls through: the next
+// clause starts with the lock owed, and so does the switch's exit.
+func (s *counterShard) fallthroughHoldsLock(k int) int {
+	switch k {
+	case 0:
+		s.mu.Lock()
+		fallthrough
+	case 1:
+		k++
+	}
+	return k // want `counterShard\.mu acquired at line \d+ is still held when the function returns here`
+}

@@ -62,6 +62,18 @@ func (c *Collector) SetLogger(l *slog.Logger) {
 	c.logger.Store(l)
 }
 
+// DiscardLogger returns a logger whose handler is enabled for no level,
+// so a call through it formats nothing: the "no log" logger. (Go 1.24's
+// slog.DiscardHandler is the same thing; the module targets Go 1.22.)
+func DiscardLogger() *slog.Logger { return slog.New(discardHandler{}) }
+
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
+
 // SetTracer attaches a per-query tracer; a nil tracer detaches it.
 // No-op on a nil collector.
 func (c *Collector) SetTracer(t *Tracer) {

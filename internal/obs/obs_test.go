@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -209,6 +210,24 @@ func TestEventSink(t *testing.T) {
 	c.Event("compacted", "bytes", 123)
 	if out := buf.String(); !strings.Contains(out, "compacted") || !strings.Contains(out, "bytes=123") {
 		t.Errorf("event not logged: %q", out)
+	}
+}
+
+// TestDiscardLogger: the quiet logger is enabled for no level, so a
+// call through it never reaches a handler that formats, at any level and
+// after attributes or a group are added.
+func TestDiscardLogger(t *testing.T) {
+	ctx := context.Background()
+	for _, l := range []*slog.Logger{obs.DiscardLogger(), obs.DiscardLogger().With("k", 1).WithGroup("g")} {
+		for _, lv := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelError} {
+			if l.Enabled(ctx, lv) {
+				t.Fatalf("DiscardLogger enabled at %v", lv)
+			}
+		}
+		l.Error("dropped", "k", 1)
+		if err := l.Handler().Handle(ctx, slog.Record{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

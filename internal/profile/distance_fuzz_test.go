@@ -42,7 +42,8 @@ func decodeTree(data []byte) *tree.Tree {
 // (Definition 3) that the lookup paths rely on, on random tree triples:
 // symmetric, within [0, 1], zero exactly on equal bags, and equal to
 // DistanceFrom — the expression every postings path scores with — on the
-// two sizes and the bag overlap.
+// two sizes and the bag overlap. On the same triples it runs the frozen
+// Bag against the map it was frozen from (bagAgreesWithMap).
 func FuzzDistance(f *testing.F) {
 	f.Add([]byte{0, 1, 2}, []byte{5, 6}, []byte{9}, uint8(3), uint8(3))
 	f.Add([]byte{}, []byte{0}, []byte{0, 0}, uint8(1), uint8(1))
@@ -68,7 +69,70 @@ func FuzzDistance(f *testing.F) {
 				}
 			}
 		}
+		bagAgreesWithMap(t, bags[0], bags[1], bags[2])
 	})
+}
+
+// bagAgreesWithMap is the differential of profile.Bag against the map:
+// Freeze, Size, Distinct, Count, At's order, Equal and Index on each of
+// x, y, z, and Apply against the map update x ∖ (x ∩ z) ⊎ y, which must
+// also fail exactly when the removed bag z is not contained in x.
+func bagAgreesWithMap(t *testing.T, x, y, z profile.Index) {
+	t.Helper()
+	idxs := []profile.Index{x, y, z}
+	for _, m := range idxs {
+		b := profile.Freeze(m)
+		if b.Size() != m.Size() || b.Distinct() != m.Distinct() || !b.Index().Equal(m) {
+			t.Fatalf("Freeze: size %d distinct %d, map has %d and %d", b.Size(), b.Distinct(), m.Size(), m.Distinct())
+		}
+		for i := 0; i < b.Distinct(); i++ {
+			lt, c := b.At(i)
+			if i > 0 {
+				if prev, _ := b.At(i - 1); prev >= lt {
+					t.Fatalf("At(%d) = %016x does not ascend", i, uint64(lt))
+				}
+			}
+			if c != m[lt] {
+				t.Fatalf("At(%d) count %d, map %d", i, c, m[lt])
+			}
+		}
+		for _, o := range idxs {
+			for lt := range o {
+				if b.Count(lt) != m[lt] {
+					t.Fatalf("Count(%016x) = %d, map %d", uint64(lt), b.Count(lt), m[lt])
+				}
+			}
+			if b.Equal(profile.Freeze(o)) != m.Equal(o) {
+				t.Fatalf("Bag.Equal disagrees with Index.Equal")
+			}
+		}
+	}
+	minus := profile.Index{}
+	for lt, c := range x {
+		if d := min(c, z[lt]); d > 0 {
+			minus[lt] = d
+		}
+	}
+	want := x.Clone()
+	for lt, c := range minus {
+		if want[lt] -= c; want[lt] == 0 {
+			delete(want, lt)
+		}
+	}
+	for lt, c := range y {
+		want[lt] += c
+	}
+	got, err := profile.Freeze(x).Apply(profile.Freeze(y), profile.Freeze(minus))
+	if err != nil || !got.Equal(profile.Freeze(want)) {
+		t.Fatalf("Apply = %v (err %v), map update %v", got.Index(), err, want)
+	}
+	contained := true
+	for lt, c := range z {
+		contained = contained && x[lt] >= c
+	}
+	if _, err := profile.Freeze(x).Apply(profile.Freeze(y), profile.Freeze(z)); (err == nil) != contained {
+		t.Fatalf("Apply removing z: err %v, z contained in x: %v", err, contained)
+	}
 }
 
 // TestNormalizedDistanceIsNotAMetric pins the counterexample that keeps

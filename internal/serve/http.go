@@ -35,7 +35,6 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -81,7 +80,7 @@ func (s *Server) initHTTP() {
 	s.mux = http.NewServeMux()
 	s.logger = s.cfg.Logger
 	if s.logger == nil {
-		s.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		s.logger = obs.DiscardLogger()
 	}
 	// Sample every 16th traceable operation into a ring of recent traces;
 	// /explain traces its query unconditionally regardless of sampling.

@@ -298,6 +298,8 @@ func TestHTTPValidation(t *testing.T) {
 		{"edits bad json", "POST", "/docs/doc-0/edits", "{", 400},
 		{"edits bad log", "POST", "/docs/doc-0/edits", `{"xml":"<a/>","log":["garbage op"]}`, 400},
 		{"edits unknown id", "POST", "/docs/nope/edits", `{"xml":"<a/>","log":[]}`, 404},
+		{"edits op on a missing node", "POST", "/docs/doc-0/edits", `{"xml":"<a/>","log":["REN 99 x"]}`, 422},
+		{"edits children out of range", "POST", "/docs/doc-0/edits", `{"xml":"<a/>","log":["INS 50 x 1 1 5"]}`, 422},
 		{"stats", "GET", "/stats", "", 200},
 		{"metrics", "GET", "/debug/metrics", "", 200},
 		{"metrics prom", "GET", "/debug/metrics?format=prom", "", 200},

@@ -13,8 +13,8 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"math"
 	"path/filepath"
-	"slices"
 
 	"pqgram/internal/fsio"
 	"pqgram/internal/profile"
@@ -217,57 +217,43 @@ func readID(r byteReader) (string, error) {
 	return string(buf), nil
 }
 
-// sortedTuples returns the bag's tuples in ascending order, reusing
-// scratch: the canonical order every encoder emits a bag in.
-func sortedTuples(bag profile.Index, scratch []uint64) []uint64 {
-	tuples := slices.Grow(scratch[:0], len(bag))
-	for lt := range bag {
-		tuples = append(tuples, uint64(lt))
-	}
-	slices.Sort(tuples)
-	return tuples
-}
-
-// writeSortedBag writes a bag as its entries only, ascending by tuple:
-// len(bag) × ( tuple delta | cnt ), the first delta from zero. The caller
-// records the entry count where its format keeps it. It returns the
-// scratch slice for reuse.
-func writeSortedBag(w io.Writer, bag profile.Index, scratch []uint64) []uint64 {
-	tuples := sortedTuples(bag, scratch)
-	prev := uint64(0)
-	for _, lt := range tuples {
-		putUvarint(w, lt-prev)
+// writeSortedBag writes a bag as its entries only, in the bag's own
+// ascending order: Distinct() × ( tuple delta | cnt ), the first delta
+// from zero. The caller records the entry count where its format keeps
+// it.
+func writeSortedBag(w io.Writer, bag profile.Bag) {
+	prev := profile.LabelTuple(0)
+	for i := 0; i < bag.Distinct(); i++ {
+		lt, c := bag.At(i)
+		putUvarint(w, uint64(lt-prev))
 		prev = lt
-		putUvarint(w, uint64(bag[profile.LabelTuple(lt)]))
+		putUvarint(w, uint64(c))
 	}
-	return tuples
 }
 
-// readSortedBag reads n entries written by writeSortedBag. A tuple that
-// does not ascend (a duplicate, or a delta that wraps around) and a zero
-// count are corruption.
-func readSortedBag(r io.ByteReader, n uint64) (profile.Index, error) {
-	bag := make(profile.Index, min(n, maxHint))
+// readSortedBag reads n entries written by writeSortedBag straight into
+// a Bag. A tuple that does not ascend (a duplicate, or a delta that wraps
+// around) and a zero count are corruption.
+func readSortedBag(r io.ByteReader, n uint64) (profile.Bag, error) {
+	tuples := make([]profile.LabelTuple, 0, min(n, maxHint))
+	counts := make([]uint32, 0, min(n, maxHint))
 	prev := uint64(0)
 	for j := uint64(0); j < n; j++ {
 		delta, err := binary.ReadUvarint(r)
 		if err != nil {
-			return nil, fmt.Errorf("reading tuple %d: %w", j, err)
-		}
-		if j > 0 && (delta == 0 || prev+delta < prev) {
-			return nil, fmt.Errorf("tuple %d does not ascend", j)
+			return profile.Bag{}, fmt.Errorf("reading tuple %d: %w", j, err)
 		}
 		prev += delta
-		cnt, err := getUvarint(r, 1<<50)
+		cnt, err := getUvarint(r, math.MaxUint32)
 		if err != nil {
-			return nil, fmt.Errorf("reading count %d: %w", j, err)
+			return profile.Bag{}, fmt.Errorf("reading count %d: %w", j, err)
 		}
-		if cnt == 0 {
-			return nil, fmt.Errorf("tuple %d has a zero count", j)
-		}
-		bag[profile.LabelTuple(prev)] = int(cnt)
+		tuples = append(tuples, profile.LabelTuple(prev))
+		counts = append(counts, uint32(cnt))
 	}
-	return bag, nil
+	// A delta of zero repeats a tuple and one that wraps around goes
+	// below its predecessor: SortedBag rejects both, and zero counts.
+	return profile.SortedBag(tuples, counts)
 }
 
 func putUvarint(w io.Writer, v uint64) {

@@ -78,8 +78,8 @@ func FuzzOpenSegment(f *testing.F) {
 		}
 		defer sg.close()
 		for ref, d := range sg.docs {
-			if bag, err := sg.bag(ref); err == nil && len(bag) != d.distinct {
-				t.Fatalf("doc %q: bag of %d tuples, doc table says %d", d.id, len(bag), d.distinct)
+			if bag, err := sg.bag(ref); err == nil && bag.Distinct() != d.distinct {
+				t.Fatalf("doc %q: bag of %d tuples, doc table says %d", d.id, bag.Distinct(), d.distinct)
 			}
 		}
 		for i := range sg.fences {

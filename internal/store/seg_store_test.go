@@ -498,7 +498,7 @@ func TestSegmentedOrphanSegmentInvisible(t *testing.T) {
 	}
 	// Plant an orphan at the sequence number the next flush will use,
 	// holding a document the store was never given.
-	orphan := []segDoc{{id: "phantom", bag: profile.BuildIndex(tree.MustParse("q(a b c)"), p33)}}
+	orphan := []segDoc{{id: "phantom", bag: profile.Freeze(profile.BuildIndex(tree.MustParse("q(a b c)"), p33))}}
 	if _, _, err := writeSegment(fs, segmentPath("idx.pqg", s.Stats().NextSeq), p33, s.Stats().NextSeq, orphan, nil); err != nil {
 		t.Fatal(err)
 	}

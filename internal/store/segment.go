@@ -73,7 +73,7 @@ const (
 // segDoc is one document handed to writeSegment.
 type segDoc struct {
 	id  string
-	bag profile.Index
+	bag profile.Bag
 }
 
 // segDocMeta is a doc-table entry of an open segment.
@@ -158,10 +158,10 @@ func writeSegment(fsys fsio.FS, path string, pr profile.Params, seq uint64, docs
 	// per-tuple posting list sorted by doc reference with no extra sort.
 	bagBufs := make([]bytes.Buffer, len(docs))
 	postings := make(map[uint64][]segPosting)
-	var scratch []uint64
 	for i, d := range docs {
-		scratch = writeSortedBag(&bagBufs[i], d.bag, scratch)
-		for lt, cnt := range d.bag {
+		writeSortedBag(&bagBufs[i], d.bag)
+		for j := 0; j < d.bag.Distinct(); j++ {
+			lt, cnt := d.bag.At(j)
 			postings[uint64(lt)] = append(postings[uint64(lt)], segPosting{Ref: int32(i), Cnt: uint32(cnt)})
 		}
 	}
@@ -209,7 +209,7 @@ func writeSegment(fsys fsio.FS, path string, pr profile.Params, seq uint64, docs
 		for i, d := range docs {
 			writeID(cw, d.id)
 			putUvarint(cw, uint64(d.bag.Size()))
-			putUvarint(cw, uint64(len(d.bag)))
+			putUvarint(cw, uint64(d.bag.Distinct()))
 			putUvarint(cw, uint64(bagBufs[i].Len()))
 		}
 		putUvarint(cw, uint64(len(tombs)))
@@ -500,11 +500,10 @@ func (s *segment) readAt(p []byte, off int64) error {
 	return err
 }
 
-// bag reads and decodes one document's bag. The returned index is freshly
-// allocated and owned by the caller.
-func (s *segment) bag(ref int) (profile.Index, error) {
+// bag reads and decodes one document's bag.
+func (s *segment) bag(ref int) (profile.Bag, error) {
 	if ref < 0 || ref >= len(s.docs) {
-		return nil, fmt.Errorf("store: segment %s: doc ref %d out of range", s.path, ref)
+		return profile.Bag{}, fmt.Errorf("store: segment %s: doc ref %d out of range", s.path, ref)
 	}
 	d := s.docs[ref]
 	buf := make([]byte, d.bagLen)
@@ -512,17 +511,17 @@ func (s *segment) bag(ref int) (profile.Index, error) {
 	err := s.readAt(buf, s.bagsOff+d.bagOff)
 	s.mu.Unlock()
 	if err != nil {
-		return nil, fmt.Errorf("store: segment %s: reading bag of %q: %w", s.path, d.id, err)
+		return profile.Bag{}, fmt.Errorf("store: segment %s: reading bag of %q: %w", s.path, d.id, err)
 	}
 	br := bytes.NewReader(buf)
-	idx, err := readSortedBag(br, uint64(d.distinct))
+	bag, err := readSortedBag(br, uint64(d.distinct))
 	if err != nil {
-		return nil, fmt.Errorf("store: segment %s: bag of %q: %w", s.path, d.id, err)
+		return profile.Bag{}, fmt.Errorf("store: segment %s: bag of %q: %w", s.path, d.id, err)
 	}
 	if br.Len() != 0 {
-		return nil, fmt.Errorf("store: segment %s: bag of %q: %d trailing bytes", s.path, d.id, br.Len())
+		return profile.Bag{}, fmt.Errorf("store: segment %s: bag of %q: %d trailing bytes", s.path, d.id, br.Len())
 	}
-	return idx, nil
+	return bag, nil
 }
 
 // block returns decoded posting block bi through the FIFO block cache.

@@ -23,7 +23,7 @@ func segTestDocs(n int) []segDoc {
 	for i := range docs {
 		docs[i] = segDoc{
 			id:  fmt.Sprintf("doc-%03d", i),
-			bag: profile.BuildIndex(gen.XMark(int64(1000+i), 25+i%30), p33),
+			bag: profile.Freeze(profile.BuildIndex(gen.XMark(int64(1000+i), 25+i%30), p33)),
 		}
 	}
 	return docs
@@ -97,10 +97,11 @@ func TestSegmentRoundTrip(t *testing.T) {
 		if !got.Equal(d.bag) {
 			t.Fatalf("bag(%d) differs after round trip", ref)
 		}
-		if sg.docs[ref].id != d.id || sg.docs[ref].size != d.bag.Size() || sg.docs[ref].distinct != len(d.bag) {
+		if sg.docs[ref].id != d.id || sg.docs[ref].size != d.bag.Size() || sg.docs[ref].distinct != d.bag.Distinct() {
 			t.Fatalf("doc meta %d: %+v", ref, sg.docs[ref])
 		}
-		for lt, c := range d.bag {
+		for i := 0; i < d.bag.Distinct(); i++ {
+			lt, c := d.bag.At(i)
 			union[uint64(lt)] = append(union[uint64(lt)], segPosting{Ref: int32(ref), Cnt: uint32(c)})
 		}
 	}
@@ -251,9 +252,9 @@ func TestSegmentImpossibleDocEntryRejected(t *testing.T) {
 		size, distinct uint64
 		ok             bool
 	}{
-		{"true values", uint64(bag.Size()), uint64(len(bag)), true},
+		{"true values", uint64(bag.Size()), uint64(bag.Distinct()), true},
 		{"distinct beyond the bag's bytes", 1 << 31, 1 << 30, false},
-		{"size below distinct", uint64(len(bag)) - 1, uint64(len(bag)), false},
+		{"size below distinct", uint64(bag.Distinct()) - 1, uint64(bag.Distinct()), false},
 	} {
 		writeFileBytes(t, fs, "p.000001.seg", patchDocEntry(orig, tc.size, tc.distinct))
 		sg, err := openSegment(fs, "p.000001.seg", p33, 1)

@@ -740,7 +740,7 @@ func (s *Segmented) segDocs(op string, ids []string) ([]segDoc, error) {
 		if bag == nil {
 			return nil, fmt.Errorf("store: %s: tree %q %w", op, id, forest.ErrNotIndexed)
 		}
-		docs[i] = segDoc{id: id, bag: bag}
+		docs[i] = segDoc{id: id, bag: profile.Freeze(bag)}
 	}
 	return docs, nil
 }
@@ -885,14 +885,14 @@ func (s *Segmented) AppendRuns(dst []forest.Run) []forest.Run {
 // FilterHash implements forest.Tier with the segments' bloom hash.
 func (s *Segmented) FilterHash(lt profile.LabelTuple) (h1, h2 uint64) { return bloomHash(uint64(lt)) }
 
-// Bag implements forest.Tier: a fresh copy of one evicted document's bag.
-// Panics on a segment read failure.
-func (s *Segmented) Bag(id string) (profile.Index, bool) {
+// Bag implements forest.Tier: one evicted document's bag, decoded from
+// its segment. Panics on a segment read failure.
+func (s *Segmented) Bag(id string) (profile.Bag, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	l, ok := s.loc[id]
 	if !ok {
-		return nil, false
+		return profile.Bag{}, false
 	}
 	bag, err := l.seg.bag(l.ref)
 	if err != nil {

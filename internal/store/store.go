@@ -39,14 +39,13 @@ func Save(w io.Writer, f *forest.Index) error {
 	cw := newCRCWriter(w)
 	writeHeader(cw, magic, version, f.Params())
 	putUvarint(cw, uint64(f.Len()))
-	// ForEachTree walks the sharded index in ascending ID order without
-	// copying the per-tree bags; the forest read-locks each bag for the
-	// duration of the callback.
-	var tuples []uint64
-	err := f.ForEachTree(func(id string, idx profile.Index) error {
+	// ForEachTree walks the sharded index in ascending ID order and hands
+	// out each frozen bag, already in the order the format wants; the
+	// forest read-locks each bag for the duration of the callback.
+	err := f.ForEachTree(func(id string, bag profile.Bag) error {
 		writeID(cw, id)
-		putUvarint(cw, uint64(len(idx)))
-		tuples = writeSortedBag(cw, idx, tuples)
+		putUvarint(cw, uint64(bag.Distinct()))
+		writeSortedBag(cw, bag)
 		return cw.err
 	})
 	if err != nil {
@@ -77,11 +76,11 @@ func Load(r io.Reader) (*forest.Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: tree %q: reading tuple count: %w", id, err)
 		}
-		idx, err := readSortedBag(cr, numTuples)
+		bag, err := readSortedBag(cr, numTuples)
 		if err != nil {
 			return nil, fmt.Errorf("store: tree %q: %w", id, err)
 		}
-		if err := f.AddIndex(id, idx); err != nil {
+		if err := f.AddIndex(id, bag.Index()); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}

@@ -336,13 +336,15 @@ func nextRecord(data []byte) (rec []byte, n int, badCRC bool) {
 // writeBag renders a journal bag: numTuples | numTuples × ( tuple | cnt ),
 // tuples absolute rather than delta-encoded (the journal predates the
 // shared sorted bag and keeps its own encoding). The order is still
-// canonical: a journal record must be byte-identical for identical
-// logical content.
+// canonical, the frozen bag's: a journal record must be byte-identical
+// for identical logical content.
 func writeBag(buf *bytes.Buffer, idx profile.Index) {
-	putUvarint(buf, uint64(len(idx)))
-	for _, lt := range sortedTuples(idx, nil) {
-		putUvarint(buf, lt)
-		putUvarint(buf, uint64(idx[profile.LabelTuple(lt)]))
+	bag := profile.Freeze(idx)
+	putUvarint(buf, uint64(bag.Distinct()))
+	for i := 0; i < bag.Distinct(); i++ {
+		lt, c := bag.At(i)
+		putUvarint(buf, uint64(lt))
+		putUvarint(buf, uint64(c))
 	}
 }
 
