@@ -17,15 +17,15 @@ GO      ?= go
 FUZZTIME ?= 5s
 
 # Coverage floors of the gate below: the last measured figures (core
-# 91.4%, forest 97.5%, profile 95.8%, obs 95.1%, serve 88.1%, store
-# 91.0%, lint 87.4%, xmlconv 92.0%, edit 93.4%, tree 83.7%) minus about
+# 91.4%, forest 97.5%, profile 95.8%, obs 95.1%, serve 91.3%, store
+# 91.1%, lint 87.6%, xmlconv 92.0%, edit 93.4%, tree 83.7%) minus about
 # 4 points of slack so unrelated refactors don't trip it.
 # Raise them when coverage rises; never lower them to make a change pass.
 COVER_FLOOR_CORE    ?= 87
 COVER_FLOOR_FOREST  ?= 93
 COVER_FLOOR_PROFILE ?= 91
 COVER_FLOOR_OBS     ?= 91
-COVER_FLOOR_SERVE   ?= 84
+COVER_FLOOR_SERVE   ?= 87
 COVER_FLOOR_STORE   ?= 87
 COVER_FLOOR_LINT    ?= 83
 COVER_FLOOR_XMLCONV ?= 88
@@ -81,6 +81,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzStreamIndex -fuzztime=$(FUZZTIME) ./internal/xmlconv
 	$(GO) test -run='^$$' -fuzz=FuzzDistance -fuzztime=$(FUZZTIME) ./internal/profile
 	$(GO) test -run='^$$' -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzCachePatch -fuzztime=$(FUZZTIME) ./internal/serve
 
 # Coverage gate: the packages that carry the correctness arguments (the
 # paper's update algorithm, distance algebra, lookup planning, the

@@ -505,7 +505,7 @@ func TestMetamorphicForestOps(t *testing.T) {
 // caller asks. A new method means editing this list on purpose.
 func TestIndexMethodSet(t *testing.T) {
 	want := []string{
-		"Add", "AddAll", "AddEvicted", "AddIndex", "AddIndexes", "ApplyDeltas",
+		"Add", "AddAll", "AddEvicted", "AddIndex", "AddIndexes", "ApplyDeltas", "Bag",
 		"Epoch", "Evict", "ExplainLookup", "ExplainTopK", "ForEachTree", "Has",
 		"IDs", "Len", "Lookup", "LookupIndex", "LookupIndexTopK", "LookupTopK",
 		"MetricReady", "Params", "Promote", "Put", "Remove", "RemoveSwap",
@@ -590,6 +590,9 @@ func TestOverlayFolds(t *testing.T) {
 		want := profile.BuildIndex(doc, p33)
 		if !f.TreeIndex("doc").Equal(want) {
 			t.Fatalf("update %d (overlay %d tuples): bag differs from the rebuild", i, n)
+		}
+		if bag, ok := f.Bag("doc"); !ok || !bag.Equal(profile.Freeze(want)) {
+			t.Fatalf("update %d (overlay %d tuples): Bag differs from the rebuild", i, n)
 		}
 		if size, distinct, _ := f.TreeStats("doc"); size != want.Size() || distinct != want.Distinct() {
 			t.Fatalf("update %d: TreeStats (%d, %d), rebuild (%d, %d)", i, size, distinct, want.Size(), want.Distinct())

@@ -45,7 +45,7 @@ type metrics struct {
 	updateNS         *obs.Histogram // forest_update_ns
 	updateGramsPlus  *obs.Counter   // forest_update_grams_plus
 	updateGramsMinus *obs.Counter   // forest_update_grams_minus
-	bagCopyTuples    *obs.Counter   // forest_bag_copy_tuples (distinct tuples bagCopyLocked hands out)
+	bagCopyTuples    *obs.Counter   // forest_bag_copy_tuples (distinct tuples TreeIndex and bagCopyLocked hand out)
 
 	adds    *obs.Counter // forest_adds (trees added, incl. bulk)
 	removes *obs.Counter // forest_removes

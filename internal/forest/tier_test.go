@@ -245,9 +245,16 @@ func TestTierAccessors(t *testing.T) {
 		t.Fatal("Len/Size changed by eviction")
 	}
 
-	// TreeIndex and TreeStats on an evicted document.
+	// TreeIndex, Bag and TreeStats on an evicted document.
 	if got, want := tiered.TreeIndex(ev), resident.TreeIndex(ev); !got.Equal(want) {
 		t.Fatalf("TreeIndex(%q) differs through the tier", ev)
+	}
+	got, ok := tiered.Bag(ev)
+	if want, _ := resident.Bag(ev); !ok || !got.Equal(want) {
+		t.Fatalf("Bag(%q) differs through the tier", ev)
+	}
+	if _, ok := tiered.Bag("no-such-doc"); ok {
+		t.Fatal("Bag of an unknown id reported ok")
 	}
 	size, distinct, ok := tiered.TreeStats(ev)
 	wsize, wdistinct, _ := resident.TreeStats(ev)

@@ -8,11 +8,13 @@ import (
 // Bag is a frozen pq-gram index: the bag of an Index held as two parallel
 // arrays, the distinct tuples ascending and their multiplicities, 12 bytes
 // per distinct tuple where the map spends about 30. A Bag is immutable;
-// Apply returns a new one. The zero Bag is the empty bag.
+// With returns a new one. The zero Bag is the empty bag.
 //
 // The sorted form is what the ordered consumers want as it is — the
-// store's encoders write a bag ascending by tuple — and the paper's
-// update I₀ ∖ I⁻ ⊎ I⁺ on it is one merge (Apply).
+// store's encoders write a bag ascending by tuple — and both of the
+// paper's operations on it are one merge: the lookup's intersection
+// (IntersectSize) and the update I₀ ∖ I⁻ ⊎ I⁺, which the forest keeps as
+// an overlay of absolute counts until it folds it in (With).
 type Bag struct {
 	tuples []LabelTuple
 	counts []uint32
@@ -83,6 +85,26 @@ func (b Bag) Equal(o Bag) bool {
 	return slices.Equal(b.tuples, o.tuples) && slices.Equal(b.counts, o.counts)
 }
 
+// IntersectSize returns the bag intersection cardinality |b ∩ o|, the
+// sum over shared tuples of the smaller multiplicity, as one merge of the
+// two sorted arrays. It equals Index.IntersectSize on the maps.
+func (b Bag) IntersectSize(o Bag) int {
+	n, i, j := 0, 0, 0
+	for i < len(b.tuples) && j < len(o.tuples) {
+		switch x, y := b.tuples[i], o.tuples[j]; {
+		case x < y:
+			i++
+		case x > y:
+			j++
+		default:
+			n += int(min(b.counts[i], o.counts[j]))
+			i++
+			j++
+		}
+	}
+	return n
+}
+
 // Index returns the bag as a new Index the caller owns.
 func (b Bag) Index() Index {
 	idx := make(Index, len(b.tuples))
@@ -92,46 +114,34 @@ func (b Bag) Index() Index {
 	return idx
 }
 
-// Apply returns b ∖ minus ⊎ plus, the update of the paper's Algorithm 1,
-// as one merge of the three sorted arrays. It fails, returning the empty
-// bag, if minus is not contained in b.
-func (b Bag) Apply(plus, minus Bag) (Bag, error) {
-	n := len(b.tuples) + len(plus.tuples)
+// With returns b with the multiplicity of each tuple in over replaced by
+// over's, a tuple with a count below 1 dropping out: a frozen bag under
+// an overlay of absolute counts, as one merge.
+func (b Bag) With(over map[LabelTuple]int) Bag {
+	keys := make([]LabelTuple, 0, len(over))
+	for lt := range over {
+		keys = append(keys, lt)
+	}
+	slices.Sort(keys)
+	n := len(b.tuples) + len(keys)
 	out := Bag{tuples: make([]LabelTuple, 0, n), counts: make([]uint32, 0, n)}
-	i, j, k := 0, 0, 0
-	for i < len(b.tuples) || j < len(plus.tuples) || k < len(minus.tuples) {
-		// lt is the least tuple left in any of the three; have, add and
-		// drop are its counts in b, plus and minus.
-		lt := LabelTuple(1<<64 - 1)
-		if i < len(b.tuples) {
-			lt = b.tuples[i]
-		}
-		if j < len(plus.tuples) {
-			lt = min(lt, plus.tuples[j])
-		}
-		if k < len(minus.tuples) {
-			lt = min(lt, minus.tuples[k])
-		}
-		var have, add, drop uint32
-		if i < len(b.tuples) && b.tuples[i] == lt {
-			have = b.counts[i]
-			i++
-		}
-		if j < len(plus.tuples) && plus.tuples[j] == lt {
-			add = plus.counts[j]
+	i := 0
+	for _, lt := range keys {
+		j := i
+		for j < len(b.tuples) && b.tuples[j] < lt {
 			j++
 		}
-		if k < len(minus.tuples) && minus.tuples[k] == lt {
-			drop = minus.counts[k]
-			k++
+		out.tuples = append(out.tuples, b.tuples[i:j]...)
+		out.counts = append(out.counts, b.counts[i:j]...)
+		if i = j; i < len(b.tuples) && b.tuples[i] == lt {
+			i++
 		}
-		if drop > have {
-			return Bag{}, fmt.Errorf("profile: removing %d of tuple %016x, the bag holds %d", drop, uint64(lt), have)
-		}
-		if c := have - drop + add; c > 0 {
+		if c := over[lt]; c > 0 {
 			out.tuples = append(out.tuples, lt)
-			out.counts = append(out.counts, c)
+			out.counts = append(out.counts, uint32(c))
 		}
 	}
-	return out, nil
+	out.tuples = append(out.tuples, b.tuples[i:]...)
+	out.counts = append(out.counts, b.counts[i:]...)
+	return out
 }

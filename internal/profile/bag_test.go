@@ -47,11 +47,11 @@ func TestBagZeroValue(t *testing.T) {
 	if !z.Equal(profile.Freeze(profile.Index{lt: 0, profile.TupleOfLabels("b"): -1})) {
 		t.Fatal("Freeze kept a non-positive count")
 	}
-	got, err := z.Apply(profile.Freeze(profile.Index{lt: 2}), profile.Bag{})
-	if err != nil || got.Count(lt) != 2 {
-		t.Fatalf("empty ⊎ {a:2} = %v (err %v)", got.Index(), err)
+	got := z.With(map[profile.LabelTuple]int{lt: 2})
+	if got.Count(lt) != 2 || got.Distinct() != 1 {
+		t.Fatalf("empty with {a:2} = %v", got.Index())
 	}
-	if _, err := got.Apply(profile.Bag{}, profile.Freeze(profile.Index{lt: 3})); err == nil {
-		t.Fatal("removing 3 of a tuple held twice succeeded")
+	if got = got.With(map[profile.LabelTuple]int{lt: 0}); got.Distinct() != 0 {
+		t.Fatalf("{a:2} with {a:0} = %v, want empty", got.Index())
 	}
 }

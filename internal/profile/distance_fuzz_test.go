@@ -74,9 +74,9 @@ func FuzzDistance(f *testing.F) {
 }
 
 // bagAgreesWithMap is the differential of profile.Bag against the map:
-// Freeze, Size, Distinct, Count, At's order, Equal and Index on each of
-// x, y, z, and Apply against the map update x ∖ (x ∩ z) ⊎ y, which must
-// also fail exactly when the removed bag z is not contained in x.
+// Freeze, Size, Distinct, Count, At's order, Equal, IntersectSize and
+// Index on each of x, y, z, and With against overlaying z's counts on x
+// with y's other tuples dropped.
 func bagAgreesWithMap(t *testing.T, x, y, z profile.Index) {
 	t.Helper()
 	idxs := []profile.Index{x, y, z}
@@ -105,33 +105,29 @@ func bagAgreesWithMap(t *testing.T, x, y, z profile.Index) {
 			if b.Equal(profile.Freeze(o)) != m.Equal(o) {
 				t.Fatalf("Bag.Equal disagrees with Index.Equal")
 			}
+			if got, want := b.IntersectSize(profile.Freeze(o)), m.IntersectSize(o); got != want {
+				t.Fatalf("Bag.IntersectSize = %d, Index.IntersectSize %d", got, want)
+			}
 		}
 	}
-	minus := profile.Index{}
-	for lt, c := range x {
-		if d := min(c, z[lt]); d > 0 {
-			minus[lt] = d
+	// With: z's counts as an overlay on x, and y's tuples outside z
+	// dropped by a zero.
+	over := z.Clone()
+	for lt := range y {
+		if _, ok := z[lt]; !ok {
+			over[lt] = 0
 		}
 	}
 	want := x.Clone()
-	for lt, c := range minus {
-		if want[lt] -= c; want[lt] == 0 {
+	for lt, c := range over {
+		if c == 0 {
 			delete(want, lt)
+		} else {
+			want[lt] = c
 		}
 	}
-	for lt, c := range y {
-		want[lt] += c
-	}
-	got, err := profile.Freeze(x).Apply(profile.Freeze(y), profile.Freeze(minus))
-	if err != nil || !got.Equal(profile.Freeze(want)) {
-		t.Fatalf("Apply = %v (err %v), map update %v", got.Index(), err, want)
-	}
-	contained := true
-	for lt, c := range z {
-		contained = contained && x[lt] >= c
-	}
-	if _, err := profile.Freeze(x).Apply(profile.Freeze(y), profile.Freeze(z)); (err == nil) != contained {
-		t.Fatalf("Apply removing z: err %v, z contained in x: %v", err, contained)
+	if got := profile.Freeze(x).With(over); !got.Equal(profile.Freeze(want)) {
+		t.Fatalf("With = %v, map overlay %v", got.Index(), want)
 	}
 }
 

@@ -1,18 +1,44 @@
-// The result cache of the serving tier: a strict-invalidation LRU over
-// lookup and top-k answers.
+// The result cache of the serving tier: an LRU over lookup and top-k
+// answers that brings a threshold answer forward across writes instead of
+// dropping it.
 //
 // Keys are (op, τ or k, source form, source); the source is an
 // HTTP request's raw XML or a programmatic bag's canonical bytes (bagKey).
 // The map compares it in full, so a hit is verified by byte equality and
 // nothing is parsed to probe; two spellings of one document are two
-// entries. A probe hits only while the entry's forest epoch still matches,
-// otherwise the entry is evicted and counted as an invalidation.
+// entries.
+//
+// Each entry carries the forest epoch it was computed at. A probe at a
+// later epoch patches, keeps or misses (Server.cached):
+//
+//   - The change log (changeLog) records every write the Server makes as
+//     (from, to, id), the epochs read just before and after it. An entry
+//     computed at e0 and probed at e1 is brought forward only if the
+//     records cover every epoch advance in (e0, e1]; their ids are then a
+//     superset of the documents that changed. A write that bypassed the
+//     Server, or one whose record the ring has overwritten, leaves a gap,
+//     and the probe misses. Top-k entries always miss: a write anywhere
+//     can move the k-th distance.
+//   - A changed document d can alter the threshold answer {T | dist(q, T)
+//     < τ} only if d is in it or d's size lies in profile.SizeWindow(|q|,
+//     τ) (Definition 3, exact). With no such d the answer is kept as it
+//     is, nothing parsed.
+//   - Otherwise each such d is dropped from the answer and re-added iff
+//     one intersection of its bag with the query's puts it under τ. The
+//     query's bag is re-derived from the key by the first patch and kept
+//     with the answer. Past maxPatch such documents a recompute costs
+//     about as much, and the probe misses.
+//
+// A stale entry that cannot be brought forward is evicted and counted as
+// an invalidation.
 
 package serve
 
 import (
+	"cmp"
 	"container/list"
 	"encoding/binary"
+	"math"
 	"slices"
 	"sync"
 
@@ -53,17 +79,30 @@ func bagKey(q profile.Index) string {
 	return string(buf)
 }
 
-// cacheEntry is one cached answer. out is shared with every response that
-// hits the entry; it is never mutated after insertion.
-type cacheEntry struct {
-	key   queryKey
-	out   []forest.Match // guarded by resultCache.mu
-	epoch uint64         // guarded by resultCache.mu
-	elem  *list.Element  // guarded by resultCache.mu
+// answer is one cached computation: the matches, the epoch they are
+// valid at and the query's bag size |q|, which places the size window.
+// out is shared with every response that hits it and is never mutated; a
+// patch builds a new slice. q is the query's bag, derived by the first
+// patch that re-scores a document and kept for the later ones: only
+// answers that writes touch pay its 12 bytes per distinct tuple, and a
+// patch then parses nothing.
+type answer struct {
+	out   []forest.Match
+	epoch uint64
+	qSize int
+	q     profile.Bag
 }
 
-// resultCache is a mutex-guarded LRU. The lock is held only for map and
-// list surgery — never across a forest traversal — so it does not
+// cacheEntry is one cached answer in the LRU.
+type cacheEntry struct {
+	key  queryKey
+	ans  answer        // guarded by resultCache.mu
+	elem *list.Element // guarded by resultCache.mu
+}
+
+// resultCache is a mutex-guarded LRU plus the change log of the writes
+// its entries are brought forward across. The lock is held only for map
+// and list surgery — never across a forest traversal — so it does not
 // serialize lookups.
 type resultCache struct {
 	mu      sync.Mutex
@@ -71,46 +110,43 @@ type resultCache struct {
 	entries map[queryKey]*cacheEntry // guarded by mu
 	lru     list.List                // guarded by mu; front = most recently used; values are *cacheEntry
 	m       serveMetrics             // by value: the handles are fixed at New
+
+	changes changeLog
 }
 
-func newResultCache(max int, m serveMetrics) *resultCache {
-	return &resultCache{max: max, entries: make(map[queryKey]*cacheEntry, max), m: m}
+func newResultCache(max int, m serveMetrics, epoch func() uint64) *resultCache {
+	c := &resultCache{max: max, entries: make(map[queryKey]*cacheEntry, max), m: m}
+	c.changes.epoch = epoch
+	return c
 }
 
-// get returns the cached answer for key if it was computed under exactly
-// the given epoch. A stale-epoch entry is evicted eagerly and counted as
-// an invalidation.
-func (c *resultCache) get(key queryKey, epoch uint64) ([]forest.Match, bool) {
+// get returns the cached answer for key, whatever its epoch, and marks it
+// most recently used.
+func (c *resultCache) get(key queryKey) (answer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[key]
 	if e == nil {
-		return nil, false
-	}
-	if e.epoch != epoch {
-		// Strict invalidation: a mutation completed since this entry was
-		// computed, so it must never be served again.
-		c.removeLocked(e)
-		c.m.cacheInvalidate.Inc()
-		return nil, false
+		return answer{}, false
 	}
 	c.lru.MoveToFront(e.elem)
-	return e.out, true
+	return e.ans, true
 }
 
-// put records an answer computed under the given epoch, evicting the
-// least-recently-used entries past the capacity. The result slice is
-// stored as-is and must be treated as immutable.
-func (c *resultCache) put(key queryKey, out []forest.Match, epoch uint64) {
+// put records an answer, evicting the least-recently-used entries past
+// the capacity. An entry already valid at a later epoch is kept: a slow
+// request must not replace a fresher answer with its own.
+func (c *resultCache) put(key queryKey, ans answer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e := c.entries[key]; e != nil {
-		e.out = out
-		e.epoch = epoch
+		if e.ans.epoch <= ans.epoch {
+			e.ans = ans
+		}
 		c.lru.MoveToFront(e.elem)
 		return
 	}
-	e := &cacheEntry{key: key, out: out, epoch: epoch}
+	e := &cacheEntry{key: key, ans: ans}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
 	for len(c.entries) > c.max {
@@ -119,6 +155,18 @@ func (c *resultCache) put(key queryKey, out []forest.Match, epoch uint64) {
 			break
 		}
 		c.removeLocked(back.Value.(*cacheEntry))
+	}
+}
+
+// invalidate evicts key's entry if it still holds an answer computed at
+// epoch (a concurrent request may have refreshed it) and counts the
+// invalidation.
+func (c *resultCache) invalidate(key queryKey, epoch uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.entries[key]; e != nil && e.ans.epoch == epoch {
+		c.removeLocked(e)
+		c.m.cacheInvalidate.Inc()
 	}
 }
 
@@ -133,4 +181,114 @@ func (c *resultCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
+}
+
+// changeRing is the number of completed writes the change log keeps. An
+// entry computed before the oldest write it still holds misses.
+const changeRing = 1024
+
+// maxPatch caps the documents one patch re-scores. Each costs a bag read
+// and one merge; past the cap a fresh lookup costs about as much, so the
+// probe misses instead.
+const maxPatch = 32
+
+// change is one write the Server made: the document and the epochs read
+// just before it began and just after it returned, so every epoch advance
+// it made lies in (from, to]. Writes that overlap in time (in-memory
+// writers are not serialized) have overlapping ranges, and each range
+// names only its own document: a range covers an advance, the ids of all
+// ranges meeting (e0, e1] name every document written there.
+type change struct {
+	from, to uint64
+	id       string
+}
+
+// changeLog is the cache's record of the Server's writes: the completed
+// ones in a ring, the running ones apart. A running write is registered
+// before its first epoch advance and covers every epoch from its start
+// on, so a probe that sees one of its advances sees its record too. Both
+// epochs are read under mu, so the ring's to values never decrease from
+// oldest to newest.
+type changeLog struct {
+	epoch    func() uint64 // the forest's Epoch
+	mu       sync.Mutex
+	ring     [changeRing]change // guarded by mu; completed writes, ring[n%changeRing] is overwritten next
+	n        int                // guarded by mu; writes ever completed
+	dropped  uint64             // guarded by mu; to of the newest overwritten record
+	inflight []*change          // guarded by mu; writes begun and not completed
+}
+
+// begin registers a write of id about to run; the write must not advance
+// the epoch before begin returns.
+func (l *changeLog) begin(id string) *change {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	c := &change{from: l.epoch(), id: id}
+	l.inflight = append(l.inflight, c)
+	return c
+}
+
+// end completes a write begun with begin, once the write has returned. A
+// write that advanced nothing changed nothing and is not kept.
+func (l *changeLog) end(c *change) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	i := slices.Index(l.inflight, c)
+	l.inflight = slices.Delete(l.inflight, i, i+1)
+	if c.to = l.epoch(); c.to == c.from {
+		return
+	}
+	slot := &l.ring[l.n%changeRing]
+	if l.n >= changeRing {
+		l.dropped = slot.to
+	}
+	*slot = *c
+	l.n++
+}
+
+// since returns the documents written in the epochs (e0, e1], sorted and
+// distinct, and whether the log covers every advance in that range. A
+// write made outside the Server or a record overwritten since leaves a
+// gap: the documents are then unknown and since reports false.
+func (l *changeLog) since(e0, e1 uint64) ([]string, bool) {
+	type span struct{ from, to uint64 }
+	var ids []string
+	var spans []span
+	l.mu.Lock()
+	if l.dropped > e0 {
+		l.mu.Unlock()
+		return nil, false
+	}
+	for _, c := range l.inflight {
+		if c.from < e1 {
+			ids = append(ids, c.id)
+			spans = append(spans, span{c.from, math.MaxUint64})
+		}
+	}
+	// Newest first, up to the first record that ends by e0: every older
+	// one ends by e0 too.
+	for i := l.n - 1; i >= max(0, l.n-changeRing); i-- {
+		c := &l.ring[i%changeRing]
+		if c.to <= e0 {
+			break
+		}
+		if c.from < e1 {
+			ids = append(ids, c.id)
+			spans = append(spans, span{c.from, c.to})
+		}
+	}
+	l.mu.Unlock()
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.from, b.from) })
+	reach := e0 // every advance up to reach is covered
+	for _, sp := range spans {
+		if sp.from > reach {
+			break
+		}
+		reach = max(reach, sp.to)
+	}
+	if reach < e1 {
+		return nil, false
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids), true
 }

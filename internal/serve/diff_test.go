@@ -2,10 +2,12 @@
 // invisible. For 200 seeded scripts of interleaved
 // Put/Remove/Update/Lookup/TopK, every HTTP response from a server with
 // the cache enabled must be byte-identical to the response from a server
-// with it disabled — including repeats (which hit the cache) and bursts
-// of concurrent identical requests (which race to fill it). Run under
-// -race by `make test`; a stale-cache-after-update bug or an epoch bump
-// missed by any mutation path fails this test.
+// with it disabled — including repeats (which hit the cache), bursts of
+// concurrent identical requests (which race to fill it) and queries
+// re-issued after writes (which the cache patches, keeps or misses).
+// Run under -race by `make test`; a stale-cache-after-update bug, a
+// patch that re-scores the wrong documents or an epoch bump missed by
+// any mutation path fails this test.
 
 package serve
 
@@ -16,6 +18,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pqgram/internal/forest"
@@ -50,16 +53,27 @@ func TestDifferentialCacheOnOff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("200-seed differential battery")
 	}
+	// The scripts re-issue earlier queries after writes, so the patch path
+	// must have run somewhere; checked once every seed has finished.
+	var patches atomic.Int64
+	t.Cleanup(func() {
+		t.Logf("%d patched probes over %d scripts", patches.Load(), diffSeeds)
+		if !t.Failed() && patches.Load() == 0 {
+			t.Error("no script's re-issued query was answered by a patch")
+		}
+	})
 	for seed := int64(0); seed < diffSeeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runDiffScript(t, seed)
+			patches.Add(runDiffScript(t, seed))
 		})
 	}
 }
 
-func runDiffScript(t *testing.T, seed int64) {
+// runDiffScript runs one seeded script and returns how many of the
+// cached server's probes were patched.
+func runDiffScript(t *testing.T, seed int64) int64 {
 	rng := rand.New(rand.NewSource(seed))
 	cached := newDiffServer(64)
 	plain := newDiffServer(0)
@@ -75,6 +89,10 @@ func runDiffScript(t *testing.T, seed int64) {
 		}
 	}
 
+	// Every query asked so far, as (path, body): a lookup re-issues one of
+	// them half the time, after whatever writes came between.
+	type request struct{ path, body string }
+	var asked []request
 	for op := 0; op < diffOps; op++ {
 		switch rng.Intn(6) {
 		case 0: // Put: replace an existing document with a perturbed copy
@@ -106,7 +124,12 @@ func runDiffScript(t *testing.T, seed int64) {
 				}
 				ds.live[id] = tn
 			}
-		default: // Lookup or TopK over a noisy copy of a live document
+		default: // Lookup or TopK: an earlier query, or one over a noisy copy of a live document
+			if len(asked) > 0 && rng.Intn(2) == 0 {
+				r := asked[rng.Intn(len(asked))]
+				compareResponses(t, seed, op, cached.srv, plain.srv, r.path, r.body)
+				continue
+			}
 			_, cur := pickDoc(rng, cached.live)
 			query := mustPerturbT(t, rng, cur, 1+rng.Intn(3))
 			xml, err := xmlconv.WriteString(query)
@@ -123,9 +146,11 @@ func runDiffScript(t *testing.T, seed int64) {
 				b, _ := json.Marshal(TopKRequest{XML: xml, K: 1 + rng.Intn(3)})
 				body = string(b)
 			}
+			asked = append(asked, request{path, body})
 			compareResponses(t, seed, op, cached.srv, plain.srv, path, body)
 		}
 	}
+	return cached.srv.m.cachePatches.Load()
 }
 
 // compareResponses issues the query once against the cache-off server and

@@ -3,19 +3,26 @@
 // a stray "plan" field, unparseable XML, pathological document ids — the
 // service answers 2xx or 4xx. It never panics and never answers 5xx,
 // because a request body must not be able to take the tier down or get
-// blamed on the server. Wired into `make fuzz`.
+// blamed on the server. Wired into `make fuzz`. FuzzCachePatch below
+// holds the cache to the cache-off server across writes.
 
 package serve
 
 import (
+	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 
 	"pqgram/internal/forest"
+	"pqgram/internal/gen"
 	"pqgram/internal/profile"
 	"pqgram/internal/tree"
+	"pqgram/internal/xmlconv"
 )
 
 func FuzzServeRequest(f *testing.F) {
@@ -78,6 +85,114 @@ func FuzzServeRequest(f *testing.F) {
 		if w.Code < 200 || w.Code >= 500 {
 			t.Fatalf("%s %s with body %q answered %d (want 2xx-4xx): %s",
 				method, path, body, w.Code, w.Body.String())
+		}
+	})
+}
+
+// FuzzCachePatch drives a cached and a cache-off server through one
+// byte-driven script of Put, Remove and Update interleaved with lookups
+// drawn from a small pool, so queries repeat across writes and the cache
+// patches, keeps or misses them. Every answer — programmatic (the bag
+// form of the key) or over HTTP (the XML form) — must equal the cache-off
+// server's. Each pair of bytes is one step: the first picks the
+// operation, the second its document, variant, query or τ. Wired into
+// `make fuzz`.
+func FuzzCachePatch(f *testing.F) {
+	base := gen.DBLP(3, 60)
+	rng := rand.New(rand.NewSource(3))
+	variants := make([]*tree.Tree, 6)
+	for i := range variants {
+		v, _, err := gen.Perturb(rng, base, 2*i, gen.XMLSafeMix)
+		if err != nil {
+			f.Fatal(err)
+		}
+		variants[i] = v
+	}
+	variants[5] = tree.MustParse("x(y z)") // far outside every window
+	queries := make([]profile.Index, 4)
+	xmls := make([]string, len(queries))
+	for i := range queries {
+		queries[i] = profile.BuildIndex(variants[i], profile.Default)
+		x, err := xmlconv.WriteString(variants[i])
+		if err != nil {
+			f.Fatal(err)
+		}
+		xmls[i] = x
+	}
+	taus := []float64{0.2, 0.4, 0.6, 0.8}
+
+	f.Add([]byte{3, 0, 0, 1, 3, 0, 2, 2, 3, 0})
+	f.Add([]byte{3, 5, 1, 0, 3, 5, 0, 9, 3, 5, 3, 5})
+	f.Add([]byte{3, 17, 3, 1, 0, 13, 3, 17, 2, 3, 3, 1, 3, 17})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 64 {
+			script = script[:64]
+		}
+		cached := New(forest.New(profile.Default), nil, Config{CacheSize: 8}, nil)
+		plain := New(forest.New(profile.Default), nil, Config{}, nil)
+		both := []*Server{cached, plain}
+		live := make(map[string]*tree.Tree)
+		for i := 0; i < 4; i++ {
+			id := fmt.Sprintf("doc-%d", i)
+			live[id] = variants[i]
+			for _, s := range both {
+				if _, err := s.Put(id, variants[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i+1 < len(script); i += 2 {
+			op, arg := script[i], int(script[i+1])
+			id := fmt.Sprintf("doc-%d", arg%6)
+			switch op % 4 {
+			case 0: // Put a variant
+				v := variants[arg/6%len(variants)]
+				live[id] = v
+				for _, s := range both {
+					if _, err := s.Put(id, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 1: // Remove, present or not
+				delete(live, id)
+				errs := [2]error{cached.Remove(id), plain.Remove(id)}
+				if (errs[0] == nil) != (errs[1] == nil) {
+					t.Fatalf("remove %s: cached %v, cache-off %v", id, errs[0], errs[1])
+				}
+			case 2: // Update through an edit log
+				cur := live[id]
+				if cur == nil {
+					continue
+				}
+				tn, log, err := gen.Perturb(rand.New(rand.NewSource(int64(arg))), cur, 1+arg%3, gen.XMLSafeMix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live[id] = tn
+				for _, s := range both {
+					if _, err := s.Update(id, tn, log); err != nil {
+						t.Fatal(err)
+					}
+				}
+			default: // a pool lookup, programmatic or over HTTP
+				qi, tau := arg%len(queries), taus[arg/len(queries)%len(taus)]
+				if arg&64 == 0 {
+					got, err1 := cached.Lookup(queries[qi], tau)
+					want, err2 := plain.Lookup(queries[qi], tau)
+					if err1 != nil || err2 != nil || !slices.Equal(got.Matches, want.Matches) {
+						t.Fatalf("step %d: query %d at τ %v: cached %v (%v), cache-off %v (%v)",
+							i/2, qi, tau, got.Matches, err1, want.Matches, err2)
+					}
+					continue
+				}
+				b, _ := json.Marshal(LookupRequest{XML: xmls[qi], Tau: tau})
+				code, got := doPost(cached, "/lookup", string(b))
+				wantCode, want := doPost(plain, "/lookup", string(b))
+				if code != wantCode || got != want {
+					t.Fatalf("step %d: query %d at τ %v over HTTP: cached %d %s, cache-off %d %s",
+						i/2, qi, tau, code, got, wantCode, want)
+				}
+			}
 		}
 	})
 }

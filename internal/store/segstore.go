@@ -736,11 +736,11 @@ func (s *Segmented) Compact() error {
 func (s *Segmented) segDocs(op string, ids []string) ([]segDoc, error) {
 	docs := make([]segDoc, len(ids))
 	for i, id := range ids {
-		bag := s.forest.TreeIndex(id)
-		if bag == nil {
+		bag, ok := s.forest.Bag(id)
+		if !ok {
 			return nil, fmt.Errorf("store: %s: tree %q %w", op, id, forest.ErrNotIndexed)
 		}
-		docs[i] = segDoc{id: id, bag: profile.Freeze(bag)}
+		docs[i] = segDoc{id: id, bag: bag}
 	}
 	return docs, nil
 }
