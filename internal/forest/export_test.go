@@ -53,11 +53,6 @@ func SortRareFirstForTest(lts []profile.LabelTuple, weights []int) []profile.Lab
 	return out
 }
 
-// SortMatchesForTest exposes the canonical (distance, id) result order so
-// differential tests can rank their independently computed references
-// with the exact comparator the lookup paths use.
-func SortMatchesForTest(ms []Match) { sortMatches(ms) }
-
 // CorruptionsForTest breaks, one each, the registry and posting-list
 // invariants SelfCheck promises to catch. Every hook expects a forest
 // with at least two resident trees sharing a tuple, one evicted tree and

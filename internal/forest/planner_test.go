@@ -31,7 +31,7 @@ func bruteLookup(f *forest.Index, q profile.Index, tau float64) []forest.Match {
 			out = append(out, forest.Match{TreeID: id, Distance: d})
 		}
 	}
-	forest.SortMatchesForTest(out)
+	forest.SortMatches(out)
 	return out
 }
 

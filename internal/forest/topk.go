@@ -85,6 +85,6 @@ func (f *Index) lookupTopExhaustiveLocked(q profile.Index, qSize, k int, m *metr
 			}
 		}
 	}
-	sortMatches(h.ms)
+	SortMatches(h.ms)
 	return h.ms
 }

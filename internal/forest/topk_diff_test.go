@@ -30,7 +30,7 @@ func bruteTopK(f *forest.Index, q profile.Index, k int) []forest.Match {
 	for _, id := range f.IDs() {
 		out = append(out, forest.Match{TreeID: id, Distance: q.Distance(f.TreeIndex(id))})
 	}
-	forest.SortMatchesForTest(out)
+	forest.SortMatches(out)
 	if k < len(out) {
 		out = out[:k]
 	}

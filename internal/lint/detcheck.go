@@ -102,7 +102,7 @@ func isHeapExpr(x ast.Expr) bool {
 	return strings.Contains(strings.ToLower(types.ExprString(ast.Unparen(x))), "heap")
 }
 
-const heapHint = "a binary heap orders only its root; sort the drained slice with the total, tie-broken comparator (sortMatches: ascending distance, ties by ID) before it escapes"
+const heapHint = "a binary heap orders only its root; sort the drained slice with the total, tie-broken comparator (SortMatches: ascending distance, ties by ID) before it escapes"
 
 // checkHeapAssign flags `out = append(out, <heap element>)` and
 // `out := <heap slice>` where out is returned and never sorted after: the
@@ -271,7 +271,7 @@ func returnedVars(info *types.Info, body *ast.BlockStmt, ftype *ast.FuncType) ma
 
 // sortedAfter reports whether, after the given position, the function
 // calls something sort-shaped on obj: a call whose name contains "sort"
-// (sort.Slice, sort.Strings, slices.SortFunc, sortMatches, ...) taking
+// (sort.Slice, sort.Strings, slices.SortFunc, forest.SortMatches, ...) taking
 // the variable as an argument or receiver.
 func sortedAfter(info *types.Info, fnBody *ast.BlockStmt, after token.Pos, obj types.Object) bool {
 	found := false
@@ -280,7 +280,7 @@ func sortedAfter(info *types.Info, fnBody *ast.BlockStmt, after token.Pos, obj t
 		if !ok || call.Pos() < after || found {
 			return
 		}
-		// Match on the full callee text so both sortMatches(out) and
+		// Match on the full callee text so both SortMatches(out) and
 		// sort.Strings(out) / slices.SortFunc(out, ...) qualify.
 		if !strings.Contains(strings.ToLower(types.ExprString(call.Fun)), "sort") {
 			return

@@ -50,6 +50,12 @@ func runLockCheck(p *Pass) {
 					}
 				}
 			},
+			reenter: func(l *heldLock, g *ast.BranchStmt) {
+				p.ReportHintf(g.Pos(),
+					"hold the lock at the goto too, or take it after the label",
+					"%s is held at label %s but not here: the code after the label was checked as holding it",
+					l.class, g.Label.Name)
+			},
 		}
 	})
 }
