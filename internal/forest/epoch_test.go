@@ -3,17 +3,20 @@
 // completed mutation advances the epoch, it is monotone under
 // concurrency, and delta applications bump it on both sides of the
 // change so a lookup bracketed by an unchanged epoch cannot have raced a
-// completed mutation.
+// completed mutation. Changed names the document behind each advance.
 
 package forest_test
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"pqgram/internal/forest"
 	"pqgram/internal/gen"
+	"pqgram/internal/profile"
 	"pqgram/internal/tree"
 
 	"math/rand"
@@ -160,5 +163,187 @@ func TestEpochSeqlockBracket(t *testing.T) {
 	}
 	if err := f.SelfCheck(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChangedNamesEachAdvance pins the records Changed reads: every
+// mutator names its document behind each epoch advance it makes, the
+// operations that change no content (Evict, Promote) and failed ones
+// record nothing, and a range reaching past the records the ring keeps
+// reports false.
+func TestChangedNamesEachAdvance(t *testing.T) {
+	f := forest.New(p33)
+	ft := newFakeTier()
+	f.SetTier(ft)
+	// step runs op and checks that it advanced the epoch once per entry of
+	// want, each advance naming that entry's document.
+	step := func(name string, op func() error, want ...string) {
+		t.Helper()
+		e0 := f.Epoch()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		e1 := f.Epoch()
+		if e1-e0 != uint64(len(want)) {
+			t.Fatalf("%s: epoch %d -> %d, want %d advances", name, e0, e1, len(want))
+		}
+		for i, id := range want {
+			e := e0 + uint64(i) + 1
+			if got, ok := f.Changed(e-1, e); !ok || !slices.Equal(got, []string{id}) {
+				t.Fatalf("%s: advance to %d names %v (ok %v), want [%s]", name, e, got, ok, id)
+			}
+		}
+		distinct := slices.Clone(want)
+		slices.Sort(distinct)
+		distinct = slices.Compact(distinct)
+		if got, ok := f.Changed(e0, e1); !ok || !slices.Equal(got, distinct) {
+			t.Fatalf("%s: Changed(%d, %d) = %v, %v; want %v, true", name, e0, e1, got, ok, distinct)
+		}
+	}
+	fails := func(err error) error {
+		if err == nil {
+			return errors.New("succeeded")
+		}
+		return nil
+	}
+	rng := rand.New(rand.NewSource(7))
+	working := gen.DBLP(1, 60)
+	small := tree.MustParse("a(b c)")
+
+	step("Add", func() error { return f.Add("a", working) }, "a")
+	step("AddIndex", func() error { return f.AddIndex("b", profile.Freeze(profile.BuildIndex(small, p33))) }, "b")
+	step("Put new", func() error { f.Put("c", small); return nil }, "c")
+	step("Put replacing", func() error { f.Put("c", working); return nil }, "c", "c")
+	step("Update", func() error {
+		_, log, err := gen.RandomScript(rng, working, 4, gen.DefaultMix)
+		if err != nil {
+			return err
+		}
+		_, err = f.Update("a", working, log)
+		return err
+	}, "a", "a")
+	step("ApplyDeltas", func() error { return f.ApplyDeltas("b", nil, nil, nil) }, "b", "b")
+	step("ApplyDeltas failed commit", func() error {
+		return fails(f.ApplyDeltas("b", nil, nil, func() error { return errors.New("journal full") }))
+	})
+	step("AddIndexes", func() error {
+		return f.AddIndexes([]string{"x2", "x1"}, []profile.Index{profile.BuildIndex(small, p33), profile.BuildIndex(working, p33)}, 2)
+	}, "x2", "x1")
+	step("AddAll", func() error { return f.AddAll([]forest.Doc{{ID: "y", Tree: small}}, 1) }, "y")
+	step("Remove", func() error { return f.Remove("x2") }, "x2")
+	step("failed Remove", func() error { return fails(f.Remove("x2")) })
+	step("failed Add", func() error { return fails(f.Add("y", small)) })
+	step("Evict", func() error {
+		ft.bags["c"] = f.TreeIndex("c")
+		return f.Evict([]string{"c"}, ft.learn("c"))
+	})
+	step("Promote", func() error {
+		bag, _ := f.Bag("c")
+		delete(ft.bags, "c")
+		return f.Promote("c", bag, nil)
+	})
+	step("AddEvicted", func() error {
+		ft.bags["z"] = profile.BuildIndex(small, p33)
+		doc, err := f.AddEvicted("z", ft.bags["z"].Size(), len(ft.bags["z"]))
+		ft.docs["z"] = doc
+		return err
+	}, "z")
+	step("RemoveSwap", func() error { return f.RemoveSwap("z", func() { delete(ft.bags, "z") }) }, "z")
+	if err := f.SelfCheck(); err != nil {
+		t.Fatal(err)
+	}
+
+	now := f.Epoch()
+	if ids, ok := f.Changed(now, now); !ok || ids != nil {
+		t.Fatalf("Changed over an empty range = %v, %v; want nil, true", ids, ok)
+	}
+	if _, ok := f.Changed(now-1, now+1); ok {
+		t.Fatal("Changed named the documents of an advance not made yet")
+	}
+	// Fill the ring with b's updates: a range of exactly ChangeRingForTest
+	// advances is still named, one more reaches an overwritten record.
+	e0 := now
+	for f.Epoch()-e0 < forest.ChangeRingForTest {
+		if err := f.ApplyDeltas("b", nil, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ids, ok := f.Changed(e0, f.Epoch()); !ok || !slices.Equal(ids, []string{"b"}) {
+		t.Fatalf("Changed over the whole ring = %v, %v; want [b], true", ids, ok)
+	}
+	f.Put("w", small)
+	if _, ok := f.Changed(e0, f.Epoch()); ok {
+		t.Fatal("Changed reached past a record the ring overwrote")
+	}
+	if ids, ok := f.Changed(e0+1, f.Epoch()); !ok || !slices.Equal(ids, []string{"b", "w"}) {
+		t.Fatalf("Changed over the ring's records = %v, %v; want [b w], true", ids, ok)
+	}
+}
+
+// TestChangedUnderConcurrentUpdates runs delta applications to distinct
+// documents in parallel while a reader follows the epoch: every range it
+// asks about is named, and only by writers' documents. At the end each
+// advance names one writer, twice per application. Run under -race by
+// `make test`.
+func TestChangedUnderConcurrentUpdates(t *testing.T) {
+	const writers, rounds = 4, 100
+	f := forest.New(p33)
+	ids := make([]string, writers)
+	for w := range ids {
+		ids[w] = fmt.Sprintf("w%d", w)
+		if err := f.Add(ids[w], gen.DBLP(int64(w), 40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e0 := f.Epoch()
+	var wg sync.WaitGroup
+	for w := range ids {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if err := f.ApplyDeltas(id, nil, nil, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(ids[w])
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for last, running := e0, true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		e := f.Epoch()
+		got, ok := f.Changed(last, e)
+		if !ok || (e > last) != (len(got) > 0) {
+			t.Fatalf("Changed(%d, %d) = %v, %v mid-run", last, e, got, ok)
+		}
+		for _, id := range got {
+			if !slices.Contains(ids, id) {
+				t.Fatalf("Changed(%d, %d) names %q, which no writer touched", last, e, id)
+			}
+		}
+		last = e
+	}
+	e1 := f.Epoch()
+	if e1-e0 != 2*writers*rounds {
+		t.Fatalf("epoch %d -> %d, want %d advances", e0, e1, 2*writers*rounds)
+	}
+	per := make(map[string]int)
+	for e := e0 + 1; e <= e1; e++ {
+		got, ok := f.Changed(e-1, e)
+		if !ok || len(got) != 1 {
+			t.Fatalf("advance to %d names %v (ok %v), want one document", e, got, ok)
+		}
+		per[got[0]]++
+	}
+	for _, id := range ids {
+		if per[id] != 2*rounds {
+			t.Errorf("%s is named behind %d advances, want %d", id, per[id], 2*rounds)
+		}
 	}
 }

@@ -107,3 +107,6 @@ func sharedListForTest(f *Index) []posting {
 	}
 	panic("no shared posting list")
 }
+
+// ChangeRingForTest exposes how many epoch advances Changed can name.
+const ChangeRingForTest = changeRing

@@ -45,7 +45,7 @@
 // never held while acquiring an entry lock, and no operation holds two
 // locks of one class. The storage tier's own lock nests after all of them:
 // tier reads run under the registry lock and never call back into the
-// forest.
+// forest. The lock of the epoch's change records is a leaf.
 package forest
 
 import (
@@ -245,12 +245,20 @@ type Index struct {
 	// every operation that can change lookup results (Add, Remove, Put,
 	// bulk builds, incremental delta application). Result caches key
 	// their entries on it — see Epoch for the exact protocol. Structural
-	// ops under the registry write lock advance it once; delta
-	// applications, which run concurrently with lookups, advance it both
-	// before the first change and after the last one (seqlock-style), so
-	// an epoch observed unchanged across a read brackets a window with no
-	// completed mutation.
+	// ops under the registry write lock advance it once per document they
+	// add or drop; delta applications, which run concurrently with
+	// lookups, advance it both before the first change and after the last
+	// one (seqlock-style), so an epoch observed unchanged across a read
+	// brackets a window with no completed mutation.
 	epoch atomic.Uint64
+
+	// changed names the document behind each of the last changeRing epoch
+	// advances: changed[e%changeRing] is the one that moved the epoch to
+	// e. Each advance (advance) bumps epoch and writes its record under
+	// changedMu, so a reader that loaded e from Epoch and then takes
+	// changedMu finds every record up to e (Changed).
+	changedMu sync.Mutex
+	changed   [changeRing]string // guarded by changedMu
 
 	// tier is the storage tier serving evicted documents (tier.go), nil
 	// when every document is resident. Attached once at open time by the
@@ -260,11 +268,13 @@ type Index struct {
 
 // The package's lock-acquisition order, enforced by the lockorder
 // analyzer. The registry lock is always outermost, per-document bag
-// locks nest inside it, and postings stripes inside those. No code holds
-// two locks of one class, so the analyzer's same-class rule needs no
-// exception here.
+// locks nest inside it, and postings stripes inside those. The epoch
+// record's lock is a leaf, taken under the registry or a bag lock and
+// never with a stripe held. No code holds two locks of one class, so the
+// analyzer's same-class rule needs no exception here.
 //
 //pqlint:lockorder Index.mu < treeEntry.mu < shard.mu
+//pqlint:lockorder treeEntry.mu < Index.changedMu
 
 // New creates an empty forest index with the given pq-gram parameters.
 func New(pr profile.Params) *Index {
@@ -297,8 +307,45 @@ func (f *Index) Params() profile.Params { return f.pr }
 // visible change and after their last one, so the safe caching protocol
 // is: read e1 := Epoch(), run the lookup, read e2 := Epoch(); the result
 // may be cached under e1 only if e1 == e2. A later read that still
-// observes e1 proves no mutation completed in between.
+// observes e1 proves no mutation completed in between. Changed names the
+// documents whose changes moved the epoch.
 func (f *Index) Epoch() uint64 { return f.epoch.Load() }
+
+// changeRing is the number of epoch advances whose documents the index
+// keeps. An update and a replacing Put each advance the epoch twice, so
+// the records span at least the last 1 024 writes.
+const changeRing = 2048
+
+// advance moves the epoch on by one for a change to document id and
+// records id as the document behind the new epoch.
+func (f *Index) advance(id string) {
+	f.changedMu.Lock()
+	f.changed[f.epoch.Add(1)%changeRing] = id
+	f.changedMu.Unlock()
+}
+
+// Changed returns the documents whose changes advanced the epoch in
+// (e0, e1], sorted and distinct, where e1 is an epoch the caller read from
+// Epoch. It reports false once the index no longer holds the record of
+// every advance in that range: it keeps those of the latest changeRing.
+// A write in progress at e1 is named once it has advanced the epoch.
+func (f *Index) Changed(e0, e1 uint64) ([]string, bool) {
+	if e1 <= e0 {
+		return nil, true
+	}
+	ids := make([]string, 0, min(e1-e0, changeRing))
+	f.changedMu.Lock()
+	if now := f.epoch.Load(); e1 > now || now-e0 > changeRing {
+		f.changedMu.Unlock()
+		return nil, false
+	}
+	for e := e0 + 1; e <= e1; e++ {
+		ids = append(ids, f.changed[e%changeRing])
+	}
+	f.changedMu.Unlock()
+	slices.Sort(ids)
+	return slices.Compact(ids), true
+}
 
 // Len returns the number of indexed trees.
 func (f *Index) Len() int {
@@ -334,14 +381,12 @@ func (f *Index) idsLocked() []string {
 
 // Add indexes a tree under the given ID. It fails if the ID is taken.
 func (f *Index) Add(id string, t *tree.Tree) error {
-	return f.AddIndex(id, profile.BuildIndex(t, f.pr))
+	return f.AddIndex(id, profile.Freeze(profile.BuildIndex(t, f.pr)))
 }
 
-// AddIndex indexes a precomputed pq-gram index (e.g. one loaded from disk)
-// under the given ID. The forest keeps a frozen copy; idx stays the
-// caller's.
-func (f *Index) AddIndex(id string, idx profile.Index) error {
-	bag := profile.Freeze(idx)
+// AddIndex indexes a precomputed frozen bag (e.g. one loaded from disk)
+// under the given ID. A Bag is immutable, so the forest keeps it as it is.
+func (f *Index) AddIndex(id string, bag profile.Bag) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.addBagLocked(id, bag)
@@ -360,7 +405,7 @@ func (f *Index) addBagLocked(id string, bag profile.Bag) error {
 		lt, c := bag.At(i)
 		f.shardOf(lt).add(lt, e.doc, c)
 	}
-	f.epoch.Add(1)
+	f.advance(id)
 	f.obs.Load().adds.Inc()
 	return nil
 }
@@ -401,7 +446,7 @@ func (f *Index) removeLocked(id string) error {
 	delete(f.trees, id)
 	f.docs[e.doc] = nil
 	f.free = append(f.free, e.doc)
-	f.epoch.Add(1)
+	f.advance(id)
 	f.obs.Load().removes.Inc()
 	return nil
 }
@@ -587,8 +632,8 @@ func (f *Index) ApplyDeltas(id string, iPlus, iMinus profile.Index, commit func(
 	// mutation. The exit bump happens even on error: a postings underflow
 	// (a corrupt index) may leave a partial change, and a spurious cache
 	// invalidation is always safe.
-	f.epoch.Add(1)
-	defer f.epoch.Add(1)
+	f.advance(id)
+	defer f.advance(id)
 	// The bag changes in the overlay alone: I₀ ∖ I⁻ ⊎ I⁺ as absolute
 	// counts of the tuples the deltas name.
 	if e.over == nil && len(iPlus)+len(iMinus) > 0 {

@@ -505,7 +505,7 @@ func TestMetamorphicForestOps(t *testing.T) {
 // caller asks. A new method means editing this list on purpose.
 func TestIndexMethodSet(t *testing.T) {
 	want := []string{
-		"Add", "AddAll", "AddEvicted", "AddIndex", "AddIndexes", "ApplyDeltas", "Bag",
+		"Add", "AddAll", "AddEvicted", "AddIndex", "AddIndexes", "ApplyDeltas", "Bag", "Changed",
 		"Epoch", "Evict", "ExplainLookup", "ExplainTopK", "ForEachTree", "Has",
 		"IDs", "Len", "Lookup", "LookupIndex", "LookupIndexTopK", "LookupTopK",
 		"MetricReady", "Params", "Promote", "Put", "Remove", "RemoveSwap",

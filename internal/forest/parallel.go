@@ -137,8 +137,10 @@ func (f *Index) AddIndexes(ids []string, bags []profile.Index, workers int) erro
 		docs[i] = f.registerLocked(id, frozen[i], frozen[i].Size()).doc
 	}
 	// One epoch advance per added document, matching AddIndex, so result
-	// caches see the same invalidation cadence either way.
-	f.epoch.Add(uint64(len(ids)))
+	// caches see the same advances and records either way.
+	for _, id := range ids {
+		f.advance(id)
+	}
 	m := f.obs.Load()
 	m.bulkOps.Inc()
 	m.adds.Add(int64(len(ids)))

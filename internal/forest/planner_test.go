@@ -144,7 +144,7 @@ func TestPlannerEdgeCases(t *testing.T) {
 	// from the other in the join. Empty bags have no postings.
 	empties := forest.New(p33)
 	for id, bag := range map[string]profile.Index{"e1": {}, "e2": {}, "real": profile.BuildIndex(tree.MustParse("a(b c)"), p33)} {
-		if err := empties.AddIndex(id, bag); err != nil {
+		if err := empties.AddIndex(id, profile.Freeze(bag)); err != nil {
 			t.Fatal(err)
 		}
 	}

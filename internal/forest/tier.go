@@ -195,7 +195,7 @@ func (f *Index) AddEvicted(id string, size, distinct int) (uint32, error) {
 	}
 	e := f.registerLocked(id, profile.Bag{}, size)
 	e.evicted, e.distinct = true, distinct
-	f.epoch.Add(1)
+	f.advance(id)
 	f.obs.Load().adds.Inc()
 	return e.doc, nil
 }

@@ -50,11 +50,18 @@ func runLockCheck(p *Pass) {
 					}
 				}
 			},
-			reenter: func(l *heldLock, g *ast.BranchStmt) {
-				p.ReportHintf(g.Pos(),
+			reenter: func(l *heldLock, pos token.Pos, label string) {
+				if label == "" {
+					p.ReportHintf(pos,
+						"hold the lock at the end of every iteration too, or take it inside the loop",
+						"%s is held entering the loop but not at the end of an iteration: the loop body was checked as holding it",
+						l.class)
+					return
+				}
+				p.ReportHintf(pos,
 					"hold the lock at the goto too, or take it after the label",
 					"%s is held at label %s but not here: the code after the label was checked as holding it",
-					l.class, g.Label.Name)
+					l.class, label)
 			},
 		}
 	})

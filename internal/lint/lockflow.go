@@ -14,7 +14,9 @@
 // that the goto does not (or holds only shared where the entry held it
 // exclusively) is reported at the goto, since the code after the label
 // was checked as holding it. A loop body is walked once, from the state
-// entering the loop. It tracks two facts per program point:
+// entering the loop, and its back edge — the end of an iteration joined
+// with its continues — follows the backward goto's rule against the
+// body's entry. It tracks two facts per program point:
 //
 //   - held: the locks held on every path here. Branches merge by
 //     intersection, so a guarded access is sanctioned only where the
@@ -664,9 +666,11 @@ type flowHooks struct {
 	// evaluated, and at the closing brace of a body that can fall off
 	// its end (end set).
 	ret func(st *flowState, pos token.Pos, end bool)
-	// reenter fires at a backward goto for each lock held at its label's
-	// entry that the goto does not hold as strongly: l as the entry held it.
-	reenter func(l *heldLock, g *ast.BranchStmt)
+	// reenter fires where a path re-runs code walked already — at a
+	// backward goto, or at the end of a loop body — for each lock held at
+	// that code's entry that the path does not hold as strongly: l as the
+	// entry held it. label names the goto's label, "" for a loop.
+	reenter func(l *heldLock, pos token.Pos, label string)
 }
 
 type flowWalker struct {
@@ -773,10 +777,7 @@ func (w *flowWalker) land(label string, st *flowState, term bool) bool {
 }
 
 // gotoLabel carries the state at a forward goto to its label. A backward
-// goto re-runs code walked already from the label's entry state, so each
-// release owed here that the entry did not owe is checked as if the
-// function returned at the goto, and each lock the entry held that is
-// not held as strongly here is passed to the reenter hook.
+// goto re-runs code walked already from the label's entry state (reenter).
 func (w *flowWalker) gotoLabel(s *ast.BranchStmt, st *flowState) {
 	name := s.Label.Name
 	entry, back := w.labels.landed[name]
@@ -787,6 +788,15 @@ func (w *flowWalker) gotoLabel(s *ast.BranchStmt, st *flowState) {
 		w.labels.gotos[name] = append(w.labels.gotos[name], st.clone())
 		return
 	}
+	w.reenter(entry, st, s.Pos(), name)
+}
+
+// reenter checks a path at pos that re-runs code walked already from the
+// state entry (nil when no path reached it): each release owed here that
+// the entry did not owe is checked as if the function returned at pos,
+// and each lock the entry held that is not held as strongly here is
+// passed to the reenter hook with label.
+func (w *flowWalker) reenter(entry, st *flowState, pos token.Pos, label string) {
 	escaped := newFlowState()
 	for k, d := range st.owed {
 		if entry == nil || entry.owed[k] == nil {
@@ -794,14 +804,14 @@ func (w *flowWalker) gotoLabel(s *ast.BranchStmt, st *flowState) {
 		}
 	}
 	if len(escaped.owed) > 0 && w.hooks.ret != nil {
-		w.hooks.ret(escaped, s.Pos(), false)
+		w.hooks.ret(escaped, pos, false)
 	}
 	if entry == nil || w.hooks.reenter == nil {
 		return
 	}
 	for k, l := range entry.held {
 		if h := st.held[k]; h == nil || l.write && !h.write {
-			w.hooks.reenter(l, s)
+			w.hooks.reenter(l, pos, label)
 		}
 	}
 }
@@ -833,18 +843,15 @@ func (w *flowWalker) walkStmt(s ast.Stmt, st *flowState) (terminated bool) {
 		t := w.enter(true)
 		w.walkStmt(s.Init, st)
 		w.scanExpr(s.Cond, st)
-		if next := w.walkLoopBody(t, s.Body, st); next != nil {
-			w.walkStmt(s.Post, next)
-			if s.Cond != nil {
-				st.merge(next)
-			}
+		if next := w.walkLoopBody(t, s.Body, s.Post, st); next != nil && s.Cond != nil {
+			st.merge(next)
 		}
 		// Without a condition only a break leaves the loop.
 		return w.leave(t, st, s.Cond == nil)
 	case *ast.RangeStmt:
 		t := w.enter(true)
 		w.scanExpr(s.X, st)
-		if next := w.walkLoopBody(t, s.Body, st); next != nil {
+		if next := w.walkLoopBody(t, s.Body, nil, st); next != nil {
 			st.merge(next)
 		}
 		return w.leave(t, st, false)
@@ -954,8 +961,10 @@ func (w *flowWalker) leave(t *jumpTarget, st *flowState, term bool) bool {
 
 // walkLoopBody walks one iteration of a loop body from st and returns
 // the state entering the next one: the body's end joined with its
-// continues, or nil when no path gets there.
-func (w *flowWalker) walkLoopBody(t *jumpTarget, body *ast.BlockStmt, st *flowState) *flowState {
+// continues, then post, or nil when no path gets there. That state
+// re-runs the body, walked from st, so it is checked against st as a
+// backward goto is against its label's entry.
+func (w *flowWalker) walkLoopBody(t *jumpTarget, body *ast.BlockStmt, post ast.Stmt, st *flowState) *flowState {
 	bodySt := st.clone()
 	if !w.walkStmt(body, bodySt) {
 		t.conts = append(t.conts, bodySt)
@@ -967,6 +976,8 @@ func (w *flowWalker) walkLoopBody(t *jumpTarget, body *ast.BlockStmt, st *flowSt
 	for _, c := range t.conts[1:] {
 		next.merge(c)
 	}
+	w.walkStmt(post, next)
+	w.reenter(st, next, body.Rbrace, "")
 	return next
 }
 

@@ -221,7 +221,7 @@ func (s *counterShard) breakHoldsLock(n int) int {
 }
 
 // continueHoldsLock skips the unlock on a continue: the next iteration,
-// and so the loop's exit, still owes it.
+// which locks again, and so the loop's exit, still owe it.
 func (s *counterShard) continueHoldsLock(keys []string) int {
 	n := 0
 	for _, k := range keys {
@@ -231,7 +231,7 @@ func (s *counterShard) continueHoldsLock(keys []string) int {
 		}
 		n += s.vals[k]
 		s.mu.Unlock()
-	}
+	} // want `counterShard\.mu acquired at line \d+ is still held when the function returns here`
 	return n // want `counterShard\.mu acquired at line \d+ is still held when the function returns here`
 }
 
@@ -355,6 +355,50 @@ again:
 		goto again // want `counterShard\.mu is held at label again but not here`
 	}
 	return x
+}
+
+// loopReadsUnlocked releases inside an endless loop the lock it took
+// before it: the next iteration reads unlocked.
+func (s *counterShard) loopReadsUnlocked(k string) int {
+	s.mu.Lock()
+	for {
+		x := s.vals[k]
+		s.mu.Unlock()
+		if x != 0 {
+			return x
+		}
+	} // want `counterShard\.mu is held entering the loop but not at the end of an iteration`
+}
+
+// rangeContinueUnlocked releases on a continue only: that path enters
+// the next iteration without the lock.
+func (s *counterShard) rangeContinueUnlocked(keys []string) int {
+	n := 0
+	s.mu.Lock()
+	for _, k := range keys {
+		if k == "" {
+			s.mu.Unlock()
+			continue
+		}
+		n += s.vals[k]
+	} // want `counterShard\.mu is held entering the loop but not at the end of an iteration`
+	s.mu.Unlock()
+	return n
+}
+
+// loopRelocks releases for slow work and takes the lock again before the
+// iteration ends: every iteration starts with it held.
+func (s *counterShard) loopRelocks(keys []string) int {
+	n := 0
+	s.mu.Lock()
+	for _, k := range keys {
+		n += s.vals[k]
+		s.mu.Unlock()
+		n++
+		s.mu.Lock()
+	}
+	s.mu.Unlock()
+	return n
 }
 
 // gotoRetryRelocks takes the lock again before jumping back to the read.

@@ -11,14 +11,13 @@
 // Each entry carries the forest epoch it was computed at. A probe at a
 // later epoch patches, keeps or misses (Server.cached):
 //
-//   - The change log (changeLog) records every write the Server makes as
-//     (from, to, id), the epochs read just before and after it. An entry
-//     computed at e0 and probed at e1 is brought forward only if the
-//     records cover every epoch advance in (e0, e1]; their ids are then a
-//     superset of the documents that changed. A write that bypassed the
-//     Server, or one whose record the ring has overwritten, leaves a gap,
-//     and the probe misses. Top-k entries always miss: a write anywhere
-//     can move the k-th distance.
+//   - The forest records the document behind each epoch advance
+//     (forest.Index.Changed). An entry computed at e0 and probed at e1
+//     asks it for the documents that changed in (e0, e1], whether the
+//     write came through the Server or straight to the forest. Once the
+//     forest's ring of records has overwritten e0+1 they are unknown, and
+//     the probe misses. Top-k entries always miss: a write anywhere can
+//     move the k-th distance.
 //   - A changed document d can alter the threshold answer {T | dist(q, T)
 //     < τ} only if d is in it or d's size lies in profile.SizeWindow(|q|,
 //     τ) (Definition 3, exact). With no such d the answer is kept as it
@@ -35,10 +34,8 @@
 package serve
 
 import (
-	"cmp"
 	"container/list"
 	"encoding/binary"
-	"math"
 	"slices"
 	"sync"
 
@@ -100,9 +97,8 @@ type cacheEntry struct {
 	elem *list.Element // guarded by resultCache.mu
 }
 
-// resultCache is a mutex-guarded LRU plus the change log of the writes
-// its entries are brought forward across. The lock is held only for map
-// and list surgery — never across a forest traversal — so it does not
+// resultCache is a mutex-guarded LRU. The lock is held only for map and
+// list surgery — never across a forest traversal — so it does not
 // serialize lookups.
 type resultCache struct {
 	mu      sync.Mutex
@@ -110,14 +106,10 @@ type resultCache struct {
 	entries map[queryKey]*cacheEntry // guarded by mu
 	lru     list.List                // guarded by mu; front = most recently used; values are *cacheEntry
 	m       serveMetrics             // by value: the handles are fixed at New
-
-	changes changeLog
 }
 
-func newResultCache(max int, m serveMetrics, epoch func() uint64) *resultCache {
-	c := &resultCache{max: max, entries: make(map[queryKey]*cacheEntry, max), m: m}
-	c.changes.epoch = epoch
-	return c
+func newResultCache(max int, m serveMetrics) *resultCache {
+	return &resultCache{max: max, entries: make(map[queryKey]*cacheEntry, max), m: m}
 }
 
 // get returns the cached answer for key, whatever its epoch, and marks it
@@ -183,112 +175,7 @@ func (c *resultCache) len() int {
 	return len(c.entries)
 }
 
-// changeRing is the number of completed writes the change log keeps. An
-// entry computed before the oldest write it still holds misses.
-const changeRing = 1024
-
 // maxPatch caps the documents one patch re-scores. Each costs a bag read
 // and one merge; past the cap a fresh lookup costs about as much, so the
 // probe misses instead.
 const maxPatch = 32
-
-// change is one write the Server made: the document and the epochs read
-// just before it began and just after it returned, so every epoch advance
-// it made lies in (from, to]. Writes that overlap in time (in-memory
-// writers are not serialized) have overlapping ranges, and each range
-// names only its own document: a range covers an advance, the ids of all
-// ranges meeting (e0, e1] name every document written there.
-type change struct {
-	from, to uint64
-	id       string
-}
-
-// changeLog is the cache's record of the Server's writes: the completed
-// ones in a ring, the running ones apart. A running write is registered
-// before its first epoch advance and covers every epoch from its start
-// on, so a probe that sees one of its advances sees its record too. Both
-// epochs are read under mu, so the ring's to values never decrease from
-// oldest to newest.
-type changeLog struct {
-	epoch    func() uint64 // the forest's Epoch
-	mu       sync.Mutex
-	ring     [changeRing]change // guarded by mu; completed writes, ring[n%changeRing] is overwritten next
-	n        int                // guarded by mu; writes ever completed
-	dropped  uint64             // guarded by mu; to of the newest overwritten record
-	inflight []*change          // guarded by mu; writes begun and not completed
-}
-
-// begin registers a write of id about to run; the write must not advance
-// the epoch before begin returns.
-func (l *changeLog) begin(id string) *change {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	c := &change{from: l.epoch(), id: id}
-	l.inflight = append(l.inflight, c)
-	return c
-}
-
-// end completes a write begun with begin, once the write has returned. A
-// write that advanced nothing changed nothing and is not kept.
-func (l *changeLog) end(c *change) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	i := slices.Index(l.inflight, c)
-	l.inflight = slices.Delete(l.inflight, i, i+1)
-	if c.to = l.epoch(); c.to == c.from {
-		return
-	}
-	slot := &l.ring[l.n%changeRing]
-	if l.n >= changeRing {
-		l.dropped = slot.to
-	}
-	*slot = *c
-	l.n++
-}
-
-// since returns the documents written in the epochs (e0, e1], sorted and
-// distinct, and whether the log covers every advance in that range. A
-// write made outside the Server or a record overwritten since leaves a
-// gap: the documents are then unknown and since reports false.
-func (l *changeLog) since(e0, e1 uint64) ([]string, bool) {
-	type span struct{ from, to uint64 }
-	var ids []string
-	var spans []span
-	l.mu.Lock()
-	if l.dropped > e0 {
-		l.mu.Unlock()
-		return nil, false
-	}
-	for _, c := range l.inflight {
-		if c.from < e1 {
-			ids = append(ids, c.id)
-			spans = append(spans, span{c.from, math.MaxUint64})
-		}
-	}
-	// Newest first, up to the first record that ends by e0: every older
-	// one ends by e0 too.
-	for i := l.n - 1; i >= max(0, l.n-changeRing); i-- {
-		c := &l.ring[i%changeRing]
-		if c.to <= e0 {
-			break
-		}
-		if c.from < e1 {
-			ids = append(ids, c.id)
-			spans = append(spans, span{c.from, c.to})
-		}
-	}
-	l.mu.Unlock()
-	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.from, b.from) })
-	reach := e0 // every advance up to reach is covered
-	for _, sp := range spans {
-		if sp.from > reach {
-			break
-		}
-		reach = max(reach, sp.to)
-	}
-	if reach < e1 {
-		return nil, false
-	}
-	slices.Sort(ids)
-	return slices.Compact(ids), true
-}

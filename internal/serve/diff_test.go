@@ -1,10 +1,12 @@
 // The differential battery: the serving tier's cache must be semantically
 // invisible. For 200 seeded scripts of interleaved
-// Put/Remove/Update/Lookup/TopK, every HTTP response from a server with
-// the cache enabled must be byte-identical to the response from a server
-// with it disabled — including repeats (which hit the cache), bursts of
-// concurrent identical requests (which race to fill it) and queries
-// re-issued after writes (which the cache patches, keeps or misses).
+// Put/Remove/Update/Lookup/TopK — writes through the Server and straight
+// on its forest, and one bulk AddIndexes batch — every HTTP response from
+// a server with the cache enabled must be byte-identical to the response
+// from a server with it disabled, including repeats (which hit the
+// cache), bursts of concurrent identical requests (which race to fill it)
+// and queries re-issued after writes (which the cache patches, keeps or
+// misses).
 // Run under -race by `make test`; a stale-cache-after-update bug, a
 // patch that re-scores the wrong documents or an epoch bump missed by
 // any mutation path fails this test.
@@ -94,7 +96,19 @@ func runDiffScript(t *testing.T, seed int64) int64 {
 	type request struct{ path, body string }
 	var asked []request
 	for op := 0; op < diffOps; op++ {
-		switch rng.Intn(6) {
+		if op == diffOps/2 { // a bulk build beside the Server: new documents near the corpus
+			_, cur := pickDoc(rng, cached.live)
+			ids := []string{fmt.Sprintf("batch-%d", op), fmt.Sprintf("batch-%d-b", op)}
+			docs := []*tree.Tree{mustPerturbT(t, rng, cur, 1), mustPerturbT(t, rng, cur, 4)}
+			bags := []profile.Index{profile.BuildIndex(docs[0], profile.Default), profile.BuildIndex(docs[1], profile.Default)}
+			for _, ds := range both {
+				if err := ds.srv.forest.AddIndexes(ids, bags, 2); err != nil {
+					t.Fatalf("seed %d op %d: AddIndexes: %v", seed, op, err)
+				}
+				ds.live[ids[0]], ds.live[ids[1]] = docs[0], docs[1]
+			}
+		}
+		switch rng.Intn(7) {
 		case 0: // Put: replace an existing document with a perturbed copy
 			id, cur := pickDoc(rng, cached.live)
 			doc := mustPerturbT(t, rng, cur, 3)
@@ -123,6 +137,37 @@ func runDiffScript(t *testing.T, seed int64) int64 {
 					t.Fatalf("seed %d op %d: update %s: %v", seed, op, id, err)
 				}
 				ds.live[id] = tn
+			}
+		case 6: // the same write straight on each forest, past the Server
+			id, cur := pickDoc(rng, cached.live)
+			switch rng.Intn(3) {
+			case 0:
+				doc := mustPerturbT(t, rng, cur, 3)
+				for _, ds := range both {
+					ds.srv.forest.Put(id, doc)
+					ds.live[id] = doc
+				}
+			case 1:
+				tn, log, err := gen.Perturb(rng, cur, 2, gen.XMLSafeMix)
+				if err != nil {
+					t.Fatalf("seed %d op %d: perturb: %v", seed, op, err)
+				}
+				for _, ds := range both {
+					if _, err := ds.srv.forest.Update(id, tn, log); err != nil {
+						t.Fatalf("seed %d op %d: forest update %s: %v", seed, op, id, err)
+					}
+					ds.live[id] = tn
+				}
+			default:
+				if len(cached.live) <= 1 {
+					continue
+				}
+				for _, ds := range both {
+					if err := ds.srv.forest.Remove(id); err != nil {
+						t.Fatalf("seed %d op %d: forest remove %s: %v", seed, op, id, err)
+					}
+					delete(ds.live, id)
+				}
 			}
 		default: // Lookup or TopK: an earlier query, or one over a noisy copy of a live document
 			if len(asked) > 0 && rng.Intn(2) == 0 {

@@ -95,8 +95,9 @@ func FuzzServeRequest(f *testing.F) {
 // patches, keeps or misses them. Every answer — programmatic (the bag
 // form of the key) or over HTTP (the XML form) — must equal the cache-off
 // server's. Each pair of bytes is one step: the first picks the
-// operation, the second its document, variant, query or τ. Wired into
-// `make fuzz`.
+// operation, the second its document, variant, query or τ. A write whose
+// second byte has its top bit set goes straight to each server's forest,
+// past the Server. Wired into `make fuzz`.
 func FuzzCachePatch(f *testing.F) {
 	base := gen.DBLP(3, 60)
 	rng := rand.New(rand.NewSource(3))
@@ -124,6 +125,7 @@ func FuzzCachePatch(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 1, 3, 0, 2, 2, 3, 0})
 	f.Add([]byte{3, 5, 1, 0, 3, 5, 0, 9, 3, 5, 3, 5})
 	f.Add([]byte{3, 17, 3, 1, 0, 13, 3, 17, 2, 3, 3, 1, 3, 17})
+	f.Add([]byte{3, 0, 0, 132, 3, 0, 2, 129, 3, 0, 1, 128, 3, 0, 3, 64})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 64 {
 			script = script[:64]
@@ -144,18 +146,28 @@ func FuzzCachePatch(f *testing.F) {
 		for i := 0; i+1 < len(script); i += 2 {
 			op, arg := script[i], int(script[i+1])
 			id := fmt.Sprintf("doc-%d", arg%6)
+			direct := arg&128 != 0
 			switch op % 4 {
 			case 0: // Put a variant
 				v := variants[arg/6%len(variants)]
 				live[id] = v
 				for _, s := range both {
-					if _, err := s.Put(id, v); err != nil {
+					if direct {
+						s.forest.Put(id, v)
+					} else if _, err := s.Put(id, v); err != nil {
 						t.Fatal(err)
 					}
 				}
 			case 1: // Remove, present or not
 				delete(live, id)
-				errs := [2]error{cached.Remove(id), plain.Remove(id)}
+				var errs [2]error
+				for j, s := range both {
+					if direct {
+						errs[j] = s.forest.Remove(id)
+					} else {
+						errs[j] = s.Remove(id)
+					}
+				}
 				if (errs[0] == nil) != (errs[1] == nil) {
 					t.Fatalf("remove %s: cached %v, cache-off %v", id, errs[0], errs[1])
 				}
@@ -170,7 +182,12 @@ func FuzzCachePatch(f *testing.F) {
 				}
 				live[id] = tn
 				for _, s := range both {
-					if _, err := s.Update(id, tn, log); err != nil {
+					if direct {
+						_, err = s.forest.Update(id, tn, log)
+					} else {
+						_, err = s.Update(id, tn, log)
+					}
+					if err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -412,11 +412,7 @@ func (s *Server) handleEdits(w http.ResponseWriter, r *http.Request, id string) 
 		return
 	}
 	if len(req.IDs) > 0 {
-		var sb strings.Builder
-		for _, nid := range req.IDs {
-			fmt.Fprintln(&sb, nid)
-		}
-		if err := xmlconv.ApplyIDs(strings.NewReader(sb.String()), tn); err != nil {
+		if err := tn.SetIDs(req.IDs); err != nil {
 			httpError(w, http.StatusBadRequest, "bad ids: %v", err)
 			return
 		}

@@ -1,6 +1,5 @@
-// Unit rows of the cache's patch, keep and miss decisions (cache.go),
-// the change log's coverage rule, and a -race test of concurrent writers
-// beside repeated readers. Every answer the cache gives is held to the
+// Unit rows of the cache's patch, keep and miss decisions (cache.go)
+// and a -race test of concurrent writers beside repeated readers. Every answer the cache gives is held to the
 // forest's own lookup, the cache-off answer.
 
 package serve
@@ -98,13 +97,24 @@ func TestCachePatchKeepMiss(t *testing.T) {
 				t.Fatal("removing an unknown document succeeded")
 			}
 		}},
-		{name: "uncovered advance", want: "miss", write: func(t *testing.T, s *Server, _ []*tree.Tree) {
-			s.forest.Put("tiny", tiny) // bypasses the Server's change log
+		{name: "forest-direct write", want: "patch", write: func(t *testing.T, s *Server, docs []*tree.Tree) {
+			s.forest.Put("twin", docs[0]) // not through the Server: the forest still records it
+		}, check: func(t *testing.T, out []forest.Match) {
+			if !hasMatch(out, "twin") {
+				t.Error("a copy of the query was indexed on the forest but is not in the answer")
+			}
 		}},
 		{name: "wrapped ring", want: "miss", write: func(t *testing.T, s *Server, _ []*tree.Tree) {
-			for i := 0; i <= changeRing; i++ {
+			e0 := s.forest.Epoch() // the cached answer's
+			for i := 0; ; i++ {
+				if i > 1<<16 {
+					t.Fatal("the forest never stopped naming the changes since the answer")
+				}
 				if _, err := s.Put("tiny", tiny); err != nil {
 					t.Fatal(err)
+				}
+				if _, ok := s.forest.Changed(e0, s.forest.Epoch()); !ok {
+					return
 				}
 			}
 		}},
@@ -247,53 +257,6 @@ func TestCacheSeqlockRule(t *testing.T) {
 	r = probe()
 	if e, _ := cachedAt(); !r.Cached || countsOf(s).minus(before) != (cacheCounts{hits: 1, patches: 1}) || e != r.Epoch {
 		t.Fatalf("quiet patch: cached=%v, counters moved by %+v, entry at %d; want a patched hit cached at %d", r.Cached, countsOf(s).minus(before), e, r.Epoch)
-	}
-}
-
-// TestChangeLogCoverage pins the coverage rule: the ids of the records
-// meeting (e0, e1] are returned only when the records cover every epoch
-// in it, a running write covering every epoch from its start on.
-func TestChangeLogCoverage(t *testing.T) {
-	var now uint64 // the epoch the log reads
-	l := changeLog{epoch: func() uint64 { return now }}
-	at := func(e uint64) { now = e }
-	at(5)
-	a := l.begin("a")
-	b := l.begin("b")
-	at(8)
-	l.end(b) // b ran beside a; a is still running
-	if ids, ok := l.since(5, 8); !ok || !slices.Equal(ids, []string{"a", "b"}) {
-		t.Fatalf("since(5, 8) = %v, %v; want [a b], true", ids, ok)
-	}
-	at(9)
-	l.end(a)
-	if ids, ok := l.since(8, 9); !ok || !slices.Equal(ids, []string{"a"}) {
-		t.Fatalf("since(8, 9) = %v, %v; want [a], true", ids, ok)
-	}
-	if _, ok := l.since(9, 10); ok {
-		t.Fatal("since(9, 10) covered an advance no write recorded")
-	}
-	if _, ok := l.since(3, 9); ok {
-		t.Fatal("since(3, 9) covered epochs 4 and 5, which no write recorded")
-	}
-	l.end(l.begin("c")) // advanced nothing: not kept
-	if ids, ok := l.since(5, 9); !ok || slices.Contains(ids, "c") {
-		t.Fatalf("since(5, 9) = %v, %v; want a and b only, true", ids, ok)
-	}
-	for i := uint64(0); i < changeRing; i++ {
-		at(100 + i)
-		d := l.begin("d")
-		at(101 + i)
-		l.end(d)
-	}
-	if _, ok := l.since(8, 100+changeRing); ok {
-		t.Fatal("since reached past records the ring overwrote")
-	}
-	if ids, ok := l.since(100, 100+changeRing); !ok || !slices.Equal(ids, []string{"d"}) {
-		t.Fatalf("since over the ring's own records = %v, %v; want [d], true", ids, ok)
-	}
-	if ids, ok := l.since(100+changeRing-1, 100+changeRing); !ok || !slices.Equal(ids, []string{"d"}) {
-		t.Fatalf("since over the newest record = %v, %v; want [d], true", ids, ok)
 	}
 }
 

@@ -11,15 +11,15 @@
 //  2. Result cache (cache.go) — an LRU of lookup/top-k results keyed on
 //     (query source, τ or k), each stamped with the forest's mutation
 //     epoch. Every write advances the epoch; a probe at a later epoch
-//     patches the answer, keeps it or misses. The Server records each of
-//     its writes as the epoch range it spans and the document it wrote.
-//     When those ranges cover every advance since the entry, only the
-//     documents they name can have changed: a threshold answer is kept
-//     if none of them is in it or in the query's size window, and
-//     otherwise patched by re-scoring just those. An uncovered advance (a
-//     write that bypassed the Server, or a record the ring dropped), too
-//     many documents to re-score, or any top-k entry is a miss. The
-//     source is the request's raw XML, so a kept answer parses nothing.
+//     patches the answer, keeps it or misses. The forest records the
+//     document behind each epoch advance, so only the documents it names
+//     since the entry can have changed: a threshold answer is kept if
+//     none of them is in it or in the query's size window, and otherwise
+//     patched by re-scoring just those. A stale threshold answer misses
+//     only when the forest's records no longer reach back to it, or when
+//     more than maxPatch documents need re-scoring; a stale top-k answer
+//     always misses. The source is the request's raw XML, so a kept
+//     answer parses nothing.
 //
 // A miss streams the query bag (xmlconv.StreamIndex) and runs the forest
 // lookup. An answer, computed or patched, is cached at the epoch read
@@ -202,7 +202,7 @@ func New(f *forest.Index, st Backend, cfg Config, col *obs.Collector) *Server {
 		httpNS:          col.Histogram("http_request_ns"),
 	}
 	if cfg.CacheSize > 0 {
-		s.cache = newResultCache(cfg.CacheSize, s.m, f.Epoch)
+		s.cache = newResultCache(cfg.CacheSize, s.m)
 	}
 	s.adm = newAdmission(cfg, s.m)
 	col.RegisterFunc("serve_admission", s.adm.stats)
@@ -286,10 +286,10 @@ func (s *Server) query(key queryKey, bag func() (profile.Index, error)) (Result,
 }
 
 // cached answers key from the cache at epoch: an answer computed at that
-// epoch as it is, an older one brought forward (patch) when the change
-// log covers every write since. A stale answer that cannot be brought
-// forward is evicted, and the probe misses; so does an answer fresher
-// than epoch, which stays for the requests that see its epoch. A
+// epoch as it is, an older one brought forward (patch) when the forest
+// still names every document changed since. A stale answer that cannot
+// be brought forward is evicted, and the probe misses; so does an answer
+// fresher than epoch, which stays for the requests that see its epoch. A
 // brought-forward answer is re-cached at epoch under the same seqlock
 // rule as a computed one: only if no write completed while the patch
 // read the forest.
@@ -318,14 +318,14 @@ func (s *Server) cached(key queryKey, epoch uint64, bag func() (profile.Index, e
 
 // patch brings a threshold answer computed at ans.epoch forward to epoch
 // and reports how many documents it re-scored; see cache.go. It fails
-// for a top-k answer, when the change log does not cover the epochs
-// between, when more than maxPatch documents need re-scoring, and when
-// the query's bag cannot be re-derived.
+// for a top-k answer, when the forest no longer names the documents
+// changed in the epochs between, when more than maxPatch documents need
+// re-scoring, and when the query's bag cannot be re-derived.
 func (s *Server) patch(key queryKey, ans answer, epoch uint64, bag func() (profile.Index, error)) (answer, int, bool) {
 	if key.op != opLookup {
 		return answer{}, 0, false
 	}
-	ids, ok := s.cache.changes.since(ans.epoch, epoch)
+	ids, ok := s.forest.Changed(ans.epoch, epoch)
 	if !ok {
 		return answer{}, 0, false
 	}
@@ -398,10 +398,11 @@ func (s *Server) finishTimed(t0 time.Time) {
 // --- mutations --------------------------------------------------------
 
 // Put indexes t under id, replacing any existing document, journaled when
-// the server is store-backed. Every mutation advances the forest epoch;
-// see mutate for how cached answers follow it.
+// the server is store-backed. Every mutation advances the forest epoch,
+// and the forest records id behind each advance; see cache.go for how
+// cached answers follow it.
 func (s *Server) Put(id string, t *tree.Tree) (grams int, err error) {
-	err = s.mutate(id, func() error {
+	err = s.mutate(func() error {
 		if s.store == nil {
 			grams = s.forest.Put(id, t)
 			return nil
@@ -414,7 +415,7 @@ func (s *Server) Put(id string, t *tree.Tree) (grams int, err error) {
 
 // Remove drops a document; see Put for journaling and the cache.
 func (s *Server) Remove(id string) error {
-	return s.mutate(id, func() error {
+	return s.mutate(func() error {
 		if s.store == nil {
 			return s.forest.Remove(id)
 		}
@@ -425,7 +426,7 @@ func (s *Server) Remove(id string) error {
 // Update incrementally maintains one document's index from an edit log;
 // see Put for journaling and the cache.
 func (s *Server) Update(id string, tn *tree.Tree, log edit.Log) (st core.Stats, err error) {
-	err = s.mutate(id, func() error {
+	err = s.mutate(func() error {
 		if s.store == nil {
 			st, err = s.forest.Update(id, tn, log)
 		} else {
@@ -436,18 +437,12 @@ func (s *Server) Update(id string, tn *tree.Tree, log edit.Log) (st core.Stats, 
 	return st, err
 }
 
-// mutate runs one write of document id: under storeMu when the server is
-// store-backed (the journal is a single append stream), and, with the
-// cache on, between two reads of the epoch that the cache's change log
-// records with id — on success and failure alike, since a failed write
-// may still have advanced the epoch.
-func (s *Server) mutate(id string, write func() error) error {
+// mutate runs one write: under storeMu when the server is store-backed
+// (the journal is a single append stream).
+func (s *Server) mutate(write func() error) error {
 	if s.store != nil {
 		s.storeMu.Lock()
 		defer s.storeMu.Unlock()
-	}
-	if s.cache != nil {
-		defer s.cache.changes.end(s.cache.changes.begin(id))
 	}
 	return write()
 }

@@ -1,5 +1,5 @@
 // White-box unit tests of the serving tier's two mechanisms — the result
-// cache (hit, strict epoch invalidation, LRU eviction, keys on the query's
+// cache (hit, patching across writes, LRU eviction, keys on the query's
 // bytes) and admission control (queue shedding, latency-budget shedding
 // and recovery) — plus the HTTP validation surface. The cross-cutting
 // correctness arguments live in diff_test.go (semantic invisibility) and
@@ -73,14 +73,19 @@ func TestCacheHitAndEpochInvalidation(t *testing.T) {
 		t.Fatalf("serve_cache_hit = %d, want 1", got)
 	}
 
-	// Any mutation advances the epoch and must strictly invalidate.
+	// A mutation advances the epoch. Made straight on the forest, it is
+	// still recorded there, so the answer is patched, not invalidated, and
+	// equals the forest's own.
 	s.forest.Put("doc-0", docs[1])
 	r3, err := s.Lookup(q, 0.5)
-	if err != nil || r3.Cached {
-		t.Fatalf("post-mutation lookup: cached=%v err=%v, want fresh", r3.Cached, err)
+	if err != nil || !r3.Cached {
+		t.Fatalf("post-mutation lookup: cached=%v err=%v, want a patched hit", r3.Cached, err)
 	}
-	if got := s.m.cacheInvalidate.Load(); got != 1 {
-		t.Fatalf("serve_cache_invalidate = %d, want 1", got)
+	if want := s.forest.LookupIndex(q, 0.5); !slices.Equal(r3.Matches, want) {
+		t.Fatalf("patched answer %v, the forest answers %v", r3.Matches, want)
+	}
+	if got := s.m.cachePatches.Load(); got != 1 || s.m.cacheInvalidate.Load() != 0 {
+		t.Fatalf("serve_cache_patch = %d, serve_cache_invalidate = %d; want 1 and 0", got, s.m.cacheInvalidate.Load())
 	}
 	if r3.Epoch <= r1.Epoch {
 		t.Fatalf("epoch did not advance across mutation: %d -> %d", r1.Epoch, r3.Epoch)
@@ -270,6 +275,22 @@ func TestHTTPValidation(t *testing.T) {
 		return string(b)
 	}
 
+	// An edit feed whose result renumbers: deleting b from a(b c) leaves
+	// a(c) with ids 1 and 3, which the parsed XML would number 1 and 2.
+	const idsDoc = "<a><b/><c/></a>"
+	working, err := xmlconv.ParseString(idsDoc, xmlconv.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv, err := edit.Del(2).Apply(working)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits := func(ids ...tree.NodeID) string {
+		return enc(EditsRequest{XML: mustBody(t, working), IDs: ids, Log: []string{inv.String()}})
+	}
+	good := working.PreorderIDs()
+
 	cases := []struct {
 		name, method, path, body string
 		want                     int
@@ -300,6 +321,11 @@ func TestHTTPValidation(t *testing.T) {
 		{"edits unknown id", "POST", "/docs/nope/edits", `{"xml":"<a/>","log":[]}`, 404},
 		{"edits op on a missing node", "POST", "/docs/doc-0/edits", `{"xml":"<a/>","log":["REN 99 x"]}`, 422},
 		{"edits children out of range", "POST", "/docs/doc-0/edits", `{"xml":"<a/>","log":["INS 50 x 1 1 5"]}`, 422},
+		{"put for ids", "PUT", "/docs/ids", idsDoc, 200},
+		{"edits ids too few", "POST", "/docs/ids/edits", edits(good[0]), 400},
+		{"edits id not positive", "POST", "/docs/ids/edits", edits(0, good[1]), 400},
+		{"edits ids duplicate", "POST", "/docs/ids/edits", edits(good[1], good[1]), 400},
+		{"edits with ids", "POST", "/docs/ids/edits", edits(good...), 200},
 		{"stats", "GET", "/stats", "", 200},
 		{"metrics", "GET", "/debug/metrics", "", 200},
 		{"metrics prom", "GET", "/debug/metrics?format=prom", "", 200},

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pqgram/internal/fsio"
+	"pqgram/internal/profile"
 )
 
 // FuzzLoad feeds arbitrary bytes to the index loader: it must never panic
@@ -131,7 +132,7 @@ func FuzzParseManifest(f *testing.F) {
 
 func sampleFuzzForest() *forestAlias {
 	f := newForest()
-	f.AddIndex("a", indexOf("x", "y", "x"))
-	f.AddIndex("b", indexOf("y", "z"))
+	f.AddIndex("a", profile.Freeze(indexOf("x", "y", "x")))
+	f.AddIndex("b", profile.Freeze(indexOf("y", "z")))
 	return f
 }

@@ -298,7 +298,7 @@ func (s *Segmented) applyRecoveredRecord(rec []byte) error {
 		if err != nil {
 			return err
 		}
-		return s.addApplied(id, bag)
+		return s.addApplied(id, profile.Freeze(bag))
 	case recRemove:
 		id, err := readID(r)
 		if err != nil {
@@ -396,7 +396,7 @@ func (s *Segmented) AddAll(docs []forest.Doc, workers int) error {
 	bags := forest.BuildIndexes(docs, s.forest.Params(), workers)
 	recs := make([]record, len(bags))
 	for i, bag := range bags {
-		recs[i] = record{recAdd, addPayload(ids[i], bag)}
+		recs[i] = record{recAdd, addPayload(ids[i], profile.Freeze(bag))}
 	}
 	if err := s.journal(recs...); err != nil {
 		return err
@@ -414,7 +414,7 @@ func (s *Segmented) AddAll(docs []forest.Doc, workers int) error {
 
 // addApplied applies an addition whose journal record is already durable:
 // the bag joins the forest and the document the memtable.
-func (s *Segmented) addApplied(id string, bag profile.Index) error {
+func (s *Segmented) addApplied(id string, bag profile.Bag) error {
 	if err := s.forest.AddIndex(id, bag); err != nil {
 		return err
 	}
@@ -461,7 +461,7 @@ func (s *Segmented) removeApplied(id string) error {
 // removal and the addition as one append — one write, and in sync mode
 // one fsync — so a crash recovers the old document, none, or the new one.
 func (s *Segmented) Put(id string, t *tree.Tree) (int, error) {
-	bag := profile.BuildIndex(t, s.forest.Params())
+	bag := profile.Freeze(profile.BuildIndex(t, s.forest.Params()))
 	var recs []record
 	replace := s.forest.Has(id)
 	if replace {
@@ -496,8 +496,8 @@ func (s *Segmented) Update(id string, tn *tree.Tree, log edit.Log) (core.Stats, 
 	err = s.applyUpdate(id, iPlus, iMinus, func() error {
 		var payload bytes.Buffer
 		writeID(&payload, id)
-		writeBag(&payload, iMinus)
-		writeBag(&payload, iPlus)
+		writeBag(&payload, profile.Freeze(iMinus))
+		writeBag(&payload, profile.Freeze(iPlus))
 		return s.journal(record{recUpdate, payload.Bytes()})
 	})
 	if err != nil {
@@ -863,7 +863,7 @@ func idPayload(id string) []byte {
 }
 
 // addPayload renders the payload of an add record: id, full bag.
-func addPayload(id string, bag profile.Index) []byte {
+func addPayload(id string, bag profile.Bag) []byte {
 	var buf bytes.Buffer
 	writeID(&buf, id)
 	writeBag(&buf, bag)

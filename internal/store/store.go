@@ -80,7 +80,7 @@ func Load(r io.Reader) (*forest.Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: tree %q: %w", id, err)
 		}
-		if err := f.AddIndex(id, bag.Index()); err != nil {
+		if err := f.AddIndex(id, bag); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}

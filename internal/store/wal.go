@@ -338,8 +338,7 @@ func nextRecord(data []byte) (rec []byte, n int, badCRC bool) {
 // shared sorted bag and keeps its own encoding). The order is still
 // canonical, the frozen bag's: a journal record must be byte-identical
 // for identical logical content.
-func writeBag(buf *bytes.Buffer, idx profile.Index) {
-	bag := profile.Freeze(idx)
+func writeBag(buf *bytes.Buffer, bag profile.Bag) {
 	putUvarint(buf, uint64(bag.Distinct()))
 	for i := 0; i < bag.Distinct(); i++ {
 		lt, c := bag.At(i)

@@ -73,6 +73,14 @@ type Index = profile.Index
 // LabelTuple is a fixed-width fingerprint of one pq-gram's label tuple.
 type LabelTuple = profile.LabelTuple
 
+// Bag is the frozen form of an Index: immutable, its tuples sorted, 12
+// bytes per distinct tuple. Forest.AddIndex takes one, Forest.Bag
+// returns one.
+type Bag = profile.Bag
+
+// Freeze returns the frozen bag of an index.
+func Freeze(idx Index) Bag { return profile.Freeze(idx) }
+
 // BuildIndex computes the pq-gram index of a tree from scratch.
 func BuildIndex(t *Tree, p Params) Index { return profile.BuildIndex(t, p) }
 
