@@ -584,8 +584,10 @@ var (
 // tierFixture is the clustered corpus of the tier benchmarks (128 clusters
 // of 8 near-duplicates, DBLP and XMark bases alternating, sizes spread)
 // held by a segmented store that flushed every 128 documents — everything
-// evicted, 8 segments — and by one that never flushed, plus 16 perturbed
-// documents to ask. Built once and shared; nothing mutates it.
+// evicted; the size-tiered merges fold each four flushes into one
+// 512-document segment, so 2 segments — and by one that never flushed,
+// plus 16 perturbed documents to ask. Built once and shared; nothing
+// mutates it.
 func tierFixture() ([]tierSide, []profile.Index) {
 	fixMu.Lock()
 	defer fixMu.Unlock()
@@ -625,7 +627,7 @@ func tierFixture() ([]tierSide, []profile.Index) {
 			}
 		}
 	}
-	if st := evicted.Stats(); st.Segments != 8 || st.ResidentDocs != 0 {
+	if st := evicted.Stats(); st.Segments != 2 || st.ResidentDocs != 0 {
 		panic(fmt.Sprintf("fixture not fully evicted: %+v", st))
 	}
 	queries := make([]profile.Index, 16)

@@ -122,11 +122,11 @@ func (s *docScript) step() {
 		}
 	default: // AddIndexes
 		ids := make([]string, 1+s.rng.Intn(3))
-		bags := make([]profile.Index, len(ids))
+		bags := make([]profile.Bag, len(ids))
 		for i := range ids {
 			var doc *tree.Tree
 			ids[i], doc = s.newDoc()
-			bags[i] = profile.BuildIndex(doc, p33)
+			bags[i] = profile.Freeze(profile.BuildIndex(doc, p33))
 			s.docs[ids[i]] = doc
 		}
 		s.must(s.f.AddIndexes(ids, bags, 1+s.rng.Intn(2)))

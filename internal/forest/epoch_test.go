@@ -227,7 +227,7 @@ func TestChangedNamesEachAdvance(t *testing.T) {
 		return fails(f.ApplyDeltas("b", nil, nil, func() error { return errors.New("journal full") }))
 	})
 	step("AddIndexes", func() error {
-		return f.AddIndexes([]string{"x2", "x1"}, []profile.Index{profile.BuildIndex(small, p33), profile.BuildIndex(working, p33)}, 2)
+		return f.AddIndexes([]string{"x2", "x1"}, []profile.Bag{profile.Freeze(profile.BuildIndex(small, p33)), profile.Freeze(profile.BuildIndex(working, p33))}, 2)
 	}, "x2", "x1")
 	step("AddAll", func() error { return f.AddAll([]forest.Doc{{ID: "y", Tree: small}}, 1) }, "y")
 	step("Remove", func() error { return f.Remove("x2") }, "x2")

@@ -31,18 +31,21 @@ func normWorkers(workers int) int {
 }
 
 // BuildIndexes profiles the documents concurrently on a pool of workers
-// and returns one pq-gram index per document, in input order. Profiling is
-// the expensive phase of a bulk build (O(document) per tree), so this is
-// where the parallelism pays; the forest itself is not touched.
-func BuildIndexes(docs []Doc, pr profile.Params, workers int) []profile.Index {
+// and returns one frozen pq-gram bag per document, in input order.
+// Profiling is the expensive phase of a bulk build (O(document) per tree),
+// so this is where the parallelism pays, and each worker freezes the bag
+// it built while the index is still in its cache: the bags are what
+// AddIndexes and the store's journal take as they are. The forest itself
+// is not touched.
+func BuildIndexes(docs []Doc, pr profile.Params, workers int) []profile.Bag {
 	workers = normWorkers(workers)
 	if workers > len(docs) {
 		workers = len(docs)
 	}
-	bags := make([]profile.Index, len(docs))
+	bags := make([]profile.Bag, len(docs))
 	if workers <= 1 {
 		for i, d := range docs {
-			bags[i] = profile.BuildIndex(d.Tree, pr)
+			bags[i] = profile.Freeze(profile.BuildIndex(d.Tree, pr))
 		}
 		return bags
 	}
@@ -57,7 +60,7 @@ func BuildIndexes(docs []Doc, pr profile.Params, workers int) []profile.Index {
 				if i >= len(docs) {
 					return
 				}
-				bags[i] = profile.BuildIndex(docs[i].Tree, pr)
+				bags[i] = profile.Freeze(profile.BuildIndex(docs[i].Tree, pr))
 			}
 		}()
 	}
@@ -78,13 +81,13 @@ func (f *Index) AddAll(docs []Doc, workers int) error {
 	return f.AddIndexes(ids, BuildIndexes(docs, f.pr, workers), workers)
 }
 
-// AddIndexes bulk-indexes precomputed bags (e.g. from BuildIndexes or a
-// snapshot loader) under the given IDs. The forest keeps frozen copies,
-// made in parallel; the bags stay the caller's. The merge into the
-// postings runs with one worker per shard stripe; because the stripes
-// partition the tuple space, the workers never contend and the result is
-// identical to a serial merge.
-func (f *Index) AddIndexes(ids []string, bags []profile.Index, workers int) error {
+// AddIndexes bulk-indexes frozen bags (e.g. from BuildIndexes or a
+// snapshot loader) under the given IDs. Bags are immutable, so the forest
+// keeps them as they are and the caller may share them (the store journals
+// the same ones). The merge into the postings runs with one worker per
+// shard stripe; because the stripes partition the tuple space, the
+// workers never contend and the result is identical to a serial merge.
+func (f *Index) AddIndexes(ids []string, bags []profile.Bag, workers int) error {
 	if len(ids) != len(bags) {
 		return fmt.Errorf("forest: %d ids for %d bags", len(ids), len(bags))
 	}
@@ -101,15 +104,14 @@ func (f *Index) AddIndexes(ids []string, bags []profile.Index, workers int) erro
 		}
 		seen[id] = true
 	}
-	// Freeze each bag and bucket its tuples by shard (parallel over docs),
-	// then merge (parallel over shards). Each merge worker owns a disjoint
+	// Bucket each bag's tuples by shard (parallel over docs), then merge
+	// (parallel over shards). Each merge worker owns a disjoint
 	// set of stripes, so no shard locking is needed under the registry
 	// write lock.
 	type postDelta struct {
 		lt profile.LabelTuple
 		c  int
 	}
-	frozen := make([]profile.Bag, len(bags))
 	buckets := make([][numShards][]postDelta, len(bags))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -122,9 +124,8 @@ func (f *Index) AddIndexes(ids []string, bags []profile.Index, workers int) erro
 				if i >= len(bags) {
 					return
 				}
-				frozen[i] = profile.Freeze(bags[i])
-				for j := 0; j < frozen[i].Distinct(); j++ {
-					lt, c := frozen[i].At(j)
+				for j := 0; j < bags[i].Distinct(); j++ {
+					lt, c := bags[i].At(j)
 					si := lt.Shard(shardBits)
 					buckets[i][si] = append(buckets[i][si], postDelta{lt, c})
 				}
@@ -134,7 +135,7 @@ func (f *Index) AddIndexes(ids []string, bags []profile.Index, workers int) erro
 	wg.Wait()
 	docs := make([]uint32, len(ids))
 	for i, id := range ids {
-		docs[i] = f.registerLocked(id, frozen[i], frozen[i].Size()).doc
+		docs[i] = f.registerLocked(id, bags[i], bags[i].Size()).doc
 	}
 	// One epoch advance per added document, matching AddIndex, so result
 	// caches see the same advances and records either way.

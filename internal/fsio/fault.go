@@ -17,7 +17,8 @@ var (
 // are numbered 1, 2, 3, … in issue order; a rule can fail the Nth one
 // with a chosen error, or turn the Nth write into a short write that
 // persists only a prefix of its bytes before failing. Read-only
-// operations are never failed — the point is to break the write path and
+// operations (Read, ReadAt, Seek, Stat) pass straight through and are
+// never failed — the point is to break the write path and
 // prove recovery, not to break reading the evidence.
 //
 // FaultFS is safe for concurrent use if the inner FS is.

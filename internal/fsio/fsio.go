@@ -42,9 +42,12 @@ type FS interface {
 	OpenDir(name string) (Dir, error)
 }
 
-// File is an open file handle.
+// File is an open file handle. ReadAt is the positioned read: it neither
+// uses nor moves the Seek offset, so concurrent readers of one immutable
+// file need no lock around it.
 type File interface {
 	io.Reader
+	io.ReaderAt
 	io.Writer
 	io.Seeker
 	io.Closer

@@ -266,3 +266,47 @@ func TestOSPassthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadAt: the positioned read of every implementation reads at its
+// offset without moving the handle's, reports a short read with io.EOF,
+// and FaultFS passes it through uncounted even with a fault armed.
+func TestReadAt(t *testing.T) {
+	mem := NewMemFS()
+	ff := NewFaultFS(mem)
+	dir := t.TempDir()
+	for name, fsys := range map[string]FS{"mem": mem, "fault": ff, "os": OS} {
+		path := "f-" + name
+		if fsys == OS {
+			path = dir + "/f"
+		}
+		if err := WriteFile(fsys, path, []byte("hello world"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := Open(fsys, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ff.Reset()
+		ff.FailOp(1, ErrIO)
+		buf := make([]byte, 5)
+		if n, err := f.ReadAt(buf, 6); err != nil || n != 5 || string(buf) != "world" {
+			t.Fatalf("%s: ReadAt(6) = %d %q, %v", name, n, buf[:n], err)
+		}
+		if n, err := f.ReadAt(buf, 8); !errors.Is(err, io.EOF) || n != 3 || string(buf[:n]) != "rld" {
+			t.Fatalf("%s: short ReadAt = %d %q, %v; want 3 bytes and EOF", name, n, buf[:n], err)
+		}
+		if rest, err := io.ReadAll(f); err != nil || string(rest) != "hello world" {
+			t.Fatalf("%s: ReadAt moved the read offset: %q, %v", name, rest, err)
+		}
+		if ff.Ops() != 0 {
+			t.Fatalf("%s: reads counted as %d mutating ops", name, ff.Ops())
+		}
+		ff.Reset()
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.ReadAt(buf, 0); err == nil {
+			t.Fatalf("%s: ReadAt after Close succeeded", name)
+		}
+	}
+}

@@ -373,6 +373,30 @@ func (f *memFile) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// ReadAt reads at off without touching the handle's offset, with
+// os.File's contract: fewer than len(p) bytes come with an error.
+func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	if f.closed {
+		return 0, os.ErrClosed
+	}
+	if !f.readable {
+		return 0, &os.PathError{Op: "read", Path: f.name, Err: os.ErrPermission}
+	}
+	if off < 0 {
+		return 0, &os.PathError{Op: "readat", Path: f.name, Err: fmt.Errorf("negative offset")}
+	}
+	if off >= int64(len(f.node.data)) {
+		return 0, io.EOF
+	}
+	n := copy(p, f.node.data[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
 func (f *memFile) Write(p []byte) (int, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()

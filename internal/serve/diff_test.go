@@ -100,7 +100,7 @@ func runDiffScript(t *testing.T, seed int64) int64 {
 			_, cur := pickDoc(rng, cached.live)
 			ids := []string{fmt.Sprintf("batch-%d", op), fmt.Sprintf("batch-%d-b", op)}
 			docs := []*tree.Tree{mustPerturbT(t, rng, cur, 1), mustPerturbT(t, rng, cur, 4)}
-			bags := []profile.Index{profile.BuildIndex(docs[0], profile.Default), profile.BuildIndex(docs[1], profile.Default)}
+			bags := []profile.Bag{profile.Freeze(profile.BuildIndex(docs[0], profile.Default)), profile.Freeze(profile.BuildIndex(docs[1], profile.Default))}
 			for _, ds := range both {
 				if err := ds.srv.forest.AddIndexes(ids, bags, 2); err != nil {
 					t.Fatalf("seed %d op %d: AddIndexes: %v", seed, op, err)

@@ -12,7 +12,7 @@
 //	POST   /lookup             {"xml","tau","top"}        approximate lookup
 //	POST   /topk               {"xml","k"}                k nearest via the planner
 //	POST   /explain            {"xml","tau","k"}          run a query traced; plan + work counters
-//	GET    /stats                                         index + serving-tier statistics
+//	GET    /stats                                         index, serving-tier and store statistics
 //	GET    /debug/metrics                                 live metrics snapshot (?format=prom)
 //	GET    /debug/trace[?n=16]                            recent query traces
 //	GET    /debug/vars                                    expvar (includes "pqgram")
@@ -442,14 +442,16 @@ func (s *Server) handleEdits(w http.ResponseWriter, r *http.Request, id string) 
 }
 
 // handleStats reports the index shape plus the serving tier's live state:
-// the mutation epoch and the result-cache fill.
+// the mutation epoch and the result-cache fill, and — when a segmented
+// store backs the server — the store's shape under "store": its segment
+// count and bytes, resident and evicted documents.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	pr := s.forest.Params()
 	cacheLen := 0
 	if s.cache != nil {
 		cacheLen = s.cache.len()
 	}
-	writeJSON(w, map[string]any{
+	out := map[string]any{
 		"p": pr.P, "q": pr.Q,
 		"docs": s.forest.Len(), "pqgrams": s.forest.Size(),
 		"serve": map[string]any{
@@ -457,7 +459,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"cache_entries": cacheLen,
 			"cache_size":    s.cfg.CacheSize,
 		},
-	})
+	}
+	if sb, ok := s.store.(segmentedBackend); ok {
+		out["store"] = sb.Stats()
+	}
+	writeJSON(w, out)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -50,6 +50,7 @@ import (
 	"pqgram/internal/forest"
 	"pqgram/internal/obs"
 	"pqgram/internal/profile"
+	"pqgram/internal/store"
 	"pqgram/internal/tree"
 )
 
@@ -131,6 +132,12 @@ type Backend interface {
 	Put(id string, t *tree.Tree) (int, error)
 	Remove(id string) error
 	Update(id string, tn *tree.Tree, log edit.Log) (core.Stats, error)
+}
+
+// segmentedBackend is a Backend that keeps its documents in segments and
+// reports their shape, which /stats shows; *store.Segmented is one.
+type segmentedBackend interface {
+	Stats() store.SegmentStats
 }
 
 // Server is the serving tier over one forest (optionally backed by a

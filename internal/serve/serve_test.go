@@ -24,8 +24,10 @@ import (
 	"pqgram/internal/core"
 	"pqgram/internal/edit"
 	"pqgram/internal/forest"
+	"pqgram/internal/fsio"
 	"pqgram/internal/gen"
 	"pqgram/internal/profile"
+	"pqgram/internal/store"
 	"pqgram/internal/tree"
 	"pqgram/internal/xmlconv"
 )
@@ -253,6 +255,39 @@ func do(t *testing.T, s *Server, method, path, body string) *httptest.ResponseRe
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, req)
 	return w
+}
+
+// TestStatsReportsStore: /stats of a store-backed server carries the
+// store's shape — the segment count the size-tiered merges hold down
+// among it — and an in-memory server's has no "store" key.
+func TestStatsReportsStore(t *testing.T) {
+	st, err := store.CreateSegmentedFS(fsio.NewMemFS(), "idx.pqg", profile.Default)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.SetFlushThreshold(2)
+	s := New(st.Forest(), st, Config{}, nil)
+	for i := 0; i < 10; i++ {
+		if w := do(t, s, "PUT", fmt.Sprintf("/docs/d%d", i), mustBody(t, gen.XMark(int64(i), 20))); w.Code != 200 {
+			t.Fatalf("put %d: %d %s", i, w.Code, w.Body.String())
+		}
+	}
+	var stats struct {
+		Docs  int                 `json:"docs"`
+		Store *store.SegmentStats `json:"store"`
+	}
+	if err := json.Unmarshal(do(t, s, "GET", "/stats", "").Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	// Five flushes of two documents: four merged into one, then one more.
+	if want := st.Stats(); stats.Store == nil || *stats.Store != want || want.Segments != 2 || want.EvictedDocs != 10 {
+		t.Fatalf("/stats store = %+v, want %+v with 2 segments", stats.Store, want)
+	}
+	mem, _ := newTestServer(t, Config{}, 2)
+	if body := do(t, mem, "GET", "/stats", "").Body.String(); strings.Contains(body, `"store"`) {
+		t.Fatalf("in-memory /stats reports a store: %s", body)
+	}
 }
 
 func mustBody(t *testing.T, doc *tree.Tree) string {

@@ -1,5 +1,5 @@
 // Instrumentation of the store: journal append/replay counts, bytes and
-// latencies, segment lifecycle counters (flushes, compactions) and shape
+// latencies, segment lifecycle counters (flushes, merges, compactions) and shape
 // gauges (segment count and bytes, resident vs evicted documents). Like
 // the forest, the store resolves its collector once into preallocated
 // handles behind a pointer that is never nil; with no collector attached
@@ -38,6 +38,12 @@ type storeMetrics struct {
 	compactions *obs.Counter   // store_segment_compactions
 	compactNS   *obs.Histogram // store_segment_compact_ns
 
+	// Merges (tier merges and compactions) and what they rewrote: with the
+	// flushed documents, the store's write amplification.
+	merges     *obs.Counter // store_merges
+	mergeDocs  *obs.Counter // store_merge_docs
+	mergeBytes *obs.Counter // store_merge_bytes
+
 	segCount     *obs.Gauge // store_segment_count (live segments)
 	segBytes     *obs.Gauge // store_segment_bytes (sum of live segment files)
 	residentDocs *obs.Gauge // store_resident_docs (memtable population)
@@ -72,6 +78,9 @@ func (s *Segmented) SetCollector(c *obs.Collector) {
 		flushNS:         c.Histogram("store_segment_flush_ns"),
 		compactions:     c.Counter("store_segment_compactions"),
 		compactNS:       c.Histogram("store_segment_compact_ns"),
+		merges:          c.Counter("store_merges"),
+		mergeDocs:       c.Counter("store_merge_docs"),
+		mergeBytes:      c.Counter("store_merge_bytes"),
 		segCount:        c.Gauge("store_segment_count"),
 		segBytes:        c.Gauge("store_segment_bytes"),
 		residentDocs:    c.Gauge("store_resident_docs"),

@@ -13,6 +13,7 @@ import (
 	"pqgram/internal/forest"
 	"pqgram/internal/fsio"
 	"pqgram/internal/gen"
+	"pqgram/internal/obs"
 	"pqgram/internal/profile"
 	"pqgram/internal/tree"
 )
@@ -40,10 +41,13 @@ import (
 //     resident, evicted, or mid-eviction at the cut;
 //   - no file handles leak, whether recovery succeeds or fails.
 //
-// Two scripts run through it: one that flushes every few documents, so
-// most cuts land in the segment and manifest protocols, and one that
-// never auto-flushes, so the journal grows long and most cuts land in
-// record appends and in the replay of a many-record journal.
+// Three scripts run through it: one that flushes every few documents, so
+// most cuts land in the segment and manifest protocols; one that flushes
+// every other document and never compacts, so flushes trigger the
+// size-tiered merges — cascading ones among them — and cuts land inside
+// merges too; and one that never auto-flushes, so the journal grows long
+// and most cuts land in record appends and in the replay of a
+// many-record journal.
 
 // crashMark captures the committed state after each workload operation.
 type crashMark struct {
@@ -122,6 +126,7 @@ type crashScript struct {
 	nOps       int          // operations, each one a mark
 	flushAt    map[int]bool // ops that are a forced Flush
 	compactAt  map[int]bool // ops that are a forced Compact
+	minMerges  int64        // tier merges the workload must have run
 }
 
 var (
@@ -132,6 +137,11 @@ var (
 		flushAt:   map[int]bool{12: true, 24: true},
 		compactAt: map[int]bool{18: true, 30: true},
 	}
+	// mergeScript: a flush every two resident documents makes one- to
+	// three-document segments, so every fourth flush merges and the
+	// merged ones merge again; updates and removals leave dead copies and
+	// tombstones for the merges to drop or keep.
+	mergeScript = crashScript{flushEvery: 2, nOps: 44, minMerges: 4}
 	// journalScript: everything stays resident between the two
 	// compactions, so the journal holds up to ~20 records when it is cut.
 	journalScript = crashScript{
@@ -223,7 +233,13 @@ func runCrashHarness(t *testing.T, sc crashScript, syncMode bool, seed int64) {
 	}
 	s.SetSync(syncMode)
 	s.SetFlushThreshold(sc.flushEvery)
+	col := obs.NewCollector()
+	s.SetCollector(col)
 	marks := crashWorkload(t, s, sc, seed)
+	merges := col.Snapshot().Counters["store_merges"]
+	if merges < sc.minMerges {
+		t.Fatalf("the workload ran %d merges, want at least %d", merges, sc.minMerges)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -324,14 +340,16 @@ func runCrashHarness(t *testing.T, sc crashScript, syncMode bool, seed int64) {
 			t.Fatalf("%s: %d handles leaked after recovery", name, crashed.OpenHandles())
 		}
 	}
-	t.Logf("workload: %d ops, %d trace ops, %d crash points",
-		len(marks)-1, len(trace), len(crashPoints(trace)))
+	t.Logf("workload: %d ops (%d merges), %d trace ops, %d crash points",
+		len(marks)-1, merges, len(trace), len(crashPoints(trace)))
 }
 
-func TestSegCrashConsistencySynced(t *testing.T)   { runCrashHarness(t, flushScript, true, 77) }
-func TestSegCrashConsistencyUnsynced(t *testing.T) { runCrashHarness(t, flushScript, false, 1077) }
-func TestCrashConsistencySynced(t *testing.T)      { runCrashHarness(t, journalScript, true, 42) }
-func TestCrashConsistencyUnsynced(t *testing.T)    { runCrashHarness(t, journalScript, false, 1042) }
+func TestSegCrashConsistencySynced(t *testing.T)     { runCrashHarness(t, flushScript, true, 77) }
+func TestSegCrashConsistencyUnsynced(t *testing.T)   { runCrashHarness(t, flushScript, false, 1077) }
+func TestMergeCrashConsistencySynced(t *testing.T)   { runCrashHarness(t, mergeScript, true, 51) }
+func TestMergeCrashConsistencyUnsynced(t *testing.T) { runCrashHarness(t, mergeScript, false, 1051) }
+func TestCrashConsistencySynced(t *testing.T)        { runCrashHarness(t, journalScript, true, 42) }
+func TestCrashConsistencyUnsynced(t *testing.T)      { runCrashHarness(t, journalScript, false, 1042) }
 
 // runDoubleCrash cuts power a second time while recovery itself is
 // writing (truncating the journal tail, resetting a stale journal,

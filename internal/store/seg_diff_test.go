@@ -168,11 +168,14 @@ func TestSegmentedDifferential200(t *testing.T) {
 // other documents sit in RAM. A segmented store must then answer every
 // threshold and top-k exactly like a store that never flushed.
 func TestSegmentedClusteredDifferential(t *testing.T) {
-	// The flush threshold scales with the corpus so that both sizes flush
-	// at least twice: 24 clusters of 8 would cross 128 documents only once.
+	// The flush threshold scales with the corpus so that both sizes end
+	// with at least two segments: the load flushes four times, which the
+	// size-tiered merge folds into one segment, and the edits flush once
+	// more. 24 clusters of 8 would cross 128 documents only once, and at
+	// 64 their three load flushes and the edits' one merge into one.
 	clusters, queries, flushAt := 64, 64, 128
 	if testing.Short() {
-		clusters, queries, flushAt = 24, 12, 64
+		clusters, queries, flushAt = 24, 12, 48
 	}
 	const mates = 8
 	rng := rand.New(rand.NewSource(41))

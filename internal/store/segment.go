@@ -3,8 +3,9 @@
 // pq-gram bags and an inverted posting index over them — plus the
 // tombstones that were pending when it was flushed, a bloom filter over
 // its distinct label-tuple fingerprints, and a whole-file crc32. The
-// exact byte layout is specified in STORAGE.md; this file is its
-// reference implementation and the two must not drift.
+// exact byte layout is specified in STORAGE.md; this file (the reader)
+// and segwrite.go (the writer) are its reference implementation, and the
+// three must not drift.
 //
 // Layout (all integers unsigned varints unless noted; sections in file
 // order, section offsets recorded in the fixed-size footer):
@@ -70,12 +71,6 @@ const (
 	segBlockCacheCap = 4096
 )
 
-// segDoc is one document handed to writeSegment.
-type segDoc struct {
-	id  string
-	bag profile.Bag
-}
-
 // segDocMeta is a doc-table entry of an open segment.
 type segDocMeta struct {
 	id       string
@@ -110,9 +105,10 @@ type segBlock struct {
 func (b *segBlock) list(i int) []segPosting { return b.entries[b.starts[i]:b.starts[i+1]] }
 
 // segment is an open, verified segment file, and one run of the forest's
-// storage tier (forest.Run). The metadata fields are immutable after
-// openSegment; positioned reads of bags and posting blocks are serialized
-// by mu.
+// storage tier (forest.Run). The metadata fields and the file handle are
+// immutable after openSegment; bags and posting blocks are read with
+// positioned reads, which share no file offset and take no lock. mu
+// serializes only the block cache's installs and evictions and the close.
 type segment struct {
 	fs   fsio.FS
 	path string
@@ -136,118 +132,12 @@ type segment struct {
 	bagsOff  int64
 	postsOff int64
 
-	mu    sync.Mutex
-	f     fsio.File                  // guarded by mu
-	cache []atomic.Pointer[segBlock] // decoded blocks by block index; read lock-free, filled and evicted under mu
-	order []int                      // guarded by mu; FIFO eviction order of the cached block indexes
-}
+	f fsio.File
 
-// --- writer -----------------------------------------------------------
-
-// writeSegment writes a segment file through replaceFile and returns its
-// content crc32 and whether the rename happened. docs must be sorted
-// ascending by id with non-nil bags; tombs must be sorted ascending and
-// disjoint from the doc ids — a segment that both stores and deletes the
-// same id would be ambiguous.
-func writeSegment(fsys fsio.FS, path string, pr profile.Params, seq uint64, docs []segDoc, tombs []string) (crc uint32, renamed bool, err error) {
-	if len(docs) >= 1<<31 {
-		return 0, false, fmt.Errorf("store: segment doc count %d exceeds doc-ref range", len(docs))
-	}
-	// Pre-encode the bag regions (the doc table needs their lengths) and
-	// invert the postings. Iterating docs in table order keeps every
-	// per-tuple posting list sorted by doc reference with no extra sort.
-	bagBufs := make([]bytes.Buffer, len(docs))
-	postings := make(map[uint64][]segPosting)
-	for i, d := range docs {
-		writeSortedBag(&bagBufs[i], d.bag)
-		for j := 0; j < d.bag.Distinct(); j++ {
-			lt, cnt := d.bag.At(j)
-			postings[uint64(lt)] = append(postings[uint64(lt)], segPosting{Ref: int32(i), Cnt: uint32(cnt)})
-		}
-	}
-	tuples := make([]uint64, 0, len(postings))
-	for lt := range postings {
-		tuples = append(tuples, lt)
-	}
-	slices.Sort(tuples)
-
-	bloom := newBloom(len(tuples))
-	for _, lt := range tuples {
-		bloom.add(lt)
-	}
-
-	// Posting blocks: each self-contained (first tuple and first doc ref
-	// absolute), so a point probe decodes one block and nothing else.
-	var blocks bytes.Buffer
-	var fences []segFence
-	for start := 0; start < len(tuples); start += segBlockTuples {
-		end := min(start+segBlockTuples, len(tuples))
-		off := int64(blocks.Len())
-		prevT := uint64(0)
-		for _, lt := range tuples[start:end] {
-			putUvarint(&blocks, lt-prevT)
-			prevT = lt
-			list := postings[lt]
-			putUvarint(&blocks, uint64(len(list)))
-			prevRef := uint64(0)
-			for _, pe := range list {
-				putUvarint(&blocks, uint64(pe.Ref)-prevRef)
-				prevRef = uint64(pe.Ref)
-				putUvarint(&blocks, uint64(pe.Cnt))
-			}
-		}
-		fences = append(fences, segFence{first: tuples[start], off: off, n: int64(blocks.Len()) - off})
-	}
-
-	renamed, err = replaceFile(fsys, path, func(w io.Writer) error {
-		cw := newCRCWriter(w)
-		writeHeader(cw, segMagic, segVersion, pr)
-		putUvarint(cw, seq)
-
-		docsOff := cw.n
-		putUvarint(cw, uint64(len(docs)))
-		for i, d := range docs {
-			writeID(cw, d.id)
-			putUvarint(cw, uint64(d.bag.Size()))
-			putUvarint(cw, uint64(d.bag.Distinct()))
-			putUvarint(cw, uint64(bagBufs[i].Len()))
-		}
-		putUvarint(cw, uint64(len(tombs)))
-		for _, id := range tombs {
-			writeID(cw, id)
-		}
-
-		bagsOff := cw.n
-		for i := range bagBufs {
-			cw.Write(bagBufs[i].Bytes())
-		}
-
-		postsOff := cw.n
-		cw.Write(blocks.Bytes())
-
-		fencesOff := cw.n
-		putUvarint(cw, uint64(len(fences)))
-		prevFirst, prevOff := uint64(0), int64(0)
-		for _, fe := range fences {
-			putUvarint(cw, fe.first-prevFirst)
-			prevFirst = fe.first
-			putUvarint(cw, uint64(fe.off-prevOff))
-			prevOff = fe.off
-			putUvarint(cw, uint64(fe.n))
-		}
-
-		bloomOff := cw.n
-		bloom.marshalInto(cw)
-
-		var foot [5 * 8]byte
-		for i, off := range []int64{docsOff, bagsOff, postsOff, fencesOff, bloomOff} {
-			binary.BigEndian.PutUint64(foot[i*8:], uint64(off))
-		}
-		cw.Write(foot[:])
-		crc, err = cw.finish(segTrailer[:])
-		return err
-	})
-	return crc, renamed, err
+	mu     sync.Mutex
+	closed bool                       // guarded by mu
+	cache  []atomic.Pointer[segBlock] // decoded blocks by block index; read lock-free, filled and evicted under mu
+	order  []int                      // guarded by mu; FIFO eviction order of the cached block indexes
 }
 
 // --- reader -----------------------------------------------------------
@@ -474,29 +364,28 @@ func parseSegment(fsys fsio.FS, fh fsio.File, path string, pr profile.Params, se
 	}, nil
 }
 
-// close releases the segment's file handle.
+// close releases the segment's file handle. The store closes a segment
+// only once no reader can reach it: at Close, or inside the swap that
+// retires it, under the forest's registry write lock.
 func (s *segment) close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
+	if s.closed {
 		return nil
 	}
-	err := s.f.Close()
-	s.f = nil
-	return err
+	s.closed = true
+	return s.f.Close()
 }
 
-// readAt fills p from the segment file at off. Callers hold s.mu.
-//
-//pqlint:locked s.mu
+// readAt fills p from the segment file at off.
 func (s *segment) readAt(p []byte, off int64) error {
-	if s.f == nil {
-		return fmt.Errorf("store: segment %s: read after close", s.path)
+	n, err := s.f.ReadAt(p, off)
+	if n == len(p) {
+		return nil // io.ReaderAt may report io.EOF with a full read
 	}
-	if _, err := s.f.Seek(off, io.SeekStart); err != nil {
-		return err
+	if err == nil {
+		err = io.ErrUnexpectedEOF
 	}
-	_, err := io.ReadFull(s.f, p)
 	return err
 }
 
@@ -507,10 +396,7 @@ func (s *segment) bag(ref int) (profile.Bag, error) {
 	}
 	d := s.docs[ref]
 	buf := make([]byte, d.bagLen)
-	s.mu.Lock()
-	err := s.readAt(buf, s.bagsOff+d.bagOff)
-	s.mu.Unlock()
-	if err != nil {
+	if err := s.readAt(buf, s.bagsOff+d.bagOff); err != nil {
 		return profile.Bag{}, fmt.Errorf("store: segment %s: reading bag of %q: %w", s.path, d.id, err)
 	}
 	br := bytes.NewReader(buf)
@@ -524,13 +410,11 @@ func (s *segment) bag(ref int) (profile.Bag, error) {
 	return bag, nil
 }
 
-// block returns decoded posting block bi through the FIFO block cache.
+// block returns decoded posting block bi through the FIFO block cache. A
+// miss reads and decodes the block with no lock held; only installing it
+// (and evicting the oldest) takes mu, and a reader that lost the race to
+// install the same block drops its copy for the winner's.
 func (s *segment) block(bi int) (*segBlock, error) {
-	if b := s.cache[bi].Load(); b != nil {
-		return b, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if b := s.cache[bi].Load(); b != nil {
 		return b, nil
 	}
@@ -545,6 +429,11 @@ func (s *segment) block(bi int) (*segBlock, error) {
 	}
 	if len(b.tuples) == 0 || b.tuples[0] != fe.first {
 		return nil, fmt.Errorf("store: segment %s: block %d does not start at its fence tuple", s.path, bi)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cur := s.cache[bi].Load(); cur != nil {
+		return cur, nil
 	}
 	if len(s.order) >= segBlockCacheCap {
 		s.cache[s.order[0]].Store(nil)

@@ -44,8 +44,16 @@
 // resurrected, and the recovered state is always a prefix of the
 // acknowledged operations.
 //
-// Compact follows the same ordering, and both run it through the same two
-// steps: publish (write the segment, open-verify it, replace the
+// Merges keep the segment count logarithmic: after each flush, while the
+// newest mergeFanIn (4) or more segments share a size tier (⌊log₄ of
+// their doc count⌋), Flush replaces that suffix of the segment list with
+// one segment of its live documents — dead copies dropped, every document
+// keeping its doc number, a tombstone kept only while an older segment
+// may still hold its id. Compact is the merge of everything, memtable
+// included. A flush, a merge and a compaction are one rewrite: one
+// streaming k-way write over the memtable's bags and the input segments'
+// posting blocks (segwrite.go), then the same ordering through the same
+// two steps — publish (write the segment, open-verify it, replace the
 // manifest) and settle (the forest swap, the journal reset). A new writer
 // of segments builds on those two rather than on the steps inside them.
 //
@@ -120,8 +128,9 @@ type Segmented struct {
 	recovery RecoveryInfo
 }
 
-// Store-internal lock order: tier reads hold the store lock while they
-// fault posting blocks in through a segment's block cache.
+// Store-internal lock order: Close and the swap that retires merged
+// segments close them under the store lock, and a segment's close takes
+// its own lock (which otherwise guards only its block cache's installs).
 //
 //pqlint:lockorder Segmented.mu < segment.mu
 
@@ -396,7 +405,7 @@ func (s *Segmented) AddAll(docs []forest.Doc, workers int) error {
 	bags := forest.BuildIndexes(docs, s.forest.Params(), workers)
 	recs := make([]record, len(bags))
 	for i, bag := range bags {
-		recs[i] = record{recAdd, addPayload(ids[i], profile.Freeze(bag))}
+		recs[i] = record{recAdd, addPayload(ids[i], bag)}
 	}
 	if err := s.journal(recs...); err != nil {
 		return err
@@ -558,93 +567,137 @@ func (s *Segmented) maybeFlush() error {
 	return s.Flush()
 }
 
-// --- flush and compaction ----------------------------------------------
+// --- flush, merges and compaction --------------------------------------
+
+// mergeFanIn is T of the size-tiered merge policy: once the newest T
+// segments share a size tier, Flush merges them into one.
+const mergeFanIn = 4
+
+// sizeTier is the size tier of a segment holding docs documents:
+// ⌊log_T docs⌋, so a tier spans a factor of T and the merge of T segments
+// of one tier lands in the next.
+func sizeTier(docs int) int {
+	t := 0
+	for ; docs >= mergeFanIn; docs /= mergeFanIn {
+		t++
+	}
+	return t
+}
 
 // Flush writes every resident document plus the pending tombstones as one
 // new segment, publishes it through an atomic manifest replace, evicts
 // the flushed documents from the memtable, and resets the journal against
-// the new manifest. A no-op when nothing is resident and no tombstones
-// are pending. See the package comment for the crash ordering.
+// the new manifest. Then, while the newest mergeFanIn or more segments
+// share a size tier, it merges them into one, so the segment count stays
+// logarithmic in the corpus. The flush is a no-op when nothing is
+// resident and no tombstones are pending. See the package comment for the
+// crash ordering.
 func (s *Segmented) Flush() error {
 	if err := s.wal.usable(); err != nil {
 		return err
 	}
-	s.mu.RLock()
-	ids := make([]string, 0, len(s.dirty))
-	for id := range s.dirty {
-		ids = append(ids, id)
+	if err := s.flush(); err != nil {
+		return err
 	}
-	tombsOut := make([]string, 0, len(s.tombs))
-	for id := range s.tombs {
-		// A tombstoned id that is also resident (promoted, then kept) is
-		// re-stored by this very segment; the newer copy shadows the old
-		// one, so no tombstone is needed.
-		if !s.dirty[id] {
-			tombsOut = append(tombsOut, id)
+	for from := s.tierRun(); from >= 0; from = s.tierRun() {
+		if err := s.merge(from); err != nil {
+			return err
 		}
 	}
-	seq := s.nextSeq
-	liveSegs := make([]manifestSeg, 0, len(s.segs)+1)
-	for _, sg := range s.segs {
-		liveSegs = append(liveSegs, manifestSeg{seq: sg.seq, crc: sg.crc})
-	}
-	pending := append([]uint64(nil), s.obsolete...)
+	return nil
+}
+
+// flush is Flush's first step: the memtable becomes segment number
+// nextSeq, after every live one. A no-op when nothing is resident and no
+// tombstones are pending.
+func (s *Segmented) flush() error {
+	s.mu.RLock()
+	idle := len(s.dirty) == 0 && len(s.tombs) == 0
+	from := len(s.segs)
 	s.mu.RUnlock()
-	if len(ids) == 0 && len(tombsOut) == 0 {
+	if idle {
 		return nil
 	}
 	m := s.obs.Load()
 	t0 := time.Now()
 	sp := m.col.StartTrace("store.flush")
 	defer sp.Finish()
-	sort.Strings(ids)
-	sort.Strings(tombsOut)
-	docs, err := s.segDocs("flush", ids)
-	if err != nil {
-		return err
-	}
-	man := &manifest{pr: s.forest.Params(), nextSeq: seq, segs: liveSegs, obsolete: pending}
-	sg, manCRC, err := s.publish("flush", man, docs, tombsOut)
-	if err != nil {
-		return err
-	}
-	err = s.settle("flush", ids, manCRC, func(docs []uint32) {
-		s.mu.Lock()
-		sg.docOf = docs // the doc table is ids, in order
-		s.segs = append(s.segs, sg)
-		for i, id := range ids {
-			s.loc[id] = segLoc{seg: sg, ref: i}
-		}
-		s.tombs = make(map[string]bool)
-		s.dirty = make(map[string]bool)
-		s.nextSeq = man.nextSeq
-		s.manCRC = manCRC
-		s.mu.Unlock()
-	})
+	w, err := s.rewrite("flush", from, true)
 	if err != nil {
 		return err
 	}
 	m.flushes.Inc()
-	m.flushedDocs.Add(int64(len(ids)))
+	m.flushedDocs.Add(int64(w.mem))
 	m.flushNS.ObserveSince(t0)
 	m.journalBytes.Set(journalHeaderLen)
 	s.publishGauges(m)
-	sp.SetAttr("seq", int64(seq))
-	sp.SetAttr("docs", int64(len(ids)))
-	sp.SetAttr("tombstones", int64(len(tombsOut)))
-	sp.SetAttr("segment_bytes", sg.size)
+	sp.SetAttr("seq", int64(w.seq))
+	sp.SetAttr("docs", int64(w.mem))
+	sp.SetAttr("tombstones", int64(len(w.plan.tombs)))
+	sp.SetAttr("segment_bytes", w.bytes)
 	m.col.Event("segment flushed",
-		"path", sg.path, "seq", seq, "docs", len(ids),
-		"tombstones", len(tombsOut), "bytes", sg.size)
+		"path", segmentPath(s.path, w.seq), "seq", w.seq, "docs", w.mem,
+		"tombstones", len(w.plan.tombs), "bytes", w.bytes)
+	return nil
+}
+
+// tierRun returns the index of the first segment of the newest run of
+// segments in one size tier when that run holds at least mergeFanIn
+// segments, and -1 otherwise. Flush keeps every run shorter than that, so
+// the run it finds is normally exactly mergeFanIn long; a longer one is a
+// store written before the policy, which its first flush then folds.
+func (s *Segmented) tierRun() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := len(s.segs)
+	if n < mergeFanIn {
+		return -1
+	}
+	tier := sizeTier(len(s.segs[n-1].docs))
+	from := n - 1
+	for from > 0 && sizeTier(len(s.segs[from-1].docs)) == tier {
+		from--
+	}
+	if n-from < mergeFanIn {
+		return -1
+	}
+	return from
+}
+
+// merge replaces the live segments from index from on with one segment of
+// their live documents, each keeping its doc number, and the tombstones
+// older segments still need.
+func (s *Segmented) merge(from int) error {
+	m := s.obs.Load()
+	sp := m.col.StartTrace("store.merge")
+	defer sp.Finish()
+	w, err := s.rewrite("merge", from, false)
+	if err != nil {
+		return err
+	}
+	m.merges.Inc()
+	m.mergeDocs.Add(int64(len(w.plan.docs)))
+	m.mergeBytes.Add(w.bytes)
+	m.journalBytes.Set(journalHeaderLen)
+	s.publishGauges(m)
+	sp.SetAttr("seq", int64(w.seq))
+	sp.SetAttr("docs", int64(len(w.plan.docs)))
+	sp.SetAttr("tombstones", int64(len(w.plan.tombs)))
+	sp.SetAttr("merged_segments", int64(len(w.plan.ins)))
+	sp.SetAttr("segment_bytes", w.bytes)
+	m.col.Event("segments merged",
+		"path", s.path, "seq", w.seq, "docs", len(w.plan.docs),
+		"merged", len(w.plan.ins), "bytes", w.bytes)
 	return nil
 }
 
 // Compact merges the memtable and every live segment into one new
-// segment with no tombstones, replaces the manifest with exactly that
-// segment (naming the superseded files obsolete), and resets the journal.
-// The same crash ordering as Flush applies; superseded segment files are
-// removed best-effort afterwards, and the manifest's obsolete list lets
-// the next open retry any removal that did not stick.
+// segment with no tombstones — a flush and a merge of everything, in one
+// write — replaces the manifest with exactly that segment (naming the
+// superseded files obsolete), and resets the journal. The same crash
+// ordering as Flush applies; superseded segment files are removed
+// best-effort afterwards, and the manifest's obsolete list lets the next
+// open retry any removal that did not stick.
 func (s *Segmented) Compact() error {
 	if err := s.wal.usable(); err != nil {
 		return err
@@ -653,113 +706,145 @@ func (s *Segmented) Compact() error {
 	t0 := time.Now()
 	sp := m.col.StartTrace("store.compact")
 	defer sp.Finish()
-	s.mu.RLock()
-	resident := make([]string, 0, len(s.dirty))
-	for id := range s.dirty {
-		resident = append(resident, id)
-	}
-	all := make([]string, 0, len(s.dirty)+len(s.loc))
-	all = append(all, resident...)
-	for id := range s.loc {
-		all = append(all, id)
-	}
-	seq := s.nextSeq
-	oldSegs := append([]*segment(nil), s.segs...)
-	obsolete := append([]uint64(nil), s.obsolete...)
-	s.mu.RUnlock()
-	sort.Strings(resident)
-	sort.Strings(all)
-
-	docs, err := s.segDocs("compact", all)
+	w, err := s.rewrite("compact", 0, true)
 	if err != nil {
 		return err
 	}
-	for _, sg := range oldSegs {
-		obsolete = append(obsolete, sg.seq)
-	}
-	slices.Sort(obsolete)
-
-	man := &manifest{pr: s.forest.Params(), nextSeq: seq, obsolete: obsolete}
-	sg, manCRC, err := s.publish("compact", man, docs, nil)
-	if err != nil {
-		return err
-	}
-	err = s.settle("compact", resident, manCRC, func(docs []uint32) {
-		s.mu.Lock()
-		for _, og := range oldSegs {
-			// Read-only handles of superseded files; their content is
-			// durable in the new segment already.
-			og.close() //pqlint:allow errcheck-durability read-only handle of a superseded segment; its content is in the new one
-		}
-		s.segs = nil
-		if sg != nil {
-			s.segs = []*segment{sg}
-			// A document keeps its doc number: the resident ones report
-			// theirs, the evicted ones' are in the tables being retired.
-			for i, id := range all {
-				if j, ok := slices.BinarySearch(resident, id); ok {
-					sg.docOf[i] = docs[j]
-				} else {
-					l := s.loc[id]
-					sg.docOf[i] = l.seg.docOf[l.ref]
-				}
-			}
-		}
-		s.loc = make(map[string]segLoc, len(all))
-		for i, id := range all {
-			s.loc[id] = segLoc{seg: sg, ref: i}
-		}
-		s.tombs = make(map[string]bool)
-		s.dirty = make(map[string]bool)
-		s.nextSeq = man.nextSeq
-		s.manCRC = manCRC
-		s.obsolete = obsolete
-		s.mu.Unlock()
-	})
-	if err != nil {
-		return err
-	}
-	s.gcObsolete(obsolete)
 	m.compactions.Inc()
 	m.compactNS.ObserveSince(t0)
+	m.merges.Inc()
+	m.mergeDocs.Add(int64(len(w.plan.docs)))
+	m.mergeBytes.Add(w.bytes)
 	m.journalBytes.Set(journalHeaderLen)
 	s.publishGauges(m)
-	sp.SetAttr("seq", int64(seq))
-	sp.SetAttr("docs", int64(len(all)))
-	sp.SetAttr("merged_segments", int64(len(oldSegs)))
+	sp.SetAttr("seq", int64(w.seq))
+	sp.SetAttr("docs", int64(len(w.plan.docs)))
+	sp.SetAttr("merged_segments", int64(len(w.plan.ins)))
 	m.col.Event("segments compacted",
-		"path", s.path, "seq", seq, "docs", len(all), "merged", len(oldSegs))
+		"path", s.path, "seq", w.seq, "docs", len(w.plan.docs), "merged", len(w.plan.ins))
 	return nil
 }
 
-// segDocs pairs each id with its current bag, for a segment write.
-func (s *Segmented) segDocs(op string, ids []string) ([]segDoc, error) {
-	docs := make([]segDoc, len(ids))
-	for i, id := range ids {
+// rewriteResult is what one rewrite wrote: the sequence number it used,
+// its plan, how many documents came from the memtable, and the new
+// segment's size (0 when it wrote none).
+type rewriteResult struct {
+	seq   uint64
+	plan  *segPlan
+	mem   int
+	bytes int64
+}
+
+// rewrite is the one segment write behind Flush, the tier merges and
+// Compact: it writes the live copies in segments [from, len) and, with
+// mem, the memtable's documents and pending tombstones as one new segment
+// (planSegment says what survives), publishes it in place of the segments
+// it read, and settles — the memtable documents move to the tier, the
+// others keep their doc numbers. A flush reads no segment (from is the
+// segment count), a tier merge no memtable, a compaction everything.
+func (s *Segmented) rewrite(op string, from int, mem bool) (*rewriteResult, error) {
+	s.mu.RLock()
+	ins := slices.Clone(s.segs[from:])
+	docOf := make([][]uint32, len(ins))
+	for j, sg := range ins {
+		docOf[j] = slices.Clone(sg.docOf)
+	}
+	var resident, tombs []string
+	if mem {
+		for id := range s.dirty {
+			resident = append(resident, id)
+		}
+		for id := range s.tombs {
+			tombs = append(tombs, id)
+		}
+	}
+	man := &manifest{pr: s.forest.Params(), nextSeq: s.nextSeq, obsolete: slices.Clone(s.obsolete)}
+	for _, sg := range s.segs[:from] {
+		man.segs = append(man.segs, manifestSeg{seq: sg.seq, crc: sg.crc})
+	}
+	s.mu.RUnlock()
+	sort.Strings(resident)
+	docs := make([]segDoc, len(resident))
+	for i, id := range resident {
 		bag, ok := s.forest.Bag(id)
 		if !ok {
 			return nil, fmt.Errorf("store: %s: tree %q %w", op, id, forest.ErrNotIndexed)
 		}
 		docs[i] = segDoc{id: id, bag: bag}
 	}
-	return docs, nil
+	plan, err := planSegment(docs, tombs, ins, docOf, from == 0)
+	if err != nil {
+		return nil, err
+	}
+	for _, sg := range ins {
+		man.obsolete = append(man.obsolete, sg.seq)
+	}
+	slices.Sort(man.obsolete)
+	obsolete := slices.Clone(man.obsolete)
+	w := &rewriteResult{seq: man.nextSeq, plan: plan, mem: len(resident)}
+	sg, manCRC, err := s.publish(op, man, plan)
+	if err != nil {
+		return nil, err
+	}
+	err = s.settle(op, resident, manCRC, func(memDocs []uint32) {
+		s.mu.Lock()
+		segs := slices.Clone(s.segs[:from])
+		if sg != nil {
+			r := 0
+			for i, d := range plan.docs {
+				if d.in < 0 {
+					sg.docOf[i] = memDocs[r] // memtable documents are ascending by id in both
+					r++
+				} else {
+					sg.docOf[i] = docOf[d.in][d.ref]
+				}
+				s.loc[d.id] = segLoc{seg: sg, ref: i}
+			}
+			segs = append(segs, sg)
+		}
+		for _, og := range ins {
+			// Read-only handles of superseded files; their content is
+			// durable in the new segment already, and the registry write
+			// lock held here keeps every reader out.
+			og.close() //pqlint:allow errcheck-durability read-only handle of a superseded segment; its content is in the new one
+		}
+		s.segs = segs
+		if mem {
+			s.tombs = make(map[string]bool)
+			s.dirty = make(map[string]bool)
+		}
+		s.nextSeq = man.nextSeq
+		s.manCRC = manCRC
+		s.obsolete = obsolete
+		s.mu.Unlock()
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(ins) > 0 {
+		s.gcObsolete(obsolete)
+	}
+	if sg != nil {
+		w.bytes = sg.size
+	}
+	return w, nil
 }
 
 // publish is the durable half of the crash ordering (package comment):
-// it writes docs and tombs as segment man.nextSeq, reads the file back
-// through openSegment, and atomically replaces the manifest with man
-// naming the new segment too. With no docs and no tombs it writes no
-// segment, replaces the manifest alone and returns a nil segment. Until
+// it writes plan as segment man.nextSeq, reads the file back through
+// openSegment, and atomically replaces the manifest with man naming the
+// new segment too. A plan with no docs and no tombs writes no segment:
+// the manifest is replaced alone and the segment returned is nil. Until
 // the manifest rename nothing durable has changed — an orphan segment
 // file is invisible, and the next write renames over its sequence number
 // — so an error is returned as is; a rename that does not settle poisons
 // the store, since the disk has advanced past what memory holds.
-func (s *Segmented) publish(op string, man *manifest, docs []segDoc, tombs []string) (*segment, uint32, error) {
+func (s *Segmented) publish(op string, man *manifest, plan *segPlan) (*segment, uint32, error) {
 	var sg *segment
-	if len(docs) > 0 || len(tombs) > 0 {
+	if len(plan.docs) > 0 || len(plan.tombs) > 0 {
 		seq := man.nextSeq
 		name := segmentPath(s.path, seq)
-		crc, _, err := writeSegment(s.fs, name, man.pr, seq, docs, tombs)
+		crc, _, err := plan.write(s.fs, name, man.pr, seq)
 		if err != nil {
 			return nil, 0, err
 		}
