@@ -83,6 +83,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDistance -fuzztime=$(FUZZTIME) ./internal/profile
 	$(GO) test -run='^$$' -fuzz=FuzzServeRequest -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzCachePatch -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzCachedReply -fuzztime=$(FUZZTIME) ./internal/serve
 
 # Coverage gate: the packages that carry the correctness arguments (the
 # paper's update algorithm, distance algebra, lookup planning, the
