@@ -134,6 +134,24 @@ func (s *shard) sub(lt profile.LabelTuple, doc uint32, c int) bool {
 	return true
 }
 
+// drop removes from lt's list every posting whose doc number is set in
+// the bitset gone, if the list still holds doc; the list is rewritten in
+// place, once. Same locking contract as add.
+//
+//pqlint:locked s.mu
+func (s *shard) drop(lt profile.LabelTuple, doc uint32, gone []uint64) {
+	list := s.postings[lt]
+	if _, found := searchDoc(list, doc); !found {
+		return
+	}
+	list = slices.DeleteFunc(list, func(p posting) bool { return gone[p.doc/64]&(1<<(p.doc%64)) != 0 })
+	if len(list) == 0 {
+		delete(s.postings, lt)
+	} else {
+		s.postings[lt] = list
+	}
+}
+
 // foldFraction bounds a bag's overlay: once it holds more than
 // 1/foldFraction as many tuples as the frozen base, ApplyDeltas folds it
 // into a new base. A fold costs O(base + overlay) and follows at least

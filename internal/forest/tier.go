@@ -120,17 +120,24 @@ func (f *Index) Evict(ids []string, swap func(docs []uint32)) error {
 			return fmt.Errorf("forest: tree %q already evicted", id)
 		}
 	}
+	// Each posting list an evicted document touches is rewritten once,
+	// filtered against the set of evicted doc numbers: a later document's
+	// tuple whose list no longer holds it was filtered already.
 	docs := make([]uint32, len(ids))
+	gone := make([]uint64, (len(f.docs)+63)/64)
 	for i, id := range ids {
+		docs[i] = f.trees[id].doc
+		gone[docs[i]/64] |= 1 << (docs[i] % 64)
+	}
+	for _, id := range ids {
 		e := f.trees[id]
 		bag := e.bag()
 		for j := 0; j < bag.Distinct(); j++ {
-			lt, c := bag.At(j)
-			f.shardOf(lt).sub(lt, e.doc, c)
+			lt, _ := bag.At(j)
+			f.shardOf(lt).drop(lt, e.doc, gone)
 		}
 		e.distinct = bag.Distinct()
 		e.base, e.over, e.evicted = profile.Bag{}, nil, true
-		docs[i] = e.doc
 	}
 	if swap != nil {
 		swap(docs)

@@ -2,6 +2,7 @@ package forest_test
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -444,5 +445,62 @@ func TestTierCounters(t *testing.T) {
 				t.Errorf("%s: %s not incremented", name, counter)
 			}
 		}
+	}
+}
+
+// TestEvictRandomSubsets evicts random subsets of the resident documents
+// in rounds, promoting some back in between, so one Evict often takes
+// documents that share posting lists with each other and with documents
+// that stay. After every step the forest passes SelfCheck and answers as
+// an all-resident copy does.
+func TestEvictRandomSubsets(t *testing.T) {
+	docs := gen.XMarkForest(23, 40, 2400)
+	resident, tiered, ft := forest.New(p33), forest.New(p33), newFakeTier()
+	tiered.SetTier(ft)
+	ids := make([]string, len(docs))
+	for i, d := range docs {
+		ids[i] = fmt.Sprintf("doc%03d", i)
+		if err := resident.Add(ids[i], d); err != nil {
+			t.Fatal(err)
+		}
+		if err := tiered.Add(ids[i], d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(step string) {
+		t.Helper()
+		if err := tiered.SelfCheck(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		for _, qi := range []int{0, 7, 21} {
+			for _, tau := range []float64{0.3, 0.7} {
+				if want, got := resident.Lookup(docs[qi], tau), tiered.Lookup(docs[qi], tau); !matchesEqual(want, got) {
+					t.Fatalf("%s: query %d at tau %v: %v, want %v", step, qi, tau, got, want)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	for round := 0; round < 10; round++ {
+		var evict []string
+		for _, id := range ids {
+			if !forest.EvictedForTest(tiered, id) && rng.Intn(3) == 0 {
+				ft.bags[id] = tiered.TreeIndex(id)
+				evict = append(evict, id)
+			}
+		}
+		if err := tiered.Evict(evict, ft.learn(evict...)); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("round %d: evicted %d", round, len(evict)))
+		for _, id := range ids {
+			if forest.EvictedForTest(tiered, id) && rng.Intn(4) == 0 {
+				bag := ft.bags[id]
+				if err := tiered.Promote(id, profile.Freeze(bag), func() { delete(ft.bags, id) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		check(fmt.Sprintf("round %d: promoted", round))
 	}
 }
